@@ -248,6 +248,29 @@ fn update_deltas(dataset: &GeneratedDataset, dim_index: usize, count: usize) -> 
     deltas
 }
 
+/// Ingest batches for `loadgen` to cycle round-robin: the first `count`
+/// rows flipped on `dim_index`, then the same rows restored to their
+/// generated values. One cycled batch would change data only the first
+/// time it lands; alternating the pair makes every batch a change.
+fn flip_and_restore(
+    tenant: &str,
+    dataset: &GeneratedDataset,
+    dim_index: usize,
+    count: usize,
+) -> Vec<(String, Vec<RowDelta>)> {
+    let restore = dataset
+        .table
+        .iter_rows()
+        .take(count)
+        .enumerate()
+        .map(|(row, values)| RowDelta::Update { row, values })
+        .collect();
+    vec![
+        (tenant.to_string(), update_deltas(dataset, dim_index, count)),
+        (tenant.to_string(), restore),
+    ]
+}
+
 /// Feed `deltas` through the ingest log in `batch`-sized calls, then
 /// time the drain — the flush (incremental re-solve) cost in isolation.
 fn timed_flush(service: &VoiceService, tenant: &str, deltas: Vec<RowDelta>, batch: usize) -> f64 {
@@ -292,7 +315,7 @@ fn smoke_baseline(workers: usize, requests: usize, rate: f64) -> SmokeBaseline {
         ingest: 6,
         refresh: 1,
     };
-    plan.ingest_batches = vec![("flights".to_string(), update_deltas(&dataset, 4, 4))];
+    plan.ingest_batches = flip_and_restore("flights", &dataset, 4, 4);
     plan.refresh = Some(("flights".to_string(), dataset));
     let load = loadgen::run(&frontend, &plan);
     drop(frontend);
@@ -457,7 +480,7 @@ fn run_synthetic(
             ingest: 10,
             refresh: 0,
         };
-        plan.ingest_batches = vec![("scale".to_string(), update_deltas(&dataset, 2, 4))];
+        plan.ingest_batches = flip_and_restore("scale", &dataset, 2, 4);
     }
     let load = loadgen::run(&frontend, &plan);
     let load_ingests = load.ingests;

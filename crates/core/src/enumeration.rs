@@ -10,10 +10,12 @@
 //! A [`FactCatalog`] materializes exactly those candidates for one
 //! (already query-filtered) relation: one [`FactGroup`] per subset of the
 //! free dimension columns up to the configured size, one fact per distinct
-//! value combination appearing in the data. Each group stores a row→fact
-//! partition index so that per-fact utility gains and deviation bounds are
-//! computed in one pass over the rows — the direct-execution analogue of
-//! the paper's fact/data joins and group-by queries.
+//! value combination appearing in the data, in order of first appearance.
+//! Each group stores a row→fact partition index so that per-fact utility
+//! gains and deviation bounds are computed in one pass over the rows — the
+//! direct-execution analogue of the paper's fact/data joins and group-by
+//! queries. The partition comes from [`RowPartition`], the grouping pass
+//! the engine's query enumeration shares.
 
 use vqs_relalg::hash::FxHashMap;
 
@@ -39,12 +41,6 @@ pub struct FactGroup {
     /// Per-row fact offset within the group: row `r` falls within the scope
     /// of exactly the fact `fact_start + row_fact[r]`.
     row_fact: Vec<u32>,
-    /// Row-aligned deviation cache: `row_devs[r]` is
-    /// `|value(fact_of_row(r)) − target(r)|`. Materialized once at build
-    /// time so the per-iteration gain pass reads three contiguous f64/u32
-    /// streams instead of gathering fact values and re-deriving the
-    /// deviation per row.
-    row_devs: Vec<f64>,
 }
 
 impl FactGroup {
@@ -58,12 +54,6 @@ impl FactGroup {
     pub fn fact_ids(&self) -> std::ops::Range<FactId> {
         self.fact_start..self.fact_start + self.fact_count
     }
-
-    /// The row-aligned deviation cache (`|value(fact_of_row(r)) − target(r)|`
-    /// per row), the dense operand of the gain partition pass.
-    pub fn row_devs(&self) -> &[f64] {
-        &self.row_devs
-    }
 }
 
 /// The candidate facts for one summarization problem.
@@ -71,7 +61,8 @@ impl FactGroup {
 /// Besides the per-group row→fact partitions, the catalog materializes a
 /// CSR-layout *inverted* index: for every fact, the rows within its scope
 /// (`fact_rows`) and the pre-computed deviation `|fact.value − v_r|` of
-/// each such row (`fact_devs`). The solver hot path
+/// each such row (`fact_devs`, the catalog's only copy of the
+/// deviations). The solver hot path
 /// ([`crate::model::utility::ResidualState::gain_indexed`] /
 /// [`crate::model::utility::ResidualState::apply_indexed`]) walks these
 /// slices instead of scanning all rows and re-decoding scopes per row —
@@ -244,13 +235,15 @@ impl FactCatalog {
         gains.resize(group.fact_count, 0.0);
         let residuals = residual.residuals();
         if group.fact_count == 1 {
-            // Single-fact group (e.g. the overall average): a pure
-            // reduction over two contiguous streams — 4-way unrolled with
-            // independent accumulators and a branchless clamp, the same
-            // shape as `ResidualState::gain_indexed`. The reordered
-            // summation may differ from the sequential pass by rounding
-            // (gain estimates tolerate that; see the differential tests).
-            let devs = &group.row_devs[..];
+            // Single-fact group (e.g. the overall average): the fact
+            // covers every row in ascending order, so its CSR deviations
+            // are row-aligned and the gain is a pure reduction over two
+            // contiguous streams — 4-way unrolled with independent
+            // accumulators and a branchless clamp, the same shape as
+            // `ResidualState::gain_indexed`. The reordered summation may
+            // differ from the sequential pass by rounding (gain estimates
+            // tolerate that; see the differential tests).
+            let devs = self.fact_devs(group.fact_start);
             let chunks = self.rows / 4;
             let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
             for c in 0..chunks {
@@ -470,61 +463,115 @@ fn build_inverted_index(
     (offsets, rows, devs)
 }
 
+/// The rows of a relation partitioned by their value combination on a set
+/// of columns: the grouping pass behind both the fact catalog and the
+/// engine's query enumeration.
+#[derive(Debug, Clone)]
+pub struct RowPartition {
+    /// Per row, the id of its value combination. Ids are dense and number
+    /// the combinations in order of first appearance.
+    pub of_row: Vec<u32>,
+    /// Per combination id, the first row holding the combination.
+    pub first_row: Vec<u32>,
+}
+
+impl RowPartition {
+    /// Partition the rows of `relation` by their codes on `cols`.
+    ///
+    /// Each row's code tuple becomes one `u64` key, with no allocation per
+    /// row: two codes pack into one key, and a wider tuple folds — the key
+    /// of its leading codes resolves to that prefix's dense id, which packs
+    /// with the next code. Every step is injective, so equal final keys
+    /// mean equal tuples.
+    pub fn new(relation: &EncodedRelation, cols: &[usize]) -> RowPartition {
+        let columns: Vec<&[u32]> = cols.iter().map(|&d| relation.codes(d)).collect();
+        // One map per fold of a wide tuple, then one for the whole tuple.
+        let mut maps: Vec<FxHashMap<u64, u32>> =
+            vec![FxHashMap::default(); columns.len().saturating_sub(1).max(1)];
+        let (folds, whole) = maps.split_at_mut(columns.len().saturating_sub(2));
+        let whole = &mut whole[0];
+        let mut of_row = Vec::with_capacity(relation.len());
+        let mut first_row = Vec::new();
+        for row in 0..relation.len() {
+            let mut key = columns.first().map_or(0, |codes| u64::from(codes[row]));
+            for (i, codes) in columns.iter().enumerate().skip(1) {
+                if i > 1 {
+                    key = u64::from(dense_id(&mut folds[i - 2], key));
+                }
+                key = pack(key, codes[row]);
+            }
+            let id = dense_id(whole, key);
+            if id as usize == first_row.len() {
+                first_row.push(row as u32);
+            }
+            of_row.push(id);
+        }
+        RowPartition { of_row, first_row }
+    }
+
+    /// Number of distinct value combinations.
+    pub fn len(&self) -> usize {
+        self.first_row.len()
+    }
+
+    /// True when the relation has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.first_row.is_empty()
+    }
+}
+
+/// Pack a code or prefix id (below 2^32) with the next code into one key.
+/// The odd multiply and the xor-shift are bijections that carry high bits
+/// into low ones: the Fx hash leaves a key's low bits depending on its low
+/// bits only, and the hash table picks buckets by them.
+#[inline]
+fn pack(prefix: u64, code: u32) -> u64 {
+    let key = ((prefix << 32) | u64::from(code)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    key ^ (key >> 32)
+}
+
+/// The dense id of `key` in `ids`, assigning the next one on first sight.
+#[inline]
+fn dense_id(ids: &mut FxHashMap<u64, u32>, key: u64) -> u32 {
+    let next = ids.len() as u32;
+    *ids.entry(key).or_insert(next)
+}
+
 fn build_group(
     relation: &EncodedRelation,
     cols: &[usize],
     facts: &mut Vec<Fact>,
 ) -> Result<FactGroup> {
     let fact_start = facts.len();
-    let mut combo_index: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
-    let mut row_fact = Vec::with_capacity(relation.len());
-    let mut sums: Vec<f64> = Vec::new();
-    let mut counts: Vec<usize> = Vec::new();
-    let mut keys: Vec<Vec<u32>> = Vec::new();
-    for row in 0..relation.len() {
-        let key: Vec<u32> = cols.iter().map(|&d| relation.code(d, row)).collect();
-        let offset = match combo_index.get(&key) {
-            Some(&o) => o,
-            None => {
-                let o = sums.len() as u32;
-                combo_index.insert(key.clone(), o);
-                keys.push(key);
-                sums.push(0.0);
-                counts.push(0);
-                o
-            }
-        };
-        sums[offset as usize] += relation.target(row);
+    let RowPartition {
+        of_row: row_fact,
+        first_row,
+    } = RowPartition::new(relation, cols);
+    // Sums accumulate in row order, as in `Fact::for_scope`, so every fact
+    // value is bit-identical to a direct scan of its scope. The indexing
+    // also checks every offset against the fact count, which the bound
+    // pass, the inverted index and the unchecked gain sweep rely on.
+    let mut sums = vec![0.0f64; first_row.len()];
+    let mut counts = vec![0usize; first_row.len()];
+    for (&offset, &target) in row_fact.iter().zip(relation.targets()) {
+        sums[offset as usize] += target;
         counts[offset as usize] += 1;
-        row_fact.push(offset);
     }
     let mask = cols.iter().fold(0u32, |m, &d| m | (1 << d));
-    for ((key, sum), count) in keys.iter().zip(&sums).zip(&counts) {
-        let pairs: Vec<(usize, u32)> = cols.iter().copied().zip(key.iter().copied()).collect();
+    for ((&row, sum), count) in first_row.iter().zip(&sums).zip(&counts) {
+        let pairs: Vec<(usize, u32)> = cols
+            .iter()
+            .map(|&d| (d, relation.code(d, row as usize)))
+            .collect();
         let scope = Scope::from_pairs(&pairs)?;
         facts.push(Fact::new(scope, sum / *count as f64, *count));
     }
-    let row_devs: Vec<f64> = row_fact
-        .iter()
-        .enumerate()
-        .map(|(row, &offset)| {
-            (facts[fact_start + offset as usize].value - relation.target(row)).abs()
-        })
-        .collect();
-    // Validate the row→fact partition once at build time: the bound pass
-    // and the inverted-index build index per-fact arrays by these offsets,
-    // and the CSR slices that `group_gains` walks unchecked are derived
-    // from them.
-    assert!(row_fact
-        .iter()
-        .all(|&offset| (offset as usize) < sums.len()));
     Ok(FactGroup {
         mask,
         cols: cols.to_vec(),
         fact_start,
-        fact_count: sums.len(),
+        fact_count: first_row.len(),
         row_fact,
-        row_devs,
     })
 }
 

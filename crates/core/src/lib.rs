@@ -62,7 +62,7 @@ pub mod prelude {
         DEFAULT_FAN_OUT_THRESHOLD,
     };
     pub use crate::delta::{mask_dims, masked_combo, subset_masks};
-    pub use crate::enumeration::{FactCatalog, FactGroup};
+    pub use crate::enumeration::{FactCatalog, FactGroup, RowPartition};
     pub use crate::error::{CoreError, Result};
     pub use crate::instrument::Instrumentation;
     pub use crate::model::{

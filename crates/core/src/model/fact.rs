@@ -100,10 +100,16 @@ impl Scope {
     /// the row agrees with every restricted dimension.
     #[inline]
     pub fn matches_row(&self, relation: &EncodedRelation, row: usize) -> bool {
-        for (d, v) in self.pairs() {
+        // Walk the mask's set bits beside `values` (both in ascending
+        // dimension order) instead of allocating `pairs()`: the scan paths
+        // call this once per row per fact.
+        let mut mask = self.mask;
+        for &v in &self.values {
+            let d = mask.trailing_zeros() as usize;
             if relation.code(d, row) != v {
                 return false;
             }
+            mask &= mask - 1;
         }
         true
     }
@@ -252,6 +258,36 @@ mod tests {
         assert!(winter.matches_row(&r, 1));
         assert!(!winter.matches_row(&r, 2));
         assert!(Scope::all().matches_row(&r, 3));
+    }
+
+    #[test]
+    fn row_matching_on_high_dimensions_agrees_with_pairs() {
+        let names: Vec<String> = (0..12).map(|d| format!("d{d}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let rows: Vec<(Vec<&str>, f64)> = (0..24)
+            .map(|r| {
+                let values = (0..12).map(|d| ["x", "y", "z"][(r / (d % 4 + 1)) % 3]);
+                (values.collect(), r as f64)
+            })
+            .collect();
+        let r = EncodedRelation::from_rows(&names, "t", rows, Prior::Constant(0.0)).unwrap();
+        let scopes: [&[(usize, u32)]; 5] = [
+            &[(8, 0)],
+            &[(11, 1)],
+            &[(3, 2), (8, 1)],
+            &[(0, 0), (9, 2), (11, 0)],
+            &[(8, 0), (9, 0), (10, 0), (11, 0)],
+        ];
+        let mut matched = 0;
+        for pairs in scopes {
+            let scope = Scope::from_pairs(pairs).unwrap();
+            for row in 0..r.len() {
+                let by_pairs = scope.pairs().iter().all(|&(d, v)| r.code(d, row) == v);
+                assert_eq!(scope.matches_row(&r, row), by_pairs, "{scope} row {row}");
+                matched += usize::from(by_pairs);
+            }
+        }
+        assert!(matched > 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Differential tests of the indexed solver hot path.
 //!
-//! Three invariants protect the indexed-kernel and parallel-search
-//! optimizations:
+//! Three invariants protect the catalog build, the indexed-kernel and the
+//! parallel-search optimizations:
 //!
 //! 1. The catalog's CSR inverted-index kernel
 //!    (`gain_indexed`/`apply_indexed`/`revert_frame`) agrees with the
@@ -14,10 +14,73 @@
 //!    search — utility, chosen facts, and timeout flag — for any worker
 //!    count, on both sides of the adaptive fan-out gate and for scoped
 //!    as well as custom executors.
+//! 3. The catalog build agrees with a naive reference — one
+//!    `Fact::for_scope` per distinct value combination, in order of first
+//!    appearance — on fact order, scopes, value bits, support, the
+//!    row→fact partition, every CSR slice and the grouped gains,
+//!    including three-dimension groups over a high-cardinality column,
+//!    whose integer grouping keys fold.
 
 use proptest::prelude::*;
 
 use vqs_core::prelude::*;
+
+/// A random relation over four dimensions, the last with up to 300
+/// distinct values, and real-valued targets so that summation order shows
+/// in the bits of every average.
+fn arb_wide_relation() -> impl Strategy<Value = EncodedRelation> {
+    prop::collection::vec(
+        (0u32..3, 0u32..5, 0u32..2, 0u32..300, -50.0f64..50.0),
+        1..80,
+    )
+    .prop_map(|rows| {
+        let data: Vec<(Vec<String>, f64)> = rows
+            .iter()
+            .map(|&(a, b, c, h, y)| {
+                let values = vec![
+                    format!("a{a}"),
+                    format!("b{b}"),
+                    format!("c{c}"),
+                    format!("h{h}"),
+                ];
+                (values, y)
+            })
+            .collect();
+        let row_refs: Vec<(Vec<&str>, f64)> = data
+            .iter()
+            .map(|(v, t)| (v.iter().map(String::as_str).collect(), *t))
+            .collect();
+        EncodedRelation::from_rows(&["a", "b", "c", "h"], "y", row_refs, Prior::GlobalMean).unwrap()
+    })
+}
+
+/// One group of the reference catalog: the distinct value combinations of
+/// `cols` in order of first appearance, each fact computed by a direct
+/// scan of its scope, and every row's combination index.
+fn naive_group(relation: &EncodedRelation, cols: &[usize]) -> (Vec<Fact>, Vec<usize>) {
+    let mut combos: Vec<Vec<u32>> = Vec::new();
+    let mut of_row = Vec::with_capacity(relation.len());
+    for row in 0..relation.len() {
+        let combo: Vec<u32> = cols.iter().map(|&d| relation.code(d, row)).collect();
+        let index = match combos.iter().position(|c| *c == combo) {
+            Some(index) => index,
+            None => {
+                combos.push(combo);
+                combos.len() - 1
+            }
+        };
+        of_row.push(index);
+    }
+    let facts = combos
+        .iter()
+        .map(|combo| {
+            let pairs: Vec<(usize, u32)> =
+                cols.iter().copied().zip(combo.iter().copied()).collect();
+            Fact::for_scope(relation, Scope::from_pairs(&pairs).unwrap()).unwrap()
+        })
+        .collect();
+    (facts, of_row)
+}
 
 /// A small random relation (2 dimensions, bounded cardinalities) plus the
 /// per-row targets, generated from plain proptest collections so failures
@@ -154,6 +217,62 @@ proptest! {
                 prop_assert_eq!(parallel.base_error.to_bits(), sequential.base_error.to_bits());
             }
         }
+    }
+
+    // The catalog build equals the naive reference group by group, for
+    // scope sizes up to three.
+    #[test]
+    fn catalog_build_matches_naive_reference(
+        relation in arb_wide_relation(),
+        max_dims in 1usize..=3,
+        picks in prop::collection::vec(0usize..4096, 0..3),
+    ) {
+        let catalog = FactCatalog::build(&relation, &[0, 1, 2, 3], max_dims).unwrap();
+        let subsets = (0u32..16).filter(|m| m.count_ones() as usize <= max_dims).count();
+        prop_assert_eq!(catalog.groups().len(), subsets);
+        // Gains are compared after a few applies, so residuals differ
+        // from row to row.
+        let mut state = ResidualState::new(&relation);
+        let mut arena = UndoArena::new();
+        for pick in picks {
+            let id = pick % catalog.len();
+            state.apply_indexed(catalog.fact_rows(id), catalog.fact_devs(id), &mut arena);
+        }
+        let mut counters = Instrumentation::default();
+        let mut next_fact = 0;
+        for (g, group) in catalog.groups().iter().enumerate() {
+            let (facts, of_row) = naive_group(&relation, &group.cols);
+            prop_assert_eq!(group.fact_start, next_fact);
+            prop_assert_eq!(group.fact_count, facts.len());
+            next_fact += facts.len();
+            for (row, &slot) in of_row.iter().enumerate() {
+                prop_assert_eq!(group.fact_of_row(row), group.fact_start + slot);
+            }
+            let gains = catalog.group_gains(&relation, &state, g, &mut counters);
+            for (slot, want) in facts.iter().enumerate() {
+                let id = group.fact_start + slot;
+                let got = catalog.fact(id);
+                prop_assert_eq!(&got.scope, &want.scope);
+                prop_assert_eq!(got.value.to_bits(), want.value.to_bits());
+                prop_assert_eq!(got.support, want.support);
+                let rows: Vec<u32> = (0..relation.len() as u32)
+                    .filter(|&r| of_row[r as usize] == slot)
+                    .collect();
+                prop_assert_eq!(catalog.fact_rows(id), rows.as_slice());
+                let devs: Vec<u64> = rows
+                    .iter()
+                    .map(|&r| (want.value - relation.target(r as usize)).abs().to_bits())
+                    .collect();
+                let got_devs: Vec<u64> = catalog.fact_devs(id).iter().map(|d| d.to_bits()).collect();
+                prop_assert_eq!(got_devs, devs);
+                let direct = state.gain_of(&relation, want);
+                prop_assert!(
+                    (gains[slot] - direct).abs() <= 1e-9 * direct.abs().max(1.0),
+                    "fact {id}: {} vs {direct}", gains[slot]
+                );
+            }
+        }
+        prop_assert_eq!(next_fact, catalog.len());
     }
 
     // The indexed exact search still matches the brute-force optimum.

@@ -202,30 +202,41 @@ pub fn enumerate_queries(
     // exact agreement.
     for mask in subset_masks(dim_count, config.max_query_length) {
         let dims = mask_dims(mask);
-        // Partition rows by value combination on `dims`.
-        let mut combos: FxHashMap<Vec<u32>, Vec<usize>> = FxHashMap::default();
-        for row in 0..relation.len() {
-            let key: Vec<u32> = dims.iter().map(|&d| relation.code(d, row)).collect();
-            combos.entry(key).or_default().push(row);
+        let partition = RowPartition::new(relation, &dims);
+        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); partition.len()];
+        for (row, &combo) in partition.of_row.iter().enumerate() {
+            rows[combo as usize].push(row);
         }
-        let mut sorted: Vec<(Vec<u32>, Vec<usize>)> = combos.into_iter().collect();
-        sorted.sort(); // deterministic order
-        for (combo, rows) in sorted {
+        // Lexicographic order of the code tuples: jobs, and with them the
+        // store's insertion order, follow it.
+        let codes = |combo: usize| row_codes(relation, &dims, partition.first_row[combo]);
+        let mut order: Vec<usize> = (0..partition.len()).collect();
+        order.sort_unstable_by(|&a, &b| codes(a).cmp(codes(b)));
+        for combo in order {
             let predicates: Vec<(String, String)> = dims
                 .iter()
-                .zip(&combo)
-                .map(|(&d, &code)| {
+                .zip(codes(combo))
+                .map(|(&d, code)| {
                     let dim = &relation.dims()[d];
                     (dim.name.clone(), dim.values[code as usize].to_string())
                 })
                 .collect();
             items.push(WorkItem {
                 query: Query::new(target.to_string(), predicates),
-                rows,
+                rows: std::mem::take(&mut rows[combo]),
             });
         }
     }
     items
+}
+
+/// The codes of `row` on `dims`, in order.
+fn row_codes<'a>(
+    relation: &'a EncodedRelation,
+    dims: &'a [usize],
+    row: u32,
+) -> impl Iterator<Item = u32> + 'a {
+    dims.iter().map(move |&d| relation.code(d, row as usize))
 }
 
 /// The paper's exact summarizer configured for this deployment: each
