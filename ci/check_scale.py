@@ -2,11 +2,16 @@
 """Scale-regression gate over the committed BENCH_scale.json.
 
 Compares a fresh CI smoke run of `bench_scale --smoke` against the
-committed file's `smoke_baseline` section:
+committed file's `smoke_baseline` and `wide_probes` sections:
 
 * wall-time metrics (preprocess_ms, ingest_flush_ms, load p99) must not
   regress beyond RATIO (1.5x), with an absolute noise floor so
   microsecond-scale jitter on shared runners never trips the gate;
+* the `wide_probes` lookup time at 16 and 20 predicates must not regress
+  beyond RATIO either, with a 50 us floor: probe counts cannot tell the
+  bounded generalization walk from a 2^n one (both probe twice), and a
+  2^n walk (~7 ms at 16 predicates) or a store scan (~0.1 ms at 20)
+  fails this gate;
 * the wide-probe counts (wide_probe_16 / wide_probe_20) are pure
   functions of the seeded store contents and must match *exactly* — a
   drift means the lookup algorithm or the secondary index changed, which
@@ -29,6 +34,9 @@ WALL_METRICS = [
     (("smoke_baseline", "ingest_flush_ms"), 20.0),
     (("smoke_baseline", "load", "p99_intended_micros"), 20000.0),
 ]
+# (predicate count, absolute floor in nanoseconds) of the gated
+# `wide_probes` lookup times.
+WIDE_LOOKUPS = [(16, 50000.0), (20, 50000.0)]
 EXACT_METRICS = [
     ("smoke_baseline", "wide_probe_16"),
     ("smoke_baseline", "wide_probe_20"),
@@ -39,6 +47,24 @@ def dig(data, path):
     for key in path:
         data = data[key]
     return data
+
+
+def wide_lookup_nanos(data, predicates):
+    for entry in data["wide_probes"]:
+        if entry["predicates"] == predicates:
+            return float(entry["lookup_nanos"])
+    raise SystemExit(f"no wide_probes entry for {predicates} predicates")
+
+
+def ratio_gate(name, base, now, floor, failures):
+    if base <= floor and now <= floor:
+        verdict = "ok (under noise floor)"
+    elif now > RATIO * max(base, floor):
+        verdict = f"REGRESSED (> {RATIO}x)"
+        failures.append(name)
+    else:
+        verdict = "ok"
+    print(f"{name}: committed {base:.3f}, fresh {now:.3f} -- {verdict}")
 
 
 def main(committed_path, fresh_path):
@@ -54,16 +80,13 @@ def main(committed_path, fresh_path):
     failures = []
     for path, floor in WALL_METRICS:
         name = ".".join(path)
-        base = float(dig(committed, path))
-        now = float(dig(fresh, path))
-        if base <= floor and now <= floor:
-            verdict = "ok (under noise floor)"
-        elif now > RATIO * max(base, floor):
-            verdict = f"REGRESSED (> {RATIO}x)"
-            failures.append(name)
-        else:
-            verdict = "ok"
-        print(f"{name}: committed {base:.3f}, fresh {now:.3f} -- {verdict}")
+        ratio_gate(name, float(dig(committed, path)), float(dig(fresh, path)), floor, failures)
+
+    for predicates, floor in WIDE_LOOKUPS:
+        name = f"wide_probes[{predicates}].lookup_nanos"
+        base = wide_lookup_nanos(committed, predicates)
+        now = wide_lookup_nanos(fresh, predicates)
+        ratio_gate(name, base, now, floor, failures)
 
     for path in EXACT_METRICS:
         name = ".".join(path)

@@ -8,11 +8,13 @@
 //!   preprocess, ingest drain, a short open-loop load run). Always
 //!   computed; CI re-runs it with `--smoke` and `ci/check_scale.py`
 //!   compares against the committed values (1.5× wall-time gate,
-//!   exact-match probe counts).
-//! * `wide_probes` — store probe counts and lookup latency as query
-//!   predicate count crosses [`MAX_ENUMERATED_PREDICATES`] (16): the
-//!   secondary index keeps the enumerated path polynomial, and past 16
-//!   the per-target scan takes over. Deterministic, always computed.
+//!   exact-match probe counts, and a 1.5× gate on the `wide_probes`
+//!   lookup time at 16 and 20 predicates).
+//! * `wide_probes` — store probe counts and lookup latency as the query
+//!   predicate count grows far past the longest stored query: the
+//!   generalization walk stops at the stored query length, so its cost
+//!   grows polynomially in the predicate count. Probe counts are
+//!   deterministic; always computed.
 //! * `scenarios` — the four paper data sets at scale ∈ {0.02, 0.25,
 //!   1.0}: preprocess wall time, store footprint
 //!   ([`StoreStats::approx_bytes`]), and an open-loop Poisson load run
@@ -61,7 +63,6 @@ struct ProbeEntry {
     predicates: usize,
     probes_per_lookup: u64,
     lookup_nanos: u64,
-    path: &'static str,
 }
 
 struct SyntheticEntry {
@@ -348,9 +349,8 @@ fn smoke_baseline(workers: usize, requests: usize, rate: f64) -> SmokeBaseline {
     }
 }
 
-/// Probe the store's two lookup regimes on a 20-binary-dimension tenant:
-/// enumerated generalization (≤ 16 predicates, candidates filtered by
-/// the secondary index) vs the per-target scan past 16.
+/// Probe the store's generalization walk on a 20-binary-dimension tenant
+/// whose longest stored query has 2 predicates, for queries of 1 to 20.
 fn wide_probe_sweep(workers: usize) -> Vec<ProbeEntry> {
     let spec = wide_probe_spec(20);
     let dataset = spec.generate(vqs_data::DEFAULT_SEED, 1.0);
@@ -365,7 +365,7 @@ fn wide_probe_sweep(workers: usize) -> Vec<ProbeEntry> {
     let mut entries = Vec::new();
     for predicates in [1usize, 2, 4, 8, 12, 16, 17, 18, 20] {
         // Value "b" on every dimension: misses the exact entry on long
-        // queries, so the lookup walks its full generalization regime.
+        // queries, so the lookup walks its generalization levels.
         let query = Query::new(
             "metric",
             (0..predicates)
@@ -384,11 +384,6 @@ fn wide_probe_sweep(workers: usize) -> Vec<ProbeEntry> {
             predicates,
             probes_per_lookup: (after.probes - before.probes) / u64::from(rounds),
             lookup_nanos,
-            path: if predicates > 16 {
-                "scan"
-            } else {
-                "enumerated"
-            },
         });
     }
     entries
@@ -610,9 +605,8 @@ fn render_json(
     for (i, entry) in probes.iter().enumerate() {
         let comma = if i + 1 == probes.len() { "" } else { "," };
         lines.push(format!(
-            "    {{\"predicates\": {}, \"probes_per_lookup\": {}, \"lookup_nanos\": {}, \
-             \"path\": \"{}\"}}{}",
-            entry.predicates, entry.probes_per_lookup, entry.lookup_nanos, entry.path, comma
+            "    {{\"predicates\": {}, \"probes_per_lookup\": {}, \"lookup_nanos\": {}}}{}",
+            entry.predicates, entry.probes_per_lookup, entry.lookup_nanos, comma
         ));
     }
     lines.push("  ],".to_string());

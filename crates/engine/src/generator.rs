@@ -35,34 +35,6 @@ use crate::service::{ScatterPriority, SolverPool};
 use crate::store::SpeechStore;
 use crate::template::SpeechTemplate;
 
-/// How a batch of solver jobs is executed.
-///
-/// The [`crate::service::VoiceService`] facade reuses one long-lived
-/// [`SolverPool`] across all tenants ([`Workers::Pool`]); the in-crate
-/// test harness spawns a scoped thread pool per call
-/// ([`Workers::Scoped`]). Both run the identical work-stealing loop, so
-/// the produced stores are byte-identical regardless of executor.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Workers<'p> {
-    /// Spawn `n` scoped threads for this call only (test harness;
-    /// production paths share the service pool).
-    #[cfg_attr(not(test), allow(dead_code))]
-    Scoped(usize),
-    /// Run on the shared long-lived pool, queued on the given lane
-    /// (registrations ride [`ScatterPriority::Bulk`], delta refreshes
-    /// the interactive fast lane — see [`SolverPool::scatter_at`]).
-    Pool(&'p SolverPool, ScatterPriority),
-}
-
-impl Workers<'_> {
-    fn available(&self) -> usize {
-        match self {
-            Workers::Scoped(n) => *n,
-            Workers::Pool(pool, _) => pool.workers(),
-        }
-    }
-}
-
 /// One pre-processing work item: a query and the rows of its data subset.
 #[derive(Debug, Clone)]
 pub struct WorkItem {
@@ -70,27 +42,6 @@ pub struct WorkItem {
     pub query: Query,
     /// Row indexes of the subset within the target's relation.
     pub rows: Vec<usize>,
-}
-
-/// Batch pre-processing options.
-#[derive(Debug, Clone)]
-pub struct PreprocessOptions {
-    /// Worker threads (default: available parallelism).
-    pub workers: usize,
-    /// Per-target speech templates; targets without an entry use
-    /// [`SpeechTemplate::plain`].
-    pub templates: FxHashMap<String, SpeechTemplate>,
-}
-
-impl Default for PreprocessOptions {
-    fn default() -> Self {
-        PreprocessOptions {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            templates: FxHashMap::default(),
-        }
-    }
 }
 
 /// Aggregate report of one pre-processing run (feeds Fig. 10's
@@ -410,7 +361,7 @@ struct TargetPlan {
 fn build_plans(
     dataset: &GeneratedDataset,
     config: &Configuration,
-    options: &PreprocessOptions,
+    templates: &FxHashMap<String, SpeechTemplate>,
 ) -> Result<Vec<TargetPlan>> {
     config
         .targets
@@ -418,8 +369,7 @@ fn build_plans(
         .map(|target| {
             let relation = target_relation(dataset, config, target)?;
             let items = enumerate_queries(&relation, config, target);
-            let template = options
-                .templates
+            let template = templates
                 .get(target)
                 .cloned()
                 .unwrap_or_else(|| SpeechTemplate::plain(target));
@@ -435,7 +385,9 @@ fn build_plans(
         .collect()
 }
 
-/// Run the given `(plan, item)` jobs over a work-stealing worker pool.
+/// Run the given `(plan, item)` jobs on `pool`, queued on `priority`
+/// (registrations ride [`ScatterPriority::Bulk`], delta refreshes the
+/// interactive fast lane — see [`SolverPool::scatter_at`]).
 ///
 /// Workers claim job indexes from a shared atomic counter, so load
 /// balances across targets and across skewed per-query costs without
@@ -449,12 +401,13 @@ fn run_jobs<S: Summarizer + Sync + ?Sized>(
     jobs: &[(usize, usize)],
     config: &Configuration,
     summarizer: &S,
-    workers: Workers<'_>,
+    pool: &SolverPool,
+    priority: ScatterPriority,
 ) -> Result<(Vec<(StoredSpeech, Instrumentation)>, Duration)> {
     if jobs.is_empty() {
         return Ok((Vec::new(), Duration::ZERO));
     }
-    let worker_count = workers.available().max(1).min(jobs.len());
+    let worker_count = pool.workers().min(jobs.len());
     let next = AtomicUsize::new(0);
     let cancelled = AtomicBool::new(false);
     type WorkerOutput = (
@@ -493,21 +446,7 @@ fn run_jobs<S: Summarizer + Sync + ?Sized>(
         }
         (solved, failure, solver_time)
     };
-    let per_worker: Vec<WorkerOutput> = match workers {
-        Workers::Pool(pool, priority) => pool.scatter_at(priority, worker_count, worker_body),
-        Workers::Scoped(_) => std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..worker_count)
-                .map(|worker| {
-                    let worker_body = &worker_body;
-                    scope.spawn(move || worker_body(worker))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("pre-processing worker panicked"))
-                .collect()
-        }),
-    };
+    let per_worker: Vec<WorkerOutput> = pool.scatter_at(priority, worker_count, worker_body);
 
     let mut solved = Vec::with_capacity(jobs.len());
     let mut first_failure: Option<(usize, EngineError)> = None;
@@ -531,26 +470,27 @@ fn run_jobs<S: Summarizer + Sync + ?Sized>(
     ))
 }
 
-/// Pre-processing over an explicit executor; the shared implementation
-/// behind the service facade (and the integration suite's scoped-pool
-/// harness).
+/// Pre-processing on `pool`; the implementation behind
+/// [`crate::service::VoiceService::register_dataset`]. Targets without
+/// an entry in `templates` use [`SpeechTemplate::plain`].
 pub(crate) fn preprocess_with<S: Summarizer + Sync + ?Sized>(
     dataset: &GeneratedDataset,
     config: &Configuration,
     summarizer: &S,
-    options: &PreprocessOptions,
-    workers: Workers<'_>,
+    templates: &FxHashMap<String, SpeechTemplate>,
+    pool: &SolverPool,
+    priority: ScatterPriority,
 ) -> Result<(SpeechStore, PreprocessReport)> {
     config.validate()?;
     let start = Instant::now();
-    let plans = build_plans(dataset, config, options)?;
+    let plans = build_plans(dataset, config, templates)?;
     let jobs: Vec<(usize, usize)> = plans
         .iter()
         .enumerate()
         .flat_map(|(plan_index, plan)| (0..plan.items.len()).map(move |i| (plan_index, i)))
         .collect();
     let total_queries = jobs.len();
-    let (solved, solver_time) = run_jobs(&plans, &jobs, config, summarizer, workers)?;
+    let (solved, solver_time) = run_jobs(&plans, &jobs, config, summarizer, pool, priority)?;
 
     let store = SpeechStore::new();
     let mut instrumentation = Instrumentation::default();
@@ -594,8 +534,7 @@ pub(crate) fn preprocess_with<S: Summarizer + Sync + ?Sized>(
 /// entries are left untouched — the same [`std::sync::Arc`] keeps serving
 /// — so after a refresh the store is element-wise identical to a full
 /// pre-processing pass over the new data.
-/// Delta re-summarization over an explicit executor; the shared
-/// implementation behind
+/// Delta re-summarization on `pool`; the implementation behind
 /// [`crate::service::VoiceService::refresh_tenant`]. A thin wrapper over
 /// [`resummarize_with`] selecting queries by changed row membership.
 #[allow(clippy::too_many_arguments)]
@@ -603,19 +542,21 @@ pub(crate) fn refresh_with<S: Summarizer + Sync + ?Sized>(
     dataset: &GeneratedDataset,
     config: &Configuration,
     summarizer: &S,
-    options: &PreprocessOptions,
+    templates: &FxHashMap<String, SpeechTemplate>,
     store: &SpeechStore,
     changed_rows: &[usize],
-    workers: Workers<'_>,
+    pool: &SolverPool,
+    priority: ScatterPriority,
 ) -> Result<RefreshReport> {
     resummarize_with(
         dataset,
         config,
         summarizer,
-        options,
+        templates,
         store,
         Invalidation::ChangedRows(changed_rows),
-        workers,
+        pool,
+        priority,
     )
 }
 
@@ -658,14 +599,15 @@ pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
     dataset: &GeneratedDataset,
     config: &Configuration,
     summarizer: &S,
-    options: &PreprocessOptions,
+    templates: &FxHashMap<String, SpeechTemplate>,
     store: &SpeechStore,
     invalidation: Invalidation<'_>,
-    workers: Workers<'_>,
+    pool: &SolverPool,
+    priority: ScatterPriority,
 ) -> Result<RefreshReport> {
     config.validate()?;
     let start = Instant::now();
-    let plans = build_plans(dataset, config, options)?;
+    let plans = build_plans(dataset, config, templates)?;
 
     let mut queries = 0usize;
     let mut kept = 0usize;
@@ -734,7 +676,7 @@ pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
         }
     }
 
-    let (solved, solver_time) = run_jobs(&plans, &jobs, config, summarizer, workers)?;
+    let (solved, solver_time) = run_jobs(&plans, &jobs, config, summarizer, pool, priority)?;
     // Everything solved: from here on the store mutates without fallible
     // steps in between.
     let removed = stale.len();
@@ -762,36 +704,37 @@ pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
     })
 }
 
-// These tests drive `preprocess_with`/`refresh_with` over scoped pools;
-// the facade path is covered by `service::tests` and the
+// These tests drive `preprocess_with`/`refresh_with` on small private
+// pools; the facade path is covered by `service::tests` and the
 // `vqs-integration` service suite.
 #[cfg(test)]
 mod tests {
     use super::*;
     use vqs_data::{DimSpec, SynthSpec, TargetSpec};
 
-    /// [`preprocess_with`] over a scoped pool sized from `options`.
+    /// [`preprocess_with`] with plain templates on `pool`'s bulk lane.
     fn preprocess<S: Summarizer + Sync + ?Sized>(
         dataset: &GeneratedDataset,
         config: &Configuration,
         summarizer: &S,
-        options: &PreprocessOptions,
+        pool: &SolverPool,
     ) -> Result<(SpeechStore, PreprocessReport)> {
         preprocess_with(
             dataset,
             config,
             summarizer,
-            options,
-            Workers::Scoped(options.workers),
+            &FxHashMap::default(),
+            pool,
+            ScatterPriority::Bulk,
         )
     }
 
-    /// [`refresh_with`] over a scoped pool sized from `options`.
+    /// [`refresh_with`] with plain templates on `pool`'s interactive lane.
     fn refresh<S: Summarizer + Sync + ?Sized>(
         dataset: &GeneratedDataset,
         config: &Configuration,
         summarizer: &S,
-        options: &PreprocessOptions,
+        pool: &SolverPool,
         store: &SpeechStore,
         changed_rows: &[usize],
     ) -> Result<RefreshReport> {
@@ -799,10 +742,11 @@ mod tests {
             dataset,
             config,
             summarizer,
-            options,
+            &FxHashMap::default(),
             store,
             changed_rows,
-            Workers::Scoped(options.workers),
+            pool,
+            ScatterPriority::Interactive,
         )
     }
 
@@ -869,8 +813,7 @@ mod tests {
         let data = tiny_dataset();
         let cfg = config();
         let summarizer = GreedySummarizer::with_optimized_pruning();
-        let (store, report) =
-            preprocess(&data, &cfg, &summarizer, &PreprocessOptions::default()).unwrap();
+        let (store, report) = preprocess(&data, &cfg, &summarizer, &SolverPool::new(0)).unwrap();
         // Two targets × 12 queries.
         assert_eq!(report.queries, 24);
         assert_eq!(report.speeches, 24);
@@ -896,16 +839,8 @@ mod tests {
         let data = tiny_dataset();
         let cfg = config();
         let summarizer = GreedySummarizer::base();
-        let serial = PreprocessOptions {
-            workers: 1,
-            ..Default::default()
-        };
-        let parallel = PreprocessOptions {
-            workers: 8,
-            ..Default::default()
-        };
-        let (s1, r1) = preprocess(&data, &cfg, &summarizer, &serial).unwrap();
-        let (s2, r2) = preprocess(&data, &cfg, &summarizer, &parallel).unwrap();
+        let (s1, r1) = preprocess(&data, &cfg, &summarizer, &SolverPool::new(1)).unwrap();
+        let (s2, r2) = preprocess(&data, &cfg, &summarizer, &SolverPool::new(8)).unwrap();
         assert_eq!(s1.len(), s2.len());
         assert_eq!(s1.snapshot(), s2.snapshot());
         assert_eq!(r1.instrumentation, r2.instrumentation);
@@ -920,25 +855,17 @@ mod tests {
     fn configured_exact_store_is_identical_for_any_solver_worker_count() {
         let data = tiny_dataset();
         let mut cfg = config();
-        let options = PreprocessOptions {
-            workers: 2,
-            ..Default::default()
-        };
+        let pool = SolverPool::new(2);
         cfg.solver_workers = 1;
-        let (serial, _) = preprocess(&data, &cfg, &configured_exact(&cfg), &options).unwrap();
+        let (serial, _) = preprocess(&data, &cfg, &configured_exact(&cfg), &pool).unwrap();
         cfg.solver_workers = 8;
         let solver = configured_exact(&cfg);
         assert_eq!(solver.workers, 8);
-        let (parallel, _) = preprocess(&data, &cfg, &solver, &options).unwrap();
+        let (parallel, _) = preprocess(&data, &cfg, &solver, &pool).unwrap();
         assert_eq!(serial.snapshot(), parallel.snapshot());
         // Exact speeches are at least as good as greedy's.
-        let (greedy, _) = preprocess(
-            &data,
-            &cfg,
-            &GreedySummarizer::base(),
-            &PreprocessOptions::default(),
-        )
-        .unwrap();
+        let (greedy, _) =
+            preprocess(&data, &cfg, &GreedySummarizer::base(), &SolverPool::new(0)).unwrap();
         for query in greedy.queries() {
             let g = greedy.get(&query).unwrap();
             let e = parallel.get(&query).unwrap();
@@ -950,13 +877,8 @@ mod tests {
     fn missing_columns_reported() {
         let data = tiny_dataset();
         let bad = Configuration::new("tiny", &["season", "nonexistent"], &["delay"]);
-        let err = preprocess(
-            &data,
-            &bad,
-            &GreedySummarizer::base(),
-            &PreprocessOptions::default(),
-        )
-        .unwrap_err();
+        let err =
+            preprocess(&data, &bad, &GreedySummarizer::base(), &SolverPool::new(0)).unwrap_err();
         assert!(matches!(err, EngineError::MissingColumn { .. }));
     }
 
@@ -966,16 +888,8 @@ mod tests {
         let mut cfg = config();
         cfg.max_query_length = 2; // queries can fix both dimensions
         cfg.include_overall_fact = false;
-        let (store, _) = preprocess(
-            &data,
-            &cfg,
-            &GreedySummarizer::base(),
-            &PreprocessOptions {
-                workers: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let (store, _) =
+            preprocess(&data, &cfg, &GreedySummarizer::base(), &SolverPool::new(2)).unwrap();
         // A query fixing both dims has no free dimensions; its only
         // candidate fact is the subset average.
         let q = store
@@ -993,10 +907,10 @@ mod tests {
         let data = tiny_dataset();
         let cfg = config();
         let summarizer = GreedySummarizer::with_optimized_pruning();
-        let options = PreprocessOptions::default();
-        let (store, _) = preprocess(&data, &cfg, &summarizer, &options).unwrap();
+        let pool = SolverPool::new(0);
+        let (store, _) = preprocess(&data, &cfg, &summarizer, &pool).unwrap();
         let before = store.snapshot();
-        let report = refresh(&data, &cfg, &summarizer, &options, &store, &[]).unwrap();
+        let report = refresh(&data, &cfg, &summarizer, &pool, &store, &[]).unwrap();
         assert_eq!(report.recomputed, 0);
         assert_eq!(report.kept, report.queries);
         assert_eq!(report.removed, 0);
@@ -1013,11 +927,11 @@ mod tests {
         let data = tiny_dataset();
         let cfg = config();
         let summarizer = GreedySummarizer::with_optimized_pruning();
-        let options = PreprocessOptions::default();
-        let (store, _) = preprocess(&data, &cfg, &summarizer, &options).unwrap();
+        let pool = SolverPool::new(0);
+        let (store, _) = preprocess(&data, &cfg, &summarizer, &pool).unwrap();
         let cancelled_before = store.snapshot();
         assert_eq!(store.invalidate_target("delay"), 12);
-        let report = refresh(&data, &cfg, &summarizer, &options, &store, &[]).unwrap();
+        let report = refresh(&data, &cfg, &summarizer, &pool, &store, &[]).unwrap();
         assert_eq!(report.recomputed, 12);
         assert_eq!(report.kept, 12);
         assert_eq!(store.len(), 24);
@@ -1055,8 +969,8 @@ mod tests {
         let data = tiny_dataset();
         let cfg = config();
         let summarizer = GreedySummarizer::with_optimized_pruning();
-        let options = PreprocessOptions::default();
-        let (store, _) = preprocess(&data, &cfg, &summarizer, &options).unwrap();
+        let pool = SolverPool::new(0);
+        let (store, _) = preprocess(&data, &cfg, &summarizer, &pool).unwrap();
         let before = store.snapshot();
         // Force recomputation of everything, with a solver that always
         // errors: the refresh must fail without mutating the store —
@@ -1067,7 +981,7 @@ mod tests {
             &data,
             &cfg,
             &FailingSummarizer { fail_on_row: 0 },
-            &options,
+            &pool,
             &store,
             &[],
         )
@@ -1079,7 +993,7 @@ mod tests {
             assert!(std::sync::Arc::ptr_eq(a, b), "{}", a.query);
         }
         // A subsequent successful refresh recovers fully.
-        let report = refresh(&data, &cfg, &summarizer, &options, &store, &[]).unwrap();
+        let report = refresh(&data, &cfg, &summarizer, &pool, &store, &[]).unwrap();
         assert_eq!(report.recomputed, 24);
         assert_eq!(store.snapshot().len(), 24);
     }
@@ -1089,10 +1003,10 @@ mod tests {
         let data = tiny_dataset();
         let cfg = config();
         let summarizer = GreedySummarizer::with_optimized_pruning();
-        let options = PreprocessOptions::default();
-        let (reference, _) = preprocess(&data, &cfg, &summarizer, &options).unwrap();
+        let pool = SolverPool::new(0);
+        let (reference, _) = preprocess(&data, &cfg, &summarizer, &pool).unwrap();
         let store = SpeechStore::new();
-        let report = refresh(&data, &cfg, &summarizer, &options, &store, &[]).unwrap();
+        let report = refresh(&data, &cfg, &summarizer, &pool, &store, &[]).unwrap();
         assert_eq!(report.recomputed, 24);
         assert_eq!(report.kept, 0);
         assert_eq!(store.snapshot(), reference.snapshot());

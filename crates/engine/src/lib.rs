@@ -78,7 +78,7 @@ pub mod prelude {
     pub use crate::extensions::{ExtremumIndex, GroupAverage};
     pub use crate::generator::{
         configured_exact, configured_exact_on, enumerate_queries, solve_item, target_relation,
-        PreprocessOptions, PreprocessReport, RefreshReport, WorkItem,
+        PreprocessReport, RefreshReport, WorkItem,
     };
     pub use crate::ingest::{FlushReport, IngestBuilder, IngestReport, RowDelta};
     pub use crate::logsim::{

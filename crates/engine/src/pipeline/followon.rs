@@ -25,15 +25,16 @@ pub struct FollowOn {
 /// (by [`Query`]'s total order) stored speech extending `answered` by
 /// exactly one predicate. `None` when the store holds no adjacent
 /// summary — answers never invent hints. The scan is linear in the
-/// number of speeches stored for the target; stores hold at most a few
-/// hundred speeches per target, so this stays well under lookup cost.
+/// number of speeches stored for the target and clones one query per
+/// answer, the winner's.
 pub(crate) fn suggest(store: &SpeechStore, answered: &Query) -> Option<FollowOn> {
-    let query = store
-        .speeches_for_target(answered.target())
-        .into_iter()
-        .map(|speech| speech.query.clone())
+    let speeches = store.speeches_for_target(answered.target());
+    let query = speeches
+        .iter()
+        .map(|speech| &speech.query)
         .filter(|candidate| candidate.len() == answered.len() + 1 && answered.subset_of(candidate))
-        .min()?;
+        .min()?
+        .clone();
     let scope: Vec<String> = query
         .predicates()
         .iter()

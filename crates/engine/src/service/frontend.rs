@@ -1574,7 +1574,14 @@ fn respond_cached(
             // The deadline was stamped at admission; whatever budget is
             // left bounds live solver work via the degradation ladder.
             let deadline = request.deadline;
-            service.respond_owned(tenant, request, start, deadline, Exec::Bulk(&service.pool))
+            service.respond_resolved(
+                tenant,
+                request.tenant,
+                &request.text,
+                start,
+                deadline,
+                Exec::Bulk(&service.pool),
+            )
         }
         None => VoiceService::unknown_tenant_response(&request.tenant, start),
     }

@@ -60,7 +60,7 @@ use crate::error::{EngineError, Result};
 use crate::extensions::ExtremumIndex;
 use crate::generator::{
     preprocess_with, refresh_with, resummarize_with, target_relation, Invalidation,
-    PreprocessOptions, PreprocessReport, RefreshReport, Workers,
+    PreprocessReport, RefreshReport,
 };
 use crate::ingest::{FlushReport, IngestBuilder, IngestInner, IngestReport, IngestState, RowDelta};
 use crate::logsim::{tabulate, LogEntry};
@@ -828,16 +828,13 @@ impl VoiceService {
         if self.tenant(&spec.name).is_some() {
             return Err(EngineError::DuplicateTenant { name: spec.name });
         }
-        let options = PreprocessOptions {
-            workers: self.pool.workers(),
-            templates: spec.templates.clone(),
-        };
         let (store, report) = preprocess_with(
             &spec.dataset,
             &spec.config,
             self.summarizer.as_ref(),
-            &options,
-            Workers::Pool(&self.pool, ScatterPriority::Bulk),
+            &spec.templates,
+            &self.pool,
+            ScatterPriority::Bulk,
         )?;
         let runtime = Tenant::build_runtime(
             &spec.dataset,
@@ -932,18 +929,15 @@ impl VoiceService {
             &tenant.unavailable_markers,
             &tenant.extremum,
         )?;
-        let options = PreprocessOptions {
-            workers: self.pool.workers(),
-            templates: tenant.templates.clone(),
-        };
         let report = refresh_with(
             dataset,
             &tenant.config,
             self.summarizer.as_ref(),
-            &options,
+            &tenant.templates,
             &tenant.store,
             changed_rows,
-            Workers::Pool(&self.pool, ScatterPriority::Interactive),
+            &self.pool,
+            ScatterPriority::Interactive,
         )?;
         *tenant.runtime.write() = runtime;
         if let (Some(state), Some(inner)) = (tenant.ingest.as_ref(), log.as_mut()) {
@@ -1068,19 +1062,16 @@ impl VoiceService {
             &tenant.unavailable_markers,
             &tenant.extremum,
         )?;
-        let options = PreprocessOptions {
-            workers: self.pool.workers(),
-            templates: tenant.templates.clone(),
-        };
         let (all, by_target) = inner.dirty();
         let report = resummarize_with(
             &dataset,
             &tenant.config,
             self.summarizer.as_ref(),
-            &options,
+            &tenant.templates,
             &tenant.store,
             Invalidation::DirtyKeys { all, by_target },
-            Workers::Pool(&self.pool, ScatterPriority::Bulk),
+            &self.pool,
+            ScatterPriority::Bulk,
         )?;
         *tenant.runtime.write() = runtime;
         let deltas = inner.pending;
@@ -1223,7 +1214,14 @@ impl VoiceService {
                 let deadline = request
                     .deadline
                     .or_else(|| tenant.default_deadline.map(|budget| start + budget));
-                self.respond_resolved(&tenant, request, start, deadline, Exec::Bulk(&self.pool))
+                self.respond_resolved(
+                    &tenant,
+                    request.tenant.clone(),
+                    &request.text,
+                    start,
+                    deadline,
+                    Exec::Bulk(&self.pool),
+                )
             }
             None => Self::unknown_tenant_response(&request.tenant, start),
         }
@@ -1267,42 +1265,11 @@ impl VoiceService {
         }
     }
 
-    /// [`VoiceService::respond`] against an already-resolved tenant.
+    /// [`VoiceService::respond`] against an already-resolved tenant;
+    /// `label` becomes [`ServiceResponse::tenant`] (the front-end moves
+    /// the request's own label in, so its allocation travels submitter →
+    /// response and is freed where it was allocated).
     pub(crate) fn respond_resolved(
-        &self,
-        tenant: &Tenant,
-        request: &ServiceRequest,
-        start: Instant,
-        deadline: Option<Instant>,
-        exec: Exec<'_>,
-    ) -> ServiceResponse {
-        self.respond_parts(
-            tenant,
-            request.tenant.clone(),
-            &request.text,
-            start,
-            deadline,
-            exec,
-        )
-    }
-
-    /// [`VoiceService::respond_resolved`] taking the request by value:
-    /// the tenant label is moved into the response instead of cloned
-    /// (the front-end's hot path — the label's allocation then travels
-    /// submitter → response and is freed where it was allocated).
-    pub(crate) fn respond_owned(
-        &self,
-        tenant: &Tenant,
-        request: ServiceRequest,
-        start: Instant,
-        deadline: Option<Instant>,
-        exec: Exec<'_>,
-    ) -> ServiceResponse {
-        self.respond_parts(tenant, request.tenant, &request.text, start, deadline, exec)
-    }
-
-    /// Shared respond body; `label` becomes [`ServiceResponse::tenant`].
-    fn respond_parts(
         &self,
         tenant: &Tenant,
         label: String,
@@ -1965,8 +1932,9 @@ mod tests {
             &dataset(7),
             &serial_cfg,
             &crate::generator::configured_exact(&serial_cfg),
-            &PreprocessOptions::default(),
-            Workers::Pool(&service.solver_pool(), ScatterPriority::Bulk),
+            &Default::default(),
+            &service.solver_pool(),
+            ScatterPriority::Bulk,
         )
         .unwrap();
         assert_eq!(pooled.snapshot(), reference.snapshot());

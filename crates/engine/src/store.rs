@@ -10,12 +10,12 @@
 //! The store is sharded for concurrent traffic: speeches live in `N`
 //! lock-striped hash shards selected by query hash, so pre-processing
 //! writers and run-time readers contend only when they touch the same
-//! shard. A per-target secondary index records which predicate-dimension
-//! sets actually hold speeches, so the generalization fallback probes
-//! only candidate generalizations instead of enumerating every predicate
-//! subset (or scanning the map). Speeches are stored behind [`Arc`], so
-//! lookups hand out references without deep-copying text and facts, and
-//! delta re-summarization (see
+//! shard. A per-target secondary index records, per predicate count,
+//! which predicate-dimension sets actually hold speeches, so the
+//! generalization fallback walks only subsets no longer than the longest
+//! stored query and probes only those the index holds. Speeches are
+//! stored behind [`Arc`], so lookups hand out references without
+//! deep-copying text and facts, and delta re-summarization (see
 //! [`crate::service::VoiceService::refresh_tenant`]) can assert
 //! pointer stability of untouched entries.
 
@@ -108,29 +108,6 @@ struct CounterStripe {
     misses: AtomicU64,
 }
 
-/// Longest query for which the fallback enumerates predicate subsets
-/// (`O(2^n)`); longer queries — far beyond anything the NLQ extractor
-/// emits — use a linear scan of the target's speeches instead.
-const MAX_ENUMERATED_PREDICATES: usize = 16;
-
-/// Bitmask of `query`'s predicates that `subset` retains, if
-/// `subset ⊆ query` on the same target.
-fn subset_mask(subset: &Query, query: &Query) -> Option<u64> {
-    if subset.target() != query.target() || subset.len() > query.len() {
-        return None;
-    }
-    let mut mask = 0u64;
-    for predicate in subset.predicates() {
-        let position = query.predicates().iter().position(|p| p == predicate)?;
-        // Positions past 63 cannot influence the 64-bit tie-break rank;
-        // specificity (the predicate count) still ranks correctly.
-        if position < 64 {
-            mask |= 1 << position;
-        }
-    }
-    Some(mask)
-}
-
 /// Heap bytes behind a [`Query`]: the target string plus the predicate
 /// vector and its strings (string lengths, not capacities — the stable
 /// lower bound).
@@ -158,15 +135,30 @@ fn dim_set_hash<'a>(names: impl Iterator<Item = &'a str>) -> u64 {
     hasher.finish()
 }
 
+/// The `k`-bit masks below `1 << n`, in decreasing order (`k < n < 64`).
+/// Their complements are the `(n − k)`-bit masks in increasing order,
+/// which Gosper's hack steps through without shifting past bit `n`.
+fn masks_of_size(n: usize, k: usize) -> impl Iterator<Item = u64> {
+    let all = (1u64 << n) - 1;
+    std::iter::successors(Some((1u64 << (n - k)) - 1), move |&c| {
+        let low = c & c.wrapping_neg();
+        let ripple = c + low;
+        let next = ripple | (((c ^ ripple) >> 2) / low);
+        (next <= all).then_some(next)
+    })
+    .map(move |c| all ^ c)
+}
+
 /// Per-target entry of the secondary index: the predicate-dimension sets
 /// that currently hold at least one speech (with a count for removal
 /// bookkeeping), plus the target-column prior recorded at pre-processing
 /// time (consulted by delta re-summarization).
 #[derive(Debug, Default)]
 struct TargetIndex {
-    /// [`dim_set_hash`] of a dimension set → number of stored queries
-    /// with it.
-    dim_sets: FxHashMap<u64, usize>,
+    /// `dim_sets[k]`: [`dim_set_hash`] of a `k`-predicate dimension set →
+    /// number of stored queries with it. No level past the longest stored
+    /// query holds an entry, which bounds the generalization walk.
+    dim_sets: Vec<FxHashMap<u64, usize>>,
     /// Global target average used as the §III constant prior.
     prior: Option<f64>,
 }
@@ -245,8 +237,14 @@ impl SpeechStore {
         if replaced.is_none() {
             let dims = dim_set_hash(query.predicates().iter().map(|(d, _)| d.as_str()));
             let mut index = self.index.write();
-            let entry = index.entry(query.target().to_string()).or_default();
-            *entry.dim_sets.entry(dims).or_insert(0) += 1;
+            let levels = &mut index
+                .entry(query.target().to_string())
+                .or_default()
+                .dim_sets;
+            if levels.len() <= query.len() {
+                levels.resize_with(query.len() + 1, FxHashMap::default);
+            }
+            *levels[query.len()].entry(dims).or_insert(0) += 1;
         }
     }
 
@@ -263,11 +261,14 @@ impl SpeechStore {
         if removed.is_some() {
             let dims = dim_set_hash(query.predicates().iter().map(|(d, _)| d.as_str()));
             let mut index = self.index.write();
-            if let Some(entry) = index.get_mut(query.target()) {
-                if let Some(count) = entry.dim_sets.get_mut(&dims) {
+            let level = index
+                .get_mut(query.target())
+                .and_then(|entry| entry.dim_sets.get_mut(query.len()));
+            if let Some(level) = level {
+                if let Some(count) = level.get_mut(&dims) {
                     *count -= 1;
                     if *count == 0 {
-                        entry.dim_sets.remove(&dims);
+                        level.remove(&dims);
                     }
                 }
             }
@@ -322,10 +323,16 @@ impl SpeechStore {
     }
 
     /// The §III run-time lookup with most-specific-generalization
-    /// fallback. Instead of probing all `2^n` predicate subsets, only
-    /// subsets whose dimension set holds at least one speech (per the
-    /// secondary index) are probed, in decreasing-specificity order with
-    /// the same tie-break as [`Query::generalizations`].
+    /// fallback. After the exact probe misses, the walk visits the
+    /// `k`-predicate subsets of the query for `k` from `min(n − 1, longest
+    /// stored query)` down to 0, each level in decreasing mask order (the
+    /// tie-break of [`Query::generalizations`]), and skips levels that
+    /// hold no speech. Only subsets whose dimension set the secondary
+    /// index holds are probed.
+    ///
+    /// Predicate masks are `u64`, so `query` must have fewer than 64
+    /// predicates; the analyzer emits at most
+    /// [`crate::config::Configuration::max_query_length`].
     pub fn lookup(&self, query: &Query) -> Lookup {
         // One hash selects both the shard and the counter stripe.
         let shard_index = self.shard_index(query);
@@ -336,40 +343,35 @@ impl SpeechStore {
             stripe.exact_hits.fetch_add(1, Ordering::Relaxed);
             return Lookup::Exact(speech);
         }
-        // Queries long enough that the 2^n subset enumeration would hurt
-        // fall back to one linear scan of the target's speeches instead.
-        if query.len() > MAX_ENUMERATED_PREDICATES {
-            return self.lookup_by_scan(query, stripe);
-        }
         // Select the candidate masks under the index read lock alone
         // (never while holding a shard lock: lock-order freedom from
-        // deadlock), in generalizations() order — decreasing predicate
-        // count, then decreasing mask. One pass over the masks, bucketed
-        // by predicate count; the full mask was probed exactly above.
-        let n = query.len() as u32;
-        let by_size: Option<Vec<Vec<u64>>> = {
+        // deadlock), in probe order; the full mask was probed exactly
+        // above, so the walk starts one level below it.
+        let n = query.len();
+        let candidates: Option<Vec<u64>> = {
             let index = self.index.read();
             index.get(query.target()).map(|entry| {
-                let mut by_size: Vec<Vec<u64>> = vec![Vec::new(); n as usize + 1];
-                for mask in (0..(1u64 << n)).rev().skip(1) {
-                    let names = query
-                        .predicates()
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| mask & (1 << i) != 0)
-                        .map(|(_, (d, _))| d.as_str());
-                    if entry.dim_sets.contains_key(&dim_set_hash(names)) {
-                        by_size[mask.count_ones() as usize].push(mask);
-                    }
+                let levels = entry.dim_sets.iter().enumerate().take(n).rev();
+                let mut candidates = Vec::new();
+                for (k, level) in levels.filter(|(_, level)| !level.is_empty()) {
+                    candidates.extend(masks_of_size(n, k).filter(|&mask| {
+                        let names = query
+                            .predicates()
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| mask & (1 << i) != 0)
+                            .map(|(_, (d, _))| d.as_str());
+                        level.contains_key(&dim_set_hash(names))
+                    }));
                 }
-                by_size
+                candidates
             })
         };
-        let Some(by_size) = by_size else {
+        let Some(candidates) = candidates else {
             stripe.misses.fetch_add(1, Ordering::Relaxed);
             return Lookup::Miss;
         };
-        for mask in by_size.into_iter().rev().flatten() {
+        for mask in candidates {
             stripe.probes.fetch_add(1, Ordering::Relaxed);
             let candidate = query.predicate_subset(mask);
             if let Some(speech) = self.shard(&candidate).read().get(&candidate).cloned() {
@@ -382,40 +384,6 @@ impl SpeechStore {
         }
         stripe.misses.fetch_add(1, Ordering::Relaxed);
         Lookup::Miss
-    }
-
-    /// Generalization fallback for queries beyond
-    /// [`MAX_ENUMERATED_PREDICATES`]: one scan over the target's stored
-    /// speeches, ranked by (kept predicates, predicate bitmask) exactly
-    /// like the enumerated walk. Linear in the target's speech count, but
-    /// independent of `2^n`.
-    fn lookup_by_scan(&self, query: &Query, stripe: &CounterStripe) -> Lookup {
-        let mut best: Option<(usize, u64, Arc<StoredSpeech>)> = None;
-        for shard in self.shards.iter() {
-            for speech in shard.read().values() {
-                let Some(mask) = subset_mask(&speech.query, query) else {
-                    continue;
-                };
-                stripe.probes.fetch_add(1, Ordering::Relaxed);
-                let rank = (speech.query.len(), mask);
-                if best.as_ref().is_none_or(|(len, m, _)| rank > (*len, *m)) {
-                    best = Some((rank.0, rank.1, Arc::clone(speech)));
-                }
-            }
-        }
-        match best {
-            Some((kept_predicates, _, speech)) => {
-                stripe.generalized_hits.fetch_add(1, Ordering::Relaxed);
-                Lookup::Generalized {
-                    speech,
-                    kept_predicates,
-                }
-            }
-            None => {
-                stripe.misses.fetch_add(1, Ordering::Relaxed);
-                Lookup::Miss
-            }
-        }
     }
 
     /// All stored speeches for a target column (diagnostics / studies).
@@ -733,17 +701,39 @@ mod tests {
     }
 
     #[test]
-    fn very_long_queries_fall_back_to_a_scan() {
+    fn masks_of_size_walks_each_level_in_decreasing_order() {
+        for n in 1..=10usize {
+            for k in 0..n {
+                let want: Vec<u64> = (0..1u64 << n)
+                    .rev()
+                    .filter(|mask| mask.count_ones() as usize == k)
+                    .collect();
+                assert_eq!(masks_of_size(n, k).collect::<Vec<_>>(), want, "n={n} k={k}");
+            }
+        }
+        // The widest supported query: no shift or sum passes bit 63.
+        assert_eq!(masks_of_size(63, 0).collect::<Vec<_>>(), vec![0]);
+        let singles: Vec<u64> = masks_of_size(63, 1).collect();
+        assert_eq!(
+            singles,
+            (0..63).rev().map(|i| 1u64 << i).collect::<Vec<_>>()
+        );
+        assert_eq!(masks_of_size(63, 62).count(), 63);
+    }
+
+    #[test]
+    fn very_long_queries_walk_only_up_to_the_longest_stored_query() {
         let store = store();
-        // 20 predicates exceed MAX_ENUMERATED_PREDICATES; the scan path
-        // must still find the most specific stored generalization.
+        store.reset_stats();
+        // 20 predicates against a longest stored query of 2: the walk
+        // starts at 2-predicate subsets, not at 19.
         let mut preds: Vec<(String, String)> = (0..18)
             .map(|i| (format!("x{i:02}"), "v".to_string()))
             .collect();
         preds.push(("season".to_string(), "Winter".to_string()));
         preds.push(("region".to_string(), "East".to_string()));
         let q = Query::new("delay", preds);
-        assert!(q.len() > 16);
+        assert_eq!(q.len(), 20);
         match store.lookup(&q) {
             Lookup::Generalized {
                 speech,
@@ -757,7 +747,9 @@ mod tests {
             }
             other => panic!("expected generalized, got {other:?}"),
         }
-        // Unknown target through the scan path: a miss.
+        // exact probe + the (season, region) hit.
+        assert_eq!(store.stats().probes, 2);
+        // Unknown target: a miss.
         let mut preds: Vec<(String, String)> = (0..20)
             .map(|i| (format!("x{i:02}"), "v".to_string()))
             .collect();

@@ -100,6 +100,14 @@ fn make_speech(query: Query) -> StoredSpeech {
     }
 }
 
+const TARGETS: [&str; 3] = ["delay", "cancelled", "satisfaction"];
+const VALUES: [&str; 3] = ["x", "y", "z"];
+
+/// The dimension name with index `d`: `a`, `b`, … .
+fn dim(d: usize) -> String {
+    char::from(b'a' + d as u8).to_string()
+}
+
 /// Random queries over a small universe so stored sets and probes overlap
 /// often enough to exercise exact hits, every fallback depth, and misses.
 fn arb_query() -> impl Strategy<Value = Query> {
@@ -108,14 +116,33 @@ fn arb_query() -> impl Strategy<Value = Query> {
         prop::collection::vec((0usize..4, 0usize..3), 0..=3),
     )
         .prop_map(|(target, preds)| {
-            let targets = ["delay", "cancelled", "satisfaction"];
-            let dims = ["a", "b", "c", "d"];
-            let values = ["x", "y", "z"];
             Query::new(
-                targets[target],
+                TARGETS[target],
                 preds
                     .into_iter()
-                    .map(|(d, v)| (dims[d].to_string(), values[v].to_string())),
+                    .map(|(d, v)| (dim(d), VALUES[v].to_string())),
+            )
+        })
+}
+
+/// Long probes for stores of [`arb_query`]s: up to 16 predicates over a
+/// 16-dimension universe `a`–`p` (one value per dimension), plus up to 3
+/// more on `a`–`d` that repeat a dimension name with another value. The
+/// longest stored query has 3 predicates, so the walk runs with `n` far
+/// above it.
+fn arb_long_query() -> impl Strategy<Value = Query> {
+    (
+        0usize..3,
+        prop::collection::vec(0usize..4, 16),
+        prop::collection::vec((0usize..4, 0usize..3), 0..=3),
+    )
+        .prop_map(|(target, wide, repeats)| {
+            // Value index 3 leaves the dimension out.
+            let wide = wide.into_iter().enumerate().filter(|&(_, v)| v < 3);
+            Query::new(
+                TARGETS[target],
+                wide.chain(repeats)
+                    .map(|(d, v)| (dim(d), VALUES[v].to_string())),
             )
         })
 }
@@ -123,12 +150,14 @@ fn arb_query() -> impl Strategy<Value = Query> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // Sharded lookup ≡ naive linear scan, for every shard count.
+    // Sharded lookup ≡ naive linear scan, for every shard count, on
+    // short and long probes.
     #[test]
     fn sharded_store_matches_linear_scan_reference(
         stored in prop::collection::vec(arb_query(), 0..40),
         probes in prop::collection::vec(arb_query(), 1..25),
         shards in prop_oneof![Just(1usize), Just(2), Just(16)],
+        long_probes in prop::collection::vec(arb_long_query(), 1..8),
     ) {
         let sharded = SpeechStore::with_shards(shards);
         let mut naive = NaiveStore::default();
@@ -137,7 +166,7 @@ proptest! {
             naive.insert(make_speech(query));
         }
         prop_assert_eq!(sharded.len(), naive.speeches.len());
-        for probe in &probes {
+        for probe in probes.iter().chain(&long_probes) {
             let got = decide(sharded.lookup(probe));
             let want = naive.lookup(probe);
             prop_assert_eq!(got, want, "probe {}", probe);
