@@ -1,10 +1,11 @@
 //! ISSUE-3 solver hot-path benchmarks on the flights scenario.
 //!
 //! * `kernel/*` — per-fact utility gains and apply/revert cycles through
-//!   the catalog's CSR inverted index versus the original full row scan
+//!   the catalog's cell-ordered index versus the original full row scan
 //!   with per-row scope matching. The indexed kernel must win by ≥ 3×
-//!   (it touches `rows × groups` entries per sweep instead of
-//!   `rows × facts` rows, each with scope decoding).
+//!   (it touches each row once per group per sweep, as a lone row or
+//!   inside a run, instead of `rows × facts` rows, each with scope
+//!   decoding).
 //! * `exact/*` — the parallel branch-and-bound exact search at 1, 4 and
 //!   8 workers on one flights instance; the setup asserts that every
 //!   worker count returns a byte-identical speech before timing anything.
@@ -38,7 +39,7 @@ fn sweep_scan(relation: &EncodedRelation, catalog: &FactCatalog, state: &Residua
 
 fn sweep_indexed(catalog: &FactCatalog, state: &ResidualState) -> f64 {
     (0..catalog.len())
-        .map(|id| state.gain_indexed(catalog.fact_rows(id), catalog.fact_devs(id)))
+        .map(|id| state.gain_indexed(catalog.fact_index(id)))
         .sum()
 }
 
@@ -47,6 +48,7 @@ fn bench_kernel(c: &mut Criterion) {
     let catalog =
         FactCatalog::build(&relation, &(0..relation.dim_count()).collect::<Vec<_>>(), 2).unwrap();
     let state = ResidualState::new(&relation);
+    let cell_state = catalog.residual_state();
 
     let mut group = c.benchmark_group("kernel");
     group.sample_size(10);
@@ -54,7 +56,7 @@ fn bench_kernel(c: &mut Criterion) {
         b.iter(|| black_box(sweep_scan(&relation, &catalog, &state)))
     });
     group.bench_function("gain_indexed", |b| {
-        b.iter(|| black_box(sweep_indexed(&catalog, &state)))
+        b.iter(|| black_box(sweep_indexed(&catalog, &cell_state)))
     });
 
     // Apply + revert cycles over the first facts of every group — the
@@ -76,11 +78,10 @@ fn bench_kernel(c: &mut Criterion) {
     });
     group.bench_function("apply_revert_indexed", |b| {
         b.iter_batched(
-            || (ResidualState::new(&relation), UndoArena::new()),
+            || (catalog.residual_state(), UndoArena::new()),
             |(mut state, mut arena)| {
                 for &id in &picks {
-                    let (rows, devs) = catalog.fact_index(id);
-                    state.apply_indexed(rows, devs, &mut arena);
+                    state.apply_indexed(catalog.fact_index(id), &mut arena);
                     state.revert_frame(&mut arena);
                 }
                 state.total()

@@ -12,8 +12,9 @@
 //!   instead of per-search scoped threads — each entry carries an
 //!   `executor` field (`"scoped"` or `"pool"`);
 //! - the kernel section adds the grouped gain sweep
-//!   (`FactCatalog::group_gains` with its cached per-row deviations)
-//!   next to the per-fact CSR sweep, with speedups for both.
+//!   (`FactCatalog::group_gains`, the greedy sweep's inner loop) next to
+//!   the per-fact sweep over the catalog's cell-ordered index, with
+//!   speedups for both.
 //!
 //! Usage: `bench_solver [--out PATH] [--scale X] [--queries N]`
 
@@ -158,14 +159,15 @@ fn main() {
 
     // Kernel sweeps on the full flights catalog: gains of every
     // candidate fact via (a) the original full scan, (b) the per-fact
-    // CSR inverted index, (c) the grouped pass with cached per-row
-    // deviations (the greedy sweep's actual inner loop).
+    // cell-ordered index (lone rows gathered, runs streamed), (c) the
+    // grouped pass (the greedy sweep's actual inner loop).
     let dataset = scenario_dataset('F', &config);
     let engine_config = single_target_config(&dataset, "cancelled");
     let relation = target_relation(&dataset, &engine_config, "cancelled").expect("flights");
     let catalog = FactCatalog::build(&relation, &(0..relation.dim_count()).collect::<Vec<_>>(), 2)
         .expect("flights catalog");
     let state = ResidualState::new(&relation);
+    let cell_state = catalog.residual_state();
     // Minimum over repetitions — the standard noise floor for µs-scale
     // sweeps (any rep can only be slowed down by interference, never
     // sped up past the true cost).
@@ -187,7 +189,7 @@ fn main() {
         let start = Instant::now();
         let mut sum = 0.0;
         for id in 0..catalog.len() {
-            sum += state.gain_indexed(catalog.fact_rows(id), catalog.fact_devs(id));
+            sum += cell_state.gain_indexed(catalog.fact_index(id));
         }
         indexed_ms = indexed_ms.min(start.elapsed().as_secs_f64() * 1e3);
         indexed_sum = sum;
@@ -200,7 +202,7 @@ fn main() {
         let start = Instant::now();
         let mut sum = 0.0;
         for group in 0..catalog.groups().len() {
-            catalog.group_gains_into(&relation, &state, group, &mut counters, &mut gains);
+            catalog.group_gains_into(&cell_state, group, &mut counters, &mut gains);
             sum += gains.iter().sum::<f64>();
         }
         grouped_ms = grouped_ms.min(start.elapsed().as_secs_f64() * 1e3);

@@ -77,6 +77,7 @@ pub fn run(config: &RunConfig) {
 
     let template = SpeechTemplate::per_mille("cancellation probability", "flights");
     let summarizer = GreedySummarizer::with_optimized_pruning();
+    let cells = target_cells(&relation);
     let mut rows = Vec::new();
     let mut rating_sums = vec![(0.0f64, 0.0f64, 0usize, 0usize); 6];
     for (qi, query) in queries.iter().enumerate() {
@@ -93,8 +94,15 @@ pub fn run(config: &RunConfig) {
             query: query.clone(),
             rows: rows_of.clone(),
         };
-        let (ours, _) = solve_item(&relation, &engine_config, &summarizer, &template, &item)
-            .expect("solve succeeds");
+        let (ours, _) = solve_item(
+            &relation,
+            &cells,
+            &engine_config,
+            &summarizer,
+            &template,
+            &item,
+        )
+        .expect("solve succeeds");
         let ours_profile =
             SpeechProfile::precise(ours.scaled_utility(), ours.text.split_whitespace().count());
 

@@ -40,6 +40,7 @@ pub fn run(config: &RunConfig) {
         target_relation(&dataset, &engine_config, "cancelled").expect("cancelled target");
     let template = SpeechTemplate::per_mille("cancellation probability", "flights");
     let summarizer = GreedySummarizer::with_optimized_pruning();
+    let cells = target_cells(&relation);
 
     // All queries with one predicate on the 52-value dimension.
     let items: Vec<WorkItem> = enumerate_queries(&relation, &engine_config, "cancelled")
@@ -53,8 +54,15 @@ pub fn run(config: &RunConfig) {
     let examples: Vec<TrainExample> = train_items
         .iter()
         .map(|item| {
-            let (speech, _) = solve_item(&relation, &engine_config, &summarizer, &template, item)
-                .expect("solve succeeds");
+            let (speech, _) = solve_item(
+                &relation,
+                &cells,
+                &engine_config,
+                &summarizer,
+                &template,
+                item,
+            )
+            .expect("solve succeeds");
             TrainExample {
                 facts: speech.facts,
                 summary: speech.text,
@@ -69,8 +77,15 @@ pub fn run(config: &RunConfig) {
     let mut rating_sums = vec![(0.0f64, 0.0f64); 6];
     let mut generation_time = std::time::Duration::ZERO;
     for (ti, item) in test_items.iter().enumerate() {
-        let (ours, _) = solve_item(&relation, &engine_config, &summarizer, &template, item)
-            .expect("solve succeeds");
+        let (ours, _) = solve_item(
+            &relation,
+            &cells,
+            &engine_config,
+            &summarizer,
+            &template,
+            item,
+        )
+        .expect("solve succeeds");
         let subset = relation.subset(&item.rows).expect("subset valid");
 
         // The ML model selects from the same candidate pool.

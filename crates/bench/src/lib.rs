@@ -152,6 +152,7 @@ pub fn run_batch<S: Summarizer + ?Sized>(
 ) -> BatchOutcome {
     let template = SpeechTemplate::plain("target");
     let start = std::time::Instant::now();
+    let cells = target_cells(relation);
     let mut utilities = Vec::with_capacity(items.len());
     let mut instrumentation = Instrumentation::default();
     let mut timed_out = false;
@@ -161,7 +162,7 @@ pub fn run_batch<S: Summarizer + ?Sized>(
             utilities.push(None);
             continue;
         }
-        match solve_item(relation, config, summarizer, &template, item) {
+        match solve_item(relation, &cells, config, summarizer, &template, item) {
             Ok((speech, counters)) => {
                 instrumentation.merge(&counters);
                 let scaled = if speech.base_error == 0.0 {

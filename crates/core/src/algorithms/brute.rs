@@ -25,7 +25,7 @@ impl Summarizer for BruteForceSummarizer {
         let mut counters = Instrumentation::default();
         let mut best: (f64, Vec<FactId>) = (f64::NEG_INFINITY, Vec::new());
         let mut chosen: Vec<FactId> = Vec::with_capacity(m);
-        let mut state = ResidualState::new(problem.relation);
+        let mut state = problem.catalog.residual_state();
         let mut arena = UndoArena::new();
         recurse(
             problem,
@@ -67,9 +67,9 @@ fn recurse(
     }
     for id in start..problem.catalog.len() {
         counters.nodes_expanded += 1;
-        let (rows, devs) = problem.catalog.fact_index(id);
-        counters.index_row_touches += rows.len() as u64;
-        state.apply_indexed(rows, devs, arena);
+        let index = problem.catalog.fact_index(id);
+        counters.index_row_touches += index.len() as u64;
+        state.apply_indexed(index, arena);
         chosen.push(id);
         recurse(problem, id + 1, m, chosen, state, arena, best, counters);
         chosen.pop();

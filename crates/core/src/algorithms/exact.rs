@@ -12,7 +12,7 @@
 //!    better speeches are found.
 //!
 //! The search hot path is index-driven: every node applies and reverts one
-//! fact through the catalog's CSR inverted index
+//! fact through the catalog's cell-ordered index
 //! ([`crate::enumeration::FactCatalog::fact_index`]) and a reusable
 //! [`UndoArena`], touching only in-scope rows with no per-row scope
 //! decoding and no per-node allocation.
@@ -335,9 +335,9 @@ impl SequentialSearch<'_, '_, '_> {
                 return;
             }
             let fact_id = self.ctx.order[idx];
-            let (rows, devs) = self.ctx.problem.catalog.fact_index(fact_id);
-            self.counters.index_row_touches += rows.len() as u64;
-            self.state.apply_indexed(rows, devs, &mut self.arena);
+            let index = self.ctx.problem.catalog.fact_index(fact_id);
+            self.counters.index_row_touches += index.len() as u64;
+            self.state.apply_indexed(index, &mut self.arena);
             self.chosen.push(fact_id);
             self.dfs(idx + 1, sum_single + u_next);
             self.chosen.pop();
@@ -548,9 +548,9 @@ impl Phase1Worker<'_, '_, '_> {
         self.branch = branch;
         self.branch_best = self.ctx.seed_utility;
         let fact_id = self.ctx.order[branch];
-        let (rows, devs) = self.ctx.problem.catalog.fact_index(fact_id);
-        self.counters.index_row_touches += rows.len() as u64;
-        self.state.apply_indexed(rows, devs, &mut self.arena);
+        let index = self.ctx.problem.catalog.fact_index(fact_id);
+        self.counters.index_row_touches += index.len() as u64;
+        self.state.apply_indexed(index, &mut self.arena);
         self.chosen.push(fact_id);
         self.applied = Some(branch);
     }
@@ -620,9 +620,9 @@ impl Phase1Worker<'_, '_, '_> {
             return;
         }
         let fact_id = self.ctx.order[idx];
-        let (rows, devs) = self.ctx.problem.catalog.fact_index(fact_id);
-        self.counters.index_row_touches += rows.len() as u64;
-        self.state.apply_indexed(rows, devs, &mut self.arena);
+        let index = self.ctx.problem.catalog.fact_index(fact_id);
+        self.counters.index_row_touches += index.len() as u64;
+        self.state.apply_indexed(index, &mut self.arena);
         self.chosen.push(fact_id);
         self.dfs(idx + 1, sum_single + u_next);
         self.chosen.pop();
@@ -679,9 +679,9 @@ impl Phase1Worker<'_, '_, '_> {
                 return;
             }
             let fact_id = self.ctx.order[idx];
-            let (rows, devs) = self.ctx.problem.catalog.fact_index(fact_id);
-            self.counters.index_row_touches += rows.len() as u64;
-            self.state.apply_indexed(rows, devs, &mut self.arena);
+            let index = self.ctx.problem.catalog.fact_index(fact_id);
+            self.counters.index_row_touches += index.len() as u64;
+            self.state.apply_indexed(index, &mut self.arena);
             self.chosen.push(fact_id);
             self.dfs(idx + 1, sum_single + u_next);
             self.chosen.pop();
@@ -779,9 +779,9 @@ impl Phase2Worker<'_, '_, '_> {
                 return;
             }
             let fact_id = self.ctx.order[branch];
-            let (rows, devs) = self.ctx.problem.catalog.fact_index(fact_id);
-            self.counters.index_row_touches += rows.len() as u64;
-            self.state.apply_indexed(rows, devs, &mut self.arena);
+            let index = self.ctx.problem.catalog.fact_index(fact_id);
+            self.counters.index_row_touches += index.len() as u64;
+            self.state.apply_indexed(index, &mut self.arena);
             self.chosen.push(fact_id);
             let found = self.dfs(branch + 1, self.ctx.utilities[branch]);
             self.chosen.pop();
@@ -834,9 +834,9 @@ impl Phase2Worker<'_, '_, '_> {
                 return false;
             }
             let fact_id = self.ctx.order[idx];
-            let (rows, devs) = self.ctx.problem.catalog.fact_index(fact_id);
-            self.counters.index_row_touches += rows.len() as u64;
-            self.state.apply_indexed(rows, devs, &mut self.arena);
+            let index = self.ctx.problem.catalog.fact_index(fact_id);
+            self.counters.index_row_touches += index.len() as u64;
+            self.state.apply_indexed(index, &mut self.arena);
             self.chosen.push(fact_id);
             let found = self.dfs(idx + 1, sum_single + u_next);
             self.chosen.pop();
@@ -863,7 +863,7 @@ fn run_sequential(
 ) -> SearchOutcome {
     let mut search = SequentialSearch {
         ctx,
-        state: ResidualState::new(ctx.problem.relation),
+        state: ctx.problem.catalog.residual_state(),
         arena: UndoArena::new(),
         chosen: Vec::with_capacity(ctx.m),
         best_utility: ctx.seed_utility,
@@ -888,7 +888,7 @@ fn parallel_search(
     executor: &dyn SearchExecutor,
     counters: &mut Instrumentation,
 ) -> SearchOutcome {
-    let proto = ResidualState::new(ctx.problem.relation);
+    let proto = ctx.problem.catalog.residual_state();
     let n = ctx.order.len();
     // Counters for the two parallel phases are accumulated separately so
     // the defensive sequential fallback at the bottom can *discard* them:
@@ -1060,9 +1060,7 @@ impl Summarizer for ExactSummarizer {
 
         // Single-fact utilities (Algorithm 1 Line 6), then sort descending —
         // the permutation-pruning order of §IV-B.
-        let utilities = problem
-            .catalog
-            .single_fact_utilities(problem.relation, &mut counters);
+        let utilities = problem.catalog.single_fact_utilities(&mut counters);
         let mut order: Vec<FactId> = (0..problem.catalog.len()).collect();
         order.sort_by(|&a, &b| utilities[b].total_cmp(&utilities[a]));
         let sorted_utilities: Vec<f64> = order.iter().map(|&id| utilities[id]).collect();
@@ -1074,7 +1072,7 @@ impl Summarizer for ExactSummarizer {
             (0.0, Vec::new())
         };
 
-        let base_error = ResidualState::new(problem.relation).total();
+        let base_error = problem.catalog.base_error();
         let ctx = SearchContext {
             problem,
             order,

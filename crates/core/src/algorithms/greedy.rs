@@ -14,7 +14,7 @@ use crate::algorithms::{summary_from_ids, Problem, Summarizer, Summary};
 use crate::error::Result;
 use crate::instrument::Instrumentation;
 use crate::model::fact::FactId;
-use crate::model::utility::{ResidualState, UndoArena};
+use crate::model::utility::UndoArena;
 
 /// Greedy fact selection with configurable pruning.
 #[derive(Clone)]
@@ -96,7 +96,7 @@ impl Summarizer for GreedySummarizer {
 
     fn summarize(&self, problem: &Problem<'_>) -> Result<Summary> {
         let mut counters = Instrumentation::default();
-        let mut residual = ResidualState::new(problem.relation);
+        let mut residual = problem.catalog.residual_state();
         let mut chosen: Vec<FactId> = Vec::with_capacity(problem.max_facts);
         let mut arena = UndoArena::new();
         // OPT PRUNE depends only on static group statistics: plan once.
@@ -137,10 +137,10 @@ impl Summarizer for GreedySummarizer {
                 break; // no fact improves expectations further
             };
             // Line 11: recalculate user expectations — through the
-            // catalog's inverted index, touching only in-scope rows.
-            let (rows, devs) = problem.catalog.fact_index(fact_id);
-            counters.index_row_touches += rows.len() as u64;
-            residual.apply_indexed(rows, devs, &mut arena);
+            // catalog's cell-ordered index, touching only in-scope rows.
+            let index = problem.catalog.fact_index(fact_id);
+            counters.index_row_touches += index.len() as u64;
+            residual.apply_indexed(index, &mut arena);
             arena.clear(); // greedy never backtracks
             chosen.push(fact_id);
         }

@@ -21,17 +21,19 @@ pub use greedy::GreedySummarizer;
 pub use optimizer::{PlanCandidate, PruneOptimizerConfig};
 pub use pruning::FactPruning;
 
+use std::borrow::Cow;
+
 use crate::enumeration::FactCatalog;
 use crate::error::{CoreError, Result};
 use crate::instrument::Instrumentation;
 use crate::model::relation::EncodedRelation;
 use crate::model::speech::Speech;
-use crate::model::utility;
 
 /// One speech summarization problem instance `⟨R, F, m⟩` (Definition 7).
 #[derive(Debug, Clone, Copy)]
 pub struct Problem<'a> {
-    /// The relation to summarize.
+    /// The relation whose rows the catalog covers — all of them, or the
+    /// selection given to [`FactCatalog::build_over`].
     pub relation: &'a EncodedRelation,
     /// The available facts.
     pub catalog: &'a FactCatalog,
@@ -52,11 +54,11 @@ impl<'a> Problem<'a> {
                 detail: "a speech must be allowed at least one fact".to_string(),
             });
         }
-        if catalog.rows() != relation.len() {
+        if catalog.relation_rows() != relation.len() {
             return Err(CoreError::InvalidProblem {
                 detail: format!(
                     "catalog built over {} rows but relation has {}",
-                    catalog.rows(),
+                    catalog.relation_rows(),
                     relation.len()
                 ),
             });
@@ -66,6 +68,16 @@ impl<'a> Problem<'a> {
             catalog,
             max_facts,
         })
+    }
+
+    /// The covered rows as a relation of their own: the problem's relation
+    /// when the catalog covers all of it in order, a copy otherwise.
+    pub fn covered_relation(&self) -> Result<Cow<'a, EncodedRelation>> {
+        if self.catalog.selection().eq(0..self.relation.len()) {
+            return Ok(Cow::Borrowed(self.relation));
+        }
+        let rows: Vec<usize> = self.catalog.selection().collect();
+        Ok(Cow::Owned(self.relation.subset(&rows)?))
     }
 }
 
@@ -128,7 +140,8 @@ pub trait Summarizer {
 }
 
 /// Assemble a [`Summary`] from selected fact ids, recomputing utility from
-/// first principles (so algorithm bookkeeping bugs cannot misreport).
+/// first principles over the covered rows in row order (so algorithm
+/// bookkeeping bugs cannot misreport).
 pub(crate) fn summary_from_ids(
     problem: &Problem<'_>,
     fact_ids: &[crate::model::fact::FactId],
@@ -139,8 +152,8 @@ pub(crate) fn summary_from_ids(
         .map(|&id| problem.catalog.fact(id).clone())
         .collect();
     let speech = Speech::new(facts);
-    let base = utility::base_error(problem.relation);
-    let u = speech.utility(problem.relation);
+    let base = problem.catalog.base_error();
+    let u = base - problem.catalog.speech_error(fact_ids);
     Summary {
         speech,
         utility: u,

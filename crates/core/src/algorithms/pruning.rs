@@ -236,7 +236,7 @@ fn best_in_group(
 ) -> Option<(FactId, f64)> {
     problem
         .catalog
-        .group_gains_into(problem.relation, residual, group, counters, scratch);
+        .group_gains_into(residual, group, counters, scratch);
     let start = problem.catalog.groups()[group].fact_start;
     scratch
         .iter()

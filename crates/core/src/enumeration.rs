@@ -1,4 +1,4 @@
-//! Fact candidate enumeration and the group/partition index.
+//! Fact candidate enumeration and the cell-ordered fact index.
 //!
 //! §III: "The facts considered for summarization report average values in
 //! the target column for data subsets. We consider one fact for each data
@@ -8,22 +8,33 @@
 //! in the data set)."
 //!
 //! A [`FactCatalog`] materializes exactly those candidates for one
-//! (already query-filtered) relation: one [`FactGroup`] per subset of the
-//! free dimension columns up to the configured size, one fact per distinct
-//! value combination appearing in the data, in order of first appearance.
-//! Each group stores a row→fact partition index so that per-fact utility
-//! gains and deviation bounds are computed in one pass over the rows — the
-//! direct-execution analogue of the paper's fact/data joins and group-by
-//! queries. The partition comes from [`RowPartition`], the grouping pass
-//! the engine's query enumeration shares.
+//! summarization problem: one [`FactGroup`] per subset of the free
+//! dimension columns up to the configured size, one fact per distinct
+//! value combination appearing in the covered rows, in order of first
+//! appearance.
+//!
+//! The catalog works on *cells*: a row's value combination on every
+//! dimension a fact may restrict decides which facts cover it, so the rows
+//! of one cell share their covering facts. The covered rows are permuted
+//! into cell order once: cells of two or more rows first, smallest first,
+//! then the cells of one row (*lone* rows); every cell keeps its rows in
+//! row order. Each group's facts come from partitioning the cells rather
+//! than the rows, and each fact is indexed as its lone rows, with their
+//! deviations `|fact.value − v_r|` precomputed, plus contiguous position
+//! ranges (*runs*) for its larger cells, whose deviations are computed on
+//! the fly from the cell-ordered targets. Gains, bounds, apply and revert
+//! stream those ranges — the direct-execution analogue of the paper's
+//! fact/data joins and group-by queries. The cells come from
+//! [`RowPartition`], the grouping pass the engine's query enumeration
+//! shares.
 
 use vqs_relalg::hash::FxHashMap;
 
 use crate::error::{CoreError, Result};
 use crate::instrument::Instrumentation;
 use crate::model::fact::{Fact, FactId, Scope};
-use crate::model::relation::EncodedRelation;
-use crate::model::utility::ResidualState;
+use crate::model::relation::{EncodedRelation, Prior};
+use crate::model::utility::{self, ResidualState};
 
 /// One fact group: all facts restricting the same set of dimensions
 /// (§VI-B prunes "at the granularity of fact groups, characterized by the
@@ -38,47 +49,106 @@ pub struct FactGroup {
     pub fact_start: FactId,
     /// Number of facts in the group (`M(g)` in §VI-C).
     pub fact_count: usize,
-    /// Per-row fact offset within the group: row `r` falls within the scope
-    /// of exactly the fact `fact_start + row_fact[r]`.
-    row_fact: Vec<u32>,
 }
 
 impl FactGroup {
-    /// Global [`FactId`] of the group fact covering `row`.
-    #[inline]
-    pub fn fact_of_row(&self, row: usize) -> FactId {
-        self.fact_start + self.row_fact[row] as usize
-    }
-
     /// Fact ids of this group.
     pub fn fact_ids(&self) -> std::ops::Range<FactId> {
         self.fact_start..self.fact_start + self.fact_count
     }
 }
 
-/// The candidate facts for one summarization problem.
-///
-/// Besides the per-group row→fact partitions, the catalog materializes a
-/// CSR-layout *inverted* index: for every fact, the rows within its scope
-/// (`fact_rows`) and the pre-computed deviation `|fact.value − v_r|` of
-/// each such row (`fact_devs`, the catalog's only copy of the
-/// deviations). The solver hot path
-/// ([`crate::model::utility::ResidualState::gain_indexed`] /
-/// [`crate::model::utility::ResidualState::apply_indexed`]) walks these
-/// slices instead of scanning all rows and re-decoding scopes per row —
-/// O(|scope|) work per fact instead of O(rows·dims).
+/// The rows within one fact's scope, as positions in its catalog's cell
+/// order (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub struct FactIndex<'a> {
+    /// The fact's value.
+    pub value: f64,
+    /// Positions of the fact's lone rows, ascending (and so in row order).
+    pub lone: &'a [u32],
+    /// `|value − v_r|` of each lone row, aligned with `lone`.
+    pub lone_devs: &'a [f64],
+    /// Half-open position ranges holding the fact's cells of two or more
+    /// rows, ascending — and so shortest first, as smaller cells sit
+    /// first; adjacent cells of the fact share one range.
+    pub runs: &'a [(u32, u32)],
+    /// The catalog's targets in cell order, from which a run's deviations
+    /// are computed.
+    pub targets: &'a [f64],
+}
+
+impl FactIndex<'_> {
+    /// Assert that the index fits a residual state of `rows` positions:
+    /// every position is in range of it and of the targets, and the
+    /// deviations align with the lone rows.
+    ///
+    /// # Panics
+    /// Panics otherwise — an index paired with another catalog's state.
+    pub(crate) fn check(&self, rows: usize) {
+        let limit = rows.min(self.targets.len());
+        let lone_max = self.lone.iter().fold(0, |max, &pos| max.max(pos));
+        assert!(
+            self.lone.len() == self.lone_devs.len()
+                && (self.lone.is_empty() || (lone_max as usize) < rows)
+                && self
+                    .runs
+                    .iter()
+                    .all(|&(start, end)| start <= end && end as usize <= limit),
+            "fact index reaches past a state of {rows} rows"
+        );
+    }
+
+    /// Number of rows within the fact's scope.
+    pub fn len(&self) -> usize {
+        self.lone.len()
+            + self
+                .runs
+                .iter()
+                .map(|&(start, end)| (end - start) as usize)
+                .sum::<usize>()
+    }
+
+    /// True when the fact covers no row.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every position within the fact's scope: lone rows, then runs.
+    pub fn positions(&self) -> impl Iterator<Item = usize> + '_ {
+        self.lone.iter().map(|&pos| pos as usize).chain(
+            self.runs
+                .iter()
+                .flat_map(|&(start, end)| start as usize..end as usize),
+        )
+    }
+}
+
+/// The candidate facts for one summarization problem, with the
+/// cell-ordered index the solvers run on.
 #[derive(Debug, Clone)]
 pub struct FactCatalog {
     facts: Vec<Fact>,
     groups: Vec<FactGroup>,
-    rows: usize,
-    /// CSR offsets: the rows of fact `f` live at
-    /// `index_rows[index_offsets[f]..index_offsets[f + 1]]`.
-    index_offsets: Vec<usize>,
-    /// Row ids per fact, ascending within each fact.
-    index_rows: Vec<u32>,
-    /// `|fact.value − target(row)|`, aligned with `index_rows`.
-    index_devs: Vec<f64>,
+    /// Rows of the relation the catalog was built over.
+    relation_rows: usize,
+    /// The covered relation rows, in the order given (row order).
+    rows: Vec<u32>,
+    /// `|prior − v|` of each cell-order position: the residuals before any
+    /// fact is spoken.
+    prior_deviations: Vec<f64>,
+    /// `D(∅)` of the covered rows, summed in row order.
+    base_error: f64,
+    /// Per cell-order position, the index into `rows` it holds.
+    order: Vec<u32>,
+    /// Target of each cell-order position.
+    targets: Vec<f64>,
+    /// Per fact `f`, where its slices start in `lone` and in `runs`; they
+    /// end where those of `f + 1` start.
+    offsets: Vec<(usize, usize)>,
+    lone: Vec<u32>,
+    /// Deviations aligned with `lone`.
+    lone_devs: Vec<f64>,
+    runs: Vec<(u32, u32)>,
 }
 
 impl FactCatalog {
@@ -107,52 +177,169 @@ impl FactCatalog {
         min_dims: usize,
         max_dims: usize,
     ) -> Result<FactCatalog> {
-        for &d in free_dims {
-            if d >= relation.dim_count() {
-                return Err(CoreError::DimensionOutOfRange {
-                    dim: d,
-                    dims: relation.dim_count(),
-                });
-            }
-        }
-        if free_dims.len() > 32 {
+        let dims = checked_dims(relation, free_dims)?;
+        let cells = RowPartition::new(relation, &dims);
+        let rows: Vec<usize> = (0..relation.len()).collect();
+        Self::build_over(relation, &cells, &rows, free_dims, min_dims, max_dims)
+    }
+
+    /// The catalog over the rows `rows` of `relation`, taken in the given
+    /// order — the same facts, values and summaries as a catalog built over
+    /// `relation.subset(rows)`, without copying the rows out.
+    ///
+    /// `cells` partitions all of `relation` on a set of columns that
+    /// includes every free dimension; the engine makes one per target over
+    /// all configured dimensions and shares it across the target's queries.
+    pub fn build_over(
+        relation: &EncodedRelation,
+        cells: &RowPartition,
+        rows: &[usize],
+        free_dims: &[usize],
+        min_dims: usize,
+        max_dims: usize,
+    ) -> Result<FactCatalog> {
+        let dims = checked_dims(relation, free_dims)?;
+        if cells.of_row.len() != relation.len() || !dims.iter().all(|d| cells.cols.contains(d)) {
             return Err(CoreError::InvalidProblem {
-                detail: format!(
-                    "at most 32 free dimensions supported, got {}",
-                    free_dims.len()
-                ),
+                detail: "cells must partition the relation on every free dimension".to_string(),
             });
         }
-        let mut sorted_dims = free_dims.to_vec();
-        sorted_dims.sort_unstable();
-        sorted_dims.dedup();
-
-        let mut facts = Vec::new();
-        let mut groups = Vec::new();
-        for subset in subsets_up_to(&sorted_dims, max_dims) {
-            if subset.len() < min_dims {
-                continue;
-            }
-            let group = build_group(relation, &subset, &mut facts)?;
-            groups.push(group);
+        if let Some(&row) = rows.iter().find(|&&row| row >= relation.len()) {
+            return Err(CoreError::LengthMismatch {
+                detail: format!("row {row} out of range ({} rows)", relation.len()),
+            });
         }
-        if groups.is_empty() {
+        let mut layout = CellLayout::new(relation, cells, rows, &dims);
+
+        let targets: Vec<f64> = rows.iter().map(|&row| relation.target(row)).collect();
+        let priors: Vec<f64> = match relation.prior() {
+            Prior::Constant(c) => vec![*c; rows.len()],
+            // The mean of the covered rows, as in `relation.subset(rows)`.
+            Prior::GlobalMean => {
+                vec![targets.iter().sum::<f64>() / rows.len() as f64; rows.len()]
+            }
+            Prior::PerRow(p) => rows.iter().map(|&row| p[row]).collect(),
+        };
+        let base_error = targets
+            .iter()
+            .zip(&priors)
+            .map(|(&v, &p)| (p - v).abs())
+            .sum();
+
+        let mut catalog = FactCatalog {
+            facts: Vec::new(),
+            groups: Vec::new(),
+            relation_rows: relation.len(),
+            rows: rows.iter().map(|&row| row as u32).collect(),
+            prior_deviations: layout
+                .order
+                .iter()
+                .map(|&i| (priors[i as usize] - targets[i as usize]).abs())
+                .collect(),
+            base_error,
+            targets: layout.order.iter().map(|&i| targets[i as usize]).collect(),
+            order: std::mem::take(&mut layout.order),
+            offsets: vec![(0, 0)],
+            lone: Vec::new(),
+            lone_devs: Vec::new(),
+            runs: Vec::new(),
+        };
+        let subsets: Vec<Vec<usize>> = subsets_up_to(&dims, max_dims)
+            .into_iter()
+            .filter(|subset| subset.len() >= min_dims)
+            .collect();
+        // Every group holds each lone row once and each larger cell in at
+        // most one run.
+        let lone_entries = layout.lone.len() * subsets.len();
+        (catalog.lone, catalog.lone_devs) = (vec![0; lone_entries], vec![0.0; lone_entries]);
+        catalog.runs.reserve(layout.multi.len() * subsets.len());
+        for subset in subsets {
+            catalog.push_group(&layout, &targets, subset)?;
+        }
+        if catalog.groups.is_empty() {
             return Err(CoreError::InvalidProblem {
                 detail: format!(
                     "no fact groups: min_dims {min_dims} exceeds max_dims {max_dims} or free dims"
                 ),
             });
         }
-        let (index_offsets, index_rows, index_devs) =
-            build_inverted_index(relation, &facts, &groups);
-        Ok(FactCatalog {
-            facts,
-            groups,
-            rows: relation.len(),
-            index_offsets,
-            index_rows,
-            index_devs,
-        })
+        Ok(catalog)
+    }
+
+    /// Append the group restricting `cols`: partition the cells, sum each
+    /// fact's targets in row order (so every value is bit-identical to a
+    /// direct scan of its scope), then index each fact's lone rows and runs.
+    fn push_group(&mut self, layout: &CellLayout, targets: &[f64], cols: Vec<usize>) -> Result<()> {
+        let fact_start = self.facts.len();
+        let columns: Vec<&[u32]> = cols.iter().map(|&d| layout.codes[d].as_slice()).collect();
+        let part = RowPartition::of_columns(&columns, layout.size.len());
+
+        let facts = part.len();
+        let fact_of = |cell: u32| part.of_row[cell as usize] as usize;
+        let mut sums = vec![0.0f64; facts];
+        for (&cell, &target) in layout.cell_of.iter().zip(targets) {
+            sums[fact_of(cell)] += target;
+        }
+        let mut counts = vec![0usize; facts];
+        for (cell, &size) in (0..).zip(&layout.size) {
+            counts[fact_of(cell)] += size as usize;
+        }
+        for ((&cell, value), &count) in part.first_row.iter().zip(&mut sums).zip(&counts) {
+            let codes = cols
+                .iter()
+                .map(|&d| layout.codes[d][cell as usize])
+                .collect();
+            *value /= count as f64;
+            self.facts
+                .push(Fact::new(Scope::from_columns(&cols, codes)?, *value, count));
+        }
+        let values = sums;
+
+        // Count each fact's lone rows and runs, turn the counts into slots
+        // after the slices already in the catalog, then place them. The
+        // larger cells sit back to back in position order, so a cell
+        // extends its fact's last run exactly when the cell before it
+        // belongs to the same fact.
+        let mut at = vec![(0usize, 0usize); facts];
+        for &cell in &layout.lone {
+            at[fact_of(cell)].0 += 1;
+        }
+        let mut prev = usize::MAX;
+        for &(cell, _, _) in &layout.multi {
+            let f = fact_of(cell);
+            at[f].1 += usize::from(f != prev);
+            prev = f;
+        }
+        let (mut lone, mut runs) = *self.offsets.last().expect("offsets start with (0, 0)");
+        self.offsets.extend(at.iter_mut().map(|slot| {
+            (*slot, lone, runs) = ((lone, runs), lone + slot.0, runs + slot.1);
+            (lone, runs)
+        }));
+        self.runs.resize(runs, (0, 0));
+        for (&cell, pos) in layout.lone.iter().zip(layout.lone_start..) {
+            let f = fact_of(cell);
+            self.lone[at[f].0] = pos;
+            self.lone_devs[at[f].0] = (values[f] - self.targets[pos as usize]).abs();
+            at[f].0 += 1;
+        }
+        let mut prev = usize::MAX;
+        for &(cell, start, end) in &layout.multi {
+            let f = fact_of(cell);
+            if f == prev {
+                self.runs[at[f].1 - 1].1 = end;
+            } else {
+                self.runs[at[f].1] = (start, end);
+                at[f].1 += 1;
+            }
+            prev = f;
+        }
+        self.groups.push(FactGroup {
+            mask: cols.iter().fold(0u32, |m, &d| m | (1 << d)),
+            cols,
+            fact_start,
+            fact_count: facts,
+        });
+        Ok(())
     }
 
     /// All candidate facts.
@@ -181,9 +368,25 @@ impl FactCatalog {
         &self.groups
     }
 
-    /// Number of rows the catalog was built over.
+    /// Number of rows the catalog covers.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.rows.len()
+    }
+
+    /// Number of rows of the relation the catalog was built over.
+    pub fn relation_rows(&self) -> usize {
+        self.relation_rows
+    }
+
+    /// The covered relation rows in the order given at build time.
+    pub fn selection(&self) -> impl Iterator<Item = usize> + '_ {
+        self.rows.iter().map(|&row| row as usize)
+    }
+
+    /// The covered relation rows in cell order: position `p` of
+    /// [`FactCatalog::residual_state`] holds row `cell_order().nth(p)`.
+    pub fn cell_order(&self) -> impl Iterator<Item = usize> + '_ {
+        self.order.iter().map(|&i| self.rows[i as usize] as usize)
     }
 
     /// Index of the group that owns `fact`.
@@ -202,18 +405,84 @@ impl FactCatalog {
         }
     }
 
+    /// The rows within the scope of `fact`, as cell-order positions.
+    #[inline]
+    pub fn fact_index(&self, fact: FactId) -> FactIndex<'_> {
+        self.indexes(fact..fact + 1)
+            .next()
+            .expect("one fact, one index")
+    }
+
+    /// The indexes of the facts `ids`, in order.
+    fn indexes(&self, ids: std::ops::Range<FactId>) -> impl Iterator<Item = FactIndex<'_>> {
+        let offsets = self.offsets[ids.start..=ids.end].windows(2);
+        offsets.zip(&self.facts[ids]).map(|(ends, fact)| {
+            let ((lone, runs), (lone_end, runs_end)) = (ends[0], ends[1]);
+            FactIndex {
+                value: fact.value,
+                lone: &self.lone[lone..lone_end],
+                lone_devs: &self.lone_devs[lone..lone_end],
+                runs: &self.runs[runs..runs_end],
+                targets: &self.targets,
+            }
+        })
+    }
+
+    /// The relation rows within the scope of `fact`, ascending, recovered
+    /// from the index.
+    pub fn covered_rows(&self, fact: FactId) -> Vec<usize> {
+        let mut rows: Vec<usize> = self
+            .fact_index(fact)
+            .positions()
+            .map(|pos| self.rows[self.order[pos] as usize] as usize)
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    /// The residuals before any fact is spoken: each covered row's prior
+    /// deviation, in cell order, with the row-order total `D(∅)`.
+    pub fn residual_state(&self) -> ResidualState {
+        ResidualState::from_parts(self.prior_deviations.clone(), self.base_error)
+    }
+
+    /// `D(∅)` of the covered rows, summed in row order.
+    pub fn base_error(&self) -> f64 {
+        self.base_error
+    }
+
+    /// `D(F)` of the facts `ids` over the covered rows, from first
+    /// principles rather than a solver's running total: each row deviates
+    /// by the least of `|prior − v|` and `|fact.value − v|` over the facts
+    /// covering it (a minimum, so the facts' order does not matter), and
+    /// the deviations are summed in row order, as [`utility::speech_error`]
+    /// sums them.
+    pub fn speech_error(&self, ids: &[FactId]) -> f64 {
+        let mut deviation = self.prior_deviations.clone();
+        for &id in ids {
+            let index = self.fact_index(id);
+            for pos in index.positions() {
+                deviation[pos] = deviation[pos].min((index.value - self.targets[pos]).abs());
+            }
+        }
+        let mut by_row = vec![0.0; deviation.len()];
+        for (&i, &dev) in self.order.iter().zip(&deviation) {
+            by_row[i as usize] = dev;
+        }
+        by_row.iter().fold(0.0, |total, dev| total + dev)
+    }
+
     /// Utility gains of every fact in `group` against the current
-    /// residuals, in one pass over the rows (the direct analogue of the
-    /// fact/data join plus grouped sum in Algorithm 2 Line 7).
+    /// residuals, in one pass over the covered rows (the direct analogue of
+    /// the fact/data join plus grouped sum in Algorithm 2 Line 7).
     pub fn group_gains(
         &self,
-        relation: &EncodedRelation,
         residual: &ResidualState,
         group: usize,
         counters: &mut Instrumentation,
     ) -> Vec<f64> {
         let mut gains = Vec::new();
-        self.group_gains_into(relation, residual, group, counters, &mut gains);
+        self.group_gains_into(residual, group, counters, &mut gains);
         gains
     }
 
@@ -223,95 +492,20 @@ impl FactCatalog {
     /// whole sweep instead of one per group.
     pub fn group_gains_into(
         &self,
-        relation: &EncodedRelation,
         residual: &ResidualState,
         group: usize,
         counters: &mut Instrumentation,
         gains: &mut Vec<f64>,
     ) {
-        debug_assert_eq!(relation.len(), self.rows);
-        let group = &self.groups[group];
+        let residuals = self.residuals_of(residual);
         gains.clear();
-        gains.resize(group.fact_count, 0.0);
-        let residuals = residual.residuals();
-        if group.fact_count == 1 {
-            // Single-fact group (e.g. the overall average): the fact
-            // covers every row in ascending order, so its CSR deviations
-            // are row-aligned and the gain is a pure reduction over two
-            // contiguous streams — 4-way unrolled with independent
-            // accumulators and a branchless clamp, the same shape as
-            // `ResidualState::gain_indexed`. The reordered summation may
-            // differ from the sequential pass by rounding (gain estimates
-            // tolerate that; see the differential tests).
-            let devs = self.fact_devs(group.fact_start);
-            let chunks = self.rows / 4;
-            let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            for c in 0..chunks {
-                let b = c * 4;
-                a0 += (residuals[b] - devs[b]).max(0.0);
-                a1 += (residuals[b + 1] - devs[b + 1]).max(0.0);
-                a2 += (residuals[b + 2] - devs[b + 2]).max(0.0);
-                a3 += (residuals[b + 3] - devs[b + 3]).max(0.0);
-            }
-            let mut tail = 0.0f64;
-            for r in chunks * 4..self.rows {
-                tail += (residuals[r] - devs[r]).max(0.0);
-            }
-            gains[0] = (a0 + a1) + (a2 + a3) + tail;
-        } else {
-            // Per-fact gather over the catalog's CSR inverted index: the
-            // group's facts partition the rows, so this touches each row
-            // exactly once — the same totals as a row-order partition
-            // pass — but every add lands in a register accumulator
-            // instead of a `gains[offset]` slot, so there is no serial
-            // load-add-store chain through memory. Four independent
-            // accumulators per fact expose ILP; the branchless clamp
-            // adds +0.0 for non-improving rows (the additive identity
-            // for these finite non-negative streams). Summation order
-            // differs from the scan by reassociation only — gains are
-            // selection estimates with tolerance-checked consumers (see
-            // the differential tests), while `apply_indexed`, which
-            // determines search state, stays strictly sequential.
-            assert_eq!(residuals.len(), self.rows);
-            for (slot, fact) in group.fact_ids().enumerate() {
-                let lo = self.index_offsets[fact];
-                let hi = self.index_offsets[fact + 1];
-                let len = hi - lo;
-                let chunks = len / 4;
-                let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-                // SAFETY: `build_inverted_index` fills `index_rows` with
-                // row ids drawn from `0..relation.len()` (validated as
-                // `self.rows` above, the length of `residuals`),
-                // `index_devs` is aligned with `index_rows`, and the
-                // CSR offsets are a prefix sum bounded by their lengths.
-                unsafe {
-                    for c in 0..chunks {
-                        let b = lo + c * 4;
-                        let rows = &self.index_rows;
-                        let devs = &self.index_devs;
-                        a0 += (residuals.get_unchecked(*rows.get_unchecked(b) as usize)
-                            - devs.get_unchecked(b))
-                        .max(0.0);
-                        a1 += (residuals.get_unchecked(*rows.get_unchecked(b + 1) as usize)
-                            - devs.get_unchecked(b + 1))
-                        .max(0.0);
-                        a2 += (residuals.get_unchecked(*rows.get_unchecked(b + 2) as usize)
-                            - devs.get_unchecked(b + 2))
-                        .max(0.0);
-                        a3 += (residuals.get_unchecked(*rows.get_unchecked(b + 3) as usize)
-                            - devs.get_unchecked(b + 3))
-                        .max(0.0);
-                    }
-                }
-                let mut tail = 0.0f64;
-                for k in lo + chunks * 4..hi {
-                    tail += (residuals[self.index_rows[k] as usize] - self.index_devs[k]).max(0.0);
-                }
-                gains[slot] = (a0 + a1) + (a2 + a3) + tail;
-            }
-        }
+        gains.extend(self.indexes(self.groups[group].fact_ids()).map(|index| {
+            // SAFETY: `residuals_of` matched the state to this catalog,
+            // whose indexes hold its own positions only.
+            unsafe { utility::index_gain(residuals, index) }
+        }));
         counters.gain_passes += 1;
-        counters.gain_row_touches += self.rows as u64;
+        counters.gain_row_touches += self.rows.len() as u64;
     }
 
     /// Per-fact upper bounds on utility gain for one group: the summed
@@ -325,14 +519,29 @@ impl FactCatalog {
         group: usize,
         counters: &mut Instrumentation,
     ) -> Vec<f64> {
-        let group = &self.groups[group];
-        let mut sums = vec![0.0f64; group.fact_count];
-        for row in 0..self.rows {
-            sums[group.row_fact[row] as usize] += residual.residual(row);
-        }
+        let residuals = self.residuals_of(residual);
+        let bounds = self
+            .indexes(self.groups[group].fact_ids())
+            // SAFETY: as in `group_gains_into`.
+            .map(|index| unsafe { utility::index_bound(residuals, index) })
+            .collect();
         counters.bound_passes += 1;
-        counters.bound_row_touches += self.rows as u64;
-        sums
+        counters.bound_row_touches += self.rows.len() as u64;
+        bounds
+    }
+
+    /// The residuals of `residual`, asserted to be a state of this
+    /// catalog: one per position. Group sweeps check this once instead of
+    /// checking every fact's index (groups hold thousands of facts of a
+    /// few rows each, where per-fact overhead shows).
+    fn residuals_of<'s>(&self, residual: &'s ResidualState) -> &'s [f64] {
+        let residuals = residual.residuals();
+        assert_eq!(
+            residuals.len(),
+            self.order.len(),
+            "state of another catalog"
+        );
+        residuals
     }
 
     /// Upper bound on the utility gain of any fact in `group`: the maximum
@@ -348,42 +557,142 @@ impl FactCatalog {
             .fold(0.0, f64::max)
     }
 
-    /// Rows within the scope of `fact`, ascending (CSR inverted index).
-    #[inline]
-    pub fn fact_rows(&self, fact: FactId) -> &[u32] {
-        &self.index_rows[self.index_offsets[fact]..self.index_offsets[fact + 1]]
-    }
-
-    /// Pre-computed deviations `|fact.value − v_r|`, aligned with
-    /// [`FactCatalog::fact_rows`].
-    #[inline]
-    pub fn fact_devs(&self, fact: FactId) -> &[f64] {
-        &self.index_devs[self.index_offsets[fact]..self.index_offsets[fact + 1]]
-    }
-
-    /// Both CSR slices of one fact in a single bounds computation — the
-    /// shape the solver hot path consumes.
-    #[inline]
-    pub fn fact_index(&self, fact: FactId) -> (&[u32], &[f64]) {
-        let range = self.index_offsets[fact]..self.index_offsets[fact + 1];
-        (&self.index_rows[range.clone()], &self.index_devs[range])
-    }
-
     /// Single-fact utilities of every fact (used by the exact algorithm to
     /// order facts and bound expansions).
-    pub fn single_fact_utilities(
-        &self,
-        relation: &EncodedRelation,
-        counters: &mut Instrumentation,
-    ) -> Vec<f64> {
-        let base = ResidualState::new(relation);
-        let mut utilities = vec![0.0f64; self.facts.len()];
-        for (g, _) in self.groups.iter().enumerate() {
-            let gains = self.group_gains(relation, &base, g, counters);
-            let start = self.groups[g].fact_start;
-            utilities[start..start + gains.len()].copy_from_slice(&gains);
+    pub fn single_fact_utilities(&self, counters: &mut Instrumentation) -> Vec<f64> {
+        let base = self.residual_state();
+        let mut utilities = Vec::with_capacity(self.facts.len());
+        let mut gains = Vec::new();
+        for g in 0..self.groups.len() {
+            self.group_gains_into(&base, g, counters, &mut gains);
+            utilities.extend_from_slice(&gains);
         }
         utilities
+    }
+}
+
+/// The free dimensions, validated, sorted and deduplicated.
+fn checked_dims(relation: &EncodedRelation, free_dims: &[usize]) -> Result<Vec<usize>> {
+    if let Some(&dim) = free_dims.iter().find(|&&d| d >= relation.dim_count()) {
+        return Err(CoreError::DimensionOutOfRange {
+            dim,
+            dims: relation.dim_count(),
+        });
+    }
+    if free_dims.len() > 32 {
+        return Err(CoreError::InvalidProblem {
+            detail: format!(
+                "at most 32 free dimensions supported, got {}",
+                free_dims.len()
+            ),
+        });
+    }
+    let mut dims = free_dims.to_vec();
+    dims.sort_unstable();
+    dims.dedup();
+    Ok(dims)
+}
+
+thread_local! {
+    /// Working space for [`CellLayout::new`]: per cell of the given partition,
+    /// the catalog cell it last became. Never cleared — an entry counts
+    /// only when the catalog cell it names stands for the same cell.
+    static LOCAL_CELL: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// The covered rows grouped by cell and laid out in cell order.
+struct CellLayout {
+    /// Per covered row (in the order given), its cell. Cells are numbered
+    /// in order of first appearance.
+    cell_of: Vec<u32>,
+    /// Per free dimension, each cell's code; empty for the other columns.
+    codes: Vec<Vec<u32>>,
+    /// Per cell, its number of rows.
+    size: Vec<u32>,
+    /// The cells of two or more rows in position order, with the half-open
+    /// position range each occupies.
+    multi: Vec<(u32, u32, u32)>,
+    /// The cells of one row in position order, from `lone_start` on.
+    lone: Vec<u32>,
+    lone_start: u32,
+    /// Per position, the index of the covered row it holds.
+    order: Vec<u32>,
+}
+
+impl CellLayout {
+    fn new(
+        relation: &EncodedRelation,
+        cells: &RowPartition,
+        rows: &[usize],
+        dims: &[usize],
+    ) -> CellLayout {
+        let mut cell_of = Vec::with_capacity(rows.len());
+        let mut first_row = Vec::new();
+        let mut size: Vec<u32> = Vec::new();
+        // Per cell, the partition's cell it stands for.
+        let mut outer: Vec<u32> = Vec::new();
+        LOCAL_CELL.with_borrow_mut(|local| {
+            if local.len() < cells.len() {
+                local.resize(cells.len(), 0);
+            }
+            for &row in rows {
+                let of = cells.of_row[row];
+                let mut cell = local[of as usize];
+                if outer.get(cell as usize) != Some(&of) {
+                    cell = outer.len() as u32;
+                    local[of as usize] = cell;
+                    outer.push(of);
+                    first_row.push(row as u32);
+                    size.push(0);
+                }
+                size[cell as usize] += 1;
+                cell_of.push(cell);
+            }
+        });
+        // The larger cells go smallest first: each fact's runs then come
+        // shortest first, so run loops see trip counts that repeat from
+        // run to run and their branches stay predictable where cells hold
+        // two or three rows.
+        let mut by_size: Vec<u32> = (0..size.len() as u32)
+            .filter(|&cell| size[cell as usize] > 1)
+            .collect();
+        by_size.sort_unstable_by_key(|&cell| (size[cell as usize], cell));
+        let mut start = vec![0u32; size.len()];
+        let mut multi = Vec::with_capacity(by_size.len());
+        let mut next = 0u32;
+        for cell in by_size {
+            let rows = size[cell as usize];
+            multi.push((cell, next, next + rows));
+            start[cell as usize] = next;
+            next += rows;
+        }
+        let lone: Vec<u32> = (0..size.len() as u32)
+            .filter(|&cell| size[cell as usize] == 1)
+            .collect();
+        for (&cell, pos) in lone.iter().zip(next..) {
+            start[cell as usize] = pos;
+        }
+        let mut order = vec![0u32; rows.len()];
+        for (i, &cell) in cell_of.iter().enumerate() {
+            order[start[cell as usize] as usize] = i as u32;
+            start[cell as usize] += 1;
+        }
+        // Each group partitions the cells on these compact columns instead
+        // of reading the relation's columns at scattered rows.
+        let mut codes = vec![Vec::new(); relation.dim_count()];
+        for &d in dims {
+            let column = relation.codes(d);
+            codes[d] = first_row.iter().map(|&row| column[row as usize]).collect();
+        }
+        CellLayout {
+            cell_of,
+            codes,
+            size,
+            multi,
+            lone,
+            lone_start: next,
+            order,
+        }
     }
 }
 
@@ -428,41 +737,6 @@ fn combinations(n: usize, size: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// Materialize the CSR inverted index from the per-group row→fact
-/// partitions: one counting sort per group, no scope matching. Every row
-/// appears once per group (the groups partition the rows), so the index
-/// holds exactly `rows × groups` entries.
-fn build_inverted_index(
-    relation: &EncodedRelation,
-    facts: &[Fact],
-    groups: &[FactGroup],
-) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
-    let total = relation.len() * groups.len();
-    let mut offsets = vec![0usize; facts.len() + 1];
-    // Count rows per fact (shifted by one for the prefix sum).
-    for group in groups {
-        for &offset in &group.row_fact {
-            offsets[group.fact_start + offset as usize + 1] += 1;
-        }
-    }
-    for i in 1..offsets.len() {
-        offsets[i] += offsets[i - 1];
-    }
-    let mut cursor: Vec<usize> = offsets[..facts.len()].to_vec();
-    let mut rows = vec![0u32; total];
-    let mut devs = vec![0.0f64; total];
-    for group in groups {
-        for (row, &offset) in group.row_fact.iter().enumerate() {
-            let fact = group.fact_start + offset as usize;
-            let slot = cursor[fact];
-            cursor[fact] += 1;
-            rows[slot] = row as u32;
-            devs[slot] = (facts[fact].value - relation.target(row)).abs();
-        }
-    }
-    (offsets, rows, devs)
-}
-
 /// The rows of a relation partitioned by their value combination on a set
 /// of columns: the grouping pass behind both the fact catalog and the
 /// engine's query enumeration.
@@ -473,6 +747,8 @@ pub struct RowPartition {
     pub of_row: Vec<u32>,
     /// Per combination id, the first row holding the combination.
     pub first_row: Vec<u32>,
+    /// The columns partitioned on.
+    cols: Vec<usize>,
 }
 
 impl RowPartition {
@@ -485,14 +761,22 @@ impl RowPartition {
     /// mean equal tuples.
     pub fn new(relation: &EncodedRelation, cols: &[usize]) -> RowPartition {
         let columns: Vec<&[u32]> = cols.iter().map(|&d| relation.codes(d)).collect();
+        RowPartition {
+            cols: cols.to_vec(),
+            ..Self::of_columns(&columns, relation.len())
+        }
+    }
+
+    /// Partition the positions `0..len` by their codes in `columns`.
+    fn of_columns(columns: &[&[u32]], len: usize) -> RowPartition {
         // One map per fold of a wide tuple, then one for the whole tuple.
         let mut maps: Vec<FxHashMap<u64, u32>> =
             vec![FxHashMap::default(); columns.len().saturating_sub(1).max(1)];
         let (folds, whole) = maps.split_at_mut(columns.len().saturating_sub(2));
         let whole = &mut whole[0];
-        let mut of_row = Vec::with_capacity(relation.len());
+        let mut of_row = Vec::with_capacity(len);
         let mut first_row = Vec::new();
-        for row in 0..relation.len() {
+        for row in 0..len {
             let mut key = columns.first().map_or(0, |codes| u64::from(codes[row]));
             for (i, codes) in columns.iter().enumerate().skip(1) {
                 if i > 1 {
@@ -506,7 +790,11 @@ impl RowPartition {
             }
             of_row.push(id);
         }
-        RowPartition { of_row, first_row }
+        RowPartition {
+            of_row,
+            first_row,
+            cols: Vec::new(),
+        }
     }
 
     /// Number of distinct value combinations.
@@ -537,44 +825,6 @@ fn dense_id(ids: &mut FxHashMap<u64, u32>, key: u64) -> u32 {
     *ids.entry(key).or_insert(next)
 }
 
-fn build_group(
-    relation: &EncodedRelation,
-    cols: &[usize],
-    facts: &mut Vec<Fact>,
-) -> Result<FactGroup> {
-    let fact_start = facts.len();
-    let RowPartition {
-        of_row: row_fact,
-        first_row,
-    } = RowPartition::new(relation, cols);
-    // Sums accumulate in row order, as in `Fact::for_scope`, so every fact
-    // value is bit-identical to a direct scan of its scope. The indexing
-    // also checks every offset against the fact count, which the bound
-    // pass, the inverted index and the unchecked gain sweep rely on.
-    let mut sums = vec![0.0f64; first_row.len()];
-    let mut counts = vec![0usize; first_row.len()];
-    for (&offset, &target) in row_fact.iter().zip(relation.targets()) {
-        sums[offset as usize] += target;
-        counts[offset as usize] += 1;
-    }
-    let mask = cols.iter().fold(0u32, |m, &d| m | (1 << d));
-    for ((&row, sum), count) in first_row.iter().zip(&sums).zip(&counts) {
-        let pairs: Vec<(usize, u32)> = cols
-            .iter()
-            .map(|&d| (d, relation.code(d, row as usize)))
-            .collect();
-        let scope = Scope::from_pairs(&pairs)?;
-        facts.push(Fact::new(scope, sum / *count as f64, *count));
-    }
-    Ok(FactGroup {
-        mask,
-        cols: cols.to_vec(),
-        fact_start,
-        fact_count: first_row.len(),
-        row_fact,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,6 +844,18 @@ mod tests {
             Prior::Constant(0.0),
         )
         .unwrap()
+    }
+
+    /// Eight rows in three cells on (region, season): two cells of three
+    /// rows, interleaved in row order, and one of two.
+    fn clustered() -> EncodedRelation {
+        let cells = [("East", "Winter"), ("South", "Summer"), ("East", "Summer")];
+        let layout = [0, 1, 0, 2, 1, 0, 2, 1];
+        let rows = layout
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| (vec![cells[c].0, cells[c].1], (i * 7 % 5) as f64 + 0.25));
+        EncodedRelation::from_rows(&["region", "season"], "delay", rows, Prior::GlobalMean).unwrap()
     }
 
     #[test]
@@ -629,14 +891,24 @@ mod tests {
         }
     }
 
+    /// Each group's facts partition the rows, and every fact covers
+    /// exactly the rows its scope matches.
     #[test]
     fn row_partition_is_consistent() {
-        let r = relation();
-        let catalog = FactCatalog::build(&r, &[0, 1], 2).unwrap();
-        for group in catalog.groups() {
-            for row in 0..r.len() {
-                let fact = catalog.fact(group.fact_of_row(row));
-                assert!(fact.scope.matches_row(&r, row));
+        for r in [relation(), clustered()] {
+            let catalog = FactCatalog::build(&r, &[0, 1], 2).unwrap();
+            for group in catalog.groups() {
+                let mut covered: Vec<usize> = group
+                    .fact_ids()
+                    .flat_map(|id| catalog.covered_rows(id))
+                    .collect();
+                covered.sort_unstable();
+                assert_eq!(covered, (0..r.len()).collect::<Vec<_>>());
+                for id in group.fact_ids() {
+                    for row in catalog.covered_rows(id) {
+                        assert!(catalog.fact(id).scope.matches_row(&r, row));
+                    }
+                }
             }
         }
     }
@@ -656,13 +928,14 @@ mod tests {
     fn gains_match_direct_computation() {
         let r = relation();
         let catalog = FactCatalog::build(&r, &[0, 1], 2).unwrap();
-        let state = ResidualState::new(&r);
+        let state = catalog.residual_state();
+        let scan = ResidualState::new(&r);
         let mut counters = Instrumentation::default();
         for (g, group) in catalog.groups().iter().enumerate() {
-            let gains = catalog.group_gains(&r, &state, g, &mut counters);
+            let gains = catalog.group_gains(&state, g, &mut counters);
             for (offset, gain) in gains.iter().enumerate() {
                 let fact = catalog.fact(group.fact_start + offset);
-                let direct = state.gain_of(&r, fact);
+                let direct = scan.gain_of(&r, fact);
                 assert!((gain - direct).abs() < 1e-12, "group {g} fact {offset}");
             }
         }
@@ -672,13 +945,14 @@ mod tests {
 
     #[test]
     fn single_fact_utilities_match_utility_fn() {
-        let r = relation();
-        let catalog = FactCatalog::build(&r, &[0, 1], 2).unwrap();
-        let mut counters = Instrumentation::default();
-        let utilities = catalog.single_fact_utilities(&r, &mut counters);
-        for (id, fact) in catalog.facts().iter().enumerate() {
-            let direct = utility::utility(&r, std::slice::from_ref(fact));
-            assert!((utilities[id] - direct).abs() < 1e-12);
+        for r in [relation(), clustered()] {
+            let catalog = FactCatalog::build(&r, &[0, 1], 2).unwrap();
+            let mut counters = Instrumentation::default();
+            let utilities = catalog.single_fact_utilities(&mut counters);
+            for (id, fact) in catalog.facts().iter().enumerate() {
+                let direct = utility::utility(&r, std::slice::from_ref(fact));
+                assert!((utilities[id] - direct).abs() < 1e-12);
+            }
         }
     }
 
@@ -686,11 +960,11 @@ mod tests {
     fn bounds_dominate_gains() {
         let r = relation();
         let catalog = FactCatalog::build(&r, &[0, 1], 2).unwrap();
-        let state = ResidualState::new(&r);
+        let state = catalog.residual_state();
         let mut counters = Instrumentation::default();
         for g in 0..catalog.groups().len() {
             let bound = catalog.group_bound(&state, g, &mut counters);
-            let gains = catalog.group_gains(&r, &state, g, &mut counters);
+            let gains = catalog.group_gains(&state, g, &mut counters);
             for gain in gains {
                 assert!(bound >= gain - 1e-12);
             }
@@ -698,41 +972,103 @@ mod tests {
         assert_eq!(counters.bound_passes, 4);
     }
 
+    /// Every fact's index — lone rows with their deviations, runs over the
+    /// cell-ordered targets — covers exactly its scope.
     #[test]
     fn inverted_index_matches_scope_matching() {
+        for r in [relation(), clustered()] {
+            let catalog = FactCatalog::build(&r, &[0, 1], 2).unwrap();
+            let targets: Vec<f64> = catalog.cell_order().map(|row| r.target(row)).collect();
+            let mut entries = 0;
+            for (id, fact) in catalog.facts().iter().enumerate() {
+                let expected: Vec<usize> = (0..r.len())
+                    .filter(|&row| fact.scope.matches_row(&r, row))
+                    .collect();
+                assert_eq!(catalog.covered_rows(id), expected, "fact {id}");
+                let index = catalog.fact_index(id);
+                assert_eq!(index.targets, targets.as_slice());
+                for (&pos, &dev) in index.lone.iter().zip(index.lone_devs) {
+                    assert_eq!(dev, (fact.value - targets[pos as usize]).abs());
+                }
+                assert!(index.runs.iter().all(|&(start, end)| end - start >= 2));
+                entries += index.positions().count();
+                assert_eq!(index.positions().count(), fact.support);
+            }
+            assert_eq!(entries, r.len() * catalog.groups().len());
+        }
+    }
+
+    /// Cells of several rows become runs, smallest cell first, interleaved
+    /// cells come out contiguous, and the overall fact's adjacent cells
+    /// share one run.
+    #[test]
+    fn cells_lay_out_runs_and_lone_rows() {
+        let r = clustered();
+        let catalog = FactCatalog::build(&r, &[0, 1], 2).unwrap();
+        let order: Vec<usize> = catalog.cell_order().collect();
+        assert_eq!(order, vec![3, 6, 0, 2, 5, 1, 4, 7]);
+        assert_eq!(catalog.fact_index(0).runs, &[(0, 8)]);
+        assert!(catalog.fact_index(0).lone.is_empty());
+        let single = catalog.groups().last().unwrap();
+        for id in single.fact_ids() {
+            assert_eq!(catalog.fact_index(id).runs.len(), 1);
+        }
+        // Four rows in four cells: every row is lone.
         let r = relation();
         let catalog = FactCatalog::build(&r, &[0, 1], 2).unwrap();
-        for (id, fact) in catalog.facts().iter().enumerate() {
-            let expected: Vec<u32> = (0..r.len())
-                .filter(|&row| fact.scope.matches_row(&r, row))
-                .map(|row| row as u32)
-                .collect();
-            assert_eq!(catalog.fact_rows(id), expected.as_slice(), "fact {id}");
-            for (&row, &dev) in catalog.fact_rows(id).iter().zip(catalog.fact_devs(id)) {
-                let direct = (fact.value - r.target(row as usize)).abs();
-                assert_eq!(dev, direct, "fact {id} row {row}");
-            }
-            assert_eq!(catalog.fact_rows(id).len(), fact.support);
-        }
-        // The groups partition the rows, so the index holds rows × groups
-        // entries in total.
-        let total: usize = (0..catalog.len())
-            .map(|id| catalog.fact_rows(id).len())
-            .sum();
-        assert_eq!(total, r.len() * catalog.groups().len());
+        assert_eq!(catalog.fact_index(0).lone, &[0, 1, 2, 3]);
+        assert!((0..catalog.len()).all(|id| catalog.fact_index(id).runs.is_empty()));
     }
 
     #[test]
     fn indexed_gain_matches_scan_gain() {
-        let r = relation();
-        let catalog = FactCatalog::build(&r, &[0, 1], 2).unwrap();
-        let state = ResidualState::new(&r);
-        for (id, fact) in catalog.facts().iter().enumerate() {
-            let (rows, devs) = catalog.fact_index(id);
-            let indexed = state.gain_indexed(rows, devs);
-            let scan = state.gain_of(&r, fact);
-            assert_eq!(indexed, scan, "fact {id}");
+        for r in [relation(), clustered()] {
+            let catalog = FactCatalog::build(&r, &[0, 1], 2).unwrap();
+            let state = catalog.residual_state();
+            let scan = ResidualState::new(&r);
+            for (id, fact) in catalog.facts().iter().enumerate() {
+                let indexed = state.gain_indexed(catalog.fact_index(id));
+                assert_eq!(indexed, scan.gain_of(&r, fact), "fact {id}");
+            }
         }
+    }
+
+    /// A catalog over some rows of a relation equals the catalog built over
+    /// those rows copied out, down to the bits of its values and base error.
+    #[test]
+    fn selection_matches_subset_catalog() {
+        let r = clustered();
+        let cells = RowPartition::new(&r, &[0, 1]);
+        let rows = [1usize, 2, 4, 5, 6, 7];
+        let selected = FactCatalog::build_over(&r, &cells, &rows, &[0, 1], 0, 2).unwrap();
+        let subset = r.subset(&rows).unwrap();
+        let copied = FactCatalog::build(&subset, &[0, 1], 2).unwrap();
+        assert_eq!(selected.facts(), copied.facts());
+        assert_eq!(selected.rows(), rows.len());
+        assert_eq!(selected.relation_rows(), r.len());
+        assert_eq!(
+            selected.base_error().to_bits(),
+            copied.base_error().to_bits()
+        );
+        assert_eq!(
+            selected.base_error().to_bits(),
+            utility::base_error(&subset).to_bits()
+        );
+        for ids in [vec![], vec![1, 2], vec![0, 3, 4]] {
+            let facts: Vec<Fact> = ids.iter().map(|&id| copied.fact(id).clone()).collect();
+            assert_eq!(
+                selected.speech_error(&ids).to_bits(),
+                utility::speech_error(&subset, &facts).to_bits()
+            );
+        }
+        for id in 0..selected.len() {
+            let mapped: Vec<usize> = copied.covered_rows(id).iter().map(|&i| rows[i]).collect();
+            assert_eq!(selected.covered_rows(id), mapped, "fact {id}");
+        }
+        // Cells must cover every free dimension, and rows must exist.
+        let coarse = RowPartition::new(&r, &[0]);
+        assert!(FactCatalog::build_over(&r, &coarse, &rows, &[0, 1], 0, 2).is_err());
+        assert!(FactCatalog::build_over(&r, &cells, &[8], &[0, 1], 0, 2).is_err());
     }
 
     #[test]

@@ -13,11 +13,11 @@ pub struct Instrumentation {
     /// Row touches spent computing deviation upper bounds (the analogue of
     /// the group-by-only bound queries, `CD`).
     pub bound_row_touches: u64,
-    /// Row touches served by the catalog's CSR inverted index
-    /// ([`crate::enumeration::FactCatalog::fact_rows`]): only rows inside a
-    /// fact's scope, with the deviation pre-computed. The indexed solver
-    /// hot path accumulates here instead of `gain_row_touches`, making the
-    /// O(|scope|)-vs-O(rows·dims) saving directly visible.
+    /// Row touches served by the catalog's cell-ordered index
+    /// ([`crate::enumeration::FactCatalog::fact_index`]): only rows inside a
+    /// fact's scope, as lone rows or inside runs of its cells. The indexed
+    /// solver hot path accumulates here instead of `gain_row_touches`,
+    /// making the O(|scope|)-vs-O(rows·dims) saving directly visible.
     pub index_row_touches: u64,
     /// Number of per-group gain passes executed.
     pub gain_passes: u64,

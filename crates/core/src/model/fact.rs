@@ -25,6 +25,29 @@ impl Scope {
         }
     }
 
+    /// Build a scope restricting the ascending dimensions `dims` to the
+    /// aligned `values` — [`Scope::from_pairs`] without the pairs.
+    pub fn from_columns(dims: &[usize], values: Vec<u32>) -> Result<Scope> {
+        let mut mask = 0u32;
+        for &d in dims {
+            if d >= 32 {
+                return Err(CoreError::DimensionOutOfRange { dim: d, dims: 32 });
+            }
+            if mask >> d != 0 {
+                return Err(CoreError::InvalidProblem {
+                    detail: format!("dimensions {dims:?} are not strictly ascending"),
+                });
+            }
+            mask |= 1 << d;
+        }
+        if values.len() != dims.len() {
+            return Err(CoreError::LengthMismatch {
+                detail: format!("{} values for {} dimensions", values.len(), dims.len()),
+            });
+        }
+        Ok(Scope { mask, values })
+    }
+
     /// Build a scope from `(dimension index, value code)` pairs.
     pub fn from_pairs(pairs: &[(usize, u32)]) -> Result<Scope> {
         let mut sorted = pairs.to_vec();
@@ -258,6 +281,22 @@ mod tests {
         assert!(winter.matches_row(&r, 1));
         assert!(!winter.matches_row(&r, 2));
         assert!(Scope::all().matches_row(&r, 3));
+    }
+
+    #[test]
+    fn scope_from_columns_equals_scope_from_pairs() {
+        let pairs = [(1usize, 7u32), (4, 0), (31, 2)];
+        let dims: Vec<usize> = pairs.iter().map(|&(d, _)| d).collect();
+        let values: Vec<u32> = pairs.iter().map(|&(_, v)| v).collect();
+        assert_eq!(
+            Scope::from_columns(&dims, values).unwrap(),
+            Scope::from_pairs(&pairs).unwrap()
+        );
+        assert_eq!(Scope::from_columns(&[], Vec::new()).unwrap(), Scope::all());
+        assert!(Scope::from_columns(&[32], vec![0]).is_err());
+        assert!(Scope::from_columns(&[4, 1], vec![0, 0]).is_err());
+        assert!(Scope::from_columns(&[1, 1], vec![0, 0]).is_err());
+        assert!(Scope::from_columns(&[1, 4], vec![0]).is_err());
     }
 
     #[test]

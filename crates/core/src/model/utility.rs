@@ -1,6 +1,7 @@
 //! Deviation, error and utility (Definitions 5 and 6), plus the
 //! incremental residual state used by the algorithms.
 
+use crate::enumeration::FactIndex;
 use crate::model::expectation::ExpectationModel;
 use crate::model::fact::Fact;
 use crate::model::relation::EncodedRelation;
@@ -60,8 +61,10 @@ pub fn utility(relation: &EncodedRelation, facts: &[Fact]) -> f64 {
 /// Per-row residual deviations, maintained incrementally while a speech is
 /// being built.
 ///
-/// `residual[r]` is the deviation of row `r` under the facts applied so
-/// far (starting from the prior). The greedy algorithm's Line 11
+/// `residual[p]` is the deviation of the row at position `p` under the
+/// facts applied so far (starting from the prior): row `p` of a relation
+/// for [`ResidualState::new`], a cell-order position for
+/// [`crate::enumeration::FactCatalog::residual_state`]. The greedy algorithm's Line 11
 /// ("recalculate user expectation") is [`ResidualState::apply_fact`]; its
 /// Line 7 utility computation is [`ResidualState::gain_of`].
 #[derive(Debug, Clone)]
@@ -81,6 +84,11 @@ impl ResidualState {
             .map(|(&v, &p)| (p - v).abs())
             .collect();
         let total = residual.iter().sum();
+        ResidualState { residual, total }
+    }
+
+    /// A state from per-row residuals and their total `D(F)`.
+    pub(crate) fn from_parts(residual: Vec<f64>, total: f64) -> Self {
         ResidualState { residual, total }
     }
 
@@ -151,99 +159,54 @@ impl ResidualState {
         }
     }
 
-    /// Indexed variant of [`ResidualState::gain_of`]: the rows within the
-    /// fact's scope and their pre-computed deviations come from a
-    /// [`crate::enumeration::FactCatalog`] inverted index, so only
-    /// in-scope rows are touched and no per-row scope decoding happens.
+    /// Indexed variant of [`ResidualState::gain_of`] over a catalog's
+    /// residuals: only the rows within the fact's scope are touched, with
+    /// no per-row scope decoding. Lone rows are gathered with their
+    /// precomputed deviations; runs stream residuals and targets side by
+    /// side.
     ///
-    /// The sweep is 4-way unrolled with independent accumulators and a
-    /// branchless `max(0.0)` clamp, so the compiler keeps it in vector
-    /// registers instead of serializing on one chain of conditional
-    /// adds. The unrolling reorders the floating-point summation, so the
-    /// result can differ from [`ResidualState::gain_indexed_scalar`] by
-    /// rounding (≤ 1e-9 relative in the differential tests) — acceptable
-    /// for gain *estimates*. State-mutating code
-    /// ([`ResidualState::apply_indexed`]) stays scalar and bit-exact, so
-    /// search determinism is unaffected.
-    pub fn gain_indexed(&self, rows: &[u32], devs: &[f64]) -> f64 {
-        debug_assert_eq!(rows.len(), devs.len());
-        let residual = &self.residual[..];
-        let n = residual.len();
-        // One vectorizable validation pass up front replaces a bounds
-        // check inside every gather: the non-short-circuiting max
-        // reduction compiles to SIMD, a CSR index never points past the
-        // relation so the branch below is always taken in practice, and
-        // a malformed caller degrades to the checked scalar path instead
-        // of hitting undefined behavior.
-        let max_row = rows.iter().fold(0u32, |max, &row| max.max(row));
-        if rows.len() != devs.len() || (!rows.is_empty() && max_row as usize >= n) {
-            return self.gain_indexed_scalar(rows, devs);
-        }
-        let chunks = rows.len() / 4;
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for c in 0..chunks {
-            let base = c * 4;
-            // SAFETY: every element of `rows` was verified `< n` above,
-            // and `base + 3 < rows.len() == devs.len()` by the chunk
-            // bound.
-            unsafe {
-                // `max(0.0)` maps non-improvements to +0.0, which is
-                // additive identity here: all residuals and deviations
-                // are finite and non-negative, so improvements never
-                // produce NaN or -0.0 sums that a conditional add would
-                // treat differently.
-                a0 += (residual.get_unchecked(*rows.get_unchecked(base) as usize)
-                    - devs.get_unchecked(base))
-                .max(0.0);
-                a1 += (residual.get_unchecked(*rows.get_unchecked(base + 1) as usize)
-                    - devs.get_unchecked(base + 1))
-                .max(0.0);
-                a2 += (residual.get_unchecked(*rows.get_unchecked(base + 2) as usize)
-                    - devs.get_unchecked(base + 2))
-                .max(0.0);
-                a3 += (residual.get_unchecked(*rows.get_unchecked(base + 3) as usize)
-                    - devs.get_unchecked(base + 3))
-                .max(0.0);
-            }
-        }
-        let mut tail = 0.0f64;
-        for k in chunks * 4..rows.len() {
-            tail += (residual[rows[k] as usize] - devs[k]).max(0.0);
-        }
-        (a0 + a1) + (a2 + a3) + tail
-    }
-
-    /// Scalar reference implementation of [`ResidualState::gain_indexed`]:
-    /// one accumulator, strict row order, conditional adds — the exact
-    /// summation the pre-vectorization kernel performed. Kept as the
-    /// ground truth for the kernel differential tests.
-    pub fn gain_indexed_scalar(&self, rows: &[u32], devs: &[f64]) -> f64 {
-        let mut gain = 0.0;
-        for (&row, &dev) in rows.iter().zip(devs) {
-            let improvement = self.residual[row as usize] - dev;
-            if improvement > 0.0 {
-                gain += improvement;
-            }
-        }
-        gain
+    /// The sweeps keep several independent accumulators and a branchless
+    /// `max(0.0)` clamp instead of one chain of conditional adds. That
+    /// reorders the floating-point summation, so the result can differ from
+    /// a sequential sum by rounding (≤ 1e-9 relative in the differential
+    /// tests) — acceptable for gain *estimates*. State-mutating code
+    /// ([`ResidualState::apply_indexed`]) stays sequential, so search
+    /// determinism is unaffected.
+    ///
+    /// # Panics
+    /// Panics if `index` reaches past this state — an index of another
+    /// catalog than the one this state came from.
+    pub fn gain_indexed(&self, index: FactIndex<'_>) -> f64 {
+        index.check(self.residual.len());
+        // SAFETY: checked just above.
+        unsafe { index_gain(&self.residual, index) }
     }
 
     /// Indexed variant of [`ResidualState::apply_fact`]: touches only the
-    /// in-scope rows and records the undo information in `arena` (one
-    /// frame per call) instead of allocating a fresh undo vector. Returns
-    /// the realized gain. Revert with [`ResidualState::revert_frame`].
-    pub fn apply_indexed(&mut self, rows: &[u32], devs: &[f64], arena: &mut UndoArena) -> f64 {
+    /// in-scope rows, lone rows first, and records the undo information in
+    /// `arena` (one frame per call) instead of allocating a fresh undo
+    /// vector. Returns the realized gain. Revert with
+    /// [`ResidualState::revert_frame`].
+    pub fn apply_indexed(&mut self, index: FactIndex<'_>, arena: &mut UndoArena) -> f64 {
         let frame = UndoFrame {
             mark: arena.entries.len(),
             total_before: self.total,
         };
         let mut gain = 0.0;
-        for (&row, &dev) in rows.iter().zip(devs) {
-            let current = self.residual[row as usize];
+        let mut lower = |pos: usize, dev: f64| {
+            let current = self.residual[pos];
             if dev < current {
-                arena.entries.push((row, current));
+                arena.entries.push((pos as u32, current));
                 gain += current - dev;
-                self.residual[row as usize] = dev;
+                self.residual[pos] = dev;
+            }
+        };
+        for (&pos, &dev) in index.lone.iter().zip(index.lone_devs) {
+            lower(pos as usize, dev);
+        }
+        for &(start, end) in index.runs {
+            for pos in start as usize..end as usize {
+                lower(pos, (index.value - index.targets[pos]).abs());
             }
         }
         self.total -= gain;
@@ -270,6 +233,78 @@ impl ResidualState {
         arena.entries.truncate(frame.mark);
         self.total = frame.total_before;
     }
+}
+
+/// Utility gain of one fact over `residual`.
+///
+/// # Safety
+/// `index` must pass `FactIndex::check` against `residual.len()`.
+#[inline]
+pub(crate) unsafe fn index_gain(residual: &[f64], index: FactIndex<'_>) -> f64 {
+    // SAFETY: `check` bounds every position by `residual.len()` and every
+    // run position by `index.targets.len()`, and aligns the deviations.
+    let r = |pos: usize| unsafe { *residual.get_unchecked(pos) };
+    let dev = |k: usize| unsafe { *index.lone_devs.get_unchecked(k) };
+    let target = |pos: usize| unsafe { *index.targets.get_unchecked(pos) };
+    gather_sum(index.lone, |k, pos| (r(pos) - dev(k)).max(0.0))
+        + runs_sum(index.runs, |pos| {
+            (r(pos) - (index.value - target(pos)).abs()).max(0.0)
+        })
+}
+
+/// The summed residuals within one fact's scope (its gain bound).
+///
+/// # Safety
+/// As for [`index_gain`].
+#[inline]
+pub(crate) unsafe fn index_bound(residual: &[f64], index: FactIndex<'_>) -> f64 {
+    // SAFETY: as in `index_gain`.
+    let r = |pos: usize| unsafe { *residual.get_unchecked(pos) };
+    gather_sum(index.lone, |_, pos| r(pos)) + runs_sum(index.runs, r)
+}
+
+/// `Σ term(k, positions[k])`, four accumulators wide so the sum does not
+/// serialize on one chain of adds (`max(0.0)`-clamped terms are finite and
+/// non-negative, so the reassociation only moves rounding).
+#[inline]
+fn gather_sum(positions: &[u32], term: impl Fn(usize, usize) -> f64) -> f64 {
+    let n = positions.len();
+    let at = |k: usize| term(k, positions[k] as usize);
+    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let mut k = 0;
+    while k + 4 <= n {
+        a0 += at(k);
+        a1 += at(k + 1);
+        a2 += at(k + 2);
+        a3 += at(k + 3);
+        k += 4;
+    }
+    while k < n {
+        a0 += at(k);
+        k += 1;
+    }
+    (a0 + a1) + (a2 + a3)
+}
+
+/// `Σ term(pos)` over the positions of `runs`: pairs of positions feed
+/// two accumulators, a run's odd last position a third. Runs arrive
+/// shortest first, so the loop's trip counts repeat and its branches stay
+/// predictable even for cells of two or three rows.
+#[inline]
+fn runs_sum(runs: &[(u32, u32)], term: impl Fn(usize) -> f64) -> f64 {
+    let (mut a0, mut a1, mut a2) = (0.0f64, 0.0f64, 0.0f64);
+    for &(start, end) in runs {
+        let (mut pos, end) = (start as usize, end as usize);
+        while pos + 2 <= end {
+            a0 += term(pos);
+            a1 += term(pos + 1);
+            pos += 2;
+        }
+        if pos < end {
+            a2 += term(pos);
+        }
+    }
+    (a0 + a1) + a2
 }
 
 /// One apply's bookkeeping inside an [`UndoArena`].
@@ -445,17 +480,51 @@ mod tests {
         assert_eq!(state.total(), 120.0);
     }
 
-    /// Rows/devs slices for a fact, the way `FactCatalog` materializes them.
-    fn index_of(r: &EncodedRelation, fact: &Fact) -> (Vec<u32>, Vec<f64>) {
-        let rows: Vec<u32> = (0..r.len())
-            .filter(|&row| fact.scope.matches_row(r, row))
-            .map(|row| row as u32)
-            .collect();
-        let devs: Vec<f64> = rows
-            .iter()
-            .map(|&row| (fact.value - r.target(row as usize)).abs())
-            .collect();
-        (rows, devs)
+    /// A fact's index over `r` in row order, laid out the way a
+    /// `FactCatalog` lays out cells: stretches of two or more consecutive
+    /// rows in scope become runs, the others lone rows.
+    struct Index {
+        value: f64,
+        lone: Vec<u32>,
+        devs: Vec<f64>,
+        runs: Vec<(u32, u32)>,
+    }
+
+    impl Index {
+        fn of(r: &EncodedRelation, fact: &Fact) -> Index {
+            let mut index = Index {
+                value: fact.value,
+                lone: Vec::new(),
+                devs: Vec::new(),
+                runs: Vec::new(),
+            };
+            let mut row = 0;
+            while row < r.len() {
+                let end = (row..r.len())
+                    .find(|&end| !fact.scope.matches_row(r, end))
+                    .unwrap_or(r.len());
+                match end - row {
+                    0 => row += 1,
+                    1 => {
+                        index.lone.push(row as u32);
+                        index.devs.push((fact.value - r.target(row)).abs());
+                    }
+                    _ => index.runs.push((row as u32, end as u32)),
+                }
+                row = row.max(end);
+            }
+            index
+        }
+
+        fn view<'a>(&'a self, r: &'a EncodedRelation) -> FactIndex<'a> {
+            FactIndex {
+                value: self.value,
+                lone: &self.lone,
+                lone_devs: &self.devs,
+                runs: &self.runs,
+                targets: r.targets(),
+            }
+        }
     }
 
     #[test]
@@ -463,18 +532,17 @@ mod tests {
         let r = fig1();
         let winter = Fact::new(scope(&r, &[("season", "Winter")]), 15.0, 4);
         let north = Fact::new(scope(&r, &[("region", "North")]), 15.0, 4);
+        let (w, n) = (Index::of(&r, &winter), Index::of(&r, &north));
+        // Winter's rows are one stretch, North's are spread out.
+        assert_eq!((w.runs.len(), w.lone.len()), (1, 0));
+        assert_eq!((n.runs.len(), n.lone.len()), (0, 4));
         let mut scan = ResidualState::new(&r);
         let mut indexed = ResidualState::new(&r);
         let mut arena = UndoArena::new();
-        for fact in [&winter, &north] {
-            let (rows, devs) = index_of(&r, fact);
-            assert_eq!(indexed.gain_indexed(&rows, &devs), scan.gain_of(&r, fact));
-            assert_eq!(
-                indexed.gain_indexed_scalar(&rows, &devs),
-                scan.gain_of(&r, fact)
-            );
+        for (fact, index) in [(&winter, &w), (&north, &n)] {
+            assert_eq!(indexed.gain_indexed(index.view(&r)), scan.gain_of(&r, fact));
             let (scan_gain, _) = scan.apply_fact(&r, fact);
-            let indexed_gain = indexed.apply_indexed(&rows, &devs, &mut arena);
+            let indexed_gain = indexed.apply_indexed(index.view(&r), &mut arena);
             assert_eq!(indexed_gain, scan_gain);
             assert_eq!(indexed.residuals(), scan.residuals());
             assert_eq!(indexed.total(), scan.total());
@@ -490,12 +558,11 @@ mod tests {
         let mut state = ResidualState::new(&r);
         let before_any: Vec<f64> = state.residuals().to_vec();
         let mut arena = UndoArena::new();
-        let (w_rows, w_devs) = index_of(&r, &winter);
-        let (n_rows, n_devs) = index_of(&r, &north);
-        state.apply_indexed(&w_rows, &w_devs, &mut arena);
+        let (w, n) = (Index::of(&r, &winter), Index::of(&r, &north));
+        state.apply_indexed(w.view(&r), &mut arena);
         let after_winter: Vec<f64> = state.residuals().to_vec();
         let total_after_winter = state.total();
-        state.apply_indexed(&n_rows, &n_devs, &mut arena);
+        state.apply_indexed(n.view(&r), &mut arena);
         state.revert_frame(&mut arena);
         assert_eq!(state.residuals(), after_winter.as_slice());
         assert_eq!(state.total(), total_after_winter);

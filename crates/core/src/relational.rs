@@ -175,9 +175,10 @@ impl Summarizer for RelationalGreedy {
 
     fn summarize(&self, problem: &Problem<'_>) -> Result<Summary> {
         let mut counters = Instrumentation::default();
-        let facts = fact_table(problem.relation, problem.catalog)?;
-        let mut data = data_table(problem.relation)?;
-        let dim_count = problem.relation.dim_count();
+        let relation = problem.covered_relation()?;
+        let facts = fact_table(&relation, problem.catalog)?;
+        let mut data = data_table(&relation)?;
+        let dim_count = relation.dim_count();
 
         let mut chosen: Vec<FactId> = Vec::new();
         for _ in 0..problem.max_facts {
@@ -190,7 +191,7 @@ impl Summarizer for RelationalGreedy {
             if gain <= 0.0 {
                 break;
             }
-            data = update_expectations(&data, problem.relation, problem.catalog, fact_id)?;
+            data = update_expectations(&data, &relation, problem.catalog, fact_id)?;
             chosen.push(fact_id);
         }
         Ok(summary_from_ids(problem, &chosen, counters))
@@ -243,9 +244,10 @@ impl Summarizer for RelationalExact {
 
     fn summarize(&self, problem: &Problem<'_>) -> Result<Summary> {
         let mut counters = Instrumentation::default();
-        let facts = fact_table(problem.relation, problem.catalog)?;
-        let data = data_table(problem.relation)?;
-        let dim_count = problem.relation.dim_count();
+        let relation = problem.covered_relation()?;
+        let facts = fact_table(&relation, problem.catalog)?;
+        let data = data_table(&relation)?;
+        let dim_count = relation.dim_count();
         let m = problem.max_facts.min(problem.catalog.len());
 
         // Line 6: single-fact utilities (expect column still equals prior).

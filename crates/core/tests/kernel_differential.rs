@@ -1,29 +1,43 @@
-//! Differential tests of the indexed solver hot path.
+//! Differential tests of the cell-ordered solver hot path.
 //!
-//! Three invariants protect the catalog build, the indexed-kernel and the
-//! parallel-search optimizations:
+//! Four invariants protect the catalog build, the indexed kernel and the
+//! parallel-search optimizations, each checked against naive scope
+//! matching:
 //!
-//! 1. The catalog's CSR inverted-index kernel
-//!    (`gain_indexed`/`apply_indexed`/`revert_frame`) agrees with the
-//!    original full-scan implementations (`gain_of`/`apply_fact`/`revert`)
-//!    on random relations, and reverts are bit-exact. The unrolled
-//!    (auto-vectorizable) `gain_indexed` sweep additionally agrees with
-//!    the single-accumulator `gain_indexed_scalar` ground truth to 1e-9
-//!    (its four partial sums reassociate the additions).
+//! 1. The catalog's cell-ordered kernel (`gain_indexed`/`apply_indexed`/
+//!    `revert_frame`) agrees with the full-scan implementations
+//!    (`gain_of`/`apply_fact`) on random relations, and reverts are
+//!    bit-exact. The unrolled (auto-vectorizable) `gain_indexed` sweeps
+//!    additionally agree with a single-accumulator sum over the same rows
+//!    to 1e-9 (their four partial sums reassociate the additions).
 //! 2. The parallel exact search returns the same speech as the sequential
 //!    search — utility, chosen facts, and timeout flag — for any worker
-//!    count, on both sides of the adaptive fan-out gate and for scoped
-//!    as well as custom executors.
+//!    count, on both sides of the adaptive fan-out gate.
 //! 3. The catalog build agrees with a naive reference — one
 //!    `Fact::for_scope` per distinct value combination, in order of first
-//!    appearance — on fact order, scopes, value bits, support, the
-//!    row→fact partition, every CSR slice and the grouped gains,
-//!    including three-dimension groups over a high-cardinality column,
-//!    whose integer grouping keys fold.
+//!    appearance — on fact order, scopes, value bits, support, the rows
+//!    each fact covers and the grouped gains, including three-dimension
+//!    groups over a high-cardinality column.
+//! 4. A catalog over the rows of one query, built from cells over all
+//!    dimensions, summarizes exactly like a catalog over those rows copied
+//!    out.
+//!
+//! Relations are drawn on both sides of the cell-size property the index
+//! relies on: clustered ones, where every cell holds several rows (runs),
+//! and distinct ones, where every row is alone in its cell (lone rows).
 
 use proptest::prelude::*;
 
 use vqs_core::prelude::*;
+
+/// Build a relation from generated string rows.
+fn relation_of(dims: &[&str], rows: Vec<(Vec<String>, f64)>, prior: Prior) -> EncodedRelation {
+    let row_refs: Vec<(Vec<&str>, f64)> = rows
+        .iter()
+        .map(|(v, t)| (v.iter().map(String::as_str).collect(), *t))
+        .collect();
+    EncodedRelation::from_rows(dims, "y", row_refs, prior).unwrap()
+}
 
 /// A random relation over four dimensions, the last with up to 300
 /// distinct values, and real-valued targets so that summation order shows
@@ -34,7 +48,7 @@ fn arb_wide_relation() -> impl Strategy<Value = EncodedRelation> {
         1..80,
     )
     .prop_map(|rows| {
-        let data: Vec<(Vec<String>, f64)> = rows
+        let data = rows
             .iter()
             .map(|&(a, b, c, h, y)| {
                 let values = vec![
@@ -46,12 +60,71 @@ fn arb_wide_relation() -> impl Strategy<Value = EncodedRelation> {
                 (values, y)
             })
             .collect();
-        let row_refs: Vec<(Vec<&str>, f64)> = data
-            .iter()
-            .map(|(v, t)| (v.iter().map(String::as_str).collect(), *t))
-            .collect();
-        EncodedRelation::from_rows(&["a", "b", "c", "h"], "y", row_refs, Prior::GlobalMean).unwrap()
+        relation_of(&["a", "b", "c", "h"], data, Prior::GlobalMean)
     })
+}
+
+/// Few low-cardinality dimensions and every cell holding several rows:
+/// each drawn row appears twice, once in drawing order and once in
+/// reverse, so cells interleave in row order.
+fn arb_clustered_relation() -> impl Strategy<Value = EncodedRelation> {
+    (
+        prop::collection::vec((0u32..3, 0u32..2, -20.0f64..20.0), 1..30),
+        -5.0f64..5.0,
+    )
+        .prop_map(|(rows, prior)| {
+            let forward = rows.iter().map(|&(a, b, y)| (a, b, y));
+            let backward = rows.iter().rev().map(|&(a, b, y)| (a, b, y + 0.5));
+            let data = forward
+                .chain(backward)
+                .map(|(a, b, y)| (vec![format!("a{a}"), format!("b{b}")], y))
+                .collect();
+            relation_of(&["a", "b"], data, Prior::Constant(prior))
+        })
+}
+
+/// Many high-cardinality dimensions, the last one distinct per row, so
+/// every row is alone in its cell.
+fn arb_distinct_relation() -> impl Strategy<Value = EncodedRelation> {
+    prop::collection::vec((0u32..40, 0u32..40, -20.0f64..20.0), 1..40).prop_map(|rows| {
+        let data = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(a, b, y))| (vec![format!("a{a}"), format!("b{b}"), format!("r{i}")], y))
+            .collect();
+        relation_of(&["a", "b", "r"], data, Prior::GlobalMean)
+    })
+}
+
+/// A small random relation (2 dimensions, bounded cardinalities): cells of
+/// one and of several rows side by side.
+fn arb_relation() -> impl Strategy<Value = EncodedRelation> {
+    (
+        prop::collection::vec((0u32..4, 0u32..3), 1..40),
+        0.0f64..30.0,
+    )
+        .prop_map(|(rows, prior)| {
+            let data = rows
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, b))| {
+                    (
+                        vec![format!("a{a}"), format!("b{b}")],
+                        ((i * 7919) % 97) as f64,
+                    )
+                })
+                .collect();
+            relation_of(&["a", "b"], data, Prior::Constant(prior))
+        })
+}
+
+/// Any of the three relation shapes, with its dimensions all free.
+fn arb_any_relation() -> impl Strategy<Value = (EncodedRelation, Vec<usize>)> {
+    prop_oneof![
+        arb_relation().prop_map(|r| (r, vec![0, 1])),
+        arb_clustered_relation().prop_map(|r| (r, vec![0, 1])),
+        arb_distinct_relation().prop_map(|r| (r, vec![0, 1, 2])),
+    ]
 }
 
 /// One group of the reference catalog: the distinct value combinations of
@@ -82,75 +155,70 @@ fn naive_group(relation: &EncodedRelation, cols: &[usize]) -> (Vec<Fact>, Vec<us
     (facts, of_row)
 }
 
-/// A small random relation (2 dimensions, bounded cardinalities) plus the
-/// per-row targets, generated from plain proptest collections so failures
-/// replay deterministically.
-fn arb_relation() -> impl Strategy<Value = EncodedRelation> {
-    (
-        prop::collection::vec((0u32..4, 0u32..3), 1..40),
-        0.0f64..30.0,
-    )
-        .prop_map(|(rows, prior)| {
-            let data: Vec<(Vec<String>, f64)> = rows
-                .iter()
-                .enumerate()
-                .map(|(i, &(a, b))| {
-                    (
-                        vec![format!("a{a}"), format!("b{b}")],
-                        ((i * 7919) % 97) as f64,
-                    )
-                })
-                .collect();
-            let row_refs: Vec<(Vec<&str>, f64)> = data
-                .iter()
-                .map(|(v, t)| (v.iter().map(String::as_str).collect(), *t))
-                .collect();
-            EncodedRelation::from_rows(&["a", "b"], "y", row_refs, Prior::Constant(prior)).unwrap()
-        })
+/// `|a − b| ≤ 1e-9` relative to the larger magnitude (floor 1).
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
+}
+
+/// Apply `picks` to a catalog state and to the row-order scan reference.
+fn apply_both(
+    relation: &EncodedRelation,
+    catalog: &FactCatalog,
+    picks: &[usize],
+) -> (ResidualState, ResidualState, UndoArena) {
+    let mut indexed = catalog.residual_state();
+    let mut scan = ResidualState::new(relation);
+    let mut arena = UndoArena::new();
+    for pick in picks {
+        let id = pick % catalog.len();
+        indexed.apply_indexed(catalog.fact_index(id), &mut arena);
+        scan.apply_fact(relation, catalog.fact(id));
+    }
+    (indexed, scan, arena)
 }
 
 proptest! {
     // Indexed gains equal full-scan gains for every candidate fact, both
     // from the initial state and after a couple of facts were applied.
     #[test]
-    fn indexed_gain_matches_full_scan(relation in arb_relation(), picks in prop::collection::vec(0usize..64, 0..3)) {
-        let catalog = FactCatalog::build(&relation, &[0, 1], 2).unwrap();
-        let mut state = ResidualState::new(&relation);
-        let mut arena = UndoArena::new();
-        for pick in picks {
-            let id = pick % catalog.len();
-            let (rows, devs) = (catalog.fact_rows(id), catalog.fact_devs(id));
-            state.apply_indexed(rows, devs, &mut arena);
-        }
+    fn indexed_gain_matches_full_scan(
+        (relation, dims) in arb_any_relation(),
+        picks in prop::collection::vec(0usize..64, 0..3),
+    ) {
+        let catalog = FactCatalog::build(&relation, &dims, 2).unwrap();
+        let (state, scan, _) = apply_both(&relation, &catalog, &picks);
         for (id, fact) in catalog.facts().iter().enumerate() {
-            let indexed = state.gain_indexed(catalog.fact_rows(id), catalog.fact_devs(id));
-            let scan = state.gain_of(&relation, fact);
-            prop_assert!((indexed - scan).abs() < 1e-9, "fact {id}: {indexed} vs {scan}");
+            let indexed = state.gain_indexed(catalog.fact_index(id));
+            let want = scan.gain_of(&relation, fact);
+            prop_assert!(close(indexed, want), "fact {id}: {indexed} vs {want}");
         }
     }
 
-    // Applying through the index mutates residuals exactly like the
-    // full-scan apply, and the arena revert restores the prior state
-    // bit-for-bit (residuals *and* running total).
+    // Applying through the index mutates residuals like the full-scan
+    // apply (position `p` holds row `cell_order[p]`), and the arena revert
+    // restores the prior state bit-for-bit (residuals *and* running total).
     #[test]
-    fn indexed_apply_and_revert_match_full_scan(relation in arb_relation(), picks in prop::collection::vec(0usize..64, 1..5)) {
-        let catalog = FactCatalog::build(&relation, &[0, 1], 2).unwrap();
+    fn indexed_apply_and_revert_match_full_scan(
+        (relation, dims) in arb_any_relation(),
+        picks in prop::collection::vec(0usize..64, 1..5),
+    ) {
+        let catalog = FactCatalog::build(&relation, &dims, 2).unwrap();
+        let cell_order: Vec<usize> = catalog.cell_order().collect();
         let mut scan = ResidualState::new(&relation);
-        let mut indexed = ResidualState::new(&relation);
+        let mut indexed = catalog.residual_state();
+        prop_assert_eq!(indexed.total().to_bits(), scan.total().to_bits());
         let mut arena = UndoArena::new();
         let mut checkpoints: Vec<(Vec<f64>, f64)> = Vec::new();
         for pick in &picks {
             let id = pick % catalog.len();
             checkpoints.push((indexed.residuals().to_vec(), indexed.total()));
-            let fact = catalog.fact(id).clone();
-            let (scan_gain, _) = scan.apply_fact(&relation, &fact);
-            let indexed_gain =
-                indexed.apply_indexed(catalog.fact_rows(id), catalog.fact_devs(id), &mut arena);
-            prop_assert!((indexed_gain - scan_gain).abs() < 1e-9);
-            for row in 0..relation.len() {
-                prop_assert!((indexed.residual(row) - scan.residual(row)).abs() < 1e-9);
+            let (scan_gain, _) = scan.apply_fact(&relation, catalog.fact(id));
+            let indexed_gain = indexed.apply_indexed(catalog.fact_index(id), &mut arena);
+            prop_assert!(close(indexed_gain, scan_gain));
+            for (pos, &row) in cell_order.iter().enumerate() {
+                prop_assert_eq!(indexed.residual(pos).to_bits(), scan.residual(row).to_bits());
             }
-            prop_assert!((indexed.total() - scan.total()).abs() < 1e-9);
+            prop_assert!(close(indexed.total(), scan.total()));
         }
         // Unwind in LIFO order: every checkpoint must be restored exactly.
         prop_assert_eq!(arena.depth(), picks.len());
@@ -162,22 +230,28 @@ proptest! {
         prop_assert_eq!(arena.depth(), 0);
     }
 
-    // The unrolled four-accumulator gain sweep agrees with the
-    // single-accumulator scalar ground truth on every fact, from the
-    // initial residuals and after random applies.
+    // The unrolled four-accumulator gain sweeps agree with a
+    // single-accumulator sum over the same positions, from the initial
+    // residuals and after random applies.
     #[test]
-    fn vectorized_gain_sweep_matches_scalar_sweep(relation in arb_relation(), picks in prop::collection::vec(0usize..64, 0..3)) {
-        let catalog = FactCatalog::build(&relation, &[0, 1], 2).unwrap();
-        let mut state = ResidualState::new(&relation);
-        let mut arena = UndoArena::new();
-        for pick in picks {
-            let id = pick % catalog.len();
-            state.apply_indexed(catalog.fact_rows(id), catalog.fact_devs(id), &mut arena);
-        }
+    fn vectorized_gain_sweep_matches_scalar_sweep(
+        (relation, dims) in arb_any_relation(),
+        picks in prop::collection::vec(0usize..64, 0..3),
+    ) {
+        let catalog = FactCatalog::build(&relation, &dims, 2).unwrap();
+        let (state, _, _) = apply_both(&relation, &catalog, &picks);
         for id in 0..catalog.len() {
-            let unrolled = state.gain_indexed(catalog.fact_rows(id), catalog.fact_devs(id));
-            let scalar = state.gain_indexed_scalar(catalog.fact_rows(id), catalog.fact_devs(id));
-            prop_assert!((unrolled - scalar).abs() < 1e-9, "fact {id}: {unrolled} vs {scalar}");
+            let index = catalog.fact_index(id);
+            let mut scalar = 0.0;
+            for pos in index.positions() {
+                let improvement =
+                    state.residual(pos) - (index.value - index.targets[pos]).abs();
+                if improvement > 0.0 {
+                    scalar += improvement;
+                }
+            }
+            let unrolled = state.gain_indexed(index);
+            prop_assert!(close(unrolled, scalar), "fact {id}: {unrolled} vs {scalar}");
         }
     }
 
@@ -190,8 +264,11 @@ proptest! {
     // between those extremes, so both sides of the gate boundary are
     // covered.
     #[test]
-    fn parallel_exact_equals_sequential(relation in arb_relation(), max_facts in 1usize..4) {
-        let catalog = FactCatalog::build(&relation, &[0, 1], 2).unwrap();
+    fn parallel_exact_equals_sequential(
+        (relation, dims) in arb_any_relation(),
+        max_facts in 1usize..4,
+    ) {
+        let catalog = FactCatalog::build(&relation, &dims, 2).unwrap();
         let problem = Problem::new(&relation, &catalog, max_facts).unwrap();
         let sequential = ExactSummarizer::paper().summarize(&problem).unwrap();
         for workers in [0usize, 1, 2, 8] {
@@ -223,21 +300,20 @@ proptest! {
     // scope sizes up to three.
     #[test]
     fn catalog_build_matches_naive_reference(
-        relation in arb_wide_relation(),
+        (relation, dims) in prop_oneof![
+            arb_wide_relation().prop_map(|r| (r, vec![0, 1, 2, 3])),
+            arb_any_relation(),
+        ],
         max_dims in 1usize..=3,
         picks in prop::collection::vec(0usize..4096, 0..3),
     ) {
-        let catalog = FactCatalog::build(&relation, &[0, 1, 2, 3], max_dims).unwrap();
-        let subsets = (0u32..16).filter(|m| m.count_ones() as usize <= max_dims).count();
+        let catalog = FactCatalog::build(&relation, &dims, max_dims).unwrap();
+        let full = (1u32 << dims.len()) - 1;
+        let subsets = (0..=full).filter(|m| m.count_ones() as usize <= max_dims).count();
         prop_assert_eq!(catalog.groups().len(), subsets);
         // Gains are compared after a few applies, so residuals differ
         // from row to row.
-        let mut state = ResidualState::new(&relation);
-        let mut arena = UndoArena::new();
-        for pick in picks {
-            let id = pick % catalog.len();
-            state.apply_indexed(catalog.fact_rows(id), catalog.fact_devs(id), &mut arena);
-        }
+        let (state, scan, _) = apply_both(&relation, &catalog, &picks);
         let mut counters = Instrumentation::default();
         let mut next_fact = 0;
         for (g, group) in catalog.groups().iter().enumerate() {
@@ -245,31 +321,23 @@ proptest! {
             prop_assert_eq!(group.fact_start, next_fact);
             prop_assert_eq!(group.fact_count, facts.len());
             next_fact += facts.len();
-            for (row, &slot) in of_row.iter().enumerate() {
-                prop_assert_eq!(group.fact_of_row(row), group.fact_start + slot);
-            }
-            let gains = catalog.group_gains(&relation, &state, g, &mut counters);
+            let gains = catalog.group_gains(&state, g, &mut counters);
             for (slot, want) in facts.iter().enumerate() {
                 let id = group.fact_start + slot;
                 let got = catalog.fact(id);
                 prop_assert_eq!(&got.scope, &want.scope);
                 prop_assert_eq!(got.value.to_bits(), want.value.to_bits());
                 prop_assert_eq!(got.support, want.support);
-                let rows: Vec<u32> = (0..relation.len() as u32)
-                    .filter(|&r| of_row[r as usize] == slot)
-                    .collect();
-                prop_assert_eq!(catalog.fact_rows(id), rows.as_slice());
-                let devs: Vec<u64> = rows
-                    .iter()
-                    .map(|&r| (want.value - relation.target(r as usize)).abs().to_bits())
-                    .collect();
-                let got_devs: Vec<u64> = catalog.fact_devs(id).iter().map(|d| d.to_bits()).collect();
-                prop_assert_eq!(got_devs, devs);
-                let direct = state.gain_of(&relation, want);
-                prop_assert!(
-                    (gains[slot] - direct).abs() <= 1e-9 * direct.abs().max(1.0),
-                    "fact {id}: {} vs {direct}", gains[slot]
-                );
+                let rows: Vec<usize> = (0..relation.len()).filter(|&r| of_row[r] == slot).collect();
+                prop_assert_eq!(catalog.covered_rows(id), rows);
+                let index = catalog.fact_index(id);
+                prop_assert_eq!(index.len(), want.support);
+                for (&pos, &dev) in index.lone.iter().zip(index.lone_devs) {
+                    let want_dev = (want.value - index.targets[pos as usize]).abs();
+                    prop_assert_eq!(dev.to_bits(), want_dev.to_bits());
+                }
+                let direct = scan.gain_of(&relation, want);
+                prop_assert!(close(gains[slot], direct), "fact {id}: {} vs {direct}", gains[slot]);
             }
         }
         prop_assert_eq!(next_fact, catalog.len());
@@ -277,18 +345,54 @@ proptest! {
 
     // The indexed exact search still matches the brute-force optimum.
     #[test]
-    fn indexed_exact_matches_brute_force(relation in arb_relation()) {
-        let catalog = FactCatalog::build(&relation, &[0, 1], 2).unwrap();
+    fn indexed_exact_matches_brute_force((relation, dims) in arb_any_relation()) {
+        let catalog = FactCatalog::build(&relation, &dims, 2).unwrap();
         let problem = Problem::new(&relation, &catalog, 2).unwrap();
         let exact = ExactSummarizer::paper().summarize(&problem).unwrap();
         let brute = BruteForceSummarizer.summarize(&problem).unwrap();
-        prop_assert!((exact.utility - brute.utility).abs() < 1e-9);
+        prop_assert!(close(exact.utility, brute.utility));
+    }
+
+    // A query's catalog over its rows, built from cells over every
+    // dimension, solves to the same speeches, utility bits and base error
+    // bits as a catalog over the query's rows copied out.
+    #[test]
+    fn query_catalog_matches_subset_catalog(
+        (relation, dims) in arb_any_relation(),
+        fixed in 0usize..3,
+        pick in 0usize..64,
+    ) {
+        let fixed = fixed % dims.len();
+        let value = relation.code(fixed, pick % relation.len());
+        let rows: Vec<usize> = (0..relation.len())
+            .filter(|&row| relation.code(fixed, row) == value)
+            .collect();
+        let free: Vec<usize> = dims.iter().copied().filter(|&d| d != fixed).collect();
+        let cells = RowPartition::new(&relation, &dims);
+        let selected = FactCatalog::build_over(&relation, &cells, &rows, &free, 0, 2).unwrap();
+        let subset = relation.subset(&rows).unwrap();
+        let copied = FactCatalog::build(&subset, &free, 2).unwrap();
+        prop_assert_eq!(selected.facts(), copied.facts());
+        let on_rows = Problem::new(&relation, &selected, 3).unwrap();
+        let on_copy = Problem::new(&subset, &copied, 3).unwrap();
+        let solvers: [Box<dyn Summarizer>; 3] = [
+            Box::new(GreedySummarizer::base()),
+            Box::new(GreedySummarizer::with_optimized_pruning()),
+            Box::new(ExactSummarizer::paper()),
+        ];
+        for solver in &solvers {
+            let a = solver.summarize(&on_rows).unwrap();
+            let b = solver.summarize(&on_copy).unwrap();
+            prop_assert_eq!(a.speech.facts(), b.speech.facts(), "{}", solver.name());
+            prop_assert_eq!(a.utility.to_bits(), b.utility.to_bits());
+            prop_assert_eq!(a.base_error.to_bits(), b.base_error.to_bits());
+            prop_assert_eq!(a.instrumentation, b.instrumentation);
+        }
     }
 }
 
 /// The indexed kernel touches exactly the in-scope rows: solving with the
-/// exact summarizer reports index row touches but no scan-based gain
-/// touches from the DFS (the single-fact utility pass still scans).
+/// exact summarizer reports index row touches from the DFS.
 #[test]
 fn exact_search_runs_on_the_index() {
     let data: Vec<(Vec<&str>, f64)> = (0..60)

@@ -204,10 +204,11 @@ pub fn scale_tenant_spec() -> SynthSpec {
 }
 
 /// A deliberately *wide* spec — `dims` binary dimensions, one target —
-/// for probing the store's predicate-count regimes: queries with up to
-/// 16 predicates enumerate `2^n` generalization candidates, and past 16
-/// the store falls back to a linear shard scan. The scale bench charts
-/// probe counts across that cliff.
+/// for probing lookups of long queries: a miss walks the query's
+/// predicate subsets from the longest stored query length down, so its
+/// cost grows with the number of subsets of that length, not with `2^n`.
+/// The scale bench records probe counts and lookup times per predicate
+/// count.
 pub fn wide_probe_spec(dims: usize) -> SynthSpec {
     SynthSpec {
         name: format!("Wide-{dims}"),

@@ -107,6 +107,15 @@ impl Configuration {
                 detail: "no dimensions configured".into(),
             });
         }
+        // Dimension subsets, scopes and fact catalogs are 32-bit masks.
+        if self.dimensions.len() >= 32 {
+            return Err(ConfigError::Invalid {
+                detail: format!(
+                    "at most 31 dimensions supported, got {}",
+                    self.dimensions.len()
+                ),
+            });
+        }
         if self.targets.is_empty() {
             return Err(ConfigError::Invalid {
                 detail: "no targets configured".into(),

@@ -218,16 +218,25 @@ pub fn configured_exact_on(
     configured_exact(config).on_executor(executor)
 }
 
-/// Solve one work item into a stored speech.
+/// The cells of a target relation: its rows partitioned on every
+/// configured dimension, shared by the fact catalogs of all its queries.
+pub fn target_cells(relation: &EncodedRelation) -> RowPartition {
+    let dims: Vec<usize> = (0..relation.dim_count()).collect();
+    RowPartition::new(relation, &dims)
+}
+
+/// Solve one work item into a stored speech; `cells` are the relation's
+/// [`target_cells`].
 pub fn solve_item<S: Summarizer + ?Sized>(
     relation: &EncodedRelation,
+    cells: &RowPartition,
     config: &Configuration,
     summarizer: &S,
     template: &SpeechTemplate,
     item: &WorkItem,
 ) -> Result<(StoredSpeech, Instrumentation)> {
     let (speech, instrumentation, _) =
-        solve_item_at(relation, config, summarizer, template, item, None)?;
+        solve_item_at(relation, cells, config, summarizer, template, item, None)?;
     Ok((speech, instrumentation))
 }
 
@@ -237,22 +246,23 @@ pub fn solve_item<S: Summarizer + ?Sized>(
 /// (anytime algorithms) with no optimality guarantee.
 pub(crate) fn solve_item_at<S: Summarizer + ?Sized>(
     relation: &EncodedRelation,
+    cells: &RowPartition,
     config: &Configuration,
     summarizer: &S,
     template: &SpeechTemplate,
     item: &WorkItem,
     deadline: Option<Instant>,
 ) -> Result<(StoredSpeech, Instrumentation, bool)> {
-    let subset = relation.subset(&item.rows)?;
     // Dimensions not fixed by the query remain free for fact scopes.
     let fixed: Vec<&String> = item.query.predicates().iter().map(|(d, _)| d).collect();
-    let free_dims: Vec<usize> = (0..subset.dim_count())
-        .filter(|&d| !fixed.iter().any(|f| **f == subset.dims()[d].name))
+    let free_dims: Vec<usize> = (0..relation.dim_count())
+        .filter(|&d| !fixed.iter().any(|f| **f == relation.dims()[d].name))
         .collect();
     let min_dims = usize::from(!config.include_overall_fact && !free_dims.is_empty());
     let max_dims = config.max_fact_dimensions.min(free_dims.len());
-    let catalog = FactCatalog::build_with_scope_sizes(&subset, &free_dims, min_dims, max_dims)?;
-    let problem = Problem::new(&subset, &catalog, config.speech_length)?;
+    let catalog =
+        FactCatalog::build_over(relation, cells, &item.rows, &free_dims, min_dims, max_dims)?;
+    let problem = Problem::new(relation, &catalog, config.speech_length)?;
     let summary = summarizer.summarize_by(&problem, deadline)?;
 
     let facts: Vec<NamedFact> = summary
@@ -265,7 +275,7 @@ pub(crate) fn solve_item_at<S: Summarizer + ?Sized>(
                 .pairs()
                 .into_iter()
                 .map(|(d, code)| {
-                    let dim = &subset.dims()[d];
+                    let dim = &relation.dims()[d];
                     (dim.name.clone(), dim.values[code as usize].to_string())
                 })
                 .collect(),
@@ -333,9 +343,11 @@ pub(crate) fn solve_live(
         .get(query.target())
         .cloned()
         .unwrap_or_else(|| SpeechTemplate::plain(query.target()));
+    let cells = target_cells(&relation);
     if !force_timeout {
-        let (speech, _, timed_out) =
-            solve_item_at(&relation, config, summarizer, &template, &item, deadline)?;
+        let (speech, _, timed_out) = solve_item_at(
+            &relation, &cells, config, summarizer, &template, &item, deadline,
+        )?;
         if !timed_out {
             return Ok(Some((speech, false)));
         }
@@ -343,7 +355,7 @@ pub(crate) fn solve_live(
     // The budgeted solve expired (or was forced to): one greedy pass
     // still yields a valid — merely non-optimal — speech.
     let greedy = GreedySummarizer::with_optimized_pruning();
-    let (speech, _, _) = solve_item_at(&relation, config, &greedy, &template, &item, None)?;
+    let (speech, _, _) = solve_item_at(&relation, &cells, config, &greedy, &template, &item, None)?;
     Ok(Some((speech, true)))
 }
 
@@ -351,6 +363,8 @@ pub(crate) fn solve_live(
 struct TargetPlan {
     target: String,
     relation: EncodedRelation,
+    /// The relation's [`target_cells`], shared by every query's catalog.
+    cells: RowPartition,
     template: SpeechTemplate,
     items: Vec<WorkItem>,
     /// Global target average, the §III constant prior.
@@ -376,6 +390,7 @@ fn build_plans(
             let prior = relation.target_mean();
             Ok(TargetPlan {
                 target: target.clone(),
+                cells: target_cells(&relation),
                 relation,
                 template,
                 items,
@@ -429,6 +444,7 @@ fn run_jobs<S: Summarizer + Sync + ?Sized>(
             let solve_start = Instant::now();
             let outcome = solve_item(
                 &plan.relation,
+                &plan.cells,
                 config,
                 summarizer,
                 &plan.template,

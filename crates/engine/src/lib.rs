@@ -77,8 +77,8 @@ pub mod prelude {
     pub use crate::error::{EngineError, Result};
     pub use crate::extensions::{ExtremumIndex, GroupAverage};
     pub use crate::generator::{
-        configured_exact, configured_exact_on, enumerate_queries, solve_item, target_relation,
-        PreprocessReport, RefreshReport, WorkItem,
+        configured_exact, configured_exact_on, enumerate_queries, solve_item, target_cells,
+        target_relation, PreprocessReport, RefreshReport, WorkItem,
     };
     pub use crate::ingest::{FlushReport, IngestBuilder, IngestReport, RowDelta};
     pub use crate::logsim::{

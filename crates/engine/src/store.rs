@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use vqs_core::delta::masks_of_size;
 use vqs_core::prelude::Instrumentation;
 use vqs_relalg::hash::{FxHashMap, FxHasher};
 
@@ -133,20 +134,6 @@ fn dim_set_hash<'a>(names: impl Iterator<Item = &'a str>) -> u64 {
         hasher.write_u8(0xFF);
     }
     hasher.finish()
-}
-
-/// The `k`-bit masks below `1 << n`, in decreasing order (`k < n < 64`).
-/// Their complements are the `(n − k)`-bit masks in increasing order,
-/// which Gosper's hack steps through without shifting past bit `n`.
-fn masks_of_size(n: usize, k: usize) -> impl Iterator<Item = u64> {
-    let all = (1u64 << n) - 1;
-    std::iter::successors(Some((1u64 << (n - k)) - 1), move |&c| {
-        let low = c & c.wrapping_neg();
-        let ripple = c + low;
-        let next = ripple | (((c ^ ripple) >> 2) / low);
-        (next <= all).then_some(next)
-    })
-    .map(move |c| all ^ c)
 }
 
 /// Per-target entry of the secondary index: the predicate-dimension sets

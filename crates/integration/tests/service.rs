@@ -307,3 +307,40 @@ fn facade_refresh_equals_fresh_registration() {
         .count();
     assert_eq!(stable, report.kept);
 }
+
+/// Dimension subsets are 32-bit masks: registering a tenant with 32
+/// dimensions is refused as an invalid configuration instead of panicking
+/// in the query enumeration, while 31 dimensions still register.
+#[test]
+fn thirty_two_dimensions_are_rejected_not_a_panic() {
+    let names: Vec<String> = (0..32).map(|d| format!("d{d:02}")).collect();
+    let wide = |dims: usize| {
+        let data = SynthSpec {
+            name: "wide".to_string(),
+            dims: names[..dims]
+                .iter()
+                .map(|name| DimSpec::named(name, &["x", "y"]))
+                .collect(),
+            targets: vec![TargetSpec::new("delay", 15.0, 8.0, 2.0, (0.0, 60.0))],
+            rows: 40,
+        }
+        .generate(7, 1.0);
+        let dim_names: Vec<&str> = names[..dims].iter().map(String::as_str).collect();
+        let mut config = Configuration::new("wide", &dim_names, &["delay"]);
+        config.max_query_length = 1;
+        config.max_fact_dimensions = 1;
+        TenantSpec::new("wide", data, config)
+    };
+    let service = ServiceBuilder::new()
+        .workers(1)
+        .summarizer(GreedySummarizer::with_optimized_pruning())
+        .build();
+    let err = service.register_dataset(wide(32)).unwrap_err();
+    assert!(
+        matches!(err, EngineError::Config(ConfigError::Invalid { .. })),
+        "{err:?}"
+    );
+    assert!(service.tenant_store("wide").is_none());
+    service.register_dataset(wide(31)).unwrap();
+    assert_eq!(service.tenant_store("wide").unwrap().len(), 1 + 31 * 2);
+}

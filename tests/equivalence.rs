@@ -191,10 +191,15 @@ fn catalog_partitions_are_exhaustive_and_exclusive() {
             }
             // Each group's facts partition all rows.
             assert_eq!(support_sum, relation.len());
-            for row in 0..relation.len() {
-                let fact = catalog.fact(group.fact_of_row(row));
-                assert!(fact.scope.matches_row(&relation, row));
+            let mut covered: Vec<usize> = Vec::new();
+            for id in group.fact_ids() {
+                let rows = catalog.covered_rows(id);
+                let scope = &catalog.fact(id).scope;
+                assert!(rows.iter().all(|&row| scope.matches_row(&relation, row)));
+                covered.extend(rows);
             }
+            covered.sort_unstable();
+            assert_eq!(covered, (0..relation.len()).collect::<Vec<_>>());
         }
     }
 }
