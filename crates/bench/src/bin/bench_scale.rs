@@ -16,12 +16,15 @@
 //!   grows polynomially in the predicate count. Probe counts are
 //!   deterministic; always computed.
 //! * `scenarios` — the four paper data sets at scale ∈ {0.02, 0.25,
-//!   1.0}: preprocess wall time, store footprint
+//!   1.0}: preprocess wall time with its serial plan time
+//!   ([`PreprocessReport::plan_time`]) and summed solver time, store
+//!   footprint
 //!   ([`StoreStats::approx_bytes`]), and an open-loop Poisson load run
 //!   whose percentiles are measured from the *intended* send time
 //!   (coordinated-omission-safe; see `vqs_bench::loadgen`).
 //! * `synthetic` — the `ScaleTenant` at ≥ 1M rows (10M with `--deep`):
-//!   generation + preprocess wall time, store bytes, ingest flush cost
+//!   generation + preprocess wall time (plan and solver time as for the
+//!   scenarios), store bytes, ingest flush cost
 //!   via a timed drain, and a mixed respond+ingest open-loop run.
 //!
 //! The numbers are recorded as measured — including the parts that
@@ -54,6 +57,7 @@ struct ScenarioEntry {
     queries: usize,
     speeches: usize,
     preprocess_ms: f64,
+    plan_ms: f64,
     solver_ms: f64,
     store_bytes: u64,
     load: LoadReport,
@@ -70,6 +74,7 @@ struct SyntheticEntry {
     load_mix: &'static str,
     generate_ms: f64,
     preprocess_ms: f64,
+    plan_ms: f64,
     solver_ms: f64,
     queries: usize,
     speeches: usize,
@@ -429,6 +434,7 @@ fn run_scenario(
         queries: report.queries,
         speeches: report.speeches,
         preprocess_ms,
+        plan_ms: report.plan_time.as_secs_f64() * 1e3,
         solver_ms: report.total_solver_time().as_secs_f64() * 1e3,
         store_bytes,
         load,
@@ -494,6 +500,7 @@ fn run_synthetic(
         },
         generate_ms,
         preprocess_ms,
+        plan_ms: report.plan_time.as_secs_f64() * 1e3,
         solver_ms: report.total_solver_time().as_secs_f64() * 1e3,
         queries: report.queries,
         speeches: report.speeches,
@@ -624,6 +631,7 @@ fn render_json(
             "      \"preprocess_ms\": {:.3},",
             entry.preprocess_ms
         ));
+        lines.push(format!("      \"plan_ms\": {:.3},", entry.plan_ms));
         lines.push(format!("      \"solver_ms\": {:.3},", entry.solver_ms));
         lines.push(format!("      \"store_bytes\": {},", entry.store_bytes));
         push_load(&mut lines, "      ", &entry.load, false);
@@ -645,6 +653,7 @@ fn render_json(
             "      \"preprocess_ms\": {:.3},",
             entry.preprocess_ms
         ));
+        lines.push(format!("      \"plan_ms\": {:.3},", entry.plan_ms));
         lines.push(format!("      \"solver_ms\": {:.3},", entry.solver_ms));
         lines.push(format!("      \"queries\": {},", entry.queries));
         lines.push(format!("      \"speeches\": {},", entry.speeches));

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use vqs_relalg::prelude::{ColumnType, Table, Value};
+use vqs_relalg::prelude::{ColumnData, Table, Value};
 
 use crate::error::{CoreError, Result};
 
@@ -148,7 +148,10 @@ impl EncodedRelation {
     }
 
     /// Import from a relalg [`Table`]: `dim_cols` name the dimension
-    /// columns (must be strings), `target_col` the numeric target.
+    /// columns, `target_col` the numeric target. Dimension values are
+    /// coded in order of first appearance, as [`EncodedRelation::from_rows`]
+    /// codes them: a string column's dictionary codes are remapped in one
+    /// pass, any other column's values are coded by their text.
     pub fn from_table(
         table: &Table,
         dim_cols: &[&str],
@@ -159,54 +162,65 @@ impl EncodedRelation {
         let mut dims = Vec::with_capacity(dim_cols.len());
         let mut dim_codes: Vec<Vec<u32>> = Vec::with_capacity(dim_cols.len());
         for &name in dim_cols {
-            let idx = schema.index_of(name)?;
+            let null_at = |row: usize| CoreError::InvalidProblem {
+                detail: format!("NULL dimension value in '{name}' at row {row}"),
+            };
             let mut dim = Dimension {
                 name: name.to_string(),
                 values: Vec::new(),
             };
             let mut codes = Vec::with_capacity(table.len());
-            for row in 0..table.len() {
-                let value = table.value(row, idx);
-                let text = match &value {
-                    Value::Str(s) => s.clone(),
-                    Value::Null => {
-                        return Err(CoreError::InvalidProblem {
-                            detail: format!("NULL dimension value in '{name}' at row {row}"),
-                        })
+            match table.column(schema.index_of(name)?)? {
+                ColumnData::Str {
+                    dict,
+                    codes: table_codes,
+                } => {
+                    // Table code → relation code, assigned on first appearance.
+                    let mut remap = vec![u32::MAX; dict.len()];
+                    for (row, code) in table_codes.iter().enumerate() {
+                        let code = code.ok_or_else(|| null_at(row))? as usize;
+                        if remap[code] == u32::MAX {
+                            remap[code] = dim.values.len() as u32;
+                            dim.values.push(dict.strings()[code].clone());
+                        }
+                        codes.push(remap[code]);
                     }
-                    other => Arc::from(other.to_string().as_str()),
-                };
-                let code = match dim.values.iter().position(|v| *v == text) {
-                    Some(i) => i as u32,
-                    None => {
-                        dim.values.push(text);
-                        (dim.values.len() - 1) as u32
+                }
+                column => {
+                    for row in 0..table.len() {
+                        let text: Arc<str> = match column.value(row) {
+                            Value::Null => return Err(null_at(row)),
+                            other => Arc::from(other.to_string().as_str()),
+                        };
+                        let code = match dim.values.iter().position(|v| *v == text) {
+                            Some(i) => i as u32,
+                            None => {
+                                dim.values.push(text);
+                                (dim.values.len() - 1) as u32
+                            }
+                        };
+                        codes.push(code);
                     }
-                };
-                codes.push(code);
+                }
             }
             dims.push(dim);
             dim_codes.push(codes);
         }
-        let target_idx = schema.index_of(target_col)?;
-        let target_field = schema.field(target_idx)?;
-        if !matches!(target_field.ty, ColumnType::Float | ColumnType::Int) {
-            return Err(CoreError::InvalidProblem {
-                detail: format!("target column '{target_col}' is not numeric"),
-            });
-        }
-        let mut target = Vec::with_capacity(table.len());
-        for row in 0..table.len() {
-            match table.value(row, target_idx).as_f64() {
-                Some(v) => target.push(v),
-                None => {
-                    return Err(CoreError::InvalidProblem {
-                        detail: format!("NULL target value at row {row}"),
-                    })
-                }
-            }
-        }
+        let target = numeric_column(table, target_col)?;
         EncodedRelation::new(dims, dim_codes, target, target_col, prior)
+    }
+
+    /// This relation's dimensions and codes over another numeric column
+    /// of `table` as the target: a relation built once serves every
+    /// target of its table without coding the rows again.
+    pub fn retargeted(&self, table: &Table, target_col: &str, prior: Prior) -> Result<Self> {
+        EncodedRelation::new(
+            self.dims.clone(),
+            self.dim_codes.clone(),
+            numeric_column(table, target_col)?,
+            target_col,
+            prior,
+        )
     }
 
     /// Number of rows.
@@ -344,10 +358,32 @@ impl EncodedRelation {
     }
 }
 
+/// The values of the numeric column `name` of `table`, as floats.
+fn numeric_column(table: &Table, name: &str) -> Result<Vec<f64>> {
+    let null_at = |row: usize| CoreError::InvalidProblem {
+        detail: format!("NULL target value at row {row}"),
+    };
+    match table.column(table.schema().index_of(name)?)? {
+        ColumnData::Float(values) => values
+            .iter()
+            .enumerate()
+            .map(|(row, v)| v.ok_or_else(|| null_at(row)))
+            .collect(),
+        ColumnData::Int(values) => values
+            .iter()
+            .enumerate()
+            .map(|(row, v)| v.map(|v| v as f64).ok_or_else(|| null_at(row)))
+            .collect(),
+        _ => Err(CoreError::InvalidProblem {
+            detail: format!("target column '{name}' is not numeric"),
+        }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vqs_relalg::prelude::{Field, Schema};
+    use vqs_relalg::prelude::{ColumnType, Field, Schema};
 
     pub(crate) fn two_by_two() -> EncodedRelation {
         EncodedRelation::from_rows(
@@ -450,6 +486,143 @@ mod tests {
             EncodedRelation::from_table(&table, &["region"], "region", Prior::Constant(0.0))
                 .is_err()
         );
+    }
+
+    /// A table with string and integer dimensions, first appearances out
+    /// of sorted order, and a float and an integer target.
+    fn mixed_table() -> Table {
+        let schema = Schema::new(vec![
+            Field::required("region", ColumnType::Str),
+            Field::required("month", ColumnType::Int),
+            Field::required("delay", ColumnType::Float),
+            Field::required("flights", ColumnType::Int),
+        ])
+        .unwrap();
+        let rows = [
+            ("South", 3, 12.5, 40),
+            ("East", 1, 20.0, 10),
+            ("South", 1, 7.0, 25),
+            ("North", 12, 0.5, 5),
+            ("East", 3, 15.0, 30),
+            ("North", 1, 3.0, 20),
+        ];
+        Table::from_rows(
+            schema,
+            rows.iter().map(|&(region, month, delay, flights)| {
+                vec![
+                    region.into(),
+                    Value::Int(month),
+                    delay.into(),
+                    Value::Int(flights),
+                ]
+            }),
+        )
+        .unwrap()
+    }
+
+    /// `from_table` over `table` must equal `from_rows` over the same rows
+    /// as strings: same dimensions, codes and targets.
+    fn assert_matches_rows(table: &Table, dims: &[&str], target: &str) {
+        let schema = table.schema();
+        let cols: Vec<usize> = dims.iter().map(|d| schema.index_of(d).unwrap()).collect();
+        let target_col = schema.index_of(target).unwrap();
+        let texts: Vec<(Vec<String>, f64)> = (0..table.len())
+            .map(|row| {
+                let values = cols.iter().map(|&c| table.value(row, c).to_string());
+                (
+                    values.collect(),
+                    table.value(row, target_col).as_f64().unwrap(),
+                )
+            })
+            .collect();
+        let expected = EncodedRelation::from_rows(
+            dims,
+            target,
+            texts
+                .iter()
+                .map(|(values, t)| (values.iter().map(String::as_str).collect(), *t)),
+            Prior::Constant(0.0),
+        )
+        .unwrap();
+        let actual =
+            EncodedRelation::from_table(table, dims, target, Prior::Constant(0.0)).unwrap();
+        assert_eq!(actual, expected);
+    }
+
+    #[test]
+    fn from_table_codes_like_from_rows() {
+        let table = mixed_table();
+        // String dimensions only.
+        assert_matches_rows(&table, &["region"], "delay");
+        // An integer dimension takes the stringifying path.
+        assert_matches_rows(&table, &["month", "region"], "flights");
+        // Rows reordered: codes follow the new first appearances.
+        let sorted = table
+            .sorted_by_key(|row| table.value(row, 2).as_f64().unwrap().to_bits())
+            .unwrap();
+        assert_matches_rows(&sorted, &["region", "month"], "delay");
+        // No rows.
+        let empty = Table::empty(table.schema().clone());
+        assert_matches_rows(&empty, &["region", "month"], "flights");
+    }
+
+    #[test]
+    fn retargeted_equals_a_fresh_import() {
+        let table = mixed_table();
+        let dims = ["region", "month"];
+        let delay =
+            EncodedRelation::from_table(&table, &dims, "delay", Prior::Constant(0.0)).unwrap();
+        let flights =
+            EncodedRelation::from_table(&table, &dims, "flights", Prior::GlobalMean).unwrap();
+        assert_eq!(
+            delay
+                .retargeted(&table, "flights", Prior::GlobalMean)
+                .unwrap(),
+            flights
+        );
+        assert!(delay
+            .retargeted(&table, "region", Prior::GlobalMean)
+            .is_err());
+    }
+
+    #[test]
+    fn from_table_rejects_nulls() {
+        let schema = Schema::new(vec![
+            Field::nullable("region", ColumnType::Str),
+            Field::nullable("month", ColumnType::Int),
+            Field::nullable("delay", ColumnType::Float),
+        ])
+        .unwrap();
+        let table = Table::from_rows(
+            schema,
+            vec![
+                vec!["East".into(), Value::Int(1), 20.0.into()],
+                vec!["South".into(), Value::Int(2), Value::Null],
+                vec![Value::Null, Value::Null, 10.0.into()],
+            ],
+        )
+        .unwrap();
+        let error = |dims: &[&str]| {
+            EncodedRelation::from_table(&table, dims, "delay", Prior::Constant(0.0))
+                .unwrap_err()
+                .to_string()
+        };
+        let invalid = |detail: &str| {
+            CoreError::InvalidProblem {
+                detail: detail.to_string(),
+            }
+            .to_string()
+        };
+        // Dimensions are checked before the target, whose NULL comes first.
+        assert_eq!(
+            error(&["region"]),
+            invalid("NULL dimension value in 'region' at row 2")
+        );
+        assert_eq!(
+            error(&["month"]),
+            invalid("NULL dimension value in 'month' at row 2")
+        );
+        assert_eq!(error(&[]), invalid("NULL target value at row 1"));
     }
 
     #[test]

@@ -54,6 +54,10 @@ pub struct PreprocessReport {
     pub speeches: usize,
     /// Wall-clock time of the whole batch.
     pub elapsed: Duration,
+    /// Wall-clock time of the serial set-up before the solves (part of
+    /// `elapsed`): coding each target's relation, partitioning its
+    /// cells and enumerating its queries.
+    pub plan_time: Duration,
     /// Summed wall-clock time spent inside the solver across all queries
     /// (CPU-side effort; exceeds `elapsed` when workers solve in
     /// parallel).
@@ -95,6 +99,9 @@ pub struct RefreshReport {
     pub removed: usize,
     /// Wall-clock time of the whole refresh.
     pub elapsed: Duration,
+    /// Wall-clock time of the serial set-up before the solves (part of
+    /// `elapsed`), as in [`PreprocessReport::plan_time`].
+    pub plan_time: Duration,
     /// Summed wall-clock solver time of the recomputed problems.
     pub solver_time: Duration,
     /// Summed work counters of the recomputed problems only.
@@ -120,19 +127,36 @@ pub(crate) fn table_relation(
     target: &str,
 ) -> Result<EncodedRelation> {
     for dim in &config.dimensions {
-        if table.schema().index_of(dim).is_err() {
-            return Err(EngineError::MissingColumn {
-                column: dim.clone(),
-            });
-        }
+        require_column(table, dim)?;
     }
-    if table.schema().index_of(target).is_err() {
-        return Err(EngineError::MissingColumn {
-            column: target.to_string(),
-        });
-    }
+    require_column(table, target)?;
     let dims: Vec<&str> = config.dimensions.iter().map(String::as_str).collect();
-    let relation = EncodedRelation::from_table(table, &dims, target, Prior::Constant(0.0))?;
+    with_mean_prior(EncodedRelation::from_table(
+        table,
+        &dims,
+        target,
+        Prior::Constant(0.0),
+    )?)
+}
+
+/// [`table_relation`] for another target of the same table, keeping
+/// `relation`'s dimensions and codes (they do not depend on the target).
+fn retarget(relation: &EncodedRelation, table: &Table, target: &str) -> Result<EncodedRelation> {
+    require_column(table, target)?;
+    with_mean_prior(relation.retargeted(table, target, Prior::Constant(0.0))?)
+}
+
+fn require_column(table: &Table, column: &str) -> Result<()> {
+    match table.schema().index_of(column) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(EngineError::MissingColumn {
+            column: column.to_string(),
+        }),
+    }
+}
+
+/// `relation` with the §III prior: its global target average.
+fn with_mean_prior(relation: EncodedRelation) -> Result<EncodedRelation> {
     let mean = relation.target_mean();
     Ok(relation.with_prior(Prior::Constant(mean))?)
 }
@@ -363,41 +387,71 @@ pub(crate) fn solve_live(
 struct TargetPlan {
     target: String,
     relation: EncodedRelation,
-    /// The relation's [`target_cells`], shared by every query's catalog.
-    cells: RowPartition,
     template: SpeechTemplate,
     items: Vec<WorkItem>,
     /// Global target average, the §III constant prior.
     prior: f64,
 }
 
-/// Validate columns and enumerate the work for every configured target.
+/// The pre-processing input of one tenant. Cells and query subsets
+/// depend only on the dimension codes, which every target shares.
+struct Plans {
+    /// The [`target_cells`] of every target's relation, shared by every
+    /// query's catalog.
+    cells: RowPartition,
+    targets: Vec<TargetPlan>,
+}
+
+/// Validate the configuration and its columns and enumerate the work for
+/// every configured target. The first target's relation is coded,
+/// partitioned into cells and enumerated; every further target takes its
+/// own target column and a re-targeted copy of the first target's work
+/// items.
 fn build_plans(
     dataset: &GeneratedDataset,
     config: &Configuration,
     templates: &FxHashMap<String, SpeechTemplate>,
-) -> Result<Vec<TargetPlan>> {
-    config
+) -> Result<Plans> {
+    config.validate()?;
+    let (first, rest) = config
         .targets
-        .iter()
-        .map(|target| {
-            let relation = target_relation(dataset, config, target)?;
-            let items = enumerate_queries(&relation, config, target);
-            let template = templates
-                .get(target)
-                .cloned()
-                .unwrap_or_else(|| SpeechTemplate::plain(target));
-            let prior = relation.target_mean();
-            Ok(TargetPlan {
-                target: target.clone(),
-                cells: target_cells(&relation),
-                relation,
-                template,
-                items,
-                prior,
+        .split_first()
+        .expect("a valid configuration has a target");
+    let relation = target_relation(dataset, config, first)?;
+    let cells = target_cells(&relation);
+    let items = enumerate_queries(&relation, config, first);
+    let mut targets = vec![target_plan(first, relation, items, templates)];
+    for target in rest {
+        let relation = retarget(&targets[0].relation, &dataset.table, target)?;
+        let items = targets[0]
+            .items
+            .iter()
+            .map(|item| WorkItem {
+                query: Query::new(target.clone(), item.query.predicates().iter().cloned()),
+                rows: item.rows.clone(),
             })
-        })
-        .collect()
+            .collect();
+        targets.push(target_plan(target, relation, items, templates));
+    }
+    Ok(Plans { cells, targets })
+}
+
+fn target_plan(
+    target: &str,
+    relation: EncodedRelation,
+    items: Vec<WorkItem>,
+    templates: &FxHashMap<String, SpeechTemplate>,
+) -> TargetPlan {
+    TargetPlan {
+        target: target.to_string(),
+        template: templates
+            .get(target)
+            .cloned()
+            .unwrap_or_else(|| SpeechTemplate::plain(target)),
+        prior: relation.target_mean(),
+        relation,
+        items,
+    }
 }
 
 /// Run the given `(plan, item)` jobs on `pool`, queued on `priority`
@@ -412,7 +466,7 @@ fn build_plans(
 /// worker count. On failure the error of the smallest reported job index
 /// wins and the remaining workers stop early.
 fn run_jobs<S: Summarizer + Sync + ?Sized>(
-    plans: &[TargetPlan],
+    plans: &Plans,
     jobs: &[(usize, usize)],
     config: &Configuration,
     summarizer: &S,
@@ -440,11 +494,11 @@ fn run_jobs<S: Summarizer + Sync + ?Sized>(
                 break;
             }
             let (plan_index, item_index) = jobs[job];
-            let plan = &plans[plan_index];
+            let plan = &plans.targets[plan_index];
             let solve_start = Instant::now();
             let outcome = solve_item(
                 &plan.relation,
-                &plan.cells,
+                &plans.cells,
                 config,
                 summarizer,
                 &plan.template,
@@ -497,10 +551,11 @@ pub(crate) fn preprocess_with<S: Summarizer + Sync + ?Sized>(
     pool: &SolverPool,
     priority: ScatterPriority,
 ) -> Result<(SpeechStore, PreprocessReport)> {
-    config.validate()?;
     let start = Instant::now();
     let plans = build_plans(dataset, config, templates)?;
+    let plan_time = start.elapsed();
     let jobs: Vec<(usize, usize)> = plans
+        .targets
         .iter()
         .enumerate()
         .flat_map(|(plan_index, plan)| (0..plan.items.len()).map(move |i| (plan_index, i)))
@@ -514,7 +569,7 @@ pub(crate) fn preprocess_with<S: Summarizer + Sync + ?Sized>(
         instrumentation.merge(&counters);
         store.insert(speech);
     }
-    for plan in &plans {
+    for plan in &plans.targets {
         store.set_target_prior(&plan.target, plan.prior);
     }
 
@@ -525,6 +580,7 @@ pub(crate) fn preprocess_with<S: Summarizer + Sync + ?Sized>(
             queries: total_queries,
             speeches,
             elapsed: start.elapsed(),
+            plan_time,
             solver_time,
             instrumentation,
         },
@@ -621,15 +677,15 @@ pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
     pool: &SolverPool,
     priority: ScatterPriority,
 ) -> Result<RefreshReport> {
-    config.validate()?;
     let start = Instant::now();
     let plans = build_plans(dataset, config, templates)?;
+    let plan_time = start.elapsed();
 
     let mut queries = 0usize;
     let mut kept = 0usize;
     let mut jobs: Vec<(usize, usize)> = Vec::new();
     let mut stale: Vec<Query> = Vec::new();
-    for (plan_index, plan) in plans.iter().enumerate() {
+    for (plan_index, plan) in plans.targets.iter().enumerate() {
         queries += plan.items.len();
         let changed: Option<Vec<bool>> = match &invalidation {
             Invalidation::ChangedRows(rows) => {
@@ -705,7 +761,7 @@ pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
         instrumentation.merge(&counters);
         store.insert(speech);
     }
-    for plan in &plans {
+    for plan in &plans.targets {
         store.set_target_prior(&plan.target, plan.prior);
     }
 
@@ -715,6 +771,7 @@ pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
         kept,
         removed,
         elapsed: start.elapsed(),
+        plan_time,
         solver_time,
         instrumentation,
     })
@@ -814,6 +871,31 @@ mod tests {
     }
 
     #[test]
+    fn plans_share_cells_and_queries_across_targets() {
+        let data = tiny_dataset();
+        let cfg = config();
+        let plans = build_plans(&data, &cfg, &FxHashMap::default()).unwrap();
+        assert_eq!(plans.targets.len(), 2);
+        let listed = |items: &[WorkItem]| -> Vec<(Query, Vec<usize>)> {
+            items
+                .iter()
+                .map(|item| (item.query.clone(), item.rows.clone()))
+                .collect()
+        };
+        for (plan, target) in plans.targets.iter().zip(&cfg.targets) {
+            let relation = target_relation(&data, &cfg, target).unwrap();
+            assert_eq!(plan.target, *target);
+            assert_eq!(plan.relation, relation);
+            assert_eq!(plan.prior, relation.target_mean());
+            let cells = target_cells(&relation);
+            assert_eq!(plans.cells.of_row, cells.of_row);
+            assert_eq!(plans.cells.first_row, cells.first_row);
+            let expected = enumerate_queries(&relation, &cfg, target);
+            assert_eq!(listed(&plan.items), listed(&expected), "{target}");
+        }
+    }
+
+    #[test]
     fn query_length_limit_respected() {
         let data = tiny_dataset();
         let mut cfg = config();
@@ -835,6 +917,7 @@ mod tests {
         assert_eq!(report.speeches, 24);
         assert_eq!(store.len(), 24);
         assert!(report.per_query() > Duration::ZERO);
+        assert!(report.plan_time > Duration::ZERO && report.plan_time <= report.elapsed);
         // Solver effort is accounted per item, so it is positive and at
         // least roughly commensurate with the wall clock of a serial run.
         assert!(report.total_solver_time() > Duration::ZERO);

@@ -14,7 +14,7 @@ pub mod join;
 use crate::error::{RelalgError, Result};
 use crate::expr::Expr;
 use crate::schema::{Field, Schema};
-use crate::table::Table;
+use crate::table::{null_in_required, ColumnData, Table};
 use crate::value::Value;
 
 /// σ: keep rows where `predicate` evaluates to `true`.
@@ -58,7 +58,14 @@ impl ProjectItem {
     }
 }
 
-/// Π: compute one output column per [`ProjectItem`].
+/// Π: compute one output column per [`ProjectItem`], column by column.
+///
+/// A bare column reference clones the input column, dictionary and codes.
+/// Any other expression is evaluated row by row into a column of its own,
+/// under the checks [`Table::push_row`] makes. When several rows fail,
+/// the error is the one a row-major evaluation meets first: the smallest
+/// row, and within it evaluation before the NULL check before the type
+/// check, each in item order.
 pub fn project(input: &Table, items: &[ProjectItem]) -> Result<Table> {
     let mut fields = Vec::with_capacity(items.len());
     for item in items {
@@ -68,15 +75,40 @@ pub fn project(input: &Table, items: &[ProjectItem]) -> Result<Table> {
             nullable: item.expr.infer_nullable(input.schema()),
         });
     }
-    let mut output = Table::empty(Schema::new(fields)?);
-    for row in 0..input.len() {
-        let mut values = Vec::with_capacity(items.len());
-        for item in items {
-            values.push(item.expr.eval(input, row)?);
+    let schema = Schema::new(fields)?;
+    let mut columns = Vec::with_capacity(items.len());
+    // The first failure in row-major order: (row, check, item, error).
+    let mut failure: Option<(usize, u8, usize, RelalgError)> = None;
+    for (i, (item, field)) in items.iter().zip(schema.fields()).enumerate() {
+        if let Expr::Column(index) = item.expr {
+            columns.push(input.column(index)?.clone());
+            continue;
         }
-        output.push_row(values)?;
+        let mut column = ColumnData::empty(field.ty);
+        // Rows past an earlier failure cannot fail first.
+        let rows = failure.as_ref().map_or(input.len(), |f| f.0 + 1);
+        for row in 0..rows {
+            let outcome = match item.expr.eval(input, row) {
+                Err(error) => Err((0, error)),
+                Ok(Value::Null) if !field.nullable => Err((1, null_in_required(field, i))),
+                Ok(value) => column.push(value).map_err(|error| (2, error)),
+            };
+            if let Err((check, error)) = outcome {
+                if failure
+                    .as_ref()
+                    .is_none_or(|f| (row, check, i) < (f.0, f.1, f.2))
+                {
+                    failure = Some((row, check, i, error));
+                }
+                break;
+            }
+        }
+        columns.push(column);
     }
-    Ok(output)
+    match failure {
+        Some((.., error)) => Err(error),
+        None => Ok(Table::from_columns(schema, columns, input.len())),
+    }
 }
 
 /// Keep the first `n` rows.

@@ -135,22 +135,17 @@ impl ColumnData {
                 codes.push(Some(code));
             }
             (ColumnData::Str { codes, .. }, Value::Null) => codes.push(None),
-            (this, value) => {
-                return Err(RelalgError::TypeMismatch {
-                    operation: "column push".to_string(),
-                    found: format!("{} into {} column", value.type_name(), this.type_name()),
-                })
-            }
+            (this, value) => return Err(push_mismatch(&value, this.column_type())),
         }
         Ok(())
     }
 
-    fn type_name(&self) -> &'static str {
+    fn column_type(&self) -> ColumnType {
         match self {
-            ColumnData::Bool(_) => "bool",
-            ColumnData::Int(_) => "int",
-            ColumnData::Float(_) => "float",
-            ColumnData::Str { .. } => "str",
+            ColumnData::Bool(_) => ColumnType::Bool,
+            ColumnData::Int(_) => ColumnType::Int,
+            ColumnData::Float(_) => ColumnType::Float,
+            ColumnData::Str { .. } => ColumnType::Str,
         }
     }
 
@@ -160,6 +155,22 @@ impl ColumnData {
             ColumnData::Str { codes, .. } => codes[row],
             _ => None,
         }
+    }
+}
+
+/// The error of pushing `value` into a column of type `ty`.
+fn push_mismatch(value: &Value, ty: ColumnType) -> RelalgError {
+    RelalgError::TypeMismatch {
+        operation: "column push".to_string(),
+        found: format!("{} into {ty} column", value.type_name()),
+    }
+}
+
+/// The error of a NULL in the non-nullable `field`, column `index` of its
+/// schema.
+pub(crate) fn null_in_required(field: &Field, index: usize) -> RelalgError {
+    RelalgError::Invalid {
+        detail: format!("NULL in non-nullable column '{}' (#{index})", field.name),
     }
 }
 
@@ -183,6 +194,18 @@ impl Table {
             schema,
             columns,
             rows: 0,
+        }
+    }
+
+    /// A table over built columns, one per schema field, each holding
+    /// exactly `rows` values.
+    pub(crate) fn from_columns(schema: Schema, columns: Vec<ColumnData>, rows: usize) -> Self {
+        debug_assert_eq!(columns.len(), schema.len());
+        debug_assert!(columns.iter().all(|column| column.len() == rows));
+        Table {
+            schema,
+            columns,
+            rows,
         }
     }
 
@@ -229,7 +252,8 @@ impl Table {
         self.columns[col].value(row)
     }
 
-    /// Append a row of values.
+    /// Append a row of values. Every value is checked before any column
+    /// takes one, so a rejected row leaves the table unchanged.
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<()> {
         if row.len() != self.schema.len() {
             return Err(RelalgError::ArityMismatch {
@@ -239,9 +263,12 @@ impl Table {
         }
         for (i, (value, field)) in row.iter().zip(self.schema.fields()).enumerate() {
             if value.is_null() && !field.nullable {
-                return Err(RelalgError::Invalid {
-                    detail: format!("NULL in non-nullable column '{}' (#{i})", field.name),
-                });
+                return Err(null_in_required(field, i));
+            }
+        }
+        for (value, field) in row.iter().zip(self.schema.fields()) {
+            if !value.fits(field.ty) {
+                return Err(push_mismatch(value, field.ty));
             }
         }
         for (column, value) in self.columns.iter_mut().zip(row) {
@@ -405,6 +432,26 @@ mod tests {
             .push_row(vec![Value::Null, "Fall".into(), 1.0.into()])
             .unwrap_err();
         assert!(err.to_string().contains("non-nullable"));
+    }
+
+    #[test]
+    fn rejected_row_leaves_columns_aligned() {
+        let schema = Schema::new(vec![
+            Field::required("a", ColumnType::Int),
+            Field::required("b", ColumnType::Int),
+        ])
+        .unwrap();
+        let mut t = Table::empty(schema);
+        let err = t.push_row(vec![Value::Int(1), "x".into()]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "type mismatch in column push: found str into int column"
+        );
+        assert_eq!(t.len(), 0);
+        t.push_row(vec![Value::Int(2), Value::Int(3)]).unwrap();
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.row(0), vec![Value::Int(2), Value::Int(3)]);
+        assert!(t.columns.iter().all(|column| column.len() == t.len()));
     }
 
     #[test]

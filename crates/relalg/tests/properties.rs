@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use vqs_relalg::csv::{read_csv, write_csv};
 use vqs_relalg::ops::aggregate::{aggregate, AggFunc, AggItem};
 use vqs_relalg::ops::join::{hash_join, scope_join, scope_join_nested_loop, JoinType};
-use vqs_relalg::ops::{distinct, filter, sort};
+use vqs_relalg::ops::{distinct, filter, project, sort};
 use vqs_relalg::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -46,7 +46,133 @@ fn arb_table() -> impl Strategy<Value = Table> {
     )
 }
 
+/// Computed projections over `arb_table()`'s columns (`k` int, `v` float,
+/// `s` nullable string) that evaluate to their inferred type without
+/// failing.
+fn computed_exprs() -> Vec<Expr> {
+    vec![
+        Expr::col(0).add(Expr::col(1)),
+        Expr::col(1).mul(Expr::lit(2.0)),
+        Expr::col(0).neg(),
+        Expr::col(2).is_null(),
+        Expr::col(0).gt(Expr::lit(1i64)),
+        Expr::Coalesce(vec![Expr::col(2), Expr::lit("none")]),
+        Expr::Case {
+            branches: vec![(Expr::col(0).ge(Expr::lit(2i64)), Expr::col(2))],
+            otherwise: Box::new(Expr::lit("low")),
+        },
+        Expr::lit("constant"),
+        Expr::Literal(Value::Null),
+    ]
+}
+
+/// Computed projections over `arb_table()` that fail on some rows: when
+/// evaluating (`v / k` at `k = 0`, `NOT s`), at the NULL check (`k AND v`
+/// is NULL but inferred non-nullable) and at the type check (`LEAST(k)`
+/// is a float in a column inferred int).
+fn failing_exprs() -> Vec<Expr> {
+    vec![
+        Expr::col(1).div(Expr::col(0)),
+        Expr::col(2).not(),
+        Expr::col(0).and(Expr::col(1)),
+        Expr::Least(vec![Expr::col(0)]),
+    ]
+}
+
+/// Project items named `p0`, `p1`, … (names must be distinct).
+fn named(exprs: Vec<Expr>) -> Vec<ProjectItem> {
+    exprs
+        .into_iter()
+        .enumerate()
+        .map(|(i, expr)| ProjectItem::new(expr, format!("p{i}")))
+        .collect()
+}
+
+/// The row-at-a-time projection: evaluate every item of a row, then push
+/// the row.
+fn project_row_major(input: &Table, items: &[ProjectItem]) -> Result<Table> {
+    let mut fields = Vec::new();
+    for item in items {
+        fields.push(Field {
+            name: item.name.clone(),
+            ty: item.expr.infer_type(input.schema())?,
+            nullable: item.expr.infer_nullable(input.schema()),
+        });
+    }
+    let mut output = Table::empty(Schema::new(fields)?);
+    for row in 0..input.len() {
+        let values = items
+            .iter()
+            .map(|item| item.expr.eval(input, row))
+            .collect::<Result<Vec<_>>>()?;
+        output.push_row(values)?;
+    }
+    Ok(output)
+}
+
+/// Debug renderings of every row, which tell an int from an equal float.
+fn rendered_rows(table: &Table) -> Vec<String> {
+    table.iter_rows().map(|row| format!("{row:?}")).collect()
+}
+
 proptest! {
+    #[test]
+    fn project_column_major_matches_row_evaluation(
+        table in arb_table(),
+        bare in prop::collection::vec(0usize..3, 1..6),
+        picks in prop::collection::vec(0usize..12, 0..7),
+    ) {
+        let computed = computed_exprs();
+        let menu: Vec<Expr> = (0..3).map(Expr::col).chain(computed.iter().cloned()).collect();
+        let cases = [
+            // Bare columns, repeated and permuted.
+            bare.iter().map(|&c| Expr::col(c)).collect::<Vec<_>>(),
+            computed,
+            // A mix of bare and computed items.
+            picks.iter().map(|&p| menu[p].clone()).collect(),
+            Vec::new(),
+        ];
+        for exprs in cases {
+            let items = named(exprs);
+            let out = project(&table, &items).unwrap();
+            let reference = project_row_major(&table, &items).unwrap();
+            prop_assert_eq!(out.schema(), reference.schema());
+            prop_assert_eq!(out.len(), table.len());
+            for row in 0..table.len() {
+                for (i, item) in items.iter().enumerate() {
+                    prop_assert_eq!(out.value(row, i), item.expr.eval(&table, row).unwrap());
+                }
+            }
+            prop_assert_eq!(rendered_rows(&out), rendered_rows(&reference));
+        }
+    }
+
+    #[test]
+    fn project_reports_the_row_major_first_error(
+        table in arb_table(),
+        picks in prop::collection::vec(0usize..16, 0..6),
+    ) {
+        let menu: Vec<Expr> = (0..3)
+            .map(Expr::col)
+            .chain(computed_exprs())
+            .chain(failing_exprs())
+            .collect();
+        let items = named(picks.iter().map(|&p| menu[p].clone()).collect());
+        match (project(&table, &items), project_row_major(&table, &items)) {
+            (Ok(out), Ok(reference)) => {
+                prop_assert_eq!(out.schema(), reference.schema());
+                prop_assert_eq!(rendered_rows(&out), rendered_rows(&reference));
+            }
+            (Err(error), Err(expected)) => prop_assert_eq!(error, expected),
+            (got, expected) => prop_assert!(
+                false,
+                "column-major {:?} but row-major {:?}",
+                got.map(|t| t.len()),
+                expected.map(|t| t.len())
+            ),
+        }
+    }
+
     #[test]
     fn value_ordering_is_total_and_consistent(a in arb_value(), b in arb_value(), c in arb_value()) {
         use std::cmp::Ordering;
