@@ -17,6 +17,13 @@ committed file's `smoke_baseline` and `wide_probes` sections:
   drift means the lookup algorithm or the secondary index changed, which
   is a finding to record in BENCH_scale.json, not noise.
 
+Two further gates read the fresh file alone and hold on any machine:
+
+* the `overload` section's peak queue depth must not exceed its queue
+  capacity (admission control bounds the queue whatever the load);
+* every `load` block must report `internal == 0`: an `Answer::Internal`
+  is a contained panic, a bug signal rather than load.
+
 The committed baseline is regenerated per perf-relevant PR with
 `cargo run --release -p vqs-bench --bin bench_scale -- --out BENCH_scale.json`.
 
@@ -54,6 +61,19 @@ def wide_lookup_nanos(data, predicates):
         if entry["predicates"] == predicates:
             return float(entry["lookup_nanos"])
     raise SystemExit(f"no wide_probes entry for {predicates} predicates")
+
+
+def load_blocks(data, path=()):
+    """Yield (path, block) for every object stored under a "load" key."""
+    if isinstance(data, dict):
+        for key, value in data.items():
+            if key == "load":
+                yield path + (key,), value
+            else:
+                yield from load_blocks(value, path + (key,))
+    elif isinstance(data, list):
+        for index, value in enumerate(data):
+            yield from load_blocks(value, path + (str(index),))
 
 
 def ratio_gate(name, base, now, floor, failures):
@@ -97,6 +117,22 @@ def main(committed_path, fresh_path):
             failures.append(name)
         else:
             print(f"{name}: {base} -- ok (exact)")
+
+    overload = fresh["overload"]
+    peak, capacity = overload["peak_queued"], overload["queue_capacity"]
+    if peak > capacity:
+        print(f"overload.peak_queued: {peak} > queue_capacity {capacity} -- OVER CAP")
+        failures.append("overload.peak_queued")
+    else:
+        print(f"overload.peak_queued: {peak} <= queue_capacity {capacity} -- ok")
+
+    blocks = list(load_blocks(fresh))
+    for path, block in blocks:
+        if block["internal"] != 0:
+            name = ".".join(path) + ".internal"
+            print(f"{name}: {block['internal']} -- INTERNAL ANSWERS")
+            failures.append(name)
+    print(f"load blocks with internal == 0: checked {len(blocks)}")
 
     if failures:
         raise SystemExit(f"scale gate failed on: {failures}")

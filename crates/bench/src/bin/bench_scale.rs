@@ -2,7 +2,7 @@
 //! toward the paper's deployment claim ("millions of users", ROADMAP
 //! item 2), measured honestly and committed as `BENCH_scale.json`.
 //!
-//! Four sections:
+//! Seven sections:
 //!
 //! * `smoke_baseline` — a cheap fixed workload (flights @ 0.02 scale:
 //!   preprocess, ingest drain, a short open-loop load run). Always
@@ -15,6 +15,16 @@
 //!   generalization walk stops at the stored query length, so its cost
 //!   grows polynomially in the predicate count. Probe counts are
 //!   deterministic; always computed.
+//! * `overload` — constant arrivals far above one serving worker's
+//!   rate into a 32-deep admission queue: the shed rate and the peak
+//!   queue depth, which must stay within the cap. Always computed.
+//! * `deadline` — the exact summarizer at 10× the smoke scale with its
+//!   multi-predicate speeches evicted, so budgeted requests take the
+//!   live-solve rung of the degradation ladder: expired, degraded and
+//!   in-deadline counts. Always computed.
+//! * `live_plans` — one tenant answered from the store tier and from
+//!   live relational plans, one open-loop run per tier at the same
+//!   rate. Always computed.
 //! * `scenarios` — the four paper data sets at scale ∈ {0.02, 0.25,
 //!   1.0}: preprocess wall time with its serial plan time
 //!   ([`PreprocessReport::plan_time`]) and summed solver time, store
@@ -27,6 +37,13 @@
 //!   scenarios), store bytes, ingest flush cost
 //!   via a timed drain, and a mixed respond+ingest open-loop run.
 //!
+//! Every load run is open-loop (`loadgen::run`). The binary asserts
+//! the invariants its sections rely on — every tenant registered with
+//! a full store hits a stored speech for ≥ 90% of its supported
+//! utterances, front-end counters reconcile with the load reports, and
+//! each `live_plans` pool is answered by its own tier — so the CI smoke
+//! run checks them.
+//!
 //! The numbers are recorded as measured — including the parts that
 //! break down at scale; BENCHMARKS.md interprets the trajectory.
 //!
@@ -38,7 +55,10 @@ use std::time::{Duration, Instant};
 
 use vqs_bench::loadgen::{self, Arrival, LoadPlan, LoadReport, MixWeights, Schedule};
 use vqs_bench::{scenario_dataset, single_target_config, RunConfig};
-use vqs_data::{scale_tenant_spec, wide_probe_spec, GeneratedDataset};
+use vqs_core::prelude::ExactSummarizer;
+use vqs_data::{
+    scale_tenant_spec, wide_probe_spec, DimSpec, GeneratedDataset, SynthSpec, TargetSpec,
+};
 use vqs_engine::prelude::*;
 use vqs_relalg::prelude::Value;
 
@@ -48,6 +68,33 @@ const LOAD_SEED: u64 = 0x5CA1E;
 /// In-deadline budget for classifying open-loop respond completions,
 /// measured from the intended send instant.
 const DEADLINE_BUDGET: Duration = Duration::from_millis(50);
+
+/// Admission cap of the `overload` section's front-end.
+const OVERLOAD_QUEUE: usize = 32;
+/// Offered rate of the `overload` section: more than the generator can
+/// send (its lag is recorded), and still far more than one serving
+/// worker answers, so the queue overflows within milliseconds.
+const OVERLOAD_RATE: f64 = 500_000.0;
+/// Requests of the `overload` run.
+const OVERLOAD_REQUESTS: usize = 4_000;
+
+/// Deadline budget of the `deadline` section: every request is stamped
+/// with it at admission (the tenants' default) and classified by it.
+const DEADLINE_SECTION_BUDGET: Duration = Duration::from_millis(4);
+/// Offered rate and request count of the `deadline` run: above what one
+/// serving worker answers when most requests solve live, so queued
+/// requests expire and solves started late degrade.
+const DEADLINE_SECTION_RATE: f64 = 12_000.0;
+const DEADLINE_SECTION_REQUESTS: usize = 1_200;
+/// The `deadline` tenants: the exact summarizer pre-processes them at
+/// 10× the smoke scale.
+const DEADLINE_TENANTS: [(&str, char, &str); 2] =
+    [("flights", 'F', "cancelled"), ("acs", 'A', "hearing")];
+
+/// Dimension values and row count of the `live_plans` fixture.
+const SEASONS: [&str; 4] = ["Winter", "Spring", "Summer", "Fall"];
+const REGIONS: [&str; 3] = ["East", "West", "North"];
+const LIVE_PLAN_ROWS: usize = 240;
 
 struct ScenarioEntry {
     scenario: String,
@@ -95,6 +142,17 @@ struct SmokeBaseline {
     load: LoadReport,
 }
 
+struct OverloadEntry {
+    peak_queued: u64,
+    load: LoadReport,
+}
+
+struct LivePlansEntry {
+    rate: f64,
+    store_tier: LoadReport,
+    live_tier: LoadReport,
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out: Option<String> = None;
@@ -135,6 +193,12 @@ fn main() {
     let baseline = smoke_baseline(workers, requests.min(240), rate.min(600.0));
     eprintln!("bench_scale: wide-probe sweep");
     let probes = wide_probe_sweep(workers);
+    eprintln!("bench_scale: overload");
+    let overload = overload(workers);
+    eprintln!("bench_scale: deadline");
+    let deadline = deadline(workers);
+    eprintln!("bench_scale: live plans");
+    let live_plans = live_plans(workers, requests.min(240), rate.min(600.0));
 
     let mut scenarios: Vec<ScenarioEntry> = Vec::new();
     let mut synthetic: Vec<SyntheticEntry> = Vec::new();
@@ -170,7 +234,17 @@ fn main() {
     }
 
     let json = render_json(
-        smoke, workers, requests, rate, &baseline, &probes, &scenarios, &synthetic,
+        smoke,
+        workers,
+        requests,
+        rate,
+        &baseline,
+        &probes,
+        &overload,
+        &deadline,
+        &live_plans,
+        &scenarios,
+        &synthetic,
     );
     match out {
         Some(path) => {
@@ -196,8 +270,25 @@ fn respond_plan(tenant: &str, texts: &[String], requests: usize, rate: f64) -> L
     plan
 }
 
+/// Paper scenario `letter` at `scale`, restricted to `target`: its data,
+/// its engine configuration and its supported utterances.
+fn scenario(
+    letter: char,
+    target: &str,
+    scale: f64,
+) -> (GeneratedDataset, Configuration, Vec<String>) {
+    let config = RunConfig {
+        scale,
+        ..Default::default()
+    };
+    let dataset = scenario_dataset(letter, &config);
+    let engine_config = single_target_config(&dataset, target);
+    let texts = supported_texts(&dataset, &engine_config, target);
+    (dataset, engine_config, texts)
+}
+
 /// Supported utterances for a registered tenant, derived from the
-/// target's relation exactly like the service benches.
+/// target's relation.
 fn supported_texts(
     dataset: &GeneratedDataset,
     config: &Configuration,
@@ -289,13 +380,7 @@ fn timed_flush(service: &VoiceService, tenant: &str, deltas: Vec<RowDelta>, batc
 }
 
 fn smoke_baseline(workers: usize, requests: usize, rate: f64) -> SmokeBaseline {
-    let config = RunConfig {
-        scale: 0.02,
-        ..Default::default()
-    };
-    let dataset = scenario_dataset('F', &config);
-    let engine_config = single_target_config(&dataset, "delay");
-    let texts = supported_texts(&dataset, &engine_config, "delay");
+    let (dataset, engine_config, texts) = scenario('F', "delay", 0.02);
     let deltas = update_deltas(&dataset, 3, 128);
     let service = Arc::new(ServiceBuilder::new().workers(workers).build());
     let start = Instant::now();
@@ -308,6 +393,7 @@ fn smoke_baseline(workers: usize, requests: usize, rate: f64) -> SmokeBaseline {
         )
         .expect("registration succeeds");
     let preprocess_ms = start.elapsed().as_secs_f64() * 1e3;
+    assert_store_hits(&service, "flights", &texts);
 
     let ingest_deltas = deltas.len();
     let ingest_flush_ms = timed_flush(&service, "flights", deltas, 32);
@@ -394,6 +480,228 @@ fn wide_probe_sweep(workers: usize) -> Vec<ProbeEntry> {
     entries
 }
 
+/// Assert that at least 90% of a tenant's supported utterances hit a
+/// stored speech: a tenant registered with a full store answers from
+/// it. Served serially, before any load.
+fn assert_store_hits(service: &VoiceService, tenant: &str, texts: &[String]) {
+    let hits = texts
+        .iter()
+        .filter(|text| {
+            service
+                .respond(&ServiceRequest::new(tenant, text.as_str()))
+                .answer
+                .is_speech()
+        })
+        .count();
+    assert!(
+        hits * 10 >= texts.len() * 9,
+        "{tenant}: {hits}/{} supported utterances answered with a stored speech",
+        texts.len()
+    );
+}
+
+/// Assert the front-end's ledger after `load` drained through it: every
+/// submission ended completed, shed or expired, and the load report saw
+/// the same sheds, expiries and degraded answers the front-end counted.
+fn assert_reconciles(frontend: &FrontEnd, load: &LoadReport) {
+    let stats = frontend.stats();
+    assert_eq!(
+        stats.submitted,
+        stats.completed + stats.shed + stats.expired,
+        "front-end counters must reconcile: {stats:?}"
+    );
+    assert_eq!(load.shed, stats.shed, "served sheds != FrontEndStats::shed");
+    assert_eq!(
+        load.expired, stats.expired,
+        "served expiries != FrontEndStats::expired"
+    );
+    assert_eq!(
+        load.degraded, stats.degraded,
+        "served degraded answers != FrontEndStats::degraded"
+    );
+}
+
+/// Constant arrivals far above one serving worker's rate into a
+/// [`OVERLOAD_QUEUE`]-deep queue: the overflow must come back as
+/// explicit sheds, and the queue must never grow past its cap.
+fn overload(workers: usize) -> OverloadEntry {
+    let (dataset, engine_config, texts) = scenario('F', "delay", 0.02);
+    let service = Arc::new(ServiceBuilder::new().workers(workers).build());
+    service
+        .register_dataset(TenantSpec::new("flights", dataset, engine_config))
+        .expect("registration succeeds");
+    let prototypes = texts
+        .iter()
+        .map(|text| ServiceRequest::new("flights", text))
+        .collect();
+    let plan = LoadPlan::respond_only(
+        Schedule::new(
+            Arrival::Constant {
+                rate: OVERLOAD_RATE,
+            },
+            OVERLOAD_REQUESTS,
+            LOAD_SEED,
+        ),
+        prototypes,
+        LOAD_SEED,
+    );
+    let frontend = FrontEnd::builder(service)
+        .workers(1)
+        .queue_capacity(OVERLOAD_QUEUE)
+        .build();
+    let load = loadgen::run(&frontend, &plan);
+    assert_reconciles(&frontend, &load);
+    let peak_queued = frontend.stats().peak_queued;
+    assert!(
+        peak_queued <= OVERLOAD_QUEUE as u64,
+        "queue depth {peak_queued} exceeded the admission cap {OVERLOAD_QUEUE}"
+    );
+    OverloadEntry { peak_queued, load }
+}
+
+/// Budgeted traffic against stores whose multi-predicate speeches were
+/// evicted: those requests take the live-solve rung, where the exact
+/// summarizer can run out of budget and rerun greedily
+/// ([`Degradation::Greedy`]), and requests queued past the budget
+/// expire.
+fn deadline(workers: usize) -> LoadReport {
+    let service = Arc::new(
+        ServiceBuilder::new()
+            .workers(workers)
+            .summarizer(ExactSummarizer::paper())
+            .build(),
+    );
+    let mut pools: Vec<Vec<ServiceRequest>> = Vec::new();
+    for (tenant, letter, target) in DEADLINE_TENANTS {
+        let (dataset, engine_config, texts) = scenario(letter, target, 0.2);
+        service
+            .register_dataset(
+                TenantSpec::new(tenant, dataset, engine_config)
+                    .default_deadline(DEADLINE_SECTION_BUDGET),
+            )
+            .expect("registration succeeds");
+        let store = service.tenant_store(tenant).expect("registered");
+        for speech in store.snapshot() {
+            if speech.query.predicates().len() >= 2 {
+                store.remove(&speech.query);
+            }
+        }
+        pools.push(
+            texts
+                .iter()
+                .map(|text| ServiceRequest::new(tenant, text))
+                .collect(),
+        );
+    }
+    // Alternate the tenants request by request.
+    let prototypes = (0..pools.iter().map(Vec::len).max().unwrap_or(0))
+        .flat_map(|i| pools.iter().filter_map(move |pool| pool.get(i).cloned()))
+        .collect();
+    let mut plan = LoadPlan::respond_only(
+        Schedule::new(
+            Arrival::Poisson {
+                rate: DEADLINE_SECTION_RATE,
+            },
+            DEADLINE_SECTION_REQUESTS,
+            LOAD_SEED,
+        ),
+        prototypes,
+        LOAD_SEED,
+    );
+    plan.deadline_budget = Some(DEADLINE_SECTION_BUDGET);
+    let frontend = FrontEnd::builder(service).workers(1).build();
+    let load = loadgen::run(&frontend, &plan);
+    assert_reconciles(&frontend, &load);
+    load
+}
+
+/// One tenant, two question pools: store-tier questions answered with
+/// a stored speech, and extrema, comparisons and aggregates that miss
+/// the store and execute a relational plan on the live table. Each
+/// pool runs open-loop at the same rate.
+fn live_plans(workers: usize, requests: usize, rate: f64) -> LivePlansEntry {
+    let dataset = SynthSpec {
+        name: "air".to_string(),
+        dims: vec![
+            DimSpec::named("season", &SEASONS),
+            DimSpec::named("region", &REGIONS),
+        ],
+        targets: vec![
+            TargetSpec::new("delay", 15.0, 8.0, 2.0, (0.0, 60.0)),
+            TargetSpec::new("cancelled", 30.0, 10.0, 4.0, (0.0, 1000.0)),
+        ],
+        rows: LIVE_PLAN_ROWS,
+    }
+    .generate(0xA1, 1.0);
+    let service = Arc::new(ServiceBuilder::new().workers(workers).build());
+    service
+        .register_dataset(
+            TenantSpec::new(
+                "air",
+                dataset,
+                Configuration::new("air", &["season", "region"], &["delay", "cancelled"]),
+            )
+            .target_synonyms("delay", &["delays"])
+            .unavailable_markers(&["flight"]),
+        )
+        .expect("registration succeeds");
+
+    let mut store_pool: Vec<String> = Vec::new();
+    let mut live_pool: Vec<String> = Vec::new();
+    for target in ["delay", "cancelled"] {
+        for season in SEASONS {
+            store_pool.push(format!("{target} in {season}?"));
+        }
+        for region in REGIONS {
+            store_pool.push(format!("{target} in the {region}?"));
+        }
+        for dim in ["season", "region"] {
+            live_pool.push(format!("which {dim} has the most {target}"));
+            live_pool.push(format!("which {dim} has the lowest {target}"));
+        }
+        for pair in SEASONS.windows(2) {
+            live_pool.push(format!(
+                "compare {target} for {} versus {}",
+                pair[0], pair[1]
+            ));
+        }
+        for season in SEASONS {
+            live_pool.push(format!("how many {target} in {season}"));
+            live_pool.push(format!("the total {target} in {season}"));
+        }
+    }
+    // Each pool is answered by its own tier, checked serially before
+    // any load runs.
+    for text in &store_pool {
+        let answer = service.respond(&ServiceRequest::new("air", text)).answer;
+        assert!(
+            answer.is_speech(),
+            "store-tier '{text}' answered {answer:?}"
+        );
+    }
+    for text in &live_pool {
+        let answer = service.respond(&ServiceRequest::new("air", text)).answer;
+        assert!(
+            matches!(answer, Answer::Computed { .. }),
+            "live-tier '{text}' answered {answer:?}"
+        );
+    }
+
+    let run = |pool: &[String]| {
+        let frontend = FrontEnd::builder(Arc::clone(&service)).workers(1).build();
+        let load = loadgen::run(&frontend, &respond_plan("air", pool, requests, rate));
+        assert_reconciles(&frontend, &load);
+        load
+    };
+    let store_tier = run(&store_pool);
+    let live_tier = run(&live_pool);
+    LivePlansEntry {
+        rate,
+        store_tier,
+        live_tier,
+    }
+}
+
 fn run_scenario(
     letter: char,
     tenant: &str,
@@ -403,20 +711,15 @@ fn run_scenario(
     requests: usize,
     rate: f64,
 ) -> ScenarioEntry {
-    let config = RunConfig {
-        scale,
-        ..Default::default()
-    };
-    let dataset = scenario_dataset(letter, &config);
+    let (dataset, engine_config, texts) = scenario(letter, target, scale);
     let rows = dataset.table.len();
-    let engine_config = single_target_config(&dataset, target);
-    let texts = supported_texts(&dataset, &engine_config, target);
     let service = Arc::new(ServiceBuilder::new().workers(workers).build());
     let start = Instant::now();
     let report = service
         .register_dataset(TenantSpec::new(tenant, dataset, engine_config))
         .expect("registration succeeds");
     let preprocess_ms = start.elapsed().as_secs_f64() * 1e3;
+    assert_store_hits(&service, tenant, &texts);
 
     let frontend = FrontEnd::builder(Arc::clone(&service)).workers(1).build();
     let load = loadgen::run(&frontend, &respond_plan(tenant, &texts, requests, rate));
@@ -535,6 +838,8 @@ fn push_load(lines: &mut Vec<String>, indent: &str, load: &LoadReport, trailing_
     lines.push(format!("{indent}  \"answered\": {},", load.answered));
     lines.push(format!("{indent}  \"shed\": {},", load.shed));
     lines.push(format!("{indent}  \"expired\": {},", load.expired));
+    lines.push(format!("{indent}  \"internal\": {},", load.internal));
+    lines.push(format!("{indent}  \"degraded\": {},", load.degraded));
     lines.push(format!(
         "{indent}  \"in_deadline_rate\": {:.4},",
         load.in_deadline_rate()
@@ -561,6 +866,9 @@ fn render_json(
     rate: f64,
     baseline: &SmokeBaseline,
     probes: &[ProbeEntry],
+    overload: &OverloadEntry,
+    deadline: &LoadReport,
+    live_plans: &LivePlansEntry,
     scenarios: &[ScenarioEntry],
     synthetic: &[SyntheticEntry],
 ) -> String {
@@ -617,6 +925,38 @@ fn render_json(
         ));
     }
     lines.push("  ],".to_string());
+
+    lines.push("  \"overload\": {".to_string());
+    lines.push(format!("    \"queue_capacity\": {OVERLOAD_QUEUE},"));
+    lines.push(format!("    \"rate_per_sec\": {OVERLOAD_RATE:.0},"));
+    lines.push(format!(
+        "    \"shed_rate\": {:.4},",
+        overload.load.shed as f64 / overload.load.responds.max(1) as f64
+    ));
+    lines.push(format!("    \"peak_queued\": {},", overload.peak_queued));
+    push_load(&mut lines, "    ", &overload.load, false);
+    lines.push("  },".to_string());
+
+    lines.push("  \"deadline\": {".to_string());
+    lines.push(format!(
+        "    \"budget_micros\": {},",
+        DEADLINE_SECTION_BUDGET.as_micros()
+    ));
+    lines.push(format!("    \"rate_per_sec\": {DEADLINE_SECTION_RATE:.0},"));
+    lines.push(format!("    \"in_deadline\": {},", deadline.in_deadline));
+    push_load(&mut lines, "    ", deadline, false);
+    lines.push("  },".to_string());
+
+    lines.push("  \"live_plans\": {".to_string());
+    lines.push(format!("    \"rows\": {LIVE_PLAN_ROWS},"));
+    lines.push(format!("    \"rate_per_sec\": {:.0},", live_plans.rate));
+    lines.push("    \"store_tier\": {".to_string());
+    push_load(&mut lines, "      ", &live_plans.store_tier, false);
+    lines.push("    },".to_string());
+    lines.push("    \"live_tier\": {".to_string());
+    push_load(&mut lines, "      ", &live_plans.live_tier, false);
+    lines.push("    }".to_string());
+    lines.push("  },".to_string());
 
     lines.push("  \"scenarios\": [".to_string());
     for (i, entry) in scenarios.iter().enumerate() {

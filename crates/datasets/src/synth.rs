@@ -191,7 +191,7 @@ impl SynthSpec {
     /// Generate exactly `rows` rows on `workers` threads (`0` = all
     /// available cores), deterministically in `(seed, rows)`: the table
     /// is byte-identical for any worker count, because rows are produced
-    /// in fixed [`GEN_CHUNK`]-sized chunks each sampled from its own
+    /// in fixed `GEN_CHUNK`-row chunks each sampled from its own
     /// chunk-seeded RNG, and chunks are assembled in order. The derived
     /// model (value distributions, dimension effects) matches
     /// [`SynthSpec::generate`] with the same seed; the row stream is a

@@ -587,9 +587,9 @@ pub(crate) fn preprocess_with<S: Summarizer + Sync + ?Sized>(
     ))
 }
 
-/// Delta re-summarization: bring `store` up to date with `dataset` after
-/// the rows in `changed_rows` were mutated, recomputing only the queries
-/// whose data subset actually changed.
+/// Delta re-summarization on `pool`: bring `store` up to date with
+/// `dataset` after the rows in `changed_rows` were mutated, recomputing
+/// only the queries whose data subset actually changed.
 ///
 /// A query is recomputed when any of these hold:
 /// - its (new) subset contains a changed row — covers changed target
@@ -606,8 +606,9 @@ pub(crate) fn preprocess_with<S: Summarizer + Sync + ?Sized>(
 /// entries are left untouched — the same [`std::sync::Arc`] keeps serving
 /// — so after a refresh the store is element-wise identical to a full
 /// pre-processing pass over the new data.
-/// Delta re-summarization on `pool`; the implementation behind
-/// [`crate::service::VoiceService::refresh_tenant`]. A thin wrapper over
+///
+/// This is the implementation behind
+/// [`crate::service::VoiceService::refresh_tenant`]: a thin wrapper over
 /// [`resummarize_with`] selecting queries by changed row membership.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn refresh_with<S: Summarizer + Sync + ?Sized>(

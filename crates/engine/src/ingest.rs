@@ -139,8 +139,14 @@ pub struct IngestReport {
     pub last_seqno: u64,
     /// The flush this call performed inline, when the debounce window
     /// closed or the dirty-set bound was hit; `None` when the batch only
-    /// coalesced into the pending set.
+    /// coalesced into the pending set, or when the inline flush failed.
     pub flush: Option<FlushReport>,
+    /// Why the inline flush failed: its error, or a contained panic as
+    /// [`EngineError::Internal`]. The batch is accepted either way; its
+    /// deltas stay pending for the next flush, and the failure is
+    /// counted in
+    /// [`TenantStats::flush_failures`](crate::service::TenantStats::flush_failures).
+    pub flush_error: Option<EngineError>,
 }
 
 /// Outcome of one flush of the pending delta log into the store.
@@ -185,6 +191,7 @@ pub(crate) struct IngestCounters {
     pub(crate) resummarized: AtomicU64,
     pub(crate) accepted_seqno: AtomicU64,
     pub(crate) applied_seqno: AtomicU64,
+    pub(crate) flush_failures: AtomicU64,
 }
 
 impl IngestCounters {

@@ -89,8 +89,8 @@ pub mod prelude {
     pub use crate::pipeline::{AggKind, ComputedValue, FollowOn, QueryPlan, Utterance};
     pub use crate::problem::{NamedFact, Query, StoredSpeech};
     pub use crate::service::{
-        Answer, ChunkTicket, Degradation, Fault, FaultPlan, FaultSite, FrontEnd, FrontEndBuilder,
-        FrontEndStats, IngestTicket, OverloadPolicy, RefreshTicket, RegisterTicket, ResponseTicket,
+        Answer, Degradation, Fault, FaultPlan, FaultSite, FrontEnd, FrontEndBuilder, FrontEndStats,
+        IngestTicket, OverloadPolicy, RefreshTicket, RegisterTicket, ResponseTicket,
         ScatterPriority, ServiceBuilder, ServiceRequest, ServiceResponse, ServiceStats, SolverPool,
         TaskTicket, TenantSpec, TenantStats, Ticket, Trigger, VoiceService,
     };

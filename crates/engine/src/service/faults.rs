@@ -32,7 +32,8 @@ pub enum FaultSite {
     /// Entry of [`ingest`](crate::service::VoiceService::ingest) (and
     /// the other streaming-delta entry points), *before* any delta is
     /// accepted into the log — so an injected fault never leaves a batch
-    /// partially applied, and a retried submission never double-applies.
+    /// partially applied, and its error means nothing was accepted.
+    /// Faults inside a flush are not injected here.
     Ingest,
 }
 

@@ -21,8 +21,7 @@
 //!   other tenants keep being admitted.
 //! * **Deadlines & expiry.** A request may carry an absolute deadline
 //!   (its own [`ServiceRequest::with_deadline`], else the tenant's
-//!   [`TenantSpec::default_deadline`], else the front-end-wide
-//!   [`FrontEndBuilder::default_deadline`]). When admission finds the
+//!   [`TenantSpec::default_deadline`]). When admission finds the
 //!   queue full, the *oldest queued request already past its deadline*
 //!   is shed first — completed with [`Answer::Expired`] — before fresh
 //!   work is shed or blocked, and a serving worker re-checks expiry
@@ -114,9 +113,20 @@ const RETAINED_LANES: usize = 64;
 /// cannot grow without bound under an adversarial name flood.
 const SHED_TENANT_CAP: usize = 256;
 
+/// Maximum queued background jobs (registrations, refreshes, ingest
+/// batches and tasks) on the control lane.
+const BACKGROUND_CAPACITY: usize = 64;
+
+/// Maximum retries of one background job after an infrastructure
+/// failure (a contained panic or [`EngineError::Internal`]).
+const BACKGROUND_RETRIES: u32 = 2;
+
+/// Backoff before the first background retry; it doubles per attempt up
+/// to [`RETRY_BACKOFF_CAP`].
+const RETRY_BACKOFF: Duration = Duration::from_millis(1);
+
 /// Upper bound on the exponential backoff between background retry
-/// attempts ([`FrontEndBuilder::retry_backoff`] doubles per attempt up
-/// to this cap).
+/// attempts.
 const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(50);
 
 /// Longest the background flusher sleeps between passes. The adaptive
@@ -280,9 +290,6 @@ impl<T: Clone> Ticket<T> {
 /// [`ServiceResponse`] a direct [`VoiceService::respond`] call returns
 /// (or an [`Answer::Overloaded`] response when shed).
 pub type ResponseTicket = Ticket<ServiceResponse>;
-/// Ticket for one [`FrontEnd::submit_chunk`]; completes with one
-/// response per request, in submission order.
-pub type ChunkTicket = Ticket<Vec<ServiceResponse>>;
 /// Ticket for a background [`FrontEnd::submit_register`].
 pub type RegisterTicket = Ticket<Result<PreprocessReport>>;
 /// Ticket for a background [`FrontEnd::submit_refresh`].
@@ -293,7 +300,7 @@ pub type IngestTicket = Ticket<Result<IngestReport>>;
 pub type TaskTicket = Ticket<()>;
 
 /// Render a contained panic payload for [`EngineError::Internal`].
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
@@ -324,20 +331,17 @@ fn contained_panic_response(
     }
 }
 
-/// Run a fallible background operation with bounded retries.
+/// Run a fallible background operation with up to
+/// [`BACKGROUND_RETRIES`] retries.
 ///
 /// Only *infrastructure* failures are retried: contained panics (each
 /// attempt runs under its own `catch_unwind`) and
 /// [`EngineError::Internal`]. Typed domain errors — duplicate tenant,
 /// unknown tenant, bad data — are deterministic, so retrying them would
 /// only burn control-lane time; they surface immediately. The backoff
-/// doubles per attempt from `backoff`, capped at [`RETRY_BACKOFF_CAP`].
-fn run_with_retry<T>(
-    retries: u32,
-    backoff: Duration,
-    retried: &AtomicU64,
-    attempt: impl Fn() -> Result<T>,
-) -> Result<T> {
+/// doubles per attempt from [`RETRY_BACKOFF`], capped at
+/// [`RETRY_BACKOFF_CAP`].
+fn run_with_retry<T>(retried: &AtomicU64, attempt: impl Fn() -> Result<T>) -> Result<T> {
     let mut tries = 0u32;
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(&attempt)).unwrap_or_else(|payload| {
@@ -346,10 +350,10 @@ fn run_with_retry<T>(
             })
         });
         match outcome {
-            Err(EngineError::Internal { .. }) if tries < retries => {
+            Err(EngineError::Internal { .. }) if tries < BACKGROUND_RETRIES => {
                 tries += 1;
                 retried.fetch_add(1, Ordering::Relaxed);
-                let exp = backoff.saturating_mul(1u32 << (tries - 1).min(16));
+                let exp = RETRY_BACKOFF.saturating_mul(1u32 << (tries - 1));
                 std::thread::sleep(exp.min(RETRY_BACKOFF_CAP));
             }
             outcome => return outcome,
@@ -376,63 +380,19 @@ fn expired_response(tenant: &str, queued_for: Duration) -> ServiceResponse {
     }
 }
 
-/// A queued interactive request.
-struct QueuedRespond {
+/// A queued interactive request: one entry of a tenant's FIFO lane.
+struct Queued {
     request: ServiceRequest,
     ticket: ResponseTicket,
     submitted_at: Instant,
 }
 
-/// One entry in an interactive lane: a single request with its own
-/// ticket, or a whole [`FrontEnd::submit_chunk`] chunk completing one
-/// ticket (the high-throughput shape — per-request queue and ticket
-/// costs are amortized across the chunk).
-enum Queued {
-    One(QueuedRespond),
-    Chunk {
-        requests: Vec<ServiceRequest>,
-        ticket: ChunkTicket,
-        submitted_at: Instant,
-    },
-}
-
 impl Queued {
-    /// Requests carried by this entry.
-    fn len(&self) -> usize {
-        match self {
-            Queued::One(_) => 1,
-            Queued::Chunk { requests, .. } => requests.len(),
-        }
-    }
-
-    /// When this entry was admitted.
-    fn submitted_at(&self) -> Instant {
-        match self {
-            Queued::One(queued) => queued.submitted_at,
-            Queued::Chunk { submitted_at, .. } => *submitted_at,
-        }
-    }
-
-    /// Whether *every* request this entry carries is past its deadline
-    /// (requests are stamped with their resolved deadline at admission;
-    /// a deadline-free request never expires). A chunk is only shed
-    /// whole once all its members are stale.
+    /// Whether the request is past its deadline (stamped at admission;
+    /// a deadline-free request never expires).
     fn expired(&self, now: Instant) -> bool {
-        match self {
-            Queued::One(queued) => queued.request.deadline.is_some_and(|d| now >= d),
-            Queued::Chunk { requests, .. } => requests
-                .iter()
-                .all(|request| request.deadline.is_some_and(|d| now >= d)),
-        }
+        self.request.deadline.is_some_and(|d| now >= d)
     }
-}
-
-/// A tenant's FIFO lane plus its queued-request total (entries may be
-/// multi-request chunks, so the total is not the entry count).
-#[derive(Default)]
-struct Lane {
-    entries: VecDeque<Queued>,
-    queued: usize,
 }
 
 /// A queued background job (registration, refresh, or ad-hoc task);
@@ -442,14 +402,11 @@ type BackgroundJob = Box<dyn FnOnce(&VoiceService) + Send + 'static>;
 /// The ingress state, under one lock.
 struct Ingress {
     /// Per-tenant FIFO lanes of the interactive queue.
-    lanes: FxHashMap<String, Lane>,
+    lanes: FxHashMap<String, VecDeque<Queued>>,
     /// Tenants with a non-empty lane, in round-robin dispatch order.
     rotation: VecDeque<String>,
     /// Total requests across all interactive lanes.
     interactive_queued: usize,
-    /// Interactive requests admitted but not yet completed
-    /// (queued + executing).
-    in_flight: usize,
     /// The background/control lane.
     background: VecDeque<BackgroundJob>,
     /// Consecutive interactive batches served since the last background
@@ -536,8 +493,7 @@ pub struct FrontEndStats {
     /// Background attempts retried after an infrastructure failure (a
     /// contained panic or [`EngineError::Internal`]); typed domain
     /// errors are never retried. Each retry of the same job counts
-    /// once, so one job can contribute up to
-    /// [`FrontEndBuilder::background_retries`].
+    /// once, so one job can contribute up to 2.
     pub retried_background: u64,
     /// Streaming-ingestion batches admitted via
     /// [`FrontEnd::submit_ingest`] (a subset of `background_submitted`).
@@ -568,35 +524,24 @@ pub struct FrontEndBuilder {
     workers: usize,
     queue_capacity: usize,
     tenant_share: Option<usize>,
-    in_flight_cap: Option<usize>,
-    background_capacity: usize,
     policy: OverloadPolicy,
-    default_deadline: Option<Duration>,
-    background_retries: u32,
-    retry_backoff: Duration,
-    flush_tick: Option<Duration>,
-    flush_tick_enabled: bool,
+    flush_tick: bool,
 }
 
 impl FrontEndBuilder {
     /// Start from the defaults: 2 serving workers, a 1024-deep ingress
-    /// queue with no per-tenant cap below it, a 64-deep background lane,
-    /// the shed policy, no service-wide deadline, up to 2 background
-    /// retries, and the adaptive background flush tick enabled.
+    /// queue with no per-tenant cap below it, the shed policy, and the
+    /// background flush tick enabled. The control lane holds up to 64
+    /// queued background jobs, each retried at most twice after an
+    /// infrastructure failure.
     pub fn new(service: Arc<VoiceService>) -> FrontEndBuilder {
         FrontEndBuilder {
             service,
             workers: 2,
             queue_capacity: 1024,
             tenant_share: None,
-            in_flight_cap: None,
-            background_capacity: 64,
             policy: OverloadPolicy::Shed,
-            default_deadline: None,
-            background_retries: 2,
-            retry_backoff: Duration::from_millis(1),
-            flush_tick: None,
-            flush_tick_enabled: true,
+            flush_tick: true,
         }
     }
 
@@ -625,22 +570,6 @@ impl FrontEndBuilder {
         self
     }
 
-    /// Maximum admitted-but-incomplete interactive requests (defaults
-    /// to unbounded: queued work is already bounded by
-    /// [`FrontEndBuilder::queue_capacity`], and executing work by the
-    /// workers' claim sizes, so the default adds no constraint).
-    pub fn in_flight_cap(mut self, cap: usize) -> FrontEndBuilder {
-        self.in_flight_cap = Some(cap.max(1));
-        self
-    }
-
-    /// Maximum queued background jobs (registrations/refreshes/tasks;
-    /// clamped to at least 1).
-    pub fn background_capacity(mut self, capacity: usize) -> FrontEndBuilder {
-        self.background_capacity = capacity.max(1);
-        self
-    }
-
     /// What to do when a global cap is hit (default:
     /// [`OverloadPolicy::Shed`]).
     pub fn policy(mut self, policy: OverloadPolicy) -> FrontEndBuilder {
@@ -648,55 +577,16 @@ impl FrontEndBuilder {
         self
     }
 
-    /// Service-wide default deadline budget: a request with neither its
-    /// own [`ServiceRequest::deadline`] nor a tenant default
-    /// ([`TenantSpec::default_deadline`]) is stamped `now + budget` at
-    /// admission. The default (`None`) leaves such requests
-    /// deadline-free — they never expire and never degrade.
-    pub fn default_deadline(mut self, budget: Duration) -> FrontEndBuilder {
-        self.default_deadline = Some(budget);
-        self
-    }
-
-    /// Maximum retries for one background job (registration or refresh)
-    /// after an infrastructure failure — a contained panic or
-    /// [`EngineError::Internal`]. Typed domain errors (duplicate
-    /// tenant, unknown tenant, bad data) are deterministic and surface
-    /// immediately, never retried. Default: 2.
-    pub fn background_retries(mut self, retries: u32) -> FrontEndBuilder {
-        self.background_retries = retries;
-        self
-    }
-
-    /// Backoff before the first background retry; doubles per attempt,
-    /// capped at 50 ms. Default: 1 ms.
-    pub fn retry_backoff(mut self, backoff: Duration) -> FrontEndBuilder {
-        self.retry_backoff = backoff;
-        self
-    }
-
-    /// Fixed period for the background flush tick, overriding the
-    /// adaptive default (half the shortest streaming tenant's
-    /// [`flush_interval`], re-read every pass, capped at 100 ms). The
-    /// tick is what makes a tenant that goes *silent* after a burst
-    /// converge: without it, debounced flushes only run piggybacked on
-    /// the next ingest call. With the default (or any period ≤ the
-    /// interval), a lone delta is re-summarized within 2× its tenant's
-    /// `flush_interval` with no further calls.
+    /// Do not spawn the background flusher thread. Streaming tenants
+    /// then flush only inline with ingest calls or explicitly via
+    /// [`VoiceService::drain_ingest`] / [`VoiceService::ingest_tick`].
+    /// With the tick (the default), a tenant that goes *silent* after a
+    /// burst still converges: a lone delta is re-summarized within 2×
+    /// its tenant's [`flush_interval`] with no further calls.
     ///
     /// [`flush_interval`]: crate::ingest::IngestBuilder::flush_interval
-    pub fn flush_tick(mut self, period: Duration) -> FrontEndBuilder {
-        self.flush_tick = Some(period.max(FLUSH_TICK_FLOOR));
-        self.flush_tick_enabled = true;
-        self
-    }
-
-    /// Do not spawn the background flusher thread. Streaming tenants
-    /// then flush only inline with ingest calls (the pre-tick behavior)
-    /// or explicitly via [`VoiceService::drain_ingest`] /
-    /// [`VoiceService::ingest_tick`].
     pub fn no_flush_tick(mut self) -> FrontEndBuilder {
-        self.flush_tick_enabled = false;
+        self.flush_tick = false;
         self
     }
 
@@ -714,7 +604,6 @@ impl FrontEndBuilder {
                 lanes: FxHashMap::default(),
                 rotation: VecDeque::new(),
                 interactive_queued: 0,
-                in_flight: 0,
                 background: VecDeque::new(),
                 interactive_streak: 0,
                 idle_workers: 0,
@@ -741,14 +630,13 @@ impl FrontEndBuilder {
             stop: Mutex::new(false),
             wake: Condvar::new(),
         });
-        let flusher = self.flush_tick_enabled.then(|| {
+        let flusher = self.flush_tick.then(|| {
             let shared = Arc::clone(&shared);
             let service = Arc::clone(&self.service);
             let signal = Arc::clone(&flusher_signal);
-            let period = self.flush_tick;
             std::thread::Builder::new()
                 .name("vqs-flush".to_string())
-                .spawn(move || flusher_loop(&shared, &service, &signal, period))
+                .spawn(move || flusher_loop(&shared, &service, &signal))
                 .expect("spawn flusher")
         });
         FrontEnd {
@@ -757,12 +645,7 @@ impl FrontEndBuilder {
             workers,
             queue_capacity: self.queue_capacity,
             tenant_share: self.tenant_share.unwrap_or(self.queue_capacity),
-            in_flight_cap: self.in_flight_cap.unwrap_or(usize::MAX),
-            background_capacity: self.background_capacity,
             policy: self.policy,
-            default_deadline: self.default_deadline,
-            background_retries: self.background_retries,
-            retry_backoff: self.retry_backoff,
             handles,
             flusher,
             flusher_signal,
@@ -779,12 +662,7 @@ pub struct FrontEnd {
     workers: usize,
     queue_capacity: usize,
     tenant_share: usize,
-    in_flight_cap: usize,
-    background_capacity: usize,
     policy: OverloadPolicy,
-    default_deadline: Option<Duration>,
-    background_retries: u32,
-    retry_backoff: Duration,
     handles: Vec<JoinHandle<()>>,
     flusher: Option<JoinHandle<()>>,
     flusher_signal: Arc<FlusherSignal>,
@@ -796,9 +674,7 @@ impl std::fmt::Debug for FrontEnd {
             .field("workers", &self.workers)
             .field("queue_capacity", &self.queue_capacity)
             .field("tenant_share", &self.tenant_share)
-            .field("in_flight_cap", &self.in_flight_cap)
             .field("policy", &self.policy)
-            .field("default_deadline", &self.default_deadline)
             .finish_non_exhaustive()
     }
 }
@@ -865,30 +741,14 @@ impl FrontEnd {
 
     /// Stamp a request's resolved deadline at admission: its own
     /// [`ServiceRequest::deadline`] wins, else the tenant's default
-    /// budget, else the front-end-wide default (budgets are measured
-    /// from `start`, the submission call's entry). `defaults` memoizes
-    /// the per-tenant registry read across one submission call, so a
-    /// chunked submission pays it once per distinct tenant.
-    fn stamp_deadline(
-        &self,
-        request: &mut ServiceRequest,
-        start: Instant,
-        defaults: &mut Vec<(String, Option<Duration>)>,
-    ) {
-        if request.deadline.is_some() {
-            return;
+    /// budget, measured from `start` (the submission call's entry).
+    fn stamp_deadline(&self, request: &mut ServiceRequest, start: Instant) {
+        if request.deadline.is_none() {
+            request.deadline = self
+                .service
+                .tenant_default_deadline(&request.tenant)
+                .map(|budget| start + budget);
         }
-        let tenant_default = match defaults.iter().find(|(name, _)| *name == request.tenant) {
-            Some((_, default)) => *default,
-            None => {
-                let default = self.service.tenant_default_deadline(&request.tenant);
-                defaults.push((request.tenant.clone(), default));
-                default
-            }
-        };
-        request.deadline = tenant_default
-            .or(self.default_deadline)
-            .map(|budget| start + budget);
     }
 
     /// Deadline-driven shedding at a full queue: remove the oldest
@@ -909,170 +769,30 @@ impl FrontEnd {
     /// [`OverloadPolicy::Shed`]: the returned ticket is either admitted
     /// (completed by a serving worker) or already completed with
     /// [`Answer::Overloaded`]. Under [`OverloadPolicy::Block`] the call
-    /// waits for queue space instead of shedding at the *global* caps;
+    /// waits for queue space instead of shedding at the *global* cap;
     /// tenant-share overflow sheds under both policies.
-    pub fn submit(&self, request: ServiceRequest) -> ResponseTicket {
-        self.submit_all(std::iter::once(request))
-            .pop()
-            .expect("one ticket per request")
-    }
-
-    /// [`FrontEnd::submit`] for a pipelined burst: admits the whole
-    /// chunk under one queue-lock acquisition (one ticket per request,
-    /// in order). Admission control is per request — a chunk can come
-    /// back partially admitted, partially shed. Gateways that aggregate
-    /// traffic should prefer this: it divides the queue synchronization
-    /// cost across the chunk.
-    pub fn submit_all(
-        &self,
-        requests: impl IntoIterator<Item = ServiceRequest>,
-    ) -> Vec<ResponseTicket> {
+    pub fn submit(&self, mut request: ServiceRequest) -> ResponseTicket {
         let start = Instant::now();
-        let mut tickets = Vec::new();
-        let mut admitted = 0usize;
-        let mut submitted = 0u64;
-        let mut defaults: Vec<(String, Option<Duration>)> = Vec::new();
-        let mut ingress = self.shared.ingress.lock().expect("ingress poisoned");
-        'requests: for mut request in requests {
-            submitted += 1;
-            self.stamp_deadline(&mut request, start, &mut defaults);
-            loop {
-                // Fairness cap first — re-checked after every wake,
-                // since the tenant's lane may have filled while this
-                // submitter was parked at the global cap. A tenant past
-                // its share sheds regardless of headroom and policy.
-                let lane_depth = ingress
-                    .lanes
-                    .get(&request.tenant)
-                    .map_or(0, |lane| lane.queued);
-                if lane_depth >= self.tenant_share {
-                    tickets.push(Ticket::completed(
-                        self.shed_response(&request.tenant, start),
-                    ));
-                    continue 'requests;
-                }
-                // Global caps: admit, shed, or wait, per policy — after
-                // first trying to make room by expiring the oldest
-                // queued request already past its deadline.
-                if ingress.interactive_queued < self.queue_capacity
-                    && ingress.in_flight < self.in_flight_cap
-                {
-                    break;
-                }
-                if self.shed_expired(&mut ingress) {
-                    continue;
-                }
-                match self.policy {
-                    OverloadPolicy::Shed => {
-                        tickets.push(Ticket::completed(
-                            self.shed_response(&request.tenant, start),
-                        ));
-                        continue 'requests;
-                    }
-                    OverloadPolicy::Block => {
-                        self.shared.counters.blocked.fetch_add(1, Ordering::Relaxed);
-                        ingress.blocked_interactive += 1;
-                        ingress = self
-                            .shared
-                            .space_interactive
-                            .wait(ingress)
-                            .expect("ingress poisoned");
-                        ingress.blocked_interactive -= 1;
-                    }
-                }
-            }
-            let ticket = Ticket::pending();
-            let state = &mut *ingress;
-            // Fast path: the tenant's lane already exists (no key
-            // clone, and an emptied lane keeps its buffers).
-            let lane = match state.lanes.get_mut(&request.tenant) {
-                Some(lane) => lane,
-                None => state.lanes.entry(request.tenant.clone()).or_default(),
-            };
-            if lane.entries.is_empty() {
-                state.rotation.push_back(request.tenant.clone());
-            }
-            lane.queued += 1;
-            lane.entries.push_back(Queued::One(QueuedRespond {
-                request,
-                ticket: ticket.clone(),
-                submitted_at: start,
-            }));
-            ingress.interactive_queued += 1;
-            ingress.in_flight += 1;
-            admitted += 1;
-            tickets.push(ticket);
-        }
-        if submitted > 0 {
-            self.shared
-                .counters
-                .submitted
-                .fetch_add(submitted, Ordering::Relaxed);
-        }
-        if admitted > 0 {
-            self.shared
-                .counters
-                .peak_queued
-                .fetch_max(ingress.interactive_queued as u64, Ordering::Relaxed);
-            for _ in 0..ingress.idle_workers.min(admitted) {
-                self.shared.work_ready.notify_one();
-            }
-        }
-        tickets
-    }
-
-    /// Submit a whole chunk of requests as *one* queue entry completing
-    /// *one* ticket (one response per request, in order). This is the
-    /// saturation-throughput shape: the queue handoff, ticket, and
-    /// wakeup costs are paid once per chunk instead of once per
-    /// request. Admission is all-or-nothing — the chunk counts its full
-    /// length against every cap, and an overflowing chunk is shed (or
-    /// blocked) as a unit, completing with one [`Answer::Overloaded`]
-    /// response per request. A chunk larger than the queue capacity (or
-    /// in-flight cap) can never fit and is shed immediately under
-    /// *both* policies — blocking would deadlock the submitter. The
-    /// chunk is enqueued on the lane of its
-    /// first request's tenant, so tenant-homogeneous chunks (the shape
-    /// an aggregating gateway produces) keep fairness accounting exact.
-    pub fn submit_chunk(&self, mut requests: Vec<ServiceRequest>) -> ChunkTicket {
-        let start = Instant::now();
-        let len = requests.len();
-        if len == 0 {
-            return Ticket::completed(Vec::new());
-        }
-        let mut defaults: Vec<(String, Option<Duration>)> = Vec::new();
-        for request in &mut requests {
-            self.stamp_deadline(request, start, &mut defaults);
-        }
-        let lane_tenant = &requests[0].tenant;
+        self.stamp_deadline(&mut request, start);
         self.shared
             .counters
             .submitted
-            .fetch_add(len as u64, Ordering::Relaxed);
-        let shed_chunk = |frontend: &FrontEnd| -> ChunkTicket {
-            Ticket::completed(
-                requests
-                    .iter()
-                    .map(|request| frontend.shed_response(&request.tenant, start))
-                    .collect(),
-            )
-        };
-        // A chunk that exceeds a cap outright can never be admitted:
-        // shed it under both policies instead of parking forever.
-        if len > self.queue_capacity || len > self.in_flight_cap || len > self.tenant_share {
-            return shed_chunk(self);
-        }
+            .fetch_add(1, Ordering::Relaxed);
         let mut ingress = self.shared.ingress.lock().expect("ingress poisoned");
         loop {
-            // Re-checked after every wake, like `submit_all`.
-            let lane_depth = ingress.lanes.get(lane_tenant).map_or(0, |lane| lane.queued);
-            if lane_depth + len > self.tenant_share {
+            // Fairness cap first — re-checked after every wake, since
+            // the tenant's lane may have filled while this submitter was
+            // parked at the global cap. A tenant past its share sheds
+            // regardless of headroom and policy.
+            let lane_depth = ingress.lanes.get(&request.tenant).map_or(0, VecDeque::len);
+            if lane_depth >= self.tenant_share {
                 drop(ingress);
-                return shed_chunk(self);
+                return Ticket::completed(self.shed_response(&request.tenant, start));
             }
-            if ingress.interactive_queued + len <= self.queue_capacity
-                && ingress.in_flight + len <= self.in_flight_cap
-            {
+            // The global cap: admit, shed, or wait, per policy — after
+            // first trying to make room by expiring the oldest queued
+            // request already past its deadline.
+            if ingress.interactive_queued < self.queue_capacity {
                 break;
             }
             if self.shed_expired(&mut ingress) {
@@ -1081,7 +801,7 @@ impl FrontEnd {
             match self.policy {
                 OverloadPolicy::Shed => {
                     drop(ingress);
-                    return shed_chunk(self);
+                    return Ticket::completed(self.shed_response(&request.tenant, start));
                 }
                 OverloadPolicy::Block => {
                     self.shared.counters.blocked.fetch_add(1, Ordering::Relaxed);
@@ -1095,28 +815,28 @@ impl FrontEnd {
                 }
             }
         }
-        let ticket: ChunkTicket = Ticket::pending();
+        let ticket = Ticket::pending();
         let state = &mut *ingress;
-        let lane = match state.lanes.get_mut(lane_tenant) {
+        // Fast path: the tenant's lane already exists (no key clone, and
+        // an emptied lane keeps its buffer).
+        let lane = match state.lanes.get_mut(&request.tenant) {
             Some(lane) => lane,
-            None => state.lanes.entry(lane_tenant.clone()).or_default(),
+            None => state.lanes.entry(request.tenant.clone()).or_default(),
         };
-        if lane.entries.is_empty() {
-            state.rotation.push_back(lane_tenant.clone());
+        if lane.is_empty() {
+            state.rotation.push_back(request.tenant.clone());
         }
-        lane.queued += len;
-        lane.entries.push_back(Queued::Chunk {
-            requests,
+        lane.push_back(Queued {
+            request,
             ticket: ticket.clone(),
             submitted_at: start,
         });
-        ingress.interactive_queued += len;
-        ingress.in_flight += len;
+        state.interactive_queued += 1;
         self.shared
             .counters
             .peak_queued
-            .fetch_max(ingress.interactive_queued as u64, Ordering::Relaxed);
-        if ingress.idle_workers > 0 {
+            .fetch_max(state.interactive_queued as u64, Ordering::Relaxed);
+        if state.idle_workers > 0 {
             self.shared.work_ready.notify_one();
         }
         ticket
@@ -1126,7 +846,7 @@ impl FrontEnd {
     /// background-capacity admission check.
     fn submit_background(&self, job: BackgroundJob) -> std::result::Result<(), ()> {
         let mut ingress = self.shared.ingress.lock().expect("ingress poisoned");
-        while ingress.background.len() >= self.background_capacity {
+        while ingress.background.len() >= BACKGROUND_CAPACITY {
             match self.policy {
                 OverloadPolicy::Shed => return Err(()),
                 OverloadPolicy::Block => {
@@ -1158,26 +878,21 @@ impl FrontEnd {
     /// [`VoiceService::register_dataset`]'s result, or
     /// [`EngineError::Overloaded`] if the control lane was full under
     /// the shed policy. Panics and internal errors are retried up to
-    /// [`FrontEndBuilder::background_retries`] times with exponential
-    /// backoff — registration is all-or-nothing service-side, so a
-    /// failed attempt leaves nothing behind and the retry starts clean.
+    /// twice with exponential backoff — registration is all-or-nothing
+    /// service-side, so a failed attempt leaves nothing behind and the
+    /// retry starts clean.
     pub fn submit_register(&self, spec: TenantSpec) -> RegisterTicket {
         let ticket: RegisterTicket = Ticket::pending();
         let completion = ticket.clone();
         let tenant = spec.name().to_string();
-        let retries = self.background_retries;
-        let backoff = self.retry_backoff;
         let shared = Arc::clone(&self.shared);
         let job: BackgroundJob = Box::new(move |service| {
             // Contain panics: the worker survives and the ticket still
             // completes (with `EngineError::Internal` after the last
             // attempt) instead of hanging its waiters.
-            let outcome = run_with_retry(
-                retries,
-                backoff,
-                &shared.counters.retried_background,
-                || service.register_dataset(spec.clone()),
-            );
+            let outcome = run_with_retry(&shared.counters.retried_background, || {
+                service.register_dataset(spec.clone())
+            });
             completion.complete(outcome);
         });
         if self.submit_background(job).is_err() {
@@ -1190,10 +905,9 @@ impl FrontEnd {
     /// batches ride the pool's interactive fast lane so small deltas
     /// are not stuck behind a bulk registration). The ticket resolves
     /// to [`VoiceService::refresh_tenant`]'s result. Panics and
-    /// internal errors are retried up to
-    /// [`FrontEndBuilder::background_retries`] times with exponential
-    /// backoff — safe because a failed refresh is fail-atomic (the
-    /// tenant keeps serving its previous store).
+    /// internal errors are retried up to twice with exponential backoff
+    /// — safe because a failed refresh is fail-atomic (the tenant keeps
+    /// serving its previous store).
     pub fn submit_refresh(
         &self,
         tenant: impl Into<String>,
@@ -1204,16 +918,11 @@ impl FrontEnd {
         let ticket: RefreshTicket = Ticket::pending();
         let completion = ticket.clone();
         let name = tenant.clone();
-        let retries = self.background_retries;
-        let backoff = self.retry_backoff;
         let shared = Arc::clone(&self.shared);
         let job: BackgroundJob = Box::new(move |service| {
-            let outcome = run_with_retry(
-                retries,
-                backoff,
-                &shared.counters.retried_background,
-                || service.refresh_tenant(&name, &dataset, &changed_rows),
-            );
+            let outcome = run_with_retry(&shared.counters.retried_background, || {
+                service.refresh_tenant(&name, &dataset, &changed_rows)
+            });
             completion.complete(outcome);
         });
         if self.submit_background(job).is_err() {
@@ -1226,27 +935,23 @@ impl FrontEnd {
     /// control lane; the flush's solver batches ride the pool's bulk
     /// lane so interactive solves always pass them). The ticket resolves
     /// to [`VoiceService::ingest`]'s result. Panics and internal errors
-    /// are retried up to [`FrontEndBuilder::background_retries`] times —
-    /// safe because every injectable failure point precedes acceptance
-    /// ([`crate::service::FaultSite::Ingest`] fires before any delta is
-    /// stamped) and a failed flush leaves the accepted log intact, so a
-    /// retry never double-applies a batch.
+    /// are retried up to twice. A retry never applies a batch twice:
+    /// every error `ingest` returns precedes acceptance (an injected
+    /// [`crate::service::FaultSite::Ingest`] fault, a validation error),
+    /// and once the batch is accepted the call reports `Ok` — a failed
+    /// inline flush only sets [`IngestReport::flush_error`] and leaves
+    /// the deltas pending for the next flush.
     pub fn submit_ingest(&self, tenant: impl Into<String>, deltas: Vec<RowDelta>) -> IngestTicket {
         let tenant = tenant.into();
         let ticket: IngestTicket = Ticket::pending();
         let completion = ticket.clone();
         let name = tenant.clone();
-        let retries = self.background_retries;
-        let backoff = self.retry_backoff;
         let shared = Arc::clone(&self.shared);
         let batch = deltas.len() as u64;
         let job: BackgroundJob = Box::new(move |service| {
-            let outcome = run_with_retry(
-                retries,
-                backoff,
-                &shared.counters.retried_background,
-                || service.ingest(&name, &deltas),
-            );
+            let outcome = run_with_retry(&shared.counters.retried_background, || {
+                service.ingest(&name, &deltas)
+            });
             completion.complete(outcome);
         });
         if self.submit_background(job).is_err() {
@@ -1350,33 +1055,27 @@ impl Drop for FrontEnd {
     }
 }
 
-/// Body of the background flusher thread: sleep one tick period (a
-/// fixed `period` when configured, else half the shortest streaming
-/// tenant's `flush_interval`, re-read every pass and capped at
-/// [`FLUSH_TICK_CAP`]), then drain every tenant whose debounce window
-/// is open via [`VoiceService::ingest_tick`]. A condvar wait makes the
-/// sleep cut short at shutdown, so dropping the front-end never waits
-/// out a tick.
+/// Body of the background flusher thread: sleep one tick period (half
+/// the shortest streaming tenant's `flush_interval`, re-read every pass
+/// and capped at [`FLUSH_TICK_CAP`]), then drain every tenant whose
+/// debounce window is open via [`VoiceService::ingest_tick`]. A condvar
+/// wait makes the sleep cut short at shutdown, so dropping the
+/// front-end never waits out a tick.
 ///
 /// Timing bound: `ingest_tick` flushes a tenant once
 /// `last_flush.elapsed() >= flush_interval`, and with a tick period of
 /// at most `flush_interval / 2` two consecutive passes always straddle
 /// that instant — a lone delta is re-summarized within 1.5× (worst
 /// case 2×) its tenant's interval with no further ingest calls.
-fn flusher_loop(
-    shared: &FrontShared,
-    service: &VoiceService,
-    signal: &FlusherSignal,
-    period: Option<Duration>,
-) {
+fn flusher_loop(shared: &FrontShared, service: &VoiceService, signal: &FlusherSignal) {
     let mut stop = signal.stop.lock().expect("flusher poisoned");
     loop {
         if *stop {
             return;
         }
-        let sleep = period
-            .or_else(|| service.min_flush_interval().map(|interval| interval / 2))
-            .unwrap_or(FLUSH_TICK_CAP)
+        let sleep = service
+            .min_flush_interval()
+            .map_or(FLUSH_TICK_CAP, |interval| interval / 2)
             .clamp(FLUSH_TICK_FLOOR, FLUSH_TICK_CAP);
         let (guard, _) = signal
             .wake
@@ -1401,15 +1100,14 @@ fn flusher_loop(
 
 /// One unit of claimed work.
 enum Work {
-    /// A round-robin batch of interactive entries carrying `requests`
-    /// requests in total.
-    Respond { batch: Vec<Queued>, requests: usize },
+    /// A round-robin batch of interactive requests.
+    Respond(Vec<Queued>),
     /// One background job.
     Background(BackgroundJob),
 }
 
-/// Remove and return the oldest-submitted *expired* queue entry, fixing
-/// up the lane/rotation/in-flight accounting. Only lane fronts are
+/// Remove and return the oldest-submitted *expired* queued request,
+/// fixing up the lane/rotation accounting. Only lane fronts are
 /// inspected: lanes are FIFO, so each front is its lane's oldest entry
 /// and anything behind it has waited strictly less long.
 fn take_expired(ingress: &mut Ingress, now: Instant) -> Option<Queued> {
@@ -1418,10 +1116,10 @@ fn take_expired(ingress: &mut Ingress, now: Instant) -> Option<Queued> {
         let entry = ingress
             .lanes
             .get(tenant)
-            .and_then(|lane| lane.entries.front())
+            .and_then(VecDeque::front)
             .expect("rotation entry without queued lane");
-        if entry.expired(now) && oldest.is_none_or(|(_, at)| entry.submitted_at() < at) {
-            oldest = Some((slot, entry.submitted_at()));
+        if entry.expired(now) && oldest.is_none_or(|(_, at)| entry.submitted_at < at) {
+            oldest = Some((slot, entry.submitted_at));
         }
     }
     let (slot, _) = oldest?;
@@ -1430,11 +1128,9 @@ fn take_expired(ingress: &mut Ingress, now: Instant) -> Option<Queued> {
         .lanes
         .get_mut(&tenant)
         .expect("rotation entry without lane");
-    let entry = lane.entries.pop_front().expect("front entry seen above");
-    lane.queued -= entry.len();
-    ingress.interactive_queued -= entry.len();
-    ingress.in_flight -= entry.len();
-    if !lane.entries.is_empty() {
+    let entry = lane.pop_front().expect("front entry seen above");
+    ingress.interactive_queued -= 1;
+    if !lane.is_empty() {
         // The lane keeps its dispatch turn — it merely rejoins the
         // rotation at the back, like after any served entry.
         ingress.rotation.push_back(tenant);
@@ -1444,37 +1140,19 @@ fn take_expired(ingress: &mut Ingress, now: Instant) -> Option<Queued> {
     Some(entry)
 }
 
-/// Complete an expired entry's ticket and do the accounting: expired
+/// Complete an expired request's ticket and do the accounting: expired
 /// requests count in `expired`, *not* `completed` — the invariant is
 /// `submitted == completed + shed + expired` — and roll into their
 /// tenant's own [`TenantStats::expired_requests`].
 ///
 /// [`TenantStats::expired_requests`]: crate::service::TenantStats::expired_requests
 fn expire_entry(entry: Queued, now: Instant, service: &VoiceService, counters: &Counters) {
-    counters
-        .expired
-        .fetch_add(entry.len() as u64, Ordering::Relaxed);
-    let queued_for = now.saturating_duration_since(entry.submitted_at());
-    match entry {
-        Queued::One(queued) => {
-            service.record_expired(&queued.request.tenant);
-            queued
-                .ticket
-                .complete(expired_response(&queued.request.tenant, queued_for));
-        }
-        Queued::Chunk {
-            requests, ticket, ..
-        } => {
-            let responses = requests
-                .iter()
-                .map(|request| {
-                    service.record_expired(&request.tenant);
-                    expired_response(&request.tenant, queued_for)
-                })
-                .collect();
-            ticket.complete(responses);
-        }
-    }
+    counters.expired.fetch_add(1, Ordering::Relaxed);
+    service.record_expired(&entry.request.tenant);
+    let queued_for = now.saturating_duration_since(entry.submitted_at);
+    entry
+        .ticket
+        .complete(expired_response(&entry.request.tenant, queued_for));
 }
 
 /// Claim the next work item: a batch from the interactive lanes if any
@@ -1488,7 +1166,7 @@ fn next_work(ingress: &mut Ingress) -> Option<Work> {
     if ingress.interactive_queued > 0 && !background_due {
         // Leave a fair share for workers currently parked: claiming the
         // whole queue while peers idle would serialize a burst through
-        // one thread. Whole entries are claimed, so chunks may overshoot.
+        // one thread.
         let target = SERVE_BATCH
             .min(
                 ingress
@@ -1496,9 +1174,8 @@ fn next_work(ingress: &mut Ingress) -> Option<Work> {
                     .div_ceil(ingress.idle_workers + 1),
             )
             .max(1);
-        let mut batch = Vec::new();
-        let mut requests = 0usize;
-        while requests < target {
+        let mut batch = Vec::with_capacity(target);
+        while batch.len() < target {
             let Some(tenant) = ingress.rotation.pop_front() else {
                 break;
             };
@@ -1506,22 +1183,19 @@ fn next_work(ingress: &mut Ingress) -> Option<Work> {
                 .lanes
                 .get_mut(&tenant)
                 .expect("rotation entry without lane");
-            let entry = lane.entries.pop_front().expect("empty lane in rotation");
-            requests += entry.len();
-            lane.queued -= entry.len();
-            batch.push(entry);
+            batch.push(lane.pop_front().expect("empty lane in rotation"));
             // Emptied lanes stay in the map (their buffers are reused on
             // the next submit) up to a bounded count; the rotation only
             // lists non-empty lanes.
-            if !lane.entries.is_empty() {
+            if !lane.is_empty() {
                 ingress.rotation.push_back(tenant);
             } else if ingress.lanes.len() > RETAINED_LANES {
                 ingress.lanes.remove(&tenant);
             }
         }
-        ingress.interactive_queued -= requests;
+        ingress.interactive_queued -= batch.len();
         ingress.interactive_streak += 1;
-        return Some(Work::Respond { batch, requests });
+        return Some(Work::Respond(batch));
     }
     let job = ingress.background.pop_front()?;
     ingress.interactive_streak = 0;
@@ -1592,23 +1266,19 @@ fn respond_cached(
 /// with everything drained.
 fn worker_loop(shared: &FrontShared, service: &VoiceService) {
     // Interactive requests completed since this worker last held the
-    // ingress lock; folded into the shared state on the next
-    // acquisition, so each served batch costs one lock round instead of
-    // two.
+    // ingress lock; each wakes one submitter parked for queue space on
+    // the next acquisition, so a served batch costs one lock round.
     let mut finished = 0usize;
     loop {
         let work = {
             let mut ingress = shared.ingress.lock().expect("ingress poisoned");
-            if finished > 0 {
-                ingress.in_flight -= finished;
-                // Wake one parked submitter per freed slot (not all —
-                // no thundering herd, but also no submitter left parked
-                // while capacity it could use sits free).
-                for _ in 0..finished.min(ingress.blocked_interactive) {
-                    shared.space_interactive.notify_one();
-                }
-                finished = 0;
+            // Wake one parked submitter per finished request (not all —
+            // no thundering herd, but also no submitter left parked
+            // while capacity it could use sits free).
+            for _ in 0..finished.min(ingress.blocked_interactive) {
+                shared.space_interactive.notify_one();
             }
+            finished = 0;
             loop {
                 if let Some(work) = next_work(&mut ingress) {
                     break Some(work);
@@ -1622,93 +1292,28 @@ fn worker_loop(shared: &FrontShared, service: &VoiceService) {
             }
         };
         match work {
-            Some(Work::Respond { batch, requests }) => {
-                finished = requests;
+            Some(Work::Respond(batch)) => {
+                finished = batch.len();
                 let mut resolved: Vec<(String, Option<Arc<Tenant>>)> = Vec::new();
-                for entry in batch {
+                for queued in batch {
                     // Count *before* completing: a waiter that saw its
                     // ticket resolve must already see it in `completed`
                     // (or `expired`). A request that sat in the queue
                     // past its deadline is never computed — its waiter
                     // stopped listening; the instant Expired answer
                     // frees the worker for requests someone still wants.
-                    match entry {
-                        Queued::One(queued) => {
-                            let now = Instant::now();
-                            if queued
-                                .request
-                                .deadline
-                                .is_some_and(|deadline| now >= deadline)
-                            {
-                                shared.counters.expired.fetch_add(1, Ordering::Relaxed);
-                                service.record_expired(&queued.request.tenant);
-                                queued.ticket.complete(expired_response(
-                                    &queued.request.tenant,
-                                    now.saturating_duration_since(queued.submitted_at),
-                                ));
-                                continue;
-                            }
-                            let response =
-                                respond_contained(service, &mut resolved, queued.request, shared);
-                            if response.degradation != Degradation::None {
-                                shared.counters.degraded.fetch_add(1, Ordering::Relaxed);
-                            }
-                            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-                            queued.ticket.complete(response);
-                        }
-                        Queued::Chunk {
-                            requests,
-                            ticket,
-                            submitted_at,
-                        } => {
-                            // Contained per request: one panicking
-                            // request must not discard its chunk-mates'
-                            // computed responses. Expiry is likewise per
-                            // request — a chunk straddling its deadline
-                            // completes what it can.
-                            let mut completed = 0u64;
-                            let mut expired = 0u64;
-                            let mut degraded = 0u64;
-                            let responses: Vec<ServiceResponse> = requests
-                                .into_iter()
-                                .map(|request| {
-                                    let now = Instant::now();
-                                    if request.deadline.is_some_and(|deadline| now >= deadline) {
-                                        expired += 1;
-                                        service.record_expired(&request.tenant);
-                                        return expired_response(
-                                            &request.tenant,
-                                            now.saturating_duration_since(submitted_at),
-                                        );
-                                    }
-                                    let response =
-                                        respond_contained(service, &mut resolved, request, shared);
-                                    if response.degradation != Degradation::None {
-                                        degraded += 1;
-                                    }
-                                    completed += 1;
-                                    response
-                                })
-                                .collect();
-                            if expired > 0 {
-                                shared
-                                    .counters
-                                    .expired
-                                    .fetch_add(expired, Ordering::Relaxed);
-                            }
-                            if degraded > 0 {
-                                shared
-                                    .counters
-                                    .degraded
-                                    .fetch_add(degraded, Ordering::Relaxed);
-                            }
-                            shared
-                                .counters
-                                .completed
-                                .fetch_add(completed, Ordering::Relaxed);
-                            ticket.complete(responses);
-                        }
+                    let now = Instant::now();
+                    if queued.expired(now) {
+                        expire_entry(queued, now, service, &shared.counters);
+                        continue;
                     }
+                    let response =
+                        respond_contained(service, &mut resolved, queued.request, shared);
+                    if response.degradation != Degradation::None {
+                        shared.counters.degraded.fetch_add(1, Ordering::Relaxed);
+                    }
+                    shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+                    queued.ticket.complete(response);
                 }
             }
             Some(Work::Background(job)) => {
@@ -1811,36 +1416,6 @@ mod tests {
             stats.background_flushes >= 1,
             "the flush must come from the background tick, not an ingest call"
         );
-    }
-
-    #[test]
-    fn chunk_round_trips_and_oversized_chunk_sheds_under_block() {
-        let service = service_with_tenant();
-        let frontend = FrontEnd::builder(Arc::clone(&service))
-            .workers(1)
-            .queue_capacity(4)
-            .policy(OverloadPolicy::Block)
-            .build();
-        // A fitting chunk is served normally.
-        let served = frontend
-            .submit_chunk(vec![
-                ServiceRequest::new("fe", "delay in Winter?"),
-                ServiceRequest::new("fe", "delay in Summer?"),
-            ])
-            .wait();
-        assert_eq!(served.len(), 2);
-        assert!(served.iter().all(|r| r.answer.is_speech()));
-        // A chunk larger than the queue capacity can never fit: it must
-        // shed immediately even under Block (blocking would deadlock).
-        let oversized: Vec<ServiceRequest> = (0..8)
-            .map(|_| ServiceRequest::new("fe", "delay in Winter?"))
-            .collect();
-        let responses = frontend.submit_chunk(oversized).wait();
-        assert_eq!(responses.len(), 8);
-        assert!(responses
-            .iter()
-            .all(|r| matches!(r.answer, Answer::Overloaded { .. })));
-        assert_eq!(frontend.stats().shed, 8);
     }
 
     #[test]
@@ -1974,7 +1549,7 @@ mod tests {
     }
 
     #[test]
-    fn contained_panic_inside_a_chunk_spares_chunk_mates() {
+    fn contained_panic_spares_the_next_request() {
         use crate::service::{Fault, FaultPlan, FaultSite};
         let plan = Arc::new(FaultPlan::new(9).rule_every(FaultSite::Respond, Fault::Panic, 2));
         let service = Arc::new(
@@ -1988,22 +1563,104 @@ mod tests {
             .unwrap();
         let frontend = FrontEnd::builder(Arc::clone(&service)).workers(1).build();
         plan.arm();
-        let responses = frontend
-            .submit_chunk(vec![
-                ServiceRequest::new("fe", "delay in Winter?"),
-                ServiceRequest::new("fe", "delay in Summer?"),
-            ])
-            .wait();
+        let first = frontend.submit(ServiceRequest::new("fe", "delay in Winter?"));
+        let second = frontend.submit(ServiceRequest::new("fe", "delay in Summer?"));
+        let (first, second) = (first.wait(), second.wait());
         plan.disarm();
         // The every-2nd-draw rule spares the first request and panics
-        // the second; containment preserves the chunk-mate's response.
-        assert!(responses[0].answer.is_speech());
-        assert!(matches!(responses[1].answer, Answer::Internal { .. }));
+        // the second; the worker contains it and keeps serving.
+        assert!(first.answer.is_speech());
+        assert!(matches!(second.answer, Answer::Internal { .. }));
         let stats = frontend.stats();
         assert_eq!(stats.contained_panics, 1);
         // A contained panic still counts as completed: the ticket
         // resolved with an answer.
         assert_eq!(stats.completed, 2);
+    }
+
+    /// Once `ingest` accepted a batch, a summarizer panic in its inline
+    /// flush must not fail the call: the front-end would retry it and
+    /// accept the batch a second time.
+    #[test]
+    fn failed_inline_flush_applies_the_batch_exactly_once() {
+        use crate::ingest::IngestBuilder;
+        use std::sync::atomic::AtomicBool;
+        use vqs_core::prelude::{GreedySummarizer, Problem, Summarizer, Summary};
+        use vqs_relalg::prelude::Value;
+
+        /// The service's default summarizer, panicking on its first
+        /// call once armed.
+        struct PanicsOnce {
+            armed: Arc<AtomicBool>,
+            inner: GreedySummarizer,
+        }
+        impl Summarizer for PanicsOnce {
+            fn name(&self) -> &'static str {
+                "panics-once"
+            }
+            fn summarize(&self, problem: &Problem<'_>) -> vqs_core::prelude::Result<Summary> {
+                if self.armed.swap(false, Ordering::SeqCst) {
+                    panic!("summarizer exploded mid-flush");
+                }
+                self.inner.summarize(problem)
+            }
+        }
+
+        let armed = Arc::new(AtomicBool::new(false));
+        let service = Arc::new(
+            ServiceBuilder::new()
+                .workers(1)
+                .summarizer(PanicsOnce {
+                    armed: Arc::clone(&armed),
+                    inner: GreedySummarizer::with_optimized_pruning(),
+                })
+                .build(),
+        );
+        service
+            .register_dataset(
+                TenantSpec::new("fe", dataset(3), config())
+                    .ingest(IngestBuilder::new().max_dirty(1)),
+            )
+            .unwrap();
+        let frontend = FrontEnd::builder(Arc::clone(&service))
+            .workers(1)
+            .no_flush_tick()
+            .build();
+        let row = vec![Value::str("Winter"), Value::Float(9.0)];
+        armed.store(true, Ordering::SeqCst);
+        let report = frontend
+            .submit_ingest("fe", vec![RowDelta::Insert(row.clone())])
+            .wait()
+            .expect("an accepted batch reports Ok");
+        assert_eq!(report.first_seqno, 1, "the batch was accepted twice");
+        assert!(report.flush.is_none());
+        assert!(matches!(
+            report.flush_error,
+            Some(EngineError::Internal { ref what }) if what.contains("exploded")
+        ));
+        assert_eq!(frontend.stats().retried_background, 0);
+
+        service.drain_ingest("fe").unwrap();
+        let tenant = service.stats().tenants.remove(0);
+        assert_eq!(tenant.deltas_applied, 1);
+        assert_eq!(tenant.flush_failures, 1);
+        assert_eq!(tenant.ingest_lag, 0);
+
+        // The drained store equals a cold registration of the table
+        // plus the one row.
+        let mut data = dataset(3);
+        data.table = vqs_relalg::prelude::Table::from_rows(
+            data.table.schema().clone(),
+            data.table.iter_rows().chain(std::iter::once(row)),
+        )
+        .unwrap();
+        let cold = ServiceBuilder::new().workers(1).build();
+        cold.register_dataset(TenantSpec::new("fe", data, config()))
+            .unwrap();
+        assert_eq!(
+            service.tenant_store("fe").unwrap().snapshot(),
+            cold.tenant_store("fe").unwrap().snapshot()
+        );
     }
 
     #[test]

@@ -39,11 +39,12 @@ pub mod pool;
 
 pub use faults::{Fault, FaultPlan, FaultSite, Trigger};
 pub use frontend::{
-    ChunkTicket, FrontEnd, FrontEndBuilder, FrontEndStats, IngestTicket, OverloadPolicy,
-    RefreshTicket, RegisterTicket, ResponseTicket, TaskTicket, Ticket,
+    FrontEnd, FrontEndBuilder, FrontEndStats, IngestTicket, OverloadPolicy, RefreshTicket,
+    RegisterTicket, ResponseTicket, TaskTicket, Ticket,
 };
 pub use pool::{ScatterPriority, SolverPool};
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -108,11 +109,10 @@ pub struct ServiceRequest {
     /// Raw utterance text.
     pub text: String,
     /// Absolute wall-clock deadline of this request. `None` falls back
-    /// to the tenant's [`TenantSpec::default_deadline`], then to the
-    /// serving front-end's service-wide default (if any). Once past the
-    /// deadline a queued request is completed with [`Answer::Expired`]
-    /// instead of being computed, and the remaining budget bounds live
-    /// solver work on the respond path.
+    /// to the tenant's [`TenantSpec::default_deadline`], if any. Once
+    /// past the deadline a queued request is completed with
+    /// [`Answer::Expired`] instead of being computed, and the remaining
+    /// budget bounds live solver work on the respond path.
     pub deadline: Option<Instant>,
 }
 
@@ -388,8 +388,8 @@ impl TenantSpec {
 
     /// Default per-request deadline budget for this tenant: requests
     /// without their own [`ServiceRequest::deadline`] get `now + budget`
-    /// on arrival. Overrides the serving front-end's service-wide
-    /// default ([`FrontEndBuilder::default_deadline`]).
+    /// on arrival — at admission to the serving [`FrontEnd`], or when a
+    /// direct [`VoiceService::respond`] call starts.
     pub fn default_deadline(mut self, budget: Duration) -> TenantSpec {
         self.default_deadline = Some(budget);
         self
@@ -603,6 +603,11 @@ pub struct TenantStats {
     /// far the store currently trails the delta log (zero once the log
     /// drained).
     pub ingest_lag: u64,
+    /// Automatic ingest flushes (inline in [`VoiceService::ingest`] or
+    /// from [`VoiceService::ingest_tick`]) that failed with an error or
+    /// a contained panic; their deltas stayed pending for the next
+    /// flush.
+    pub flush_failures: u64,
     /// Run-time store counters.
     pub store: StoreStats,
     /// Solver work counters, merged over pre-processing and refreshes.
@@ -966,6 +971,12 @@ impl VoiceService {
     /// last-good speeches throughout; a validation error rejects the
     /// whole batch before any of it is applied.
     ///
+    /// Every error precedes acceptance: once the batch is accepted the
+    /// call returns `Ok`. An inline flush that fails — an error, or a
+    /// panic in the summarizer — is reported in
+    /// [`IngestReport::flush_error`] and leaves the deltas pending for
+    /// the next flush, so retrying an `Err` never applies a batch twice.
+    ///
     /// Fails with [`EngineError::IngestDisabled`] unless the tenant was
     /// registered with [`TenantSpec::ingest`].
     pub fn ingest(&self, name: &str, deltas: &[RowDelta]) -> Result<IngestReport> {
@@ -978,6 +989,11 @@ impl VoiceService {
     /// delta when this returns. Batch refresh and streaming ingestion
     /// share one invalidation code path; this entry point simply forces
     /// the flush instead of debouncing it.
+    ///
+    /// An `Err` from validation (or for an unknown or ingest-disabled
+    /// tenant) means nothing was accepted. An `Err` after validation —
+    /// a failed flush — means the batch *was* accepted and is pending:
+    /// the next flush applies it.
     pub fn refresh_tenant_deltas(&self, name: &str, deltas: &[RowDelta]) -> Result<FlushReport> {
         let report = self.ingest_with(name, deltas, true)?;
         Ok(report.flush.expect("forced ingest always flushes"))
@@ -1001,8 +1017,7 @@ impl VoiceService {
                 name: name.to_string(),
             })?;
         // An injected fault here fires *before* any delta is accepted,
-        // so a failed (and possibly retried) submission never leaves the
-        // log partially applied or double-applies a batch.
+        // so it never leaves the log partially applied.
         self.impose_control(FaultSite::Ingest)?;
         let state = tenant
             .ingest
@@ -1020,17 +1035,50 @@ impl VoiceService {
             .counters
             .accepted_seqno
             .store(inner.accepted, Ordering::Relaxed);
-        let flush = if force || state.auto_flush_due(&inner) {
-            Some(self.flush_ingest(&tenant, state, &mut inner)?)
-        } else {
-            None
-        };
-        Ok(IngestReport {
+        let mut report = IngestReport {
             accepted: deltas.len(),
             first_seqno,
             last_seqno,
-            flush,
-        })
+            flush: None,
+            flush_error: None,
+        };
+        if force {
+            report.flush = Some(self.flush_ingest(&tenant, state, &mut inner)?);
+        } else if state.auto_flush_due(&inner) {
+            match self.auto_flush(&tenant, state, &mut inner) {
+                Ok(flush) => report.flush = Some(flush),
+                Err(error) => report.flush_error = Some(error),
+            }
+        }
+        Ok(report)
+    }
+
+    /// An automatic flush: inline in [`VoiceService::ingest`], or from
+    /// [`VoiceService::ingest_tick`]. Its error or panic is contained
+    /// here, so it never fails the call that accepted the deltas — a
+    /// retry of that call would accept them again. `flush_ingest`
+    /// mutates nothing before it succeeds, so the deltas stay pending
+    /// for the next flush; the failure is counted in
+    /// [`TenantStats::flush_failures`].
+    fn auto_flush(
+        &self,
+        tenant: &Tenant,
+        state: &IngestState,
+        inner: &mut IngestInner,
+    ) -> Result<FlushReport> {
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.flush_ingest(tenant, state, inner)))
+            .unwrap_or_else(|payload| {
+                Err(EngineError::Internal {
+                    what: frontend::panic_text(payload),
+                })
+            });
+        if outcome.is_err() {
+            state
+                .counters
+                .flush_failures
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        outcome
     }
 
     /// Drain the pending log into the store: re-solve exactly the dirty
@@ -1115,9 +1163,10 @@ impl VoiceService {
     /// Uses `try_lock` on each tenant's log so a tick never stalls
     /// behind an in-flight ingest (that ingest will flush inline
     /// anyway); a skipped tenant is simply retried on the next tick.
-    /// Flush errors leave the log and dirty sets intact for retry and
-    /// are reported in the per-tenant result list. Returns the number
-    /// of tenants flushed.
+    /// A failed flush (an error or a contained panic) leaves the log
+    /// and dirty sets intact for the next tick and is counted in
+    /// [`TenantStats::flush_failures`]. Returns the number of tenants
+    /// flushed.
     pub fn ingest_tick(&self) -> usize {
         let tenants: Vec<Arc<Tenant>> = self.tenants.read().values().cloned().collect();
         let mut flushed = 0;
@@ -1128,8 +1177,7 @@ impl VoiceService {
             let Some(mut inner) = state.inner.try_lock() else {
                 continue;
             };
-            if state.auto_flush_due(&inner) && self.flush_ingest(&tenant, state, &mut inner).is_ok()
-            {
+            if state.auto_flush_due(&inner) && self.auto_flush(&tenant, state, &mut inner).is_ok() {
                 flushed += 1;
             }
         }
@@ -1360,6 +1408,9 @@ impl VoiceService {
                         .ingest
                         .as_ref()
                         .map_or(0, |state| state.counters.lag()),
+                    flush_failures: tenant.ingest.as_ref().map_or(0, |state| {
+                        state.counters.flush_failures.load(Ordering::Relaxed)
+                    }),
                     store: tenant.store.stats(),
                     solver: rollup.solver,
                     solver_time: rollup.solver_time,

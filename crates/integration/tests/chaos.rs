@@ -3,8 +3,8 @@
 //! checks.
 //!
 //! The randomized test drives waves of mixed traffic (deadline-free,
-//! budgeted, instantly-expiring, chunked, plus background refreshes and
-//! registrations) while a [`FaultPlan`] injects latency, panics, and
+//! budgeted, instantly-expiring, plus background refreshes, registrations
+//! and ingest batches) while a [`FaultPlan`] injects latency, panics, and
 //! forced solver timeouts at every site, then asserts the serving
 //! invariants:
 //!
@@ -224,14 +224,18 @@ fn chaos_plan_preserves_serving_invariants() {
                 ServiceRequest::new("chaos", "delay in Summer?").with_budget(Duration::ZERO),
             ));
         }
-        // A mixed chunk (one ticket, per-request responses).
-        let chunk = frontend.submit_chunk(vec![
+        // A mixed group that must never expire: deadline-free, or a
+        // generous budget.
+        let never_expiring: Vec<ResponseTicket> = [
             ServiceRequest::new("chaos", "delay in Winter?"),
             ServiceRequest::new("chaos", "delay in the West?"),
             ServiceRequest::new("chaos", "delay in Winter in the East?")
                 .with_budget(Duration::from_secs(60)),
             ServiceRequest::new("chaos", "delay in Summer?"),
-        ]);
+        ]
+        .into_iter()
+        .map(|request| frontend.submit(request))
+        .collect();
         // Background control-lane traffic under faults: a no-op delta
         // refresh (fail-atomic either way) and, on alternating waves, a
         // fresh registration.
@@ -244,8 +248,10 @@ fn chaos_plan_preserves_serving_invariants() {
             )));
         }
         // One streaming batch per wave, waited *before* the next wave's
-        // batch so the applied order is deterministic. The ingest fault
-        // site fires before any delta is accepted, so an Err ticket
+        // batch so the applied order is deterministic. Every error
+        // `ingest` returns precedes acceptance (the ingest fault site
+        // fires before any delta is accepted, and an accepted batch
+        // reports Ok even if its inline flush fails), so an Err ticket
         // means the batch was never applied — and a retried one was
         // applied exactly once.
         match frontend
@@ -283,10 +289,10 @@ fn chaos_plan_preserves_serving_invariants() {
                 other => panic!("unexpected chaos answer {other:?}"),
             }
         }
-        for response in chunk
-            .wait_timeout(LONG_WAIT)
-            .expect("chunk ticket never completed under chaos")
-        {
+        for ticket in never_expiring {
+            let response = ticket
+                .wait_timeout(LONG_WAIT)
+                .expect("interactive ticket never completed under chaos");
             if response.degradation != Degradation::None {
                 degraded_answers += 1;
             }
@@ -296,7 +302,7 @@ fn chaos_plan_preserves_serving_invariants() {
                     internal_answers += 1;
                     assert!(what.contains("injected fault"), "unexpected panic: {what}");
                 }
-                other => panic!("unexpected chunk answer {other:?}"),
+                other => panic!("unexpected never-expiring answer {other:?}"),
             }
         }
     }

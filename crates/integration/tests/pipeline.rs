@@ -72,6 +72,7 @@ fn golden_corpus_labels_and_answer_tiers() {
         // S-Query: the store answers, including two-predicate hits
         // (max_query_length is 2) and the no-predicate overall.
         ("delay in Winter?", "S-Query", Want::Speech),
+        ("delay in Winter", "S-Query", Want::Speech),
         ("cancelled in the East", "S-Query", Want::Speech),
         ("delay in Summer in the West", "S-Query", Want::Speech),
         ("what is the delay", "S-Query", Want::Speech),
@@ -79,6 +80,11 @@ fn golden_corpus_labels_and_answer_tiers() {
         ("which season has the most delay", "U-Query", Want::Computed),
         (
             "which region has the least cancelled",
+            "U-Query",
+            Want::Computed,
+        ),
+        (
+            "which region has the lowest cancelled",
             "U-Query",
             Want::Computed,
         ),

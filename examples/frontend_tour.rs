@@ -62,12 +62,18 @@ fn main() -> Result<()> {
         let response = ticket.wait();
         println!("  '{text}' -> {}", response.text());
     }
-    // ...or as a pipelined chunk (one queue handoff, one ticket).
-    let chunk: Vec<ServiceRequest> = (1..=4)
-        .map(|month| ServiceRequest::new("flights", format!("cancellations in month {month}")))
+    // ...or pipelined: submit several, then wait on each ticket.
+    let tickets: Vec<(String, ResponseTicket)> = (1..=4)
+        .map(|month| {
+            let text = format!("cancellations in month {month}");
+            let ticket = frontend.submit(ServiceRequest::new("flights", text.as_str()));
+            (text, ticket)
+        })
         .collect();
-    let responses = frontend.submit_chunk(chunk).wait();
-    println!("  chunk of {} answered in one ticket\n", responses.len());
+    for (text, ticket) in tickets {
+        println!("  '{text}' (pipelined) -> {}", ticket.wait().label());
+    }
+    println!();
 
     // The background registration resolves on its own ticket.
     let report = registration.wait()?;
