@@ -219,12 +219,13 @@ fn main() {
         let mut row_points = vec![(rows, true)];
         if deep {
             // The 10x point drops the ingest share from the load mix:
-            // at 1M rows a single background flush already takes tens
-            // of seconds and blocks serving (see BENCHMARKS.md), so a
-            // mixed run at 10M would measure only that collapse again,
-            // for hours. Respond-only load decomposes the break
-            // instead: lookup latency stays row-count-independent
-            // while the recorded flush cost keeps exploding.
+            // flush cost grows linearly with rows (~2 s for 512 deltas
+            // at 1M on one worker, see BENCHMARKS.md), so at 10M every
+            // ingest batch would hold the control thread for tens of
+            // seconds and the run would mostly wait on flushes.
+            // Respond-only load decomposes the break instead: lookup
+            // latency stays row-count-independent while the recorded
+            // flush cost grows with rows.
             row_points.push((rows * 10, false));
         }
         for (rows, mixed) in row_points {
@@ -775,7 +776,8 @@ fn run_synthetic(
     let ingest_flush_ms = timed_flush(&service, "scale", deltas, 64);
 
     // Mixed open-loop traffic: responds with an ingest trickle riding
-    // the control lane (the background flusher picks the batches up).
+    // the control lane. The batches flush inline on the control thread
+    // or on the background flusher, never on the serving worker.
     let frontend = FrontEnd::builder(Arc::clone(&service)).workers(1).build();
     let mut plan = respond_plan("scale", &texts, requests, rate);
     if mixed {

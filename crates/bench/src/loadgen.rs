@@ -17,7 +17,9 @@
 //! * **Open-loop driving** — [`run`] submits each request at its
 //!   scheduled instant through the non-blocking [`FrontEnd::submit`]
 //!   family and *never* waits in the submission path; a collector
-//!   thread waits tickets in FIFO order and stamps completions.
+//!   thread stamps each ticket when it first sees it ready, so a slow
+//!   ingest batch cannot delay the stamp of a respond answered behind
+//!   it.
 //! * **Intended-time latency** — each sample is
 //!   `completion − intended send time`, so queueing delay a stalled
 //!   server causes is charged to the server, not silently dropped.
@@ -31,8 +33,9 @@
 //!   (≤ 1/32), deterministic, dependency-free, and reported from the
 //!   bucket's *upper* bound so sketch percentiles are never optimistic.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -390,7 +393,12 @@ impl LoadReport {
     }
 }
 
-/// A submitted event awaiting completion, in submission order.
+/// Longest the collector of [`run`] blocks on one ticket (or on an empty
+/// channel) before it sweeps every outstanding ticket again: the bound
+/// on how late a completion is stamped.
+const POLL: Duration = Duration::from_millis(1);
+
+/// A submitted event awaiting completion.
 enum Pending {
     Respond {
         intended: Instant,
@@ -405,6 +413,25 @@ enum Pending {
         intended: Instant,
         ticket: RefreshTicket,
     },
+}
+
+impl Pending {
+    fn is_ready(&self) -> bool {
+        match self {
+            Pending::Respond { ticket, .. } => ticket.is_ready(),
+            Pending::Ingest { ticket, .. } => ticket.is_ready(),
+            Pending::Refresh { ticket, .. } => ticket.is_ready(),
+        }
+    }
+
+    /// Block until the ticket is ready or `timeout` passed.
+    fn wait(&self, timeout: Duration) {
+        match self {
+            Pending::Respond { ticket, .. } => drop(ticket.wait_timeout(timeout)),
+            Pending::Ingest { ticket, .. } => drop(ticket.wait_timeout(timeout)),
+            Pending::Refresh { ticket, .. } => drop(ticket.wait_timeout(timeout)),
+        }
+    }
 }
 
 /// Sleep (coarse) then spin (fine) until `target`. Plain `sleep` alone
@@ -428,11 +455,15 @@ fn pace_until(target: Instant) {
 /// Execute `plan` against `frontend`.
 ///
 /// The calling thread is the submitter: it walks the schedule and, in
-/// open-loop mode, never blocks on the server. A collector thread waits
-/// tickets in FIFO submission order and stamps completion times; since
-/// a ready ticket's wait returns immediately, FIFO stamping can only
-/// *overstate* a completion time (never understate — conservative in
-/// the same direction as the bucket bounds).
+/// open-loop mode, never blocks on the server. A collector thread stamps
+/// each ticket when it first sees it ready: it blocks at most one 1 ms
+/// poll on the oldest outstanding respond, then sweeps every
+/// outstanding ticket with `is_ready`. A stamp is taken after the
+/// ticket was seen ready, so it can only *overstate* a completion time
+/// (never understate — conservative in the same direction as the
+/// bucket bounds), and by at most one poll: a ticket that completes
+/// while the collector blocks on another is stamped by the sweep that
+/// follows.
 pub fn run(frontend: &FrontEnd, plan: &LoadPlan) -> LoadReport {
     let total_weight = plan.mix.respond + plan.mix.ingest + plan.mix.refresh;
     assert!(total_weight > 0, "empty traffic mix");
@@ -482,58 +513,91 @@ pub fn run(frontend: &FrontEnd, plan: &LoadPlan) -> LoadReport {
             let mut control_sketch = LatencySketch::new();
             let mut counts = [0u64; 8]; // answered, shed, expired, internal, degraded, in_deadline, control_ok, control_err
             let mut last_completion = origin;
-            for pending in rx.iter() {
-                match pending {
-                    Pending::Respond {
-                        intended,
-                        sent,
-                        ticket,
-                    } => {
-                        let response = ticket.into_inner();
-                        let done = Instant::now();
-                        last_completion = last_completion.max(done);
-                        let from_intended = done.saturating_duration_since(intended);
-                        let from_sent = done.saturating_duration_since(sent);
-                        intended_sketch.record(from_intended.as_micros() as u64);
-                        measured_sketch.record(from_sent.as_micros() as u64);
-                        match &response.answer {
-                            Answer::Overloaded { .. } => counts[1] += 1,
-                            Answer::Expired { .. } => counts[2] += 1,
-                            Answer::Internal { .. } => counts[3] += 1,
-                            _ => {
-                                counts[0] += 1;
-                                if response.degradation != Degradation::None {
-                                    counts[4] += 1;
-                                }
-                                if plan
-                                    .deadline_budget
-                                    .is_none_or(|budget| from_intended <= budget)
-                                {
-                                    counts[5] += 1;
+            let mut pending: VecDeque<Pending> = VecDeque::new();
+            let mut open = true;
+            while open || !pending.is_empty() {
+                loop {
+                    match rx.try_recv() {
+                        Ok(next) => pending.push_back(next),
+                        Err(TryRecvError::Empty) => break,
+                        Err(TryRecvError::Disconnected) => {
+                            open = false;
+                            break;
+                        }
+                    }
+                }
+                // Respond stamps carry the latency the report is about,
+                // so block on the oldest respond; background tickets are
+                // stamped by the sweep.
+                let oldest = pending
+                    .iter()
+                    .find(|p| matches!(p, Pending::Respond { .. }))
+                    .or(pending.front());
+                match oldest {
+                    Some(oldest) => oldest.wait(POLL),
+                    None if open => match rx.recv_timeout(POLL) {
+                        Ok(next) => pending.push_back(next),
+                        Err(RecvTimeoutError::Timeout) => {}
+                        Err(RecvTimeoutError::Disconnected) => open = false,
+                    },
+                    None => {}
+                }
+                let done = Instant::now();
+                let mut index = 0;
+                while index < pending.len() {
+                    if !pending[index].is_ready() {
+                        index += 1;
+                        continue;
+                    }
+                    last_completion = last_completion.max(done);
+                    match pending.remove(index).expect("index in range") {
+                        Pending::Respond {
+                            intended,
+                            sent,
+                            ticket,
+                        } => {
+                            let response = ticket.into_inner();
+                            let from_intended = done.saturating_duration_since(intended);
+                            let from_sent = done.saturating_duration_since(sent);
+                            intended_sketch.record(from_intended.as_micros() as u64);
+                            measured_sketch.record(from_sent.as_micros() as u64);
+                            match &response.answer {
+                                Answer::Overloaded { .. } => counts[1] += 1,
+                                Answer::Expired { .. } => counts[2] += 1,
+                                Answer::Internal { .. } => counts[3] += 1,
+                                _ => {
+                                    counts[0] += 1;
+                                    if response.degradation != Degradation::None {
+                                        counts[4] += 1;
+                                    }
+                                    if plan
+                                        .deadline_budget
+                                        .is_none_or(|budget| from_intended <= budget)
+                                    {
+                                        counts[5] += 1;
+                                    }
                                 }
                             }
                         }
-                    }
-                    Pending::Ingest { intended, ticket } => {
-                        let outcome = ticket.into_inner();
-                        let done = Instant::now();
-                        last_completion = last_completion.max(done);
-                        control_sketch
-                            .record(done.saturating_duration_since(intended).as_micros() as u64);
-                        match outcome {
-                            Ok(_) => counts[6] += 1,
-                            Err(_) => counts[7] += 1,
+                        Pending::Ingest { intended, ticket } => {
+                            let outcome = ticket.into_inner();
+                            control_sketch.record(
+                                done.saturating_duration_since(intended).as_micros() as u64,
+                            );
+                            match outcome {
+                                Ok(_) => counts[6] += 1,
+                                Err(_) => counts[7] += 1,
+                            }
                         }
-                    }
-                    Pending::Refresh { intended, ticket } => {
-                        let outcome = ticket.into_inner();
-                        let done = Instant::now();
-                        last_completion = last_completion.max(done);
-                        control_sketch
-                            .record(done.saturating_duration_since(intended).as_micros() as u64);
-                        match outcome {
-                            Ok(_) => counts[6] += 1,
-                            Err(_) => counts[7] += 1,
+                        Pending::Refresh { intended, ticket } => {
+                            let outcome = ticket.into_inner();
+                            control_sketch.record(
+                                done.saturating_duration_since(intended).as_micros() as u64,
+                            );
+                            match outcome {
+                                Ok(_) => counts[6] += 1,
+                                Err(_) => counts[7] += 1,
+                            }
                         }
                     }
                 }
@@ -618,8 +682,10 @@ mod tests {
     use std::sync::Arc;
     use vqs_data::{DimSpec, SynthSpec, TargetSpec};
     use vqs_engine::prelude::{
-        Configuration, Fault, FaultPlan, FaultSite, ServiceBuilder, TenantSpec, VoiceService,
+        Configuration, Fault, FaultPlan, FaultSite, IngestBuilder, ServiceBuilder, TenantSpec,
+        VoiceService,
     };
+    use vqs_relalg::prelude::Value;
 
     #[test]
     fn schedules_are_reproducible_per_seed() {
@@ -694,8 +760,8 @@ mod tests {
         assert_eq!(sketch.percentile(100.0), 31);
     }
 
-    fn service_with_tenant(fault_plan: Option<Arc<FaultPlan>>) -> Arc<VoiceService> {
-        let data = SynthSpec {
+    fn dataset() -> GeneratedDataset {
+        SynthSpec {
             name: "lg".to_string(),
             dims: vec![
                 DimSpec::named("season", &["Winter", "Summer"]),
@@ -704,7 +770,12 @@ mod tests {
             targets: vec![TargetSpec::new("delay", 15.0, 8.0, 2.0, (0.0, 60.0))],
             rows: 200,
         }
-        .generate(3, 1.0);
+        .generate(3, 1.0)
+    }
+
+    /// The `lg` tenant, with an ingest log that flushes inline on every
+    /// accepted delta.
+    fn service_with_tenant(fault_plan: Option<Arc<FaultPlan>>) -> Arc<VoiceService> {
         let config = Configuration::new("lg", &["season", "region"], &["delay"]);
         let mut builder = ServiceBuilder::new().workers(1);
         if let Some(plan) = fault_plan {
@@ -712,7 +783,9 @@ mod tests {
         }
         let service = Arc::new(builder.build());
         service
-            .register_dataset(TenantSpec::new("lg", data, config))
+            .register_dataset(
+                TenantSpec::new("lg", dataset(), config).ingest(IngestBuilder::new().max_dirty(1)),
+            )
             .unwrap();
         service
     }
@@ -805,5 +878,59 @@ mod tests {
         assert_eq!(report.internal, 0);
         assert!(report.in_deadline_rate() > 0.0);
         assert!(report.achieved_rate() > 0.0);
+    }
+
+    /// With two serving workers, a batch stalled 100 ms inside the
+    /// service must not delay the stamps of the responds that the other
+    /// worker answered meanwhile. A collector that waits on tickets in
+    /// submission order stamps every one of them after the batch.
+    #[test]
+    fn slow_ingest_does_not_delay_later_respond_stamps() {
+        let faults = Arc::new(FaultPlan::new(1).rule_every(
+            FaultSite::Ingest,
+            Fault::Latency(Duration::from_millis(100)),
+            1,
+        ));
+        let service = service_with_tenant(Some(Arc::clone(&faults)));
+        let frontend = FrontEnd::builder(service)
+            .workers(2)
+            .no_flush_tick()
+            .build();
+        let mut row = dataset().table.iter_rows().next().expect("a row");
+        row[0] = Value::str(if row[0].as_str() == Some("Winter") {
+            "Summer"
+        } else {
+            "Winter"
+        });
+        // 41 events 2 ms apart. With these weights, mix seed 73 draws
+        // the ingest batch for event 0 and a respond for every later one.
+        let plan = LoadPlan {
+            mix: MixWeights {
+                respond: 40,
+                ingest: 1,
+                refresh: 0,
+            },
+            ingest_batches: vec![(
+                "lg".to_string(),
+                vec![RowDelta::Update {
+                    row: 0,
+                    values: row,
+                }],
+            )],
+            seed: 73,
+            ..respond_plan(41, 500.0, Pacing::OpenLoop)
+        };
+        faults.arm();
+        let report = run(&frontend, &plan);
+        faults.disarm();
+
+        assert_eq!((report.responds, report.ingests), (40, 1));
+        assert_eq!(report.control_ok, 1);
+        assert!(report.control.min() >= 100_000, "the batch was not slowed");
+        let p50 = report.intended.percentile(50.0);
+        assert!(
+            p50 < 20_000,
+            "responds behind a 100 ms batch were stamped late: p50 {p50}µs"
+        );
     }
 }

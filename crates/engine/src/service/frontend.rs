@@ -30,19 +30,21 @@
 //!   path's degradation ladder (see
 //!   [`crate::pipeline`]), which steps down to a greedy or store-only
 //!   answer rather than missing the deadline.
-//! * **A priority lane.** Background work — tenant registration and
-//!   delta refreshes submitted through [`FrontEnd::submit_register`] /
-//!   [`FrontEnd::submit_refresh`] — rides a separate control lane served
-//!   only when no interactive request is queued (with aging: sustained
-//!   interactive load delays background work by a bounded number of
-//!   batches rather than starving it). Combined with the bulk tag such
-//!   batches carry into the shared
-//!   [`SolverPool`](crate::service::SolverPool), a large registration
-//!   cannot delay live `respond` traffic beyond the request currently
-//!   being served.
+//! * **A separate control lane.** Background work — tenant
+//!   registrations, refreshes, ingest batches (with any flush they run
+//!   inline) and ad-hoc tasks, submitted through
+//!   [`FrontEnd::submit_register`], [`FrontEnd::submit_refresh`],
+//!   [`FrontEnd::submit_ingest`] and [`FrontEnd::submit_task`] — queues
+//!   on a control lane that one dedicated control thread runs, one job
+//!   at a time, in FIFO order. Serving workers take interactive requests
+//!   only, so no `respond` waits behind a registration or a flush. The
+//!   control jobs' solves fan out over the shared
+//!   [`SolverPool`](crate::service::SolverPool), which stays their
+//!   parallelism; live plans still share the pool's bulk lane with them.
 //! * **Graceful shutdown.** Dropping the front-end (or calling
-//!   [`FrontEnd::shutdown`]) drains every admitted request — tickets are
-//!   never lost — and joins the workers.
+//!   [`FrontEnd::shutdown`]) drains every admitted request — the serving
+//!   workers drain the interactive lanes, the control thread the control
+//!   lane, so tickets are never lost — and joins every thread.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -96,12 +98,6 @@ use crate::template::speaking_time_secs;
 /// acquisition (round-robin across tenant lanes), amortizing the handoff
 /// cost under load.
 const SERVE_BATCH: usize = 32;
-
-/// After this many consecutive interactive batches, a queued background
-/// job is served even though interactive work is still queued:
-/// interactive traffic keeps priority, but sustained load can only
-/// *delay* a registration or refresh, never starve it forever.
-const BACKGROUND_AGING: usize = 8;
 
 /// Emptied per-tenant lanes are kept (their buffers are reused) only up
 /// to this many lanes; beyond it, emptied lanes are dropped so ingress
@@ -407,19 +403,17 @@ struct Ingress {
     rotation: VecDeque<String>,
     /// Total requests across all interactive lanes.
     interactive_queued: usize,
-    /// The background/control lane.
+    /// The background/control lane, run by the control thread.
     background: VecDeque<BackgroundJob>,
-    /// Consecutive interactive batches served since the last background
-    /// job (drives [`BACKGROUND_AGING`]).
-    interactive_streak: usize,
-    /// Workers currently parked on `work_ready`.
+    /// Serving workers currently parked on `work_ready`.
     idle_workers: usize,
     /// Interactive submitters parked for queue space (Block policy).
     blocked_interactive: usize,
     /// Background submitters parked for control-lane space (Block
     /// policy).
     blocked_background: usize,
-    /// Set once by shutdown; workers drain both lanes, then exit.
+    /// Set once by shutdown; the serving workers drain the interactive
+    /// lanes and the control thread the control lane, then they exit.
     shutdown: bool,
 }
 
@@ -451,10 +445,14 @@ struct FlusherSignal {
     wake: Condvar,
 }
 
-/// State shared between the front-end handle and its serving workers.
+/// State shared between the front-end handle, its serving workers and
+/// its control thread.
 struct FrontShared {
     ingress: Mutex<Ingress>,
+    /// Wakes serving workers parked for interactive work.
     work_ready: Condvar,
+    /// Wakes the control thread parked for background work.
+    control_ready: Condvar,
     /// Wakes interactive submitters parked for queue space.
     space_interactive: Condvar,
     /// Wakes background submitters parked for control-lane space.
@@ -487,8 +485,8 @@ pub struct FrontEndStats {
     pub blocked: u64,
     /// Background jobs admitted (registrations, refreshes, tasks).
     pub background_submitted: u64,
-    /// Background jobs claimed and run by a worker (counted as the job
-    /// starts; every claimed job runs to completion).
+    /// Background jobs claimed and run by the control thread (counted
+    /// as the job starts; every claimed job runs to completion).
     pub background_completed: u64,
     /// Background attempts retried after an infrastructure failure (a
     /// contained panic or [`EngineError::Internal`]); typed domain
@@ -547,7 +545,8 @@ impl FrontEndBuilder {
 
     /// Serving worker threads (`0` = all available cores; clamped to at
     /// least 1). Lookups are µs-scale, so a handful of workers saturate
-    /// a store — size this to cores, not to concurrent sessions.
+    /// a store — size this to cores, not to concurrent sessions. The
+    /// control thread that runs background jobs comes on top.
     pub fn workers(mut self, workers: usize) -> FrontEndBuilder {
         self.workers = workers;
         self
@@ -590,7 +589,8 @@ impl FrontEndBuilder {
         self
     }
 
-    /// Spawn the serving workers and build the front-end.
+    /// Spawn the serving workers and the control thread, and build the
+    /// front-end.
     pub fn build(self) -> FrontEnd {
         let workers = if self.workers == 0 {
             std::thread::available_parallelism()
@@ -605,18 +605,18 @@ impl FrontEndBuilder {
                 rotation: VecDeque::new(),
                 interactive_queued: 0,
                 background: VecDeque::new(),
-                interactive_streak: 0,
                 idle_workers: 0,
                 blocked_interactive: 0,
                 blocked_background: 0,
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
+            control_ready: Condvar::new(),
             space_interactive: Condvar::new(),
             space_background: Condvar::new(),
             counters: Counters::default(),
         });
-        let handles = (0..workers)
+        let mut handles: Vec<JoinHandle<()>> = (0..workers)
             .map(|index| {
                 let shared = Arc::clone(&shared);
                 let service = Arc::clone(&self.service);
@@ -626,6 +626,16 @@ impl FrontEndBuilder {
                     .expect("spawn serving worker")
             })
             .collect();
+        {
+            let shared = Arc::clone(&shared);
+            let service = Arc::clone(&self.service);
+            handles.push(
+                std::thread::Builder::new()
+                    .name("vqs-control".to_string())
+                    .spawn(move || control_loop(&shared, &service))
+                    .expect("spawn control thread"),
+            );
+        }
         let flusher_signal = Arc::new(FlusherSignal {
             stop: Mutex::new(false),
             wake: Condvar::new(),
@@ -663,6 +673,7 @@ pub struct FrontEnd {
     queue_capacity: usize,
     tenant_share: usize,
     policy: OverloadPolicy,
+    /// The serving workers, then the control thread.
     handles: Vec<JoinHandle<()>>,
     flusher: Option<JoinHandle<()>>,
     flusher_signal: Arc<FlusherSignal>,
@@ -843,7 +854,7 @@ impl FrontEnd {
     }
 
     /// Queue a background job on the control lane, applying the
-    /// background-capacity admission check.
+    /// background-capacity admission check, and wake the control thread.
     fn submit_background(&self, job: BackgroundJob) -> std::result::Result<(), ()> {
         let mut ingress = self.shared.ingress.lock().expect("ingress poisoned");
         while ingress.background.len() >= BACKGROUND_CAPACITY {
@@ -866,16 +877,14 @@ impl FrontEnd {
             .counters
             .background_submitted
             .fetch_add(1, Ordering::Relaxed);
-        if ingress.idle_workers > 0 {
-            self.shared.work_ready.notify_one();
-        }
+        self.shared.control_ready.notify_one();
         Ok(())
     }
 
-    /// Register a tenant in the background (the control lane; its
-    /// solver batches additionally carry the bulk tag through the
-    /// shared pool). The ticket resolves to
-    /// [`VoiceService::register_dataset`]'s result, or
+    /// Register a tenant in the background: the control thread runs the
+    /// registration, whose solver batches carry the bulk tag through the
+    /// shared pool, while the serving workers keep answering. The ticket
+    /// resolves to [`VoiceService::register_dataset`]'s result, or
     /// [`EngineError::Overloaded`] if the control lane was full under
     /// the shed policy. Panics and internal errors are retried up to
     /// twice with exponential backoff — registration is all-or-nothing
@@ -887,9 +896,9 @@ impl FrontEnd {
         let tenant = spec.name().to_string();
         let shared = Arc::clone(&self.shared);
         let job: BackgroundJob = Box::new(move |service| {
-            // Contain panics: the worker survives and the ticket still
-            // completes (with `EngineError::Internal` after the last
-            // attempt) instead of hanging its waiters.
+            // Contain panics: the control thread survives and the ticket
+            // still completes (with `EngineError::Internal` after the
+            // last attempt) instead of hanging its waiters.
             let outcome = run_with_retry(&shared.counters.retried_background, || {
                 service.register_dataset(spec.clone())
             });
@@ -901,10 +910,10 @@ impl FrontEnd {
         ticket
     }
 
-    /// Refresh a tenant in the background (the control lane; its solver
-    /// batches ride the pool's interactive fast lane so small deltas
-    /// are not stuck behind a bulk registration). The ticket resolves
-    /// to [`VoiceService::refresh_tenant`]'s result. Panics and
+    /// Refresh a tenant in the background (on the control thread; its
+    /// solver batches ride the pool's interactive fast lane so small
+    /// deltas are not stuck behind a bulk registration). The ticket
+    /// resolves to [`VoiceService::refresh_tenant`]'s result. Panics and
     /// internal errors are retried up to twice with exponential backoff
     /// — safe because a failed refresh is fail-atomic (the tenant keeps
     /// serving its previous store).
@@ -931,16 +940,19 @@ impl FrontEnd {
         ticket
     }
 
-    /// Stream a batch of row deltas into a tenant in the background (the
-    /// control lane; the flush's solver batches ride the pool's bulk
-    /// lane so interactive solves always pass them). The ticket resolves
-    /// to [`VoiceService::ingest`]'s result. Panics and internal errors
-    /// are retried up to twice. A retry never applies a batch twice:
-    /// every error `ingest` returns precedes acceptance (an injected
-    /// [`crate::service::FaultSite::Ingest`] fault, a validation error),
-    /// and once the batch is accepted the call reports `Ok` — a failed
-    /// inline flush only sets [`IngestReport::flush_error`] and leaves
-    /// the deltas pending for the next flush.
+    /// Stream a batch of row deltas into a tenant in the background. The
+    /// control thread runs [`VoiceService::ingest`], including the flush
+    /// it runs inline once the tenant's pending deltas reach `max_dirty`
+    /// or its `flush_interval` has passed, so the serving workers never
+    /// wait for a flush; the flush's solves fan out over the shared
+    /// pool. The ticket resolves to `ingest`'s result, whose
+    /// [`IngestReport::flush`] reports that inline flush. Panics and
+    /// internal errors are retried up to twice. A retry never applies a
+    /// batch twice: every error `ingest` returns precedes acceptance (an
+    /// injected [`crate::service::FaultSite::Ingest`] fault, a validation
+    /// error), and once the batch is accepted the call reports `Ok` — a
+    /// failed inline flush only sets [`IngestReport::flush_error`] and
+    /// leaves the deltas pending for the next flush.
     pub fn submit_ingest(&self, tenant: impl Into<String>, deltas: Vec<RowDelta>) -> IngestTicket {
         let tenant = tenant.into();
         let ticket: IngestTicket = Ticket::pending();
@@ -968,10 +980,15 @@ impl FrontEnd {
         ticket
     }
 
-    /// Run an arbitrary closure against the service on the control lane
-    /// (evictions, stats dumps, maintenance). Subject to the same
+    /// Run an arbitrary closure against the service on the control
+    /// thread (evictions, stats dumps, maintenance). Subject to the same
     /// background admission control; the ticket completes after the
     /// closure ran.
+    ///
+    /// Control jobs run one at a time, so a task must not wait on the
+    /// ticket of another control job (a registration, refresh, ingest
+    /// batch or task): a job queued behind the task cannot start until
+    /// the task returns, so that wait never ends.
     pub fn submit_task(
         &self,
         task: impl FnOnce(&VoiceService) + Send + 'static,
@@ -979,8 +996,8 @@ impl FrontEnd {
         let ticket: TaskTicket = Ticket::pending();
         let completion = ticket.clone();
         let job: BackgroundJob = Box::new(move |service| {
-            // A panicking task is contained (the worker survives) and
-            // its ticket still completes.
+            // A panicking task is contained (the control thread
+            // survives) and its ticket still completes.
             let _ = catch_unwind(AssertUnwindSafe(|| task(service)));
             completion.complete(());
         });
@@ -1024,9 +1041,9 @@ impl FrontEnd {
     }
 
     /// Stop admitting, drain every admitted request (all outstanding
-    /// tickets complete), and join the workers. Equivalent to dropping
-    /// the front-end, made explicit for call sites that want the drain
-    /// point visible.
+    /// tickets complete), and join the serving workers and the control
+    /// thread. Equivalent to dropping the front-end, made explicit for
+    /// call sites that want the drain point visible.
     pub fn shutdown(self) {
         drop(self);
     }
@@ -1044,6 +1061,7 @@ impl Drop for FrontEnd {
         }
         self.flusher_signal.wake.notify_all();
         self.shared.work_ready.notify_all();
+        self.shared.control_ready.notify_all();
         self.shared.space_interactive.notify_all();
         self.shared.space_background.notify_all();
         for handle in self.handles.drain(..) {
@@ -1098,14 +1116,6 @@ fn flusher_loop(shared: &FrontShared, service: &VoiceService, signal: &FlusherSi
     }
 }
 
-/// One unit of claimed work.
-enum Work {
-    /// A round-robin batch of interactive requests.
-    Respond(Vec<Queued>),
-    /// One background job.
-    Background(BackgroundJob),
-}
-
 /// Remove and return the oldest-submitted *expired* queued request,
 /// fixing up the lane/rotation accounting. Only lane fronts are
 /// inspected: lanes are FIFO, so each front is its lane's oldest entry
@@ -1155,51 +1165,43 @@ fn expire_entry(entry: Queued, now: Instant, service: &VoiceService, counters: &
         .complete(expired_response(&entry.request.tenant, queued_for));
 }
 
-/// Claim the next work item: a batch from the interactive lanes if any
-/// request is queued, else one background job.
-fn next_work(ingress: &mut Ingress) -> Option<Work> {
-    // Aging: after BACKGROUND_AGING consecutive interactive batches, one
-    // queued background job runs even under sustained interactive load,
-    // bounding registration/refresh staleness instead of starving it.
-    let background_due =
-        ingress.interactive_streak >= BACKGROUND_AGING && !ingress.background.is_empty();
-    if ingress.interactive_queued > 0 && !background_due {
-        // Leave a fair share for workers currently parked: claiming the
-        // whole queue while peers idle would serialize a burst through
-        // one thread.
-        let target = SERVE_BATCH
-            .min(
-                ingress
-                    .interactive_queued
-                    .div_ceil(ingress.idle_workers + 1),
-            )
-            .max(1);
-        let mut batch = Vec::with_capacity(target);
-        while batch.len() < target {
-            let Some(tenant) = ingress.rotation.pop_front() else {
-                break;
-            };
-            let lane = ingress
-                .lanes
-                .get_mut(&tenant)
-                .expect("rotation entry without lane");
-            batch.push(lane.pop_front().expect("empty lane in rotation"));
-            // Emptied lanes stay in the map (their buffers are reused on
-            // the next submit) up to a bounded count; the rotation only
-            // lists non-empty lanes.
-            if !lane.is_empty() {
-                ingress.rotation.push_back(tenant);
-            } else if ingress.lanes.len() > RETAINED_LANES {
-                ingress.lanes.remove(&tenant);
-            }
-        }
-        ingress.interactive_queued -= batch.len();
-        ingress.interactive_streak += 1;
-        return Some(Work::Respond(batch));
+/// Claim a round-robin batch from the interactive lanes, or nothing when
+/// no request is queued.
+fn next_work(ingress: &mut Ingress) -> Option<Vec<Queued>> {
+    if ingress.interactive_queued == 0 {
+        return None;
     }
-    let job = ingress.background.pop_front()?;
-    ingress.interactive_streak = 0;
-    Some(Work::Background(job))
+    // Leave a fair share for workers currently parked: claiming the
+    // whole queue while peers idle would serialize a burst through one
+    // thread.
+    let target = SERVE_BATCH
+        .min(
+            ingress
+                .interactive_queued
+                .div_ceil(ingress.idle_workers + 1),
+        )
+        .max(1);
+    let mut batch = Vec::with_capacity(target);
+    while batch.len() < target {
+        let Some(tenant) = ingress.rotation.pop_front() else {
+            break;
+        };
+        let lane = ingress
+            .lanes
+            .get_mut(&tenant)
+            .expect("rotation entry without lane");
+        batch.push(lane.pop_front().expect("empty lane in rotation"));
+        // Emptied lanes stay in the map (their buffers are reused on the
+        // next submit) up to a bounded count; the rotation only lists
+        // non-empty lanes.
+        if !lane.is_empty() {
+            ingress.rotation.push_back(tenant);
+        } else if ingress.lanes.len() > RETAINED_LANES {
+            ingress.lanes.remove(&tenant);
+        }
+    }
+    ingress.interactive_queued -= batch.len();
+    Some(batch)
 }
 
 /// Answer one request, resolving each distinct tenant once per batch
@@ -1261,16 +1263,15 @@ fn respond_cached(
     }
 }
 
-/// Serving worker body: drain the ingress (interactive lanes first,
-/// round-robin across tenants), park when idle, exit once shut down
-/// with everything drained.
+/// Serving worker body: drain the interactive lanes (round-robin across
+/// tenants), park when idle, exit once shut down with the lanes drained.
 fn worker_loop(shared: &FrontShared, service: &VoiceService) {
     // Interactive requests completed since this worker last held the
     // ingress lock; each wakes one submitter parked for queue space on
     // the next acquisition, so a served batch costs one lock round.
     let mut finished = 0usize;
     loop {
-        let work = {
+        let batch = {
             let mut ingress = shared.ingress.lock().expect("ingress poisoned");
             // Wake one parked submitter per finished request (not all —
             // no thundering herd, but also no submitter left parked
@@ -1278,58 +1279,73 @@ fn worker_loop(shared: &FrontShared, service: &VoiceService) {
             for _ in 0..finished.min(ingress.blocked_interactive) {
                 shared.space_interactive.notify_one();
             }
-            finished = 0;
             loop {
-                if let Some(work) = next_work(&mut ingress) {
-                    break Some(work);
+                if let Some(batch) = next_work(&mut ingress) {
+                    break batch;
                 }
                 if ingress.shutdown {
-                    break None;
+                    return;
                 }
                 ingress.idle_workers += 1;
                 ingress = shared.work_ready.wait(ingress).expect("ingress poisoned");
                 ingress.idle_workers -= 1;
             }
         };
-        match work {
-            Some(Work::Respond(batch)) => {
-                finished = batch.len();
-                let mut resolved: Vec<(String, Option<Arc<Tenant>>)> = Vec::new();
-                for queued in batch {
-                    // Count *before* completing: a waiter that saw its
-                    // ticket resolve must already see it in `completed`
-                    // (or `expired`). A request that sat in the queue
-                    // past its deadline is never computed — its waiter
-                    // stopped listening; the instant Expired answer
-                    // frees the worker for requests someone still wants.
-                    let now = Instant::now();
-                    if queued.expired(now) {
-                        expire_entry(queued, now, service, &shared.counters);
-                        continue;
-                    }
-                    let response =
-                        respond_contained(service, &mut resolved, queued.request, shared);
-                    if response.degradation != Degradation::None {
-                        shared.counters.degraded.fetch_add(1, Ordering::Relaxed);
-                    }
-                    shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-                    queued.ticket.complete(response);
-                }
+        finished = batch.len();
+        let mut resolved: Vec<(String, Option<Arc<Tenant>>)> = Vec::new();
+        for queued in batch {
+            // Count *before* completing: a waiter that saw its ticket
+            // resolve must already see it in `completed` (or `expired`).
+            // A request that sat in the queue past its deadline is never
+            // computed — its waiter stopped listening; the instant
+            // Expired answer frees the worker for requests someone still
+            // wants.
+            let now = Instant::now();
+            if queued.expired(now) {
+                expire_entry(queued, now, service, &shared.counters);
+                continue;
             }
-            Some(Work::Background(job)) => {
-                // Counted before the job completes its ticket, for the
-                // same observability ordering as interactive requests.
-                shared
-                    .counters
-                    .background_completed
-                    .fetch_add(1, Ordering::Relaxed);
-                job(service);
-                let ingress = shared.ingress.lock().expect("ingress poisoned");
-                if ingress.blocked_background > 0 {
-                    shared.space_background.notify_one();
-                }
+            let response = respond_contained(service, &mut resolved, queued.request, shared);
+            if response.degradation != Degradation::None {
+                shared.counters.degraded.fetch_add(1, Ordering::Relaxed);
             }
-            None => return,
+            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+            queued.ticket.complete(response);
+        }
+    }
+}
+
+/// Control thread body: run the control lane's jobs one at a time in
+/// FIFO order, park when idle, exit once shut down with the lane
+/// drained. Each job runs its own [`run_with_retry`] (or, for a task,
+/// its own panic containment) and completes its own ticket.
+fn control_loop(shared: &FrontShared, service: &VoiceService) {
+    loop {
+        let job = {
+            let mut ingress = shared.ingress.lock().expect("ingress poisoned");
+            loop {
+                if let Some(job) = ingress.background.pop_front() {
+                    break job;
+                }
+                if ingress.shutdown {
+                    return;
+                }
+                ingress = shared
+                    .control_ready
+                    .wait(ingress)
+                    .expect("ingress poisoned");
+            }
+        };
+        // Counted before the job completes its ticket, for the same
+        // observability ordering as interactive requests.
+        shared
+            .counters
+            .background_completed
+            .fetch_add(1, Ordering::Relaxed);
+        job(service);
+        let ingress = shared.ingress.lock().expect("ingress poisoned");
+        if ingress.blocked_background > 0 {
+            shared.space_background.notify_one();
         }
     }
 }
@@ -1361,6 +1377,111 @@ mod tests {
             .register_dataset(TenantSpec::new("fe", dataset(3), config()))
             .unwrap();
         service
+    }
+
+    /// A close/open gate that solves park on while it is closed;
+    /// `entered` counts the solves that reached it.
+    struct Gate {
+        closed: Mutex<bool>,
+        released: Condvar,
+        entered: AtomicU64,
+    }
+
+    impl Gate {
+        fn pass(&self) {
+            self.entered.fetch_add(1, Ordering::SeqCst);
+            let mut closed = self.closed.lock().unwrap();
+            while *closed {
+                closed = self.released.wait(closed).unwrap();
+            }
+        }
+
+        fn open(&self) {
+            *self.closed.lock().unwrap() = false;
+            self.released.notify_all();
+        }
+
+        fn await_entered(&self, n: u64) {
+            while self.entered.load(Ordering::SeqCst) < n {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// Opens the gate when dropped, so a failing assert releases the
+    /// parked worker instead of hanging in `FrontEnd::drop`. Declare it
+    /// after the front-end: locals drop in reverse order.
+    struct OpenOnDrop(Arc<Gate>);
+
+    impl Drop for OpenOnDrop {
+        fn drop(&mut self) {
+            self.0.open();
+        }
+    }
+
+    /// The service's default summarizer, parking on a gate while it is
+    /// closed.
+    struct GatedSummarizer {
+        inner: vqs_core::prelude::GreedySummarizer,
+        gate: Arc<Gate>,
+    }
+
+    impl vqs_core::prelude::Summarizer for GatedSummarizer {
+        fn name(&self) -> &'static str {
+            "gated"
+        }
+
+        fn summarize(
+            &self,
+            problem: &vqs_core::prelude::Problem<'_>,
+        ) -> vqs_core::prelude::Result<vqs_core::prelude::Summary> {
+            if *self.gate.closed.lock().unwrap() {
+                self.gate.pass();
+            }
+            self.inner.summarize(problem)
+        }
+    }
+
+    /// A service whose `fe` tenant lost its stored "delay in Winter"
+    /// speech, with a closed gate in its summarizer: a budgeted request
+    /// for that speech takes the degradation ladder's live solve, which
+    /// runs the summarizer on the serving thread and parks there.
+    fn gated_service() -> (Arc<VoiceService>, Arc<Gate>) {
+        let gate = Arc::new(Gate {
+            closed: Mutex::new(false),
+            released: Condvar::new(),
+            entered: AtomicU64::new(0),
+        });
+        let service = Arc::new(
+            ServiceBuilder::new()
+                .workers(1)
+                .summarizer(GatedSummarizer {
+                    inner: vqs_core::prelude::GreedySummarizer::with_optimized_pruning(),
+                    gate: Arc::clone(&gate),
+                })
+                .build(),
+        );
+        service
+            .register_dataset(TenantSpec::new("fe", dataset(3), config()))
+            .unwrap();
+        service
+            .tenant_store("fe")
+            .unwrap()
+            .remove(&crate::problem::Query::of("delay", &[("season", "Winter")]))
+            .expect("speech was stored");
+        *gate.closed.lock().unwrap() = true;
+        (service, gate)
+    }
+
+    /// Park the only serving worker inside a respond and return the
+    /// parked request's ticket once the worker is provably in the gate.
+    fn park_worker(frontend: &FrontEnd, gate: &Gate) -> ResponseTicket {
+        let before = gate.entered.load(Ordering::SeqCst);
+        let parked = frontend.submit(
+            ServiceRequest::new("fe", "delay in Winter?").with_budget(Duration::from_secs(60)),
+        );
+        gate.await_entered(before + 1);
+        parked
     }
 
     #[test]
@@ -1425,9 +1546,10 @@ mod tests {
         let ticket = frontend
             .submit_task(|_| panic!("injected task panic"))
             .unwrap();
-        // The ticket still completes, and the (only) worker keeps
-        // serving afterwards.
+        // The ticket still completes, the control thread runs the next
+        // job, and the serving worker keeps serving.
         ticket.wait();
+        frontend.submit_task(|_| {}).unwrap().wait();
         let response = frontend
             .submit(ServiceRequest::new("fe", "delay in Winter?"))
             .wait();
@@ -1458,8 +1580,8 @@ mod tests {
             Err(EngineError::Internal { what }) => assert!(what.contains("solver exploded")),
             other => panic!("expected a contained panic, got {other:?}"),
         }
-        // The worker survived; the (unregistered) tenant answers
-        // UnknownTenant through the queue.
+        // Nothing was registered: the tenant answers UnknownTenant
+        // through the queue.
         let response = frontend.submit(ServiceRequest::new("fe", "delay?")).wait();
         assert!(matches!(response.answer, Answer::UnknownTenant { .. }));
     }
@@ -1703,34 +1825,16 @@ mod tests {
 
     #[test]
     fn admission_sheds_the_oldest_expired_request_first() {
-        let service = service_with_tenant();
+        let (service, gate) = gated_service();
         let frontend = FrontEnd::builder(Arc::clone(&service))
             .workers(1)
             .queue_capacity(2)
             .tenant_share(8)
             .build();
-        // Hold the only worker in a gate task so admitted requests stay
-        // queued (background runs because nothing interactive is queued
-        // yet).
-        let gate = Arc::new((Mutex::new(true), Condvar::new()));
-        let entered = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let in_gate = {
-            let gate = Arc::clone(&gate);
-            let entered = Arc::clone(&entered);
-            frontend
-                .submit_task(move |_| {
-                    entered.store(true, Ordering::SeqCst);
-                    let (closed, released) = &*gate;
-                    let mut closed = closed.lock().unwrap();
-                    while *closed {
-                        closed = released.wait(closed).unwrap();
-                    }
-                })
-                .unwrap()
-        };
-        while !entered.load(Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
+        let _open = OpenOnDrop(Arc::clone(&gate));
+        // Hold the only worker inside a respond so admitted requests
+        // stay queued.
+        let parked = park_worker(&frontend, &gate);
         // Fill the queue: one instantly-expired request, one fresh one.
         let stale = frontend
             .submit(ServiceRequest::new("fe", "delay in Winter?").with_budget(Duration::ZERO));
@@ -1744,16 +1848,15 @@ mod tests {
         );
         assert!(stale.is_ready(), "expired entry not shed at admission");
         assert!(matches!(stale.wait().answer, Answer::Expired { .. }));
-        let (closed, released) = &*gate;
-        *closed.lock().unwrap() = false;
-        released.notify_all();
+        gate.open();
+        assert!(parked.wait().answer.is_speech());
         assert!(fresh.wait().answer.is_speech());
         assert!(newcomer.wait().answer.is_speech());
-        in_gate.wait();
+        // The parked request counts once in `submitted` and `completed`.
         let stats = frontend.stats();
-        assert_eq!(stats.submitted, 3);
+        assert_eq!(stats.submitted, 4);
         assert_eq!(stats.expired, 1);
-        assert_eq!(stats.completed, 2);
+        assert_eq!(stats.completed, 3);
         assert_eq!(stats.shed, 0);
     }
 
@@ -1812,40 +1915,19 @@ mod tests {
 
     #[test]
     fn wait_timeout_expires_and_then_resolves() {
-        let service = service_with_tenant();
+        let (service, gate) = gated_service();
         let frontend = FrontEnd::builder(Arc::clone(&service)).workers(1).build();
-        // A held gate task keeps the only worker busy. Wait until the
-        // worker actually entered it: an interactive request submitted
-        // earlier would (correctly) be served first.
-        let gate = Arc::new((Mutex::new(true), Condvar::new()));
-        let entered = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let in_gate = {
-            let gate = Arc::clone(&gate);
-            let entered = Arc::clone(&entered);
-            frontend
-                .submit_task(move |_| {
-                    entered.store(true, Ordering::SeqCst);
-                    let (closed, released) = &*gate;
-                    let mut closed = closed.lock().unwrap();
-                    while *closed {
-                        closed = released.wait(closed).unwrap();
-                    }
-                })
-                .unwrap()
-        };
-        while !entered.load(Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
-        let ticket = frontend.submit(ServiceRequest::new("fe", "delay in Winter?"));
+        let _open = OpenOnDrop(Arc::clone(&gate));
+        // A respond parked in the gate keeps the only worker busy.
+        let parked = park_worker(&frontend, &gate);
+        let ticket = frontend.submit(ServiceRequest::new("fe", "delay in Summer?"));
         assert!(ticket.wait_timeout(Duration::from_millis(20)).is_none());
-        let (closed, released) = &*gate;
-        *closed.lock().unwrap() = false;
-        released.notify_all();
+        gate.open();
         assert!(ticket
             .wait_timeout(Duration::from_secs(30))
             .unwrap()
             .answer
             .is_speech());
-        in_gate.wait();
+        assert!(parked.wait().answer.is_speech());
     }
 }

@@ -1,10 +1,13 @@
 //! Serving front-end behavior under load: deterministic shedding at the
-//! admission cap, per-tenant fairness under a hot-tenant flood, the
-//! interactive priority lane, the block policy, and graceful shutdown.
+//! admission cap, per-tenant fairness under a hot-tenant flood, serving
+//! that never waits on the control lane, the block policy, and graceful
+//! shutdown.
 //!
-//! The deterministic tests block the front-end's serving workers on
-//! *gates* (a background task, or a summarizer that parks solver jobs)
-//! so queue states are exact, not timing-dependent.
+//! The deterministic tests hold threads on *gates* — a summarizer that
+//! parks solves (a live solve inside a respond holds the serving worker,
+//! a registration or flush holds the control thread), or a background
+//! task that holds the control thread — and wait until the gate counts
+//! the entry, so queue states are exact, not timing-dependent.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -13,6 +16,7 @@ use std::time::Duration;
 use vqs_core::prelude::{GreedySummarizer, Problem, Summarizer, Summary};
 use vqs_data::{DimSpec, GeneratedDataset, SynthSpec, TargetSpec};
 use vqs_engine::prelude::*;
+use vqs_relalg::prelude::{Table, Value};
 
 const LONG_WAIT: Duration = Duration::from_secs(60);
 
@@ -33,8 +37,8 @@ fn config(name: &str) -> Configuration {
     Configuration::new(name, &["season", "region"], &["delay"])
 }
 
-/// A close/open gate; the serving worker parks inside whatever closure
-/// waits on it, giving tests exact control over queue states.
+/// A close/open gate; the thread that runs whatever closure waits on it
+/// parks there, giving tests exact control over queue states.
 struct TestGate {
     closed: Mutex<bool>,
     released: Condvar,
@@ -65,6 +69,11 @@ impl TestGate {
         self.released.notify_all();
     }
 
+    /// Close the gate again: the next solve or passer parks.
+    fn close(&self) {
+        *self.closed.lock().unwrap() = true;
+    }
+
     /// Spin until `n` passers are parked inside.
     fn await_entered(&self, n: usize) {
         while self.entered.load(Ordering::SeqCst) < n {
@@ -73,28 +82,97 @@ impl TestGate {
     }
 }
 
-/// Park the front-end's (only) worker on a gate via the control lane.
-fn block_worker(frontend: &FrontEnd, gate: &Arc<TestGate>) -> TaskTicket {
-    let passer = Arc::clone(gate);
-    let ticket = frontend
-        .submit_task(move |_| passer.pass())
-        .expect("gate task admitted");
-    gate.await_entered(1);
-    ticket
+/// Opens its gate when dropped, so a failing assert releases the parked
+/// thread instead of hanging in `FrontEnd::drop`. Declare it after the
+/// front-end: locals drop in reverse order.
+struct OpenOnDrop(Arc<TestGate>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
+/// A summarizer whose solves park on a gate while it is closed — makes
+/// "a solve is running right now" an exact, held state instead of a
+/// race.
+struct GatedSummarizer {
+    inner: GreedySummarizer,
+    gate: Arc<TestGate>,
+}
+
+impl Summarizer for GatedSummarizer {
+    fn name(&self) -> &'static str {
+        "gated"
+    }
+
+    fn summarize(&self, problem: &Problem<'_>) -> vqs_core::prelude::Result<Summary> {
+        if *self.gate.closed.lock().unwrap() {
+            self.gate.pass();
+        }
+        self.inner.summarize(problem)
+    }
+}
+
+/// The test tenant `name` with its fixed seed.
+fn tenant(name: &str) -> TenantSpec {
+    TenantSpec::new(name, dataset(name, 7), config(name))
+}
+
+/// A service over `gate`'s summarizer with `tenants` registered while
+/// the gate is open; the gate is closed again on return.
+fn gated_service(
+    gate: &Arc<TestGate>,
+    tenants: impl IntoIterator<Item = TenantSpec>,
+) -> Arc<VoiceService> {
+    let service = Arc::new(
+        ServiceBuilder::new()
+            .workers(1)
+            .summarizer(GatedSummarizer {
+                inner: GreedySummarizer::with_optimized_pruning(),
+                gate: Arc::clone(gate),
+            })
+            .build(),
+    );
+    gate.open();
+    for spec in tenants {
+        service.register_dataset(spec).unwrap();
+    }
+    gate.close();
+    service
+}
+
+/// Park the front-end's (only) serving worker inside a respond to
+/// `tenant`, on a service from [`gated_service`]. The tenant loses its
+/// stored (Winter, East) speech, so a request for it with a budget takes
+/// the degradation ladder's live solve, which runs the summarizer on
+/// the serving thread. Returns once the worker is provably in the gate,
+/// with the parked request's ticket.
+fn park_serving_worker(frontend: &FrontEnd, gate: &TestGate, tenant: &str) -> ResponseTicket {
+    let evicted = Query::of("delay", &[("season", "Winter"), ("region", "East")]);
+    frontend
+        .service()
+        .tenant_store(tenant)
+        .unwrap()
+        .remove(&evicted)
+        .expect("speech was stored");
+    let before = gate.entered.load(Ordering::SeqCst);
+    let parked = frontend
+        .submit(ServiceRequest::new(tenant, "delay in Winter in the East?").with_budget(LONG_WAIT));
+    gate.await_entered(before + 1);
+    parked
 }
 
 #[test]
 fn overload_sheds_deterministically_at_the_cap() {
-    let service = Arc::new(ServiceBuilder::new().workers(1).build());
-    service
-        .register_dataset(TenantSpec::new("svc", dataset("svc", 7), config("svc")))
-        .unwrap();
+    let gate = TestGate::new();
+    let service = gated_service(&gate, [tenant("svc")]);
     let frontend = FrontEnd::builder(Arc::clone(&service))
         .workers(1)
         .queue_capacity(3)
         .build();
-    let gate = TestGate::new();
-    let gate_ticket = block_worker(&frontend, &gate);
+    let _open = OpenOnDrop(Arc::clone(&gate));
+    let parked = park_serving_worker(&frontend, &gate, "svc");
 
     // Exactly `queue_capacity` requests are admitted...
     let admitted: Vec<ResponseTicket> = (0..3)
@@ -114,36 +192,36 @@ fn overload_sheds_deterministically_at_the_cap() {
     ));
     assert!(response.text().contains("too many requests"));
 
+    // The parked request counts once in `submitted` (and later in
+    // `completed`); it left the queue before the others arrived.
     let stats = frontend.stats();
-    assert_eq!(stats.submitted, 4);
+    assert_eq!(stats.submitted, 5);
     assert_eq!(stats.shed, 1);
     assert_eq!(stats.peak_queued, 3);
     assert_eq!(stats.shed_by_tenant, vec![("svc".to_string(), 1)]);
 
     // Opening the gate drains the admitted requests — none were lost.
     gate.open();
-    gate_ticket.wait();
+    assert!(parked.wait_timeout(LONG_WAIT).unwrap().answer.is_speech());
     for ticket in admitted {
         assert!(ticket.wait_timeout(LONG_WAIT).unwrap().answer.is_speech());
     }
-    assert_eq!(frontend.stats().completed, 3);
+    assert_eq!(frontend.stats().completed, 4);
 }
 
 #[test]
 fn hot_tenant_flood_cannot_starve_other_tenants() {
-    let service = Arc::new(ServiceBuilder::new().workers(1).build());
-    for name in ["hot", "cold"] {
-        service
-            .register_dataset(TenantSpec::new(name, dataset(name, 11), config(name)))
-            .unwrap();
-    }
+    let gate = TestGate::new();
+    let service = gated_service(&gate, [tenant("hot"), tenant("cold")]);
     let frontend = FrontEnd::builder(Arc::clone(&service))
         .workers(1)
         .queue_capacity(16)
         .tenant_share(2)
         .build();
-    let gate = TestGate::new();
-    let gate_ticket = block_worker(&frontend, &gate);
+    let _open = OpenOnDrop(Arc::clone(&gate));
+    // The parked request left the hot lane, so the tenant's full share
+    // is still free below.
+    let parked = park_serving_worker(&frontend, &gate, "hot");
 
     // The hot tenant floods: only its fair share is admitted, the rest
     // is shed even though the global queue has plenty of headroom.
@@ -163,7 +241,7 @@ fn hot_tenant_flood_cannot_starve_other_tenants() {
     );
 
     gate.open();
-    gate_ticket.wait();
+    assert!(parked.wait_timeout(LONG_WAIT).unwrap().answer.is_speech());
     for ticket in &cold {
         assert!(ticket.wait_timeout(LONG_WAIT).unwrap().answer.is_speech());
     }
@@ -182,56 +260,22 @@ fn hot_tenant_flood_cannot_starve_other_tenants() {
     assert_eq!(stats.shed_by_tenant, vec![("hot".to_string(), 4)]);
 }
 
-/// A summarizer whose solves park on a gate while it is closed — makes
-/// "a large registration is running right now" an exact, held state
-/// instead of a race.
-struct GatedSummarizer {
-    inner: GreedySummarizer,
-    gate: Arc<TestGate>,
-}
-
-impl Summarizer for GatedSummarizer {
-    fn name(&self) -> &'static str {
-        "gated"
-    }
-
-    fn summarize(&self, problem: &Problem<'_>) -> vqs_core::prelude::Result<Summary> {
-        if *self.gate.closed.lock().unwrap() {
-            self.gate.pass();
-        }
-        self.inner.summarize(problem)
-    }
-}
-
 #[test]
 fn a_held_registration_cannot_delay_concurrent_responds() {
     let gate = TestGate::new();
-    let service = Arc::new(
-        ServiceBuilder::new()
-            .workers(1)
-            .summarizer(GatedSummarizer {
-                inner: GreedySummarizer::with_optimized_pruning(),
-                gate: Arc::clone(&gate),
-            })
-            .build(),
-    );
-    // Setup registration passes through the open gate.
-    gate.open();
-    service
-        .register_dataset(TenantSpec::new("live", dataset("live", 3), config("live")))
-        .unwrap();
+    let service = gated_service(&gate, [tenant("live")]);
 
-    // Re-close the gate: the background registration submitted next
-    // parks one serving worker inside the solver.
-    *gate.closed.lock().unwrap() = true;
+    // The gate is closed: the background registration submitted next
+    // parks inside the solver.
     let before = gate.entered.load(Ordering::SeqCst);
-    let frontend = FrontEnd::builder(Arc::clone(&service)).workers(2).build();
+    let frontend = FrontEnd::builder(Arc::clone(&service)).workers(1).build();
+    let _open = OpenOnDrop(Arc::clone(&gate));
     let register =
         frontend.submit_register(TenantSpec::new("bulk", dataset("bulk", 5), config("bulk")));
     gate.await_entered(before + 1);
 
     // While the registration is provably still held, interactive
-    // traffic flows through the second worker.
+    // traffic flows through the only serving worker.
     for _ in 0..5 {
         let ticket = frontend.submit(ServiceRequest::new("live", "delay in Winter?"));
         let response = ticket.wait_timeout(LONG_WAIT).expect("respond served");
@@ -253,63 +297,137 @@ fn a_held_registration_cannot_delay_concurrent_responds() {
 }
 
 #[test]
+fn a_held_flush_cannot_delay_responds() {
+    let gate = TestGate::new();
+    let mut data = dataset("live", 7);
+    let service = gated_service(
+        &gate,
+        [TenantSpec::new("live", data.clone(), config("live"))
+            .ingest(IngestBuilder::new().max_dirty(1))],
+    );
+    let frontend = FrontEnd::builder(Arc::clone(&service))
+        .workers(1)
+        .no_flush_tick()
+        .build();
+    let _open = OpenOnDrop(Arc::clone(&gate));
+
+    // One dimension flip: with `max_dirty(1)` the call that accepts it
+    // flushes inline, and the flush's first re-solve parks in the gate.
+    let mut row = data.table.iter_rows().next().expect("a row");
+    row[0] = Value::str(if row[0].as_str() == Some("Winter") {
+        "Summer"
+    } else {
+        "Winter"
+    });
+    let before = gate.entered.load(Ordering::SeqCst);
+    let ingest = frontend.submit_ingest(
+        "live",
+        vec![RowDelta::Update {
+            row: 0,
+            values: row.clone(),
+        }],
+    );
+    gate.await_entered(before + 1);
+
+    // While the flush is provably still held, the only serving worker
+    // answers from the store.
+    for _ in 0..5 {
+        let response = frontend
+            .submit(ServiceRequest::new("live", "delay in Winter?"))
+            .wait_timeout(LONG_WAIT)
+            .expect("respond served while the flush is held");
+        assert!(response.answer.is_speech());
+    }
+    assert!(
+        !ingest.is_ready(),
+        "the flush is still gated, yet responds completed"
+    );
+
+    gate.open();
+    let report = ingest
+        .wait_timeout(LONG_WAIT)
+        .unwrap()
+        .expect("the batch is accepted");
+    assert!(report.flush.is_some(), "the batch flushes inline");
+    service.drain_ingest("live").unwrap();
+
+    // The drained store equals a cold registration of the updated table.
+    let mut rows: Vec<Vec<Value>> = data.table.iter_rows().collect();
+    rows[0] = row;
+    data.table = Table::from_rows(data.table.schema().clone(), rows).unwrap();
+    let cold = ServiceBuilder::new().workers(1).build();
+    cold.register_dataset(TenantSpec::new("live", data, config("live")))
+        .unwrap();
+    assert_eq!(
+        service.tenant_store("live").unwrap().snapshot(),
+        cold.tenant_store("live").unwrap().snapshot()
+    );
+}
+
+/// Hold the control thread on `gate` with a background task; returns
+/// once the thread is provably in the gate.
+fn park_control_thread(frontend: &FrontEnd, gate: &Arc<TestGate>) -> TaskTicket {
+    let passer = Arc::clone(gate);
+    let before = gate.entered.load(Ordering::SeqCst);
+    let ticket = frontend
+        .submit_task(move |_| passer.pass())
+        .expect("gate task admitted");
+    gate.await_entered(before + 1);
+    ticket
+}
+
+#[test]
 fn interactive_lane_drains_before_queued_background_work() {
     let service = Arc::new(ServiceBuilder::new().workers(1).build());
-    service
-        .register_dataset(TenantSpec::new("svc", dataset("svc", 7), config("svc")))
-        .unwrap();
+    service.register_dataset(tenant("svc")).unwrap();
     let frontend = FrontEnd::builder(Arc::clone(&service))
         .workers(1)
         .queue_capacity(16)
         .build();
     let gate = TestGate::new();
-    let gate_ticket = block_worker(&frontend, &gate);
+    let _open = OpenOnDrop(Arc::clone(&gate));
+    let gate_ticket = park_control_thread(&frontend, &gate);
 
-    // Queue background work FIRST, then a probe task, then interactive
-    // requests. The single worker drains FIFO within the control lane
-    // (refresh, then probe), so when the probe runs, the refresh is
-    // done; the probe records whether the *later-submitted* interactive
-    // requests were already served before the control lane resumed —
-    // exactly the priority-lane guarantee. Under FIFO-without-priority
-    // the probe would run before any interactive request.
+    // Queue background work FIRST — a refresh, then a probe task that
+    // records whether the refresh had completed when the probe ran —
+    // and interactive requests after it. With the control thread held,
+    // the only serving worker answers every interactive request while
+    // both control jobs are still queued.
     let refresh = frontend.submit_refresh("svc", dataset("svc", 7), vec![0, 1, 2]);
-    let responds: Arc<Mutex<Vec<ResponseTicket>>> = Arc::new(Mutex::new(Vec::new()));
-    let responds_served_first = Arc::new(AtomicBool::new(false));
+    let refresh_ran_first = Arc::new(AtomicBool::new(false));
     let probe = {
-        let responds = Arc::clone(&responds);
-        let flag = Arc::clone(&responds_served_first);
+        let refresh = refresh.clone();
+        let flag = Arc::clone(&refresh_ran_first);
         frontend
-            .submit_task(move |_| {
-                let responds = responds.lock().unwrap();
-                let all_served = !responds.is_empty() && responds.iter().all(Ticket::is_ready);
-                flag.store(all_served, Ordering::SeqCst);
-            })
+            .submit_task(move |_| flag.store(refresh.is_ready(), Ordering::SeqCst))
             .unwrap()
     };
-    {
-        let mut queue = responds.lock().unwrap();
-        for _ in 0..4 {
-            queue.push(frontend.submit(ServiceRequest::new("svc", "delay in Winter?")));
-        }
+    let responds: Vec<ResponseTicket> = (0..4)
+        .map(|_| frontend.submit(ServiceRequest::new("svc", "delay in Winter?")))
+        .collect();
+    for ticket in &responds {
+        let response = ticket
+            .wait_timeout(LONG_WAIT)
+            .expect("respond served while the control thread is held");
+        assert!(response.answer.is_speech());
     }
-    assert_eq!(frontend.queue_depths(), (4, 2));
+    assert!(!gate_ticket.is_ready());
+    assert_eq!(frontend.queue_depths(), (0, 2));
 
+    // The control lane runs FIFO: the refresh, then the probe.
     gate.open();
-    gate_ticket.wait();
     probe.wait_timeout(LONG_WAIT).unwrap();
     assert!(
-        responds_served_first.load(Ordering::SeqCst),
-        "interactive requests must be served before queued background work"
+        refresh_ran_first.load(Ordering::SeqCst),
+        "the control lane must run its jobs in submission order"
     );
     assert!(refresh.wait().is_ok());
 }
 
 #[test]
 fn block_policy_parks_submitters_instead_of_shedding() {
-    let service = Arc::new(ServiceBuilder::new().workers(1).build());
-    service
-        .register_dataset(TenantSpec::new("svc", dataset("svc", 7), config("svc")))
-        .unwrap();
+    let gate = TestGate::new();
+    let service = gated_service(&gate, [tenant("svc")]);
     let frontend = Arc::new(
         FrontEnd::builder(Arc::clone(&service))
             .workers(1)
@@ -321,8 +439,8 @@ fn block_policy_parks_submitters_instead_of_shedding() {
             .policy(OverloadPolicy::Block)
             .build(),
     );
-    let gate = TestGate::new();
-    let gate_ticket = block_worker(&frontend, &gate);
+    let _open = OpenOnDrop(Arc::clone(&gate));
+    let parked = park_serving_worker(&frontend, &gate, "svc");
 
     let first = frontend.submit(ServiceRequest::new("svc", "delay in Winter?"));
     // The queue is now full; a second submitter blocks instead of
@@ -341,13 +459,14 @@ fn block_policy_parks_submitters_instead_of_shedding() {
     assert!(!first.is_ready());
 
     gate.open();
-    gate_ticket.wait();
+    assert!(parked.wait_timeout(LONG_WAIT).unwrap().answer.is_speech());
     let second = submitter.join().unwrap();
     assert!(second.answer.is_speech());
     assert!(first.wait_timeout(LONG_WAIT).unwrap().answer.is_speech());
+    // The parked request completed too.
     let stats = frontend.stats();
     assert_eq!(stats.shed, 0);
-    assert_eq!(stats.completed, 2);
+    assert_eq!(stats.completed, 3);
     assert!(stats.blocked >= 1);
 }
 

@@ -40,9 +40,9 @@ fn main() -> Result<()> {
         frontend.workers()
     );
 
-    // A second tenant registers in the BACKGROUND: the control lane
-    // only runs when no interactive request is queued, and its solver
-    // batches take the pool's bulk lane.
+    // A second tenant registers in the BACKGROUND: the front-end's
+    // control thread runs it while the serving workers keep answering,
+    // and its solver batches take the pool's bulk lane.
     let acs = vqs_data::acs_spec().generate(vqs_data::DEFAULT_SEED, 0.05);
     let dims: Vec<String> = acs.dims.clone();
     let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
