@@ -14,11 +14,13 @@
 //! index before they touch the store, which makes the output (and the
 //! merged [`Instrumentation`] totals) independent of the worker count.
 //!
-//! `refresh_with` (driving [`crate::service::VoiceService::refresh_tenant`])
-//! is the delta path for streaming updates: it recomputes
-//! only the queries whose data subset changed, keeps every other stored
-//! speech pointer-stable, and drops queries whose value combination
-//! disappeared from the data.
+//! `resummarize_with` brings a store up to date with changed data: it
+//! recomputes only the queries whose data subset changed, keeps every
+//! other stored speech pointer-stable, and drops queries whose value
+//! combination disappeared from the data. The batch refresh
+//! ([`crate::service::VoiceService::refresh_tenant`], through
+//! `refresh_with`) selects those queries by changed rows, and the
+//! streaming ingest flush by the dirty keys of its delta log.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -119,8 +121,8 @@ pub fn target_relation(
     table_relation(&dataset.table, config, target)
 }
 
-/// [`target_relation`] over a bare table (the respond path's live tier
-/// holds a projected [`Table`], not the original dataset).
+/// [`target_relation`] over a bare table (a tenant holds its data as a
+/// projected [`Table`], not as the original dataset).
 pub(crate) fn table_relation(
     table: &Table,
     config: &Configuration,
@@ -146,7 +148,8 @@ fn retarget(relation: &EncodedRelation, table: &Table, target: &str) -> Result<E
     with_mean_prior(relation.retargeted(table, target, Prior::Constant(0.0))?)
 }
 
-fn require_column(table: &Table, column: &str) -> Result<()> {
+/// [`EngineError::MissingColumn`] unless `table` has `column`.
+pub(crate) fn require_column(table: &Table, column: &str) -> Result<()> {
     match table.schema().index_of(column) {
         Ok(_) => Ok(()),
         Err(_) => Err(EngineError::MissingColumn {
@@ -408,7 +411,7 @@ struct Plans {
 /// own target column and a re-targeted copy of the first target's work
 /// items.
 fn build_plans(
-    dataset: &GeneratedDataset,
+    table: &Table,
     config: &Configuration,
     templates: &FxHashMap<String, SpeechTemplate>,
 ) -> Result<Plans> {
@@ -417,12 +420,12 @@ fn build_plans(
         .targets
         .split_first()
         .expect("a valid configuration has a target");
-    let relation = target_relation(dataset, config, first)?;
+    let relation = table_relation(table, config, first)?;
     let cells = target_cells(&relation);
     let items = enumerate_queries(&relation, config, first);
     let mut targets = vec![target_plan(first, relation, items, templates)];
     for target in rest {
-        let relation = retarget(&targets[0].relation, &dataset.table, target)?;
+        let relation = retarget(&targets[0].relation, table, target)?;
         let items = targets[0]
             .items
             .iter()
@@ -544,7 +547,7 @@ fn run_jobs<S: Summarizer + Sync + ?Sized>(
 /// [`crate::service::VoiceService::register_dataset`]. Targets without
 /// an entry in `templates` use [`SpeechTemplate::plain`].
 pub(crate) fn preprocess_with<S: Summarizer + Sync + ?Sized>(
-    dataset: &GeneratedDataset,
+    table: &Table,
     config: &Configuration,
     summarizer: &S,
     templates: &FxHashMap<String, SpeechTemplate>,
@@ -552,7 +555,7 @@ pub(crate) fn preprocess_with<S: Summarizer + Sync + ?Sized>(
     priority: ScatterPriority,
 ) -> Result<(SpeechStore, PreprocessReport)> {
     let start = Instant::now();
-    let plans = build_plans(dataset, config, templates)?;
+    let plans = build_plans(table, config, templates)?;
     let plan_time = start.elapsed();
     let jobs: Vec<(usize, usize)> = plans
         .targets
@@ -588,7 +591,7 @@ pub(crate) fn preprocess_with<S: Summarizer + Sync + ?Sized>(
 }
 
 /// Delta re-summarization on `pool`: bring `store` up to date with
-/// `dataset` after the rows in `changed_rows` were mutated, recomputing
+/// `table` after the rows in `changed_rows` were mutated, recomputing
 /// only the queries whose data subset actually changed.
 ///
 /// A query is recomputed when any of these hold:
@@ -612,7 +615,7 @@ pub(crate) fn preprocess_with<S: Summarizer + Sync + ?Sized>(
 /// [`resummarize_with`] selecting queries by changed row membership.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn refresh_with<S: Summarizer + Sync + ?Sized>(
-    dataset: &GeneratedDataset,
+    table: &Table,
     config: &Configuration,
     summarizer: &S,
     templates: &FxHashMap<String, SpeechTemplate>,
@@ -622,7 +625,7 @@ pub(crate) fn refresh_with<S: Summarizer + Sync + ?Sized>(
     priority: ScatterPriority,
 ) -> Result<RefreshReport> {
     resummarize_with(
-        dataset,
+        table,
         config,
         summarizer,
         templates,
@@ -662,14 +665,14 @@ pub(crate) enum Invalidation<'a> {
 }
 
 /// The shared re-summarization core: bring `store` up to date with
-/// `dataset`, recomputing only the queries `invalidation` marks dirty
+/// `table`, recomputing only the queries `invalidation` marks dirty
 /// (plus the safety-net cases below), removing stored queries whose
 /// value combination vanished, and leaving every other entry
 /// `Arc`-pointer-stable. The store is only mutated after *every* dirty
 /// query solved, so a failed pass leaves it untouched.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
-    dataset: &GeneratedDataset,
+    table: &Table,
     config: &Configuration,
     summarizer: &S,
     templates: &FxHashMap<String, SpeechTemplate>,
@@ -679,7 +682,7 @@ pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
     priority: ScatterPriority,
 ) -> Result<RefreshReport> {
     let start = Instant::now();
-    let plans = build_plans(dataset, config, templates)?;
+    let plans = build_plans(table, config, templates)?;
     let plan_time = start.elapsed();
 
     let mut queries = 0usize;
@@ -794,7 +797,7 @@ mod tests {
         pool: &SolverPool,
     ) -> Result<(SpeechStore, PreprocessReport)> {
         preprocess_with(
-            dataset,
+            &dataset.table,
             config,
             summarizer,
             &FxHashMap::default(),
@@ -813,7 +816,7 @@ mod tests {
         changed_rows: &[usize],
     ) -> Result<RefreshReport> {
         refresh_with(
-            dataset,
+            &dataset.table,
             config,
             summarizer,
             &FxHashMap::default(),
@@ -875,7 +878,7 @@ mod tests {
     fn plans_share_cells_and_queries_across_targets() {
         let data = tiny_dataset();
         let cfg = config();
-        let plans = build_plans(&data, &cfg, &FxHashMap::default()).unwrap();
+        let plans = build_plans(&data.table, &cfg, &FxHashMap::default()).unwrap();
         assert_eq!(plans.targets.len(), 2);
         let listed = |items: &[WorkItem]| -> Vec<(Query, Vec<usize>)> {
             items

@@ -10,16 +10,22 @@
 //!    [`crate::service::FrontEnd::submit_ingest`], which rides the
 //!    serving front-end's background control lane). Every accepted delta
 //!    is stamped with a monotonically increasing per-tenant sequence
-//!    number and applied to the tenant's materialized table.
+//!    number and patched into the tenant's live projection: the
+//!    configured dimensions, then the targets, then the extremum column,
+//!    the one copy of its data a tenant keeps. The log shares that table
+//!    with the runtime until the first delta after a flush copies it, and
+//!    a flush publishes the patched table as the new live one.
 //! 2. **Invalidation circuit** — each delta is mapped through the same
 //!    dimension-subset definitions the offline enumerator uses
 //!    (`vqs_core::delta`) to the exact set of `(query-subset, target)`
 //!    summaries it can invalidate, instead of re-diffing the dataset. A
 //!    dimension change dirties the row's old and new value combinations
 //!    for every target; a target-value change dirties only that target's
-//!    combinations. The §III constant prior (the global target mean) is
-//!    compared bit-for-bit at flush time, so any drift invalidates that
-//!    target wholesale — exactly the batch-refresh rule.
+//!    combinations. Values are read from the table's cells, so they are
+//!    spelled as the relation encoder spells them. The §III constant
+//!    prior (the global target mean) is compared bit-for-bit at flush
+//!    time, so any drift invalidates that target wholesale — exactly the
+//!    batch-refresh rule.
 //! 3. **Debounced re-summarizer** — invalidations coalesce per query
 //!    subset in a dirty set; the log is flushed through
 //!    `generator::resummarize_with` on the shared solver pool's Bulk
@@ -35,11 +41,11 @@
 //! shared invalidation/re-solve core.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use vqs_core::prelude::{masked_combo, subset_masks};
-use vqs_data::GeneratedDataset;
 use vqs_relalg::hash::{FxHashMap, FxHashSet};
 use vqs_relalg::prelude::{Schema, Table, Value};
 
@@ -50,9 +56,11 @@ use crate::generator::DirtyKey;
 /// One row-level change to a tenant's data, interpreted against the
 /// table state produced by all previously accepted deltas.
 ///
-/// Rows are full tuples in the registered dataset's column order.
-/// Indexes address the *current* materialized table: a `Delete` shifts
-/// every subsequent row down by one, exactly like `Vec::remove`.
+/// Rows are full tuples in the column order of the dataset most recently
+/// registered or refreshed: a refresh may hand in its columns in another
+/// order, and later tuples follow that order. Indexes address the
+/// *current* table: a `Delete` shifts every subsequent row down by one,
+/// exactly like `Vec::remove`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RowDelta {
     /// Append a new row.
@@ -214,33 +222,23 @@ pub(crate) struct IngestState {
 }
 
 impl IngestState {
-    /// Materialize `dataset` as the tenant's mutable table and wire the
-    /// invalidation circuit over `config`'s dimensions.
+    /// Wire the invalidation circuit over `config`'s dimensions and
+    /// targets around `table`, the tenant's live projection of a dataset
+    /// with `schema`. The log shares `table` with the runtime until the
+    /// first accepted delta copies it.
     pub(crate) fn new(
         options: IngestBuilder,
-        dataset: &GeneratedDataset,
+        schema: &Schema,
+        table: Arc<Table>,
         config: &Configuration,
-    ) -> Result<IngestState> {
-        let schema = dataset.table.schema().clone();
-        let mut dim_cols = Vec::with_capacity(config.dimensions.len());
-        for dim in &config.dimensions {
-            dim_cols.push(schema.index_of(dim)?);
-        }
-        let mut target_cols = Vec::with_capacity(config.targets.len());
-        for target in &config.targets {
-            target_cols.push(schema.index_of(target)?);
-        }
+    ) -> IngestState {
         let now = Instant::now();
         let inner = IngestInner {
-            name: dataset.name.clone(),
-            dataset_dims: dataset.dims.clone(),
-            dataset_targets: dataset.targets.clone(),
             dims: config.dimensions.clone(),
             targets: config.targets.clone(),
-            dim_cols,
-            target_cols,
-            schema,
-            rows: dataset.table.iter_rows().collect(),
+            columns: tuple_columns(schema, &table),
+            schema: schema.clone(),
+            table,
             masks: subset_masks(config.dimensions.len(), config.max_query_length),
             dirty_all: FxHashSet::default(),
             dirty_by_target: FxHashMap::default(),
@@ -250,11 +248,11 @@ impl IngestState {
             last_flush: now,
             hold_until: now,
         };
-        Ok(IngestState {
+        IngestState {
             options,
             inner: Mutex::new(inner),
             counters: IngestCounters::default(),
-        })
+        }
     }
 
     /// Whether the debounce window of an *automatic* flush is open:
@@ -273,22 +271,26 @@ impl IngestState {
     }
 }
 
-/// The locked half of [`IngestState`]: the materialized table, the
-/// pending seqno window, and the coalesced dirty sets.
+/// The locked half of [`IngestState`]: the tenant's table with every
+/// accepted delta applied, the pending seqno window, and the coalesced
+/// dirty sets.
 #[derive(Debug)]
 pub(crate) struct IngestInner {
-    name: String,
-    dataset_dims: Vec<String>,
-    dataset_targets: Vec<String>,
-    /// The configured predicate dimensions, in configuration order —
-    /// the circuit's dimension indexing.
+    /// The configured predicate dimensions, in configuration order — the
+    /// circuit's dimension indexing, and the first columns of `table`.
     dims: Vec<String>,
+    /// The configured targets: the columns of `table` after the
+    /// dimensions.
     targets: Vec<String>,
-    dim_cols: Vec<usize>,
-    target_cols: Vec<usize>,
+    /// The columns delta tuples follow: those of the dataset most
+    /// recently registered or refreshed.
     schema: Schema,
-    /// The materialized table: every accepted delta already applied.
-    rows: Vec<Vec<Value>>,
+    /// For every column of `table`, its position in a delta tuple.
+    columns: Vec<usize>,
+    /// The tenant's live projection with every accepted delta applied.
+    /// It is shared with the runtime until the first delta after a flush
+    /// copies it, and patched in place from then on.
+    table: Arc<Table>,
     /// Admissible dimension-subset masks (shared with the enumerator).
     masks: Vec<u32>,
     /// Value combinations dirtied for every target, as normalized
@@ -308,24 +310,27 @@ pub(crate) struct IngestInner {
 
 impl IngestInner {
     /// Validate a whole batch against the running row count, *then*
-    /// apply every delta to the materialized table and fold its dirty
-    /// keys into the coalesced sets. Validation is separated so a bad
-    /// delta rejects the batch before any of it is applied. Returns the
-    /// `(first, last)` sequence numbers stamped on the batch.
+    /// apply every delta to the table and fold its dirty keys into the
+    /// coalesced sets. Validation is separated so a bad delta rejects the
+    /// batch before any of it is applied. Returns the `(first, last)`
+    /// sequence numbers stamped on the batch.
     pub(crate) fn accept(&mut self, deltas: &[RowDelta]) -> Result<(u64, u64)> {
-        let mut count = self.rows.len();
+        let mut count = self.table.len();
         for (offset, delta) in deltas.iter().enumerate() {
+            let invalid = |detail: String| EngineError::InvalidDelta {
+                detail: format!("delta #{offset}: {detail}"),
+            };
             match delta {
                 RowDelta::Insert(values) => {
-                    self.validate_row(values, offset)?;
+                    self.validate_row(values).map_err(invalid)?;
                     count += 1;
                 }
                 RowDelta::Update { row, values } => {
-                    self.validate_index(*row, count, offset)?;
-                    self.validate_row(values, offset)?;
+                    check_index(*row, count).map_err(invalid)?;
+                    self.validate_row(values).map_err(invalid)?;
                 }
                 RowDelta::Delete { row } => {
-                    self.validate_index(*row, count, offset)?;
+                    check_index(*row, count).map_err(invalid)?;
                     count -= 1;
                 }
             }
@@ -339,78 +344,49 @@ impl IngestInner {
         Ok((first, self.accepted))
     }
 
-    /// Arity, nullability, and column-type checks mirroring
-    /// [`Table::push_row`], plus the circuit's own requirements: no NULL
-    /// dimensions, numeric non-NULL targets (the relation encoder would
-    /// reject them later, after acceptance — too late).
-    fn validate_row(&self, values: &[Value], offset: usize) -> Result<()> {
-        if values.len() != self.schema.len() {
-            return Err(EngineError::InvalidDelta {
-                detail: format!(
-                    "delta #{offset}: row arity {} does not match schema arity {}",
-                    values.len(),
-                    self.schema.len()
-                ),
-            });
-        }
-        for (value, field) in values.iter().zip(self.schema.fields()) {
-            if value.is_null() && !field.nullable {
-                return Err(EngineError::InvalidDelta {
-                    detail: format!(
-                        "delta #{offset}: NULL in non-nullable column '{}'",
-                        field.name
-                    ),
-                });
-            }
-            if !value.fits(field.ty) {
-                return Err(EngineError::InvalidDelta {
-                    detail: format!(
-                        "delta #{offset}: {} value does not fit column '{}'",
-                        value.type_name(),
-                        field.name
-                    ),
-                });
-            }
-        }
-        for (&col, dim) in self.dim_cols.iter().zip(&self.dims) {
+    /// The row check every table write makes, against the columns the
+    /// tuple follows, plus the circuit's own requirements: no NULL
+    /// dimensions and numeric targets (the relation encoder would reject
+    /// them later, after acceptance — too late).
+    fn validate_row(&self, values: &[Value]) -> std::result::Result<(), String> {
+        self.schema
+            .check_row(values)
+            .map_err(|error| error.to_string())?;
+        let (dim_cols, rest) = self.columns.split_at(self.dims.len());
+        for (dim, &col) in self.dims.iter().zip(dim_cols) {
             if values[col].is_null() {
-                return Err(EngineError::InvalidDelta {
-                    detail: format!("delta #{offset}: NULL dimension value in '{dim}'"),
-                });
+                return Err(format!("NULL dimension value in '{dim}'"));
             }
         }
-        for (&col, target) in self.target_cols.iter().zip(&self.targets) {
+        for (target, &col) in self.targets.iter().zip(rest) {
             if values[col].as_f64().is_none() {
-                return Err(EngineError::InvalidDelta {
-                    detail: format!("delta #{offset}: non-numeric target value in '{target}'"),
-                });
+                return Err(format!("non-numeric target value in '{target}'"));
             }
         }
         Ok(())
     }
 
-    fn validate_index(&self, row: usize, count: usize, offset: usize) -> Result<()> {
-        if row >= count {
-            return Err(EngineError::InvalidDelta {
-                detail: format!("delta #{offset}: row index {row} out of bounds ({count} rows)"),
-            });
-        }
-        Ok(())
-    }
-
-    /// Apply one validated delta and mark the dirty keys it produces.
+    /// Apply one validated delta and mark the dirty keys it produces. Keys
+    /// are read from the table's cells, before the write for the row's
+    /// old values and after it for its new ones, so they are spelled as
+    /// the relation encoder spells the stored values.
     fn apply(&mut self, delta: &RowDelta) {
+        const VALIDATED: &str = "every delta is validated before the batch applies";
         match delta {
             RowDelta::Insert(values) => {
                 // Membership of every subset containing the new row
                 // changes (and the prior drifts anyway).
-                let dims = self.dim_values(values);
-                self.mark_all(&dims);
-                self.rows.push(values.clone());
+                let values = self.project(values);
+                self.table_mut().push_row(values).expect(VALIDATED);
+                let new = self.table.row(self.table.len() - 1);
+                self.mark_all(&self.dim_values(&new));
             }
             RowDelta::Update { row, values } => {
-                let old_dims = self.dim_values(&self.rows[*row]);
-                let new_dims = self.dim_values(values);
+                let old = self.table.row(*row);
+                let values = self.project(values);
+                self.table_mut().set_row(*row, values).expect(VALIDATED);
+                let new = self.table.row(*row);
+                let (old_dims, new_dims) = (self.dim_values(&old), self.dim_values(&new));
                 if old_dims != new_dims {
                     // The row moved between subsets: both its old and
                     // new combinations change content, for every target
@@ -421,39 +397,45 @@ impl IngestInner {
                 } else {
                     // Same subsets; only targets whose value changed
                     // have summaries with changed content.
-                    let changed: Vec<String> = self
-                        .target_cols
-                        .iter()
-                        .zip(&self.targets)
-                        .filter(|&(&col, _)| self.rows[*row][col] != values[col])
-                        .map(|(_, target)| target.clone())
-                        .collect();
-                    for target in changed {
-                        self.mark_target(&target, &old_dims);
+                    let targets = self.dims.len()..self.dims.len() + self.targets.len();
+                    let cells = old[targets.clone()].iter().zip(&new[targets]);
+                    for (target, (old, new)) in cells.enumerate() {
+                        if old != new {
+                            self.mark_target(target, &old_dims);
+                        }
                     }
                 }
-                self.rows[*row] = values.clone();
             }
             RowDelta::Delete { row } => {
-                let old = self.rows.remove(*row);
-                let dims = self.dim_values(&old);
-                self.mark_all(&dims);
+                let old = self.table.row(*row);
+                self.mark_all(&self.dim_values(&old));
+                self.table_mut().remove_row(*row).expect(VALIDATED);
             }
         }
     }
 
-    /// The row's value on every circuit dimension, stringified exactly
-    /// as the relation encoder does (so dirty keys compare equal to
-    /// enumerated predicates). NULLs cannot occur here: inserts are
-    /// validated and the registered table already passed the encoder.
-    fn dim_values(&self, values: &[Value]) -> Vec<String> {
-        self.dim_cols
+    /// The table, copied first if the runtime still shares it.
+    fn table_mut(&mut self) -> &mut Table {
+        Arc::make_mut(&mut self.table)
+    }
+
+    /// A delta tuple's values in the table's column order.
+    fn project(&self, values: &[Value]) -> Vec<Value> {
+        self.columns
             .iter()
-            .map(|&col| match &values[col] {
-                Value::Str(s) => s.to_string(),
-                Value::Null => unreachable!("materialized rows have non-NULL dimensions"),
-                other => other.to_string(),
-            })
+            .map(|&col| values[col].clone())
+            .collect()
+    }
+
+    /// A row's cells on every circuit dimension (the table's first
+    /// columns), spelled as the relation encoder spells them, so dirty
+    /// keys compare equal to enumerated predicates. The table holds no
+    /// NULL dimension: deltas are validated and the registered table
+    /// already passed the encoder.
+    fn dim_values(&self, row: &[Value]) -> Vec<String> {
+        row[..self.dims.len()]
+            .iter()
+            .map(Value::to_string)
             .collect()
     }
 
@@ -466,15 +448,15 @@ impl IngestInner {
         }
     }
 
-    /// Mark every admissible combination of `dim_values` dirty for one
-    /// target.
-    fn mark_target(&mut self, target: &str, dim_values: &[String]) {
+    /// Mark every admissible combination of `dim_values` dirty for the
+    /// `target`-th target.
+    fn mark_target(&mut self, target: usize, dim_values: &[String]) {
         let mut keys = Vec::with_capacity(self.masks.len());
         for &mask in &self.masks {
             keys.push(self.combo_key(dim_values, mask));
         }
         self.dirty_by_target
-            .entry(target.to_string())
+            .entry(self.targets[target].clone())
             .or_default()
             .extend(keys);
     }
@@ -491,16 +473,10 @@ impl IngestInner {
         key
     }
 
-    /// Materialize the current table as a dataset for the re-summarizer
-    /// (and the runtime rebuild).
-    pub(crate) fn dataset(&self) -> Result<GeneratedDataset> {
-        let table = Table::from_rows(self.schema.clone(), self.rows.iter().cloned())?;
-        Ok(GeneratedDataset {
-            name: self.name.clone(),
-            table,
-            dims: self.dataset_dims.clone(),
-            targets: self.dataset_targets.clone(),
-        })
+    /// The table with every accepted delta applied: what a flush solves
+    /// over and publishes as the tenant's live table.
+    pub(crate) fn table(&self) -> &Arc<Table> {
+        &self.table
     }
 
     /// The coalesced dirty sets, for `generator::Invalidation::DirtyKeys`.
@@ -529,24 +505,41 @@ impl IngestInner {
         };
     }
 
-    /// The caller handed an authoritative full dataset (a batch
-    /// `refresh`): it replaces the materialized table, and everything
-    /// pending is considered applied by that refresh.
-    pub(crate) fn reset_from(&mut self, dataset: &GeneratedDataset) {
-        self.rows = dataset.table.iter_rows().collect();
-        self.schema = dataset.table.schema().clone();
-        self.name = dataset.name.clone();
-        self.dataset_dims = dataset.dims.clone();
-        self.dataset_targets = dataset.targets.clone();
+    /// The caller handed an authoritative full dataset with `schema` (a
+    /// batch `refresh`), projected to `table`: it replaces the log's
+    /// table, later delta tuples follow `schema`, and everything pending
+    /// is considered applied by that refresh.
+    pub(crate) fn reset_from(&mut self, schema: &Schema, table: Arc<Table>) {
+        self.columns = tuple_columns(schema, &table);
+        self.schema = schema.clone();
+        self.table = table;
         self.drained(0, 0);
     }
+}
+
+/// For every column of the live `table`, its position in a delta tuple
+/// whose columns follow `schema`. Registration and every full refresh
+/// build the mapping here, from the dataset they project `table` from, so
+/// every column is found.
+fn tuple_columns(schema: &Schema, table: &Table) -> Vec<usize> {
+    let position = |name| schema.index_of(name).expect("projected from this schema");
+    table.schema().names().map(position).collect()
+}
+
+fn check_index(row: usize, count: usize) -> std::result::Result<(), String> {
+    if row < count {
+        return Ok(());
+    }
+    Err(format!("row index {row} out of bounds ({count} rows)"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn state() -> IngestState {
+    /// A tenant table whose dataset columns already are the live
+    /// projection's (season, region, delay), and a log sharing it.
+    fn state() -> (Arc<Table>, IngestState) {
         use vqs_data::{DimSpec, SynthSpec, TargetSpec};
         let dataset = SynthSpec {
             name: "ingest".to_string(),
@@ -559,7 +552,14 @@ mod tests {
         }
         .generate(11, 1.0);
         let config = Configuration::new("ingest", &["season", "region"], &["delay"]);
-        IngestState::new(IngestBuilder::new(), &dataset, &config).unwrap()
+        let table = Arc::new(dataset.table);
+        let state = IngestState::new(
+            IngestBuilder::new(),
+            table.schema(),
+            Arc::clone(&table),
+            &config,
+        );
+        (table, state)
     }
 
     fn row(season: &str, region: &str, delay: f64) -> Vec<Value> {
@@ -568,10 +568,10 @@ mod tests {
 
     #[test]
     fn batches_validate_before_applying() {
-        let state = state();
+        let (shared, state) = state();
         let mut inner = state.inner.lock();
-        let before = inner.rows.len();
-        // Second delta is out of bounds: nothing of the batch applies.
+        // Second delta is out of bounds: nothing of the batch applies,
+        // and the shared table is not even copied.
         let err = inner
             .accept(&[
                 RowDelta::Insert(row("Winter", "East", 12.0)),
@@ -579,7 +579,7 @@ mod tests {
             ])
             .unwrap_err();
         assert!(matches!(err, EngineError::InvalidDelta { .. }));
-        assert_eq!(inner.rows.len(), before);
+        assert!(Arc::ptr_eq(&inner.table, &shared));
         assert_eq!(inner.accepted, 0);
 
         let err = inner
@@ -598,20 +598,20 @@ mod tests {
 
     #[test]
     fn delete_shifts_indexes_like_vec_remove() {
-        let state = state();
+        let (_shared, state) = state();
         let mut inner = state.inner.lock();
-        let second = inner.rows[1].clone();
+        let second = inner.table.row(1);
         let (first, last) = inner.accept(&[RowDelta::Delete { row: 0 }]).unwrap();
         assert_eq!((first, last), (1, 1));
-        assert_eq!(inner.rows[0], second);
+        assert_eq!(inner.table.row(0), second);
         assert_eq!(inner.pending, 1);
     }
 
     #[test]
     fn dimension_change_dirties_old_and_new_combos_for_all_targets() {
-        let state = state();
+        let (_shared, state) = state();
         let mut inner = state.inner.lock();
-        let mut moved = inner.rows[0].clone();
+        let mut moved = inner.table.row(0);
         let old_season = moved[0].as_str().unwrap().to_string();
         let new_season = if old_season == "Winter" {
             "Winter2"
@@ -635,9 +635,9 @@ mod tests {
 
     #[test]
     fn target_only_change_dirties_only_that_target() {
-        let state = state();
+        let (_shared, state) = state();
         let mut inner = state.inner.lock();
-        let mut tweaked = inner.rows[0].clone();
+        let mut tweaked = inner.table.row(0);
         tweaked[2] = Value::Float(99.5);
         inner
             .accept(&[RowDelta::Update {
@@ -654,7 +654,7 @@ mod tests {
 
     #[test]
     fn drain_bookkeeping_and_rate_gate() {
-        let state = state();
+        let (_shared, state) = state();
         let mut inner = state.inner.lock();
         inner
             .accept(&[RowDelta::Insert(row("Winter", "East", 5.0))])
@@ -668,15 +668,20 @@ mod tests {
     }
 
     #[test]
-    fn materialized_dataset_round_trips() {
-        let state = state();
+    fn first_delta_copies_a_shared_table_and_later_ones_patch_it() {
+        let (shared, state) = state();
         let mut inner = state.inner.lock();
         inner
             .accept(&[RowDelta::Insert(row("Summer", "West", 1.0))])
             .unwrap();
-        let dataset = inner.dataset().unwrap();
-        assert_eq!(dataset.table.len(), inner.rows.len());
-        inner.reset_from(&dataset);
+        // The runtime's table is untouched; the log wrote to its copy.
+        assert!(!Arc::ptr_eq(&inner.table, &shared));
+        assert_eq!(inner.table.len(), shared.len() + 1);
+        let copy = Arc::as_ptr(&inner.table);
+        inner.accept(&[RowDelta::Delete { row: 0 }]).unwrap();
+        assert_eq!(Arc::as_ptr(&inner.table), copy, "patched in place");
+        inner.reset_from(shared.schema(), Arc::clone(&shared));
+        assert!(Arc::ptr_eq(&inner.table, &shared));
         assert_eq!(inner.pending, 0);
     }
 }

@@ -11,8 +11,8 @@
 //! Fig. 9.
 
 use vqs_core::prelude::EncodedRelation;
-use vqs_data::GeneratedDataset;
 use vqs_relalg::hash::FxHashMap;
+use vqs_relalg::prelude::Table;
 
 use crate::config::Configuration;
 use crate::problem::Query;
@@ -109,12 +109,12 @@ impl Extractor {
     }
 
     /// Build the extractor for a whole deployment: value dictionaries
-    /// from the configured dimension columns, and the spoken name of
+    /// from `table`'s configured dimension columns, and the spoken name of
     /// *every* configured target (underscores spoken as spaces). This is
     /// how the [`crate::service::VoiceService`] facade wires tenants;
     /// add richer phrasings with [`Extractor::with_target_synonyms`].
     pub fn for_deployment(
-        dataset: &GeneratedDataset,
+        table: &Table,
         config: &Configuration,
     ) -> crate::error::Result<Extractor> {
         let first = config
@@ -125,13 +125,13 @@ impl Extractor {
             })?;
         // Dimension dictionaries are identical for every target; one
         // relation supplies them all.
-        let relation = crate::generator::target_relation(dataset, config, first)?;
+        let relation = crate::generator::table_relation(table, config, first)?;
         let mut extractor = Extractor::from_relation(&relation, config.max_query_length);
         for target in &config.targets[1..] {
             // Validate the remaining target columns exist up front (a
             // schema probe, not a full re-encode), so a bad
             // configuration fails at registration, not at query time.
-            if dataset.table.schema().index_of(target).is_err() {
+            if table.schema().index_of(target).is_err() {
                 return Err(crate::error::EngineError::MissingColumn {
                     column: target.clone(),
                 });
@@ -379,7 +379,7 @@ mod tests {
         }
         .generate(3, 1.0);
         let config = Configuration::new("dep", &["season"], &["delay", "wait_time"]);
-        let ex = Extractor::for_deployment(&dataset, &config).unwrap();
+        let ex = Extractor::for_deployment(&dataset.table, &config).unwrap();
         assert_eq!(ex.extract_target("the delay in winter"), Some("delay"));
         // The second target's spoken form (underscore as space) works.
         assert_eq!(ex.extract_target("wait time in summer"), Some("wait_time"));
@@ -389,7 +389,7 @@ mod tests {
         }
         // A missing target column fails at construction time.
         let bad = Configuration::new("dep", &["season"], &["delay", "nonexistent"]);
-        assert!(Extractor::for_deployment(&dataset, &bad).is_err());
+        assert!(Extractor::for_deployment(&dataset.table, &bad).is_err());
     }
 
     #[test]

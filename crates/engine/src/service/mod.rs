@@ -60,7 +60,7 @@ use crate::config::Configuration;
 use crate::error::{EngineError, Result};
 use crate::extensions::ExtremumIndex;
 use crate::generator::{
-    preprocess_with, refresh_with, resummarize_with, target_relation, Invalidation,
+    preprocess_with, refresh_with, require_column, resummarize_with, table_relation, Invalidation,
     PreprocessReport, RefreshReport,
 };
 use crate::ingest::{FlushReport, IngestBuilder, IngestInner, IngestReport, IngestState, RowDelta};
@@ -395,10 +395,11 @@ impl TenantSpec {
         self
     }
 
-    /// Enable streaming ingestion for this tenant: the service retains a
-    /// materialized copy of the dataset and accepts row deltas through
-    /// [`VoiceService::ingest`] / [`FrontEnd::submit_ingest`], debounced
-    /// and re-summarized per `options` (see
+    /// Enable streaming ingestion for this tenant: the service accepts row
+    /// deltas through [`VoiceService::ingest`] /
+    /// [`FrontEnd::submit_ingest`], patches them into the tenant's
+    /// projected table (the one copy of its data every tenant keeps for
+    /// live plans), and re-summarizes debounced per `options` (see
     /// [`crate::ingest`] for the dataflow and its convergence contract).
     pub fn ingest(mut self, options: IngestBuilder) -> TenantSpec {
         self.ingest = Some(options);
@@ -478,9 +479,10 @@ struct TenantRollup {
 pub(crate) struct TenantRuntime {
     pub(crate) extractor: Extractor,
     pub(crate) extensions: Option<ExtremumIndex>,
-    /// The tenant's data, projected to its configured dimension and
-    /// target columns — the pipeline's tier-two execution input.
-    pub(crate) live: Option<Arc<Table>>,
+    /// The tenant's data, projected by [`Tenant::project`] — the
+    /// pipeline's tier-two execution input, and the table an ingest
+    /// flush solves over.
+    pub(crate) live: Arc<Table>,
 }
 
 /// One registered deployment.
@@ -498,32 +500,54 @@ pub(crate) struct Tenant {
     /// Serializes refreshes per tenant. The raw dataset itself is *not*
     /// retained — callers hand the current data to
     /// [`VoiceService::refresh_tenant`] — but the runtime keeps a
-    /// projection of it onto the configured dimension and target
-    /// columns, so the pipeline's live tier can answer questions the
-    /// store does not precompute. A tenant's resident cost is its store
-    /// plus dictionaries plus that bounded projection.
+    /// projection of it ([`Tenant::project`]), so the pipeline's live
+    /// tier can answer questions the store does not precompute. That
+    /// projection is the tenant's only copy of its data: an ingest log
+    /// patches it and a flush publishes it. A tenant's resident cost is
+    /// its store plus dictionaries plus that bounded projection.
     refresh_lock: Mutex<()>,
     /// Shared with every open [`VoiceSession`], so refreshed extractor
     /// dictionaries reach live sessions immediately.
     runtime: Arc<RwLock<TenantRuntime>>,
     rollup: Mutex<TenantRollup>,
     counters: Arc<RequestCounters>,
-    /// Streaming-ingestion state (the materialized table, delta log, and
+    /// Streaming-ingestion state (the patched table, delta log, and
     /// dirty sets); `None` unless the tenant opted in via
     /// [`TenantSpec::ingest`].
     ingest: Option<IngestState>,
 }
 
 impl Tenant {
-    /// Build the extractor (and optional extension index) for `dataset`.
+    /// The tenant's one copy of its data: `table` projected to the
+    /// configured dimensions, then the targets, then the extremum column
+    /// when it is not a target.
+    fn project(
+        table: &Table,
+        config: &Configuration,
+        extremum: &Option<(String, String)>,
+    ) -> Result<Arc<Table>> {
+        let extra = extremum
+            .as_ref()
+            .map(|(target, _)| target)
+            .filter(|target| !config.targets.contains(target));
+        let mut projection = Vec::new();
+        for column in config.dimensions.iter().chain(&config.targets).chain(extra) {
+            require_column(table, column)?;
+            projection.push(ProjectItem::passthrough(table, column)?);
+        }
+        Ok(Arc::new(ops::project(table, &projection)?))
+    }
+
+    /// Build the extractor (and optional extension index) over `live`, a
+    /// [`Tenant::project`]ion, and serve live plans from it.
     fn build_runtime(
-        dataset: &GeneratedDataset,
+        live: &Arc<Table>,
         config: &Configuration,
         synonyms: &[(String, Vec<String>)],
         unavailable_markers: &[String],
         extremum: &Option<(String, String)>,
     ) -> Result<TenantRuntime> {
-        let mut extractor = Extractor::for_deployment(dataset, config)?;
+        let mut extractor = Extractor::for_deployment(live, config)?;
         for (target, phrases) in synonyms {
             let phrases: Vec<&str> = phrases.iter().map(String::as_str).collect();
             extractor = extractor.with_target_synonyms(target, &phrases);
@@ -534,20 +558,15 @@ impl Tenant {
         }
         let extensions = match extremum {
             Some((target, phrase)) => Some(ExtremumIndex::build(
-                &target_relation(dataset, config, target)?,
+                &table_relation(live, config, target)?,
                 phrase,
             )),
             None => None,
         };
-        let mut projection = Vec::new();
-        for column in config.dimensions.iter().chain(&config.targets) {
-            projection.push(ProjectItem::passthrough(&dataset.table, column)?);
-        }
-        let live = Arc::new(ops::project(&dataset.table, &projection)?);
         Ok(TenantRuntime {
             extractor,
             extensions,
-            live: Some(live),
+            live: Arc::clone(live),
         })
     }
 }
@@ -833,29 +852,27 @@ impl VoiceService {
         if self.tenant(&spec.name).is_some() {
             return Err(EngineError::DuplicateTenant { name: spec.name });
         }
+        // Pre-process over the caller's table first, so its projection
+        // never adds to the set-up's peak memory.
         let (store, report) = preprocess_with(
-            &spec.dataset,
+            &spec.dataset.table,
             &spec.config,
             self.summarizer.as_ref(),
             &spec.templates,
             &self.pool,
             ScatterPriority::Bulk,
         )?;
+        let live = Tenant::project(&spec.dataset.table, &spec.config, &spec.extremum)?;
         let runtime = Tenant::build_runtime(
-            &spec.dataset,
+            &live,
             &spec.config,
             &spec.synonyms,
             &spec.unavailable_markers,
             &spec.extremum,
         )?;
-        let ingest = match &spec.ingest {
-            Some(options) => Some(IngestState::new(
-                options.clone(),
-                &spec.dataset,
-                &spec.config,
-            )?),
-            None => None,
-        };
+        let ingest = spec.ingest.map(|options| {
+            IngestState::new(options, spec.dataset.table.schema(), live, &spec.config)
+        });
         let help_text = spec.help_text.unwrap_or_else(|| {
             format!(
                 "Ask about {} by {}.",
@@ -923,19 +940,20 @@ impl VoiceService {
         // An injected fault here fails the refresh *before* any state is
         // touched, preserving fail-atomicity by construction.
         self.impose_control(FaultSite::Refresh)?;
-        // Build the new runtime *before* touching the store: it is the
-        // only other fallible step, so ordering it first keeps a failed
-        // refresh fail-atomic (store, dataset, extractor, and counters
-        // all stay on the old data together).
+        // Build the new projection and runtime *before* touching the
+        // store: they are the only other fallible steps, so ordering them
+        // first keeps a failed refresh fail-atomic (store, data,
+        // extractor, and counters all stay on the old data together).
+        let live = Tenant::project(&dataset.table, &tenant.config, &tenant.extremum)?;
         let runtime = Tenant::build_runtime(
-            dataset,
+            &live,
             &tenant.config,
             &tenant.synonyms,
             &tenant.unavailable_markers,
             &tenant.extremum,
         )?;
         let report = refresh_with(
-            dataset,
+            &dataset.table,
             &tenant.config,
             self.summarizer.as_ref(),
             &tenant.templates,
@@ -946,7 +964,7 @@ impl VoiceService {
         )?;
         *tenant.runtime.write() = runtime;
         if let (Some(state), Some(inner)) = (tenant.ingest.as_ref(), log.as_mut()) {
-            inner.reset_from(dataset);
+            inner.reset_from(dataset.table.schema(), live);
             state
                 .counters
                 .applied_seqno
@@ -963,7 +981,7 @@ impl VoiceService {
 
     /// Accept a batch of row deltas into a tenant's streaming-ingestion
     /// log (see [`crate::ingest`] for the dataflow). Every delta is
-    /// seqno-stamped and applied to the tenant's materialized table
+    /// seqno-stamped and applied to the log's copy of the tenant's table
     /// immediately; the store is brought up to date by a debounced
     /// flush — inline in this call when the dirty-set bound or the
     /// coalescing window closes, otherwise by a later call or an
@@ -1002,7 +1020,7 @@ impl VoiceService {
     /// Force a full drain of a tenant's pending delta log, regardless of
     /// debounce windows and rate caps. After a successful drain the
     /// store snapshot is byte-identical to a cold pre-processing of the
-    /// materialized table (the convergence contract), and
+    /// log's table (the convergence contract), and
     /// [`TenantStats::ingest_lag`] is zero.
     pub fn drain_ingest(&self, name: &str) -> Result<FlushReport> {
         let report = self.ingest_with(name, &[], true)?;
@@ -1097,14 +1115,16 @@ impl VoiceService {
             return Ok(FlushReport::empty());
         }
         let start = Instant::now();
-        let dataset = inner.dataset()?;
+        // The log's table, shared: solved over here and published as the
+        // live table, so the next accepted delta copies it once.
+        let live = Arc::clone(inner.table());
         // Serialize against batch refreshes (log lock first, then the
         // refresh lock — the same order `refresh_tenant` takes them).
         let _refresh = tenant.refresh_lock.lock();
         // As in `refresh_tenant`: the runtime rebuild is the only other
         // fallible step, so it runs before the store is touched.
         let runtime = Tenant::build_runtime(
-            &dataset,
+            &live,
             &tenant.config,
             &tenant.synonyms,
             &tenant.unavailable_markers,
@@ -1112,7 +1132,7 @@ impl VoiceService {
         )?;
         let (all, by_target) = inner.dirty();
         let report = resummarize_with(
-            &dataset,
+            &live,
             &tenant.config,
             self.summarizer.as_ref(),
             &tenant.templates,
@@ -1343,7 +1363,7 @@ impl VoiceService {
             store: &tenant.store,
             help_text: &tenant.help_text,
             extensions: runtime.extensions.as_ref(),
-            live: runtime.live.as_ref(),
+            live: Some(&runtime.live),
             exec,
             deadline,
             solve: Some(solve),
@@ -1765,6 +1785,46 @@ mod tests {
     }
 
     #[test]
+    fn a_drained_log_and_the_live_table_are_one_allocation() {
+        use vqs_relalg::prelude::Value;
+        let service = service();
+        service
+            .register_dataset(
+                TenantSpec::new("svc", dataset(7), config()).ingest(
+                    IngestBuilder::new()
+                        .max_dirty(1000)
+                        .flush_interval(Duration::from_secs(3600)),
+                ),
+            )
+            .unwrap();
+        let tenant = service.tenant("svc").unwrap();
+        let shared = || {
+            let log = tenant.ingest.as_ref().unwrap().inner.lock();
+            Arc::ptr_eq(log.table(), &tenant.runtime.read().live)
+        };
+        assert!(shared(), "registration hands the log the live projection");
+        let moved = vec![Value::str("Summer"), Value::str("West"), Value::Float(5.25)];
+        service
+            .ingest(
+                "svc",
+                &[
+                    RowDelta::Update {
+                        row: 1,
+                        values: moved.clone(),
+                    },
+                    RowDelta::Delete { row: 0 },
+                ],
+            )
+            .unwrap();
+        assert!(!shared(), "the first delta copies the shared table");
+        service.drain_ingest("svc").unwrap();
+        assert!(shared(), "the flush publishes the log's table");
+        let live = Arc::clone(&tenant.runtime.read().live);
+        assert_eq!(live.len(), dataset(7).table.len() - 1);
+        assert_eq!(live.row(0), moved);
+    }
+
+    #[test]
     fn ingest_requires_opt_in_and_valid_batches() {
         use vqs_relalg::prelude::Value;
         let service = service();
@@ -1980,7 +2040,7 @@ mod tests {
         let mut serial_cfg = cfg;
         serial_cfg.solver_workers = 1;
         let (reference, _) = preprocess_with(
-            &dataset(7),
+            &dataset(7).table,
             &serial_cfg,
             &crate::generator::configured_exact(&serial_cfg),
             &Default::default(),

@@ -124,7 +124,7 @@ impl VoiceSession {
             Some(runtime) => (
                 &runtime.extractor,
                 self.extensions.as_ref().or(runtime.extensions.as_ref()),
-                runtime.live.as_ref(),
+                Some(&runtime.live),
             ),
             None => (&self.extractor, self.extensions.as_ref(), None),
         };

@@ -11,8 +11,11 @@
 //!
 //! Alongside the differential: a concurrent-readers stress test (no
 //! torn or missing entries while flushes swap summaries underneath),
-//! and a pointer-stability check that the incremental circuit leaves
-//! untouched entries `Arc`-identical instead of rebuilding the store.
+//! a pointer-stability check that the incremental circuit leaves
+//! untouched entries `Arc`-identical instead of rebuilding the store,
+//! and two deterministic cases where dirty keys built from the delta's
+//! raw values, or through the columns of an earlier registration, would
+//! miss the summaries a delta changed.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -20,7 +23,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use vqs_data::{DimSpec, GeneratedDataset, SynthSpec, TargetSpec};
 use vqs_engine::prelude::*;
-use vqs_relalg::prelude::{Table, Value};
+use vqs_relalg::prelude::{ColumnType, Field, Schema, Table, Value};
 
 const SEASONS: [&str; 2] = ["Winter", "Summer"];
 const REGIONS: [&str; 2] = ["East", "West"];
@@ -148,6 +151,15 @@ fn reference_fold(base: &GeneratedDataset, batches: &[Vec<RowDelta>]) -> Generat
     }
 }
 
+/// Live-tier utterances over season, region and delay: a count, a
+/// total, an extremum and a comparison.
+const LIVE_UTTERANCES: [&str; 4] = [
+    "how many delays in Winter",
+    "the total delay in the East",
+    "which season has the most delay",
+    "compare delay for Winter versus Summer",
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -191,6 +203,20 @@ proptest! {
             seed,
             workers
         );
+        // The live tier answers from the patched table: the drained
+        // tenant computes what the cold one computes.
+        for utterance in LIVE_UTTERANCES {
+            let request = ServiceRequest::new("stream", utterance);
+            let (patched, rebuilt) = (live.respond(&request), cold.respond(&request));
+            prop_assert!(
+                matches!(rebuilt.answer, Answer::Computed { .. }),
+                "{} was not computed live: {:?}",
+                utterance,
+                rebuilt.answer
+            );
+            prop_assert_eq!(&patched.answer, &rebuilt.answer, "{}", utterance);
+            prop_assert_eq!(&patched.follow_on, &rebuilt.follow_on, "{}", utterance);
+        }
         let stats = live.stats();
         prop_assert_eq!(stats.tenants[0].ingest_lag, 0);
         prop_assert_eq!(
@@ -329,4 +355,145 @@ fn untouched_summaries_stay_pointer_stable() {
         !Arc::ptr_eq(&before_overall, &after_overall),
         "a dirtied summary was not recomputed"
     );
+}
+
+/// Drain the tenant's log and require its store to equal a cold
+/// registration of `expected`, the table the deltas should have left.
+fn assert_drains_to_cold(
+    service: &VoiceService,
+    expected: GeneratedDataset,
+    config: Configuration,
+) {
+    service.drain_ingest("stream").unwrap();
+    let cold = ServiceBuilder::new().workers(2).build();
+    cold.register_dataset(TenantSpec::new("stream", expected, config))
+        .unwrap();
+    assert_eq!(
+        service.tenant_store("stream").unwrap().snapshot(),
+        cold.tenant_store("stream").unwrap().snapshot()
+    );
+}
+
+/// Dirty keys come from the stored cells, not from the delta's values:
+/// an `Int` written into a `Float` dimension is stored as a float, which
+/// the encoder spells "1.0", not "1". Two batches swap the buckets of
+/// two East rows and swap them back; both bucket speeches must follow.
+#[test]
+fn int_deltas_into_a_float_dimension_keep_its_speeches_current() {
+    let schema = Schema::new(vec![
+        Field::required("bucket", ColumnType::Float),
+        Field::required("region", ColumnType::Str),
+        Field::required("delay", ColumnType::Float),
+    ])
+    .unwrap();
+    let rows: Vec<Vec<Value>> = [
+        (1.0, "East", 5.0),
+        (1.0, "West", 20.0),
+        (2.0, "West", 30.0),
+        (2.0, "East", 55.0),
+        (1.0, "East", 12.0),
+        (2.0, "East", 41.0),
+        (1.0, "West", 18.0),
+        (2.0, "West", 33.0),
+    ]
+    .iter()
+    .map(|&(bucket, region, delay)| {
+        vec![
+            Value::Float(bucket),
+            Value::str(region),
+            Value::Float(delay),
+        ]
+    })
+    .collect();
+    let dataset = GeneratedDataset {
+        name: "buckets".to_string(),
+        table: Table::from_rows(schema, rows).unwrap(),
+        dims: vec!["bucket".to_string(), "region".to_string()],
+        targets: vec!["delay".to_string()],
+    };
+    let config = Configuration::new("buckets", &["bucket", "region"], &["delay"]);
+    let service = ServiceBuilder::new().workers(2).build();
+    service
+        .register_dataset(
+            TenantSpec::new("stream", dataset.clone(), config.clone()).ingest(IngestBuilder::new()),
+        )
+        .unwrap();
+    let east =
+        |bucket: i64, delay: f64| vec![Value::Int(bucket), Value::str("East"), Value::Float(delay)];
+    for (first, second) in [(2, 1), (1, 2)] {
+        service
+            .ingest(
+                "stream",
+                &[
+                    RowDelta::Update {
+                        row: 0,
+                        values: east(first, 5.0),
+                    },
+                    RowDelta::Update {
+                        row: 3,
+                        values: east(second, 55.0),
+                    },
+                ],
+            )
+            .unwrap();
+        service.drain_ingest("stream").unwrap();
+    }
+    // Swapped back: the final table is the registered one.
+    assert_drains_to_cold(&service, dataset, config);
+}
+
+/// A refresh may hand in the dataset with its columns in another order;
+/// later delta tuples follow that order, and the circuit must read each
+/// dimension from its new position.
+#[test]
+fn deltas_after_a_reordering_refresh_dirty_the_right_keys() {
+    let base = dataset(5, 48);
+    let service = ServiceBuilder::new().workers(2).build();
+    service
+        .register_dataset(
+            TenantSpec::new("stream", base.clone(), config()).ingest(IngestBuilder::new()),
+        )
+        .unwrap();
+    // The same rows as (region, season, delay).
+    let reordered_schema = Schema::new(vec![
+        Field::required("region", ColumnType::Str),
+        Field::required("season", ColumnType::Str),
+        Field::required("delay", ColumnType::Float),
+    ])
+    .unwrap();
+    let reorder = |rows: Vec<Vec<Value>>| -> GeneratedDataset {
+        let rows = rows
+            .into_iter()
+            .map(|row| vec![row[1].clone(), row[0].clone(), row[2].clone()]);
+        GeneratedDataset {
+            name: base.name.clone(),
+            table: Table::from_rows(reordered_schema.clone(), rows).unwrap(),
+            dims: base.dims.clone(),
+            targets: base.targets.clone(),
+        }
+    };
+    let mut rows: Vec<Vec<Value>> = base.table.iter_rows().collect();
+    service
+        .refresh_tenant("stream", &reorder(rows.clone()), &[])
+        .unwrap();
+
+    // Two rows of one region in different seasons swap seasons: every
+    // subset keeps its size, so only exact dirty keys re-solve them.
+    let first = 0;
+    let second = (1..rows.len())
+        .find(|&row| rows[row][1] == rows[first][1] && rows[row][0] != rows[first][0])
+        .expect("the generated table has such a pair");
+    let (season_a, season_b) = (rows[first][0].clone(), rows[second][0].clone());
+    rows[first][0] = season_b;
+    rows[second][0] = season_a;
+    let expected = reorder(rows);
+    let deltas: Vec<RowDelta> = [first, second]
+        .iter()
+        .map(|&row| RowDelta::Update {
+            row,
+            values: expected.table.row(row),
+        })
+        .collect();
+    service.ingest("stream", &deltas).unwrap();
+    assert_drains_to_cold(&service, expected, config());
 }

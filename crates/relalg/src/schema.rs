@@ -3,7 +3,8 @@
 use std::fmt;
 
 use crate::error::{RelalgError, Result};
-use crate::value::ColumnType;
+use crate::table::{null_in_required, push_mismatch};
+use crate::value::{ColumnType, Value};
 
 /// One column of a schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,11 +95,6 @@ impl Schema {
             })
     }
 
-    /// Convenience: field for a column name.
-    pub fn field_by_name(&self, name: &str) -> Result<&Field> {
-        self.index_of(name).map(|i| &self.fields[i])
-    }
-
     /// Concatenate two schemas (for joins / cross products), renaming
     /// right-side duplicates with a `right.` prefix so names stay unique.
     pub fn join(&self, right: &Schema) -> Result<Schema> {
@@ -116,6 +112,30 @@ impl Schema {
     /// Column names in order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.fields.iter().map(|f| f.name.as_str())
+    }
+
+    /// Check that `row` fits this schema: one value per column, no NULL in
+    /// a non-nullable column, and every value of its column's type (an int
+    /// fits a float column). Every table write makes this check before it
+    /// changes anything.
+    pub fn check_row(&self, row: &[Value]) -> Result<()> {
+        if row.len() != self.len() {
+            return Err(RelalgError::ArityMismatch {
+                expected: self.len(),
+                found: row.len(),
+            });
+        }
+        for (i, (value, field)) in row.iter().zip(&self.fields).enumerate() {
+            if value.is_null() && !field.nullable {
+                return Err(null_in_required(field, i));
+            }
+        }
+        for (value, field) in row.iter().zip(&self.fields) {
+            if !value.fits(field.ty) {
+                return Err(push_mismatch(value, field.ty));
+            }
+        }
+        Ok(())
     }
 }
 

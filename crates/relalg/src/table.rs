@@ -122,22 +122,44 @@ impl ColumnData {
 
     /// Append a value, coercing ints to floats where the column is float.
     pub fn push(&mut self, value: Value) -> Result<()> {
+        self.write(self.len(), value)
+    }
+
+    /// Store `value` at `row`, or append it when `row` is the column's
+    /// length, coercing ints to floats where the column is float.
+    fn write(&mut self, row: usize, value: Value) -> Result<()> {
+        fn put<T>(cells: &mut Vec<Option<T>>, row: usize, cell: Option<T>) {
+            match cells.get_mut(row) {
+                Some(slot) => *slot = cell,
+                None => cells.push(cell),
+            }
+        }
         match (self, value) {
-            (ColumnData::Bool(v), Value::Bool(b)) => v.push(Some(b)),
-            (ColumnData::Bool(v), Value::Null) => v.push(None),
-            (ColumnData::Int(v), Value::Int(i)) => v.push(Some(i)),
-            (ColumnData::Int(v), Value::Null) => v.push(None),
-            (ColumnData::Float(v), Value::Float(f)) => v.push(Some(f)),
-            (ColumnData::Float(v), Value::Int(i)) => v.push(Some(i as f64)),
-            (ColumnData::Float(v), Value::Null) => v.push(None),
+            (ColumnData::Bool(v), Value::Bool(b)) => put(v, row, Some(b)),
+            (ColumnData::Bool(v), Value::Null) => put(v, row, None),
+            (ColumnData::Int(v), Value::Int(i)) => put(v, row, Some(i)),
+            (ColumnData::Int(v), Value::Null) => put(v, row, None),
+            (ColumnData::Float(v), Value::Float(f)) => put(v, row, Some(f)),
+            (ColumnData::Float(v), Value::Int(i)) => put(v, row, Some(i as f64)),
+            (ColumnData::Float(v), Value::Null) => put(v, row, None),
             (ColumnData::Str { dict, codes }, Value::Str(s)) => {
                 let code = dict.intern(&s);
-                codes.push(Some(code));
+                put(codes, row, Some(code));
             }
-            (ColumnData::Str { codes, .. }, Value::Null) => codes.push(None),
+            (ColumnData::Str { codes, .. }, Value::Null) => put(codes, row, None),
             (this, value) => return Err(push_mismatch(&value, this.column_type())),
         }
         Ok(())
+    }
+
+    /// Remove the value at `row`, shifting later rows down by one.
+    fn remove(&mut self, row: usize) {
+        match self {
+            ColumnData::Bool(v) => _ = v.remove(row),
+            ColumnData::Int(v) => _ = v.remove(row),
+            ColumnData::Float(v) => _ = v.remove(row),
+            ColumnData::Str { codes, .. } => _ = codes.remove(row),
+        }
     }
 
     fn column_type(&self) -> ColumnType {
@@ -148,18 +170,10 @@ impl ColumnData {
             ColumnData::Str { .. } => ColumnType::Str,
         }
     }
-
-    /// Dictionary code of the string at `row` (strings only).
-    pub fn str_code(&self, row: usize) -> Option<u32> {
-        match self {
-            ColumnData::Str { codes, .. } => codes[row],
-            _ => None,
-        }
-    }
 }
 
 /// The error of pushing `value` into a column of type `ty`.
-fn push_mismatch(value: &Value, ty: ColumnType) -> RelalgError {
+pub(crate) fn push_mismatch(value: &Value, ty: ColumnType) -> RelalgError {
     RelalgError::TypeMismatch {
         operation: "column push".to_string(),
         found: format!("{} into {ty} column", value.type_name()),
@@ -252,30 +266,55 @@ impl Table {
         self.columns[col].value(row)
     }
 
-    /// Append a row of values. Every value is checked before any column
-    /// takes one, so a rejected row leaves the table unchanged.
+    /// Append a row of values. Every value is checked
+    /// ([`Schema::check_row`]) before any column takes one, so a rejected
+    /// row leaves the table unchanged.
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<()> {
-        if row.len() != self.schema.len() {
-            return Err(RelalgError::ArityMismatch {
-                expected: self.schema.len(),
-                found: row.len(),
-            });
-        }
-        for (i, (value, field)) in row.iter().zip(self.schema.fields()).enumerate() {
-            if value.is_null() && !field.nullable {
-                return Err(null_in_required(field, i));
-            }
-        }
-        for (value, field) in row.iter().zip(self.schema.fields()) {
-            if !value.fits(field.ty) {
-                return Err(push_mismatch(value, field.ty));
-            }
-        }
+        self.schema.check_row(&row)?;
         for (column, value) in self.columns.iter_mut().zip(row) {
             column.push(value)?;
         }
         self.rows += 1;
         Ok(())
+    }
+
+    /// Replace the row at `row` with `values`. The index and every value
+    /// are checked as [`Table::push_row`] checks them before any column
+    /// changes, so a rejected write leaves the table unchanged.
+    ///
+    /// A string the old row held stays in its column's [`Dictionary`] even
+    /// when no row uses it any more. No output sees it:
+    /// `EncodedRelation::from_table` codes values by their first appearance
+    /// in the rows, and every operator reads values through the rows.
+    pub fn set_row(&mut self, row: usize, values: Vec<Value>) -> Result<()> {
+        self.check_index(row)?;
+        self.schema.check_row(&values)?;
+        for (column, value) in self.columns.iter_mut().zip(values) {
+            column.write(row, value)?;
+        }
+        Ok(())
+    }
+
+    /// Remove the row at `row`, shifting every later row down by one, as
+    /// `Vec::remove` does. An out-of-range index is rejected and leaves
+    /// the table unchanged. Like [`Table::set_row`], the removal keeps
+    /// strings no row uses any more in the dictionaries.
+    pub fn remove_row(&mut self, row: usize) -> Result<()> {
+        self.check_index(row)?;
+        for column in &mut self.columns {
+            column.remove(row);
+        }
+        self.rows -= 1;
+        Ok(())
+    }
+
+    fn check_index(&self, row: usize) -> Result<()> {
+        if row < self.rows {
+            return Ok(());
+        }
+        Err(RelalgError::Invalid {
+            detail: format!("row index {row} out of bounds ({} rows)", self.rows),
+        })
     }
 
     /// Materialize one row as a `Vec<Value>`.
@@ -315,12 +354,6 @@ impl Table {
         let mut indices: Vec<usize> = (0..self.rows).collect();
         indices.sort_by_key(|&r| key(r));
         self.take(&indices)
-    }
-
-    /// A builder-style helper: single-column table of floats.
-    pub fn single_float_column(name: &str, values: &[f64]) -> Result<Table> {
-        let schema = Schema::new(vec![Field::required(name, ColumnType::Float)])?;
-        Table::from_rows(schema, values.iter().map(|&v| vec![Value::Float(v)]))
     }
 }
 

@@ -115,6 +115,44 @@ fn rendered_rows(table: &Table) -> Vec<String> {
     table.iter_rows().map(|row| format!("{row:?}")).collect()
 }
 
+/// A row that fits `arb_table()`'s schema. Some `v` values are ints (the
+/// float column coerces them) and some `s` strings are new to the table.
+fn arb_row() -> impl Strategy<Value = Vec<Value>> {
+    (
+        -5i64..5,
+        prop_oneof![
+            (0i64..100).prop_map(Value::Int),
+            (0u8..100).prop_map(|v| Value::Float(f64::from(v))),
+        ],
+        prop_oneof![Just(Value::Null), "[a-e]{1,2}".prop_map(Value::str)],
+    )
+        .prop_map(|(k, v, s)| vec![Value::Int(k), v, s])
+}
+
+/// One table edit; `pick` is taken modulo the row count when applied.
+#[derive(Debug, Clone)]
+enum Edit {
+    Push(Vec<Value>),
+    Set { pick: usize, row: Vec<Value> },
+    Remove { pick: usize },
+}
+
+fn arb_edit() -> impl Strategy<Value = Edit> {
+    prop_oneof![
+        arb_row().prop_map(Edit::Push),
+        (any::<usize>(), arb_row()).prop_map(|(pick, row)| Edit::Set { pick, row }),
+        any::<usize>().prop_map(|pick| Edit::Remove { pick }),
+    ]
+}
+
+/// Distinct strings in the dictionary of `table`'s column `s`.
+fn dictionary_len(table: &Table) -> usize {
+    match table.column_by_name("s").unwrap() {
+        ColumnData::Str { dict, .. } => dict.len(),
+        other => panic!("`s` is a string column, found {other:?}"),
+    }
+}
+
 proptest! {
     #[test]
     fn project_column_major_matches_row_evaluation(
@@ -171,6 +209,72 @@ proptest! {
                 expected.map(|t| t.len())
             ),
         }
+    }
+
+    #[test]
+    fn table_edits_match_rebuilding_from_rows(
+        table in arb_table(),
+        edits in prop::collection::vec(arb_edit(), 0..24),
+    ) {
+        let mut patched = table.clone();
+        let mut rows: Vec<Vec<Value>> = table.iter_rows().collect();
+        for edit in edits {
+            match edit {
+                Edit::Push(row) => {
+                    patched.push_row(row.clone()).unwrap();
+                    rows.push(row);
+                }
+                Edit::Set { pick, row } if !rows.is_empty() => {
+                    let index = pick % rows.len();
+                    patched.set_row(index, row.clone()).unwrap();
+                    rows[index] = row;
+                }
+                Edit::Remove { pick } if !rows.is_empty() => {
+                    let index = pick % rows.len();
+                    patched.remove_row(index).unwrap();
+                    rows.remove(index);
+                }
+                Edit::Set { .. } | Edit::Remove { .. } => {}
+            }
+        }
+        let rebuilt = Table::from_rows(table.schema().clone(), rows).unwrap();
+        prop_assert_eq!(patched.len(), rebuilt.len());
+        prop_assert_eq!(rendered_rows(&patched), rendered_rows(&rebuilt));
+    }
+
+    #[test]
+    fn rejected_writes_leave_the_table_unchanged(
+        table in arb_table(),
+        row in arb_row(),
+        pick in any::<usize>(),
+    ) {
+        let mut edited = table.clone();
+        let len = table.len();
+        // Each bad row carries a string new to the dictionary, which a
+        // write that changed columns before checking would intern.
+        let fresh = Value::str("zzz");
+        let bad_rows = [
+            vec![row[0].clone(), fresh.clone()],
+            vec![Value::Null, row[1].clone(), fresh.clone()],
+            vec![row[0].clone(), Value::str("x"), fresh],
+        ];
+        for bad in bad_rows {
+            prop_assert!(edited.push_row(bad.clone()).is_err());
+            if len > 0 {
+                prop_assert!(edited.set_row(pick % len, bad).is_err());
+            }
+        }
+        let beyond = len + pick % 3;
+        prop_assert!(edited.set_row(beyond, row.clone()).is_err());
+        prop_assert!(edited.remove_row(beyond).is_err());
+        prop_assert_eq!(edited.len(), len);
+        prop_assert_eq!(rendered_rows(&edited), rendered_rows(&table));
+        prop_assert_eq!(dictionary_len(&edited), dictionary_len(&table));
+        // No column grew either: the next row lands aligned.
+        edited.push_row(row.clone()).unwrap();
+        let mut expected = table.clone();
+        expected.push_row(row).unwrap();
+        prop_assert_eq!(rendered_rows(&edited), rendered_rows(&expected));
     }
 
     #[test]
