@@ -776,8 +776,8 @@ fn run_synthetic(
     let ingest_flush_ms = timed_flush(&service, "scale", deltas, 64);
 
     // Mixed open-loop traffic: responds with an ingest trickle riding
-    // the control lane. The batches flush inline on the control thread
-    // or on the background flusher, never on the serving worker.
+    // the control lane. The batches flush on the control thread, inline
+    // or from its flush tick, never on the serving worker.
     let frontend = FrontEnd::builder(Arc::clone(&service)).workers(1).build();
     let mut plan = respond_plan("scale", &texts, requests, rate);
     if mixed {

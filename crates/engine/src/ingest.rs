@@ -30,8 +30,7 @@
 //!    subset in a dirty set; the log is flushed through
 //!    `generator::resummarize_with` on the shared solver pool's Bulk
 //!    lane when the dirty set reaches [`IngestBuilder::max_dirty`] or
-//!    [`IngestBuilder::flush_interval`] elapses, rate-bounded by
-//!    [`IngestBuilder::max_solves_per_sec`]. Lookups keep serving the
+//!    [`IngestBuilder::flush_interval`] elapses. Lookups keep serving the
 //!    last-good speech until its replacement is atomically swapped in.
 //!
 //! **Convergence contract:** once the log drains (every accepted seqno
@@ -86,7 +85,6 @@ pub enum RowDelta {
 pub struct IngestBuilder {
     pub(crate) max_dirty: usize,
     pub(crate) flush_interval: Duration,
-    pub(crate) max_solves_per_sec: u32,
 }
 
 impl Default for IngestBuilder {
@@ -96,21 +94,18 @@ impl Default for IngestBuilder {
 }
 
 impl IngestBuilder {
-    /// Start from the defaults: flush after 256 pending deltas or 50 ms,
-    /// with no re-solve rate cap.
+    /// Start from the defaults: flush after 256 pending deltas or 50 ms.
     pub fn new() -> IngestBuilder {
         IngestBuilder {
             max_dirty: 256,
             flush_interval: Duration::from_millis(50),
-            max_solves_per_sec: 0,
         }
     }
 
     /// Maximum pending (accepted but not yet re-summarized) deltas
     /// before the accepting call flushes inline — the row log's bound,
     /// and the backpressure mechanism: past it, ingestors pay for the
-    /// re-solve themselves. Clamped to at least 1. This bound overrides
-    /// the rate cap; the log may never grow without limit.
+    /// re-solve themselves. Clamped to at least 1.
     pub fn max_dirty(mut self, deltas: usize) -> IngestBuilder {
         self.max_dirty = deltas.max(1);
         self
@@ -121,15 +116,6 @@ impl IngestBuilder {
     /// store without ever filling `max_dirty`.
     pub fn flush_interval(mut self, interval: Duration) -> IngestBuilder {
         self.flush_interval = interval;
-        self
-    }
-
-    /// Bound on the sustained re-summarization rate: after a flush that
-    /// re-solved `n` summaries, the next *automatic* flush is held back
-    /// for `n / rate` seconds. `0` (the default) means unbounded.
-    /// Forced drains and the `max_dirty` bound ignore the cap.
-    pub fn max_solves_per_sec(mut self, rate: u32) -> IngestBuilder {
-        self.max_solves_per_sec = rate;
         self
     }
 }
@@ -232,7 +218,6 @@ impl IngestState {
         table: Arc<Table>,
         config: &Configuration,
     ) -> IngestState {
-        let now = Instant::now();
         let inner = IngestInner {
             dims: config.dimensions.clone(),
             targets: config.targets.clone(),
@@ -245,8 +230,7 @@ impl IngestState {
             pending: 0,
             accepted: 0,
             applied: 0,
-            last_flush: now,
-            hold_until: now,
+            last_flush: Instant::now(),
         };
         IngestState {
             options,
@@ -256,18 +240,12 @@ impl IngestState {
     }
 
     /// Whether the debounce window of an *automatic* flush is open:
-    /// pending work, and either the dirty-set bound was hit (which
-    /// overrides the rate cap — the log stays bounded) or the coalescing
-    /// interval elapsed with the rate cap satisfied.
+    /// pending work, and either the dirty-set bound was hit or the
+    /// coalescing interval elapsed.
     pub(crate) fn auto_flush_due(&self, inner: &IngestInner) -> bool {
-        if inner.pending == 0 {
-            return false;
-        }
-        if inner.pending >= self.options.max_dirty as u64 {
-            return true;
-        }
-        inner.last_flush.elapsed() >= self.options.flush_interval
-            && Instant::now() >= inner.hold_until
+        inner.pending > 0
+            && (inner.pending >= self.options.max_dirty as u64
+                || inner.last_flush.elapsed() >= self.options.flush_interval)
     }
 }
 
@@ -305,7 +283,6 @@ pub(crate) struct IngestInner {
     /// Newest sequence number reflected in the store.
     pub(crate) applied: u64,
     pub(crate) last_flush: Instant,
-    hold_until: Instant,
 }
 
 impl IngestInner {
@@ -489,20 +466,14 @@ impl IngestInner {
         (&self.dirty_all, &self.dirty_by_target)
     }
 
-    /// Book-keeping after a successful flush that re-solved `solves`
-    /// summaries: the log is drained, the dirty sets cleared, and the
-    /// rate-cap gate advanced.
-    pub(crate) fn drained(&mut self, solves: usize, max_solves_per_sec: u32) {
+    /// Book-keeping after a successful flush: the log is drained, the
+    /// dirty sets cleared, and the coalescing window restarted.
+    pub(crate) fn drained(&mut self) {
         self.pending = 0;
         self.applied = self.accepted;
         self.dirty_all.clear();
         self.dirty_by_target.clear();
         self.last_flush = Instant::now();
-        self.hold_until = if max_solves_per_sec > 0 {
-            self.last_flush + Duration::from_secs_f64(solves as f64 / f64::from(max_solves_per_sec))
-        } else {
-            self.last_flush
-        };
     }
 
     /// The caller handed an authoritative full dataset with `schema` (a
@@ -513,7 +484,7 @@ impl IngestInner {
         self.columns = tuple_columns(schema, &table);
         self.schema = schema.clone();
         self.table = table;
-        self.drained(0, 0);
+        self.drained();
     }
 }
 
@@ -660,10 +631,9 @@ mod tests {
             .accept(&[RowDelta::Insert(row("Winter", "East", 5.0))])
             .unwrap();
         assert!(state.auto_flush_due(&inner) || inner.pending > 0);
-        inner.drained(10, 1);
+        inner.drained();
         assert_eq!(inner.pending, 0);
         assert_eq!(inner.applied, inner.accepted);
-        assert!(inner.hold_until > inner.last_flush);
         assert!(inner.dirty().0.is_empty());
     }
 

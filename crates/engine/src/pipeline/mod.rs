@@ -14,9 +14,11 @@
 //! 2. **Live plan execution** — questions the store does not precompute
 //!    (conjunctive filters beyond the configured length, comparatives,
 //!    extrema, counts/totals) lower to a typed [`QueryPlan`] and execute
-//!    over `vqs-relalg` against the tenant's live table, on the shared
-//!    pool's bulk lane. A configured extremum/comparison extension index
-//!    still wins first (tier 1.5: precomputed beats live).
+//!    over `vqs-relalg` against the tenant's live table, on the thread
+//!    that answers the request (a serving worker, a facade caller or a
+//!    session's owner), so a live answer never queues behind solver work.
+//!    A configured extremum/comparison extension index still wins first
+//!    (tier 1.5: precomputed beats live).
 //! 3. **Typed apology** — everything still unanswered keeps the legacy
 //!    typed apologies.
 //!
@@ -62,7 +64,6 @@ use crate::store::{Lookup, SpeechStore};
 use crate::template::SpeechTemplate;
 
 pub(crate) use analyze::Analysis;
-pub(crate) use plan::Exec;
 
 /// The resources needed to solve a summarization problem live at respond
 /// time (the degradation ladder's top rung): the service's configured
@@ -92,8 +93,6 @@ pub(crate) struct PipelineContext<'a> {
     /// without retained data (free-standing sessions, hand-built
     /// stores), which degrades gracefully to the apology tier.
     pub live: Option<&'a Arc<Table>>,
-    /// Where tier-two plans materialize.
-    pub exec: Exec<'a>,
     /// The request's absolute deadline; `None` (every deadline-free
     /// request) keeps the pipeline byte-identical to the pre-deadline
     /// behavior.
@@ -332,7 +331,7 @@ fn solve_live_answer(query: &crate::problem::Query, ctx: &PipelineContext<'_>) -
 /// scoped), when it exists.
 fn live_answer(plan: &QueryPlan, ctx: &PipelineContext<'_>) -> Option<(Answer, Option<FollowOn>)> {
     let table = ctx.live?;
-    let (value, text) = plan::execute(plan, table, ctx.exec)?;
+    let (value, text) = plan::execute(plan, table)?;
     let answered =
         crate::problem::Query::new(plan.target().to_string(), plan.predicates().iter().cloned());
     let follow_on = followon::suggest(ctx.store, &answered);

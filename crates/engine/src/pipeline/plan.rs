@@ -15,7 +15,6 @@ use vqs_relalg::error::Result as RelalgResult;
 use vqs_relalg::ops::aggregate::{AggFunc, AggItem};
 use vqs_relalg::prelude::{Expr, Plan, Table, Value};
 
-use crate::service::{ScatterPriority, SolverPool};
 use crate::template::format_value;
 
 /// Aggregate function of a live [`QueryPlan::Aggregate`].
@@ -235,41 +234,12 @@ pub enum ComputedValue {
     },
 }
 
-/// Where a live plan materializes: inline on the calling thread
-/// (stateful sessions own no pool handle) or as a single-task batch on
-/// the shared pool's **bulk** lane, so live plans queue behind nothing
-/// but themselves and can never starve interactive refresh batches.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Exec<'a> {
-    /// Execute on the calling thread.
-    Inline,
-    /// Execute on the pool's bulk lane (the facade and front-end paths).
-    Bulk(&'a SolverPool),
-}
-
-impl Exec<'_> {
-    fn run(&self, plan: &Plan) -> RelalgResult<Table> {
-        match self {
-            Exec::Inline => plan.execute(),
-            Exec::Bulk(pool) => pool
-                .scatter_at(ScatterPriority::Bulk, 1, |_| plan.execute())
-                .pop()
-                .expect("scatter of one task yields one result"),
-        }
-    }
-}
-
-/// Execute `plan` against the live `table` and interpret the result.
-/// `None` means the live tier cannot answer (missing column, empty
-/// subset, one comparison side absent …) and the caller falls through to
-/// the typed apology tier.
-pub(crate) fn execute(
-    plan: &QueryPlan,
-    table: &Arc<Table>,
-    exec: Exec<'_>,
-) -> Option<(ComputedValue, String)> {
-    let relalg = plan.to_relalg(table).ok()?;
-    let result = exec.run(&relalg).ok()?;
+/// Execute `plan` against the live `table` on the calling thread and
+/// interpret the result. `None` means the live tier cannot answer
+/// (missing column, empty subset, one comparison side absent …) and the
+/// caller falls through to the typed apology tier.
+pub(crate) fn execute(plan: &QueryPlan, table: &Arc<Table>) -> Option<(ComputedValue, String)> {
+    let result = plan.to_relalg(table).ok()?.execute().ok()?;
     let value = interpret(plan, &result)?;
     let text = render(plan, &value);
     Some((value, text))
@@ -472,7 +442,7 @@ mod tests {
             ],
             agg: AggKind::Avg,
         };
-        let (value, text) = execute(&plan, &live_table(), Exec::Inline).unwrap();
+        let (value, text) = execute(&plan, &live_table()).unwrap();
         assert_eq!(
             value,
             ComputedValue::Scalar {
@@ -491,7 +461,7 @@ mod tests {
             predicates: vec![("season".into(), "Winter".into())],
             agg: AggKind::Count,
         };
-        let (value, text) = execute(&count, &live_table(), Exec::Inline).unwrap();
+        let (value, text) = execute(&count, &live_table()).unwrap();
         assert_eq!(value, ComputedValue::Count { rows: 2 });
         assert!(text.contains("2 rows"), "{text}");
 
@@ -500,7 +470,7 @@ mod tests {
             predicates: vec![],
             agg: AggKind::Sum,
         };
-        let (value, _) = execute(&sum, &live_table(), Exec::Inline).unwrap();
+        let (value, _) = execute(&sum, &live_table()).unwrap();
         assert_eq!(
             value,
             ComputedValue::Scalar {
@@ -519,7 +489,7 @@ mod tests {
             dimension: "season".into(),
             highest: true,
         };
-        let (value, text) = execute(&plan, &live_table(), Exec::Inline).unwrap();
+        let (value, text) = execute(&plan, &live_table()).unwrap();
         match value {
             ComputedValue::GroupExtremum {
                 best,
@@ -545,7 +515,7 @@ mod tests {
             left: "Summer".into(),
             right: "Winter".into(),
         };
-        let (value, text) = execute(&plan, &live_table(), Exec::Inline).unwrap();
+        let (value, text) = execute(&plan, &live_table()).unwrap();
         match value {
             ComputedValue::Comparison {
                 left_value,
@@ -567,13 +537,13 @@ mod tests {
             predicates: vec![("season".into(), "Monsoon".into())],
             agg: AggKind::Avg,
         };
-        assert!(execute(&absent, &live_table(), Exec::Inline).is_none());
+        assert!(execute(&absent, &live_table()).is_none());
         let bad_column = QueryPlan::Aggregate {
             target: "nonexistent".into(),
             predicates: vec![],
             agg: AggKind::Avg,
         };
-        assert!(execute(&bad_column, &live_table(), Exec::Inline).is_none());
+        assert!(execute(&bad_column, &live_table()).is_none());
         let one_sided = QueryPlan::Comparison {
             target: "delay".into(),
             predicates: vec![],
@@ -581,20 +551,6 @@ mod tests {
             left: "Winter".into(),
             right: "Monsoon".into(),
         };
-        assert!(execute(&one_sided, &live_table(), Exec::Inline).is_none());
-    }
-
-    #[test]
-    fn bulk_execution_matches_inline() {
-        let pool = SolverPool::new(2);
-        let plan = QueryPlan::GroupExtremum {
-            target: "delay".into(),
-            predicates: vec![],
-            dimension: "region".into(),
-            highest: false,
-        };
-        let inline = execute(&plan, &live_table(), Exec::Inline).unwrap();
-        let bulk = execute(&plan, &live_table(), Exec::Bulk(&pool)).unwrap();
-        assert_eq!(inline, bulk);
+        assert!(execute(&one_sided, &live_table()).is_none());
     }
 }

@@ -30,21 +30,24 @@
 //!   path's degradation ladder (see
 //!   [`crate::pipeline`]), which steps down to a greedy or store-only
 //!   answer rather than missing the deadline.
-//! * **A separate control lane.** Background work — tenant
+//! * **One job per thread.** Serving workers answer interactive
+//!   requests end to end, live plans included. Background work — tenant
 //!   registrations, refreshes, ingest batches (with any flush they run
 //!   inline) and ad-hoc tasks, submitted through
 //!   [`FrontEnd::submit_register`], [`FrontEnd::submit_refresh`],
 //!   [`FrontEnd::submit_ingest`] and [`FrontEnd::submit_task`] — queues
 //!   on a control lane that one dedicated control thread runs, one job
-//!   at a time, in FIFO order. Serving workers take interactive requests
-//!   only, so no `respond` waits behind a registration or a flush. The
-//!   control jobs' solves fan out over the shared
-//!   [`SolverPool`](crate::service::SolverPool), which stays their
-//!   parallelism; live plans still share the pool's bulk lane with them.
+//!   at a time, in FIFO order. Between jobs the same thread runs the
+//!   flush tick that drains silent streaming tenants. So no `respond`
+//!   waits behind a registration or a flush. Only solver work reaches
+//!   the shared [`SolverPool`](crate::service::SolverPool): the control
+//!   jobs' solves fan out over it, and a respond touches it only for a
+//!   deadline ladder's live solve under a pool-backed summarizer.
 //! * **Graceful shutdown.** Dropping the front-end (or calling
 //!   [`FrontEnd::shutdown`]) drains every admitted request — the serving
 //!   workers drain the interactive lanes, the control thread the control
-//!   lane, so tickets are never lost — and joins every thread.
+//!   lane, so tickets are never lost — and joins the serving workers and
+//!   the control thread. No flush tick starts after shutdown began.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -87,7 +90,6 @@ use vqs_relalg::hash::FxHashMap;
 use crate::error::{EngineError, Result};
 use crate::generator::{PreprocessReport, RefreshReport};
 use crate::ingest::{IngestReport, RowDelta};
-use crate::pipeline::Exec;
 use crate::service::{
     Answer, Degradation, ServiceRequest, ServiceResponse, Tenant, TenantSpec, VoiceService,
     EXPIRED, INTERNAL_ERROR, OVERLOADED,
@@ -125,14 +127,14 @@ const RETRY_BACKOFF: Duration = Duration::from_millis(1);
 /// attempts.
 const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(50);
 
-/// Longest the background flusher sleeps between passes. The adaptive
-/// tick sleeps half the shortest tenant `flush_interval`, but never more
+/// Longest period of the control thread's flush tick. The tick comes
+/// every half the shortest tenant `flush_interval`, but never less often
 /// than this — so a tenant registered with a *smaller* interval while
-/// the flusher is mid-sleep is picked up within one bounded pass.
+/// the control thread waits is picked up within one bounded period.
 const FLUSH_TICK_CAP: Duration = Duration::from_millis(100);
 
-/// Shortest flusher sleep (spinning faster than this buys nothing —
-/// `auto_flush_due` gates on the per-tenant interval anyway).
+/// Shortest period of the flush tick (ticking faster than this buys
+/// nothing — `auto_flush_due` gates on the per-tenant interval anyway).
 const FLUSH_TICK_FLOOR: Duration = Duration::from_millis(1);
 
 /// What [`FrontEnd::submit`] does when admission would exceed a global
@@ -438,20 +440,14 @@ struct Counters {
     shed_by_tenant: Mutex<FxHashMap<String, u64>>,
 }
 
-/// Shutdown handshake for the background flusher thread: the stop flag
-/// under the mutex, the condvar to cut a tick sleep short at shutdown.
-struct FlusherSignal {
-    stop: Mutex<bool>,
-    wake: Condvar,
-}
-
 /// State shared between the front-end handle, its serving workers and
 /// its control thread.
 struct FrontShared {
     ingress: Mutex<Ingress>,
     /// Wakes serving workers parked for interactive work.
     work_ready: Condvar,
-    /// Wakes the control thread parked for background work.
+    /// Wakes the control thread parked for background work (it also
+    /// wakes on its own when the flush tick is due).
     control_ready: Condvar,
     /// Wakes interactive submitters parked for queue space.
     space_interactive: Condvar,
@@ -483,7 +479,8 @@ pub struct FrontEndStats {
     /// Times a submitter blocked for queue space
     /// ([`OverloadPolicy::Block`]).
     pub blocked: u64,
-    /// Background jobs admitted (registrations, refreshes, tasks).
+    /// Background jobs admitted (registrations, refreshes, ingest
+    /// batches, tasks).
     pub background_submitted: u64,
     /// Background jobs claimed and run by the control thread (counted
     /// as the job starts; every claimed job runs to completion).
@@ -504,12 +501,12 @@ pub struct FrontEndStats {
     /// contained and the ticket completed with [`Answer::Internal`].
     /// Nonzero values indicate bugs, not load.
     pub contained_panics: u64,
-    /// Passes the background flusher made over the streaming tenants
-    /// (zero when the tick is disabled or no front-end flusher runs).
+    /// Flush ticks the control thread ran over the streaming tenants
+    /// (zero under [`FrontEndBuilder::no_flush_tick`]).
     pub flush_ticks: u64,
-    /// Tenants whose pending delta log the background flusher drained —
-    /// flushes that happened *without* an ingest call to piggyback on
-    /// (a silent tenant converging on its `flush_interval`).
+    /// Tenants whose pending delta log a flush tick drained — flushes
+    /// that happened *without* an ingest call to piggyback on (a silent
+    /// tenant converging on its `flush_interval`).
     pub background_flushes: u64,
     /// Interactive sheds per tenant, sorted by tenant name.
     pub shed_by_tenant: Vec<(String, u64)>,
@@ -529,9 +526,9 @@ pub struct FrontEndBuilder {
 impl FrontEndBuilder {
     /// Start from the defaults: 2 serving workers, a 1024-deep ingress
     /// queue with no per-tenant cap below it, the shed policy, and the
-    /// background flush tick enabled. The control lane holds up to 64
-    /// queued background jobs, each retried at most twice after an
-    /// infrastructure failure.
+    /// flush tick on the control thread enabled. The control lane holds
+    /// up to 64 queued background jobs, each retried at most twice after
+    /// an infrastructure failure.
     pub fn new(service: Arc<VoiceService>) -> FrontEndBuilder {
         FrontEndBuilder {
             service,
@@ -546,7 +543,8 @@ impl FrontEndBuilder {
     /// Serving worker threads (`0` = all available cores; clamped to at
     /// least 1). Lookups are µs-scale, so a handful of workers saturate
     /// a store — size this to cores, not to concurrent sessions. The
-    /// control thread that runs background jobs comes on top.
+    /// control thread that runs background jobs and the flush tick comes
+    /// on top.
     pub fn workers(mut self, workers: usize) -> FrontEndBuilder {
         self.workers = workers;
         self
@@ -576,12 +574,16 @@ impl FrontEndBuilder {
         self
     }
 
-    /// Do not spawn the background flusher thread. Streaming tenants
-    /// then flush only inline with ingest calls or explicitly via
+    /// Turn off the control thread's flush tick. Streaming tenants then
+    /// flush only inline with ingest calls or explicitly via
     /// [`VoiceService::drain_ingest`] / [`VoiceService::ingest_tick`].
     /// With the tick (the default), a tenant that goes *silent* after a
-    /// burst still converges: a lone delta is re-summarized within 2×
-    /// its tenant's [`flush_interval`] with no further calls.
+    /// burst still converges: the control thread calls
+    /// [`VoiceService::ingest_tick`] between control jobs, so a lone
+    /// delta is re-summarized within 2× its tenant's [`flush_interval`]
+    /// of the control thread being free, with no further calls. A control
+    /// job that runs longer (a registration, a flush) delays the tick
+    /// until it returns.
     ///
     /// [`flush_interval`]: crate::ingest::IngestBuilder::flush_interval
     pub fn no_flush_tick(mut self) -> FrontEndBuilder {
@@ -629,26 +631,14 @@ impl FrontEndBuilder {
         {
             let shared = Arc::clone(&shared);
             let service = Arc::clone(&self.service);
+            let flush_tick = self.flush_tick;
             handles.push(
                 std::thread::Builder::new()
                     .name("vqs-control".to_string())
-                    .spawn(move || control_loop(&shared, &service))
+                    .spawn(move || control_loop(&shared, &service, flush_tick))
                     .expect("spawn control thread"),
             );
         }
-        let flusher_signal = Arc::new(FlusherSignal {
-            stop: Mutex::new(false),
-            wake: Condvar::new(),
-        });
-        let flusher = self.flush_tick.then(|| {
-            let shared = Arc::clone(&shared);
-            let service = Arc::clone(&self.service);
-            let signal = Arc::clone(&flusher_signal);
-            std::thread::Builder::new()
-                .name("vqs-flush".to_string())
-                .spawn(move || flusher_loop(&shared, &service, &signal))
-                .expect("spawn flusher")
-        });
         FrontEnd {
             service: self.service,
             shared,
@@ -657,8 +647,6 @@ impl FrontEndBuilder {
             tenant_share: self.tenant_share.unwrap_or(self.queue_capacity),
             policy: self.policy,
             handles,
-            flusher,
-            flusher_signal,
         }
     }
 }
@@ -675,8 +663,6 @@ pub struct FrontEnd {
     policy: OverloadPolicy,
     /// The serving workers, then the control thread.
     handles: Vec<JoinHandle<()>>,
-    flusher: Option<JoinHandle<()>>,
-    flusher_signal: Arc<FlusherSignal>,
 }
 
 impl std::fmt::Debug for FrontEnd {
@@ -1055,11 +1041,6 @@ impl Drop for FrontEnd {
             let mut ingress = self.shared.ingress.lock().expect("ingress poisoned");
             ingress.shutdown = true;
         }
-        {
-            let mut stop = self.flusher_signal.stop.lock().expect("flusher poisoned");
-            *stop = true;
-        }
-        self.flusher_signal.wake.notify_all();
         self.shared.work_ready.notify_all();
         self.shared.control_ready.notify_all();
         self.shared.space_interactive.notify_all();
@@ -1067,52 +1048,6 @@ impl Drop for FrontEnd {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-        if let Some(flusher) = self.flusher.take() {
-            let _ = flusher.join();
-        }
-    }
-}
-
-/// Body of the background flusher thread: sleep one tick period (half
-/// the shortest streaming tenant's `flush_interval`, re-read every pass
-/// and capped at [`FLUSH_TICK_CAP`]), then drain every tenant whose
-/// debounce window is open via [`VoiceService::ingest_tick`]. A condvar
-/// wait makes the sleep cut short at shutdown, so dropping the
-/// front-end never waits out a tick.
-///
-/// Timing bound: `ingest_tick` flushes a tenant once
-/// `last_flush.elapsed() >= flush_interval`, and with a tick period of
-/// at most `flush_interval / 2` two consecutive passes always straddle
-/// that instant — a lone delta is re-summarized within 1.5× (worst
-/// case 2×) its tenant's interval with no further ingest calls.
-fn flusher_loop(shared: &FrontShared, service: &VoiceService, signal: &FlusherSignal) {
-    let mut stop = signal.stop.lock().expect("flusher poisoned");
-    loop {
-        if *stop {
-            return;
-        }
-        let sleep = service
-            .min_flush_interval()
-            .map_or(FLUSH_TICK_CAP, |interval| interval / 2)
-            .clamp(FLUSH_TICK_FLOOR, FLUSH_TICK_CAP);
-        let (guard, _) = signal
-            .wake
-            .wait_timeout(stop, sleep)
-            .expect("flusher poisoned");
-        stop = guard;
-        if *stop {
-            return;
-        }
-        drop(stop);
-        let flushed = service.ingest_tick();
-        shared.counters.flush_ticks.fetch_add(1, Ordering::Relaxed);
-        if flushed > 0 {
-            shared
-                .counters
-                .background_flushes
-                .fetch_add(flushed as u64, Ordering::Relaxed);
-        }
-        stop = signal.stop.lock().expect("flusher poisoned");
     }
 }
 
@@ -1204,10 +1139,6 @@ fn next_work(ingress: &mut Ingress) -> Option<Vec<Queued>> {
     Some(batch)
 }
 
-/// Answer one request, resolving each distinct tenant once per batch
-/// via `resolved` (the registry read-lock and handle bump come off the
-/// per-request path; staleness is bounded by one batch — the same
-/// window a request already being served has).
 /// [`respond_cached`] with panic containment: a panic completes the
 /// request with [`Answer::Internal`] (counted in
 /// [`FrontEndStats::contained_panics`]) instead of killing the worker
@@ -1231,6 +1162,10 @@ fn respond_contained(
     })
 }
 
+/// Answer one request, resolving each distinct tenant once per batch
+/// via `resolved` (the registry read-lock and handle bump come off the
+/// per-request path; staleness is bounded by one batch — the same
+/// window a request already being served has).
 fn respond_cached(
     service: &VoiceService,
     resolved: &mut Vec<(String, Option<Arc<Tenant>>)>,
@@ -1250,14 +1185,7 @@ fn respond_cached(
             // The deadline was stamped at admission; whatever budget is
             // left bounds live solver work via the degradation ladder.
             let deadline = request.deadline;
-            service.respond_resolved(
-                tenant,
-                request.tenant,
-                &request.text,
-                start,
-                deadline,
-                Exec::Bulk(&service.pool),
-            )
+            service.respond_resolved(tenant, request.tenant, &request.text, start, deadline)
         }
         None => VoiceService::unknown_tenant_response(&request.tenant, start),
     }
@@ -1316,37 +1244,75 @@ fn worker_loop(shared: &FrontShared, service: &VoiceService) {
 }
 
 /// Control thread body: run the control lane's jobs one at a time in
-/// FIFO order, park when idle, exit once shut down with the lane
-/// drained. Each job runs its own [`run_with_retry`] (or, for a task,
-/// its own panic containment) and completes its own ticket.
-fn control_loop(shared: &FrontShared, service: &VoiceService) {
+/// FIFO order and, with `flush_tick`, the flush tick between them; park
+/// when idle; exit once shut down with the lane drained. Each job runs
+/// its own [`run_with_retry`] (or, for a task, its own panic
+/// containment) and completes its own ticket.
+///
+/// The tick comes every half the shortest streaming tenant's
+/// `flush_interval` (re-read after every tick and clamped to
+/// [[`FLUSH_TICK_FLOOR`], [`FLUSH_TICK_CAP`]]): an idle control thread
+/// parks no longer than until the next tick is due, and a due tick runs
+/// before the next job is popped, so a steady job stream cannot starve
+/// it. [`VoiceService::ingest_tick`] flushes a tenant once
+/// `last_flush.elapsed() >= flush_interval`, and two consecutive ticks at
+/// most `flush_interval / 2` apart always straddle that instant — a lone
+/// delta is re-summarized within 1.5× (worst case 2×) its tenant's
+/// interval of the control thread being free, with no further calls.
+fn control_loop(shared: &FrontShared, service: &VoiceService, flush_tick: bool) {
+    let tick_period = || {
+        service
+            .min_flush_interval()
+            .map_or(FLUSH_TICK_CAP, |interval| interval / 2)
+            .clamp(FLUSH_TICK_FLOOR, FLUSH_TICK_CAP)
+    };
+    let mut next_tick = flush_tick.then(|| Instant::now() + tick_period());
+    let mut ingress = shared.ingress.lock().expect("ingress poisoned");
     loop {
-        let job = {
-            let mut ingress = shared.ingress.lock().expect("ingress poisoned");
-            loop {
-                if let Some(job) = ingress.background.pop_front() {
-                    break job;
-                }
-                if ingress.shutdown {
-                    return;
-                }
-                ingress = shared
-                    .control_ready
-                    .wait(ingress)
-                    .expect("ingress poisoned");
-            }
-        };
-        // Counted before the job completes its ticket, for the same
-        // observability ordering as interactive requests.
-        shared
-            .counters
-            .background_completed
-            .fetch_add(1, Ordering::Relaxed);
-        job(service);
-        let ingress = shared.ingress.lock().expect("ingress poisoned");
-        if ingress.blocked_background > 0 {
-            shared.space_background.notify_one();
+        let now = Instant::now();
+        if next_tick.is_some_and(|due| now >= due) && !ingress.shutdown {
+            drop(ingress);
+            let flushed = service.ingest_tick();
+            shared.counters.flush_ticks.fetch_add(1, Ordering::Relaxed);
+            shared
+                .counters
+                .background_flushes
+                .fetch_add(flushed as u64, Ordering::Relaxed);
+            next_tick = Some(Instant::now() + tick_period());
+            ingress = shared.ingress.lock().expect("ingress poisoned");
+            continue;
         }
+        if let Some(job) = ingress.background.pop_front() {
+            drop(ingress);
+            // Counted before the job completes its ticket, for the same
+            // observability ordering as interactive requests.
+            shared
+                .counters
+                .background_completed
+                .fetch_add(1, Ordering::Relaxed);
+            job(service);
+            ingress = shared.ingress.lock().expect("ingress poisoned");
+            if ingress.blocked_background > 0 {
+                shared.space_background.notify_one();
+            }
+            continue;
+        }
+        if ingress.shutdown {
+            return;
+        }
+        ingress = match next_tick {
+            Some(due) => {
+                shared
+                    .control_ready
+                    .wait_timeout(ingress, due - now)
+                    .expect("ingress poisoned")
+                    .0
+            }
+            None => shared
+                .control_ready
+                .wait(ingress)
+                .expect("ingress poisoned"),
+        };
     }
 }
 

@@ -66,7 +66,7 @@ use crate::generator::{
 use crate::ingest::{FlushReport, IngestBuilder, IngestInner, IngestReport, IngestState, RowDelta};
 use crate::logsim::{tabulate, LogEntry};
 use crate::nlq::{Extractor, Request, Unsupported};
-use crate::pipeline::{self, ComputedValue, Exec, FollowOn, PipelineContext, QueryPlan};
+use crate::pipeline::{self, ComputedValue, FollowOn, PipelineContext, QueryPlan};
 use crate::problem::StoredSpeech;
 use crate::store::{SpeechStore, StoreStats};
 use crate::template::{speaking_time_secs, SpeechTemplate};
@@ -1018,10 +1018,9 @@ impl VoiceService {
     }
 
     /// Force a full drain of a tenant's pending delta log, regardless of
-    /// debounce windows and rate caps. After a successful drain the
-    /// store snapshot is byte-identical to a cold pre-processing of the
-    /// log's table (the convergence contract), and
-    /// [`TenantStats::ingest_lag`] is zero.
+    /// debounce windows. After a successful drain the store snapshot is
+    /// byte-identical to a cold pre-processing of the log's table (the
+    /// convergence contract), and [`TenantStats::ingest_lag`] is zero.
     pub fn drain_ingest(&self, name: &str) -> Result<FlushReport> {
         let report = self.ingest_with(name, &[], true)?;
         Ok(report.flush.expect("forced ingest always flushes"))
@@ -1143,7 +1142,7 @@ impl VoiceService {
         )?;
         *tenant.runtime.write() = runtime;
         let deltas = inner.pending;
-        inner.drained(report.recomputed, state.options.max_solves_per_sec);
+        inner.drained();
         let invalidated = report.recomputed + report.removed;
         state
             .counters
@@ -1174,15 +1173,18 @@ impl VoiceService {
         })
     }
 
-    /// One pass of a background flusher: drain every streaming tenant
-    /// whose debounce window is open (pending deltas, `flush_interval`
-    /// elapsed, rate cap satisfied). This is what lets a tenant that
-    /// goes *silent* after a burst converge — without it, flushes only
-    /// piggyback on the next `ingest` call, which may never come.
+    /// One flush tick: drain every streaming tenant whose debounce
+    /// window is open (pending deltas, and `max_dirty` reached or
+    /// `flush_interval` elapsed). This is what lets a tenant that goes
+    /// *silent* after a burst converge — without it, flushes only
+    /// piggyback on the next `ingest` call, which may never come. The
+    /// serving front-end's control thread calls it between control jobs
+    /// (see [`FrontEndBuilder::no_flush_tick`]).
     ///
     /// Uses `try_lock` on each tenant's log so a tick never stalls
-    /// behind an in-flight ingest (that ingest will flush inline
-    /// anyway); a skipped tenant is simply retried on the next tick.
+    /// behind an in-flight ingest on another thread (that ingest will
+    /// flush inline anyway); a skipped tenant is simply retried on the
+    /// next tick.
     /// A failed flush (an error or a contained panic) leaves the log
     /// and dirty sets intact for the next tick and is counted in
     /// [`TenantStats::flush_failures`]. Returns the number of tenants
@@ -1206,8 +1208,8 @@ impl VoiceService {
 
     /// Shortest configured [`IngestBuilder::flush_interval`] across
     /// streaming-enabled tenants (`None` when no tenant streams). The
-    /// front-end flusher derives its tick period from this so the
-    /// 2×-interval convergence bound holds for every tenant.
+    /// front-end's control thread derives its flush tick period from
+    /// this so the 2×-interval convergence bound holds for every tenant.
     pub fn min_flush_interval(&self) -> Option<Duration> {
         self.tenants
             .read()
@@ -1272,8 +1274,8 @@ impl VoiceService {
     /// Answer one stateless request through the staged pipeline:
     /// classify the text with the tenant's extractor, then resolve
     /// through the three-tier chain — stored speech (or extension
-    /// answer), live plan execution on the shared pool's bulk lane, or
-    /// a typed apology — and account the latency. Per-user conversation
+    /// answer), live plan execution on the calling thread, or a typed
+    /// apology — and account the latency. Per-user conversation
     /// state (repeat handling) lives in [`VoiceService::session`].
     pub fn respond(&self, request: &ServiceRequest) -> ServiceResponse {
         let start = Instant::now();
@@ -1288,7 +1290,6 @@ impl VoiceService {
                     &request.text,
                     start,
                     deadline,
-                    Exec::Bulk(&self.pool),
                 )
             }
             None => Self::unknown_tenant_response(&request.tenant, start),
@@ -1344,7 +1345,6 @@ impl VoiceService {
         text: &str,
         start: Instant,
         deadline: Option<Instant>,
-        exec: Exec<'_>,
     ) -> ServiceResponse {
         if let Some(faults) = &self.faults {
             // Latency/panic injection on the hot path; panics are
@@ -1364,7 +1364,6 @@ impl VoiceService {
             help_text: &tenant.help_text,
             extensions: runtime.extensions.as_ref(),
             live: Some(&runtime.live),
-            exec,
             deadline,
             solve: Some(solve),
         };
@@ -1624,7 +1623,6 @@ mod tests {
             help_text: "help",
             extensions: None,
             live: None,
-            exec: Exec::Inline,
             deadline: None,
             solve: None,
         };

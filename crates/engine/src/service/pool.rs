@@ -18,10 +18,15 @@
 //! Batches carry a [`ScatterPriority`]: the queue holds two lanes and
 //! workers always drain the [`ScatterPriority::Interactive`] lane before
 //! touching [`ScatterPriority::Bulk`] jobs. Delta refreshes (small,
-//! latency-sensitive) ride the interactive lane while whole-dataset
-//! registrations are tagged bulk, so a large registration queued first
-//! can no longer delay a µs-scale refresh behind it (the ROADMAP's
-//! "pool back-pressure & priorities" follow-on).
+//! latency-sensitive) and solver search fan-outs ride the interactive
+//! lane while whole-dataset registrations and ingest flushes are tagged
+//! bulk, so a large registration queued first cannot delay a µs-scale
+//! refresh behind it.
+//!
+//! The pool runs solver work only. Answering a request never queues a
+//! job here — live plans execute on the thread that answers — except
+//! for the search fan-out of a pool-backed summarizer inside a
+//! deadline's live solve, which rides the interactive lane.
 //!
 //! ```
 //! use vqs_engine::service::{ScatterPriority, SolverPool};

@@ -16,7 +16,7 @@ use parking_lot::RwLock;
 
 use crate::extensions::ExtremumIndex;
 use crate::nlq::{Extractor, Request};
-use crate::pipeline::{self, Exec, PipelineContext};
+use crate::pipeline::{self, PipelineContext};
 use crate::service::{
     Answer, Degradation, RequestCounters, ServiceResponse, TenantRuntime, NOTHING_TO_REPEAT,
 };
@@ -113,7 +113,7 @@ impl VoiceSession {
     /// Handle one voice request through the staged pipeline. `Repeat`
     /// replays the previous *answer* (not just its text), so callers can
     /// still branch on the replayed structure. Live-path plans execute
-    /// inline on the calling thread — sessions hold no pool handle.
+    /// on the calling thread, as they do for every other caller.
     pub fn answer(&mut self, text: &str) -> ServiceResponse {
         let start = Instant::now();
         let shared = self.shared.as_ref().map(|runtime| runtime.read());
@@ -142,7 +142,6 @@ impl VoiceSession {
                     help_text: &self.help_text,
                     extensions,
                     live,
-                    exec: Exec::Inline,
                     // Sessions are interactive turn-taking — no queueing,
                     // so no deadline ladder; answers stay full-quality.
                     deadline: None,

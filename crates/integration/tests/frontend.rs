@@ -1,7 +1,8 @@
 //! Serving front-end behavior under load: deterministic shedding at the
 //! admission cap, per-tenant fairness under a hot-tenant flood, serving
-//! that never waits on the control lane, the block policy, and graceful
-//! shutdown.
+//! (live plans included) that never waits on the control lane or the
+//! solver pool, the flush tick on the control thread, the block policy,
+//! and graceful shutdown.
 //!
 //! The deterministic tests hold threads on *gates* — a summarizer that
 //! parks solves (a live solve inside a respond holds the serving worker,
@@ -10,8 +11,8 @@
 //! the entry, so queue states are exact, not timing-dependent.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use vqs_core::prelude::{GreedySummarizer, Problem, Summarizer, Summary};
 use vqs_data::{DimSpec, GeneratedDataset, SynthSpec, TargetSpec};
@@ -140,6 +141,20 @@ fn gated_service(
     }
     gate.close();
     service
+}
+
+/// Answer a live-plan question through `frontend` within [`LONG_WAIT`]
+/// and check that the live tier computed it.
+fn assert_live_plan_answered(frontend: &FrontEnd, tenant: &str) {
+    let response = frontend
+        .submit(ServiceRequest::new(tenant, "how many delays in Winter"))
+        .wait_timeout(LONG_WAIT)
+        .expect("live plan answered while the pool's worker is held");
+    assert!(
+        matches!(response.answer, Answer::Computed { .. }),
+        "expected a computed answer, got {:?}",
+        response.answer
+    );
 }
 
 /// Park the front-end's (only) serving worker inside a respond to
@@ -275,12 +290,14 @@ fn a_held_registration_cannot_delay_concurrent_responds() {
     gate.await_entered(before + 1);
 
     // While the registration is provably still held, interactive
-    // traffic flows through the only serving worker.
+    // traffic flows through the only serving worker: store hits, and a
+    // live plan although the registration holds the pool's only worker.
     for _ in 0..5 {
         let ticket = frontend.submit(ServiceRequest::new("live", "delay in Winter?"));
         let response = ticket.wait_timeout(LONG_WAIT).expect("respond served");
         assert!(response.answer.is_speech());
     }
+    assert_live_plan_answered(&frontend, "live");
     assert!(
         !register.is_ready(),
         "the registration is still gated, yet responds completed"
@@ -330,7 +347,8 @@ fn a_held_flush_cannot_delay_responds() {
     gate.await_entered(before + 1);
 
     // While the flush is provably still held, the only serving worker
-    // answers from the store.
+    // answers from the store, and runs a live plan although the flush
+    // holds the pool's only worker.
     for _ in 0..5 {
         let response = frontend
             .submit(ServiceRequest::new("live", "delay in Winter?"))
@@ -338,6 +356,7 @@ fn a_held_flush_cannot_delay_responds() {
             .expect("respond served while the flush is held");
         assert!(response.answer.is_speech());
     }
+    assert_live_plan_answered(&frontend, "live");
     assert!(
         !ingest.is_ready(),
         "the flush is still gated, yet responds completed"
@@ -374,6 +393,84 @@ fn park_control_thread(frontend: &FrontEnd, gate: &Arc<TestGate>) -> TaskTicket 
         .expect("gate task admitted");
     gate.await_entered(before + 1);
     ticket
+}
+
+/// A live plan runs on the thread that answers, so a respond issued from
+/// inside a pool job completes even when that job holds the pool's only
+/// worker.
+#[test]
+fn a_live_plan_respond_inside_a_pool_job_completes() {
+    let service = Arc::new(ServiceBuilder::new().workers(1).build());
+    service.register_dataset(tenant("svc")).unwrap();
+    let (done, answered) = mpsc::channel();
+    // On its own thread, so a deadlock fails the test instead of
+    // hanging it.
+    let asker = std::thread::spawn(move || {
+        let answers = service.solver_pool().scatter(1, |_| {
+            service
+                .respond(&ServiceRequest::new("svc", "how many delays in Winter"))
+                .answer
+        });
+        let _ = done.send(answers);
+    });
+    let answers = answered
+        .recv_timeout(LONG_WAIT)
+        .expect("a live-plan respond inside a pool job deadlocked");
+    asker.join().expect("the asking thread finished");
+    assert!(
+        matches!(answers[..], [Answer::Computed { .. }]),
+        "expected one computed answer, got {answers:?}"
+    );
+}
+
+/// The flush tick runs on the control thread: while a control job holds
+/// that thread no tick flushes a silent tenant, and once it is free the
+/// tick drains the tenant within two intervals.
+#[test]
+fn the_flush_tick_runs_on_the_control_thread() {
+    let interval = Duration::from_millis(100);
+    let service = Arc::new(ServiceBuilder::new().workers(1).build());
+    service
+        .register_dataset(tenant("svc").ingest(IngestBuilder::new().flush_interval(interval)))
+        .unwrap();
+    let frontend = FrontEnd::builder(Arc::clone(&service)).workers(1).build();
+    let gate = TestGate::new();
+    let _open = OpenOnDrop(Arc::clone(&gate));
+    let parked = park_control_thread(&frontend, &gate);
+
+    // One lone delta straight into the service: inside the debounce
+    // window, so the accepting call coalesces instead of flushing.
+    let row = dataset("svc", 7).table.iter_rows().next().expect("a row");
+    let report = service
+        .ingest("svc", &[RowDelta::Insert(row)])
+        .expect("the delta is accepted");
+    assert!(report.flush.is_none(), "lone delta must debounce");
+    let lag = || {
+        service
+            .stats()
+            .tenants
+            .iter()
+            .find(|t| t.tenant == "svc")
+            .expect("tenant registered")
+            .ingest_lag
+    };
+
+    // The control thread is held: no tick runs, so the delta stays
+    // pending well past its interval.
+    std::thread::sleep(4 * interval);
+    assert_eq!(lag(), 1, "a tick flushed while the control thread was held");
+    assert_eq!(frontend.stats().background_flushes, 0);
+
+    // Freed, the control thread's tick drains the tenant within two
+    // intervals.
+    gate.open();
+    parked.wait_timeout(LONG_WAIT).expect("gate task completes");
+    let deadline = Instant::now() + 2 * interval;
+    while lag() != 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(lag(), 0, "tenant not flushed within 2x flush_interval");
+    assert!(frontend.stats().background_flushes >= 1);
 }
 
 #[test]
