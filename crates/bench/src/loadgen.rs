@@ -345,8 +345,8 @@ pub struct LoadReport {
     pub ingests: u64,
     /// Refreshes submitted.
     pub refreshes: u64,
-    /// Respond completions with a served answer (speech, extension,
-    /// computed, help, unsupported, no-summary).
+    /// Respond completions with a served answer (speech, computed, help,
+    /// unsupported, no-summary).
     pub answered: u64,
     /// Respond completions shed with [`Answer::Overloaded`].
     pub shed: u64,

@@ -11,10 +11,10 @@
 //!    serving front-end's background control lane). Every accepted delta
 //!    is stamped with a monotonically increasing per-tenant sequence
 //!    number and patched into the tenant's live projection: the
-//!    configured dimensions, then the targets, then the extremum column,
-//!    the one copy of its data a tenant keeps. The log shares that table
-//!    with the runtime until the first delta after a flush copies it, and
-//!    a flush publishes the patched table as the new live one.
+//!    configured dimensions, then the targets, the one copy of its data a
+//!    tenant keeps. The log shares that table with the runtime until the
+//!    first delta after a flush copies it, and a flush publishes the
+//!    patched table as the new live one.
 //! 2. **Invalidation circuit** — each delta is mapped through the same
 //!    dimension-subset definitions the offline enumerator uses
 //!    (`vqs_core::delta`) to the exact set of `(query-subset, target)`

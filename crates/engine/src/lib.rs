@@ -7,7 +7,7 @@
 //! solved into its own sharded, lock-striped [`store::SpeechStore`]; and
 //! live traffic flows through the typed pipeline
 //! [`service::ServiceRequest`] → [`service::ServiceResponse`], whose
-//! [`service::Answer`] enum distinguishes stored speeches, extension
+//! [`service::Answer`] enum distinguishes stored speeches, live-computed
 //! answers, help, and apologies. Delta refreshes
 //! ([`service::VoiceService::refresh_tenant`]) re-summarize only the
 //! queries whose data subset changed. Production traffic enters
@@ -21,6 +21,8 @@
 //! → plan → execute): a summary-store hit first, then live plan
 //! execution over `vqs-relalg` for questions the store does not
 //! precompute ([`service::Answer::Computed`]), then a typed apology.
+//! The facade, the front-end and every [`voice::VoiceSession`] answer
+//! through that one path.
 //!
 //! ```
 //! use vqs_engine::prelude::*;
@@ -59,7 +61,6 @@
 
 pub mod config;
 pub mod error;
-pub mod extensions;
 pub mod generator;
 pub mod ingest;
 pub mod logsim;
@@ -75,7 +76,6 @@ pub mod voice;
 pub mod prelude {
     pub use crate::config::{ConfigError, Configuration};
     pub use crate::error::{EngineError, Result};
-    pub use crate::extensions::{ExtremumIndex, GroupAverage};
     pub use crate::generator::{
         configured_exact, configured_exact_on, enumerate_queries, solve_item, target_cells,
         target_relation, PreprocessReport, RefreshReport, WorkItem,

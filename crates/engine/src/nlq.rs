@@ -21,9 +21,10 @@ use crate::problem::Query;
 /// (the §VIII-D examples: extrema, relative comparisons, unavailable
 /// data — plus the aggregate/conjunctive shapes the staged pipeline
 /// recognizes). "Unsupported" is a *store* property: all variants except
-/// [`Unsupported::UnavailableData`] are now answered by tier two of
-/// [`crate::pipeline`] (live plan execution) when the tenant retains
-/// live data, and keep their Table III "U-Query" label either way.
+/// [`Unsupported::UnavailableData`] are answered by tier two of
+/// [`crate::pipeline`] (live plan execution over the tenant's data)
+/// whenever the analyzer resolved a plan and its subset is not empty, and
+/// keep their Table III "U-Query" label either way.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Unsupported {
     /// Asks for a maximum/minimum ("which airline has the most delays").
@@ -192,7 +193,8 @@ impl Extractor {
 
     /// Classify a raw voice request (§VIII-D categories). This is the
     /// label side of the staged pipeline's analyzer — the one
-    /// classification entry point; see [`crate::pipeline`].
+    /// classification entry point, which every answer and the log replay
+    /// go through; see [`crate::pipeline`].
     pub fn classify(&self, text: &str) -> Request {
         crate::pipeline::analyze::analyze(self, text).request
     }

@@ -4,7 +4,9 @@
 //! utterance onto the §VIII-D [`Request`] category (the label Table III
 //! counts — `Extractor::classify` delegates here) and, for questions the
 //! store does not precompute, onto a typed
-//! [`crate::pipeline::QueryPlan`]. Classification is deliberately
+//! [`crate::pipeline::QueryPlan`]. No later stage reads the utterance
+//! again: extrema and comparisons are answered from the plan built here,
+//! scoped by every predicate it recognized. Classification is deliberately
 //! bit-compatible with the legacy fixed-shape matcher: same cue tables,
 //! same substring-vs-word-boundary split, same decision order. What is
 //! new is that a recognized-but-unsupported request now *also* carries
@@ -21,8 +23,7 @@ const EXTREMUM_CUES: [&str; 8] = [
     "most", "highest", "maximum", "max ", "least", "lowest", "minimum", "worst",
 ];
 /// Extremum cues asking for the *low* end; any other extremum cue (or a
-/// mixed utterance) asks for the high end, matching the extension
-/// index's polarity rule.
+/// mixed utterance) asks for the high end.
 const LOWEST_CUES: [&str; 3] = ["least", "lowest", "minimum"];
 const COMPARISON_CUES: [&str; 5] = [
     "compare",

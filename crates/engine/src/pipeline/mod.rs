@@ -2,9 +2,11 @@
 //!
 //! This module is the single answer path of the engine
 //! (`ServiceRequest` → pipeline → [`Answer`]): the facade, the serving
-//! front-end, and stateful sessions all call `answer` with the
-//! `Analysis` produced by `analyze::analyze` (which also backs
-//! `Extractor::classify`, so classification happens exactly once).
+//! front-end, and stateful sessions all answer through the service's
+//! `Tenant::respond`, the only place a `PipelineContext` is built. It
+//! calls `answer` with the `Analysis` produced by `analyze::analyze`
+//! (which also backs `Extractor::classify`, so classification happens
+//! exactly once).
 //!
 //! Answers resolve through a three-tier chain:
 //!
@@ -17,8 +19,6 @@
 //!    over `vqs-relalg` against the tenant's live table, on the thread
 //!    that answers the request (a serving worker, a facade caller or a
 //!    session's owner), so a live answer never queues behind solver work.
-//!    A configured extremum/comparison extension index still wins first
-//!    (tier 1.5: precomputed beats live).
 //! 3. **Typed apology** — everything still unanswered keeps the legacy
 //!    typed apologies.
 //!
@@ -53,7 +53,6 @@ use vqs_relalg::hash::FxHashMap;
 use vqs_relalg::prelude::Table;
 
 use crate::config::Configuration;
-use crate::extensions::ExtremumIndex;
 use crate::nlq::{Request, Unsupported};
 use crate::service::faults::{FaultPlan, FaultSite};
 use crate::service::{
@@ -87,12 +86,11 @@ pub(crate) struct PipelineContext<'a> {
     pub store: &'a SpeechStore,
     /// Spoken help text for `Help` requests.
     pub help_text: &'a str,
-    /// Optional precomputed extremum/comparison index (tier 1.5).
-    pub extensions: Option<&'a ExtremumIndex>,
-    /// The tenant's live table (tier two); `None` for stores built
-    /// without retained data (free-standing sessions, hand-built
-    /// stores), which degrades gracefully to the apology tier.
-    pub live: Option<&'a Arc<Table>>,
+    /// The tenant's live table (tier two).
+    pub live: &'a Arc<Table>,
+    /// What a `Repeat` replays: a session's previous answer, `None` for
+    /// stateless traffic and a session's first turn.
+    pub last: Option<&'a Answer>,
     /// The request's absolute deadline; `None` (every deadline-free
     /// request) keeps the pipeline byte-identical to the pre-deadline
     /// behavior.
@@ -103,13 +101,10 @@ pub(crate) struct PipelineContext<'a> {
 }
 
 /// Map one analyzed request onto a typed answer (and optional follow-on
-/// hint) through the three-tier chain. `Repeat` resolves to the
-/// no-history help text — stateful replay lives in
-/// [`crate::voice::VoiceSession`], which intercepts `Repeat` before
-/// calling in.
+/// hint) through the three-tier chain. `Repeat` replays `ctx.last`, or
+/// the no-history help text when there is none.
 pub(crate) fn answer(
     analysis: &Analysis,
-    text: &str,
     ctx: &PipelineContext<'_>,
 ) -> (Answer, Option<FollowOn>, Degradation) {
     match &analysis.request {
@@ -121,9 +116,9 @@ pub(crate) fn answer(
             Degradation::None,
         ),
         Request::Repeat => (
-            Answer::Help {
+            ctx.last.cloned().unwrap_or_else(|| Answer::Help {
                 text: NOTHING_TO_REPEAT.to_string(),
-            },
+            }),
             None,
             Degradation::None,
         ),
@@ -203,23 +198,6 @@ pub(crate) fn answer(
             },
         },
         Request::Unsupported(reason) => {
-            // Tier 1.5: a precomputed extension index answers extremum/
-            // comparison shapes before any live work, preserving the
-            // pre-pipeline behavior of deployments that configured one.
-            let extension_answer = match reason {
-                Unsupported::Extremum => ctx
-                    .extensions
-                    .and_then(|index| index.answer_extremum_text(text)),
-                Unsupported::Comparison => ctx
-                    .extensions
-                    .and_then(|index| index.answer_comparison_text(text)),
-                Unsupported::Aggregate
-                | Unsupported::Conjunctive
-                | Unsupported::UnavailableData => None,
-            };
-            if let Some(text) = extension_answer {
-                return (Answer::Extension { text }, None, Degradation::None);
-            }
             let apology = |tier| {
                 (
                     Answer::Unsupported {
@@ -267,9 +245,9 @@ enum LiveSolved {
     Answered(Box<Answer>, Option<FollowOn>, Degradation),
     /// The deadline left no budget for live work at all.
     NoBudget,
-    /// The ladder does not apply — deadline-free request, no solver or
-    /// live table wired, or a query not solvable against the live data —
-    /// and the pre-existing tiers proceed unchanged.
+    /// The ladder does not apply — deadline-free request, no solver
+    /// wired, or a query not solvable against the live data — and the
+    /// pre-existing tiers proceed unchanged.
     Unavailable,
 }
 
@@ -282,9 +260,6 @@ fn solve_live_answer(query: &crate::problem::Query, ctx: &PipelineContext<'_>) -
     let Some(solve) = &ctx.solve else {
         return LiveSolved::Unavailable;
     };
-    let Some(table) = ctx.live else {
-        return LiveSolved::Unavailable;
-    };
     if Instant::now() >= deadline {
         return LiveSolved::NoBudget;
     }
@@ -294,7 +269,7 @@ fn solve_live_answer(query: &crate::problem::Query, ctx: &PipelineContext<'_>) -
         .faults
         .is_some_and(|faults| faults.impose(FaultSite::RespondSolve));
     match crate::generator::solve_live(
-        table,
+        ctx.live,
         solve.config,
         solve.summarizer,
         solve.templates,
@@ -325,13 +300,11 @@ fn solve_live_answer(query: &crate::problem::Query, ctx: &PipelineContext<'_>) -
     }
 }
 
-/// Tier two: execute `plan` against the live table, if there is one.
-/// The follow-on for a computed answer points at the stored summary
-/// nearest to the computed subset (one predicate past what the plan
-/// scoped), when it exists.
+/// Tier two: execute `plan` against the live table. The follow-on for a
+/// computed answer points at the stored summary nearest to the computed
+/// subset (one predicate past what the plan scoped), when it exists.
 fn live_answer(plan: &QueryPlan, ctx: &PipelineContext<'_>) -> Option<(Answer, Option<FollowOn>)> {
-    let table = ctx.live?;
-    let (value, text) = plan::execute(plan, table)?;
+    let (value, text) = plan::execute(plan, ctx.live)?;
     let answered =
         crate::problem::Query::new(plan.target().to_string(), plan.predicates().iter().cloned());
     let follow_on = followon::suggest(ctx.store, &answered);

@@ -335,7 +335,7 @@ fn scope_suffix(predicates: &[(String, String)]) -> String {
 
 /// Deterministic voice rendering of a computed value. Prefixed "From the
 /// live data" so transcripts distinguish tier-two answers from stored
-/// speeches and extension-index answers.
+/// speeches.
 fn render(plan: &QueryPlan, value: &ComputedValue) -> String {
     let spoken_target = plan.target().replace('_', " ");
     let scope = scope_suffix(plan.predicates());

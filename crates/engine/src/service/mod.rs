@@ -56,11 +56,10 @@ use vqs_relalg::hash::FxHashMap;
 use vqs_relalg::ops::{self, ProjectItem};
 use vqs_relalg::prelude::Table;
 
-use crate::config::Configuration;
+use crate::config::{ConfigError, Configuration};
 use crate::error::{EngineError, Result};
-use crate::extensions::ExtremumIndex;
 use crate::generator::{
-    preprocess_with, refresh_with, require_column, resummarize_with, table_relation, Invalidation,
+    preprocess_with, refresh_with, require_column, resummarize_with, Invalidation,
     PreprocessReport, RefreshReport,
 };
 use crate::ingest::{FlushReport, IngestBuilder, IngestInner, IngestReport, IngestState, RowDelta};
@@ -78,16 +77,19 @@ pub(crate) const NO_SUMMARY: &str = "I have no summary for that topic yet.";
 pub(crate) const NOT_UNDERSTOOD: &str = "Sorry, I did not understand. Say 'help' for examples.";
 /// Spoken fallback for a repeat request with no conversation history.
 pub(crate) const NOTHING_TO_REPEAT: &str = "I have not said anything yet.";
-/// Apology for extremum queries with no extension index.
+/// Apology for extremum queries the live tier cannot answer (no target
+/// resolved, or an empty subset).
 pub(crate) const EXTREMUM_APOLOGY: &str = "I can only summarize averages, not find extremes.";
-/// Apology for comparison queries with no extension index.
+/// Apology for comparison queries the live tier cannot answer (no two
+/// values of one dimension named, or a side absent from the data).
 pub(crate) const COMPARISON_APOLOGY: &str =
     "I cannot compare data subsets directly; ask about one subset at a time.";
-/// Apology for count/total aggregates when no live table is retained.
+/// Apology for count/total aggregates the live tier cannot answer (no
+/// target resolved, or an empty subset).
 pub(crate) const AGGREGATE_APOLOGY: &str =
     "I can only summarize averages, not compute counts or totals.";
-/// Apology for conjunctive queries beyond the pre-computed length when
-/// no live table is retained.
+/// Apology for conjunctive queries beyond the pre-computed length whose
+/// subset is empty in the live data.
 pub(crate) const CONJUNCTIVE_APOLOGY: &str =
     "That question combines more filters than I pre-computed.";
 /// Apology for data outside the deployment.
@@ -168,11 +170,6 @@ pub enum Answer {
         /// predicates retained.
         kept_predicates: Option<usize>,
     },
-    /// Answered by a pre-computed extension index (extremum/comparison).
-    Extension {
-        /// Spoken answer.
-        text: String,
-    },
     /// Computed live by executing a typed [`QueryPlan`] over the
     /// tenant's retained table (the pipeline's tier two): questions the
     /// store does not precompute — conjunctive filters beyond the
@@ -244,8 +241,7 @@ impl Answer {
     pub fn text(&self) -> &str {
         match self {
             Answer::Speech { speech, .. } => &speech.text,
-            Answer::Extension { text }
-            | Answer::Computed { text, .. }
+            Answer::Computed { text, .. }
             | Answer::Help { text }
             | Answer::Unsupported { text, .. } => text,
             Answer::NoSummary { .. } => NO_SUMMARY,
@@ -266,8 +262,8 @@ impl Answer {
 /// latency/speaking-time accounting of the old response type.
 #[derive(Debug, Clone)]
 pub struct ServiceResponse {
-    /// The tenant that answered (echoed from the request; empty for
-    /// free-standing sessions without a tenant label).
+    /// The tenant that answered (echoed from the request, or the
+    /// session's tenant).
     pub tenant: String,
     /// The classified request; `None` only when the tenant was unknown
     /// (no extractor exists to classify against).
@@ -317,7 +313,6 @@ pub struct TenantSpec {
     templates: FxHashMap<String, SpeechTemplate>,
     synonyms: Vec<(String, Vec<String>)>,
     unavailable_markers: Vec<String>,
-    extremum: Option<(String, String)>,
     default_deadline: Option<Duration>,
     ingest: Option<IngestBuilder>,
 }
@@ -338,7 +333,6 @@ impl TenantSpec {
             templates: FxHashMap::default(),
             synonyms: Vec::new(),
             unavailable_markers: Vec::new(),
-            extremum: None,
             default_deadline: None,
             ingest: None,
         }
@@ -363,7 +357,8 @@ impl TenantSpec {
     }
 
     /// Register spoken synonyms for a target column ("a few samples" of
-    /// phrasings, §III).
+    /// phrasings, §III). `target` must be one of the configuration's
+    /// targets, or [`VoiceService::register_dataset`] fails.
     pub fn target_synonyms(mut self, target: &str, synonyms: &[&str]) -> TenantSpec {
         self.synonyms.push((
             target.to_string(),
@@ -376,13 +371,6 @@ impl TenantSpec {
     pub fn unavailable_markers(mut self, markers: &[&str]) -> TenantSpec {
         self.unavailable_markers
             .extend(markers.iter().map(|m| m.to_string()));
-        self
-    }
-
-    /// Pre-compute the extremum/comparison extension index for `target`,
-    /// spoken as `phrase` (answers the §VIII-D "U-Query" shapes).
-    pub fn extremum_index(mut self, target: &str, phrase: &str) -> TenantSpec {
-        self.extremum = Some((target.to_string(), phrase.to_string()));
         self
     }
 
@@ -408,15 +396,12 @@ impl TenantSpec {
 }
 
 /// Per-request counters of one tenant, updated with relaxed atomics on
-/// the respond path. Shared (via [`std::sync::Arc`]) with every
-/// [`VoiceSession`] opened on the tenant, so session traffic shows up
-/// in the same per-tenant roll-up the front-end's fairness accounting
-/// reads.
+/// the respond path. A [`VoiceSession`] answers through the same path,
+/// so session traffic shows up in the same per-tenant roll-up.
 #[derive(Debug, Default)]
 pub(crate) struct RequestCounters {
     requests: AtomicU64,
     speeches: AtomicU64,
-    extensions: AtomicU64,
     computed: AtomicU64,
     helps: AtomicU64,
     unsupported: AtomicU64,
@@ -442,7 +427,6 @@ impl RequestCounters {
         }
         let kind = match answer {
             Answer::Speech { .. } => &self.speeches,
-            Answer::Extension { .. } => &self.extensions,
             Answer::Computed { .. } => &self.computed,
             Answer::Help { .. } => &self.helps,
             Answer::Unsupported { .. } => &self.unsupported,
@@ -473,27 +457,27 @@ struct TenantRollup {
     solver_time: Duration,
 }
 
-/// The answer-time state rebuilt after every refresh (dictionaries may
-/// gain values, the live table follows the data).
+/// The answer-time state rebuilt after every refresh and flush
+/// (dictionaries may gain values, the live table follows the data).
 #[derive(Debug)]
 pub(crate) struct TenantRuntime {
     pub(crate) extractor: Extractor,
-    pub(crate) extensions: Option<ExtremumIndex>,
     /// The tenant's data, projected by [`Tenant::project`] — the
     /// pipeline's tier-two execution input, and the table an ingest
     /// flush solves over.
     pub(crate) live: Arc<Table>,
 }
 
-/// One registered deployment.
+/// One registered deployment. The registry and every open
+/// [`VoiceSession`] share it, so an evicted tenant lives on until its
+/// last session closes.
 pub(crate) struct Tenant {
-    name: String,
+    pub(crate) name: String,
     config: Configuration,
     help_text: String,
     templates: FxHashMap<String, SpeechTemplate>,
     synonyms: Vec<(String, Vec<String>)>,
     unavailable_markers: Vec<String>,
-    extremum: Option<(String, String)>,
     /// Default deadline budget stamped onto requests that carry none.
     default_deadline: Option<Duration>,
     store: Arc<SpeechStore>,
@@ -506,11 +490,11 @@ pub(crate) struct Tenant {
     /// patches it and a flush publishes it. A tenant's resident cost is
     /// its store plus dictionaries plus that bounded projection.
     refresh_lock: Mutex<()>,
-    /// Shared with every open [`VoiceSession`], so refreshed extractor
-    /// dictionaries reach live sessions immediately.
-    runtime: Arc<RwLock<TenantRuntime>>,
+    /// Replaced whole by every refresh and flush; open sessions read it
+    /// through the tenant, so refreshed dictionaries reach them at once.
+    runtime: RwLock<TenantRuntime>,
     rollup: Mutex<TenantRollup>,
-    counters: Arc<RequestCounters>,
+    counters: RequestCounters,
     /// Streaming-ingestion state (the patched table, delta log, and
     /// dirty sets); `None` unless the tenant opted in via
     /// [`TenantSpec::ingest`].
@@ -519,33 +503,23 @@ pub(crate) struct Tenant {
 
 impl Tenant {
     /// The tenant's one copy of its data: `table` projected to the
-    /// configured dimensions, then the targets, then the extremum column
-    /// when it is not a target.
-    fn project(
-        table: &Table,
-        config: &Configuration,
-        extremum: &Option<(String, String)>,
-    ) -> Result<Arc<Table>> {
-        let extra = extremum
-            .as_ref()
-            .map(|(target, _)| target)
-            .filter(|target| !config.targets.contains(target));
+    /// configured dimensions, then the targets.
+    fn project(table: &Table, config: &Configuration) -> Result<Arc<Table>> {
         let mut projection = Vec::new();
-        for column in config.dimensions.iter().chain(&config.targets).chain(extra) {
+        for column in config.dimensions.iter().chain(&config.targets) {
             require_column(table, column)?;
             projection.push(ProjectItem::passthrough(table, column)?);
         }
         Ok(Arc::new(ops::project(table, &projection)?))
     }
 
-    /// Build the extractor (and optional extension index) over `live`, a
-    /// [`Tenant::project`]ion, and serve live plans from it.
+    /// Build the extractor over `live`, a [`Tenant::project`]ion, and
+    /// serve live plans from it.
     fn build_runtime(
         live: &Arc<Table>,
         config: &Configuration,
         synonyms: &[(String, Vec<String>)],
         unavailable_markers: &[String],
-        extremum: &Option<(String, String)>,
     ) -> Result<TenantRuntime> {
         let mut extractor = Extractor::for_deployment(live, config)?;
         for (target, phrases) in synonyms {
@@ -556,18 +530,50 @@ impl Tenant {
             let markers: Vec<&str> = unavailable_markers.iter().map(String::as_str).collect();
             extractor = extractor.with_unavailable_markers(&markers);
         }
-        let extensions = match extremum {
-            Some((target, phrase)) => Some(ExtremumIndex::build(
-                &table_relation(live, config, target)?,
-                phrase,
-            )),
-            None => None,
-        };
         Ok(TenantRuntime {
             extractor,
-            extensions,
             live: Arc::clone(live),
         })
+    }
+
+    /// The one answer path: classify `text` with the tenant's extractor,
+    /// resolve it through the [`pipeline`] — stored speech, live plan on
+    /// the calling thread, or typed apology — and account it in the
+    /// tenant's counters. [`VoiceService::respond`], the serving
+    /// front-end and every [`VoiceSession`] turn answer here. `solve`
+    /// arms the deadline ladder's live solve; a `Repeat` replays `last`.
+    pub(crate) fn respond(
+        &self,
+        label: String,
+        text: &str,
+        start: Instant,
+        deadline: Option<Instant>,
+        solve: Option<pipeline::LiveSolve<'_>>,
+        last: Option<&Answer>,
+    ) -> ServiceResponse {
+        let runtime = self.runtime.read();
+        let analysis = pipeline::analyze::analyze(&runtime.extractor, text);
+        let ctx = PipelineContext {
+            store: &self.store,
+            help_text: &self.help_text,
+            live: &runtime.live,
+            last,
+            deadline,
+            solve,
+        };
+        let (answer, follow_on, degradation) = pipeline::answer(&analysis, &ctx);
+        drop(runtime);
+        self.counters.record(&answer, degradation);
+        ServiceResponse {
+            tenant: label,
+            request: Some(analysis.request),
+            speaking_secs: speaking_time_secs(answer.text()),
+            follow_on,
+            session: None,
+            latency_micros: start.elapsed().as_micros() as u64,
+            degradation,
+            answer,
+        }
     }
 }
 
@@ -584,8 +590,6 @@ pub struct TenantStats {
     pub requests: u64,
     /// Requests answered with a stored speech.
     pub speech_answers: u64,
-    /// Requests answered by an extension index.
-    pub extension_answers: u64,
     /// Requests answered by live plan execution ([`Answer::Computed`]).
     pub computed_answers: u64,
     /// Requests answered with usage guidance.
@@ -849,6 +853,18 @@ impl VoiceService {
     pub fn register_dataset(&self, spec: TenantSpec) -> Result<PreprocessReport> {
         self.impose_control(FaultSite::Register)?;
         spec.config.validate()?;
+        // Only configured targets are projected, so a synonym for any
+        // other column could never be answered.
+        if let Some((target, _)) = spec
+            .synonyms
+            .iter()
+            .find(|(target, _)| !spec.config.targets.contains(target))
+        {
+            return Err(ConfigError::Invalid {
+                detail: format!("target synonyms for '{target}', which is not a configured target"),
+            }
+            .into());
+        }
         if self.tenant(&spec.name).is_some() {
             return Err(EngineError::DuplicateTenant { name: spec.name });
         }
@@ -862,13 +878,12 @@ impl VoiceService {
             &self.pool,
             ScatterPriority::Bulk,
         )?;
-        let live = Tenant::project(&spec.dataset.table, &spec.config, &spec.extremum)?;
+        let live = Tenant::project(&spec.dataset.table, &spec.config)?;
         let runtime = Tenant::build_runtime(
             &live,
             &spec.config,
             &spec.synonyms,
             &spec.unavailable_markers,
-            &spec.extremum,
         )?;
         let ingest = spec.ingest.map(|options| {
             IngestState::new(options, spec.dataset.table.schema(), live, &spec.config)
@@ -887,11 +902,10 @@ impl VoiceService {
             templates: spec.templates,
             synonyms: spec.synonyms,
             unavailable_markers: spec.unavailable_markers,
-            extremum: spec.extremum,
             default_deadline: spec.default_deadline,
             store: Arc::new(store),
             refresh_lock: Mutex::new(()),
-            runtime: Arc::new(RwLock::new(runtime)),
+            runtime: RwLock::new(runtime),
             rollup: Mutex::new(TenantRollup {
                 preprocess: report.clone(),
                 refreshes: 0,
@@ -900,7 +914,7 @@ impl VoiceService {
                 solver: report.instrumentation,
                 solver_time: report.solver_time,
             }),
-            counters: Arc::new(RequestCounters::default()),
+            counters: RequestCounters::default(),
             ingest,
         });
         let mut tenants = self.tenants.write();
@@ -944,13 +958,12 @@ impl VoiceService {
         // store: they are the only other fallible steps, so ordering them
         // first keeps a failed refresh fail-atomic (store, data,
         // extractor, and counters all stay on the old data together).
-        let live = Tenant::project(&dataset.table, &tenant.config, &tenant.extremum)?;
+        let live = Tenant::project(&dataset.table, &tenant.config)?;
         let runtime = Tenant::build_runtime(
             &live,
             &tenant.config,
             &tenant.synonyms,
             &tenant.unavailable_markers,
-            &tenant.extremum,
         )?;
         let report = refresh_with(
             &dataset.table,
@@ -1127,7 +1140,6 @@ impl VoiceService {
             &tenant.config,
             &tenant.synonyms,
             &tenant.unavailable_markers,
-            &tenant.extremum,
         )?;
         let (all, by_target) = inner.dirty();
         let report = resummarize_with(
@@ -1249,34 +1261,25 @@ impl VoiceService {
             .map(|tenant| tenant.runtime.read().extractor.clone())
     }
 
-    /// Open a stateful conversation ([`VoiceSession`]) over one tenant:
-    /// the session adds repeat handling on top of the same typed answer
-    /// pipeline. It shares the tenant's *live* runtime, so extractor
-    /// dictionaries refreshed via [`VoiceService::refresh_tenant`] take
-    /// effect mid-conversation, and it holds its own store handle, so it
-    /// keeps answering even after the tenant is evicted.
+    /// Open a stateful conversation ([`VoiceSession`]) over one tenant —
+    /// the only way to open one. The session answers through the same
+    /// path as [`VoiceService::respond`], adding repeat handling, with
+    /// no deadline. It holds the tenant itself, so dictionaries
+    /// refreshed via [`VoiceService::refresh_tenant`] take effect
+    /// mid-conversation, and an evicted tenant keeps answering its open
+    /// sessions.
     pub fn session(&self, name: &str) -> Option<VoiceSession> {
         let tenant = self.tenant(name)?;
-        let extractor = tenant.runtime.read().extractor.clone();
         tenant.counters.sessions.fetch_add(1, Ordering::Relaxed);
-        Some(
-            VoiceSession::new(
-                Arc::clone(&tenant.store),
-                extractor,
-                tenant.help_text.clone(),
-            )
-            .with_tenant_label(&tenant.name)
-            .with_shared_runtime(Arc::clone(&tenant.runtime))
-            .with_counters(Arc::clone(&tenant.counters)),
-        )
+        Some(VoiceSession::open(tenant))
     }
 
     /// Answer one stateless request through the staged pipeline:
     /// classify the text with the tenant's extractor, then resolve
-    /// through the three-tier chain — stored speech (or extension
-    /// answer), live plan execution on the calling thread, or a typed
-    /// apology — and account the latency. Per-user conversation
-    /// state (repeat handling) lives in [`VoiceService::session`].
+    /// through the three-tier chain — stored speech, live plan execution
+    /// on the calling thread, or a typed apology — and account the
+    /// latency. Per-user conversation state (repeat handling) lives in
+    /// [`VoiceService::session`].
     pub fn respond(&self, request: &ServiceRequest) -> ServiceResponse {
         let start = Instant::now();
         match self.tenant(&request.tenant) {
@@ -1351,35 +1354,13 @@ impl VoiceService {
             // contained by the front-end's worker loop.
             faults.impose(FaultSite::Respond);
         }
-        let runtime = tenant.runtime.read();
-        let analysis = pipeline::analyze::analyze(&runtime.extractor, text);
         let solve = pipeline::LiveSolve {
             summarizer: self.summarizer.as_ref(),
             config: &tenant.config,
             templates: &tenant.templates,
             faults: self.faults.as_deref(),
         };
-        let ctx = PipelineContext {
-            store: &tenant.store,
-            help_text: &tenant.help_text,
-            extensions: runtime.extensions.as_ref(),
-            live: Some(&runtime.live),
-            deadline,
-            solve: Some(solve),
-        };
-        let (answer, follow_on, degradation) = pipeline::answer(&analysis, text, &ctx);
-        drop(runtime);
-        tenant.counters.record(&answer, degradation);
-        ServiceResponse {
-            tenant: label,
-            request: Some(analysis.request),
-            speaking_secs: speaking_time_secs(answer.text()),
-            follow_on,
-            session: None,
-            latency_micros: start.elapsed().as_micros() as u64,
-            degradation,
-            answer,
-        }
+        tenant.respond(label, text, start, deadline, Some(solve), None)
     }
 
     /// Replay a generated deployment log through one tenant's classifier
@@ -1403,7 +1384,6 @@ impl VoiceService {
                     queries: rollup.preprocess.queries,
                     requests: tenant.counters.requests.load(Ordering::Relaxed),
                     speech_answers: tenant.counters.speeches.load(Ordering::Relaxed),
-                    extension_answers: tenant.counters.extensions.load(Ordering::Relaxed),
                     computed_answers: tenant.counters.computed.load(Ordering::Relaxed),
                     help_answers: tenant.counters.helps.load(Ordering::Relaxed),
                     unsupported_answers: tenant.counters.unsupported.load(Ordering::Relaxed),
@@ -1513,6 +1493,32 @@ mod tests {
     }
 
     #[test]
+    fn synonyms_for_unconfigured_targets_are_rejected() {
+        let service = service();
+        let err = service
+            .register_dataset(
+                TenantSpec::new("svc", dataset(7), config())
+                    .target_synonyms("dealy", &["lateness"]),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Config(ConfigError::Invalid { detail }) if detail.contains("'dealy'")),
+            "{err:?}"
+        );
+        assert!(service.tenants().is_empty());
+        // The same phrasing for the configured target registers and
+        // answers.
+        service
+            .register_dataset(
+                TenantSpec::new("svc", dataset(7), config())
+                    .target_synonyms("delay", &["lateness"]),
+            )
+            .unwrap();
+        let response = service.respond(&ServiceRequest::new("svc", "lateness in Winter"));
+        assert!(response.answer.is_speech(), "{:?}", response.answer);
+    }
+
+    #[test]
     fn refresh_of_unknown_tenant_errors() {
         let service = service();
         let err = service
@@ -1540,8 +1546,8 @@ mod tests {
         assert_eq!(chatter.text(), NOT_UNDERSTOOD);
         let repeat = service.respond(&ServiceRequest::new("svc", "repeat that"));
         assert_eq!(repeat.text(), NOTHING_TO_REPEAT);
-        // With no extension index, the extremum question still
-        // classifies as U-Query but the live tier answers it.
+        // The extremum question classifies as U-Query, and the live tier
+        // answers it.
         let extremum = service.respond(&ServiceRequest::new(
             "svc",
             "which season has the most delay",
@@ -1580,27 +1586,6 @@ mod tests {
     }
 
     #[test]
-    fn extremum_extension_answers_through_the_facade() {
-        let service = service();
-        service
-            .register_dataset(
-                TenantSpec::new("svc", dataset(7), config())
-                    .target_synonyms("delay", &["delays"])
-                    .extremum_index("delay", "delay"),
-            )
-            .unwrap();
-        let response = service.respond(&ServiceRequest::new(
-            "svc",
-            "which season has the most delays",
-        ));
-        match &response.answer {
-            Answer::Extension { text } => assert!(text.contains("highest"), "{text}"),
-            other => panic!("expected extension answer, got {other:?}"),
-        }
-        assert_eq!(service.stats().tenants[0].extension_answers, 1);
-    }
-
-    #[test]
     fn generalization_fallback_reports_kept_predicates() {
         use crate::problem::Query;
         // A store covering only the overall and the Winter slice: a
@@ -1618,11 +1603,12 @@ mod tests {
                 query,
             });
         }
+        let live = Tenant::project(&dataset(7).table, &config()).unwrap();
         let ctx = PipelineContext {
             store: &store,
             help_text: "help",
-            extensions: None,
-            live: None,
+            live: &live,
+            last: None,
             deadline: None,
             solve: None,
         };
@@ -1633,7 +1619,7 @@ mod tests {
             )),
             plan: None,
         };
-        let (answer, _, degradation) = pipeline::answer(&analysis, "", &ctx);
+        let (answer, _, degradation) = pipeline::answer(&analysis, &ctx);
         assert_eq!(degradation, Degradation::None);
         match answer {
             Answer::Speech {
@@ -1645,14 +1631,13 @@ mod tests {
             }
             other => panic!("expected generalized speech, got {other:?}"),
         }
-        // Without a live table, an unknown target is a typed miss
-        // carrying the query, distinct from the out-of-deployment
-        // apology.
+        // A target the live table does not hold is a typed miss carrying
+        // the query, distinct from the out-of-deployment apology.
         let miss = pipeline::Analysis {
             request: Request::Query(Query::of("satisfaction", &[])),
             plan: None,
         };
-        let (answer, follow_on, _) = pipeline::answer(&miss, "", &ctx);
+        let (answer, follow_on, _) = pipeline::answer(&miss, &ctx);
         assert_eq!(
             answer,
             Answer::NoSummary {
@@ -2003,7 +1988,7 @@ mod tests {
             other => panic!("expected overall speech, got {other:?}"),
         }
         // After a refresh onto data containing Summer, the *same open
-        // session* classifies the new value (live shared runtime).
+        // session* classifies the new value (it reads the tenant's runtime).
         let changed: Vec<usize> = (0..full.table.len()).collect();
         service.refresh_tenant("svc", &full, &changed).unwrap();
         match &session.answer("delay in Summer").answer {

@@ -2,73 +2,51 @@
 //!
 //! At run time the system "merely looks up the best pre-generated speech"
 //! (§VIII-E); the session layer adds per-user conversation state (repeat
-//! handling) and latency accounting on top of the same typed answer
-//! pipeline the [`crate::service::VoiceService`] facade uses for
-//! stateless traffic. Sessions own an [`Arc`] handle to the speech
-//! store, so they can be stored next to (and outlive) the service or
-//! store that spawned them.
+//! handling) on top of the one answer path the
+//! [`crate::service::VoiceService`] facade uses for stateless traffic.
+//! Sessions are opened by [`crate::service::VoiceService::session`] and
+//! hold their tenant, so they can be stored next to (and outlive) the
+//! service that spawned them, and keep answering after it evicts the
+//! tenant.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::RwLock;
-
-use crate::extensions::ExtremumIndex;
-use crate::nlq::{Extractor, Request};
-use crate::pipeline::{self, PipelineContext};
-use crate::service::{
-    Answer, Degradation, RequestCounters, ServiceResponse, TenantRuntime, NOTHING_TO_REPEAT,
-};
+use crate::nlq::Request;
+use crate::service::{Answer, ServiceResponse, Tenant};
 
 /// Monotonic source of session ids — process-wide, so ids stay unique
 /// (and stable for the session's lifetime) across services and tenants.
 static NEXT_SESSION_ID: AtomicU64 = AtomicU64::new(1);
-use crate::store::SpeechStore;
-use crate::template::speaking_time_secs;
 
-/// A stateful voice session over one deployment. Each session carries a
+/// A stateful voice session over one tenant, opened by
+/// [`crate::service::VoiceService::session`]. Each session carries a
 /// process-unique stable [`VoiceSession::id`], stamped into every
 /// response it answers.
-#[derive(Debug)]
 pub struct VoiceSession {
     id: u64,
-    tenant: String,
-    store: Arc<SpeechStore>,
-    extractor: Extractor,
-    help_text: String,
+    tenant: Arc<Tenant>,
     last: Option<Answer>,
-    extensions: Option<ExtremumIndex>,
-    /// When opened via [`crate::service::VoiceService::session`], the
-    /// tenant's live extractor/extension state: refreshes reach open
-    /// sessions instead of leaving them on snapshotted dictionaries.
-    shared: Option<Arc<RwLock<TenantRuntime>>>,
-    /// When opened via [`crate::service::VoiceService::session`], the
-    /// tenant's request counters: session traffic rolls up into the
-    /// same per-tenant accounting as stateless respond traffic, so
-    /// fairness/stats consumers see conversation load too.
-    counters: Option<Arc<RequestCounters>>,
+}
+
+impl std::fmt::Debug for VoiceSession {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("VoiceSession")
+            .field("id", &self.id)
+            .field("tenant", &self.tenant.name)
+            .field("last", &self.last)
+            .finish()
+    }
 }
 
 impl VoiceSession {
-    /// Open a session over a store and extractor. Prefer
-    /// [`crate::service::VoiceService::session`], which wires all of this
-    /// from the tenant registration.
-    pub fn new(
-        store: Arc<SpeechStore>,
-        extractor: Extractor,
-        help_text: impl Into<String>,
-    ) -> Self {
+    /// A new conversation over `tenant`, with nothing said yet.
+    pub(crate) fn open(tenant: Arc<Tenant>) -> VoiceSession {
         VoiceSession {
             id: NEXT_SESSION_ID.fetch_add(1, Ordering::Relaxed),
-            tenant: String::new(),
-            store,
-            extractor,
-            help_text: help_text.into(),
+            tenant,
             last: None,
-            extensions: None,
-            shared: None,
-            counters: None,
         }
     }
 
@@ -78,148 +56,89 @@ impl VoiceSession {
         self.id
     }
 
-    /// Follow a tenant's live runtime instead of the construction-time
-    /// extractor/extension snapshot (wired by
-    /// [`crate::service::VoiceService::session`]).
-    pub(crate) fn with_shared_runtime(mut self, runtime: Arc<RwLock<TenantRuntime>>) -> Self {
-        self.shared = Some(runtime);
-        self
-    }
-
-    /// Roll this session's answered requests into the tenant's request
-    /// counters (wired by [`crate::service::VoiceService::session`]).
-    pub(crate) fn with_counters(mut self, counters: Arc<RequestCounters>) -> Self {
-        self.counters = Some(counters);
-        self
-    }
-
-    /// Enable the extremum/comparison extension (answers the §VIII-D
-    /// "U-Query" shapes from a pre-computed index instead of
-    /// apologizing). On a session opened via
-    /// [`crate::service::VoiceService::session`] this *overrides* the
-    /// tenant's registered index for this session only.
-    pub fn with_extensions(mut self, index: ExtremumIndex) -> Self {
-        self.extensions = Some(index);
-        self
-    }
-
-    /// Label responses with the tenant this session serves (set by
-    /// [`crate::service::VoiceService::session`]).
-    pub fn with_tenant_label(mut self, tenant: impl Into<String>) -> Self {
-        self.tenant = tenant.into();
-        self
-    }
-
-    /// Handle one voice request through the staged pipeline. `Repeat`
-    /// replays the previous *answer* (not just its text), so callers can
-    /// still branch on the replayed structure. Live-path plans execute
-    /// on the calling thread, as they do for every other caller.
+    /// Handle one voice request through the tenant's answer path. A
+    /// session is interactive turn-taking with no queue, so it carries
+    /// no deadline and its answers stay full-quality. `Repeat` replays
+    /// the previous *answer* (not just its text), so callers can still
+    /// branch on the replayed structure.
     pub fn answer(&mut self, text: &str) -> ServiceResponse {
-        let start = Instant::now();
-        let shared = self.shared.as_ref().map(|runtime| runtime.read());
-        let (extractor, extensions, live) = match &shared {
-            // A session-local index set via `with_extensions` overrides
-            // the tenant's; the extractor always follows the live
-            // runtime so refreshed dictionaries apply mid-conversation.
-            Some(runtime) => (
-                &runtime.extractor,
-                self.extensions.as_ref().or(runtime.extensions.as_ref()),
-                Some(&runtime.live),
-            ),
-            None => (&self.extractor, self.extensions.as_ref(), None),
-        };
-        let analysis = pipeline::analyze::analyze(extractor, text);
-        let (answer, follow_on) = match &analysis.request {
-            Request::Repeat => (
-                self.last.clone().unwrap_or(Answer::Help {
-                    text: NOTHING_TO_REPEAT.to_string(),
-                }),
-                None,
-            ),
-            _ => {
-                let ctx = PipelineContext {
-                    store: &self.store,
-                    help_text: &self.help_text,
-                    extensions,
-                    live,
-                    // Sessions are interactive turn-taking — no queueing,
-                    // so no deadline ladder; answers stay full-quality.
-                    deadline: None,
-                    solve: None,
-                };
-                let (answer, follow_on, _) = pipeline::answer(&analysis, text, &ctx);
-                self.last = Some(answer.clone());
-                (answer, follow_on)
-            }
-        };
-        drop(shared);
-        if let Some(counters) = &self.counters {
-            counters.record(&answer, Degradation::None);
+        let mut response = self.tenant.respond(
+            self.tenant.name.clone(),
+            text,
+            Instant::now(),
+            None,
+            None,
+            self.last.as_ref(),
+        );
+        response.session = Some(self.id);
+        if response.request != Some(Request::Repeat) {
+            self.last = Some(response.answer.clone());
         }
-        ServiceResponse {
-            tenant: self.tenant.clone(),
-            request: Some(analysis.request),
-            speaking_secs: speaking_time_secs(answer.text()),
-            follow_on,
-            session: Some(self.id),
-            latency_micros: start.elapsed().as_micros() as u64,
-            degradation: Degradation::None,
-            answer,
-        }
+        response
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{Query, StoredSpeech};
-    use vqs_core::prelude::{EncodedRelation, Prior};
+    use crate::config::Configuration;
+    use crate::nlq::Unsupported;
+    use crate::pipeline::ComputedValue;
+    use crate::service::{ServiceBuilder, TenantSpec, VoiceService};
+    use vqs_data::GeneratedDataset;
+    use vqs_relalg::prelude::{ColumnType, Field, Schema, Table, Value};
 
-    fn relation() -> EncodedRelation {
-        EncodedRelation::from_rows(
-            &["season"],
-            "cancelled",
-            vec![(vec!["Winter"], 20.0), (vec!["Summer"], 10.0)],
-            Prior::Constant(0.0),
-        )
-        .unwrap()
-    }
-
-    fn store() -> Arc<SpeechStore> {
-        let store = SpeechStore::new();
-        store.insert(StoredSpeech {
-            query: Query::of("cancelled", &[("season", "Winter")]),
-            facts: vec![],
-            text: "The cancellation probability for season Winter is about 20 percent.".to_string(),
-            utility: 1.0,
-            base_error: 2.0,
-            rows: 1,
-        });
-        store.insert(StoredSpeech {
-            query: Query::of("cancelled", &[]),
-            facts: vec![],
-            text: "The cancellation probability overall is about 15 percent.".to_string(),
-            utility: 1.0,
-            base_error: 2.0,
-            rows: 2,
-        });
-        Arc::new(store)
-    }
-
-    fn session(store: &Arc<SpeechStore>) -> VoiceSession {
-        let extractor = Extractor::from_relation(&relation(), 2)
-            .with_target_synonyms("cancelled", &["cancellations"]);
-        VoiceSession::new(
-            Arc::clone(store),
-            extractor,
-            "Ask about cancellations by season.",
-        )
+    /// Cancellations by season and region. No Summer row is in the East,
+    /// so that combination has no stored speech.
+    fn service() -> VoiceService {
+        let schema = Schema::new(vec![
+            Field::required("season", ColumnType::Str),
+            Field::required("region", ColumnType::Str),
+            Field::required("cancelled", ColumnType::Float),
+        ])
+        .unwrap();
+        let rows: Vec<Vec<Value>> = [
+            ("Winter", "East", 20.0),
+            ("Winter", "West", 30.0),
+            ("Summer", "West", 10.0),
+            ("Winter", "East", 24.0),
+            ("Summer", "West", 12.0),
+        ]
+        .iter()
+        .map(|&(season, region, cancelled)| {
+            vec![
+                Value::str(season),
+                Value::str(region),
+                Value::Float(cancelled),
+            ]
+        })
+        .collect();
+        let dataset = GeneratedDataset {
+            name: "flights".to_string(),
+            table: Table::from_rows(schema, rows).unwrap(),
+            dims: vec!["season".to_string(), "region".to_string()],
+            targets: vec!["cancelled".to_string()],
+        };
+        let service = ServiceBuilder::new().workers(1).build();
+        service
+            .register_dataset(
+                TenantSpec::new(
+                    "flights",
+                    dataset,
+                    Configuration::new("flights", &["season", "region"], &["cancelled"]),
+                )
+                .target_synonyms("cancelled", &["cancellations"])
+                .unavailable_markers(&["flight"])
+                .help_text("Ask about cancellations by season."),
+            )
+            .unwrap();
+        service
     }
 
     #[test]
     fn answers_supported_query() {
-        let store = store();
-        let mut session = session(&store);
+        let service = service();
+        let mut session = service.session("flights").unwrap();
         let response = session.answer("cancellations in winter?");
         assert!(response.text().contains("Winter"));
         assert!(matches!(response.request, Some(Request::Query(_))));
@@ -230,13 +149,14 @@ mod tests {
                 ..
             }
         ));
+        assert_eq!(response.tenant, "flights");
         assert!(response.speaking_secs > 0.0);
     }
 
     #[test]
     fn repeat_replays_last_answer() {
-        let store = store();
-        let mut session = session(&store);
+        let service = service();
+        let mut session = service.session("flights").unwrap();
         assert!(session
             .answer("say that again")
             .text()
@@ -251,17 +171,16 @@ mod tests {
 
     #[test]
     fn help_and_fallbacks() {
-        let store = store();
-        let mut session = session(&store);
+        let service = service();
+        let mut session = service.session("flights").unwrap();
         assert!(session.answer("help").text().contains("Ask about"));
-        // Unknown season value for this deployment: falls back to the
-        // overall speech via the store's generalization lookup.
-        let response = session.answer("cancellations in summer");
-        assert!(response.text().contains("overall"));
+        // No Summer row is in the East: the store's generalization lookup
+        // answers with one of the two predicates kept.
+        let response = session.answer("cancellations in summer in the east");
         assert!(matches!(
             response.answer,
             Answer::Speech {
-                kept_predicates: Some(0),
+                kept_predicates: Some(1),
                 ..
             }
         ));
@@ -272,74 +191,140 @@ mod tests {
 
     #[test]
     fn unsupported_requests_are_explained() {
-        let store = store();
-        let mut session = session(&store);
-        let response = session.answer("compare cancellations in winter versus summer");
-        assert!(matches!(response.request, Some(Request::Unsupported(_))));
+        let service = service();
+        let mut session = service.session("flights").unwrap();
+        // One side named: no plan to run, so the comparison apology.
+        let response = session.answer("compare cancellations in winter");
+        assert_eq!(
+            response.request,
+            Some(Request::Unsupported(Unsupported::Comparison))
+        );
         assert!(response.text().contains("compare"));
+        assert!(matches!(response.answer, Answer::Unsupported { .. }));
+        let response = session.answer("cancellations of flight UA one twenty three");
+        assert_eq!(
+            response.request,
+            Some(Request::Unsupported(Unsupported::UnavailableData))
+        );
         assert!(matches!(response.answer, Answer::Unsupported { .. }));
     }
 
     #[test]
+    fn sessions_answer_extrema_and_comparisons_live() {
+        let service = service();
+        let mut session = service.session("flights").unwrap();
+        let extremum = session.answer("which season has the most cancellations");
+        match &extremum.answer {
+            Answer::Computed {
+                value: ComputedValue::GroupExtremum { best, other, .. },
+                ..
+            } => assert_eq!((best.as_str(), other.as_str()), ("Winter", "Summer")),
+            other => panic!("expected a live extremum, got {other:?}"),
+        }
+        // Scoped to the West: Winter 30 against Summer (10 + 12) / 2.
+        let comparison =
+            session.answer("compare cancellations for winter versus summer in the west");
+        match &comparison.answer {
+            Answer::Computed {
+                value:
+                    ComputedValue::Comparison {
+                        left_value,
+                        right_value,
+                        ..
+                    },
+                ..
+            } => assert_eq!((*left_value, *right_value), (30.0, 11.0)),
+            other => panic!("expected a live comparison, got {other:?}"),
+        }
+        assert_eq!(session.answer("repeat that").answer, comparison.answer);
+    }
+
+    #[test]
     fn sessions_outlive_their_creator_scope() {
-        // The Arc handle (not a borrow) makes sessions storable: build
-        // the session in an inner scope and use it after the original
-        // store binding is gone.
+        // The session holds its tenant (not a borrow): open it in an inner
+        // scope whose service evicts the tenant and is then dropped, and
+        // use it afterwards.
         let mut session = {
-            let store = store();
-            session(&store)
+            let service = service();
+            let session = service.session("flights").unwrap();
+            assert!(service.evict_tenant("flights"));
+            session
         };
         assert!(session
             .answer("cancellations in winter")
             .text()
             .contains("Winter"));
+        let computed = session.answer("which season has the most cancellations");
+        assert!(matches!(computed.answer, Answer::Computed { .. }));
     }
 }
 
+/// Extremum and comparison queries — the paper's proposed extensions
+/// (§IX) — answered by a session from its tenant's live table.
 #[cfg(test)]
 mod extension_tests {
     use super::*;
-    use crate::extensions::ExtremumIndex;
-    use crate::problem::{Query, StoredSpeech};
-    use vqs_core::prelude::{EncodedRelation, Prior};
+    use crate::config::Configuration;
+    use crate::pipeline::ComputedValue;
+    use crate::service::{ServiceBuilder, TenantSpec, VoiceService};
+    use vqs_data::GeneratedDataset;
+    use vqs_relalg::prelude::{ColumnType, Field, Schema, Table, Value};
 
-    fn relation() -> EncodedRelation {
-        EncodedRelation::from_rows(
-            &["airline"],
-            "cancelled",
-            vec![
-                (vec!["Delta"], 60.0),
-                (vec!["United"], 20.0),
-                (vec!["Alaska"], 10.0),
-            ],
-            Prior::Constant(0.0),
-        )
-        .unwrap()
-    }
-
-    fn store() -> Arc<SpeechStore> {
-        let store = SpeechStore::new();
-        store.insert(StoredSpeech {
-            query: Query::of("cancelled", &[]),
-            facts: vec![],
-            text: "The cancellation probability overall is about 30.".to_string(),
-            utility: 1.0,
-            base_error: 2.0,
-            rows: 3,
-        });
-        Arc::new(store)
+    /// Cancellations by airline: Delta 60, United 20, Alaska 10.
+    fn service() -> VoiceService {
+        let schema = Schema::new(vec![
+            Field::required("airline", ColumnType::Str),
+            Field::required("cancelled", ColumnType::Float),
+        ])
+        .unwrap();
+        let rows: Vec<Vec<Value>> = [("Delta", 60.0), ("United", 20.0), ("Alaska", 10.0)]
+            .iter()
+            .map(|&(airline, cancelled)| vec![Value::str(airline), Value::Float(cancelled)])
+            .collect();
+        let dataset = GeneratedDataset {
+            name: "airlines".to_string(),
+            table: Table::from_rows(schema, rows).unwrap(),
+            dims: vec!["airline".to_string()],
+            targets: vec!["cancelled".to_string()],
+        };
+        let service = ServiceBuilder::new().workers(1).build();
+        service
+            .register_dataset(
+                TenantSpec::new(
+                    "airlines",
+                    dataset,
+                    Configuration::new("airlines", &["airline"], &["cancelled"]),
+                )
+                .target_synonyms("cancelled", &["cancellations"]),
+            )
+            .unwrap();
+        service
     }
 
     #[test]
     fn extensions_answer_extremum_queries() {
-        let relation = relation();
-        let store = store();
-        let extractor = Extractor::from_relation(&relation, 2)
-            .with_target_synonyms("cancelled", &["cancellations"]);
-        let index = ExtremumIndex::build(&relation, "cancellation probability");
-        let mut session = VoiceSession::new(store, extractor, "help").with_extensions(index);
+        let service = service();
+        let mut session = service.session("airlines").unwrap();
         let response = session.answer("which airline has the most cancellations");
-        assert!(matches!(response.answer, Answer::Extension { .. }));
+        match &response.answer {
+            Answer::Computed {
+                value:
+                    ComputedValue::GroupExtremum {
+                        best,
+                        best_value,
+                        other,
+                        other_value,
+                        highest,
+                        ..
+                    },
+                ..
+            } => {
+                assert!(*highest);
+                assert_eq!((best.as_str(), *best_value), ("Delta", 60.0));
+                assert_eq!((other.as_str(), *other_value), ("Alaska", 10.0));
+            }
+            other => panic!("expected a live extremum, got {other:?}"),
+        }
         assert!(
             response.text().contains("Delta has the highest"),
             "{}",
@@ -349,27 +334,31 @@ mod extension_tests {
 
     #[test]
     fn extensions_answer_comparison_queries() {
-        let relation = relation();
-        let store = store();
-        let extractor = Extractor::from_relation(&relation, 2)
-            .with_target_synonyms("cancelled", &["cancellations"]);
-        let index = ExtremumIndex::build(&relation, "cancellation probability");
-        let mut session = VoiceSession::new(store, extractor, "help").with_extensions(index);
+        let service = service();
+        let mut session = service.session("airlines").unwrap();
         let response =
             session.answer("make a comparison between cancellations for Delta and Alaska");
-        assert!(matches!(response.answer, Answer::Extension { .. }));
-        assert!(response.text().contains("times"), "{}", response.text());
-    }
-
-    #[test]
-    fn without_extensions_the_apology_remains() {
-        let relation = relation();
-        let store = store();
-        let extractor = Extractor::from_relation(&relation, 2)
-            .with_target_synonyms("cancelled", &["cancellations"]);
-        let mut session = VoiceSession::new(store, extractor, "help");
-        let response = session.answer("which airline has the most cancellations");
-        assert!(matches!(response.answer, Answer::Unsupported { .. }));
-        assert!(response.text().contains("not find extremes"));
+        match &response.answer {
+            Answer::Computed {
+                value:
+                    ComputedValue::Comparison {
+                        left,
+                        left_value,
+                        right,
+                        right_value,
+                        ..
+                    },
+                ..
+            } => {
+                assert_eq!((left.as_str(), *left_value), ("Delta", 60.0));
+                assert_eq!((right.as_str(), *right_value), ("Alaska", 10.0));
+            }
+            other => panic!("expected a live comparison, got {other:?}"),
+        }
+        assert!(
+            response.text().contains("Delta has higher"),
+            "{}",
+            response.text()
+        );
     }
 }

@@ -13,12 +13,14 @@
 //! torn or missing entries while flushes swap summaries underneath),
 //! a pointer-stability check that the incremental circuit leaves
 //! untouched entries `Arc`-identical instead of rebuilding the store,
-//! and two deterministic cases where dirty keys built from the delta's
-//! raw values, or through the columns of an earlier registration, would
-//! miss the summaries a delta changed.
+//! two deterministic cases where dirty keys built from the delta's raw
+//! values, or through the columns of an earlier registration, would
+//! miss the summaries a delta changed, and a NULL in a column the tenant
+//! does not project, which must not fail a flush.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use vqs_data::{DimSpec, GeneratedDataset, SynthSpec, TargetSpec};
@@ -496,4 +498,67 @@ fn deltas_after_a_reordering_refresh_dirty_the_right_keys() {
         .collect();
     service.ingest("stream", &deltas).unwrap();
     assert_drains_to_cold(&service, expected, config());
+}
+
+/// Only the configured dimensions and targets are projected, so a NULL
+/// in any other column never reaches a flush: the drain succeeds, the
+/// lag reaches zero, and the store equals a cold registration.
+#[test]
+fn an_unprojected_null_column_never_stalls_a_flush() {
+    let schema = Schema::new(vec![
+        Field::required("season", ColumnType::Str),
+        Field::required("region", ColumnType::Str),
+        Field::required("delay", ColumnType::Float),
+        Field::nullable("cancelled", ColumnType::Float),
+    ])
+    .unwrap();
+    let base = dataset(3, 48);
+    let with_cancelled = |rows: Vec<Vec<Value>>| GeneratedDataset {
+        name: base.name.clone(),
+        table: Table::from_rows(schema.clone(), rows).unwrap(),
+        dims: base.dims.clone(),
+        targets: base.targets.clone(),
+    };
+    let mut rows: Vec<Vec<Value>> = base
+        .table
+        .iter_rows()
+        .enumerate()
+        .map(|(index, mut row)| {
+            row.push(Value::Float(index as f64));
+            row
+        })
+        .collect();
+    let service = ServiceBuilder::new().workers(2).build();
+    service
+        .register_dataset(
+            TenantSpec::new("stream", with_cancelled(rows.clone()), config())
+                .ingest(IngestBuilder::new().flush_interval(Duration::from_secs(3600))),
+        )
+        .unwrap();
+    let null_cancelled = |season, region, delay| {
+        let mut values = row(season, region, delay);
+        values.push(Value::Null);
+        values
+    };
+    let deltas = [
+        RowDelta::Insert(null_cancelled(0, 1, 125)),
+        RowDelta::Update {
+            row: 2,
+            values: null_cancelled(1, 0, 300),
+        },
+    ];
+    let report = service.ingest("stream", &deltas).unwrap();
+    assert!(
+        report.flush.is_none(),
+        "the wide window leaves the flush to the drain"
+    );
+    let flush = service.drain_ingest("stream").unwrap();
+    assert_eq!(flush.deltas, 2);
+    let stats = service.stats();
+    assert_eq!(stats.tenants[0].ingest_lag, 0);
+    assert_eq!(stats.tenants[0].flush_failures, 0);
+
+    rows.push(null_cancelled(0, 1, 125));
+    rows[2] = null_cancelled(1, 0, 300);
+    assert_drains_to_cold(&service, with_cancelled(rows), config());
 }

@@ -2,7 +2,8 @@
 //! plan → execute): a golden utterance corpus spanning every §VIII-D
 //! Table III category plus the compound/comparative/aggregate forms the
 //! live tier answers, a proptest differential pinning live plan
-//! execution to direct `vqs-relalg` evaluation, and the byte-identity
+//! execution to direct `vqs-relalg` evaluation, a row-scan oracle for
+//! scoped extremum and comparison answers, and the byte-identity
 //! guarantee for store-served answers.
 
 use std::sync::Arc;
@@ -11,7 +12,7 @@ use proptest::prelude::*;
 use vqs_data::{DimSpec, GeneratedDataset, SynthSpec, TargetSpec};
 use vqs_engine::prelude::*;
 use vqs_relalg::ops::aggregate::{AggFunc, AggItem};
-use vqs_relalg::prelude::{Expr, Plan};
+use vqs_relalg::prelude::{Expr, Plan, Value};
 
 const SEASONS: [&str; 4] = ["Winter", "Spring", "Summer", "Fall"];
 const REGIONS: [&str; 3] = ["East", "West", "North"];
@@ -345,6 +346,145 @@ proptest! {
                 prop_assert_eq!(support, 0, "{} {}", season, region);
             }
             other => prop_assert!(false, "unexpected answer {:?}", other),
+        }
+    }
+}
+
+/// The row-scan oracle: each season's average `target` over `region`'s
+/// rows (`None` when the season has no row there), summed and counted in
+/// row order by a plain loop, with no `vqs-relalg` operator involved.
+fn season_averages(
+    data: &GeneratedDataset,
+    target: &str,
+    region: &str,
+) -> [Option<f64>; SEASONS.len()] {
+    let table = &data.table;
+    let column = |name: &str| table.schema().index_of(name).unwrap();
+    let (season_col, region_col, target_col) = (column("season"), column("region"), column(target));
+    let mut sums = [0.0; SEASONS.len()];
+    let mut counts = [0usize; SEASONS.len()];
+    for row in 0..table.len() {
+        if table.value(row, region_col) != Value::str(region) {
+            continue;
+        }
+        let season = SEASONS
+            .iter()
+            .position(|&name| table.value(row, season_col) == Value::str(name))
+            .expect("every generated row has a known season");
+        sums[season] += table
+            .value(row, target_col)
+            .as_f64()
+            .expect("numeric target");
+        counts[season] += 1;
+    }
+    std::array::from_fn(|season| (counts[season] > 0).then(|| sums[season] / counts[season] as f64))
+}
+
+/// The oracle's average for a season name the engine answered with.
+fn oracle_value(averages: &[Option<f64>; SEASONS.len()], name: &str) -> Option<f64> {
+    let season = SEASONS.iter().position(|&season| season == name)?;
+    averages[season]
+}
+
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    // Oracle: a region-scoped extremum or comparison question is answered
+    // over that region's rows only, with the per-season averages a plain
+    // row scan of the generated table gives. On a tie either group is
+    // accepted; an empty side must apologize rather than voice a NULL.
+    #[test]
+    fn scoped_extremum_and_comparison_match_a_row_scan(
+        seed in 0u64..32,
+        region_index in 0usize..REGIONS.len(),
+        left_index in 0usize..SEASONS.len(),
+        offset in 1usize..SEASONS.len(),
+        highest in any::<bool>(),
+    ) {
+        let data = dataset(seed);
+        let service = ServiceBuilder::new().workers(1).build();
+        service
+            .register_dataset(TenantSpec::new("air", data.clone(), config()))
+            .unwrap();
+        let region = REGIONS[region_index];
+        let averages = season_averages(&data, "delay", region);
+        let present: Vec<f64> = averages.iter().flatten().copied().collect();
+
+        let polarity = if highest { "most" } else { "lowest" };
+        let extremum = service.respond(&ServiceRequest::new(
+            "air",
+            format!("which season has the {polarity} delay in the {region}"),
+        ));
+        match &extremum.answer {
+            Answer::Computed {
+                value:
+                    ComputedValue::GroupExtremum {
+                        dimension,
+                        best,
+                        best_value,
+                        other,
+                        other_value,
+                        highest: answered,
+                    },
+                ..
+            } => {
+                prop_assert_eq!(dimension.as_str(), "season");
+                prop_assert_eq!(*answered, highest);
+                let top = present.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                let bottom = present.iter().copied().fold(f64::INFINITY, f64::min);
+                let (want_best, want_other) = if highest { (top, bottom) } else { (bottom, top) };
+                for (name, value, want) in [(best, *best_value, want_best), (other, *other_value, want_other)] {
+                    let expected = oracle_value(&averages, name);
+                    prop_assert!(
+                        expected.is_some_and(|expected| close(expected, value) && close(expected, want)),
+                        "{} answered {} at {}, oracle {:?} (want {}) in the {}",
+                        polarity, name, value, averages, want, region
+                    );
+                }
+            }
+            Answer::Unsupported { .. } => prop_assert!(present.is_empty(), "{} {}", polarity, region),
+            other => prop_assert!(false, "unexpected extremum answer {:?}", other),
+        }
+
+        let (left, right) = (SEASONS[left_index], SEASONS[(left_index + offset) % SEASONS.len()]);
+        let comparison = service.respond(&ServiceRequest::new(
+            "air",
+            format!("compare delay for {left} versus {right} in the {region}"),
+        ));
+        let (want_left, want_right) = (oracle_value(&averages, left), oracle_value(&averages, right));
+        match &comparison.answer {
+            Answer::Computed {
+                value:
+                    ComputedValue::Comparison {
+                        dimension,
+                        left: answered_left,
+                        left_value,
+                        right: answered_right,
+                        right_value,
+                    },
+                ..
+            } => {
+                prop_assert_eq!(dimension.as_str(), "season");
+                prop_assert_eq!((answered_left.as_str(), answered_right.as_str()), (left, right));
+                prop_assert!(
+                    want_left.is_some_and(|want| close(want, *left_value))
+                        && want_right.is_some_and(|want| close(want, *right_value)),
+                    "{} {} vs {} {}, oracle {:?} vs {:?} in the {}",
+                    left, left_value, right, right_value, want_left, want_right, region
+                );
+            }
+            Answer::Unsupported { .. } => prop_assert!(
+                want_left.is_none() || want_right.is_none(),
+                "{} versus {} in the {}",
+                left,
+                right,
+                region
+            ),
+            other => prop_assert!(false, "unexpected comparison answer {:?}", other),
         }
     }
 }

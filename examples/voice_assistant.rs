@@ -17,9 +17,8 @@ fn main() -> Result<()> {
     // deployment log; the service builds its own from the registration.
     let relation = target_relation(&dataset, &config, "cancelled")?;
 
-    // Register the deployment: speech template, target phrasings, the
-    // markers for unavailable data, and the extremum/comparison index
-    // that answers the §VIII-D "U-Query" shapes.
+    // Register the deployment: speech template, target phrasings and the
+    // markers for unavailable data.
     let service = ServiceBuilder::new().build();
     let report = service.register_dataset(
         TenantSpec::new("flights", dataset, config)
@@ -29,7 +28,6 @@ fn main() -> Result<()> {
             )
             .target_synonyms("cancelled", &["cancellations", "cancellation probability"])
             .unavailable_markers(&["flight"])
-            .extremum_index("cancelled", "cancellation probability")
             .help_text("Ask about flight cancellations, e.g. 'cancellations in Winter'."),
     )?;
     println!(
@@ -38,7 +36,8 @@ fn main() -> Result<()> {
     );
 
     // Stateless traffic through the typed pipeline, including the
-    // Example 5 query.
+    // Example 5 query. The §VIII-D "U-Query" shapes (extrema,
+    // comparisons) are computed live from the tenant's data.
     for utterance in [
         "help",
         "cancellations in Winter?",
@@ -48,6 +47,13 @@ fn main() -> Result<()> {
         "thanks!",
     ] {
         let response = service.respond(&ServiceRequest::new("flights", utterance));
+        if utterance.starts_with("which airline") {
+            assert!(
+                matches!(response.answer, Answer::Computed { .. }),
+                "{:?}",
+                response.answer
+            );
+        }
         println!("You:    {utterance}");
         println!("System: {} [{}]\n", response.text(), response.label());
     }
@@ -79,12 +85,12 @@ fn main() -> Result<()> {
     let stats = service.stats();
     let tenant = &stats.tenants[0];
     println!(
-        "\ntenant '{}': {} requests ({} speech, {} extension, {} help, {} apologies), \
+        "\ntenant '{}': {} requests ({} speech, {} computed, {} help, {} apologies), \
          {} store lookups",
         tenant.tenant,
         tenant.requests,
         tenant.speech_answers,
-        tenant.extension_answers,
+        tenant.computed_answers,
         tenant.help_answers,
         tenant.unsupported_answers,
         tenant.store.lookups,
