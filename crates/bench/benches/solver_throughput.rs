@@ -1,4 +1,4 @@
-//! ISSUE-3 solver hot-path benchmarks on the flights scenario.
+//! Solver hot-path benchmarks on the flights scenario.
 //!
 //! * `kernel/*` — per-fact utility gains and apply/revert cycles through
 //!   the catalog's cell-ordered index versus the original full row scan
@@ -6,15 +6,10 @@
 //!   (it touches each row once per group per sweep, as a lone row or
 //!   inside a run, instead of `rows × facts` rows, each with scope
 //!   decoding).
-//! * `exact/*` — the parallel branch-and-bound exact search at 1, 4 and
-//!   8 workers on one flights instance; the setup asserts that every
-//!   worker count returns a byte-identical speech before timing anything.
-//!   Two instances are timed: the paper configuration (greedy seed +
-//!   bound pruning — the search is tiny, so this measures fan-out
-//!   overhead) and the pruning-free ablation whose ~2.4M-node search is
-//!   what actually fans out. Worker scaling needs cores: on a single-CPU
-//!   machine expect parity, on `n` cores an up-to-`n×` win on the
-//!   search-dominated instance.
+//! * `exact/*` — the branch-and-bound exact search on one flights
+//!   instance, in the paper configuration (greedy seed + bound pruning,
+//!   a small search) and in the pruning-free ablation (a ~2.4M-node
+//!   search).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use vqs_core::prelude::*;
@@ -92,45 +87,24 @@ fn bench_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_exact(c: &mut Criterion) {
+fn bench_exact(c: &mut Criterion) {
     let relation = flights_relation();
     // Airline × origin × season: enough candidates that the DFS dominates.
     let catalog = FactCatalog::build(&relation, &[0, 1, 3], 2).unwrap();
     let problem = Problem::new(&relation, &catalog, 3).unwrap();
 
-    let configs: [(&str, ExactSummarizer); 2] = [
+    let mut group = c.benchmark_group("exact");
+    group.sample_size(10);
+    for (label, summarizer) in [
         ("paper", ExactSummarizer::paper()),
         ("no_bounds", ExactSummarizer::without_bound_pruning()),
-    ];
-    for (label, base) in configs {
-        // The parallel search must return the sequential speech
-        // byte-for-byte before its timings mean anything.
-        let reference = base.summarize(&problem).unwrap();
-        for workers in [4usize, 8] {
-            let parallel = ExactSummarizer {
-                workers,
-                ..base.clone()
-            }
-            .summarize(&problem)
-            .unwrap();
-            assert_eq!(parallel.utility.to_bits(), reference.utility.to_bits());
-            assert_eq!(parallel.speech.facts(), reference.speech.facts());
-        }
-
-        let mut group = c.benchmark_group(&format!("exact_{label}"));
-        group.sample_size(10);
-        for workers in [1usize, 4, 8] {
-            let summarizer = ExactSummarizer {
-                workers,
-                ..base.clone()
-            };
-            group.bench_function(&format!("{workers}w"), |b| {
-                b.iter(|| summarizer.summarize(&problem).unwrap().utility)
-            });
-        }
-        group.finish();
+    ] {
+        group.bench_function(label, |b| {
+            b.iter(|| summarizer.summarize(&problem).unwrap().utility)
+        });
     }
+    group.finish();
 }
 
-criterion_group!(benches, bench_kernel, bench_parallel_exact);
+criterion_group!(benches, bench_kernel, bench_exact);
 criterion_main!(benches);

@@ -1,43 +1,38 @@
 //! Solver perf trajectory recorder: measures greedy and exact wall-times
 //! on pinned scenarios plus the indexed-vs-scan kernel sweeps, and emits
-//! `BENCH_solver.json` (schema `vqs-bench-solver/v2`). CI runs it as a
-//! smoke step and additionally parses the exact-solver entries for
-//! worker parity: with the adaptive fan-out gate, granting eight workers
-//! must not make the pinned (µs-scale) scenarios slower than one worker
-//! beyond noise. The committed baselines form the trajectory across PRs.
+//! `BENCH_solver.json` (schema `vqs-bench-solver/v3`). CI runs it as a
+//! smoke step; the committed baselines form the trajectory across PRs.
 //!
-//! Schema v2 changes over v1:
-//! - exact entries appear at workers 1, 2, and 8, the multi-worker runs
-//!   routed through a long-lived [`SolverPool`] (the service's executor)
-//!   instead of per-search scoped threads — each entry carries an
-//!   `executor` field (`"scoped"` or `"pool"`);
-//! - the kernel section adds the grouped gain sweep
-//!   (`FactCatalog::group_gains`, the greedy sweep's inner loop) next to
-//!   the per-fact sweep over the catalog's cell-ordered index, with
-//!   speedups for both.
+//! The binary asserts that every entry solved all its queries, that the
+//! indexed and grouped kernel sweeps agree with the full scan, and that
+//! each beats the scan by at least [`MIN_KERNEL_SPEEDUP`].
+//!
+//! Schema v3 drops v2's `workers` and `executor` fields: every solver
+//! runs one search per query on one thread.
 //!
 //! Usage: `bench_solver [--out PATH] [--scale X] [--queries N]`
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use vqs_bench::{run_batch, sample_items, scenario_dataset, single_target_config, RunConfig};
 use vqs_core::prelude::*;
 use vqs_engine::prelude::*;
 
+/// The floor on the indexed and grouped kernel sweeps' speedup over the
+/// full row scan (`benches/solver_throughput.rs` documents it).
+const MIN_KERNEL_SPEEDUP: f64 = 3.0;
+
 /// One timed measurement in the emitted JSON.
 struct Entry {
     scenario: String,
     algorithm: String,
-    workers: usize,
-    executor: &'static str,
     queries: usize,
     solved: usize,
     wall_ms: f64,
 }
 
-/// The pinned (scenario, target) pairs: the flights scenario the ISSUE's
-/// acceptance criteria name, plus ACS for a second data shape.
+/// The pinned (scenario, target) pairs: two flights targets, plus ACS
+/// for a second data shape.
 const PINNED: [(&str, char, &str); 3] = [
     ("F-C", 'F', "cancelled"),
     ("F-D", 'F', "delay"),
@@ -73,9 +68,6 @@ fn main() {
         }
     }
 
-    // The multi-worker exact runs ride one long-lived pool, exactly like
-    // the service: no per-search thread spawns in the measured region.
-    let pool: Arc<SolverPool> = Arc::new(SolverPool::new(8));
     let mut entries: Vec<Entry> = Vec::new();
     for (name, letter, target) in PINNED {
         let dataset = scenario_dataset(letter, &config);
@@ -85,49 +77,24 @@ fn main() {
             enumerate_queries(&relation, &engine_config, target),
             config.query_limit,
         );
-        let algorithms: Vec<(&str, usize, &'static str, Box<dyn Summarizer>)> = vec![
-            ("G-B", 1, "scoped", Box::new(GreedySummarizer::base())),
-            (
-                "G-O",
-                1,
-                "scoped",
-                Box::new(GreedySummarizer::with_optimized_pruning()),
-            ),
-            ("E", 1, "scoped", Box::new(ExactSummarizer::paper())),
-            (
-                "E",
-                2,
-                "pool",
-                Box::new(
-                    ExactSummarizer::with_workers(2)
-                        .on_executor(Arc::clone(&pool) as Arc<dyn SearchExecutor>),
-                ),
-            ),
-            (
-                "E",
-                8,
-                "pool",
-                Box::new(
-                    ExactSummarizer::with_workers(8)
-                        .on_executor(Arc::clone(&pool) as Arc<dyn SearchExecutor>),
-                ),
-            ),
+        let algorithms: Vec<(&str, Box<dyn Summarizer>)> = vec![
+            ("G-B", Box::new(GreedySummarizer::base())),
+            ("G-O", Box::new(GreedySummarizer::with_optimized_pruning())),
+            ("E", Box::new(ExactSummarizer::paper())),
         ];
         // Best of repeated batches, interleaved round-robin across the
-        // algorithm variants: the CI parity gate compares the 1- and
-        // 8-worker exact entries at a 1.1× tolerance, and the smallest
-        // batches run in the hundreds of microseconds where a single
-        // scheduler hiccup would swamp the signal. Interleaving keeps a
-        // slow machine period (shared runners throttle in multi-second
-        // waves) from landing on one variant's entire sample; repeating
-        // until ≥20 ms accumulates per variant (at least 5, at most 40
-        // rounds) gives µs-scale scenarios enough samples for the
-        // minimum to reach the noise floor.
+        // algorithms: the smallest batches run in the hundreds of
+        // microseconds, where a single scheduler hiccup would swamp the
+        // signal. Interleaving keeps a slow machine period (shared runners
+        // throttle in multi-second waves) from landing on one algorithm's
+        // entire sample; repeating until ≥20 ms accumulates per algorithm
+        // (at least 5, at most 40 rounds) gives µs-scale scenarios enough
+        // samples for the minimum to reach the noise floor.
         let mut best: Vec<Option<(usize, f64)>> = vec![None; algorithms.len()];
         let mut totals = vec![0.0f64; algorithms.len()];
         let mut rounds = 0;
         while rounds < 5 || (totals.iter().any(|&ms| ms < 20.0) && rounds < 40) {
-            for (slot, (_, _, _, summarizer)) in algorithms.iter().enumerate() {
+            for (slot, (_, summarizer)) in algorithms.iter().enumerate() {
                 let outcome = run_batch(
                     &relation,
                     &engine_config,
@@ -143,13 +110,17 @@ fn main() {
             }
             rounds += 1;
         }
-        for ((algorithm, workers, executor, _), best) in algorithms.iter().zip(best) {
+        for ((algorithm, _), best) in algorithms.iter().zip(best) {
             let (solved, wall_ms) = best.expect("at least one round ran");
+            assert_eq!(
+                solved,
+                items.len(),
+                "{name} {algorithm}: solved {solved} of {} queries",
+                items.len()
+            );
             entries.push(Entry {
                 scenario: name.to_string(),
                 algorithm: algorithm.to_string(),
-                workers: *workers,
-                executor,
                 queries: items.len(),
                 solved,
                 wall_ms,
@@ -219,6 +190,12 @@ fn main() {
         (scan_sum - grouped_sum).abs() < tolerance,
         "kernel mismatch: scan {scan_sum} vs grouped {grouped_sum}"
     );
+    for (sweep, ms) in [("indexed", indexed_ms), ("grouped", grouped_ms)] {
+        assert!(
+            ms * MIN_KERNEL_SPEEDUP <= scan_ms,
+            "{sweep} sweep {ms:.3} ms is not {MIN_KERNEL_SPEEDUP}x faster than the scan's {scan_ms:.3} ms"
+        );
+    }
 
     let json = render_json(&config, &entries, &catalog, scan_ms, indexed_ms, grouped_ms);
     match out {
@@ -241,16 +218,16 @@ fn render_json(
     let speedup = |fast: f64| if fast > 0.0 { scan_ms / fast } else { 9999.0 };
     let mut lines = Vec::new();
     lines.push("{".to_string());
-    lines.push("  \"schema\": \"vqs-bench-solver/v2\",".to_string());
+    lines.push("  \"schema\": \"vqs-bench-solver/v3\",".to_string());
     lines.push(format!("  \"scale\": {},", config.scale));
     lines.push(format!("  \"query_limit\": {},", config.query_limit));
     lines.push("  \"entries\": [".to_string());
     for (i, e) in entries.iter().enumerate() {
         let comma = if i + 1 == entries.len() { "" } else { "," };
         lines.push(format!(
-            "    {{\"scenario\": \"{}\", \"algorithm\": \"{}\", \"workers\": {}, \
-             \"executor\": \"{}\", \"queries\": {}, \"solved\": {}, \"wall_ms\": {:.3}}}{}",
-            e.scenario, e.algorithm, e.workers, e.executor, e.queries, e.solved, e.wall_ms, comma
+            "    {{\"scenario\": \"{}\", \"algorithm\": \"{}\", \"queries\": {}, \
+             \"solved\": {}, \"wall_ms\": {:.3}}}{}",
+            e.scenario, e.algorithm, e.queries, e.solved, e.wall_ms, comma
         ));
     }
     lines.push("  ],".to_string());

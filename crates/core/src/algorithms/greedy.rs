@@ -6,9 +6,6 @@
 //! variants G-B / G-P / G-O differ only in the [`FactPruning`] strategy
 //! used to find each iteration's best fact.
 
-use std::sync::Arc;
-
-use crate::algorithms::exec::{ScopedExecutor, SearchExecutor};
 use crate::algorithms::pruning::FactPruning;
 use crate::algorithms::{summary_from_ids, Problem, Summarizer, Summary};
 use crate::error::Result;
@@ -17,39 +14,10 @@ use crate::model::fact::FactId;
 use crate::model::utility::UndoArena;
 
 /// Greedy fact selection with configurable pruning.
-#[derive(Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GreedySummarizer {
     /// Per-iteration fact pruning strategy.
     pub pruning: FactPruning,
-    /// Worker tasks for the unpruned per-iteration group sweep. `1` (the
-    /// default) sweeps sequentially; `0` resolves to the executor's
-    /// maximum. Only the pruning-off sweep fans out — Algorithm 3's
-    /// threshold-growing plan execution is inherently sequential. The
-    /// selected facts are identical for every worker count.
-    pub workers: usize,
-    /// Where the sweep fan-out runs: `None` (the default) spawns scoped
-    /// threads; the engine installs its shared solver pool here.
-    pub executor: Option<Arc<dyn SearchExecutor>>,
-}
-
-impl std::fmt::Debug for GreedySummarizer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GreedySummarizer")
-            .field("pruning", &self.pruning)
-            .field("workers", &self.workers)
-            .field("executor", &self.executor.is_some())
-            .finish()
-    }
-}
-
-impl Default for GreedySummarizer {
-    fn default() -> Self {
-        GreedySummarizer {
-            pruning: FactPruning::default(),
-            workers: 1,
-            executor: None,
-        }
-    }
 }
 
 impl GreedySummarizer {
@@ -57,7 +25,6 @@ impl GreedySummarizer {
     pub fn base() -> Self {
         GreedySummarizer {
             pruning: FactPruning::Off,
-            ..Self::default()
         }
     }
 
@@ -65,7 +32,6 @@ impl GreedySummarizer {
     pub fn with_naive_pruning() -> Self {
         GreedySummarizer {
             pruning: FactPruning::naive(),
-            ..Self::default()
         }
     }
 
@@ -73,15 +39,7 @@ impl GreedySummarizer {
     pub fn with_optimized_pruning() -> Self {
         GreedySummarizer {
             pruning: FactPruning::optimized(),
-            ..Self::default()
         }
-    }
-
-    /// Route this summarizer's sweep fan-out through `executor` (e.g. the
-    /// engine's shared solver pool) instead of per-call scoped threads.
-    pub fn on_executor(mut self, executor: Arc<dyn SearchExecutor>) -> Self {
-        self.executor = Some(executor);
-        self
     }
 }
 
@@ -101,38 +59,14 @@ impl Summarizer for GreedySummarizer {
         let mut arena = UndoArena::new();
         // OPT PRUNE depends only on static group statistics: plan once.
         let plan = crate::algorithms::pruning::plan_for(problem, &self.pruning);
-        let scoped = ScopedExecutor;
-        let executor: &dyn SearchExecutor = match &self.executor {
-            Some(executor) => executor.as_ref(),
-            None => &scoped,
-        };
-        let workers = if self.workers == 0 {
-            executor.max_workers().max(1)
-        } else {
-            self.workers
-        };
-        // Only the pruning-off full sweep fans out: every group's gains
-        // are independent there, while the Algorithm 3 plan grows its
-        // threshold serially across target groups.
-        let fan_sweep = plan.is_none() && workers > 1 && problem.catalog.groups().len() > 1;
         for _ in 0..problem.max_facts {
             // Line 7–9: fact with maximal utility gain.
-            let selected = if fan_sweep {
-                crate::algorithms::pruning::select_best_fact_parallel(
-                    problem,
-                    &residual,
-                    executor,
-                    workers,
-                    &mut counters,
-                )
-            } else {
-                crate::algorithms::pruning::select_best_fact_with_plan(
-                    problem,
-                    &residual,
-                    plan.as_ref(),
-                    &mut counters,
-                )
-            };
+            let selected = crate::algorithms::pruning::select_best_fact_with_plan(
+                problem,
+                &residual,
+                plan.as_ref(),
+                &mut counters,
+            );
             let Some((fact_id, _gain)) = selected else {
                 break; // no fact improves expectations further
             };
@@ -234,35 +168,5 @@ mod tests {
         assert_eq!(GreedySummarizer::base().name(), "G-B");
         assert_eq!(GreedySummarizer::with_naive_pruning().name(), "G-P");
         assert_eq!(GreedySummarizer::with_optimized_pruning().name(), "G-O");
-    }
-
-    /// The fanned-out group sweep must pick exactly the facts the
-    /// sequential sweep picks, for any worker count.
-    #[test]
-    fn parallel_sweep_matches_sequential_selection() {
-        for seed in 40..46 {
-            let r = random_relation(seed, 200, &[("a", 5), ("b", 4), ("c", 3)]);
-            let catalog = FactCatalog::build(&r, &[0, 1, 2], 2).unwrap();
-            let problem = Problem::new(&r, &catalog, 3).unwrap();
-            let sequential = GreedySummarizer::base().summarize(&problem).unwrap();
-            for workers in [0usize, 2, 8] {
-                let parallel = GreedySummarizer {
-                    workers,
-                    ..GreedySummarizer::base()
-                }
-                .summarize(&problem)
-                .unwrap();
-                assert_eq!(
-                    parallel.utility.to_bits(),
-                    sequential.utility.to_bits(),
-                    "seed {seed} workers {workers}"
-                );
-                assert_eq!(
-                    parallel.speech.facts(),
-                    sequential.speech.facts(),
-                    "seed {seed} workers {workers}"
-                );
-            }
-        }
     }
 }

@@ -9,14 +9,12 @@
 
 pub mod brute;
 pub mod exact;
-pub mod exec;
 pub mod greedy;
 pub mod optimizer;
 pub mod pruning;
 
 pub use brute::BruteForceSummarizer;
-pub use exact::{ExactSummarizer, DEFAULT_FAN_OUT_THRESHOLD};
-pub use exec::{ScopedExecutor, SearchExecutor};
+pub use exact::ExactSummarizer;
 pub use greedy::GreedySummarizer;
 pub use optimizer::{PlanCandidate, PruneOptimizerConfig};
 pub use pruning::FactPruning;

@@ -115,55 +115,6 @@ pub fn select_best_fact_with_plan(
     best.filter(|&(_, gain)| gain > 0.0)
 }
 
-/// Pruning-off fact selection with the group sweep fanned over
-/// `executor`: every group's gain pass is independent, so tasks sweep
-/// strided subsets of the groups and the reduction below re-walks the
-/// per-group winners in ascending group order. That reduction applies
-/// the same strict-maximum rule as the sequential scan, so the selected
-/// fact is identical for every worker count.
-pub fn select_best_fact_parallel(
-    problem: &Problem<'_>,
-    residual: &ResidualState,
-    executor: &dyn crate::algorithms::exec::SearchExecutor,
-    workers: usize,
-    counters: &mut Instrumentation,
-) -> Option<(FactId, f64)> {
-    let groups = problem.catalog.groups().len();
-    let fan = workers.min(groups).max(1);
-    if fan <= 1 {
-        return select_best_fact_with_plan(problem, residual, None, counters);
-    }
-    let outputs = crate::algorithms::exec::run_collect(executor, fan, |t| {
-        let mut local = Instrumentation::default();
-        let mut scratch = Vec::new();
-        let mut found: Vec<(usize, Option<(FactId, f64)>)> = Vec::new();
-        let mut g = t;
-        while g < groups {
-            found.push((
-                g,
-                best_in_group(problem, residual, g, &mut local, &mut scratch),
-            ));
-            g += fan;
-        }
-        (found, local)
-    });
-    let mut per_group: Vec<Option<(FactId, f64)>> = vec![None; groups];
-    for (_, (found, local)) in outputs {
-        // Counter merging is commutative, so collection order is moot.
-        counters.merge(&local);
-        for (g, candidate) in found {
-            per_group[g] = candidate;
-        }
-    }
-    let mut best: Option<(FactId, f64)> = None;
-    for (id, gain) in per_group.into_iter().flatten() {
-        if best.is_none_or(|(_, g)| gain > g) {
-            best = Some((id, gain));
-        }
-    }
-    best.filter(|&(_, gain)| gain > 0.0)
-}
-
 fn run_plan(
     problem: &Problem<'_>,
     residual: &ResidualState,

@@ -58,8 +58,7 @@ pub mod relational;
 pub mod prelude {
     pub use crate::algorithms::{
         BruteForceSummarizer, ExactSummarizer, FactPruning, GreedySummarizer, Problem,
-        PruneOptimizerConfig, ScopedExecutor, SearchExecutor, Summarizer, Summary,
-        DEFAULT_FAN_OUT_THRESHOLD,
+        PruneOptimizerConfig, Summarizer, Summary,
     };
     pub use crate::delta::{mask_dims, masked_combo, subset_masks};
     pub use crate::enumeration::{FactCatalog, FactGroup, RowPartition};

@@ -219,9 +219,9 @@ impl ResidualState {
     /// Restores the saved per-row residuals (newest first) and resets the
     /// running total to its snapshot, so a revert is *bit-exact*: the
     /// state after any apply/revert sequence depends only on the facts
-    /// currently applied, never on abandoned search branches. The
-    /// backtracking search relies on this to return byte-identical
-    /// speeches for any worker count.
+    /// currently applied, never on abandoned search branches, so a
+    /// node's utility does not depend on the branches searched before
+    /// it.
     ///
     /// # Panics
     /// Panics if `arena` holds no open frame (more reverts than applies).

@@ -1,8 +1,7 @@
 //! Differential tests of the cell-ordered solver hot path.
 //!
-//! Four invariants protect the catalog build, the indexed kernel and the
-//! parallel-search optimizations, each checked against naive scope
-//! matching:
+//! Three invariants protect the catalog build and the indexed kernel,
+//! each checked against naive scope matching:
 //!
 //! 1. The catalog's cell-ordered kernel (`gain_indexed`/`apply_indexed`/
 //!    `revert_frame`) agrees with the full-scan implementations
@@ -10,15 +9,12 @@
 //!    bit-exact. The unrolled (auto-vectorizable) `gain_indexed` sweeps
 //!    additionally agree with a single-accumulator sum over the same rows
 //!    to 1e-9 (their four partial sums reassociate the additions).
-//! 2. The parallel exact search returns the same speech as the sequential
-//!    search — utility, chosen facts, and timeout flag — for any worker
-//!    count, on both sides of the adaptive fan-out gate.
-//! 3. The catalog build agrees with a naive reference — one
+//! 2. The catalog build agrees with a naive reference — one
 //!    `Fact::for_scope` per distinct value combination, in order of first
 //!    appearance — on fact order, scopes, value bits, support, the rows
 //!    each fact covers and the grouped gains, including three-dimension
 //!    groups over a high-cardinality column.
-//! 4. A catalog over the rows of one query, built from cells over all
+//! 3. A catalog over the rows of one query, built from cells over all
 //!    dimensions, summarizes exactly like a catalog over those rows copied
 //!    out.
 //!
@@ -252,47 +248,6 @@ proptest! {
             }
             let unrolled = state.gain_indexed(index);
             prop_assert!(close(unrolled, scalar), "fact {id}: {unrolled} vs {scalar}");
-        }
-    }
-
-    // The parallel exact search is byte-identical to the sequential one:
-    // same utility bits, same chosen facts, same timeout flag, for
-    // workers ∈ {0, 1, 2, 8} — with the fan-out forced *on*
-    // (`fan_out_threshold: 0`) so the parallel machinery actually runs,
-    // and forced *off* (`usize::MAX`) so the adaptive gate's sequential
-    // route is provably the same search. The default threshold sits
-    // between those extremes, so both sides of the gate boundary are
-    // covered.
-    #[test]
-    fn parallel_exact_equals_sequential(
-        (relation, dims) in arb_any_relation(),
-        max_facts in 1usize..4,
-    ) {
-        let catalog = FactCatalog::build(&relation, &dims, 2).unwrap();
-        let problem = Problem::new(&relation, &catalog, max_facts).unwrap();
-        let sequential = ExactSummarizer::paper().summarize(&problem).unwrap();
-        for workers in [0usize, 1, 2, 8] {
-            for fan_out_threshold in [0usize, usize::MAX] {
-                let parallel = ExactSummarizer {
-                    workers,
-                    fan_out_threshold,
-                    ..ExactSummarizer::paper()
-                }
-                .summarize(&problem)
-                .unwrap();
-                prop_assert_eq!(
-                    parallel.utility.to_bits(),
-                    sequential.utility.to_bits(),
-                    "workers {} threshold {}", workers, fan_out_threshold
-                );
-                prop_assert_eq!(
-                    parallel.speech.facts(),
-                    sequential.speech.facts(),
-                    "workers {} threshold {}", workers, fan_out_threshold
-                );
-                prop_assert_eq!(parallel.timed_out, sequential.timed_out);
-                prop_assert_eq!(parallel.base_error.to_bits(), sequential.base_error.to_bits());
-            }
         }
     }
 

@@ -58,20 +58,6 @@ pub struct Configuration {
     /// candidate. On by default (Example 5's deployed speeches lead with
     /// the general value).
     pub include_overall_fact: bool,
-    /// Worker threads *inside* one exact-solver invocation (the parallel
-    /// branch-and-bound fan-out). Default 1: pre-processing already runs
-    /// one problem per pool worker, so nested parallelism only pays off
-    /// when a single huge instance dominates (or when solving
-    /// interactively). `0` = the executor's maximum (all cores for the
-    /// scoped default, the pool size when the fan-out rides the shared
-    /// [`crate::service::SolverPool`]). Even with workers granted, tiny
-    /// instances still solve sequentially: the solver estimates its tree
-    /// as `facts × speech_length` and fans out only past
-    /// `ExactSummarizer::fan_out_threshold` (default
-    /// `DEFAULT_FAN_OUT_THRESHOLD = 4096`), so fan-out overhead can never
-    /// make a µs-scale search slower. Results are byte-identical for
-    /// every worker count.
-    pub solver_workers: usize,
 }
 
 impl Default for Configuration {
@@ -84,7 +70,6 @@ impl Default for Configuration {
             max_fact_dimensions: 2,
             speech_length: 3,
             include_overall_fact: true,
-            solver_workers: 1,
         }
     }
 }
@@ -189,7 +174,6 @@ impl Configuration {
                 "max_query_length" => config.max_query_length = parse_usize(value)?,
                 "max_fact_dimensions" => config.max_fact_dimensions = parse_usize(value)?,
                 "speech_length" => config.speech_length = parse_usize(value)?,
-                "solver_workers" => config.solver_workers = parse_usize(value)?,
                 "include_overall_fact" => {
                     config.include_overall_fact = match value {
                         "true" | "yes" | "1" => true,
@@ -219,8 +203,7 @@ impl Configuration {
     pub fn to_config_string(&self) -> String {
         format!(
             "table = {}\ndimensions = {}\ntargets = {}\nmax_query_length = {}\n\
-             max_fact_dimensions = {}\nspeech_length = {}\ninclude_overall_fact = {}\n\
-             solver_workers = {}\n",
+             max_fact_dimensions = {}\nspeech_length = {}\ninclude_overall_fact = {}\n",
             self.table,
             self.dimensions.join(", "),
             self.targets.join(", "),
@@ -228,7 +211,6 @@ impl Configuration {
             self.max_fact_dimensions,
             self.speech_length,
             self.include_overall_fact,
-            self.solver_workers,
         )
     }
 }
@@ -259,17 +241,6 @@ speech_length = 3
         assert_eq!(config.max_query_length, 2);
         assert_eq!(config.max_fact_dimensions, 2); // default
         assert!(config.include_overall_fact);
-        assert_eq!(config.solver_workers, 1); // default: pool-level parallelism
-    }
-
-    #[test]
-    fn solver_workers_parse_and_roundtrip() {
-        let text = "dimensions = a\ntargets = t\nsolver_workers = 8";
-        let config = Configuration::parse(text).unwrap();
-        assert_eq!(config.solver_workers, 8);
-        let reparsed = Configuration::parse(&config.to_config_string()).unwrap();
-        assert_eq!(config, reparsed);
-        assert!(Configuration::parse("dimensions = a\ntargets = t\nsolver_workers = x").is_err());
     }
 
     #[test]

@@ -217,34 +217,6 @@ fn row_codes<'a>(
     dims.iter().map(move |&d| relation.code(d, row as usize))
 }
 
-/// The paper's exact summarizer configured for this deployment: each
-/// solver invocation fans its branch-and-bound search over
-/// [`Configuration::solver_workers`] threads (default 1 — the
-/// pre-processing pool already parallelizes across queries; raise it when
-/// single huge instances dominate or when solving interactively). The
-/// stored speeches are byte-identical for every worker count.
-pub fn configured_exact(config: &Configuration) -> ExactSummarizer {
-    ExactSummarizer {
-        workers: config.solver_workers,
-        ..ExactSummarizer::paper()
-    }
-}
-
-/// [`configured_exact`] with its inner branch-and-bound fan-out routed
-/// through `executor` (the service installs its shared [`SolverPool`]
-/// here, so searches reuse the long-lived workers instead of spawning
-/// scoped threads per search). Searches that are themselves running on a
-/// pool worker — every pre-processing job — execute their batch inline,
-/// so the nesting cannot deadlock and the cross-query parallelism stays
-/// in charge. Stored speeches remain byte-identical to the scoped and
-/// sequential paths.
-pub fn configured_exact_on(
-    config: &Configuration,
-    executor: std::sync::Arc<dyn SearchExecutor>,
-) -> ExactSummarizer {
-    configured_exact(config).on_executor(executor)
-}
-
 /// The cells of a target relation: its rows partitioned on every
 /// configured dimension, shared by the fact catalogs of all its queries.
 pub fn target_cells(relation: &EncodedRelation) -> RowPartition {
@@ -954,17 +926,15 @@ mod tests {
         }
     }
 
+    /// The pool's worker count is the only solver worker count: the
+    /// exact summarizer's store does not depend on it.
     #[test]
     fn configured_exact_store_is_identical_for_any_solver_worker_count() {
         let data = tiny_dataset();
-        let mut cfg = config();
-        let pool = SolverPool::new(2);
-        cfg.solver_workers = 1;
-        let (serial, _) = preprocess(&data, &cfg, &configured_exact(&cfg), &pool).unwrap();
-        cfg.solver_workers = 8;
-        let solver = configured_exact(&cfg);
-        assert_eq!(solver.workers, 8);
-        let (parallel, _) = preprocess(&data, &cfg, &solver, &pool).unwrap();
+        let cfg = config();
+        let solver = ExactSummarizer::paper();
+        let (serial, _) = preprocess(&data, &cfg, &solver, &SolverPool::new(1)).unwrap();
+        let (parallel, _) = preprocess(&data, &cfg, &solver, &SolverPool::new(8)).unwrap();
         assert_eq!(serial.snapshot(), parallel.snapshot());
         // Exact speeches are at least as good as greedy's.
         let (greedy, _) =

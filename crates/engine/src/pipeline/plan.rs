@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use vqs_relalg::error::Result as RelalgResult;
 use vqs_relalg::ops::aggregate::{AggFunc, AggItem};
-use vqs_relalg::prelude::{Expr, Plan, Table, Value};
+use vqs_relalg::prelude::{ColumnType, Expr, Plan, Table, Value};
 
 use crate::template::format_value;
 
@@ -116,9 +116,16 @@ impl QueryPlan {
     pub fn to_relalg(&self, table: &Arc<Table>) -> RelalgResult<Plan> {
         let schema = table.schema();
         let target_col = Expr::col(schema.index_of(self.target())?);
+        // `dimension = value`, with the value resolved against the
+        // column's type once per plan.
+        let equals = |dimension: &str, value: &str| -> RelalgResult<Expr> {
+            let index = schema.index_of(dimension)?;
+            let literal = literal(schema.field(index)?.ty, value);
+            Ok(Expr::col(index).eq(Expr::lit(literal)))
+        };
         let mut selection: Option<Expr> = None;
         for (dim, value) in self.predicates() {
-            let eq = Expr::col(schema.index_of(dim)?).eq(Expr::lit(value.as_str()));
+            let eq = equals(dim, value)?;
             selection = Some(match selection {
                 Some(prev) => prev.and(eq),
                 None => eq,
@@ -165,10 +172,7 @@ impl QueryPlan {
                 ..
             } => {
                 let dim_col = Expr::col(schema.index_of(dimension)?);
-                let sides = dim_col
-                    .clone()
-                    .eq(Expr::lit(left.as_str()))
-                    .or(dim_col.clone().eq(Expr::lit(right.as_str())));
+                let sides = equals(dimension, left)?.or(equals(dimension, right)?);
                 let predicate = match selection {
                     Some(prev) => prev.and(sides),
                     None => sides,
@@ -313,10 +317,32 @@ fn as_count(value: Value) -> Option<usize> {
     }
 }
 
+/// The literal a question's `text` stands for in a column of type `ty`.
+/// A string column compares with the text itself. Any other column
+/// compares with the text parsed to its type, provided the parsed value
+/// displays as that same text — the spelling
+/// `EncodedRelation::from_table` gives its values, so a `Float` 1.0 is
+/// "1.0". Text that no value of the type spells stays a string literal,
+/// which equals no cell of the column.
+fn literal(ty: ColumnType, text: &str) -> Value {
+    let parsed = match ty {
+        ColumnType::Str => None,
+        ColumnType::Bool => text.parse().ok().map(Value::Bool),
+        ColumnType::Int => text.parse().ok().map(Value::Int),
+        ColumnType::Float => text.parse().ok().map(Value::Float),
+    };
+    parsed
+        .filter(|value| value.to_string() == text)
+        .unwrap_or_else(|| Value::str(text))
+}
+
+/// A group's name: a string as it is, any other value by the same
+/// display text [`literal`] accepts.
 fn as_name(value: Value) -> Option<String> {
     match value {
         Value::Str(s) => Some(s.to_string()),
-        _ => None,
+        Value::Null => None,
+        other => Some(other.to_string()),
     }
 }
 
@@ -409,7 +435,7 @@ fn render(plan: &QueryPlan, value: &ComputedValue) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vqs_relalg::prelude::{ColumnType, Field, Schema};
+    use vqs_relalg::prelude::{Field, Schema};
 
     fn live_table() -> Arc<Table> {
         let schema = Schema::new(vec![
@@ -552,5 +578,26 @@ mod tests {
             right: "Monsoon".into(),
         };
         assert!(execute(&one_sided, &live_table()).is_none());
+    }
+
+    #[test]
+    fn non_string_values_match_only_their_display_text() {
+        assert_eq!(literal(ColumnType::Int, "2019"), Value::Int(2019));
+        assert_eq!(literal(ColumnType::Float, "1.0"), Value::Float(1.0));
+        assert_eq!(literal(ColumnType::Float, "2.5"), Value::Float(2.5));
+        assert_eq!(literal(ColumnType::Bool, "true"), Value::Bool(true));
+        // Parseable, but no cell of the column is spelled this way.
+        for (ty, text) in [
+            (ColumnType::Int, "02019"),
+            (ColumnType::Int, "+7"),
+            (ColumnType::Float, "1"),
+            (ColumnType::Float, "2.50"),
+        ] {
+            assert_eq!(literal(ty, text), Value::str(text), "{ty} {text}");
+        }
+        assert_eq!(literal(ColumnType::Str, "2019"), Value::str("2019"));
+        assert_eq!(as_name(Value::Float(1.0)).as_deref(), Some("1.0"));
+        assert_eq!(as_name(Value::Int(2019)).as_deref(), Some("2019"));
+        assert_eq!(as_name(Value::Null), None);
     }
 }

@@ -41,8 +41,8 @@
 //!   flush tick that drains silent streaming tenants. So no `respond`
 //!   waits behind a registration or a flush. Only solver work reaches
 //!   the shared [`SolverPool`](crate::service::SolverPool): the control
-//!   jobs' solves fan out over it, and a respond touches it only for a
-//!   deadline ladder's live solve under a pool-backed summarizer.
+//!   jobs' solves fan out over it, and no respond queues pool work — a
+//!   deadline ladder's live solve runs on the serving worker.
 //! * **Graceful shutdown.** Dropping the front-end (or calling
 //!   [`FrontEnd::shutdown`]) drains every admitted request — the serving
 //!   workers drain the interactive lanes, the control thread the control

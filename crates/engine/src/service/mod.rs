@@ -676,15 +676,10 @@ impl ServiceStats {
     }
 }
 
-/// Deferred summarizer construction: the algorithm may want a handle to
-/// the service's pool (built later, in [`ServiceBuilder::build`]) to
-/// route its inner search fan-out through it.
-type SummarizerFactory = Box<dyn FnOnce(Arc<SolverPool>) -> Arc<dyn Summarizer + Send + Sync>>;
-
 /// Configures and builds a [`VoiceService`].
 pub struct ServiceBuilder {
     workers: usize,
-    summarizer: Option<SummarizerFactory>,
+    summarizer: Option<Arc<dyn Summarizer + Send + Sync>>,
     faults: Option<Arc<FaultPlan>>,
 }
 
@@ -727,8 +722,7 @@ impl ServiceBuilder {
         mut self,
         summarizer: impl Summarizer + Send + Sync + 'static,
     ) -> ServiceBuilder {
-        let shared: Arc<dyn Summarizer + Send + Sync> = Arc::new(summarizer);
-        self.summarizer = Some(Box::new(move |_| shared));
+        self.summarizer = Some(Arc::new(summarizer));
         self
     }
 
@@ -738,24 +732,7 @@ impl ServiceBuilder {
         mut self,
         summarizer: Box<dyn Summarizer + Send + Sync>,
     ) -> ServiceBuilder {
-        let shared: Arc<dyn Summarizer + Send + Sync> = Arc::from(summarizer);
-        self.summarizer = Some(Box::new(move |_| shared));
-        self
-    }
-
-    /// Build the summarizer *from the service's own pool*: `factory`
-    /// receives the shared [`SolverPool`] once it exists, so algorithms
-    /// whose inner search fans out (e.g.
-    /// [`vqs_core::prelude::ExactSummarizer::on_executor`]) ride the
-    /// same long-lived workers as cross-query pre-processing instead of
-    /// spawning scoped threads per search. Searches issued from inside a
-    /// pool job degrade to inline execution automatically (see
-    /// [`SolverPool::on_worker_thread`]), so the nesting is safe.
-    pub fn summarizer_with_pool<F>(mut self, factory: F) -> ServiceBuilder
-    where
-        F: FnOnce(Arc<SolverPool>) -> Box<dyn Summarizer + Send + Sync> + 'static,
-    {
-        self.summarizer = Some(Box::new(move |pool| Arc::from(factory(pool))));
+        self.summarizer = Some(Arc::from(summarizer));
         self
     }
 
@@ -770,14 +747,11 @@ impl ServiceBuilder {
 
     /// Spawn the pool and build the (initially tenant-less) service.
     pub fn build(self) -> VoiceService {
-        let pool = Arc::new(SolverPool::new(self.workers));
-        let summarizer = match self.summarizer {
-            Some(factory) => factory(Arc::clone(&pool)),
-            None => Arc::new(GreedySummarizer::with_optimized_pruning()),
-        };
         VoiceService {
-            pool,
-            summarizer,
+            pool: Arc::new(SolverPool::new(self.workers)),
+            summarizer: self
+                .summarizer
+                .unwrap_or_else(|| Arc::new(GreedySummarizer::with_optimized_pruning())),
             faults: self.faults,
             tenants: RwLock::new(FxHashMap::default()),
         }
@@ -817,8 +791,7 @@ impl VoiceService {
     }
 
     /// A handle to the shared solver pool — the executor behind every
-    /// tenant's pre-processing, refreshes, and (for pool-backed
-    /// summarizers) the inner search fan-out.
+    /// tenant's pre-processing and refreshes.
     pub fn solver_pool(&self) -> Arc<SolverPool> {
         Arc::clone(&self.pool)
     }
@@ -1999,35 +1972,26 @@ mod tests {
         }
     }
 
-    /// A pool-backed exact summarizer (inner search fan-out routed
-    /// through the service's own [`SolverPool`]) must register the
-    /// byte-identical store a scoped single-worker exact run produces —
-    /// including nested searches inside pool scatter jobs degrading to
-    /// inline execution instead of deadlocking.
+    /// An exact summarizer installed on the service registers, through
+    /// the shared pool, the byte-identical store a single-worker run of
+    /// the same summarizer produces.
     #[test]
     fn pool_backed_exact_summarizer_matches_scoped_reference() {
-        let mut cfg = config();
-        cfg.solver_workers = 0; // resolve to the pool's worker count
         let service = ServiceBuilder::new()
             .workers(2)
-            .summarizer_with_pool({
-                let cfg = cfg.clone();
-                move |pool| Box::new(crate::generator::configured_exact_on(&cfg, pool))
-            })
+            .summarizer(vqs_core::prelude::ExactSummarizer::paper())
             .build();
         service
-            .register_dataset(TenantSpec::new("svc", dataset(7), cfg.clone()))
+            .register_dataset(TenantSpec::new("svc", dataset(7), config()))
             .unwrap();
         let pooled = service.tenant_store("svc").unwrap();
 
-        let mut serial_cfg = cfg;
-        serial_cfg.solver_workers = 1;
         let (reference, _) = preprocess_with(
             &dataset(7).table,
-            &serial_cfg,
-            &crate::generator::configured_exact(&serial_cfg),
+            &config(),
+            &vqs_core::prelude::ExactSummarizer::paper(),
             &Default::default(),
-            &service.solver_pool(),
+            &SolverPool::new(1),
             ScatterPriority::Bulk,
         )
         .unwrap();

@@ -18,15 +18,14 @@
 //! Batches carry a [`ScatterPriority`]: the queue holds two lanes and
 //! workers always drain the [`ScatterPriority::Interactive`] lane before
 //! touching [`ScatterPriority::Bulk`] jobs. Delta refreshes (small,
-//! latency-sensitive) and solver search fan-outs ride the interactive
-//! lane while whole-dataset registrations and ingest flushes are tagged
-//! bulk, so a large registration queued first cannot delay a µs-scale
-//! refresh behind it.
+//! latency-sensitive) ride the interactive lane while whole-dataset
+//! registrations and ingest flushes are tagged bulk, so a large
+//! registration queued first cannot delay a µs-scale refresh behind it.
 //!
-//! The pool runs solver work only. Answering a request never queues a
-//! job here — live plans execute on the thread that answers — except
-//! for the search fan-out of a pool-backed summarizer inside a
-//! deadline's live solve, which rides the interactive lane.
+//! The pool is the only solver parallelism: each job solves whole
+//! problems, and one search never fans out further. Answering a request
+//! never queues a job here — live plans and a deadline's live solve run
+//! on the thread that answers.
 //!
 //! ```
 //! use vqs_engine::service::{ScatterPriority, SolverPool};
@@ -39,23 +38,11 @@
 //! assert_eq!(sums, vec![1, 2, 3]);
 //! ```
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-
-use vqs_core::algorithms::SearchExecutor;
-
-thread_local! {
-    /// Identity of the pool whose worker loop owns this thread, if any.
-    /// Lets [`SolverPool::on_worker_thread`] detect a nested fan-out
-    /// (a solver running *inside* a scatter job asking the same pool for
-    /// more workers) so it degrades to inline execution instead of
-    /// queueing jobs its own rendezvous would deadlock on.
-    static ACTIVE_POOL: Cell<*const ()> = const { Cell::new(std::ptr::null()) };
-}
 
 /// A queued unit of work. Lifetimes are erased on submission; safety is
 /// re-established by the scatter rendezvous (see [`SolverPool::scatter`]).
@@ -149,10 +136,7 @@ impl SolverPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("vqs-solver-{index}"))
-                    .spawn(move || {
-                        ACTIVE_POOL.set(Arc::as_ptr(&shared) as *const ());
-                        worker_loop(&shared)
-                    })
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn solver worker")
             })
             .collect();
@@ -174,12 +158,6 @@ impl SolverPool {
     pub fn queued(&self) -> (usize, usize) {
         let queues = self.shared.queue.lock().expect("pool queue poisoned");
         (queues.interactive.len(), queues.bulk.len())
-    }
-
-    /// Whether the calling thread is one of this pool's workers — i.e. we
-    /// are already *inside* a scatter job of this very pool.
-    pub fn on_worker_thread(&self) -> bool {
-        ACTIVE_POOL.get() == Arc::as_ptr(&self.shared) as *const ()
     }
 
     /// Run `task(0..tasks)` on the pool at interactive priority and
@@ -283,39 +261,6 @@ impl Drop for SolverPool {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-    }
-}
-
-/// The pool as a solver-search fan-out target: exact and greedy
-/// summarizers hand their inner-search tasks here instead of spawning
-/// scoped threads per call, so search parallelism shares the same parked
-/// workers as cross-query pre-processing.
-///
-/// A search that is *itself* running inside one of this pool's scatter
-/// jobs (pre-processing fans over queries, each query's solver fans over
-/// branches) must not enqueue sub-tasks and block on them: with all
-/// workers occupied by searches, nobody would ever pop the sub-tasks and
-/// the rendezvous would deadlock. [`SolverPool::on_worker_thread`]
-/// detects that nesting and runs the batch inline on the caller — the
-/// outer scatter already owns the parallelism.
-impl SearchExecutor for SolverPool {
-    fn max_workers(&self) -> usize {
-        self.workers
-    }
-
-    fn run(&self, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
-        if tasks == 0 {
-            return;
-        }
-        if tasks == 1 || self.on_worker_thread() {
-            for index in 0..tasks {
-                task(index);
-            }
-            return;
-        }
-        // Interactive lane: search fan-outs serve a caller who is
-        // blocked on the rendezvous right now.
-        self.scatter(tasks, task);
     }
 }
 
@@ -431,48 +376,6 @@ mod tests {
         let pool = SolverPool::new(2);
         let results = pool.scatter_at(ScatterPriority::Bulk, 8, |i| i * 3);
         assert_eq!(results, (0..8).map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn search_executor_runs_every_task() {
-        let pool = SolverPool::new(2);
-        let executor: &dyn SearchExecutor = &pool;
-        assert_eq!(executor.max_workers(), 2);
-        let hits = AtomicUsize::new(0);
-        executor.run(9, &|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 9);
-        executor.run(0, &|_| panic!("no tasks expected"));
-    }
-
-    /// A fan-out issued from *inside* a scatter job of the same pool must
-    /// run inline: with a single worker, enqueueing sub-tasks and blocking
-    /// on them would deadlock the rendezvous forever.
-    #[test]
-    fn nested_search_fan_out_runs_inline_without_deadlock() {
-        let pool = SolverPool::new(1);
-        let hits = AtomicUsize::new(0);
-        pool.scatter(1, |_| {
-            assert!(pool.on_worker_thread());
-            let executor: &dyn SearchExecutor = &pool;
-            executor.run(4, &|_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 4);
-        assert!(!pool.on_worker_thread());
-    }
-
-    /// Worker threads of one pool are not mistaken for another pool's.
-    #[test]
-    fn worker_thread_detection_is_per_pool() {
-        let a = SolverPool::new(1);
-        let b = SolverPool::new(1);
-        a.scatter(1, |_| {
-            assert!(a.on_worker_thread());
-            assert!(!b.on_worker_thread());
-        });
     }
 
     /// Interactive jobs enqueued *after* bulk jobs still run first: with

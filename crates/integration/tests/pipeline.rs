@@ -3,16 +3,19 @@
 //! Table III category plus the compound/comparative/aggregate forms the
 //! live tier answers, a proptest differential pinning live plan
 //! execution to direct `vqs-relalg` evaluation, a row-scan oracle for
-//! scoped extremum and comparison answers, and the byte-identity
-//! guarantee for store-served answers.
+//! counts, extremum and comparison answers over string, `Int` and
+//! `Float` dimensions, and the byte-identity guarantee for store-served
+//! answers.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use vqs_data::{DimSpec, GeneratedDataset, SynthSpec, TargetSpec};
 use vqs_engine::prelude::*;
 use vqs_relalg::ops::aggregate::{AggFunc, AggItem};
-use vqs_relalg::prelude::{Expr, Plan, Value};
+use vqs_relalg::prelude::{ColumnType, Expr, Field, Plan, Schema, Table, Value};
 
 const SEASONS: [&str; 4] = ["Winter", "Spring", "Summer", "Fall"];
 const REGIONS: [&str; 3] = ["East", "West", "North"];
@@ -350,44 +353,236 @@ proptest! {
     }
 }
 
-/// The row-scan oracle: each season's average `target` over `region`'s
-/// rows (`None` when the season has no row there), summed and counted in
-/// row order by a plain loop, with no `vqs-relalg` operator involved.
-fn season_averages(
-    data: &GeneratedDataset,
+/// The row-scan oracle: for each value in `groups`, the row count and the
+/// average `target` (`None` when the group is empty) over the rows whose
+/// `group_by` cell holds that value and whose `scope` cells hold theirs.
+/// Summed and counted in row order by a plain loop, with no `vqs-relalg`
+/// operator involved.
+fn row_scan(
+    table: &Table,
     target: &str,
-    region: &str,
-) -> [Option<f64>; SEASONS.len()] {
-    let table = &data.table;
+    scope: &[(&str, Value)],
+    group_by: &str,
+    groups: &[Value],
+) -> Vec<(usize, Option<f64>)> {
     let column = |name: &str| table.schema().index_of(name).unwrap();
-    let (season_col, region_col, target_col) = (column("season"), column("region"), column(target));
-    let mut sums = [0.0; SEASONS.len()];
-    let mut counts = [0usize; SEASONS.len()];
+    let scope: Vec<(usize, &Value)> = scope
+        .iter()
+        .map(|(name, value)| (column(name), value))
+        .collect();
+    let (group_col, target_col) = (column(group_by), column(target));
+    let mut sums = vec![0.0; groups.len()];
+    let mut counts = vec![0usize; groups.len()];
     for row in 0..table.len() {
-        if table.value(row, region_col) != Value::str(region) {
+        if scope
+            .iter()
+            .any(|&(col, value)| table.value(row, col) != *value)
+        {
             continue;
         }
-        let season = SEASONS
+        let group = groups
             .iter()
-            .position(|&name| table.value(row, season_col) == Value::str(name))
-            .expect("every generated row has a known season");
-        sums[season] += table
+            .position(|value| table.value(row, group_col) == *value)
+            .expect("every row's group is listed");
+        sums[group] += table
             .value(row, target_col)
             .as_f64()
             .expect("numeric target");
-        counts[season] += 1;
+        counts[group] += 1;
     }
-    std::array::from_fn(|season| (counts[season] > 0).then(|| sums[season] / counts[season] as f64))
+    counts
+        .iter()
+        .zip(sums)
+        .map(|(&count, sum)| (count, (count > 0).then(|| sum / count as f64)))
+        .collect()
 }
 
-/// The oracle's average for a season name the engine answered with.
-fn oracle_value(averages: &[Option<f64>; SEASONS.len()], name: &str) -> Option<f64> {
-    let season = SEASONS.iter().position(|&season| season == name)?;
-    averages[season]
+/// The oracle's averages for the groups of `group_by`, scoped by `scope`.
+fn scan_averages(
+    table: &Table,
+    scope: &[(&str, Value)],
+    group_by: &str,
+    groups: &[Value],
+) -> Vec<Option<f64>> {
+    row_scan(table, "delay", scope, group_by, groups)
+        .into_iter()
+        .map(|(_, average)| average)
+        .collect()
+}
+
+/// The oracle's average for the group the engine named `name`.
+fn oracle_value(names: &[&str], averages: &[Option<f64>], name: &str) -> Option<f64> {
+    averages[names.iter().position(|&group| group == name)?]
 }
 
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9
+}
+
+/// An extremum answer over `dimension`'s groups (`names`, with oracle
+/// `averages`) names groups whose averages are the asked-for and the
+/// opposite end of the present ones. On a tie either group is accepted;
+/// an empty subset must apologize rather than voice a NULL.
+fn check_extremum(
+    question: &str,
+    answer: &Answer,
+    dimension: &str,
+    highest: bool,
+    names: &[&str],
+    averages: &[Option<f64>],
+) -> TestCaseResult {
+    let present: Vec<f64> = averages.iter().flatten().copied().collect();
+    match answer {
+        Answer::Computed {
+            value:
+                ComputedValue::GroupExtremum {
+                    dimension: answered_dimension,
+                    best,
+                    best_value,
+                    other,
+                    other_value,
+                    highest: answered,
+                },
+            ..
+        } => {
+            prop_assert_eq!(answered_dimension.as_str(), dimension, "{}", question);
+            prop_assert_eq!(*answered, highest, "{}", question);
+            let top = present.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let bottom = present.iter().copied().fold(f64::INFINITY, f64::min);
+            let (want_best, want_other) = if highest {
+                (top, bottom)
+            } else {
+                (bottom, top)
+            };
+            for (name, value, want) in [
+                (best, *best_value, want_best),
+                (other, *other_value, want_other),
+            ] {
+                let expected = oracle_value(names, averages, name);
+                prop_assert!(
+                    expected
+                        .is_some_and(|expected| close(expected, value) && close(expected, want)),
+                    "{}: answered {} at {}, oracle {:?} (want {})",
+                    question,
+                    name,
+                    value,
+                    averages,
+                    want
+                );
+            }
+        }
+        Answer::Unsupported { .. } => prop_assert!(present.is_empty(), "{}", question),
+        other => prop_assert!(
+            false,
+            "{}: unexpected extremum answer {:?}",
+            question,
+            other
+        ),
+    }
+    Ok(())
+}
+
+/// A comparison answer keeps the mention order and voices each side's
+/// oracle average; a side with no rows must apologize.
+fn check_comparison(
+    question: &str,
+    answer: &Answer,
+    dimension: &str,
+    (left, right): (&str, &str),
+    names: &[&str],
+    averages: &[Option<f64>],
+) -> TestCaseResult {
+    let (want_left, want_right) = (
+        oracle_value(names, averages, left),
+        oracle_value(names, averages, right),
+    );
+    match answer {
+        Answer::Computed {
+            value:
+                ComputedValue::Comparison {
+                    dimension: answered_dimension,
+                    left: answered_left,
+                    left_value,
+                    right: answered_right,
+                    right_value,
+                },
+            ..
+        } => {
+            prop_assert_eq!(answered_dimension.as_str(), dimension, "{}", question);
+            prop_assert_eq!(
+                (answered_left.as_str(), answered_right.as_str()),
+                (left, right),
+                "{}",
+                question
+            );
+            prop_assert!(
+                want_left.is_some_and(|want| close(want, *left_value))
+                    && want_right.is_some_and(|want| close(want, *right_value)),
+                "{}: {} vs {}, oracle {:?} vs {:?}",
+                question,
+                left_value,
+                right_value,
+                want_left,
+                want_right
+            );
+        }
+        Answer::Unsupported { .. } => {
+            prop_assert!(want_left.is_none() || want_right.is_none(), "{}", question)
+        }
+        other => prop_assert!(
+            false,
+            "{}: unexpected comparison answer {:?}",
+            question,
+            other
+        ),
+    }
+    Ok(())
+}
+
+/// A count answer equals the oracle's row count; an empty subset must
+/// apologize.
+fn check_count(question: &str, answer: &Answer, rows: usize) -> TestCaseResult {
+    match answer {
+        Answer::Computed {
+            value: ComputedValue::Count { rows: answered },
+            ..
+        } => prop_assert_eq!(*answered, rows, "{}", question),
+        Answer::Unsupported { .. } => prop_assert_eq!(rows, 0, "{}", question),
+        other => prop_assert!(false, "{}: unexpected count answer {:?}", question, other),
+    }
+    Ok(())
+}
+
+/// An `Int` and a `Float` dimension with the spelling the engine speaks
+/// for each value (the value's display text).
+const YEARS: [(i64, &str); 3] = [(2019, "2019"), (2020, "2020"), (2021, "2021")];
+const GRADES: [(f64, &str); 3] = [(1.0, "1.0"), (2.5, "2.5"), (4.0, "4.0")];
+
+/// A tenant whose dimensions are not strings: an `Int` year and a
+/// `Float` grade, with `delay` as the target.
+fn typed_dataset(seed: u64) -> GeneratedDataset {
+    let schema = Schema::new(vec![
+        Field::required("year", ColumnType::Int),
+        Field::required("grade", ColumnType::Float),
+        Field::required("delay", ColumnType::Float),
+    ])
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rows: Vec<Vec<Value>> = (0..120)
+        .map(|_| {
+            vec![
+                Value::Int(YEARS[rng.gen_range(0..YEARS.len())].0),
+                Value::Float(GRADES[rng.gen_range(0..GRADES.len())].0),
+                Value::Float((rng.gen_range(0.0..60.0_f64) * 10.0).round() / 10.0),
+            ]
+        })
+        .collect();
+    GeneratedDataset {
+        name: "typed".to_string(),
+        table: Table::from_rows(schema, rows).unwrap(),
+        dims: vec!["year".to_string(), "grade".to_string()],
+        targets: vec!["delay".to_string()],
+    }
 }
 
 proptest! {
@@ -395,8 +590,7 @@ proptest! {
 
     // Oracle: a region-scoped extremum or comparison question is answered
     // over that region's rows only, with the per-season averages a plain
-    // row scan of the generated table gives. On a tie either group is
-    // accepted; an empty side must apologize rather than voice a NULL.
+    // row scan of the generated table gives.
     #[test]
     fn scoped_extremum_and_comparison_match_a_row_scan(
         seed in 0u64..32,
@@ -411,80 +605,84 @@ proptest! {
             .register_dataset(TenantSpec::new("air", data.clone(), config()))
             .unwrap();
         let region = REGIONS[region_index];
-        let averages = season_averages(&data, "delay", region);
-        let present: Vec<f64> = averages.iter().flatten().copied().collect();
+        let averages = scan_averages(
+            &data.table,
+            &[("region", Value::str(region))],
+            "season",
+            &SEASONS.map(Value::str),
+        );
+        let ask = |question: String| {
+            let answer = service.respond(&ServiceRequest::new("air", &question)).answer;
+            (question, answer)
+        };
 
         let polarity = if highest { "most" } else { "lowest" };
-        let extremum = service.respond(&ServiceRequest::new(
-            "air",
-            format!("which season has the {polarity} delay in the {region}"),
-        ));
-        match &extremum.answer {
-            Answer::Computed {
-                value:
-                    ComputedValue::GroupExtremum {
-                        dimension,
-                        best,
-                        best_value,
-                        other,
-                        other_value,
-                        highest: answered,
-                    },
-                ..
-            } => {
-                prop_assert_eq!(dimension.as_str(), "season");
-                prop_assert_eq!(*answered, highest);
-                let top = present.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                let bottom = present.iter().copied().fold(f64::INFINITY, f64::min);
-                let (want_best, want_other) = if highest { (top, bottom) } else { (bottom, top) };
-                for (name, value, want) in [(best, *best_value, want_best), (other, *other_value, want_other)] {
-                    let expected = oracle_value(&averages, name);
-                    prop_assert!(
-                        expected.is_some_and(|expected| close(expected, value) && close(expected, want)),
-                        "{} answered {} at {}, oracle {:?} (want {}) in the {}",
-                        polarity, name, value, averages, want, region
-                    );
-                }
-            }
-            Answer::Unsupported { .. } => prop_assert!(present.is_empty(), "{} {}", polarity, region),
-            other => prop_assert!(false, "unexpected extremum answer {:?}", other),
-        }
+        let (question, answer) =
+            ask(format!("which season has the {polarity} delay in the {region}"));
+        check_extremum(&question, &answer, "season", highest, &SEASONS, &averages)?;
 
-        let (left, right) = (SEASONS[left_index], SEASONS[(left_index + offset) % SEASONS.len()]);
-        let comparison = service.respond(&ServiceRequest::new(
-            "air",
-            format!("compare delay for {left} versus {right} in the {region}"),
-        ));
-        let (want_left, want_right) = (oracle_value(&averages, left), oracle_value(&averages, right));
-        match &comparison.answer {
-            Answer::Computed {
-                value:
-                    ComputedValue::Comparison {
-                        dimension,
-                        left: answered_left,
-                        left_value,
-                        right: answered_right,
-                        right_value,
-                    },
-                ..
-            } => {
-                prop_assert_eq!(dimension.as_str(), "season");
-                prop_assert_eq!((answered_left.as_str(), answered_right.as_str()), (left, right));
-                prop_assert!(
-                    want_left.is_some_and(|want| close(want, *left_value))
-                        && want_right.is_some_and(|want| close(want, *right_value)),
-                    "{} {} vs {} {}, oracle {:?} vs {:?} in the {}",
-                    left, left_value, right, right_value, want_left, want_right, region
-                );
+        let sides = (SEASONS[left_index], SEASONS[(left_index + offset) % SEASONS.len()]);
+        let (question, answer) =
+            ask(format!("compare delay for {} versus {} in the {region}", sides.0, sides.1));
+        check_comparison(&question, &answer, "season", sides, &SEASONS, &averages)?;
+    }
+
+    // The same oracle over a tenant whose dimensions are an `Int` and a
+    // `Float`: counts scoped by either dimension, and extrema and
+    // comparisons grouped on each, unscoped and scoped by the other. The
+    // engine names each value by its display text.
+    #[test]
+    fn int_and_float_dimensions_match_a_row_scan(
+        seed in 0u64..32,
+        scope_index in 0usize..YEARS.len(),
+        left_index in 0usize..YEARS.len(),
+        offset in 1usize..YEARS.len(),
+        highest in any::<bool>(),
+    ) {
+        let data = typed_dataset(seed);
+        let service = ServiceBuilder::new().workers(1).build();
+        let config = Configuration::new("typed", &["year", "grade"], &["delay"]);
+        service
+            .register_dataset(TenantSpec::new("typed", data.clone(), config))
+            .unwrap();
+        let ask = |question: String| {
+            let answer = service.respond(&ServiceRequest::new("typed", &question)).answer;
+            (question, answer)
+        };
+        let years = YEARS.map(|(year, _)| Value::Int(year));
+        let grades = GRADES.map(|(grade, _)| Value::Float(grade));
+        let year_names = YEARS.map(|(_, name)| name);
+        let grade_names = GRADES.map(|(_, name)| name);
+        let polarity = if highest { "most" } else { "lowest" };
+
+        for (dimension, values, names, scope) in [
+            ("year", &years, &year_names, ("grade", &grades, &grade_names)),
+            ("grade", &grades, &grade_names, ("year", &years, &year_names)),
+        ] {
+            let (question, answer) = ask(format!("how many delay in {}", names[scope_index]));
+            let (rows, _) = row_scan(&data.table, "delay", &[], dimension, values)[scope_index];
+            check_count(&question, &answer, rows)?;
+
+            let (scope_dimension, scope_values, scope_names) = scope;
+            for scoped in [false, true] {
+                let (suffix, filter) = if scoped {
+                    (
+                        format!(" in {}", scope_names[scope_index]),
+                        vec![(scope_dimension, scope_values[scope_index].clone())],
+                    )
+                } else {
+                    (String::new(), vec![])
+                };
+                let averages = scan_averages(&data.table, &filter, dimension, values);
+                let (question, answer) =
+                    ask(format!("which {dimension} has the {polarity} delay{suffix}"));
+                check_extremum(&question, &answer, dimension, highest, names, &averages)?;
+
+                let sides = (names[left_index], names[(left_index + offset) % names.len()]);
+                let (question, answer) =
+                    ask(format!("compare delay for {} versus {}{suffix}", sides.0, sides.1));
+                check_comparison(&question, &answer, dimension, sides, names, &averages)?;
             }
-            Answer::Unsupported { .. } => prop_assert!(
-                want_left.is_none() || want_right.is_none(),
-                "{} versus {} in the {}",
-                left,
-                right,
-                region
-            ),
-            other => prop_assert!(false, "unexpected comparison answer {:?}", other),
         }
     }
 }

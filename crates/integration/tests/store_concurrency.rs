@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vqs_core::prelude::GreedySummarizer;
+use vqs_core::prelude::{ExactSummarizer, GreedySummarizer, Summarizer};
 use vqs_data::{DimSpec, SynthSpec, TargetSpec};
 use vqs_engine::prelude::*;
 
@@ -233,10 +233,10 @@ fn determinism_dataset() -> vqs_data::GeneratedDataset {
 }
 
 /// `preprocess` with 1, 2, and 8 workers yields byte-identical stores and
-/// identical instrumentation totals — the work-stealing queue must not
-/// introduce chunking- or scheduling-dependent results. Registration
-/// runs on the service's shared solver pool, so this also pins the
-/// pool-executor path.
+/// identical instrumentation totals, for the optimized greedy and the
+/// exact summarizer — the work-stealing queue must not introduce
+/// chunking- or scheduling-dependent results. Registration runs on the
+/// service's shared solver pool, so this also pins the pool path.
 #[test]
 fn preprocess_is_deterministic_in_worker_count() {
     let data = determinism_dataset();
@@ -245,31 +245,41 @@ fn preprocess_is_deterministic_in_worker_count() {
         &["season", "region", "airline"],
         &["delay", "cancelled"],
     );
-    let runs: Vec<_> = [1usize, 2, 8]
-        .iter()
-        .map(|&workers| {
-            let service = ServiceBuilder::new()
-                .workers(workers)
-                .summarizer(GreedySummarizer::with_optimized_pruning())
-                .build();
-            let report = service
-                .register_dataset(TenantSpec::new("determinism", data.clone(), config.clone()))
-                .unwrap();
-            (service.tenant_store("determinism").unwrap(), report)
-        })
-        .collect();
-    let (reference_store, reference_report) = &runs[0];
-    let reference = reference_store.snapshot();
-    assert!(reference_report.queries > 50);
-    for (store, report) in &runs[1..] {
-        assert_eq!(report.queries, reference_report.queries);
-        assert_eq!(report.speeches, reference_report.speeches);
-        // Instrumentation totals are summed in job order from per-worker
-        // partials: exactly equal, not just approximately.
-        assert_eq!(report.instrumentation, reference_report.instrumentation);
-        let snapshot = store.snapshot();
-        assert_eq!(snapshot, reference);
-        // Byte-identical including float formatting, not just PartialEq.
-        assert_eq!(format!("{snapshot:?}"), format!("{reference:?}"));
+    let summarizers: [fn() -> Box<dyn Summarizer + Send + Sync>; 2] = [
+        || Box::new(GreedySummarizer::with_optimized_pruning()),
+        || Box::new(ExactSummarizer::paper()),
+    ];
+    for summarizer in summarizers {
+        let runs: Vec<_> = [1usize, 2, 8]
+            .iter()
+            .map(|&workers| {
+                let service = ServiceBuilder::new()
+                    .workers(workers)
+                    .summarizer_box(summarizer())
+                    .build();
+                let report = service
+                    .register_dataset(TenantSpec::new("determinism", data.clone(), config.clone()))
+                    .unwrap();
+                (service.tenant_store("determinism").unwrap(), report)
+            })
+            .collect();
+        let name = summarizer().name();
+        let (reference_store, reference_report) = &runs[0];
+        let reference = reference_store.snapshot();
+        assert!(reference_report.queries > 50, "{name}");
+        for (store, report) in &runs[1..] {
+            assert_eq!(report.queries, reference_report.queries, "{name}");
+            assert_eq!(report.speeches, reference_report.speeches, "{name}");
+            // Instrumentation totals are summed in job order from
+            // per-worker partials: exactly equal, not just approximately.
+            assert_eq!(
+                report.instrumentation, reference_report.instrumentation,
+                "{name}"
+            );
+            let snapshot = store.snapshot();
+            assert_eq!(snapshot, reference, "{name}");
+            // Byte-identical including float formatting, not just PartialEq.
+            assert_eq!(format!("{snapshot:?}"), format!("{reference:?}"), "{name}");
+        }
     }
 }
