@@ -128,13 +128,13 @@ pub fn vocalize(
     }
 
     let range = target_range(relation);
-    let mut sampled_rows: Vec<usize> = Vec::new();
+    let mut sampled_rows: Vec<u32> = Vec::new();
     let mut facts: Vec<RangeFact> = Vec::new();
     let mut latency: Option<Duration> = None;
 
     for _ in 0..config.max_rounds {
         // Draw one more batch (uniform with replacement, as in [28]).
-        sampled_rows.extend((0..config.batch_size).map(|_| rng.gen_range(0..n)));
+        sampled_rows.extend((0..config.batch_size).map(|_| rng.gen_range(0..n) as u32));
         let sample = relation.subset(&sampled_rows)?;
 
         // Greedy selection on the sample.
@@ -270,7 +270,7 @@ mod tests {
         // A larger relation so sampling is meaningful: replicate the
         // running example 64 times.
         let base = running_example::relation();
-        let rows: Vec<usize> = (0..64).flat_map(|_| 0..base.len()).collect();
+        let rows: Vec<u32> = (0..64).flat_map(|_| 0..base.len() as u32).collect();
         base.subset(&rows).unwrap()
     }
 

@@ -82,17 +82,17 @@ pub fn run(config: &RunConfig) {
     let mut rating_sums = vec![(0.0f64, 0.0f64, 0usize, 0usize); 6];
     for (qi, query) in queries.iter().enumerate() {
         // Our speech.
-        let rows_of: Vec<usize> = (0..relation.len())
-            .filter(|&row| {
-                query.predicates().iter().all(|(dim, value)| {
-                    let d = relation.dim_index(dim).unwrap();
-                    relation.value_str(d, row) == value
-                })
-            })
-            .collect();
         let item = WorkItem {
             query: query.clone(),
-            rows: rows_of.clone(),
+            rows: (0..relation.len())
+                .filter(|&row| {
+                    query.predicates().iter().all(|(dim, value)| {
+                        let d = relation.dim_index(dim).unwrap();
+                        relation.value_str(d, row) == value
+                    })
+                })
+                .map(|row| row as u32)
+                .collect(),
         };
         let (ours, _) = solve_item(
             &relation,
@@ -107,7 +107,7 @@ pub fn run(config: &RunConfig) {
             SpeechProfile::precise(ours.scaled_utility(), ours.text.split_whitespace().count());
 
         // Baseline speech on the same subset.
-        let subset = relation.subset(&rows_of).expect("subset valid");
+        let subset = relation.subset(&item.rows).expect("subset valid");
         let free: Vec<usize> = (0..subset.dim_count())
             .filter(|&d| {
                 !query

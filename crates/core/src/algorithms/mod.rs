@@ -71,11 +71,11 @@ impl<'a> Problem<'a> {
     /// The covered rows as a relation of their own: the problem's relation
     /// when the catalog covers all of it in order, a copy otherwise.
     pub fn covered_relation(&self) -> Result<Cow<'a, EncodedRelation>> {
-        if self.catalog.selection().eq(0..self.relation.len()) {
+        let rows = self.catalog.selection();
+        if rows.iter().copied().eq(0..self.relation.len() as u32) {
             return Ok(Cow::Borrowed(self.relation));
         }
-        let rows: Vec<usize> = self.catalog.selection().collect();
-        Ok(Cow::Owned(self.relation.subset(&rows)?))
+        Ok(Cow::Owned(self.relation.subset(rows)?))
     }
 }
 

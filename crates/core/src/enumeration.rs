@@ -26,7 +26,8 @@
 //! stream those ranges — the direct-execution analogue of the paper's
 //! fact/data joins and group-by queries. The cells come from
 //! [`RowPartition`], the grouping pass the engine's query enumeration
-//! shares.
+//! shares: it groups the same cells on each predicate mask
+//! ([`RowPartition::group_cells`]).
 
 use vqs_relalg::hash::FxHashMap;
 
@@ -179,7 +180,7 @@ impl FactCatalog {
     ) -> Result<FactCatalog> {
         let dims = checked_dims(relation, free_dims)?;
         let cells = RowPartition::new(relation, &dims);
-        let rows: Vec<usize> = (0..relation.len()).collect();
+        let rows: Vec<u32> = (0..relation.len() as u32).collect();
         Self::build_over(relation, &cells, &rows, free_dims, min_dims, max_dims)
     }
 
@@ -193,7 +194,7 @@ impl FactCatalog {
     pub fn build_over(
         relation: &EncodedRelation,
         cells: &RowPartition,
-        rows: &[usize],
+        rows: &[u32],
         free_dims: &[usize],
         min_dims: usize,
         max_dims: usize,
@@ -204,21 +205,24 @@ impl FactCatalog {
                 detail: "cells must partition the relation on every free dimension".to_string(),
             });
         }
-        if let Some(&row) = rows.iter().find(|&&row| row >= relation.len()) {
+        if let Some(&row) = rows.iter().find(|&&row| row as usize >= relation.len()) {
             return Err(CoreError::LengthMismatch {
                 detail: format!("row {row} out of range ({} rows)", relation.len()),
             });
         }
         let mut layout = CellLayout::new(relation, cells, rows, &dims);
 
-        let targets: Vec<f64> = rows.iter().map(|&row| relation.target(row)).collect();
+        let targets: Vec<f64> = rows
+            .iter()
+            .map(|&row| relation.target(row as usize))
+            .collect();
         let priors: Vec<f64> = match relation.prior() {
             Prior::Constant(c) => vec![*c; rows.len()],
             // The mean of the covered rows, as in `relation.subset(rows)`.
             Prior::GlobalMean => {
                 vec![targets.iter().sum::<f64>() / rows.len() as f64; rows.len()]
             }
-            Prior::PerRow(p) => rows.iter().map(|&row| p[row]).collect(),
+            Prior::PerRow(p) => rows.iter().map(|&row| p[row as usize]).collect(),
         };
         let base_error = targets
             .iter()
@@ -230,7 +234,7 @@ impl FactCatalog {
             facts: Vec::new(),
             groups: Vec::new(),
             relation_rows: relation.len(),
-            rows: rows.iter().map(|&row| row as u32).collect(),
+            rows: rows.to_vec(),
             prior_deviations: layout
                 .order
                 .iter()
@@ -379,8 +383,8 @@ impl FactCatalog {
     }
 
     /// The covered relation rows in the order given at build time.
-    pub fn selection(&self) -> impl Iterator<Item = usize> + '_ {
-        self.rows.iter().map(|&row| row as usize)
+    pub fn selection(&self) -> &[u32] {
+        &self.rows
     }
 
     /// The covered relation rows in cell order: position `p` of
@@ -623,7 +627,7 @@ impl CellLayout {
     fn new(
         relation: &EncodedRelation,
         cells: &RowPartition,
-        rows: &[usize],
+        rows: &[u32],
         dims: &[usize],
     ) -> CellLayout {
         let mut cell_of = Vec::with_capacity(rows.len());
@@ -636,13 +640,13 @@ impl CellLayout {
                 local.resize(cells.len(), 0);
             }
             for &row in rows {
-                let of = cells.of_row[row];
+                let of = cells.of_row[row as usize];
                 let mut cell = local[of as usize];
                 if outer.get(cell as usize) != Some(&of) {
                     cell = outer.len() as u32;
                     local[of as usize] = cell;
                     outer.push(of);
-                    first_row.push(row as u32);
+                    first_row.push(row);
                     size.push(0);
                 }
                 size[cell as usize] += 1;
@@ -765,6 +769,35 @@ impl RowPartition {
             cols: cols.to_vec(),
             ..Self::of_columns(&columns, relation.len())
         }
+    }
+
+    /// Group this partition's combinations — its cells — by their codes on
+    /// `cols`, some of the columns partitioned on: per cell, in `of_row`,
+    /// the id of its combination on `cols`, and per such combination, in
+    /// `first_row`, its first cell. Cells are numbered in order of first
+    /// appearance, so every row of cell `c` gets the id
+    /// [`RowPartition::new`]`(relation, cols)` gives it, `of_row[c]`, while
+    /// the hashing runs once per cell instead of once per row.
+    ///
+    /// # Panics
+    /// Panics unless every column of `cols` is partitioned on here.
+    pub fn group_cells(&self, relation: &EncodedRelation, cols: &[usize]) -> RowPartition {
+        assert!(
+            cols.iter().all(|d| self.cols.contains(d)),
+            "cells group only on columns they are partitioned on"
+        );
+        let columns: Vec<Vec<u32>> = cols
+            .iter()
+            .map(|&d| {
+                let codes = relation.codes(d);
+                self.first_row
+                    .iter()
+                    .map(|&row| codes[row as usize])
+                    .collect()
+            })
+            .collect();
+        let columns: Vec<&[u32]> = columns.iter().map(Vec::as_slice).collect();
+        Self::of_columns(&columns, self.len())
     }
 
     /// Partition the positions `0..len` by their codes in `columns`.
@@ -1039,7 +1072,7 @@ mod tests {
     fn selection_matches_subset_catalog() {
         let r = clustered();
         let cells = RowPartition::new(&r, &[0, 1]);
-        let rows = [1usize, 2, 4, 5, 6, 7];
+        let rows = [1u32, 2, 4, 5, 6, 7];
         let selected = FactCatalog::build_over(&r, &cells, &rows, &[0, 1], 0, 2).unwrap();
         let subset = r.subset(&rows).unwrap();
         let copied = FactCatalog::build(&subset, &[0, 1], 2).unwrap();
@@ -1062,13 +1095,42 @@ mod tests {
             );
         }
         for id in 0..selected.len() {
-            let mapped: Vec<usize> = copied.covered_rows(id).iter().map(|&i| rows[i]).collect();
+            let mapped: Vec<usize> = copied
+                .covered_rows(id)
+                .iter()
+                .map(|&i| rows[i] as usize)
+                .collect();
             assert_eq!(selected.covered_rows(id), mapped, "fact {id}");
         }
         // Cells must cover every free dimension, and rows must exist.
         let coarse = RowPartition::new(&r, &[0]);
         assert!(FactCatalog::build_over(&r, &coarse, &rows, &[0, 1], 0, 2).is_err());
         assert!(FactCatalog::build_over(&r, &cells, &[8], &[0, 1], 0, 2).is_err());
+    }
+
+    /// Grouping the cells on some of their columns gives every row the
+    /// combination id a partition of the rows on those columns gives it.
+    #[test]
+    fn grouped_cells_match_the_row_partition() {
+        for r in [relation(), clustered()] {
+            let cells = RowPartition::new(&r, &[0, 1]);
+            for cols in [vec![], vec![0], vec![1], vec![0, 1]] {
+                let grouped = cells.group_cells(&r, &cols);
+                let direct = RowPartition::new(&r, &cols);
+                let via_cells: Vec<u32> = cells
+                    .of_row
+                    .iter()
+                    .map(|&cell| grouped.of_row[cell as usize])
+                    .collect();
+                assert_eq!(via_cells, direct.of_row, "{cols:?}");
+                let first: Vec<u32> = grouped
+                    .first_row
+                    .iter()
+                    .map(|&cell| cells.first_row[cell as usize])
+                    .collect();
+                assert_eq!(first, direct.first_row, "{cols:?}");
+            }
+        }
     }
 
     #[test]

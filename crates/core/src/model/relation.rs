@@ -325,9 +325,9 @@ impl EncodedRelation {
 
     /// Restrict to the rows at `keep` (preserving order); dictionaries are
     /// shared unchanged so codes remain comparable with the parent.
-    pub fn subset(&self, keep: &[usize]) -> Result<Self> {
+    pub fn subset(&self, keep: &[u32]) -> Result<Self> {
         for &row in keep {
-            if row >= self.len() {
+            if row as usize >= self.len() {
                 return Err(CoreError::LengthMismatch {
                     detail: format!("row {row} out of range ({} rows)", self.len()),
                 });
@@ -336,11 +336,11 @@ impl EncodedRelation {
         let dim_codes: Vec<Vec<u32>> = self
             .dim_codes
             .iter()
-            .map(|codes| keep.iter().map(|&r| codes[r]).collect())
+            .map(|codes| keep.iter().map(|&r| codes[r as usize]).collect())
             .collect();
-        let target: Vec<f64> = keep.iter().map(|&r| self.target[r]).collect();
+        let target: Vec<f64> = keep.iter().map(|&r| self.target[r as usize]).collect();
         let prior = match &self.prior {
-            Prior::PerRow(p) => Prior::PerRow(keep.iter().map(|&r| p[r]).collect()),
+            Prior::PerRow(p) => Prior::PerRow(keep.iter().map(|&r| p[r as usize]).collect()),
             other => other.clone(),
         };
         EncodedRelation::new(

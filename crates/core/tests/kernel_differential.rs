@@ -319,8 +319,8 @@ proptest! {
     ) {
         let fixed = fixed % dims.len();
         let value = relation.code(fixed, pick % relation.len());
-        let rows: Vec<usize> = (0..relation.len())
-            .filter(|&row| relation.code(fixed, row) == value)
+        let rows: Vec<u32> = (0..relation.len() as u32)
+            .filter(|&row| relation.code(fixed, row as usize) == value)
             .collect();
         let free: Vec<usize> = dims.iter().copied().filter(|&d| d != fixed).collect();
         let cells = RowPartition::new(&relation, &dims);

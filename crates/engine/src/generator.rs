@@ -23,6 +23,7 @@
 //! streaming ingest flush by the dirty keys of its delta log.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vqs_core::prelude::*;
@@ -42,8 +43,10 @@ use crate::template::SpeechTemplate;
 pub struct WorkItem {
     /// The query to answer.
     pub query: Query,
-    /// Row indexes of the subset within the target's relation.
-    pub rows: Vec<usize>,
+    /// Row indexes of the subset within the target's relation, ascending.
+    /// They do not depend on the target, so the items of a tenant's
+    /// further targets share the first target's lists.
+    pub rows: Arc<[u32]>,
 }
 
 /// Aggregate report of one pre-processing run (feeds Fig. 10's
@@ -57,8 +60,9 @@ pub struct PreprocessReport {
     /// Wall-clock time of the whole batch.
     pub elapsed: Duration,
     /// Wall-clock time of the serial set-up before the solves (part of
-    /// `elapsed`): coding each target's relation, partitioning its
-    /// cells and enumerating its queries.
+    /// `elapsed`): coding the first target's relation, partitioning its
+    /// cells and enumerating its queries, then re-targeting that relation
+    /// for every further target, whose queries share the row lists.
     pub plan_time: Duration,
     /// Summed wall-clock time spent inside the solver across all queries
     /// (CPU-side effort; exceeds `elapsed` when workers solve in
@@ -172,24 +176,55 @@ pub fn enumerate_queries(
     config: &Configuration,
     target: &str,
 ) -> Vec<WorkItem> {
-    let dim_count = relation.dim_count();
+    enumerate_over(relation, &target_cells(relation), config, target)
+}
+
+/// [`enumerate_queries`] over the relation's [`target_cells`]: each
+/// predicate mask groups the cells, not the rows, and one counting sort
+/// lays every combination's rows out in row order, from where each item
+/// copies its exact-size list.
+fn enumerate_over(
+    relation: &EncodedRelation,
+    cells: &RowPartition,
+    config: &Configuration,
+    target: &str,
+) -> Vec<WorkItem> {
+    let mut cell_rows = vec![0u32; cells.len()];
+    for &cell in &cells.of_row {
+        cell_rows[cell as usize] += 1;
+    }
+    let mut laid_out = vec![0u32; relation.len()];
     let mut items = Vec::new();
     // The admissible dimension subsets come from `vqs_core::delta`, the
     // same definitions the streaming invalidation circuit maps deltas
     // through — keeping "what exists" and "what a delta can dirty" in
     // exact agreement.
-    for mask in subset_masks(dim_count, config.max_query_length) {
+    for mask in subset_masks(relation.dim_count(), config.max_query_length) {
         let dims = mask_dims(mask);
-        let partition = RowPartition::new(relation, &dims);
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); partition.len()];
-        for (row, &combo) in partition.of_row.iter().enumerate() {
-            rows[combo as usize].push(row);
-        }
+        let combos = cells.group_cells(relation, &dims);
         // Lexicographic order of the code tuples: jobs, and with them the
         // store's insertion order, follow it.
-        let codes = |combo: usize| row_codes(relation, &dims, partition.first_row[combo]);
-        let mut order: Vec<usize> = (0..partition.len()).collect();
+        let first_row = |combo: usize| cells.first_row[combos.first_row[combo] as usize];
+        let codes = |combo: usize| row_codes(relation, &dims, first_row(combo));
+        let mut order: Vec<usize> = (0..combos.len()).collect();
         order.sort_unstable_by(|&a, &b| codes(a).cmp(codes(b)));
+        // Each combination's rows start where those of the combinations
+        // before it in that order end; placing the rows advances the
+        // starts to the ends.
+        let mut next = vec![0u32; combos.len()];
+        for (&combo, &size) in combos.of_row.iter().zip(&cell_rows) {
+            next[combo as usize] += size;
+        }
+        let mut start = 0;
+        for &combo in &order {
+            (next[combo], start) = (start, start + next[combo]);
+        }
+        for (row, &cell) in (0..).zip(&cells.of_row) {
+            let slot = &mut next[combos.of_row[cell as usize] as usize];
+            laid_out[*slot as usize] = row;
+            *slot += 1;
+        }
+        let mut start = 0;
         for combo in order {
             let predicates: Vec<(String, String)> = dims
                 .iter()
@@ -199,10 +234,12 @@ pub fn enumerate_queries(
                     (dim.name.clone(), dim.values[code as usize].to_string())
                 })
                 .collect();
+            let end = next[combo] as usize;
             items.push(WorkItem {
                 query: Query::new(target.to_string(), predicates),
-                rows: std::mem::take(&mut rows[combo]),
+                rows: Arc::from(&laid_out[start..end]),
             });
+            start = end;
         }
     }
     items
@@ -324,12 +361,13 @@ pub(crate) fn solve_live(
             None => return Ok(None),
         }
     }
-    let rows: Vec<usize> = (0..relation.len())
+    let rows: Arc<[u32]> = (0..relation.len())
         .filter(|&row| {
             predicates
                 .iter()
                 .all(|&(d, value)| relation.value_str(d, row) == value)
         })
+        .map(|row| row as u32)
         .collect();
     if rows.is_empty() {
         return Ok(None);
@@ -380,8 +418,8 @@ struct Plans {
 /// Validate the configuration and its columns and enumerate the work for
 /// every configured target. The first target's relation is coded,
 /// partitioned into cells and enumerated; every further target takes its
-/// own target column and a re-targeted copy of the first target's work
-/// items.
+/// own target column and the first target's queries, re-targeted, over
+/// the first target's row lists.
 fn build_plans(
     table: &Table,
     config: &Configuration,
@@ -394,7 +432,7 @@ fn build_plans(
         .expect("a valid configuration has a target");
     let relation = table_relation(table, config, first)?;
     let cells = target_cells(&relation);
-    let items = enumerate_queries(&relation, config, first);
+    let items = enumerate_over(&relation, &cells, config, first);
     let mut targets = vec![target_plan(first, relation, items, templates)];
     for target in rest {
         let relation = retarget(&targets[0].relation, table, target)?;
@@ -403,7 +441,7 @@ fn build_plans(
             .iter()
             .map(|item| WorkItem {
                 query: Query::new(target.clone(), item.query.predicates().iter().cloned()),
-                rows: item.rows.clone(),
+                rows: Arc::clone(&item.rows),
             })
             .collect();
         targets.push(target_plan(target, relation, items, templates));
@@ -696,7 +734,7 @@ pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
             let data_dirty = match &invalidation {
                 Invalidation::ChangedRows(_) => {
                     let flags = changed.as_ref().expect("flags built for ChangedRows");
-                    item.rows.iter().any(|&row| flags[row])
+                    item.rows.iter().any(|&row| flags[row as usize])
                 }
                 Invalidation::DirtyKeys { all, by_target } => {
                     let key: &[(String, String)] = item.query.predicates();
@@ -832,8 +870,8 @@ mod tests {
             assert!(!item.rows.is_empty());
             for (d, v) in item.query.predicates() {
                 let dim = relation.dim_index(d).unwrap();
-                for &row in &item.rows {
-                    assert_eq!(relation.value_str(dim, row), v.as_str());
+                for &row in item.rows.iter() {
+                    assert_eq!(relation.value_str(dim, row as usize), v.as_str());
                 }
             }
         }
@@ -852,10 +890,10 @@ mod tests {
         let cfg = config();
         let plans = build_plans(&data.table, &cfg, &FxHashMap::default()).unwrap();
         assert_eq!(plans.targets.len(), 2);
-        let listed = |items: &[WorkItem]| -> Vec<(Query, Vec<usize>)> {
+        let listed = |items: &[WorkItem]| -> Vec<(Query, Vec<u32>)> {
             items
                 .iter()
-                .map(|item| (item.query.clone(), item.rows.clone()))
+                .map(|item| (item.query.clone(), item.rows.to_vec()))
                 .collect()
         };
         for (plan, target) in plans.targets.iter().zip(&cfg.targets) {
@@ -868,6 +906,14 @@ mod tests {
             assert_eq!(plans.cells.first_row, cells.first_row);
             let expected = enumerate_queries(&relation, &cfg, target);
             assert_eq!(listed(&plan.items), listed(&expected), "{target}");
+        }
+        // Rows do not depend on the target: a further target holds the
+        // first target's `u32` lists themselves, not copies.
+        let (first, second) = (&plans.targets[0].items, &plans.targets[1].items);
+        assert_eq!(first.len(), second.len());
+        for (a, b) in first.iter().zip(second) {
+            let rows: &Arc<[u32]> = &b.rows;
+            assert!(Arc::ptr_eq(&a.rows, rows), "{}", b.query);
         }
     }
 

@@ -103,16 +103,6 @@ impl SpeechTemplate {
         }
         out
     }
-
-    /// Render one isolated fact (used as ML-baseline training text).
-    pub fn render_fact(&self, fact: &NamedFact) -> String {
-        format!(
-            "The {} {} is {}.",
-            self.target_phrase,
-            fact.scope_phrase(),
-            self.value_phrase(fact.value)
-        )
-    }
 }
 
 /// Round to at most one decimal, dropping a trailing ".0".

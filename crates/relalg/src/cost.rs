@@ -60,18 +60,6 @@ impl CostModel {
             + self.group_row_weight * rows as f64
             + self.output_row_weight * facts as f64
     }
-
-    /// Cost of a hash equi-join producing `output` rows.
-    pub fn hash_join_cost(&self, left: usize, right: usize, output: usize) -> f64 {
-        self.operator_setup
-            + self.group_row_weight * (left + right) as f64
-            + self.join_row_weight * output as f64
-    }
-
-    /// Cost of a full scan with a filter.
-    pub fn scan_cost(&self, rows: usize) -> f64 {
-        self.operator_setup + self.group_row_weight * rows as f64
-    }
 }
 
 #[cfg(test)]
@@ -97,11 +85,5 @@ mod tests {
         let model = CostModel::default();
         let tiny = model.deviation_cost(1, 1);
         assert!(tiny >= model.operator_setup);
-    }
-
-    #[test]
-    fn join_cost_grows_with_output() {
-        let model = CostModel::default();
-        assert!(model.hash_join_cost(100, 100, 10_000) > model.hash_join_cost(100, 100, 100));
     }
 }

@@ -120,19 +120,9 @@ impl Expr {
         Expr::binary(BinOp::Eq, self, rhs)
     }
 
-    /// `self != rhs`.
-    pub fn neq(self, rhs: Expr) -> Expr {
-        Expr::binary(BinOp::Neq, self, rhs)
-    }
-
     /// `self < rhs`.
     pub fn lt(self, rhs: Expr) -> Expr {
         Expr::binary(BinOp::Lt, self, rhs)
-    }
-
-    /// `self <= rhs`.
-    pub fn le(self, rhs: Expr) -> Expr {
-        Expr::binary(BinOp::Le, self, rhs)
     }
 
     /// `self > rhs`.

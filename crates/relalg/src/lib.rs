@@ -8,8 +8,8 @@
 //! dictionary-encoded strings, a scalar [`expr::Expr`] language with SQL
 //! NULL semantics, the operator set used by the paper's pseudo-code
 //! (σ, Π, Γ, ⋊⋉, ×) including the fact-scope join, composable
-//! [`plan::Plan`]s, table [`stats::TableStats`] and the [`cost::CostModel`]
-//! consumed by the pruning optimizer.
+//! [`plan::Plan`]s and the [`cost::CostModel`] consumed by the pruning
+//! optimizer.
 //!
 //! ```
 //! use vqs_relalg::prelude::*;
@@ -46,7 +46,6 @@ pub mod hash;
 pub mod ops;
 pub mod plan;
 pub mod schema;
-pub mod stats;
 pub mod table;
 pub mod value;
 
@@ -61,7 +60,6 @@ pub mod prelude {
     pub use crate::ops::ProjectItem;
     pub use crate::plan::Plan;
     pub use crate::schema::{Field, Schema};
-    pub use crate::stats::TableStats;
     pub use crate::table::{ColumnData, Dictionary, Table};
     pub use crate::value::{ColumnType, Value};
 }

@@ -145,18 +145,6 @@ pub fn sort(input: &Table, keys: &[Expr]) -> Result<Table> {
     input.take(&indices)
 }
 
-/// UNION ALL of two tables with identical schemas.
-pub fn union_all(left: &Table, right: &Table) -> Result<Table> {
-    if left.schema() != right.schema() {
-        return Err(RelalgError::SchemaMismatch {
-            detail: format!("union: {} vs {}", left.schema(), right.schema()),
-        });
-    }
-    let mut out = left.clone();
-    out.append(right)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,19 +217,5 @@ mod tests {
     fn limit_truncates() {
         assert_eq!(limit(&table(), 2).unwrap().len(), 2);
         assert_eq!(limit(&table(), 99).unwrap().len(), 4);
-    }
-
-    #[test]
-    fn union_all_concatenates() {
-        let t = table();
-        let out = union_all(&t, &t).unwrap();
-        assert_eq!(out.len(), 8);
-    }
-
-    #[test]
-    fn union_checks_schema() {
-        let t = table();
-        let other = Table::empty(Schema::empty());
-        assert!(union_all(&t, &other).is_err());
     }
 }
