@@ -18,9 +18,11 @@
 //! §VIII-D public-deployment workload.
 //!
 //! Answers resolve through the staged [`pipeline`] (tokenize → analyze
-//! → plan → execute): a summary-store hit first, then live plan
-//! execution over `vqs-relalg` for questions the store does not
-//! precompute ([`service::Answer::Computed`]), then a typed apology.
+//! → plan → execute): its [`pipeline::Extractor`] turns an utterance
+//! into a §VIII-D [`pipeline::Request`] category and, where the store
+//! cannot answer, a typed plan. A summary-store hit comes first, then
+//! live plan execution over `vqs-relalg` for questions the store does
+//! not precompute ([`service::Answer::Computed`]), then a typed apology.
 //! The facade, the front-end and every [`voice::VoiceSession`] answer
 //! through that one path.
 //!
@@ -64,7 +66,6 @@ pub mod error;
 pub mod generator;
 pub mod ingest;
 pub mod logsim;
-pub mod nlq;
 pub mod pipeline;
 pub mod problem;
 pub mod service;
@@ -85,14 +86,15 @@ pub mod prelude {
         complexity_histogram, generate_log, tabulate, LogEntry, RequestMix, FIG9_COMPLEXITY,
         FIG9_TYPES, TABLE3,
     };
-    pub use crate::nlq::{Extractor, Request, Unsupported};
-    pub use crate::pipeline::{AggKind, ComputedValue, FollowOn, QueryPlan, Utterance};
+    pub use crate::pipeline::{
+        AggKind, ComputedValue, Extractor, FollowOn, QueryPlan, Request, Unsupported,
+    };
     pub use crate::problem::{NamedFact, Query, StoredSpeech};
     pub use crate::service::{
         Answer, Degradation, Fault, FaultPlan, FaultSite, FrontEnd, FrontEndBuilder, FrontEndStats,
-        IngestTicket, OverloadPolicy, RefreshTicket, RegisterTicket, ResponseTicket,
-        ScatterPriority, ServiceBuilder, ServiceRequest, ServiceResponse, ServiceStats, SolverPool,
-        TaskTicket, TenantSpec, TenantStats, Ticket, Trigger, VoiceService,
+        IngestTicket, RefreshTicket, RegisterTicket, ResponseTicket, ScatterPriority,
+        ServiceBuilder, ServiceRequest, ServiceResponse, ServiceStats, SolverPool, TaskTicket,
+        TenantSpec, TenantStats, Ticket, Trigger, VoiceService,
     };
     pub use crate::store::{Lookup, SpeechStore, StoreStats, DEFAULT_SHARDS};
     pub use crate::template::{format_value, speaking_time_secs, SpeechTemplate, ValueStyle};

@@ -4,9 +4,9 @@
 //! Google-Assistant deployments. Those logs are private; this module
 //! generates utterance streams with the *observed* request-type mix and
 //! query-shape mix, and feeds them through the real classifier
-//! ([`crate::nlq::Extractor`]). Tests assert the classifier tabulates the
-//! generated logs back to the paper's counts, validating the
-//! classification pipeline end to end.
+//! ([`crate::pipeline::Extractor`]). Tests assert the classifier
+//! tabulates the generated logs back to the paper's counts, validating
+//! the classification pipeline end to end.
 //!
 //! Replays against a live deployment go through the facade:
 //! [`crate::service::VoiceService::replay`] tabulates a log with the
@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 
 use vqs_core::prelude::EncodedRelation;
 
-use crate::nlq::{Extractor, Request};
+use crate::pipeline::{Extractor, Request};
 
 /// Request mix of one deployment (a Table III column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -4,9 +4,10 @@
 //! (`ServiceRequest` → pipeline → [`Answer`]): the facade, the serving
 //! front-end, and stateful sessions all answer through the service's
 //! `Tenant::respond`, the only place a `PipelineContext` is built. It
-//! calls `answer` with the `Analysis` produced by `analyze::analyze`
-//! (which also backs `Extractor::classify`, so classification happens
-//! exactly once).
+//! calls `answer` with the `Analysis` the analyzer made of the utterance:
+//! the [`Extractor`]'s dictionaries turn the text into a [`Request`]
+//! category ([`Extractor::classify`] returns the same one) and, where
+//! the store cannot answer, a [`QueryPlan`].
 //!
 //! Answers resolve through a three-tier chain:
 //!
@@ -39,11 +40,11 @@
 pub(crate) mod analyze;
 pub mod followon;
 pub mod plan;
-pub mod token;
+mod token;
 
+pub use analyze::{Extractor, Request, Unsupported};
 pub use followon::FollowOn;
 pub use plan::{AggKind, ComputedValue, QueryPlan};
-pub use token::Utterance;
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -53,7 +54,6 @@ use vqs_relalg::hash::FxHashMap;
 use vqs_relalg::prelude::Table;
 
 use crate::config::Configuration;
-use crate::nlq::{Request, Unsupported};
 use crate::service::faults::{FaultPlan, FaultSite};
 use crate::service::{
     Answer, Degradation, AGGREGATE_APOLOGY, COMPARISON_APOLOGY, CONJUNCTIVE_APOLOGY,

@@ -1,61 +1,47 @@
 //! Stage one of the pipeline: tokenization.
 //!
 //! Every downstream stage works on one shared lowercase rendering of the
-//! utterance ([`Utterance`]); the legacy matcher lowercased the text
-//! once per extraction pass. Matching itself is span-based rather than
+//! utterance ([`Utterance`]). Matching is span-based rather than
 //! token-list-based: dictionary entries are *phrases* ("New York City"),
 //! so the primitive is a word-boundary-aware substring search
-//! ([`find_phrase`]) over the normalized text, and [`Utterance::words`]
-//! exposes the token stream for corpus diagnostics.
+//! ([`find_phrase`]) over the normalized text.
 
 /// One utterance, normalized once for all downstream stages.
 #[derive(Debug, Clone)]
-pub struct Utterance {
+pub(crate) struct Utterance {
     lower: String,
 }
 
 impl Utterance {
     /// Normalize `text` (one lowercase pass shared by every stage).
-    pub fn new(text: &str) -> Utterance {
+    pub(crate) fn new(text: &str) -> Utterance {
         Utterance {
             lower: text.to_lowercase(),
         }
     }
 
-    /// The normalized (lowercased) text.
-    pub fn lower(&self) -> &str {
-        &self.lower
-    }
-
-    /// The alphanumeric tokens of the utterance, in order.
-    pub fn words(&self) -> impl Iterator<Item = &str> {
-        self.lower
-            .split(|c: char| !c.is_alphanumeric())
-            .filter(|w| !w.is_empty())
-    }
-
     /// Plain substring containment against any of `cues`. Cue tables
-    /// (help/repeat/extremum/comparison) deliberately keep the legacy
-    /// substring semantics — e.g. the `"max "` cue relies on its
-    /// trailing space — so classification stays bit-compatible.
-    pub fn contains_any(&self, cues: &[&str]) -> bool {
+    /// (help/repeat/extremum/comparison) keep substring semantics — e.g.
+    /// the `"max "` cue relies on its trailing space.
+    pub(crate) fn contains_any(&self, cues: &[&str]) -> bool {
         cues.iter().any(|cue| self.lower.contains(cue))
     }
 
     /// Word-boundary phrase search; see [`find_phrase`].
-    pub fn find_phrase(&self, phrase: &str) -> Option<usize> {
+    pub(crate) fn find_phrase(&self, phrase: &str) -> Option<usize> {
         find_phrase(&self.lower, phrase)
     }
 
-    /// Word-boundary phrase containment; see [`contains_phrase`].
-    pub fn contains_phrase(&self, phrase: &str) -> bool {
+    /// Word-boundary phrase containment: `phrase` appears and is not
+    /// glued into a longer word on either side.
+    pub(crate) fn contains_phrase(&self, phrase: &str) -> bool {
         self.find_phrase(phrase).is_some()
     }
 }
 
 /// Byte offset of the first occurrence of `phrase` in `text` that is not
 /// glued into a longer word on either side (`None` when absent).
-pub fn find_phrase(text: &str, phrase: &str) -> Option<usize> {
+fn find_phrase(text: &str, phrase: &str) -> Option<usize> {
     if phrase.is_empty() {
         return None;
     }
@@ -76,22 +62,9 @@ pub fn find_phrase(text: &str, phrase: &str) -> Option<usize> {
     None
 }
 
-/// Word-boundary-aware containment: `phrase` must appear in `text` and
-/// not be glued into a longer word on either side.
-pub fn contains_phrase(text: &str, phrase: &str) -> bool {
-    find_phrase(text, phrase).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn words_tokenize_on_non_alphanumerics() {
-        let utt = Utterance::new("Cancellations in New York?");
-        let words: Vec<&str> = utt.words().collect();
-        assert_eq!(words, vec!["cancellations", "in", "new", "york"]);
-    }
 
     #[test]
     fn find_phrase_reports_position() {
@@ -100,6 +73,15 @@ mod tests {
         // Skips a glued match and still finds a later clean one.
         assert_eq!(find_phrase("northeastern east", "east"), Some(13));
         assert_eq!(find_phrase("anything", ""), None);
+    }
+
+    #[test]
+    fn word_boundaries_respected() {
+        let contains = |text: &str, phrase: &str| Utterance::new(text).contains_phrase(phrase);
+        assert!(contains("delays in winter", "winter"));
+        assert!(!contains("winterization report", "winter"));
+        assert!(contains("the east region", "east"));
+        assert!(!contains("northeastern", "east"));
     }
 
     #[test]

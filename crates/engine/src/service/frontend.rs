@@ -12,8 +12,8 @@
 //!   immediately returns a [`ResponseTicket`] — a future-style handle
 //!   completed by a serving worker. The queue is bounded; past the
 //!   configured capacity the request is *shed* with an explicit
-//!   [`Answer::Overloaded`] (or, under [`OverloadPolicy::Block`], the
-//!   submitter waits for space). Nothing inside grows with offered load.
+//!   [`Answer::Overloaded`], so the submitter never waits. Nothing
+//!   inside grows with offered load.
 //! * **Per-tenant fairness.** Queued requests live in per-tenant FIFO
 //!   lanes served round-robin, and each tenant's queue share is capped
 //!   ([`FrontEndBuilder::tenant_share`]), so one hot tenant saturating
@@ -24,9 +24,9 @@
 //!   [`TenantSpec::default_deadline`]). When admission finds the
 //!   queue full, the *oldest queued request already past its deadline*
 //!   is shed first — completed with [`Answer::Expired`] — before fresh
-//!   work is shed or blocked, and a serving worker re-checks expiry
-//!   when it picks a request up, so no compute is spent on an answer
-//!   nobody is waiting for. The remaining budget rides into the respond
+//!   work is shed, and a serving worker re-checks expiry when it picks
+//!   a request up, so no compute is spent on an answer nobody is
+//!   waiting for. The remaining budget rides into the respond
 //!   path's degradation ladder (see
 //!   [`crate::pipeline`]), which steps down to a greedy or store-only
 //!   answer rather than missing the deadline.
@@ -136,24 +136,6 @@ const FLUSH_TICK_CAP: Duration = Duration::from_millis(100);
 /// Shortest period of the flush tick (ticking faster than this buys
 /// nothing — `auto_flush_due` gates on the per-tenant interval anyway).
 const FLUSH_TICK_FLOOR: Duration = Duration::from_millis(1);
-
-/// What [`FrontEnd::submit`] does when admission would exceed a global
-/// cap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverloadPolicy {
-    /// Reject immediately: the ticket completes with
-    /// [`Answer::Overloaded`] (interactive) or
-    /// [`EngineError::Overloaded`] (background). The default — shedding
-    /// keeps the submitter non-blocked, which is what a voice gateway
-    /// wants: "try again" beats silence.
-    #[default]
-    Shed,
-    /// Block the submitting thread until the queue has space. Overflow
-    /// of a *tenant's* fair share still sheds (see
-    /// [`FrontEndBuilder::tenant_share`]): blocking a flooding tenant
-    /// would merely move the starvation to its submitter threads.
-    Block,
-}
 
 /// Shared completion state of one ticket. The value lives in a
 /// [`OnceLock`], so readiness checks and completed-value reads are
@@ -409,11 +391,6 @@ struct Ingress {
     background: VecDeque<BackgroundJob>,
     /// Serving workers currently parked on `work_ready`.
     idle_workers: usize,
-    /// Interactive submitters parked for queue space (Block policy).
-    blocked_interactive: usize,
-    /// Background submitters parked for control-lane space (Block
-    /// policy).
-    blocked_background: usize,
     /// Set once by shutdown; the serving workers drain the interactive
     /// lanes and the control thread the control lane, then they exit.
     shutdown: bool,
@@ -427,7 +404,6 @@ struct Counters {
     shed: AtomicU64,
     expired: AtomicU64,
     degraded: AtomicU64,
-    blocked: AtomicU64,
     background_submitted: AtomicU64,
     background_completed: AtomicU64,
     retried_background: AtomicU64,
@@ -449,10 +425,6 @@ struct FrontShared {
     /// Wakes the control thread parked for background work (it also
     /// wakes on its own when the flush tick is due).
     control_ready: Condvar,
-    /// Wakes interactive submitters parked for queue space.
-    space_interactive: Condvar,
-    /// Wakes background submitters parked for control-lane space.
-    space_background: Condvar,
     counters: Counters,
 }
 
@@ -476,9 +448,6 @@ pub struct FrontEndStats {
     /// ([`ServiceResponse::degradation`] ≠ [`Degradation::None`]).
     /// A subset of `completed`: a degraded answer is still an answer.
     pub degraded: u64,
-    /// Times a submitter blocked for queue space
-    /// ([`OverloadPolicy::Block`]).
-    pub blocked: u64,
     /// Background jobs admitted (registrations, refreshes, ingest
     /// batches, tasks).
     pub background_submitted: u64,
@@ -519,23 +488,21 @@ pub struct FrontEndBuilder {
     workers: usize,
     queue_capacity: usize,
     tenant_share: Option<usize>,
-    policy: OverloadPolicy,
     flush_tick: bool,
 }
 
 impl FrontEndBuilder {
     /// Start from the defaults: 2 serving workers, a 1024-deep ingress
-    /// queue with no per-tenant cap below it, the shed policy, and the
-    /// flush tick on the control thread enabled. The control lane holds
-    /// up to 64 queued background jobs, each retried at most twice after
-    /// an infrastructure failure.
+    /// queue with no per-tenant cap below it, and the flush tick on the
+    /// control thread enabled. The control lane holds up to 64 queued
+    /// background jobs, each retried at most twice after an
+    /// infrastructure failure.
     pub fn new(service: Arc<VoiceService>) -> FrontEndBuilder {
         FrontEndBuilder {
             service,
             workers: 2,
             queue_capacity: 1024,
             tenant_share: None,
-            policy: OverloadPolicy::Shed,
             flush_tick: true,
         }
     }
@@ -552,25 +519,18 @@ impl FrontEndBuilder {
 
     /// Maximum *queued* interactive requests across all tenants
     /// (clamped to at least 1). The admission cap: request `capacity+1`
-    /// sheds (or blocks).
+    /// sheds.
     pub fn queue_capacity(mut self, capacity: usize) -> FrontEndBuilder {
         self.queue_capacity = capacity.max(1);
         self
     }
 
     /// Maximum queued requests any single tenant may hold (defaults to
-    /// the whole queue capacity). A tenant past its share is always
-    /// shed — even under [`OverloadPolicy::Block`] — so a hot tenant's
-    /// burst cannot consume the queue space other tenants admit into.
+    /// the whole queue capacity). A tenant past its share is shed even
+    /// when the queue has room, so a hot tenant's burst cannot consume
+    /// the queue space other tenants admit into.
     pub fn tenant_share(mut self, share: usize) -> FrontEndBuilder {
         self.tenant_share = Some(share.max(1));
-        self
-    }
-
-    /// What to do when a global cap is hit (default:
-    /// [`OverloadPolicy::Shed`]).
-    pub fn policy(mut self, policy: OverloadPolicy) -> FrontEndBuilder {
-        self.policy = policy;
         self
     }
 
@@ -608,14 +568,10 @@ impl FrontEndBuilder {
                 interactive_queued: 0,
                 background: VecDeque::new(),
                 idle_workers: 0,
-                blocked_interactive: 0,
-                blocked_background: 0,
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
             control_ready: Condvar::new(),
-            space_interactive: Condvar::new(),
-            space_background: Condvar::new(),
             counters: Counters::default(),
         });
         let mut handles: Vec<JoinHandle<()>> = (0..workers)
@@ -645,7 +601,6 @@ impl FrontEndBuilder {
             workers,
             queue_capacity: self.queue_capacity,
             tenant_share: self.tenant_share.unwrap_or(self.queue_capacity),
-            policy: self.policy,
             handles,
         }
     }
@@ -660,7 +615,6 @@ pub struct FrontEnd {
     workers: usize,
     queue_capacity: usize,
     tenant_share: usize,
-    policy: OverloadPolicy,
     /// The serving workers, then the control thread.
     handles: Vec<JoinHandle<()>>,
 }
@@ -671,7 +625,6 @@ impl std::fmt::Debug for FrontEnd {
             .field("workers", &self.workers)
             .field("queue_capacity", &self.queue_capacity)
             .field("tenant_share", &self.tenant_share)
-            .field("policy", &self.policy)
             .finish_non_exhaustive()
     }
 }
@@ -751,8 +704,8 @@ impl FrontEnd {
     /// Deadline-driven shedding at a full queue: remove the oldest
     /// queued entry already past its deadline (if any), complete it as
     /// [`Answer::Expired`], and return whether space was freed. Runs
-    /// *before* fresh work is shed or blocked, so stale requests nobody
-    /// is waiting for anymore are the first to go.
+    /// *before* fresh work is shed, so stale requests nobody is waiting
+    /// for anymore are the first to go.
     fn shed_expired(&self, ingress: &mut Ingress) -> bool {
         let now = Instant::now();
         let Some(entry) = take_expired(ingress, now) else {
@@ -762,12 +715,10 @@ impl FrontEnd {
         true
     }
 
-    /// Submit one interactive request. Never blocks under
-    /// [`OverloadPolicy::Shed`]: the returned ticket is either admitted
-    /// (completed by a serving worker) or already completed with
-    /// [`Answer::Overloaded`]. Under [`OverloadPolicy::Block`] the call
-    /// waits for queue space instead of shedding at the *global* cap;
-    /// tenant-share overflow sheds under both policies.
+    /// Submit one interactive request. Never blocks: the returned ticket
+    /// is either admitted (completed by a serving worker) or already
+    /// completed with [`Answer::Overloaded`], at the tenant's share or
+    /// at the global cap.
     pub fn submit(&self, mut request: ServiceRequest) -> ResponseTicket {
         let start = Instant::now();
         self.stamp_deadline(&mut request, start);
@@ -776,41 +727,17 @@ impl FrontEnd {
             .submitted
             .fetch_add(1, Ordering::Relaxed);
         let mut ingress = self.shared.ingress.lock().expect("ingress poisoned");
-        loop {
-            // Fairness cap first — re-checked after every wake, since
-            // the tenant's lane may have filled while this submitter was
-            // parked at the global cap. A tenant past its share sheds
-            // regardless of headroom and policy.
-            let lane_depth = ingress.lanes.get(&request.tenant).map_or(0, VecDeque::len);
-            if lane_depth >= self.tenant_share {
-                drop(ingress);
-                return Ticket::completed(self.shed_response(&request.tenant, start));
-            }
-            // The global cap: admit, shed, or wait, per policy — after
-            // first trying to make room by expiring the oldest queued
-            // request already past its deadline.
-            if ingress.interactive_queued < self.queue_capacity {
-                break;
-            }
-            if self.shed_expired(&mut ingress) {
-                continue;
-            }
-            match self.policy {
-                OverloadPolicy::Shed => {
-                    drop(ingress);
-                    return Ticket::completed(self.shed_response(&request.tenant, start));
-                }
-                OverloadPolicy::Block => {
-                    self.shared.counters.blocked.fetch_add(1, Ordering::Relaxed);
-                    ingress.blocked_interactive += 1;
-                    ingress = self
-                        .shared
-                        .space_interactive
-                        .wait(ingress)
-                        .expect("ingress poisoned");
-                    ingress.blocked_interactive -= 1;
-                }
-            }
+        // Fairness cap first: a tenant past its share sheds regardless of
+        // headroom. Then the global cap, after first trying to make room
+        // by expiring the oldest queued request already past its
+        // deadline.
+        let lane_depth = ingress.lanes.get(&request.tenant).map_or(0, VecDeque::len);
+        if lane_depth >= self.tenant_share
+            || (ingress.interactive_queued >= self.queue_capacity
+                && !self.shed_expired(&mut ingress))
+        {
+            drop(ingress);
+            return Ticket::completed(self.shed_response(&request.tenant, start));
         }
         let ticket = Ticket::pending();
         let state = &mut *ingress;
@@ -843,20 +770,8 @@ impl FrontEnd {
     /// background-capacity admission check, and wake the control thread.
     fn submit_background(&self, job: BackgroundJob) -> std::result::Result<(), ()> {
         let mut ingress = self.shared.ingress.lock().expect("ingress poisoned");
-        while ingress.background.len() >= BACKGROUND_CAPACITY {
-            match self.policy {
-                OverloadPolicy::Shed => return Err(()),
-                OverloadPolicy::Block => {
-                    self.shared.counters.blocked.fetch_add(1, Ordering::Relaxed);
-                    ingress.blocked_background += 1;
-                    ingress = self
-                        .shared
-                        .space_background
-                        .wait(ingress)
-                        .expect("ingress poisoned");
-                    ingress.blocked_background -= 1;
-                }
-            }
+        if ingress.background.len() >= BACKGROUND_CAPACITY {
+            return Err(());
         }
         ingress.background.push_back(job);
         self.shared
@@ -871,11 +786,10 @@ impl FrontEnd {
     /// registration, whose solver batches carry the bulk tag through the
     /// shared pool, while the serving workers keep answering. The ticket
     /// resolves to [`VoiceService::register_dataset`]'s result, or
-    /// [`EngineError::Overloaded`] if the control lane was full under
-    /// the shed policy. Panics and internal errors are retried up to
-    /// twice with exponential backoff — registration is all-or-nothing
-    /// service-side, so a failed attempt leaves nothing behind and the
-    /// retry starts clean.
+    /// [`EngineError::Overloaded`] if the control lane was full. Panics
+    /// and internal errors are retried up to twice with exponential
+    /// backoff — registration is all-or-nothing service-side, so a failed
+    /// attempt leaves nothing behind and the retry starts clean.
     pub fn submit_register(&self, spec: TenantSpec) -> RegisterTicket {
         let ticket: RegisterTicket = Ticket::pending();
         let completion = ticket.clone();
@@ -1012,7 +926,6 @@ impl FrontEnd {
             shed: counters.shed.load(Ordering::Relaxed),
             expired: counters.expired.load(Ordering::Relaxed),
             degraded: counters.degraded.load(Ordering::Relaxed),
-            blocked: counters.blocked.load(Ordering::Relaxed),
             background_submitted: counters.background_submitted.load(Ordering::Relaxed),
             background_completed: counters.background_completed.load(Ordering::Relaxed),
             retried_background: counters.retried_background.load(Ordering::Relaxed),
@@ -1043,8 +956,6 @@ impl Drop for FrontEnd {
         }
         self.shared.work_ready.notify_all();
         self.shared.control_ready.notify_all();
-        self.shared.space_interactive.notify_all();
-        self.shared.space_background.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -1194,19 +1105,9 @@ fn respond_cached(
 /// Serving worker body: drain the interactive lanes (round-robin across
 /// tenants), park when idle, exit once shut down with the lanes drained.
 fn worker_loop(shared: &FrontShared, service: &VoiceService) {
-    // Interactive requests completed since this worker last held the
-    // ingress lock; each wakes one submitter parked for queue space on
-    // the next acquisition, so a served batch costs one lock round.
-    let mut finished = 0usize;
     loop {
         let batch = {
             let mut ingress = shared.ingress.lock().expect("ingress poisoned");
-            // Wake one parked submitter per finished request (not all —
-            // no thundering herd, but also no submitter left parked
-            // while capacity it could use sits free).
-            for _ in 0..finished.min(ingress.blocked_interactive) {
-                shared.space_interactive.notify_one();
-            }
             loop {
                 if let Some(batch) = next_work(&mut ingress) {
                     break batch;
@@ -1219,7 +1120,6 @@ fn worker_loop(shared: &FrontShared, service: &VoiceService) {
                 ingress.idle_workers -= 1;
             }
         };
-        finished = batch.len();
         let mut resolved: Vec<(String, Option<Arc<Tenant>>)> = Vec::new();
         for queued in batch {
             // Count *before* completing: a waiter that saw its ticket
@@ -1292,9 +1192,6 @@ fn control_loop(shared: &FrontShared, service: &VoiceService, flush_tick: bool) 
                 .fetch_add(1, Ordering::Relaxed);
             job(service);
             ingress = shared.ingress.lock().expect("ingress poisoned");
-            if ingress.blocked_background > 0 {
-                shared.space_background.notify_one();
-            }
             continue;
         }
         if ingress.shutdown {

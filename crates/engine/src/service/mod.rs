@@ -39,8 +39,8 @@ pub mod pool;
 
 pub use faults::{Fault, FaultPlan, FaultSite, Trigger};
 pub use frontend::{
-    FrontEnd, FrontEndBuilder, FrontEndStats, IngestTicket, OverloadPolicy, RefreshTicket,
-    RegisterTicket, ResponseTicket, TaskTicket, Ticket,
+    FrontEnd, FrontEndBuilder, FrontEndStats, IngestTicket, RefreshTicket, RegisterTicket,
+    ResponseTicket, TaskTicket, Ticket,
 };
 pub use pool::{ScatterPriority, SolverPool};
 
@@ -64,8 +64,9 @@ use crate::generator::{
 };
 use crate::ingest::{FlushReport, IngestBuilder, IngestInner, IngestReport, IngestState, RowDelta};
 use crate::logsim::{tabulate, LogEntry};
-use crate::nlq::{Extractor, Request, Unsupported};
-use crate::pipeline::{self, ComputedValue, FollowOn, PipelineContext, QueryPlan};
+use crate::pipeline::{
+    self, ComputedValue, Extractor, FollowOn, PipelineContext, QueryPlan, Request, Unsupported,
+};
 use crate::problem::StoredSpeech;
 use crate::store::{SpeechStore, StoreStats};
 use crate::template::{speaking_time_secs, SpeechTemplate};

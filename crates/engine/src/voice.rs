@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::nlq::Request;
+use crate::pipeline::Request;
 use crate::service::{Answer, ServiceResponse, Tenant};
 
 /// Monotonic source of session ids — process-wide, so ids stay unique
@@ -82,8 +82,7 @@ impl VoiceSession {
 mod tests {
     use super::*;
     use crate::config::Configuration;
-    use crate::nlq::Unsupported;
-    use crate::pipeline::ComputedValue;
+    use crate::pipeline::{ComputedValue, Unsupported};
     use crate::service::{ServiceBuilder, TenantSpec, VoiceService};
     use vqs_data::GeneratedDataset;
     use vqs_relalg::prelude::{ColumnType, Field, Schema, Table, Value};

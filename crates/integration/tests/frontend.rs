@@ -1,8 +1,8 @@
 //! Serving front-end behavior under load: deterministic shedding at the
 //! admission cap, per-tenant fairness under a hot-tenant flood, serving
 //! (live plans included) that never waits on the control lane or the
-//! solver pool, the flush tick on the control thread, the block policy,
-//! and graceful shutdown.
+//! solver pool, the flush tick on the control thread, and graceful
+//! shutdown.
 //!
 //! The deterministic tests hold threads on *gates* — a summarizer that
 //! parks solves (a live solve inside a respond holds the serving worker,
@@ -519,52 +519,6 @@ fn interactive_lane_drains_before_queued_background_work() {
         "the control lane must run its jobs in submission order"
     );
     assert!(refresh.wait().is_ok());
-}
-
-#[test]
-fn block_policy_parks_submitters_instead_of_shedding() {
-    let gate = TestGate::new();
-    let service = gated_service(&gate, [tenant("svc")]);
-    let frontend = Arc::new(
-        FrontEnd::builder(Arc::clone(&service))
-            .workers(1)
-            .queue_capacity(1)
-            // Keep the per-tenant share above the global cap: this test
-            // must hit the *global* bound, which blocks (the fairness
-            // bound always sheds).
-            .tenant_share(8)
-            .policy(OverloadPolicy::Block)
-            .build(),
-    );
-    let _open = OpenOnDrop(Arc::clone(&gate));
-    let parked = park_serving_worker(&frontend, &gate, "svc");
-
-    let first = frontend.submit(ServiceRequest::new("svc", "delay in Winter?"));
-    // The queue is now full; a second submitter blocks instead of
-    // shedding. Wait for the front-end to report it parked.
-    let submitter = {
-        let frontend = Arc::clone(&frontend);
-        std::thread::spawn(move || {
-            frontend
-                .submit(ServiceRequest::new("svc", "delay in Summer?"))
-                .wait()
-        })
-    };
-    while frontend.stats().blocked == 0 {
-        std::thread::yield_now();
-    }
-    assert!(!first.is_ready());
-
-    gate.open();
-    assert!(parked.wait_timeout(LONG_WAIT).unwrap().answer.is_speech());
-    let second = submitter.join().unwrap();
-    assert!(second.answer.is_speech());
-    assert!(first.wait_timeout(LONG_WAIT).unwrap().answer.is_speech());
-    // The parked request completed too.
-    let stats = frontend.stats();
-    assert_eq!(stats.shed, 0);
-    assert_eq!(stats.completed, 3);
-    assert!(stats.blocked >= 1);
 }
 
 #[test]

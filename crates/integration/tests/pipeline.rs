@@ -215,6 +215,63 @@ fn computed_answers_expose_their_plans() {
     assert_eq!(*value, ComputedValue::Count { rows: winter_rows });
 }
 
+/// With two targets configured, a question that names neither has no
+/// target to compute over: it keeps its U-Query label and gets the typed
+/// apology. Naming a target builds the plan over that target.
+#[test]
+fn unnamed_target_of_a_two_target_deployment_apologizes() {
+    let data = SynthSpec {
+        name: "wait".to_string(),
+        dims: vec![
+            DimSpec::named("season", &SEASONS),
+            DimSpec::named("region", &REGIONS),
+        ],
+        targets: vec![
+            TargetSpec::new("delay", 15.0, 8.0, 2.0, (0.0, 60.0)),
+            TargetSpec::new("wait_time", 30.0, 10.0, 4.0, (0.0, 100.0)),
+        ],
+        rows: 180,
+    }
+    .generate(0xB2, 1.0);
+    let service = ServiceBuilder::new().workers(2).build();
+    service
+        .register_dataset(TenantSpec::new(
+            "wait",
+            data,
+            Configuration::new("wait", &["season", "region"], &["delay", "wait_time"]),
+        ))
+        .unwrap();
+    for (utterance, reason) in [
+        ("which season is worst in the east", Unsupported::Extremum),
+        ("compare winter versus summer", Unsupported::Comparison),
+        ("how many in winter", Unsupported::Aggregate),
+    ] {
+        let response = service.respond(&ServiceRequest::new("wait", utterance));
+        assert_eq!(
+            response.request,
+            Some(Request::Unsupported(reason.clone())),
+            "{utterance}"
+        );
+        match &response.answer {
+            Answer::Unsupported { reason: got, text } => {
+                assert_eq!(*got, reason, "{utterance}");
+                assert!(!text.is_empty(), "{utterance}");
+            }
+            other => panic!("{utterance}: expected an apology, got {other:?}"),
+        }
+    }
+    for (utterance, target) in [
+        ("which season has the most delay in the east", "delay"),
+        ("compare wait time for winter versus summer", "wait_time"),
+    ] {
+        let response = service.respond(&ServiceRequest::new("wait", utterance));
+        match &response.answer {
+            Answer::Computed { plan, .. } => assert_eq!(plan.target(), target, "{utterance}"),
+            other => panic!("{utterance}: expected a computed answer, got {other:?}"),
+        }
+    }
+}
+
 /// Store hits are byte-identical to the pre-pipeline path: for every
 /// stored speech the utterance built from its query returns the *same
 /// `Arc`* the store lookup returns, with no rephrasing on top.

@@ -35,13 +35,6 @@ pub enum RelalgError {
     },
     /// Division by zero inside an expression.
     DivisionByZero,
-    /// Malformed CSV input.
-    Csv {
-        /// 1-based line number of the offending record.
-        line: usize,
-        /// Description of the problem.
-        detail: String,
-    },
     /// Any other invariant violation.
     Invalid {
         /// Description of the problem.
@@ -66,7 +59,6 @@ impl fmt::Display for RelalgError {
                 )
             }
             RelalgError::DivisionByZero => write!(f, "division by zero"),
-            RelalgError::Csv { line, detail } => write!(f, "csv error at line {line}: {detail}"),
             RelalgError::Invalid { detail } => write!(f, "invalid operation: {detail}"),
         }
     }

@@ -39,7 +39,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cost;
-pub mod csv;
 pub mod error;
 pub mod expr;
 pub mod hash;

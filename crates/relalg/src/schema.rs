@@ -56,11 +56,6 @@ impl Schema {
         Ok(Schema { fields })
     }
 
-    /// Schema with no columns (the result of projecting nothing).
-    pub fn empty() -> Self {
-        Schema { fields: Vec::new() }
-    }
-
     /// The fields in declaration order.
     pub fn fields(&self) -> &[Field] {
         &self.fields

@@ -336,19 +336,6 @@ impl Table {
         Ok(out)
     }
 
-    /// Append all rows of `other`; schemas must match exactly.
-    pub fn append(&mut self, other: &Table) -> Result<()> {
-        if self.schema != *other.schema() {
-            return Err(RelalgError::SchemaMismatch {
-                detail: format!("{} vs {}", self.schema, other.schema()),
-            });
-        }
-        for row in other.iter_rows() {
-            self.push_row(row)?;
-        }
-        Ok(())
-    }
-
     /// Sort rows by the given value extracted per row (stable).
     pub fn sorted_by_key<K: Ord>(&self, key: impl Fn(usize) -> K) -> Result<Table> {
         let mut indices: Vec<usize> = (0..self.rows).collect();
@@ -502,16 +489,6 @@ mod tests {
         assert_eq!(picked.len(), 2);
         assert_eq!(picked.value(0, 1), Value::str("Summer"));
         assert_eq!(picked.value(1, 0), Value::str("East"));
-    }
-
-    #[test]
-    fn append_requires_equal_schema() {
-        let mut t = delays_table();
-        let other = delays_table();
-        t.append(&other).unwrap();
-        assert_eq!(t.len(), 6);
-        let mismatched = Table::empty(Schema::empty());
-        assert!(t.append(&mismatched).is_err());
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 
-use vqs_relalg::csv::{read_csv, write_csv};
 use vqs_relalg::ops::aggregate::{aggregate, AggFunc, AggItem};
 use vqs_relalg::ops::join::{hash_join, scope_join, scope_join_nested_loop, JoinType};
 use vqs_relalg::ops::{distinct, filter, project, sort};
@@ -299,17 +298,6 @@ proptest! {
                 hasher.finish()
             };
             prop_assert_eq!(h(&a), h(&b));
-        }
-    }
-
-    #[test]
-    fn csv_roundtrip(table in arb_table()) {
-        let mut buffer = Vec::new();
-        write_csv(&table, &mut buffer).unwrap();
-        let parsed = read_csv(buffer.as_slice(), table.schema().clone()).unwrap();
-        prop_assert_eq!(parsed.len(), table.len());
-        for (a, b) in table.iter_rows().zip(parsed.iter_rows()) {
-            prop_assert_eq!(a, b);
         }
     }
 
