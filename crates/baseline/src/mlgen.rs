@@ -11,7 +11,7 @@
 //! faithful), but selects *content* like a sequence model without the
 //! utility objective — preferring salient (extreme-valued, specific)
 //! facts, which reproduces exactly the redundancy and narrowness flaws
-//! the paper measures. DESIGN.md documents the substitution.
+//! the paper measures.
 
 use vqs_engine::prelude::{format_value, NamedFact};
 

@@ -1,6 +1,6 @@
-//! Micro-benchmarks of the summarization algorithms, including the
-//! ablations DESIGN.md calls out: exact-search bound pruning on/off/tight
-//! and incremental residual maintenance vs recomputation.
+//! Micro-benchmarks of the summarization algorithms, including two
+//! ablations: exact-search bound pruning on/off/tight and incremental
+//! residual maintenance vs recomputation.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use vqs_core::prelude::*;
@@ -89,7 +89,7 @@ fn bench_residual_maintenance(c: &mut Criterion) {
     // Ablation: incremental residual updates vs full recomputation after
     // each fact — the reason Algorithm 2 carries expectations in a column.
     let (relation, catalog) = flights_problem();
-    let facts: Vec<Fact> = catalog.facts().iter().take(16).cloned().collect();
+    let facts: Vec<Fact> = catalog.facts().take(16).collect();
     let mut group = c.benchmark_group("residuals");
     group.bench_function("incremental", |b| {
         b.iter_batched(

@@ -96,7 +96,6 @@ pub fn run(config: &RunConfig) {
             FactCatalog::build(&subset, &free, engine_config.max_fact_dimensions).expect("catalog");
         let candidates: Vec<NamedFact> = catalog
             .facts()
-            .iter()
             .map(|f| NamedFact {
                 scope: f
                     .scope

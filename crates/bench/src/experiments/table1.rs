@@ -47,7 +47,7 @@ pub fn run(config: &RunConfig) {
     );
     println!(
         "note: generators are seeded synthetic stand-ins for the public data sets \
-         (see DESIGN.md); scale factor {}",
+         (see vqs_data::scenarios); scale factor {}",
         config.scale
     );
 }

@@ -3,9 +3,8 @@
 //! The `experiments` binary regenerates each table/figure of the paper's
 //! evaluation (§VIII): run `experiments all` or a single id such as
 //! `experiments fig3`. Results print as aligned text tables with the
-//! paper's reported values alongside, and EXPERIMENTS.md records a
-//! captured run. Criterion micro-benchmarks for the performance-critical
-//! paths live in `benches/`.
+//! paper's reported values alongside. Criterion micro-benchmarks for the
+//! performance-critical paths live in `benches/`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -24,7 +23,7 @@ use vqs_engine::prelude::*;
 pub struct RunConfig {
     /// Data scale factor applied to every generator (1.0 = the crate's
     /// laptop-scale defaults; the paper's raw data is orders of magnitude
-    /// larger — see EXPERIMENTS.md).
+    /// larger — `vqs_data::scenarios` lists its sizes).
     pub scale: f64,
     /// Maximum queries sampled per scenario in the batch experiments
     /// (`usize::MAX` = the full pre-processing workload).

@@ -30,13 +30,11 @@
 
 use std::time::{Duration, Instant};
 
-use vqs_relalg::hash::FxHashMap;
-
 use crate::algorithms::greedy::GreedySummarizer;
 use crate::algorithms::{summary_from_ids, Problem, Summarizer, Summary};
 use crate::error::Result;
 use crate::instrument::Instrumentation;
-use crate::model::fact::{FactId, Scope};
+use crate::model::fact::FactId;
 use crate::model::utility::{ResidualState, UndoArena};
 
 /// How many node expansions pass between wall-clock deadline checks.
@@ -104,29 +102,16 @@ impl ExactSummarizer {
         }
     }
 
-    /// Run the greedy heuristic and recover its fact ids through one
-    /// `(scope, value-bits) → id` hash map — O(facts + speech) instead of
-    /// one linear catalog scan per greedy fact.
+    /// Run the greedy heuristic: its utility and the ids of its facts.
     fn greedy_seed(
         &self,
         problem: &Problem<'_>,
         counters: &mut Instrumentation,
-    ) -> Result<(f64, Vec<FactId>)> {
-        let greedy = GreedySummarizer::base().summarize(problem)?;
-        counters.merge(&greedy.instrumentation);
-        let mut by_key: FxHashMap<(Scope, u64), FactId> = FxHashMap::default();
-        for (id, fact) in problem.catalog.facts().iter().enumerate() {
-            by_key
-                .entry((fact.scope.clone(), fact.value.to_bits()))
-                .or_insert(id);
-        }
-        let ids = greedy
-            .speech
-            .facts()
-            .iter()
-            .filter_map(|f| by_key.get(&(f.scope.clone(), f.value.to_bits())).copied())
-            .collect();
-        Ok((greedy.utility, ids))
+    ) -> (f64, Vec<FactId>) {
+        let (ids, greedy) = GreedySummarizer::base().select(problem);
+        counters.merge(&greedy);
+        let utility = problem.catalog.base_error() - problem.catalog.speech_error(&ids);
+        (utility, ids)
     }
 }
 
@@ -253,7 +238,7 @@ impl Summarizer for ExactSummarizer {
 
         // Lower bound b from the greedy heuristic.
         let (seed_utility, seed_ids) = if self.greedy_lower_bound {
-            self.greedy_seed(problem, &mut counters)?
+            self.greedy_seed(problem, &mut counters)
         } else {
             (0.0, Vec::new())
         };

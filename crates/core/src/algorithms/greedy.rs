@@ -41,18 +41,10 @@ impl GreedySummarizer {
             pruning: FactPruning::optimized(),
         }
     }
-}
 
-impl Summarizer for GreedySummarizer {
-    fn name(&self) -> &'static str {
-        match self.pruning {
-            FactPruning::Off => "G-B",
-            FactPruning::Naive(_) => "G-P",
-            FactPruning::Optimized(_) => "G-O",
-        }
-    }
-
-    fn summarize(&self, problem: &Problem<'_>) -> Result<Summary> {
+    /// The ids of the facts the greedy speaks, in the order it picks them,
+    /// with its work counters.
+    pub(crate) fn select(&self, problem: &Problem<'_>) -> (Vec<FactId>, Instrumentation) {
         let mut counters = Instrumentation::default();
         let mut residual = problem.catalog.residual_state();
         let mut chosen: Vec<FactId> = Vec::with_capacity(problem.max_facts);
@@ -78,6 +70,21 @@ impl Summarizer for GreedySummarizer {
             arena.clear(); // greedy never backtracks
             chosen.push(fact_id);
         }
+        (chosen, counters)
+    }
+}
+
+impl Summarizer for GreedySummarizer {
+    fn name(&self) -> &'static str {
+        match self.pruning {
+            FactPruning::Off => "G-B",
+            FactPruning::Naive(_) => "G-P",
+            FactPruning::Optimized(_) => "G-O",
+        }
+    }
+
+    fn summarize(&self, problem: &Problem<'_>) -> Result<Summary> {
+        let (chosen, counters) = self.select(problem);
         Ok(summary_from_ids(problem, &chosen, counters))
     }
 }

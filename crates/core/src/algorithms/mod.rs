@@ -147,7 +147,7 @@ pub(crate) fn summary_from_ids(
 ) -> Summary {
     let facts: Vec<_> = fact_ids
         .iter()
-        .map(|&id| problem.catalog.fact(id).clone())
+        .map(|&id| problem.catalog.fact(id))
         .collect();
     let speech = Speech::new(facts);
     let base = problem.catalog.base_error();
@@ -166,7 +166,7 @@ pub(crate) mod testutil {
     use super::*;
     use crate::model::relation::Prior;
 
-    /// The canonical Fig. 1 grid (see DESIGN.md for the derivation).
+    /// The canonical Fig. 1 grid (`vqs_data::running_example` derives it).
     pub fn fig1_relation() -> EncodedRelation {
         EncodedRelation::from_rows(
             &["season", "region"],
@@ -240,7 +240,6 @@ mod tests {
         // Find the Winter fact (utility 40).
         let winter = catalog
             .facts()
-            .iter()
             .position(|f| f.scope.len() == 1 && f.value == 15.0 && f.scope.restricts(0))
             .unwrap();
         let summary = summary_from_ids(&problem, &[winter], Instrumentation::default());

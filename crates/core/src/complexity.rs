@@ -163,7 +163,6 @@ pub fn catalog_contains_reduction_facts(catalog: &FactCatalog, reduction: &Reduc
     reduction.facts.iter().all(|f| {
         catalog
             .facts()
-            .iter()
             .any(|c| c.scope == f.scope && (c.value - f.value).abs() < 1e-12)
     })
 }

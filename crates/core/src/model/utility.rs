@@ -161,9 +161,9 @@ impl ResidualState {
 
     /// Indexed variant of [`ResidualState::gain_of`] over a catalog's
     /// residuals: only the rows within the fact's scope are touched, with
-    /// no per-row scope decoding. Lone rows are gathered with their
-    /// precomputed deviations; runs stream residuals and targets side by
-    /// side.
+    /// no per-row scope decoding. Lone rows are gathered and runs stream
+    /// residuals and targets side by side; every deviation
+    /// `|fact.value − v_r|` comes from the cell-ordered targets.
     ///
     /// The sweeps keep several independent accumulators and a branchless
     /// `max(0.0)` clamp instead of one chain of conditional adds. That
@@ -201,8 +201,9 @@ impl ResidualState {
                 self.residual[pos] = dev;
             }
         };
-        for (&pos, &dev) in index.lone.iter().zip(index.lone_devs) {
-            lower(pos as usize, dev);
+        for &pos in index.lone {
+            let pos = pos as usize;
+            lower(pos, (index.value - index.targets[pos]).abs());
         }
         for &(start, end) in index.runs {
             for pos in start as usize..end as usize {
@@ -241,15 +242,12 @@ impl ResidualState {
 /// `index` must pass `FactIndex::check` against `residual.len()`.
 #[inline]
 pub(crate) unsafe fn index_gain(residual: &[f64], index: FactIndex<'_>) -> f64 {
-    // SAFETY: `check` bounds every position by `residual.len()` and every
-    // run position by `index.targets.len()`, and aligns the deviations.
+    // SAFETY: `check` bounds every position by `residual.len()` and by
+    // `index.targets.len()`.
     let r = |pos: usize| unsafe { *residual.get_unchecked(pos) };
-    let dev = |k: usize| unsafe { *index.lone_devs.get_unchecked(k) };
     let target = |pos: usize| unsafe { *index.targets.get_unchecked(pos) };
-    gather_sum(index.lone, |k, pos| (r(pos) - dev(k)).max(0.0))
-        + runs_sum(index.runs, |pos| {
-            (r(pos) - (index.value - target(pos)).abs()).max(0.0)
-        })
+    let gain = |pos: usize| (r(pos) - (index.value - target(pos)).abs()).max(0.0);
+    gather_sum(index.lone, gain) + runs_sum(index.runs, gain)
 }
 
 /// The summed residuals within one fact's scope (its gain bound).
@@ -260,16 +258,16 @@ pub(crate) unsafe fn index_gain(residual: &[f64], index: FactIndex<'_>) -> f64 {
 pub(crate) unsafe fn index_bound(residual: &[f64], index: FactIndex<'_>) -> f64 {
     // SAFETY: as in `index_gain`.
     let r = |pos: usize| unsafe { *residual.get_unchecked(pos) };
-    gather_sum(index.lone, |_, pos| r(pos)) + runs_sum(index.runs, r)
+    gather_sum(index.lone, r) + runs_sum(index.runs, r)
 }
 
-/// `Σ term(k, positions[k])`, four accumulators wide so the sum does not
-/// serialize on one chain of adds (`max(0.0)`-clamped terms are finite and
-/// non-negative, so the reassociation only moves rounding).
+/// `Σ term(pos)` over `positions`, four accumulators wide so the sum does
+/// not serialize on one chain of adds (`max(0.0)`-clamped terms are finite
+/// and non-negative, so the reassociation only moves rounding).
 #[inline]
-fn gather_sum(positions: &[u32], term: impl Fn(usize, usize) -> f64) -> f64 {
+fn gather_sum(positions: &[u32], term: impl Fn(usize) -> f64) -> f64 {
     let n = positions.len();
-    let at = |k: usize| term(k, positions[k] as usize);
+    let at = |k: usize| term(positions[k] as usize);
     let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
     let mut k = 0;
     while k + 4 <= n {
@@ -356,7 +354,7 @@ mod tests {
     use crate::model::fact::Scope;
     use crate::model::relation::Prior;
 
-    /// The canonical Fig. 1 grid (see DESIGN.md).
+    /// The canonical Fig. 1 grid (`vqs_data::running_example` derives it).
     fn fig1() -> EncodedRelation {
         EncodedRelation::from_rows(
             &["season", "region"],
@@ -423,7 +421,8 @@ mod tests {
     fn speech2_dominates_speech1() {
         // The paper's Example 4 states error 35 for Speech 2; with the grid
         // consistent with Examples 2/6/7/8 the exact error is 55 (see
-        // DESIGN.md), but Speech 2 still dominates Speech 1 (utility 65 > 40).
+        // `vqs_data::running_example`), but Speech 2 still dominates
+        // Speech 1 (utility 65 > 40).
         let r = fig1();
         let speech2 = vec![
             Fact::new(scope(&r, &[("season", "Winter")]), 15.0, 4),
@@ -486,7 +485,6 @@ mod tests {
     struct Index {
         value: f64,
         lone: Vec<u32>,
-        devs: Vec<f64>,
         runs: Vec<(u32, u32)>,
     }
 
@@ -495,7 +493,6 @@ mod tests {
             let mut index = Index {
                 value: fact.value,
                 lone: Vec::new(),
-                devs: Vec::new(),
                 runs: Vec::new(),
             };
             let mut row = 0;
@@ -505,10 +502,7 @@ mod tests {
                     .unwrap_or(r.len());
                 match end - row {
                     0 => row += 1,
-                    1 => {
-                        index.lone.push(row as u32);
-                        index.devs.push((fact.value - r.target(row)).abs());
-                    }
+                    1 => index.lone.push(row as u32),
                     _ => index.runs.push((row as u32, end as u32)),
                 }
                 row = row.max(end);
@@ -520,7 +514,6 @@ mod tests {
             FactIndex {
                 value: self.value,
                 lone: &self.lone,
-                lone_devs: &self.devs,
                 runs: &self.runs,
                 targets: r.targets(),
             }
@@ -572,6 +565,21 @@ mod tests {
         assert_eq!(arena.depth(), 0);
         arena.clear();
         assert_eq!(arena.depth(), 0);
+    }
+
+    /// The kernel reads a lone row's target unchecked, so an index whose
+    /// lone position fits the state but not the targets is refused.
+    #[test]
+    #[should_panic(expected = "fact index reaches past")]
+    fn lone_position_past_the_targets_panics() {
+        let state = ResidualState::new(&fig1());
+        let targets = [0.0; 4];
+        state.gain_indexed(FactIndex {
+            value: 15.0,
+            lone: &[7],
+            runs: &[],
+            targets: &targets,
+        });
     }
 
     #[test]

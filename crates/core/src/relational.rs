@@ -58,7 +58,7 @@ pub fn fact_table(relation: &EncodedRelation, catalog: &FactCatalog) -> Result<T
     }
     fields.push(Field::required("value", ColumnType::Float));
     let mut table = Table::empty(Schema::new(fields)?);
-    for (id, fact) in catalog.facts().iter().enumerate() {
+    for (id, fact) in catalog.facts().enumerate() {
         let mut values: Vec<Value> = vec![Value::Int(id as i64)];
         for d in 0..relation.dim_count() {
             match fact.scope.value_for(d) {
@@ -174,6 +174,15 @@ impl Summarizer for RelationalGreedy {
     }
 
     fn summarize(&self, problem: &Problem<'_>) -> Result<Summary> {
+        let (chosen, counters) = self.select(problem)?;
+        Ok(summary_from_ids(problem, &chosen, counters))
+    }
+}
+
+impl RelationalGreedy {
+    /// The ids of the facts the relational greedy speaks, in the order it
+    /// picks them, with its work counters.
+    fn select(&self, problem: &Problem<'_>) -> Result<(Vec<FactId>, Instrumentation)> {
         let mut counters = Instrumentation::default();
         let relation = problem.covered_relation()?;
         let facts = fact_table(&relation, problem.catalog)?;
@@ -194,7 +203,7 @@ impl Summarizer for RelationalGreedy {
             data = update_expectations(&data, &relation, problem.catalog, fact_id)?;
             chosen.push(fact_id);
         }
-        Ok(summary_from_ids(problem, &chosen, counters))
+        Ok((chosen, counters))
     }
 }
 
@@ -217,21 +226,9 @@ pub struct RelationalExact {
 impl RelationalExact {
     /// Seed the bound from a relational greedy run, as the paper does.
     pub fn with_greedy_bound(problem: &Problem<'_>) -> Result<Self> {
-        let greedy = RelationalGreedy.summarize(problem)?;
-        let incumbent: Vec<FactId> = greedy
-            .speech
-            .facts()
-            .iter()
-            .filter_map(|f| {
-                problem
-                    .catalog
-                    .facts()
-                    .iter()
-                    .position(|c| c.scope == f.scope && c.value == f.value)
-            })
-            .collect();
+        let (incumbent, _) = RelationalGreedy.select(problem)?;
         Ok(RelationalExact {
-            lower_bound: greedy.utility,
+            lower_bound: problem.catalog.base_error() - problem.catalog.speech_error(&incumbent),
             incumbent,
         })
     }

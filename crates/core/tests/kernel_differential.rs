@@ -8,7 +8,11 @@
 //!    (`gain_of`/`apply_fact`) on random relations, and reverts are
 //!    bit-exact. The unrolled (auto-vectorizable) `gain_indexed` sweeps
 //!    additionally agree with a single-accumulator sum over the same rows
-//!    to 1e-9 (their four partial sums reassociate the additions).
+//!    to 1e-9 (their four partial sums reassociate the additions). Where
+//!    every row is lone, each row's deviation, computed from the
+//!    cell-ordered targets, matches the scan's to the bit: gains equal the
+//!    scan's terms in the kernel's association, and applies equal the
+//!    scan's outright.
 //! 2. The catalog build agrees with a naive reference — one
 //!    `Fact::for_scope` per distinct value combination, in order of first
 //!    appearance — on fact order, scopes, value bits, support, the rows
@@ -156,6 +160,21 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
 }
 
+/// `terms` summed as the indexed kernel sums a fact's lone rows: four
+/// accumulators fed in turn, the remainder into the first, then
+/// `(a0 + a1) + (a2 + a3)`.
+fn four_wide_sum(terms: &[f64]) -> f64 {
+    let mut acc = [0.0f64; 4];
+    let whole = terms.len() / 4 * 4;
+    for (k, &term) in terms[..whole].iter().enumerate() {
+        acc[k % 4] += term;
+    }
+    for &term in &terms[whole..] {
+        acc[0] += term;
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
+}
+
 /// Apply `picks` to a catalog state and to the row-order scan reference.
 fn apply_both(
     relation: &EncodedRelation,
@@ -168,7 +187,7 @@ fn apply_both(
     for pick in picks {
         let id = pick % catalog.len();
         indexed.apply_indexed(catalog.fact_index(id), &mut arena);
-        scan.apply_fact(relation, catalog.fact(id));
+        scan.apply_fact(relation, &catalog.fact(id));
     }
     (indexed, scan, arena)
 }
@@ -183,9 +202,9 @@ proptest! {
     ) {
         let catalog = FactCatalog::build(&relation, &dims, 2).unwrap();
         let (state, scan, _) = apply_both(&relation, &catalog, &picks);
-        for (id, fact) in catalog.facts().iter().enumerate() {
+        for (id, fact) in catalog.facts().enumerate() {
             let indexed = state.gain_indexed(catalog.fact_index(id));
-            let want = scan.gain_of(&relation, fact);
+            let want = scan.gain_of(&relation, &fact);
             prop_assert!(close(indexed, want), "fact {id}: {indexed} vs {want}");
         }
     }
@@ -208,7 +227,7 @@ proptest! {
         for pick in &picks {
             let id = pick % catalog.len();
             checkpoints.push((indexed.residuals().to_vec(), indexed.total()));
-            let (scan_gain, _) = scan.apply_fact(&relation, catalog.fact(id));
+            let (scan_gain, _) = scan.apply_fact(&relation, &catalog.fact(id));
             let indexed_gain = indexed.apply_indexed(catalog.fact_index(id), &mut arena);
             prop_assert!(close(indexed_gain, scan_gain));
             for (pos, &row) in cell_order.iter().enumerate() {
@@ -285,17 +304,59 @@ proptest! {
                 prop_assert_eq!(got.support, want.support);
                 let rows: Vec<usize> = (0..relation.len()).filter(|&r| of_row[r] == slot).collect();
                 prop_assert_eq!(catalog.covered_rows(id), rows);
-                let index = catalog.fact_index(id);
-                prop_assert_eq!(index.len(), want.support);
-                for (&pos, &dev) in index.lone.iter().zip(index.lone_devs) {
-                    let want_dev = (want.value - index.targets[pos as usize]).abs();
-                    prop_assert_eq!(dev.to_bits(), want_dev.to_bits());
-                }
+                prop_assert_eq!(catalog.fact_index(id).len(), want.support);
                 let direct = scan.gain_of(&relation, want);
                 prop_assert!(close(gains[slot], direct), "fact {id}: {} vs {direct}", gains[slot]);
             }
         }
         prop_assert_eq!(next_fact, catalog.len());
+    }
+
+    // Where every row is lone, the index computes each row's deviation
+    // from the cell-ordered targets exactly as the scan computes it from
+    // the relation: the indexed gain equals the scan's per-row terms
+    // summed in the kernel's four-wide association, and equals the scan's
+    // gain outright for facts of at most three rows (whose sum the kernel
+    // keeps sequential); an indexed apply lowers the same residuals to the
+    // same bits and realizes the same gain.
+    #[test]
+    fn lone_rows_match_the_scan_bit_for_bit(
+        relation in arb_distinct_relation(),
+        picks in prop::collection::vec(0usize..64, 1..4),
+    ) {
+        let catalog = FactCatalog::build(&relation, &[0, 1, 2], 2).unwrap();
+        let cell_order: Vec<usize> = catalog.cell_order().collect();
+        let mut indexed = catalog.residual_state();
+        let mut scan = ResidualState::new(&relation);
+        let mut arena = UndoArena::new();
+        for pick in &picks {
+            for (id, fact) in catalog.facts().enumerate() {
+                let index = catalog.fact_index(id);
+                prop_assert!(index.runs.is_empty());
+                let terms: Vec<f64> = index
+                    .lone
+                    .iter()
+                    .map(|&pos| {
+                        let row = cell_order[pos as usize];
+                        let dev = (fact.value - relation.target(row)).abs();
+                        (scan.residual(row) - dev).max(0.0)
+                    })
+                    .collect();
+                let gain = indexed.gain_indexed(index);
+                prop_assert_eq!(gain.to_bits(), four_wide_sum(&terms).to_bits(), "fact {}", id);
+                if terms.len() < 4 {
+                    prop_assert_eq!(gain.to_bits(), scan.gain_of(&relation, &fact).to_bits());
+                }
+            }
+            let id = pick % catalog.len();
+            let (scan_gain, _) = scan.apply_fact(&relation, &catalog.fact(id));
+            let indexed_gain = indexed.apply_indexed(catalog.fact_index(id), &mut arena);
+            prop_assert_eq!(indexed_gain.to_bits(), scan_gain.to_bits());
+            for (pos, &row) in cell_order.iter().enumerate() {
+                prop_assert_eq!(indexed.residual(pos).to_bits(), scan.residual(row).to_bits());
+            }
+            prop_assert_eq!(indexed.total().to_bits(), scan.total().to_bits());
+        }
     }
 
     // The indexed exact search still matches the brute-force optimum.
@@ -327,7 +388,7 @@ proptest! {
         let selected = FactCatalog::build_over(&relation, &cells, &rows, &free, 0, 2).unwrap();
         let subset = relation.subset(&rows).unwrap();
         let copied = FactCatalog::build(&subset, &free, 2).unwrap();
-        prop_assert_eq!(selected.facts(), copied.facts());
+        prop_assert_eq!(selected.facts().collect::<Vec<_>>(), copied.facts().collect::<Vec<_>>());
         let on_rows = Problem::new(&relation, &selected, 3).unwrap();
         let on_copy = Problem::new(&subset, &copied, 3).unwrap();
         let solvers: [Box<dyn Summarizer>; 3] = [

@@ -188,7 +188,7 @@ proptest! {
         let relation =
             EncodedRelation::from_rows(&["d"], "y", row_refs, Prior::Constant(0.0)).unwrap();
         let catalog = FactCatalog::build(&relation, &[0], 1).unwrap();
-        let fact = catalog.fact(0).clone();
+        let fact = catalog.fact(0);
         let single = Speech::new(vec![fact.clone()]);
         let doubled = Speech::new(vec![fact.clone(), fact]);
         prop_assert_eq!(doubled.len(), 1);

@@ -1,8 +1,9 @@
 //! The paper's running example (Fig. 1): average airplane delays as a
 //! function of region and season.
 //!
-//! The 4×4 grid below is the unique one consistent with the worked numbers
-//! of Examples 2, 6, 7 and 8 (see DESIGN.md):
+//! The paper shows the grid only as a figure; the 4×4 grid below is
+//! reconstructed from the numbers its examples work through (each one is
+//! checked in `tests/paper_examples.rs`):
 //!
 //! ```text
 //!             East  South  West  North
@@ -12,13 +13,36 @@
 //! Winter       20     10    10     20
 //! ```
 //!
+//! **Derivation.** Under the prior "no delays" (Example 3), Example 4's
+//! base error `4·20 + 4·10 = 120` makes four cells 20, four 10 and the
+//! other eight 0. Example 2 puts 20 at Summer∧South and makes Winter
+//! average 15, so Winter's row sums to 60. Example 6 gives Winter∧East, a
+//! one-cell fact, utility 20, so that cell is 20. After the Winter fact,
+//! Example 8 bounds facts about the East by 5 — Winter∧East's residual
+//! `|20 − 15|` — so the East's other cells are 0; it bounds facts about
+//! Fall by 10, so Fall's row sums to 10. Examples 7 and 8 make North the
+//! greedy's second pick, with value 15 (a column sum of 60) and gain 25.
+//! After the Winter fact, a non-Winter cell of 20 adds 15 to that gain, a
+//! cell of 10 adds 5, and Winter∧North adds nothing whatever it holds. So
+//! North's Spring, Summer and Fall cells hold one 20 and two 10s, and
+//! Winter∧North holds the 20 left of the column's 60. That spends the four
+//! 20s, so Winter's South and West cells, which sum to 20, hold 10 each.
+//! That spends the four 10s, so Fall's 10 is Fall∧North. One choice stays
+//! open: which of Spring∧North and Summer∧North holds the 20. A search
+//! over every grid of four 20s and four 10s finds exactly these two grids
+//! under the examples' numbers, and both give every number the examples
+//! quote; this grid takes Spring∧North = 20.
+//!
 //! Derived quantities the tests rely on: `D(∅) = 120`; the Winter and
 //! North facts (both value 15) have single-fact utility 40 each and the
 //! second of them adds gain 25 after the first; the Summer∧South fact
-//! (value 20) has utility 20; after the Winter fact, the East groups's
-//! deviation bound is 5 and Fall's is 10. Example 4's Speech 2 error of
-//! 35 is inconsistent with this grid (the true value is 55 — utility 65);
-//! Speech 2 still dominates Speech 1 as the paper claims.
+//! (value 20) has utility 20; after the Winter fact, the East group's
+//! deviation bound is 5 and Fall's is 10.
+//!
+//! **Example 4's inconsistency.** The paper states error 35 for Speech 2
+//! (the Winter and North facts). On this grid, and on the other one, the
+//! error is 55 (utility 65), and the tests pin 55. Speech 2 still
+//! dominates Speech 1 (utility 40), as the paper claims.
 
 use vqs_core::prelude::*;
 
@@ -125,7 +149,7 @@ mod tests {
     fn example7_pool_excludes_overall() {
         let r = relation();
         let catalog = example7_catalog(&r);
-        assert!(catalog.facts().iter().all(|f| !f.scope.is_empty()));
+        assert!(catalog.facts().all(|f| !f.scope.is_empty()));
         // 4 seasons + 4 regions + 16 cells.
         assert_eq!(catalog.len(), 24);
     }

@@ -10,7 +10,8 @@
 //! Dimension cardinalities are chosen so the full-data candidate-fact
 //! counts land near the paper's numbers (exact counts are asserted in the
 //! tests); row counts are laptop-scale by default — the generators take a
-//! scale factor, and EXPERIMENTS.md records the deltas to the paper.
+//! scale factor, and `experiments table1` prints each generated data set
+//! beside the paper's.
 
 use crate::synth::{DimSpec, GeneratedDataset, SynthSpec, TargetSpec};
 

@@ -43,11 +43,7 @@ pub fn rank_random_speeches(
         .map(|_| {
             let mut ids: Vec<usize> = (0..catalog.len()).collect();
             ids.shuffle(&mut rng);
-            let facts: Vec<Fact> = ids
-                .into_iter()
-                .take(m)
-                .map(|id| catalog.fact(id).clone())
-                .collect();
+            let facts: Vec<Fact> = ids.into_iter().take(m).map(|id| catalog.fact(id)).collect();
             let quality = utility(relation, &facts) / base;
             (facts, quality)
         })

@@ -6,8 +6,7 @@
 //! closest-relevant-value model — the model Fig. 7 found to predict real
 //! workers best — plus multiplicative noise. Encoding that finding as the
 //! generating process means the reproduced studies validate the *analysis
-//! pipeline* (ranking, medians, model comparison), not human behaviour;
-//! DESIGN.md lists this substitution.
+//! pipeline* (ranking, medians, model comparison), not human behaviour.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -89,10 +89,8 @@ fn main() {
     // (the failure mode Table II's worst speech exhibits).
     let worst: Vec<Fact> = catalog
         .facts()
-        .iter()
         .filter(|f| f.scope.len() == 2)
         .take(3)
-        .cloned()
         .collect();
     let worst_utility = utility(&relation, &worst);
     println!("a poorly chosen speech (utility {worst_utility:.1}):");

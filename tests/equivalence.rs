@@ -45,7 +45,7 @@ proptest! {
         let catalog = FactCatalog::build(&relation, &dims, 2).unwrap();
         let facts: Vec<Fact> = picks
             .iter()
-            .map(|&p| catalog.fact(p % catalog.len()).clone())
+            .map(|&p| catalog.fact(p % catalog.len()))
             .collect();
         // Monotonicity: utility never decreases as facts accumulate.
         let mut previous = 0.0;
@@ -64,7 +64,7 @@ proptest! {
         let catalog = FactCatalog::build(&relation, &dims, 2).unwrap();
         let facts: Vec<Fact> = picks
             .iter()
-            .map(|&p| catalog.fact(p % catalog.len()).clone())
+            .map(|&p| catalog.fact(p % catalog.len()))
             .collect();
         let (new_fact, rest) = facts.split_last().unwrap();
         for split in 0..rest.len() {
@@ -85,7 +85,7 @@ proptest! {
         let catalog = FactCatalog::build(&relation, &dims, 2).unwrap();
         let facts: Vec<Fact> = picks
             .iter()
-            .map(|&p| catalog.fact(p % catalog.len()).clone())
+            .map(|&p| catalog.fact(p % catalog.len()))
             .collect();
         let mut state = ResidualState::new(&relation);
         for fact in &facts {

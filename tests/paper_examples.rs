@@ -1,6 +1,6 @@
 //! Fidelity tests: every worked number in the paper, checked against the
-//! reconstructed Fig. 1 grid (see DESIGN.md for the grid derivation and
-//! the one documented inconsistency in Example 4).
+//! reconstructed Fig. 1 grid (`vqs_data::running_example` derives the
+//! grid and documents the one inconsistency, in Example 4).
 
 use vqs_core::prelude::*;
 use vqs_data::running_example as ex;
