@@ -11,7 +11,6 @@ use crate::algorithms::{summary_from_ids, Problem, Summarizer, Summary};
 use crate::error::Result;
 use crate::instrument::Instrumentation;
 use crate::model::fact::FactId;
-use crate::model::utility::UndoArena;
 
 /// Greedy fact selection with configurable pruning.
 #[derive(Debug, Clone, Default)]
@@ -48,7 +47,6 @@ impl GreedySummarizer {
         let mut counters = Instrumentation::default();
         let mut residual = problem.catalog.residual_state();
         let mut chosen: Vec<FactId> = Vec::with_capacity(problem.max_facts);
-        let mut arena = UndoArena::new();
         // OPT PRUNE depends only on static group statistics: plan once.
         let plan = crate::algorithms::pruning::plan_for(problem, &self.pruning);
         for _ in 0..problem.max_facts {
@@ -63,11 +61,11 @@ impl GreedySummarizer {
                 break; // no fact improves expectations further
             };
             // Line 11: recalculate user expectations — through the
-            // catalog's cell-ordered index, touching only in-scope rows.
+            // catalog's cell-ordered index, touching only in-scope rows,
+            // with no undo log: the greedy never backtracks.
             let index = problem.catalog.fact_index(fact_id);
             counters.index_row_touches += index.len() as u64;
-            residual.apply_indexed(index, &mut arena);
-            arena.clear(); // greedy never backtracks
+            residual.commit_indexed(index);
             chosen.push(fact_id);
         }
         (chosen, counters)

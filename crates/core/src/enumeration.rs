@@ -18,22 +18,29 @@
 //!
 //! The catalog works on *cells*: a row's value combination on every
 //! dimension a fact may restrict decides which facts cover it, so the rows
-//! of one cell share their covering facts. The covered rows are permuted
-//! into cell order once: cells of two or more rows first, smallest first,
-//! then the cells of one row (*lone* rows); every cell keeps its rows in
-//! row order. Each group's facts come from partitioning the cells rather
-//! than the rows. Where the group's code space — the product of its
-//! columns' dictionary sizes — is no larger than the partition the cells
-//! come from, a cell's mixed-radix code indexes an array of fact ids;
-//! larger spaces are hashed. Each fact is indexed as the positions of its
-//! lone rows plus contiguous position ranges (*runs*) for its larger
-//! cells; the deviations `|fact.value − v_r|` of both are computed on the
+//! of one cell share their covering facts. The covered rows get their
+//! positions in cell order once: cells of two or more rows first, smallest
+//! first, then the cells of one row (*lone* rows); every cell keeps its
+//! rows in row order. The catalog keeps per covered row only its target at
+//! its position and its cell, plus each cell's first position, so a row's
+//! position is its cell's next one in row order and no position map is
+//! stored. It shares the caller's row list rather than copying it. Each
+//! group's facts come from partitioning the cells rather than the rows.
+//! Where the group's code space — the product of its columns' dictionary
+//! sizes — is no larger than the partition the cells come from, a cell's
+//! mixed-radix code indexes an array of fact ids; larger spaces are
+//! hashed. Each fact is indexed as the positions of its lone rows plus
+//! contiguous position ranges (*runs*) for its larger cells; the
+//! deviations `|fact.value − v_r|` of both, and for a prior shared by
+//! every row the prior deviations `|prior − v_r|` too, are computed on the
 //! fly from the cell-ordered targets. Gains, bounds, apply and revert
 //! stream those positions — the direct-execution analogue of the paper's
 //! fact/data joins and group-by queries. The cells come from
 //! [`RowPartition`], the grouping pass the engine's query enumeration
 //! shares: it groups the same cells on each predicate mask
 //! ([`RowPartition::group_cells`]).
+
+use std::sync::Arc;
 
 use vqs_relalg::hash::FxHashMap;
 
@@ -142,22 +149,36 @@ pub struct FactCatalog {
     supports: Vec<u32>,
     /// Rows of the relation the catalog was built over.
     relation_rows: usize,
-    /// The covered relation rows, in the order given (row order).
-    rows: Vec<u32>,
-    /// `|prior − v|` of each cell-order position: the residuals before any
-    /// fact is spoken.
-    prior_deviations: Vec<f64>,
-    /// `D(∅)` of the covered rows, summed in row order.
-    base_error: f64,
-    /// Per cell-order position, the index into `rows` it holds.
-    order: Vec<u32>,
+    /// The covered relation rows, in the order given (row order): the
+    /// caller's list itself.
+    rows: Arc<[u32]>,
+    /// Per covered row, in the order given, its cell.
+    cell_of: Vec<u32>,
+    /// Per cell, its first cell-order position; its rows follow in the
+    /// order given ([`row_positions`]).
+    cell_start: Vec<u32>,
     /// Target of each cell-order position.
     targets: Vec<f64>,
+    /// What the residuals start from before any fact is spoken.
+    prior: PriorDeviations,
+    /// `D(∅)` of the covered rows, summed in row order.
+    base_error: f64,
     /// Per fact `f`, where its slices start in `lone` and in `runs`; they
     /// end where those of `f + 1` start.
-    offsets: Vec<(usize, usize)>,
+    offsets: Vec<(u32, u32)>,
     lone: Vec<u32>,
     runs: Vec<(u32, u32)>,
+}
+
+/// Each cell-order position's deviation from the prior, `|prior − v|`:
+/// the residuals before any fact is spoken.
+#[derive(Debug, Clone)]
+enum PriorDeviations {
+    /// A prior shared by every row: each deviation is computed from the
+    /// position's target when asked for.
+    Constant(f64),
+    /// A per-row prior: the deviation of each position.
+    PerPosition(Vec<f64>),
 }
 
 impl FactCatalog {
@@ -188,25 +209,32 @@ impl FactCatalog {
     ) -> Result<FactCatalog> {
         let dims = checked_dims(relation, free_dims)?;
         let cells = RowPartition::new(relation, &dims);
-        let rows: Vec<u32> = (0..relation.len() as u32).collect();
-        Self::build_over(relation, &cells, &rows, free_dims, min_dims, max_dims)
+        let rows: Arc<[u32]> = (0..relation.len() as u32).collect();
+        Self::build_over(relation, &cells, rows, free_dims, min_dims, max_dims)
     }
 
     /// The catalog over the rows `rows` of `relation`, taken in the given
     /// order — the same facts, values and summaries as a catalog built over
-    /// `relation.subset(rows)`, without copying the rows out.
+    /// `relation.subset(rows)`, without copying the rows out. The catalog
+    /// holds `rows` itself: an `Arc` is shared, not copied.
     ///
     /// `cells` partitions all of `relation` on a set of columns that
     /// includes every free dimension; the engine makes one per target over
     /// all configured dimensions and shares it across the target's queries.
+    ///
+    /// # Errors
+    /// Besides invalid dimensions, cells or rows: a catalog whose lone or
+    /// run entries would reach 2^32, which its `u32` offsets cannot
+    /// address.
     pub fn build_over(
         relation: &EncodedRelation,
         cells: &RowPartition,
-        rows: &[u32],
+        rows: impl Into<Arc<[u32]>>,
         free_dims: &[usize],
         min_dims: usize,
         max_dims: usize,
     ) -> Result<FactCatalog> {
+        let rows: Arc<[u32]> = rows.into();
         let dims = checked_dims(relation, free_dims)?;
         if cells.of_row.len() != relation.len() || !dims.iter().all(|d| cells.cols.contains(d)) {
             return Err(CoreError::InvalidProblem {
@@ -218,26 +246,47 @@ impl FactCatalog {
                 detail: format!("row {row} out of range ({} rows)", relation.len()),
             });
         }
-        let mut layout = CellLayout::new(relation, cells, rows, &dims);
-
-        let targets: Vec<f64> = rows
-            .iter()
-            .map(|&row| relation.target(row as usize))
-            .collect();
-        let priors: Vec<f64> = match relation.prior() {
-            Prior::Constant(c) => vec![*c; rows.len()],
+        let mut layout = CellLayout::new(relation, cells, &rows, &dims);
+        let (cell_of, cell_start) = (
+            std::mem::take(&mut layout.cell_of),
+            std::mem::take(&mut layout.start),
+        );
+        let target = |row: u32| relation.target(row as usize);
+        let mut targets = vec![0.0; rows.len()];
+        for (&row, pos) in rows.iter().zip(row_positions(&cell_of, &cell_start)) {
+            targets[pos] = target(row);
+        }
+        // Every sum runs over the rows in the order given, as over
+        // `relation.subset(rows)`.
+        let shared = |prior: f64| {
+            let base_error = rows.iter().map(|&row| (prior - target(row)).abs()).sum();
+            (PriorDeviations::Constant(prior), base_error)
+        };
+        let (prior, base_error) = match relation.prior() {
+            Prior::Constant(c) => shared(*c),
             // The mean of the covered rows, as in `relation.subset(rows)`.
             Prior::GlobalMean => {
-                vec![targets.iter().sum::<f64>() / rows.len() as f64; rows.len()]
+                shared(rows.iter().map(|&row| target(row)).sum::<f64>() / rows.len() as f64)
             }
-            Prior::PerRow(p) => rows.iter().map(|&row| p[row as usize]).collect(),
+            Prior::PerRow(p) => {
+                let deviation = |row: u32| (p[row as usize] - target(row)).abs();
+                let mut deviations = vec![0.0; rows.len()];
+                for (&row, pos) in rows.iter().zip(row_positions(&cell_of, &cell_start)) {
+                    deviations[pos] = deviation(row);
+                }
+                let base_error = rows.iter().map(|&row| deviation(row)).sum();
+                (PriorDeviations::PerPosition(deviations), base_error)
+            }
         };
-        let base_error = targets
-            .iter()
-            .zip(&priors)
-            .map(|(&v, &p)| (p - v).abs())
-            .sum();
 
+        let subsets: Vec<Vec<usize>> = subsets_up_to(&dims, max_dims)
+            .into_iter()
+            .filter(|subset| subset.len() >= min_dims)
+            .collect();
+        // Every group holds each lone row once and each larger cell in at
+        // most one run; the offsets must reach every lone entry.
+        let lone_entries = layout.lone.len().saturating_mul(subsets.len());
+        entry_offset(lone_entries)?;
         let mut catalog = FactCatalog {
             groups: Vec::new(),
             scope_starts: Vec::new(),
@@ -245,29 +294,18 @@ impl FactCatalog {
             values: Vec::new(),
             supports: Vec::new(),
             relation_rows: relation.len(),
-            rows: rows.to_vec(),
-            prior_deviations: layout
-                .order
-                .iter()
-                .map(|&i| (priors[i as usize] - targets[i as usize]).abs())
-                .collect(),
+            rows,
+            cell_of,
+            cell_start,
+            targets,
+            prior,
             base_error,
-            targets: layout.order.iter().map(|&i| targets[i as usize]).collect(),
-            order: std::mem::take(&mut layout.order),
             offsets: vec![(0, 0)],
-            lone: Vec::new(),
-            runs: Vec::new(),
+            lone: vec![0; lone_entries],
+            runs: Vec::with_capacity(layout.multi.len() * subsets.len()),
         };
-        let subsets: Vec<Vec<usize>> = subsets_up_to(&dims, max_dims)
-            .into_iter()
-            .filter(|subset| subset.len() >= min_dims)
-            .collect();
-        // Every group holds each lone row once and each larger cell in at
-        // most one run.
-        catalog.lone = vec![0; layout.lone.len() * subsets.len()];
-        catalog.runs.reserve(layout.multi.len() * subsets.len());
         for subset in subsets {
-            catalog.push_group(&layout, &targets, subset);
+            catalog.push_group(relation, &layout, subset)?;
         }
         if catalog.groups.is_empty() {
             return Err(CoreError::InvalidProblem {
@@ -282,7 +320,12 @@ impl FactCatalog {
     /// Append the group restricting `cols`: partition the cells, sum each
     /// fact's targets in row order (so every value is bit-identical to a
     /// direct scan of its scope), then index each fact's lone rows and runs.
-    fn push_group(&mut self, layout: &CellLayout, targets: &[f64], cols: Vec<usize>) {
+    fn push_group(
+        &mut self,
+        relation: &EncodedRelation,
+        layout: &CellLayout,
+        cols: Vec<usize>,
+    ) -> Result<()> {
         let fact_start = self.values.len();
         let columns: Vec<&[u32]> = cols.iter().map(|&d| layout.codes[d].as_slice()).collect();
         let sizes: Vec<usize> = cols.iter().map(|&d| layout.dictionary[d]).collect();
@@ -296,8 +339,8 @@ impl FactCatalog {
         let facts = part.len();
         let fact_of = |cell: u32| part.of_row[cell as usize] as usize;
         let mut sums = vec![0.0f64; facts];
-        for (&cell, &target) in layout.cell_of.iter().zip(targets) {
-            sums[fact_of(cell)] += target;
+        for (&cell, &row) in self.cell_of.iter().zip(self.rows.iter()) {
+            sums[fact_of(cell)] += relation.target(row as usize);
         }
         let mut counts = vec![0u32; facts];
         for (cell, &size) in (0..).zip(&layout.size) {
@@ -321,34 +364,39 @@ impl FactCatalog {
         // larger cells sit back to back in position order, so a cell
         // extends its fact's last run exactly when the cell before it
         // belongs to the same fact.
-        let mut at = vec![(0usize, 0usize); facts];
+        let mut at = vec![(0u32, 0u32); facts];
         for &cell in &layout.lone {
             at[fact_of(cell)].0 += 1;
         }
         let mut prev = usize::MAX;
         for &(cell, _, _) in &layout.multi {
             let f = fact_of(cell);
-            at[f].1 += usize::from(f != prev);
+            at[f].1 += u32::from(f != prev);
             prev = f;
         }
         let (mut lone, mut runs) = *self.offsets.last().expect("offsets start with (0, 0)");
-        self.offsets.extend(at.iter_mut().map(|slot| {
-            (*slot, lone, runs) = ((lone, runs), lone + slot.0, runs + slot.1);
-            (lone, runs)
-        }));
-        self.runs.resize(runs, (0, 0));
+        self.offsets.reserve(facts);
+        for slot in &mut at {
+            let end = (
+                entry_offset(lone as usize + slot.0 as usize)?,
+                entry_offset(runs as usize + slot.1 as usize)?,
+            );
+            (*slot, (lone, runs)) = ((lone, runs), end);
+            self.offsets.push(end);
+        }
+        self.runs.resize(runs as usize, (0, 0));
         for (&cell, pos) in layout.lone.iter().zip(layout.lone_start..) {
-            let f = fact_of(cell);
-            self.lone[at[f].0] = pos;
-            at[f].0 += 1;
+            let slot = &mut at[fact_of(cell)].0;
+            self.lone[*slot as usize] = pos;
+            *slot += 1;
         }
         let mut prev = usize::MAX;
         for &(cell, start, end) in &layout.multi {
             let f = fact_of(cell);
             if f == prev {
-                self.runs[at[f].1 - 1].1 = end;
+                self.runs[at[f].1 as usize - 1].1 = end;
             } else {
-                self.runs[at[f].1] = (start, end);
+                self.runs[at[f].1 as usize] = (start, end);
                 at[f].1 += 1;
             }
             prev = f;
@@ -359,6 +407,7 @@ impl FactCatalog {
             fact_start,
             fact_count: facts,
         });
+        Ok(())
     }
 
     /// All candidate facts in id order, each built as
@@ -417,8 +466,17 @@ impl FactCatalog {
 
     /// The covered relation rows in cell order: position `p` of
     /// [`FactCatalog::residual_state`] holds row `cell_order().nth(p)`.
-    pub fn cell_order(&self) -> impl Iterator<Item = usize> + '_ {
-        self.order.iter().map(|&i| self.rows[i as usize] as usize)
+    /// The catalog keeps no position map: this lays the rows out anew.
+    pub fn cell_order(&self) -> impl Iterator<Item = usize> {
+        let mut order = vec![0; self.rows.len()];
+        for (&row, pos) in self
+            .rows
+            .iter()
+            .zip(row_positions(&self.cell_of, &self.cell_start))
+        {
+            order[pos] = row as usize;
+        }
+        order.into_iter()
     }
 
     /// Index of the group that owns `fact`.
@@ -452,20 +510,21 @@ impl FactCatalog {
             let ((lone, runs), (lone_end, runs_end)) = (ends[0], ends[1]);
             FactIndex {
                 value,
-                lone: &self.lone[lone..lone_end],
-                runs: &self.runs[runs..runs_end],
+                lone: &self.lone[lone as usize..lone_end as usize],
+                runs: &self.runs[runs as usize..runs_end as usize],
                 targets: &self.targets,
             }
         })
     }
 
     /// The relation rows within the scope of `fact`, ascending, recovered
-    /// from the index.
+    /// from the index and [`FactCatalog::cell_order`].
     pub fn covered_rows(&self, fact: FactId) -> Vec<usize> {
+        let order: Vec<usize> = self.cell_order().collect();
         let mut rows: Vec<usize> = self
             .fact_index(fact)
             .positions()
-            .map(|pos| self.rows[self.order[pos] as usize] as usize)
+            .map(|pos| order[pos])
             .collect();
         rows.sort_unstable();
         rows
@@ -474,7 +533,17 @@ impl FactCatalog {
     /// The residuals before any fact is spoken: each covered row's prior
     /// deviation, in cell order, with the row-order total `D(∅)`.
     pub fn residual_state(&self) -> ResidualState {
-        ResidualState::from_parts(self.prior_deviations.clone(), self.base_error)
+        ResidualState::from_parts(self.prior_deviations(), self.base_error)
+    }
+
+    /// Each cell-order position's prior deviation `|prior − v|`.
+    fn prior_deviations(&self) -> Vec<f64> {
+        match &self.prior {
+            PriorDeviations::Constant(prior) => {
+                self.targets.iter().map(|&v| (prior - v).abs()).collect()
+            }
+            PriorDeviations::PerPosition(deviations) => deviations.clone(),
+        }
     }
 
     /// `D(∅)` of the covered rows, summed in row order.
@@ -487,20 +556,17 @@ impl FactCatalog {
     /// by the least of `|prior − v|` and `|fact.value − v|` over the facts
     /// covering it (a minimum, so the facts' order does not matter), and
     /// the deviations are summed in row order, as [`utility::speech_error`]
-    /// sums them.
+    /// sums them, by walking each row's cell to its next position.
     pub fn speech_error(&self, ids: &[FactId]) -> f64 {
-        let mut deviation = self.prior_deviations.clone();
+        let mut deviation = self.prior_deviations();
         for &id in ids {
             let index = self.fact_index(id);
             for pos in index.positions() {
                 deviation[pos] = deviation[pos].min((index.value - self.targets[pos]).abs());
             }
         }
-        let mut by_row = vec![0.0; deviation.len()];
-        for (&i, &dev) in self.order.iter().zip(&deviation) {
-            by_row[i as usize] = dev;
-        }
-        by_row.iter().fold(0.0, |total, dev| total + dev)
+        row_positions(&self.cell_of, &self.cell_start)
+            .fold(0.0, |total, pos| total + deviation[pos])
     }
 
     /// Utility gains of every fact in `group` against the current
@@ -569,7 +635,7 @@ impl FactCatalog {
         let residuals = residual.residuals();
         assert_eq!(
             residuals.len(),
-            self.order.len(),
+            self.targets.len(),
             "state of another catalog"
         );
         residuals
@@ -628,6 +694,27 @@ fn checked_dims(relation: &EncodedRelation, free_dims: &[usize]) -> Result<Vec<u
     Ok(dims)
 }
 
+/// `entries` as an offset into a catalog's lone or run entries, or an
+/// error once a catalog would hold 2^32 of either, which `u32` offsets
+/// cannot address.
+fn entry_offset(entries: usize) -> Result<u32> {
+    u32::try_from(entries).map_err(|_| CoreError::InvalidProblem {
+        detail: format!("{entries} index entries: a fact catalog addresses fewer than 2^32"),
+    })
+}
+
+/// Each covered row's cell-order position, in the order the rows were
+/// given: a cell holds its rows in that order from its first position on,
+/// so each row takes its cell's next position.
+fn row_positions<'a>(cell_of: &'a [u32], cell_start: &[u32]) -> impl Iterator<Item = usize> + 'a {
+    let mut next = cell_start.to_vec();
+    cell_of.iter().map(move |&cell| {
+        let pos = next[cell as usize];
+        next[cell as usize] = pos + 1;
+        pos as usize
+    })
+}
+
 thread_local! {
     /// Working space for [`CellLayout::new`]: per cell of the given partition,
     /// the catalog cell it last became. Never cleared — an entry counts
@@ -659,8 +746,8 @@ struct CellLayout {
     /// The cells of one row in position order, from `lone_start` on.
     lone: Vec<u32>,
     lone_start: u32,
-    /// Per position, the index of the covered row it holds.
-    order: Vec<u32>,
+    /// Per cell, its first position.
+    start: Vec<u32>,
 }
 
 impl CellLayout {
@@ -716,11 +803,6 @@ impl CellLayout {
         for (&cell, pos) in lone.iter().zip(next..) {
             start[cell as usize] = pos;
         }
-        let mut order = vec![0u32; rows.len()];
-        for (i, &cell) in cell_of.iter().enumerate() {
-            order[start[cell as usize] as usize] = i as u32;
-            start[cell as usize] += 1;
-        }
         // Each group partitions the cells on these compact columns instead
         // of reading the relation's columns at scattered rows.
         let mut codes = vec![Vec::new(); relation.dim_count()];
@@ -737,7 +819,7 @@ impl CellLayout {
             multi,
             lone,
             lone_start: next,
-            order,
+            start,
         }
     }
 }
@@ -1183,7 +1265,7 @@ mod tests {
         let r = clustered();
         let cells = RowPartition::new(&r, &[0, 1]);
         let rows = [1u32, 2, 4, 5, 6, 7];
-        let selected = FactCatalog::build_over(&r, &cells, &rows, &[0, 1], 0, 2).unwrap();
+        let selected = FactCatalog::build_over(&r, &cells, &rows[..], &[0, 1], 0, 2).unwrap();
         let subset = r.subset(&rows).unwrap();
         let copied = FactCatalog::build(&subset, &[0, 1], 2).unwrap();
         assert_eq!(
@@ -1217,8 +1299,8 @@ mod tests {
         }
         // Cells must cover every free dimension, and rows must exist.
         let coarse = RowPartition::new(&r, &[0]);
-        assert!(FactCatalog::build_over(&r, &coarse, &rows, &[0, 1], 0, 2).is_err());
-        assert!(FactCatalog::build_over(&r, &cells, &[8], &[0, 1], 0, 2).is_err());
+        assert!(FactCatalog::build_over(&r, &coarse, &rows[..], &[0, 1], 0, 2).is_err());
+        assert!(FactCatalog::build_over(&r, &cells, [8], &[0, 1], 0, 2).is_err());
     }
 
     /// Grouping the cells on some of their columns gives every row the
@@ -1272,6 +1354,14 @@ mod tests {
             prop_assert_eq!(&chosen.of_row, &hashed.of_row);
             prop_assert_eq!(&chosen.first_row, &hashed.first_row);
         }
+    }
+
+    /// Offsets address fewer than 2^32 entries; one more is an error, not
+    /// a wrapped offset.
+    #[test]
+    fn entry_offsets_stop_short_of_two_to_the_32() {
+        assert_eq!(entry_offset(u32::MAX as usize).unwrap(), u32::MAX);
+        assert!(entry_offset(u32::MAX as usize + 1).is_err());
     }
 
     #[test]

@@ -51,11 +51,13 @@ pub enum Prior {
 /// target column (Definition 1).
 ///
 /// `dim_codes` is column-major: `dim_codes[d][row]` is the code of row
-/// `row` in dimension `d`.
+/// `row` in dimension `d`. Dimensions and codes are shared, not copied,
+/// between a relation and its clones and re-targetings
+/// ([`EncodedRelation::retargeted`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncodedRelation {
-    dims: Vec<Dimension>,
-    dim_codes: Vec<Vec<u32>>,
+    dims: Arc<[Dimension]>,
+    dim_codes: Arc<[Vec<u32>]>,
     target: Vec<f64>,
     target_name: String,
     prior: Prior,
@@ -94,16 +96,10 @@ impl EncodedRelation {
                 return Err(CoreError::ValueOutOfRange { dim: d, value: bad });
             }
         }
-        if let Prior::PerRow(p) = &prior {
-            if p.len() != target.len() {
-                return Err(CoreError::LengthMismatch {
-                    detail: format!("prior has {} rows, target has {}", p.len(), target.len()),
-                });
-            }
-        }
+        check_prior(&prior, target.len())?;
         Ok(EncodedRelation {
-            dims,
-            dim_codes,
+            dims: dims.into(),
+            dim_codes: dim_codes.into(),
             target,
             target_name: target_name.into(),
             prior,
@@ -212,15 +208,27 @@ impl EncodedRelation {
 
     /// This relation's dimensions and codes over another numeric column
     /// of `table` as the target: a relation built once serves every
-    /// target of its table without coding the rows again.
+    /// target of its table without coding, copying or checking the rows
+    /// again — both relations share the dimensions and codes.
     pub fn retargeted(&self, table: &Table, target_col: &str, prior: Prior) -> Result<Self> {
-        EncodedRelation::new(
-            self.dims.clone(),
-            self.dim_codes.clone(),
-            numeric_column(table, target_col)?,
-            target_col,
+        let target = numeric_column(table, target_col)?;
+        if target.len() != self.len() {
+            return Err(CoreError::LengthMismatch {
+                detail: format!(
+                    "target '{target_col}' has {} rows, dimensions have {}",
+                    target.len(),
+                    self.len()
+                ),
+            });
+        }
+        check_prior(&prior, target.len())?;
+        Ok(EncodedRelation {
+            dims: Arc::clone(&self.dims),
+            dim_codes: Arc::clone(&self.dim_codes),
+            target,
+            target_name: target_col.to_string(),
             prior,
-        )
+        })
     }
 
     /// Number of rows.
@@ -290,17 +298,7 @@ impl EncodedRelation {
 
     /// Replace the prior (builder style).
     pub fn with_prior(mut self, prior: Prior) -> Result<Self> {
-        if let Prior::PerRow(p) = &prior {
-            if p.len() != self.target.len() {
-                return Err(CoreError::LengthMismatch {
-                    detail: format!(
-                        "prior has {} rows, target has {}",
-                        p.len(),
-                        self.target.len()
-                    ),
-                });
-            }
-        }
+        check_prior(&prior, self.target.len())?;
         self.prior = prior;
         Ok(self)
     }
@@ -344,7 +342,7 @@ impl EncodedRelation {
             other => other.clone(),
         };
         EncodedRelation::new(
-            self.dims.clone(),
+            self.dims.to_vec(),
             dim_codes,
             target,
             self.target_name.clone(),
@@ -355,6 +353,17 @@ impl EncodedRelation {
     /// Human-readable value of row `row` in dimension `d`.
     pub fn value_str(&self, d: usize, row: usize) -> &str {
         &self.dims[d].values[self.dim_codes[d][row] as usize]
+    }
+}
+
+/// A [`CoreError::LengthMismatch`] unless `prior` has a value for each of
+/// `rows` rows.
+fn check_prior(prior: &Prior, rows: usize) -> Result<()> {
+    match prior {
+        Prior::PerRow(p) if p.len() != rows => Err(CoreError::LengthMismatch {
+            detail: format!("prior has {} rows, target has {rows}", p.len()),
+        }),
+        _ => Ok(()),
     }
 }
 
@@ -582,6 +591,28 @@ mod tests {
         );
         assert!(delay
             .retargeted(&table, "region", Prior::GlobalMean)
+            .is_err());
+    }
+
+    /// A re-targeted relation holds its source's codes, not a copy.
+    #[test]
+    fn retargeted_shares_the_codes() {
+        let table = mixed_table();
+        let delay =
+            EncodedRelation::from_table(&table, &["region", "month"], "delay", Prior::GlobalMean)
+                .unwrap();
+        let flights = delay
+            .retargeted(&table, "flights", Prior::GlobalMean)
+            .unwrap();
+        for d in 0..delay.dim_count() {
+            assert!(
+                std::ptr::eq(delay.codes(d), flights.codes(d)),
+                "dimension {d}"
+            );
+        }
+        assert!(std::ptr::eq(delay.dims(), flights.dims()));
+        assert!(delay
+            .retargeted(&table, "flights", Prior::PerRow(vec![0.0]))
             .is_err());
     }
 

@@ -182,21 +182,40 @@ impl ResidualState {
         unsafe { index_gain(&self.residual, index) }
     }
 
-    /// Indexed variant of [`ResidualState::apply_fact`]: touches only the
-    /// in-scope rows, lone rows first, and records the undo information in
-    /// `arena` (one frame per call) instead of allocating a fresh undo
-    /// vector. Returns the realized gain. Revert with
-    /// [`ResidualState::revert_frame`].
+    /// Indexed variant of [`ResidualState::apply_fact`] for backtracking
+    /// search: touches only the in-scope rows, lone rows first, and
+    /// records the undo information in `arena` (one frame per call)
+    /// instead of allocating a fresh undo vector. Returns the realized
+    /// gain. Revert with [`ResidualState::revert_frame`]; a search that
+    /// never reverts applies through [`ResidualState::commit_indexed`].
     pub fn apply_indexed(&mut self, index: FactIndex<'_>, arena: &mut UndoArena) -> f64 {
         let frame = UndoFrame {
             mark: arena.entries.len(),
             total_before: self.total,
         };
+        let gain = self.lower(index, |pos, current| {
+            arena.entries.push((pos as u32, current))
+        });
+        arena.frames.push(frame);
+        gain
+    }
+
+    /// [`ResidualState::apply_indexed`] for good, recording nothing: the
+    /// same residuals, gain and total, for the greedy, which never
+    /// backtracks.
+    pub fn commit_indexed(&mut self, index: FactIndex<'_>) -> f64 {
+        self.lower(index, |_, _| {})
+    }
+
+    /// Lower the residuals within the scope of `index` to the fact's
+    /// deviations where those are smaller, handing `record` each lowered
+    /// position with its residual before; returns the realized gain.
+    fn lower(&mut self, index: FactIndex<'_>, mut record: impl FnMut(usize, f64)) -> f64 {
         let mut gain = 0.0;
         let mut lower = |pos: usize, dev: f64| {
             let current = self.residual[pos];
             if dev < current {
-                arena.entries.push((pos as u32, current));
+                record(pos, current);
                 gain += current - dev;
                 self.residual[pos] = dev;
             }
@@ -211,7 +230,6 @@ impl ResidualState {
             }
         }
         self.total -= gain;
-        arena.frames.push(frame);
         gain
     }
 
@@ -314,15 +332,17 @@ struct UndoFrame {
     total_before: f64,
 }
 
-/// Reusable undo storage for backtracking search over
-/// [`ResidualState::apply_indexed`] / [`ResidualState::revert_frame`].
+/// Reusable undo storage for backtracking search (the exact and
+/// brute-force summarizers) over [`ResidualState::apply_indexed`] /
+/// [`ResidualState::revert_frame`].
 ///
 /// A depth-first search applies and reverts one fact per tree edge; with a
 /// per-call undo `Vec` every node pays an allocation. The arena instead
 /// keeps one growing `(row, previous residual)` stack plus a frame stack
 /// marking where each apply started, so steady-state search allocates
 /// nothing. Frames must be reverted in LIFO order — exactly the order a
-/// DFS backtracks in.
+/// DFS backtracks in. The greedy never reverts and keeps no arena
+/// ([`ResidualState::commit_indexed`]).
 #[derive(Debug, Clone, Default)]
 pub struct UndoArena {
     entries: Vec<(u32, f64)>,
@@ -338,13 +358,6 @@ impl UndoArena {
     /// Number of open (un-reverted) frames.
     pub fn depth(&self) -> usize {
         self.frames.len()
-    }
-
-    /// Drop all frames and entries without touching any residual state.
-    /// Useful for forward-only consumers (e.g. greedy) that never revert.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.frames.clear();
     }
 }
 
@@ -562,8 +575,6 @@ mod tests {
         state.revert_frame(&mut arena);
         assert_eq!(state.residuals(), before_any.as_slice());
         assert_eq!(state.total(), 120.0);
-        assert_eq!(arena.depth(), 0);
-        arena.clear();
         assert_eq!(arena.depth(), 0);
     }
 

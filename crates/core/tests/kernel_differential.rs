@@ -20,7 +20,11 @@
 //!    groups over a high-cardinality column.
 //! 3. A catalog over the rows of one query, built from cells over all
 //!    dimensions, summarizes exactly like a catalog over those rows copied
-//!    out.
+//!    out, and its `speech_error` — summed in row order by walking each
+//!    row's cell to its next position — equals `speech_error` over the
+//!    copy to the bit, for constant and per-row priors.
+//! 4. The greedy's apply, which keeps no undo log (`commit_indexed`),
+//!    equals the recording `apply_indexed` bit for bit.
 //!
 //! Relations are drawn on both sides of the cell-size property the index
 //! relies on: clustered ones, where every cell holds several rows (runs),
@@ -153,6 +157,11 @@ fn naive_group(relation: &EncodedRelation, cols: &[usize]) -> (Vec<Fact>, Vec<us
         })
         .collect();
     (facts, of_row)
+}
+
+/// The bits of `values`, so that comparisons tell `-0.0` from `0.0`.
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 /// `|a − b| ≤ 1e-9` relative to the larger magnitude (floor 1).
@@ -359,6 +368,74 @@ proptest! {
         }
     }
 
+    // The greedy's apply without an undo log realizes the same gain and
+    // leaves the same residuals and total, to the bit, as the recording
+    // apply the backtracking searches use.
+    #[test]
+    fn commit_matches_the_recording_apply(
+        (relation, dims) in prop_oneof![
+            arb_relation().prop_map(|r| (r, vec![0, 1])),
+            arb_distinct_relation().prop_map(|r| (r, vec![0, 1, 2])),
+        ],
+        picks in prop::collection::vec(0usize..64, 1..5),
+    ) {
+        let catalog = FactCatalog::build(&relation, &dims, 2).unwrap();
+        let mut recorded = catalog.residual_state();
+        let mut committed = catalog.residual_state();
+        let mut arena = UndoArena::new();
+        for pick in &picks {
+            let index = catalog.fact_index(pick % catalog.len());
+            let gain = recorded.apply_indexed(index, &mut arena);
+            prop_assert_eq!(committed.commit_indexed(index).to_bits(), gain.to_bits());
+            prop_assert_eq!(bits(committed.residuals()), bits(recorded.residuals()));
+            prop_assert_eq!(committed.total().to_bits(), recorded.total().to_bits());
+        }
+    }
+
+    // A catalog over a selection of rows sums a speech's deviations in
+    // row order, walking each row's cell to its next position, and so
+    // equals the scan over the selected rows copied out, to the bit — with
+    // cells of several rows interleaved in row order, and with the prior
+    // shared or per row.
+    #[test]
+    fn selection_speech_error_matches_the_subset(
+        (relation, dims) in prop_oneof![
+            arb_clustered_relation().prop_map(|r| (r, vec![0, 1])),
+            arb_any_relation(),
+        ],
+        keep in prop::collection::vec(any::<bool>(), 1..80),
+        per_row_prior in any::<bool>(),
+        speeches in prop::collection::vec(prop::collection::vec(0usize..4096, 0..4), 1..4),
+    ) {
+        let relation = if per_row_prior {
+            let prior = (0..relation.len()).map(|row| (row % 7) as f64 - 3.0).collect();
+            relation.with_prior(Prior::PerRow(prior)).unwrap()
+        } else {
+            relation
+        };
+        let mut rows: Vec<u32> = (0..relation.len() as u32)
+            .filter(|&row| keep[row as usize % keep.len()])
+            .collect();
+        if rows.is_empty() {
+            rows.push(0);
+        }
+        let cells = RowPartition::new(&relation, &dims);
+        let selected =
+            FactCatalog::build_over(&relation, &cells, rows.as_slice(), &dims, 0, 2).unwrap();
+        let subset = relation.subset(&rows).unwrap();
+        let copied = FactCatalog::build(&subset, &dims, 2).unwrap();
+        prop_assert_eq!(selected.base_error().to_bits(), base_error(&subset).to_bits());
+        for picks in &speeches {
+            let ids: Vec<FactId> = picks.iter().map(|pick| pick % selected.len()).collect();
+            let facts: Vec<Fact> = ids.iter().map(|&id| copied.fact(id)).collect();
+            prop_assert_eq!(
+                selected.speech_error(&ids).to_bits(),
+                speech_error(&subset, &facts).to_bits(),
+                "{:?}", ids
+            );
+        }
+    }
+
     // The indexed exact search still matches the brute-force optimum.
     #[test]
     fn indexed_exact_matches_brute_force((relation, dims) in arb_any_relation()) {
@@ -385,7 +462,8 @@ proptest! {
             .collect();
         let free: Vec<usize> = dims.iter().copied().filter(|&d| d != fixed).collect();
         let cells = RowPartition::new(&relation, &dims);
-        let selected = FactCatalog::build_over(&relation, &cells, &rows, &free, 0, 2).unwrap();
+        let selected =
+            FactCatalog::build_over(&relation, &cells, rows.as_slice(), &free, 0, 2).unwrap();
         let subset = relation.subset(&rows).unwrap();
         let copied = FactCatalog::build(&subset, &free, 2).unwrap();
         prop_assert_eq!(selected.facts().collect::<Vec<_>>(), copied.facts().collect::<Vec<_>>());

@@ -296,8 +296,14 @@ pub(crate) fn solve_item_at<S: Summarizer + ?Sized>(
         .collect();
     let min_dims = usize::from(!config.include_overall_fact && !free_dims.is_empty());
     let max_dims = config.max_fact_dimensions.min(free_dims.len());
-    let catalog =
-        FactCatalog::build_over(relation, cells, &item.rows, &free_dims, min_dims, max_dims)?;
+    let catalog = FactCatalog::build_over(
+        relation,
+        cells,
+        Arc::clone(&item.rows),
+        &free_dims,
+        min_dims,
+        max_dims,
+    )?;
     let problem = Problem::new(relation, &catalog, config.speech_length)?;
     let summary = summarizer.summarize_by(&problem, deadline)?;
 
@@ -914,6 +920,22 @@ mod tests {
         for (a, b) in first.iter().zip(second) {
             let rows: &Arc<[u32]> = &b.rows;
             assert!(Arc::ptr_eq(&a.rows, rows), "{}", b.query);
+        }
+    }
+
+    /// A further target's relation holds the first target's dimension
+    /// codes, not a copy.
+    #[test]
+    fn plans_share_dimension_codes_across_targets() {
+        let data = tiny_dataset();
+        let plans = build_plans(&data.table, &config(), &FxHashMap::default()).unwrap();
+        let (first, second) = (&plans.targets[0].relation, &plans.targets[1].relation);
+        assert_ne!(first.target_name(), second.target_name());
+        for d in 0..first.dim_count() {
+            assert!(
+                std::ptr::eq(first.codes(d), second.codes(d)),
+                "dimension {d}"
+            );
         }
     }
 

@@ -19,7 +19,7 @@
 //! does not project, which must not fail a flush.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -231,7 +231,8 @@ proptest! {
 /// Readers racing a flushing writer must never observe a torn store:
 /// the overall and per-season entries stay present (lookups serve the
 /// last-good speech until the atomic swap), and `respond` always comes
-/// back with a speech.
+/// back with a speech. The writer starts once every reader has read, so
+/// each reader races some flushes however the threads are scheduled.
 #[test]
 fn concurrent_reads_see_no_torn_or_missing_entries() {
     let base = dataset(9, 64);
@@ -244,10 +245,13 @@ fn concurrent_reads_see_no_torn_or_missing_entries() {
         .unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
+    let (started, first_reads) = mpsc::channel();
     let readers: Vec<_> = (0..3)
         .map(|_| {
             let service = Arc::clone(&service);
             let stop = Arc::clone(&stop);
+            // Dropped after the first read, or by a reader failing before it.
+            let mut started = Some(started.clone());
             std::thread::spawn(move || {
                 let overall = Query::of("delay", &[]);
                 let winter = Query::of("delay", &[("season", "Winter")]);
@@ -260,11 +264,22 @@ fn concurrent_reads_see_no_torn_or_missing_entries() {
                         service.respond(&ServiceRequest::new("stream", "delay in Winter?"));
                     assert!(response.answer.is_speech(), "respond lost its speech");
                     reads += 1;
+                    if let Some(started) = started.take() {
+                        started
+                            .send(())
+                            .expect("the test waits for every first read");
+                    }
                 }
                 reads
             })
         })
         .collect();
+    drop(started);
+    for _ in 0..readers.len() {
+        first_reads
+            .recv()
+            .expect("a reader failed before its first read");
+    }
 
     // The writer keeps row 0 in Winter and cycles its region; with
     // `max_dirty(1)` every batch flushes, so readers race real swaps.
