@@ -12,10 +12,12 @@ committed file's `smoke_baseline` and `wide_probes` sections:
   bounded generalization walk from a 2^n one (both probe twice), and a
   2^n walk (~7 ms at 16 predicates) or a store scan (~0.1 ms at 20)
   fails this gate;
-* the wide-probe counts (wide_probe_16 / wide_probe_20) are pure
-  functions of the seeded store contents and must match *exactly* — a
-  drift means the lookup algorithm or the secondary index changed, which
-  is a finding to record in BENCH_scale.json, not noise.
+* the wide-probe counts (wide_probe_16 / wide_probe_20) and the store's
+  size right after registration (store_bytes) are pure functions of the
+  seeded data and must match *exactly* — a drift means the lookup
+  algorithm, the secondary index, the stored speeches or the store's
+  accounting changed, which is a finding to record in BENCH_scale.json,
+  not noise.
 
 Two further gates read the fresh file alone and hold on any machine:
 
@@ -47,6 +49,7 @@ WIDE_LOOKUPS = [(16, 50000.0), (20, 50000.0)]
 EXACT_METRICS = [
     ("smoke_baseline", "wide_probe_16"),
     ("smoke_baseline", "wide_probe_20"),
+    ("smoke_baseline", "store_bytes"),
 ]
 
 

@@ -190,11 +190,12 @@ impl ResidualState {
     /// never reverts applies through [`ResidualState::commit_indexed`].
     pub fn apply_indexed(&mut self, index: FactIndex<'_>, arena: &mut UndoArena) -> f64 {
         let frame = UndoFrame {
-            mark: arena.entries.len(),
+            mark: arena.rows.len(),
             total_before: self.total,
         };
         let gain = self.lower(index, |pos, current| {
-            arena.entries.push((pos as u32, current))
+            arena.rows.push(pos as u32);
+            arena.previous.push(current);
         });
         arena.frames.push(frame);
         gain
@@ -246,10 +247,14 @@ impl ResidualState {
     /// Panics if `arena` holds no open frame (more reverts than applies).
     pub fn revert_frame(&mut self, arena: &mut UndoArena) {
         let frame = arena.frames.pop().expect("revert_frame without open frame");
-        for &(row, previous) in arena.entries[frame.mark..].iter().rev() {
+        let saved = arena.rows[frame.mark..]
+            .iter()
+            .zip(&arena.previous[frame.mark..]);
+        for (&row, &previous) in saved.rev() {
             self.residual[row as usize] = previous;
         }
-        arena.entries.truncate(frame.mark);
+        arena.rows.truncate(frame.mark);
+        arena.previous.truncate(frame.mark);
         self.total = frame.total_before;
     }
 }
@@ -326,7 +331,7 @@ fn runs_sum(runs: &[(u32, u32)], term: impl Fn(usize) -> f64) -> f64 {
 /// One apply's bookkeeping inside an [`UndoArena`].
 #[derive(Debug, Clone, Copy)]
 struct UndoFrame {
-    /// First entry of this frame in the arena's entry stack.
+    /// First entry of this frame in the arena's entry columns.
     mark: usize,
     /// Exact running total before the apply, restored on revert.
     total_before: f64,
@@ -338,14 +343,19 @@ struct UndoFrame {
 ///
 /// A depth-first search applies and reverts one fact per tree edge; with a
 /// per-call undo `Vec` every node pays an allocation. The arena instead
-/// keeps one growing `(row, previous residual)` stack plus a frame stack
-/// marking where each apply started, so steady-state search allocates
-/// nothing. Frames must be reverted in LIFO order — exactly the order a
-/// DFS backtracks in. The greedy never reverts and keeps no arena
-/// ([`ResidualState::commit_indexed`]).
+/// keeps one growing stack of `(row, previous residual)` entries plus a
+/// frame stack marking where each apply started, so steady-state search
+/// allocates nothing. The entries are two columns, 12 bytes each where a
+/// padded `(u32, f64)` pair takes 16: the first apply of a wide fact
+/// lowers nearly every covered row. Frames must be reverted in LIFO
+/// order — exactly the order a DFS backtracks in. The greedy never
+/// reverts and keeps no arena ([`ResidualState::commit_indexed`]).
 #[derive(Debug, Clone, Default)]
 pub struct UndoArena {
-    entries: Vec<(u32, f64)>,
+    /// Position of each lowered residual, oldest first.
+    rows: Vec<u32>,
+    /// The residual each position held before it was lowered.
+    previous: Vec<f64>,
     frames: Vec<UndoFrame>,
 }
 

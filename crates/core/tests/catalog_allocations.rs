@@ -88,6 +88,18 @@ static GLOBAL: Counting = Counting;
 /// combination held by `copies` rows (so every row is lone for one copy,
 /// and every cell a run for more).
 fn grid(sizes: [usize; 3], copies: usize) -> EncodedRelation {
+    grid_with(sizes, copies, |[a, b, c], copy| {
+        ((a * 7 + b * 3 + c + copy) % 11) as f64 + 0.5
+    })
+}
+
+/// [`grid`] with the target of each row computed by `target` from the
+/// row's value indexes and its copy.
+fn grid_with(
+    sizes: [usize; 3],
+    copies: usize,
+    target: impl Fn([usize; 3], usize) -> f64,
+) -> EncodedRelation {
     let names: Vec<Vec<String>> = sizes
         .iter()
         .map(|&size| (0..size).map(|v| format!("v{v}")).collect())
@@ -102,7 +114,7 @@ fn grid(sizes: [usize; 3], copies: usize) -> EncodedRelation {
                         names[1][b].as_str(),
                         names[2][c].as_str(),
                     ];
-                    rows.push((values, ((a * 7 + b * 3 + c + copy) % 11) as f64 + 0.5));
+                    rows.push((values, target([a, b, c], copy)));
                 }
             }
         }
@@ -166,29 +178,19 @@ fn facts_are_built_on_demand() {
     assert_eq!(fact.scope.len(), 2);
 }
 
-/// One query's working set: the live bytes a catalog build over all rows
-/// of a grid whose cells hold 50 rows each, then a G-O solve of the
-/// catalog, hold at their peak above what the thread held before — the
-/// relation, its cells and the shared row list, the inputs the engine
-/// hands every query of a target — per covered row. Measured on this
-/// grid: 21.6 bytes per row with the catalog keeping only the cell-ordered
-/// targets and each row's cell (the solve adds the residuals), 46.3 when
-/// it also copied the row list and kept a position map and a
-/// prior-deviation column, and the greedy an undo log.
-#[test]
-fn query_working_set_per_covered_row_is_bounded() {
-    const BOUND: f64 = 32.0;
-    let relation = grid([12, 12, 8], 50);
-    let cells = RowPartition::new(&relation, &[0, 1, 2]);
+/// The live bytes one catalog build over all rows of `relation`, then a
+/// solve of it with `summarizer`, hold at their peak above what the
+/// thread held before — the relation, its cells and the shared row
+/// list, the inputs the engine hands every query of a target — per
+/// covered row. Checks that the solve speaks three facts and repeats.
+fn working_set_per_row(relation: &EncodedRelation, summarizer: &dyn Summarizer) -> f64 {
+    let cells = RowPartition::new(relation, &[0, 1, 2]);
     let rows: Arc<[u32]> = (0..relation.len() as u32).collect();
     let solve = || {
         let catalog =
-            FactCatalog::build_over(&relation, &cells, Arc::clone(&rows), &[0, 1, 2], 0, 2)
-                .unwrap();
-        let problem = Problem::new(&relation, &catalog, 3).unwrap();
-        GreedySummarizer::with_optimized_pruning()
-            .summarize(&problem)
-            .unwrap()
+            FactCatalog::build_over(relation, &cells, Arc::clone(&rows), &[0, 1, 2], 0, 2).unwrap();
+        let problem = Problem::new(relation, &catalog, 3).unwrap();
+        summarizer.summarize(&problem).unwrap()
     };
     // Size the thread's working arrays first, outside the count.
     let first = solve();
@@ -198,8 +200,40 @@ fn query_working_set_per_covered_row_is_bounded() {
     let per_row = (PEAK.with(Cell::get) - before) as f64 / rows.len() as f64;
     assert_eq!(summary.speech.facts(), first.speech.facts());
     assert_eq!(summary.speech.len(), 3);
+    per_row
+}
+
+/// One query's working set per covered row.
+///
+/// G-O, on a grid whose cells hold 50 rows each: 21.6 bytes per row with
+/// the catalog keeping only the cell-ordered targets and each row's cell
+/// (the solve adds the residuals), 46.3 when it also copied the row list
+/// and kept a position map and a prior-deviation column, and the greedy
+/// an undo log.
+///
+/// The exact search adds its undo arena, on a grid of 2,400 rows per cell
+/// whose target steps with `a` and then `b`, so each of the three facts
+/// along a search path lowers nearly every row it covers: 55.4 bytes per
+/// row with the arena's positions and previous residuals in two columns
+/// (12 bytes an entry), 64.5 with padded `(u32, f64)` entries (16 bytes).
+#[test]
+fn query_working_set_per_covered_row_is_bounded() {
+    const GREEDY_BOUND: f64 = 32.0;
+    const EXACT_BOUND: f64 = 60.0;
+    let greedy = working_set_per_row(
+        &grid([12, 12, 8], 50),
+        &GreedySummarizer::with_optimized_pruning(),
+    );
     assert!(
-        per_row <= BOUND,
-        "{per_row:.1} bytes per covered row, more than {BOUND}"
+        greedy <= GREEDY_BOUND,
+        "G-O: {greedy:.1} bytes per covered row, more than {GREEDY_BOUND}"
+    );
+    let stepped = grid_with([2, 3, 4], 2400, |[a, b, c], copy| {
+        (10 * a + b) as f64 + (c + copy % 5) as f64 * 0.1
+    });
+    let exact = working_set_per_row(&stepped, &ExactSummarizer::paper());
+    assert!(
+        exact <= EXACT_BOUND,
+        "exact: {exact:.1} bytes per covered row, more than {EXACT_BOUND}"
     );
 }

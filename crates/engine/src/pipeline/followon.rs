@@ -5,8 +5,10 @@
 //! cheapest grounded hints already sit in the speech store: after
 //! answering the query `Q`, any stored speech whose query extends `Q` by
 //! exactly one predicate is a question the system is *guaranteed* to
-//! answer well. `suggest` picks the canonically smallest such
-//! extension so the hint is deterministic across runs and shards.
+//! answer well. `suggest` takes the canonically smallest such extension,
+//! so the hint is deterministic across runs and shards. The store keeps
+//! that extension for every query in its follow-on index
+//! ([`SpeechStore::follow_on`]), so a hint is one index probe.
 
 use crate::problem::Query;
 use crate::store::SpeechStore;
@@ -23,18 +25,11 @@ pub struct FollowOn {
 
 /// Suggest a follow-on for an answered query: the canonically first
 /// (by [`Query`]'s total order) stored speech extending `answered` by
-/// exactly one predicate. `None` when the store holds no adjacent
-/// summary — answers never invent hints. The scan is linear in the
-/// number of speeches stored for the target and clones one query per
-/// answer, the winner's.
+/// exactly one predicate, read from the store's follow-on index. `None`
+/// when the store holds no adjacent summary — answers never invent
+/// hints. It clones one query per answer, the winner's.
 pub(crate) fn suggest(store: &SpeechStore, answered: &Query) -> Option<FollowOn> {
-    let speeches = store.speeches_for_target(answered.target());
-    let query = speeches
-        .iter()
-        .map(|speech| &speech.query)
-        .filter(|candidate| candidate.len() == answered.len() + 1 && answered.subset_of(candidate))
-        .min()?
-        .clone();
+    let query = store.follow_on(answered)?.query.clone();
     let scope: Vec<String> = query
         .predicates()
         .iter()

@@ -10,16 +10,23 @@
 //! The store is sharded for concurrent traffic: speeches live in `N`
 //! lock-striped hash shards selected by query hash, so pre-processing
 //! writers and run-time readers contend only when they touch the same
-//! shard. A per-target secondary index records, per predicate count,
-//! which predicate-dimension sets actually hold speeches, so the
+//! shard. A shard is a set of speeches that hash and compare through
+//! their own query, so each query is kept once, inside its speech. A
+//! per-target secondary index records, per predicate count, which
+//! predicate-dimension sets actually hold speeches, so the
 //! generalization fallback walks only subsets no longer than the longest
-//! stored query and probes only those the index holds. Speeches are
-//! stored behind [`Arc`], so lookups hand out references without
-//! deep-copying text and facts, and delta re-summarization (see
-//! [`crate::service::VoiceService::refresh_tenant`]) can assert
-//! pointer stability of untouched entries.
+//! stored query and probes only those the index holds. The same index
+//! keeps each target's follow-on hints: for every query one predicate
+//! short of a stored query, the canonically smallest stored one-step
+//! extension, so a hint costs one hash probe instead of a scan of the
+//! target's speeches. Speeches are stored behind [`Arc`], so lookups
+//! hand out references without deep-copying text and facts, and delta
+//! re-summarization (see
+//! [`crate::service::VoiceService::refresh_tenant`]) can assert pointer
+//! stability of untouched entries.
 
-use std::hash::BuildHasher;
+use std::borrow::Borrow;
+use std::hash::{BuildHasher, Hash};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,7 +34,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use vqs_core::delta::masks_of_size;
 use vqs_core::prelude::Instrumentation;
-use vqs_relalg::hash::{FxHashMap, FxHasher};
+use vqs_relalg::hash::{FxHashMap, FxHashSet, FxHasher};
 
 use crate::problem::{Query, StoredSpeech};
 
@@ -74,11 +81,15 @@ pub struct StoreStats {
     pub generalized_hits: u64,
     /// Lookups answered by a miss.
     pub misses: u64,
-    /// Approximate resident size of the stored speeches in bytes
-    /// (struct + heap estimate per entry, see
-    /// [`StoredSpeech::approx_bytes`]). Computed by walking the shards
-    /// at snapshot time, so it tracks the *current* contents — the
-    /// scale benchmarks chart it against row count.
+    /// Approximate resident size of the store in bytes: per stored
+    /// speech, its shard slot (the speech's `Arc`, which is also its key:
+    /// the query is kept once, inside the speech) plus the speech's
+    /// struct-and-heap estimate ([`StoredSpeech::approx_bytes`]); per
+    /// follow-on hint, its slot (the parent query's predicates and the
+    /// extension's `Arc`) plus the predicates' heap. Computed by walking
+    /// the shards and the index at snapshot time, so it tracks the
+    /// *current* contents — the scale benchmarks chart it against row
+    /// count.
     pub approx_bytes: u64,
 }
 
@@ -109,16 +120,37 @@ struct CounterStripe {
     misses: AtomicU64,
 }
 
-/// Heap bytes behind a [`Query`]: the target string plus the predicate
-/// vector and its strings (string lengths, not capacities — the stable
-/// lower bound).
-fn query_heap_bytes(query: &Query) -> usize {
-    let mut bytes = query.target().len();
-    bytes += std::mem::size_of_val(query.predicates());
-    for (dim, value) in query.predicates() {
-        bytes += dim.len() + value.len();
+/// Predicates of a query, the key of the follow-on index (looked up by
+/// `&[(String, String)]`, so a read allocates nothing).
+type Predicates = Box<[(String, String)]>;
+
+/// Heap bytes behind a predicate list: the pairs plus their strings
+/// (string lengths, not capacities — the stable lower bound).
+fn predicates_heap_bytes(predicates: &[(String, String)]) -> usize {
+    let strings: usize = predicates.iter().map(|(d, v)| d.len() + v.len()).sum();
+    std::mem::size_of_val(predicates) + strings
+}
+
+/// The predicates of `query` without its `skip`-th one: the parent that
+/// `query` extends by that predicate (still sorted).
+fn parent_of(query: &Query, skip: usize) -> Vec<(String, String)> {
+    let predicates = query.predicates();
+    let mut parent = Vec::with_capacity(predicates.len() - 1);
+    parent.extend_from_slice(&predicates[..skip]);
+    parent.extend_from_slice(&predicates[skip + 1..]);
+    parent
+}
+
+/// True when `child` extends `parent` by exactly one predicate. Both are
+/// normalized (sorted, no duplicates), so that is one sorted merge.
+fn extends_by_one(parent: &[(String, String)], child: &[(String, String)]) -> bool {
+    if child.len() != parent.len() + 1 {
+        return false;
     }
-    bytes
+    let mut rest = child.iter();
+    parent
+        .iter()
+        .all(|predicate| rest.by_ref().any(|candidate| candidate == predicate))
 }
 
 /// Order-sensitive hash of a predicate-dimension name set (the names are
@@ -138,28 +170,68 @@ fn dim_set_hash<'a>(names: impl Iterator<Item = &'a str>) -> u64 {
 
 /// Per-target entry of the secondary index: the predicate-dimension sets
 /// that currently hold at least one speech (with a count for removal
-/// bookkeeping), plus the target-column prior recorded at pre-processing
-/// time (consulted by delta re-summarization).
+/// bookkeeping), the follow-on hints, plus the target-column prior
+/// recorded at pre-processing time (consulted by delta
+/// re-summarization).
 #[derive(Debug, Default)]
 struct TargetIndex {
     /// `dim_sets[k]`: [`dim_set_hash`] of a `k`-predicate dimension set →
     /// number of stored queries with it. No level past the longest stored
     /// query holds an entry, which bounds the generalization walk.
     dim_sets: Vec<FxHashMap<u64, usize>>,
+    /// Parent predicates → the canonically smallest (by [`Query`]'s
+    /// order) stored speech whose query extends them by one predicate.
+    /// A parent is held exactly while it has a stored extension.
+    followons: FxHashMap<Predicates, Arc<StoredSpeech>>,
     /// Global target average used as the §III constant prior.
     prior: Option<f64>,
 }
 
-type Shard = RwLock<FxHashMap<Query, Arc<StoredSpeech>>>;
+/// A stored speech as its own shard key: it hashes and compares through
+/// its query (`Borrow<Query>`), so a shard probes by `&Query` and keeps
+/// no second copy of the query.
+#[derive(Debug)]
+struct Entry(Arc<StoredSpeech>);
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Entry) -> bool {
+        self.0.query == other.0.query
+    }
+}
+
+impl Eq for Entry {}
+
+impl Hash for Entry {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.query.hash(state);
+    }
+}
+
+impl Borrow<Query> for Entry {
+    fn borrow(&self) -> &Query {
+        &self.0.query
+    }
+}
+
+type Shard = RwLock<FxHashSet<Entry>>;
+
+/// The speech `shard` holds for `query`, if any.
+fn probe(shard: &Shard, query: &Query) -> Option<Arc<StoredSpeech>> {
+    shard
+        .read()
+        .get(query)
+        .map(|Entry(speech)| Arc::clone(speech))
+}
 
 /// Thread-safe, sharded speech store.
 ///
-/// Pre-processing threads insert concurrently; the voice runtime performs
-/// short read-locked hash probes (§VIII-E measures lookups in
-/// microseconds). No method ever holds two locks at once, so readers and
-/// writers cannot deadlock regardless of interleaving; the secondary
-/// index may briefly trail a concurrent insert, which only costs a
-/// transiently more general answer, never a malformed one.
+/// Any thread may write; writers serialize on the index write lock and
+/// change the shard under it, so the secondary index and the follow-on
+/// hints never trail the shards. The voice runtime performs short
+/// read-locked hash probes (§VIII-E measures lookups in microseconds).
+/// Readers take one lock at a time, and nothing takes the index lock
+/// while holding a shard lock, so readers and writers cannot deadlock
+/// regardless of interleaving.
 #[derive(Debug)]
 pub struct SpeechStore {
     shards: Box<[Shard]>,
@@ -217,21 +289,40 @@ impl SpeechStore {
     }
 
     /// Insert an already-shared speech (used by the refresh path to keep
-    /// untouched entries pointer-stable).
+    /// untouched entries pointer-stable). The speech's own query is its
+    /// key. Each parent the query extends by one predicate takes the
+    /// speech as its follow-on hint when the query is smaller than the
+    /// parent's current hint, or is that hint's query (a replace).
     pub fn insert_arc(&self, speech: Arc<StoredSpeech>) {
-        let query = speech.query.clone();
-        let replaced = self.shard(&query).write().insert(query.clone(), speech);
+        let query = &speech.query;
+        let mut index = self.index.write();
+        let replaced = self
+            .shard(query)
+            .write()
+            .replace(Entry(Arc::clone(&speech)));
+        let target = index.entry(query.target().to_string()).or_default();
         if replaced.is_none() {
             let dims = dim_set_hash(query.predicates().iter().map(|(d, _)| d.as_str()));
-            let mut index = self.index.write();
-            let levels = &mut index
-                .entry(query.target().to_string())
-                .or_default()
-                .dim_sets;
+            let levels = &mut target.dim_sets;
             if levels.len() <= query.len() {
                 levels.resize_with(query.len() + 1, FxHashMap::default);
             }
             *levels[query.len()].entry(dims).or_insert(0) += 1;
+        }
+        for skip in 0..query.len() {
+            let parent = parent_of(query, skip);
+            match target.followons.get_mut(parent.as_slice()) {
+                Some(smallest) => {
+                    if *query <= smallest.query {
+                        *smallest = Arc::clone(&speech);
+                    }
+                }
+                None => {
+                    target
+                        .followons
+                        .insert(parent.into_boxed_slice(), Arc::clone(&speech));
+                }
+            }
         }
     }
 
@@ -242,40 +333,78 @@ impl SpeechStore {
         }
     }
 
-    /// Remove the speech stored for exactly this query, if any.
+    /// Remove the speech stored for exactly this query, if any. A parent
+    /// whose follow-on hint was this query gets the next smallest of its
+    /// stored extensions, found by one walk over the shards; the walk runs
+    /// only then, and removals are rare (a refresh removes only
+    /// combinations that vanished from the data).
     pub fn remove(&self, query: &Query) -> Option<Arc<StoredSpeech>> {
-        let removed = self.shard(query).write().remove(query);
-        if removed.is_some() {
-            let dims = dim_set_hash(query.predicates().iter().map(|(d, _)| d.as_str()));
-            let mut index = self.index.write();
-            let level = index
-                .get_mut(query.target())
-                .and_then(|entry| entry.dim_sets.get_mut(query.len()));
-            if let Some(level) = level {
-                if let Some(count) = level.get_mut(&dims) {
-                    *count -= 1;
-                    if *count == 0 {
-                        level.remove(&dims);
+        let mut index = self.index.write();
+        let Entry(removed) = self.shard(query).write().take(query)?;
+        let target = index
+            .get_mut(query.target())
+            .expect("a stored query's target is indexed");
+        let dims = dim_set_hash(query.predicates().iter().map(|(d, _)| d.as_str()));
+        if let Some(level) = target.dim_sets.get_mut(query.len()) {
+            if let Some(count) = level.get_mut(&dims) {
+                *count -= 1;
+                if *count == 0 {
+                    level.remove(&dims);
+                }
+            }
+        }
+        let orphans: Vec<Vec<(String, String)>> = (0..query.len())
+            .map(|skip| parent_of(query, skip))
+            .filter(|parent| {
+                target
+                    .followons
+                    .get(parent.as_slice())
+                    .is_some_and(|smallest| smallest.query == *query)
+            })
+            .collect();
+        if orphans.is_empty() {
+            return Some(removed);
+        }
+        let mut smallest: Vec<Option<Arc<StoredSpeech>>> = vec![None; orphans.len()];
+        for shard in self.shards.iter() {
+            for Entry(speech) in shard.read().iter() {
+                let candidate = &speech.query;
+                if candidate.len() != query.len() || candidate.target() != query.target() {
+                    continue;
+                }
+                for (parent, best) in orphans.iter().zip(smallest.iter_mut()) {
+                    if extends_by_one(parent, candidate.predicates())
+                        && best.as_ref().is_none_or(|best| *candidate < best.query)
+                    {
+                        *best = Some(Arc::clone(speech));
                     }
                 }
             }
         }
-        removed
+        for (parent, best) in orphans.into_iter().zip(smallest) {
+            match best {
+                Some(best) => target.followons.insert(parent.into_boxed_slice(), best),
+                None => target.followons.remove(parent.as_slice()),
+            };
+        }
+        Some(removed)
     }
 
     /// Drop every speech for a target column; returns how many were
-    /// removed. Also forgets the target's recorded prior, so the next
+    /// removed. Also forgets the target's recorded prior and follow-on
+    /// hints, so the next
     /// [`crate::service::VoiceService::refresh_tenant`] recomputes the
     /// target from scratch.
     pub fn invalidate_target(&self, target: &str) -> usize {
+        let mut index = self.index.write();
         let mut removed = 0;
         for shard in self.shards.iter() {
-            let mut map = shard.write();
-            let before = map.len();
-            map.retain(|query, _| query.target() != target);
-            removed += before - map.len();
+            let mut set = shard.write();
+            let before = set.len();
+            set.retain(|Entry(speech)| speech.query.target() != target);
+            removed += before - set.len();
         }
-        self.index.write().remove(target);
+        index.remove(target);
         removed
     }
 
@@ -306,7 +435,18 @@ impl SpeechStore {
 
     /// Exact lookup only (not counted in the run-time stats).
     pub fn get(&self, query: &Query) -> Option<Arc<StoredSpeech>> {
-        self.shard(query).read().get(query).cloned()
+        probe(self.shard(query), query)
+    }
+
+    /// The follow-on hint for `query`, stored or not: the canonically
+    /// smallest (by [`Query`]'s order) stored speech whose query extends
+    /// `query` by exactly one predicate. One probe of the follow-on
+    /// index, kept current by every insert and remove; `None` when no
+    /// stored query extends `query`.
+    pub fn follow_on(&self, query: &Query) -> Option<Arc<StoredSpeech>> {
+        let index = self.index.read();
+        let target = index.get(query.target())?;
+        target.followons.get(query.predicates()).cloned()
     }
 
     /// The §III run-time lookup with most-specific-generalization
@@ -326,7 +466,7 @@ impl SpeechStore {
         let stripe = &self.counters[shard_index];
         stripe.lookups.fetch_add(1, Ordering::Relaxed);
         stripe.probes.fetch_add(1, Ordering::Relaxed);
-        if let Some(speech) = self.shards[shard_index].read().get(query).cloned() {
+        if let Some(speech) = probe(&self.shards[shard_index], query) {
             stripe.exact_hits.fetch_add(1, Ordering::Relaxed);
             return Lookup::Exact(speech);
         }
@@ -361,7 +501,7 @@ impl SpeechStore {
         for mask in candidates {
             stripe.probes.fetch_add(1, Ordering::Relaxed);
             let candidate = query.predicate_subset(mask);
-            if let Some(speech) = self.shard(&candidate).read().get(&candidate).cloned() {
+            if let Some(speech) = self.get(&candidate) {
                 stripe.generalized_hits.fetch_add(1, Ordering::Relaxed);
                 return Lookup::Generalized {
                     speech,
@@ -380,9 +520,9 @@ impl SpeechStore {
             .flat_map(|shard| {
                 shard
                     .read()
-                    .values()
-                    .filter(|s| s.query.target() == target)
-                    .cloned()
+                    .iter()
+                    .filter(|Entry(s)| s.query.target() == target)
+                    .map(|Entry(s)| Arc::clone(s))
                     .collect::<Vec<_>>()
             })
             .collect()
@@ -392,7 +532,12 @@ impl SpeechStore {
     pub fn queries(&self) -> Vec<Query> {
         self.shards
             .iter()
-            .flat_map(|shard| shard.read().keys().cloned().collect::<Vec<_>>())
+            .flat_map(|shard| {
+                let set = shard.read();
+                set.iter()
+                    .map(|Entry(s)| s.query.clone())
+                    .collect::<Vec<_>>()
+            })
             .collect()
     }
 
@@ -403,7 +548,10 @@ impl SpeechStore {
         let mut speeches: Vec<Arc<StoredSpeech>> = self
             .shards
             .iter()
-            .flat_map(|shard| shard.read().values().cloned().collect::<Vec<_>>())
+            .flat_map(|shard| {
+                let set = shard.read();
+                set.iter().map(|Entry(s)| Arc::clone(s)).collect::<Vec<_>>()
+            })
             .collect();
         speeches.sort_by(|a, b| a.query.cmp(&b.query));
         speeches
@@ -424,20 +572,33 @@ impl SpeechStore {
         stats
     }
 
-    /// Approximate resident size of the store in bytes: per-entry map
-    /// overhead plus each stored speech's struct-and-heap estimate. One
-    /// read-locked walk per call — a diagnostic, not a hot path.
+    /// Approximate resident size of the store in bytes (see
+    /// [`StoreStats::approx_bytes`]): per-entry set overhead plus each
+    /// stored speech's struct-and-heap estimate, and the follow-on
+    /// index's entries with their parent predicates. One read-locked walk
+    /// per call — a diagnostic, not a hot path.
     pub fn approx_bytes(&self) -> usize {
         let mut bytes = 0usize;
         for shard in self.shards.iter() {
-            let map = shard.read();
-            // Hash-map slot (key + Arc pointer + hash bookkeeping).
-            bytes += map.len()
-                * (std::mem::size_of::<Query>() + std::mem::size_of::<Arc<StoredSpeech>>() + 8);
-            for (query, speech) in map.iter() {
-                bytes += query_heap_bytes(query);
-                bytes += speech.approx_bytes();
-            }
+            let set = shard.read();
+            // Set slot (the speech's Arc, also its key) + hash bookkeeping.
+            bytes += set.len() * (std::mem::size_of::<Entry>() + 8);
+            bytes += set
+                .iter()
+                .map(|Entry(speech)| speech.approx_bytes())
+                .sum::<usize>();
+        }
+        for target in self.index.read().values() {
+            // Map slot (parent predicates + Arc) + hash bookkeeping.
+            bytes += target.followons.len()
+                * (std::mem::size_of::<Predicates>()
+                    + std::mem::size_of::<Arc<StoredSpeech>>()
+                    + 8);
+            bytes += target
+                .followons
+                .keys()
+                .map(|parent| predicates_heap_bytes(parent))
+                .sum::<usize>();
         }
         bytes
     }

@@ -1,6 +1,7 @@
 //! Differential testing: the sharded, index-accelerated store must agree
 //! with a naive linear-scan reference on every lookup — exact hits,
-//! generalization fallbacks including tie-breaking, and misses — plus an
+//! generalization fallbacks including tie-breaking, and misses — and on
+//! every follow-on hint through random sequences of writes, plus an
 //! instrumented check that the fallback probes only indexed candidates.
 
 use proptest::prelude::*;
@@ -87,6 +88,15 @@ impl NaiveStore {
             },
         }
     }
+
+    /// The follow-on hint by one linear scan: the canonically smallest
+    /// stored speech whose query extends `query` by exactly one predicate.
+    fn follow_on(&self, query: &Query) -> Option<&StoredSpeech> {
+        self.speeches
+            .iter()
+            .filter(|s| s.query.len() == query.len() + 1 && query.subset_of(&s.query))
+            .min_by(|a, b| a.query.cmp(&b.query))
+    }
 }
 
 fn make_speech(query: Query) -> StoredSpeech {
@@ -123,6 +133,57 @@ fn arb_query() -> impl Strategy<Value = Query> {
                     .map(|(d, v)| (dim(d), VALUES[v].to_string())),
             )
         })
+}
+
+/// Every query [`arb_query`] can draw: each target with every set of at
+/// most 3 of the 12 (dimension, value) pairs.
+fn query_universe() -> Vec<Query> {
+    let pairs: Vec<(String, String)> = (0..4)
+        .flat_map(|d| VALUES.iter().map(move |v| (dim(d), v.to_string())))
+        .collect();
+    let mut sets: Vec<Vec<(String, String)>> = vec![vec![]];
+    for (i, first) in pairs.iter().enumerate() {
+        sets.push(vec![first.clone()]);
+        for (j, second) in pairs.iter().enumerate().skip(i + 1) {
+            sets.push(vec![first.clone(), second.clone()]);
+            for third in &pairs[j + 1..] {
+                sets.push(vec![first.clone(), second.clone(), third.clone()]);
+            }
+        }
+    }
+    TARGETS
+        .iter()
+        .flat_map(|target| sets.iter().map(|set| Query::new(*target, set.clone())))
+        .collect()
+}
+
+/// One write of a follow-on sequence.
+#[derive(Debug, Clone)]
+enum Write {
+    /// Insert a speech (a replace when its query is already stored).
+    Insert(Query),
+    /// Re-insert the `n`-th stored query (mod the stored count) with new
+    /// text.
+    Replace(usize),
+    /// Remove the `n`-th stored query (mod the stored count).
+    Remove(usize),
+    /// Remove a drawn query, stored or not.
+    RemoveDrawn(Query),
+    /// Drop every speech of `TARGETS[t]`.
+    Invalidate(usize),
+}
+
+fn arb_write() -> impl Strategy<Value = Write> {
+    prop_oneof![
+        arb_query().prop_map(Write::Insert),
+        arb_query().prop_map(Write::Insert),
+        arb_query().prop_map(Write::Insert),
+        (0usize..64).prop_map(Write::Replace),
+        (0usize..64).prop_map(Write::Remove),
+        (0usize..64).prop_map(Write::Remove),
+        arb_query().prop_map(Write::RemoveDrawn),
+        (0usize..3).prop_map(Write::Invalidate),
+    ]
 }
 
 /// Long probes for stores of [`arb_query`]s: up to 16 predicates over a
@@ -265,4 +326,69 @@ fn real_store_fallback_probe_count_is_indexed() {
     // Far below the full 2^3 = 8 subset walk and the store-scan bound.
     assert!(instr.store_probes < 8);
     assert!((instr.store_probes as usize) < store.len());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // The follow-on index ≡ a linear scan for the canonically smallest
+    // one-step extension, for every query of the universe (stored or
+    // not), after every write of a random insert / replace / remove /
+    // invalidate sequence, for every shard count. The hint must also be
+    // the speech currently stored for its query, not a replaced one.
+    #[test]
+    fn follow_on_hints_match_linear_scan_after_every_write(
+        writes in prop::collection::vec(arb_write(), 1..40),
+        shards in prop_oneof![Just(1usize), Just(2), Just(16)],
+    ) {
+        let universe = query_universe();
+        let sharded = SpeechStore::with_shards(shards);
+        let mut naive = NaiveStore::default();
+        for (step, write) in writes.iter().enumerate() {
+            let nth = |n: usize| {
+                (!naive.speeches.is_empty())
+                    .then(|| naive.speeches[n % naive.speeches.len()].query.clone())
+            };
+            match write {
+                Write::Insert(query) => {
+                    sharded.insert(make_speech(query.clone()));
+                    naive.insert(make_speech(query.clone()));
+                }
+                Write::Replace(n) => {
+                    if let Some(query) = nth(*n) {
+                        let mut speech = make_speech(query);
+                        speech.text = format!("{} (replaced at {step})", speech.text);
+                        sharded.insert(speech.clone());
+                        naive.insert(speech);
+                    }
+                }
+                Write::Remove(n) => {
+                    if let Some(query) = nth(*n) {
+                        prop_assert!(sharded.remove(&query).is_some());
+                        naive.speeches.retain(|s| s.query != query);
+                    }
+                }
+                Write::RemoveDrawn(query) => {
+                    let removed = sharded.remove(query).is_some();
+                    let before = naive.speeches.len();
+                    naive.speeches.retain(|s| s.query != *query);
+                    prop_assert_eq!(removed, naive.speeches.len() < before);
+                }
+                Write::Invalidate(t) => {
+                    sharded.invalidate_target(TARGETS[*t]);
+                    naive.speeches.retain(|s| s.query.target() != TARGETS[*t]);
+                }
+            }
+            prop_assert_eq!(sharded.len(), naive.speeches.len());
+            for query in &universe {
+                let got = sharded
+                    .follow_on(query)
+                    .map(|s| (s.query.clone(), s.text.clone()));
+                let want = naive
+                    .follow_on(query)
+                    .map(|s| (s.query.clone(), s.text.clone()));
+                prop_assert_eq!(got, want, "query {} after write {} ({:?})", query, step, write);
+            }
+        }
+    }
 }
