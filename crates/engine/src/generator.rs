@@ -14,13 +14,14 @@
 //! index before they touch the store, which makes the output (and the
 //! merged [`Instrumentation`] totals) independent of the worker count.
 //!
-//! `resummarize_with` brings a store up to date with changed data: it
-//! recomputes only the queries whose data subset changed, keeps every
-//! other stored speech pointer-stable, and drops queries whose value
-//! combination disappeared from the data. The batch refresh
-//! ([`crate::service::VoiceService::refresh_tenant`], through
-//! `refresh_with`) selects those queries by changed rows, and the
-//! streaming ingest flush by the dirty keys of its delta log.
+//! `resummarize_with` is the one path by which speeches reach a store: it
+//! solves the queries whose data subset changed, keeps every other
+//! stored speech pointer-stable, and drops queries whose value
+//! combination disappeared from the data. A registration runs it into an
+//! empty store, where every query is new. The batch refresh
+//! ([`crate::service::VoiceService::refresh_tenant`]) and the streaming
+//! ingest flush run it with the dirty keys of what changed: the refresh
+//! spells them from its changed rows, the flush takes its delta log's.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -33,6 +34,7 @@ use vqs_relalg::prelude::Table;
 
 use crate::config::Configuration;
 use crate::error::{EngineError, Result};
+use crate::ingest::DirtyKeys;
 use crate::problem::{NamedFact, Query, StoredSpeech};
 use crate::service::{ScatterPriority, SolverPool};
 use crate::store::SpeechStore;
@@ -90,8 +92,10 @@ impl PreprocessReport {
     }
 }
 
-/// Aggregate report of one refresh run (see
-/// [`crate::service::VoiceService::refresh_tenant`]).
+/// Aggregate report of one re-summarization pass, as
+/// [`crate::service::VoiceService::refresh_tenant`] returns it. A
+/// registration and an ingest flush run the same pass and report it as a
+/// [`PreprocessReport`] and a [`crate::ingest::FlushReport`].
 #[derive(Debug, Clone, Default)]
 pub struct RefreshReport {
     /// Queries enumerated over the new data (across all targets).
@@ -103,7 +107,7 @@ pub struct RefreshReport {
     /// Stored queries removed because their value combination no longer
     /// occurs in the data.
     pub removed: usize,
-    /// Wall-clock time of the whole refresh.
+    /// Wall-clock time of the whole pass.
     pub elapsed: Duration,
     /// Wall-clock time of the serial set-up before the solves (part of
     /// `elapsed`), as in [`PreprocessReport::plan_time`].
@@ -559,132 +563,26 @@ fn run_jobs<S: Summarizer + Sync + ?Sized>(
     ))
 }
 
-/// Pre-processing on `pool`; the implementation behind
-/// [`crate::service::VoiceService::register_dataset`]. Targets without
-/// an entry in `templates` use [`SpeechTemplate::plain`].
-pub(crate) fn preprocess_with<S: Summarizer + Sync + ?Sized>(
-    table: &Table,
-    config: &Configuration,
-    summarizer: &S,
-    templates: &FxHashMap<String, SpeechTemplate>,
-    pool: &SolverPool,
-    priority: ScatterPriority,
-) -> Result<(SpeechStore, PreprocessReport)> {
-    let start = Instant::now();
-    let plans = build_plans(table, config, templates)?;
-    let plan_time = start.elapsed();
-    let jobs: Vec<(usize, usize)> = plans
-        .targets
-        .iter()
-        .enumerate()
-        .flat_map(|(plan_index, plan)| (0..plan.items.len()).map(move |i| (plan_index, i)))
-        .collect();
-    let total_queries = jobs.len();
-    let (solved, solver_time) = run_jobs(&plans, &jobs, config, summarizer, pool, priority)?;
-
-    let store = SpeechStore::new();
-    let mut instrumentation = Instrumentation::default();
-    for (speech, counters) in solved {
-        instrumentation.merge(&counters);
-        store.insert(speech);
-    }
-    for plan in &plans.targets {
-        store.set_target_prior(&plan.target, plan.prior);
-    }
-
-    let speeches = store.len();
-    Ok((
-        store,
-        PreprocessReport {
-            queries: total_queries,
-            speeches,
-            elapsed: start.elapsed(),
-            plan_time,
-            solver_time,
-            instrumentation,
-        },
-    ))
-}
-
-/// Delta re-summarization on `pool`: bring `store` up to date with
-/// `table` after the rows in `changed_rows` were mutated, recomputing
-/// only the queries whose data subset actually changed.
+/// Solve `table`'s queries into `store` on `pool`, queued on `priority`:
+/// the one path by which speeches reach a store. Registration runs it
+/// into an empty store, which solves every query; a batch refresh and an
+/// ingest flush run it into the tenant's store with the keys of what
+/// changed.
 ///
-/// A query is recomputed when any of these hold:
-/// - its (new) subset contains a changed row — covers changed target
-///   values and rows that moved *into* the subset;
-/// - its stored row count differs from the new subset size — covers rows
-///   that moved *out of* the subset;
-/// - it has no stored speech yet — covers value combinations newly
-///   appearing in the data (or targets invalidated via
-///   [`SpeechStore::invalidate_target`]);
+/// A query is solved when any of these hold:
+/// - its predicates are among the `dirty` keys of its target — its
+///   subset holds a changed row;
+/// - its stored row count differs from the new subset size — rows moved
+///   *out of* the subset;
+/// - it has no stored speech — its value combination is new to the data
+///   (or its target was dropped via [`SpeechStore::invalidate_target`]);
 /// - the target's global average (the §III constant prior) drifted, which
 ///   invalidates every speech of that target.
 ///
-/// Stored queries whose value combination vanished are removed. All other
-/// entries are left untouched — the same [`std::sync::Arc`] keeps serving
-/// — so after a refresh the store is element-wise identical to a full
-/// pre-processing pass over the new data.
-///
-/// This is the implementation behind
-/// [`crate::service::VoiceService::refresh_tenant`]: a thin wrapper over
-/// [`resummarize_with`] selecting queries by changed row membership.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn refresh_with<S: Summarizer + Sync + ?Sized>(
-    table: &Table,
-    config: &Configuration,
-    summarizer: &S,
-    templates: &FxHashMap<String, SpeechTemplate>,
-    store: &SpeechStore,
-    changed_rows: &[usize],
-    pool: &SolverPool,
-    priority: ScatterPriority,
-) -> Result<RefreshReport> {
-    resummarize_with(
-        table,
-        config,
-        summarizer,
-        templates,
-        store,
-        Invalidation::ChangedRows(changed_rows),
-        pool,
-        priority,
-    )
-}
-
-/// A normalized (sorted) predicate list identifying one value
-/// combination, exactly as [`Query::predicates`] stores them.
-pub(crate) type DirtyKey = Vec<(String, String)>;
-
-/// How a re-summarization pass decides which live queries are dirty.
-///
-/// Both the batch refresh path and the streaming ingest circuit funnel
-/// through [`resummarize_with`] with one of these selectors, so the two
-/// paths cannot diverge on invalidation semantics.
-pub(crate) enum Invalidation<'a> {
-    /// Row indexes (into the *new* data) that were mutated — the batch
-    /// `refresh` contract: any query whose subset contains a changed row
-    /// is recomputed.
-    ChangedRows(&'a [usize]),
-    /// Exact dirty predicate-combination keys produced by the streaming
-    /// invalidation circuit. Keys are normalized (sorted) predicate
-    /// lists, exactly as [`Query::predicates`] stores them: `all`
-    /// applies to every target (dimension-membership changes), the
-    /// per-target sets only to queries of that target (target-value
-    /// changes that left the global mean bit-identical).
-    DirtyKeys {
-        /// Combinations dirtied for every target.
-        all: &'a FxHashSet<DirtyKey>,
-        /// Combinations dirtied for a single target only.
-        by_target: &'a FxHashMap<String, FxHashSet<DirtyKey>>,
-    },
-}
-
-/// The shared re-summarization core: bring `store` up to date with
-/// `table`, recomputing only the queries `invalidation` marks dirty
-/// (plus the safety-net cases below), removing stored queries whose
-/// value combination vanished, and leaving every other entry
-/// `Arc`-pointer-stable. The store is only mutated after *every* dirty
+/// Stored queries whose value combination vanished are removed. Every
+/// other entry is left untouched — the same [`std::sync::Arc`] keeps
+/// serving — so afterwards the store is element-wise identical to a
+/// registration over `table`. The store is only mutated after *every*
 /// query solved, so a failed pass leaves it untouched.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
@@ -693,7 +591,7 @@ pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
     summarizer: &S,
     templates: &FxHashMap<String, SpeechTemplate>,
     store: &SpeechStore,
-    invalidation: Invalidation<'_>,
+    dirty: &DirtyKeys,
     pool: &SolverPool,
     priority: ScatterPriority,
 ) -> Result<RefreshReport> {
@@ -701,24 +599,12 @@ pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
     let plans = build_plans(table, config, templates)?;
     let plan_time = start.elapsed();
 
-    let mut queries = 0usize;
+    let queries: usize = plans.targets.iter().map(|plan| plan.items.len()).sum();
     let mut kept = 0usize;
-    let mut jobs: Vec<(usize, usize)> = Vec::new();
+    // Sized for a registration, which solves every query.
+    let mut jobs: Vec<(usize, usize)> = Vec::with_capacity(queries);
     let mut stale: Vec<Query> = Vec::new();
     for (plan_index, plan) in plans.targets.iter().enumerate() {
-        queries += plan.items.len();
-        let changed: Option<Vec<bool>> = match &invalidation {
-            Invalidation::ChangedRows(rows) => {
-                let mut flags = vec![false; plan.relation.len()];
-                for &row in rows.iter() {
-                    if row < flags.len() {
-                        flags[row] = true;
-                    }
-                }
-                Some(flags)
-            }
-            Invalidation::DirtyKeys { .. } => None,
-        };
         // The prior is recomputed deterministically from the data, so an
         // unchanged target column reproduces it bit-for-bit; any other
         // value means every kept speech of this target would embed a
@@ -729,34 +615,16 @@ pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
         };
         // Note stored queries whose value combination no longer occurs;
         // actual removal is deferred until solving has succeeded so a
-        // failed refresh never leaves a live store partially mutated.
-        let live: FxHashSet<&Query> = plan.items.iter().map(|item| &item.query).collect();
-        for speech in store.speeches_for_target(&plan.target) {
-            if !live.contains(&speech.query) {
-                stale.push(speech.query.clone());
-            }
+        // failed pass never leaves a live store partially mutated.
+        let stored = store.speeches_for_target(&plan.target);
+        if !stored.is_empty() {
+            let live: FxHashSet<&Query> = plan.items.iter().map(|item| &item.query).collect();
+            let vanished = stored.iter().filter(|speech| !live.contains(&speech.query));
+            stale.extend(vanished.map(|speech| speech.query.clone()));
         }
         for (item_index, item) in plan.items.iter().enumerate() {
-            let data_dirty = match &invalidation {
-                Invalidation::ChangedRows(_) => {
-                    let flags = changed.as_ref().expect("flags built for ChangedRows");
-                    item.rows.iter().any(|&row| flags[row as usize])
-                }
-                Invalidation::DirtyKeys { all, by_target } => {
-                    let key: &[(String, String)] = item.query.predicates();
-                    all.contains(key)
-                        || by_target
-                            .get(&plan.target)
-                            .is_some_and(|set| set.contains(key))
-                }
-            };
-            // The stored-speech checks are a safety net shared by both
-            // selectors: a missing entry covers combinations newly
-            // appearing in the data (or targets invalidated wholesale),
-            // a row-count mismatch covers rows that moved out of the
-            // subset.
             let affected = prior_drifted
-                || data_dirty
+                || dirty.contains(&plan.target, item.query.predicates())
                 || store
                     .get(&item.query)
                     .is_none_or(|existing| existing.rows != item.rows.len());
@@ -797,47 +665,60 @@ pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
     })
 }
 
-// These tests drive `preprocess_with`/`refresh_with` on small private
-// pools; the facade path is covered by `service::tests` and the
-// `vqs-integration` service suite.
+// These tests drive `resummarize_with` on small private pools; the
+// facade path is covered by `service::tests` and the `vqs-integration`
+// service suite.
 #[cfg(test)]
 mod tests {
     use super::*;
     use vqs_data::{DimSpec, SynthSpec, TargetSpec};
 
-    /// [`preprocess_with`] with plain templates on `pool`'s bulk lane.
+    /// A registration: [`resummarize_with`] with plain templates into an
+    /// empty store on `pool`'s bulk lane.
     fn preprocess<S: Summarizer + Sync + ?Sized>(
         dataset: &GeneratedDataset,
         config: &Configuration,
         summarizer: &S,
         pool: &SolverPool,
     ) -> Result<(SpeechStore, PreprocessReport)> {
-        preprocess_with(
+        let store = SpeechStore::new();
+        let report = resummarize_with(
             &dataset.table,
             config,
             summarizer,
             &FxHashMap::default(),
+            &store,
+            &DirtyKeys::default(),
             pool,
             ScatterPriority::Bulk,
-        )
+        )?;
+        let report = PreprocessReport {
+            queries: report.queries,
+            speeches: store.len(),
+            elapsed: report.elapsed,
+            plan_time: report.plan_time,
+            solver_time: report.solver_time,
+            instrumentation: report.instrumentation,
+        };
+        Ok((store, report))
     }
 
-    /// [`refresh_with`] with plain templates on `pool`'s interactive lane.
+    /// A refresh naming no changed rows: [`resummarize_with`] with plain
+    /// templates and no dirty keys on `pool`'s interactive lane.
     fn refresh<S: Summarizer + Sync + ?Sized>(
         dataset: &GeneratedDataset,
         config: &Configuration,
         summarizer: &S,
         pool: &SolverPool,
         store: &SpeechStore,
-        changed_rows: &[usize],
     ) -> Result<RefreshReport> {
-        refresh_with(
+        resummarize_with(
             &dataset.table,
             config,
             summarizer,
             &FxHashMap::default(),
             store,
-            changed_rows,
+            &DirtyKeys::default(),
             pool,
             ScatterPriority::Interactive,
         )
@@ -1051,7 +932,7 @@ mod tests {
         let pool = SolverPool::new(0);
         let (store, _) = preprocess(&data, &cfg, &summarizer, &pool).unwrap();
         let before = store.snapshot();
-        let report = refresh(&data, &cfg, &summarizer, &pool, &store, &[]).unwrap();
+        let report = refresh(&data, &cfg, &summarizer, &pool, &store).unwrap();
         assert_eq!(report.recomputed, 0);
         assert_eq!(report.kept, report.queries);
         assert_eq!(report.removed, 0);
@@ -1072,7 +953,7 @@ mod tests {
         let (store, _) = preprocess(&data, &cfg, &summarizer, &pool).unwrap();
         let cancelled_before = store.snapshot();
         assert_eq!(store.invalidate_target("delay"), 12);
-        let report = refresh(&data, &cfg, &summarizer, &pool, &store, &[]).unwrap();
+        let report = refresh(&data, &cfg, &summarizer, &pool, &store).unwrap();
         assert_eq!(report.recomputed, 12);
         assert_eq!(report.kept, 12);
         assert_eq!(store.len(), 24);
@@ -1124,7 +1005,6 @@ mod tests {
             &FailingSummarizer { fail_on_row: 0 },
             &pool,
             &store,
-            &[],
         )
         .unwrap_err();
         assert!(matches!(err, EngineError::Core(_)));
@@ -1134,7 +1014,7 @@ mod tests {
             assert!(std::sync::Arc::ptr_eq(a, b), "{}", a.query);
         }
         // A subsequent successful refresh recovers fully.
-        let report = refresh(&data, &cfg, &summarizer, &pool, &store, &[]).unwrap();
+        let report = refresh(&data, &cfg, &summarizer, &pool, &store).unwrap();
         assert_eq!(report.recomputed, 24);
         assert_eq!(store.snapshot().len(), 24);
     }
@@ -1147,7 +1027,7 @@ mod tests {
         let pool = SolverPool::new(0);
         let (reference, _) = preprocess(&data, &cfg, &summarizer, &pool).unwrap();
         let store = SpeechStore::new();
-        let report = refresh(&data, &cfg, &summarizer, &pool, &store, &[]).unwrap();
+        let report = refresh(&data, &cfg, &summarizer, &pool, &store).unwrap();
         assert_eq!(report.recomputed, 24);
         assert_eq!(report.kept, 0);
         assert_eq!(store.snapshot(), reference.snapshot());

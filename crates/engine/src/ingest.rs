@@ -34,10 +34,12 @@
 //!    last-good speech until its replacement is atomically swapped in.
 //!
 //! **Convergence contract:** once the log drains (every accepted seqno
-//! flushed), the store snapshot is byte-identical to a cold
-//! `preprocess` of the final table — the same contract the batch
-//! `refresh` path honors, enforced by funneling both paths through one
-//! shared invalidation/re-solve core.
+//! flushed), the store snapshot is byte-identical to a registration of
+//! the final table — the contract a batch refresh honors too. All three
+//! solve through `generator::resummarize_with` with one `DirtyKeys`
+//! selector: a flush hands it the circuit's sets, a batch refresh the
+//! keys `DirtyKeys::of_rows` spells from its changed rows with the
+//! circuit's own key code, and a registration none.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,11 +48,10 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use vqs_core::prelude::{masked_combo, subset_masks};
 use vqs_relalg::hash::{FxHashMap, FxHashSet};
-use vqs_relalg::prelude::{Schema, Table, Value};
+use vqs_relalg::prelude::{ColumnData, Schema, Table, Value};
 
 use crate::config::Configuration;
 use crate::error::{EngineError, Result};
-use crate::generator::DirtyKey;
 
 /// One row-level change to a tenant's data, interpreted against the
 /// table state produced by all previously accepted deltas.
@@ -198,6 +199,62 @@ impl IngestCounters {
     }
 }
 
+/// A normalized (sorted) predicate list identifying one value
+/// combination, exactly as [`crate::problem::Query::predicates`] stores
+/// them.
+pub(crate) type DirtyKey = Vec<(String, String)>;
+
+/// The value combinations whose queries a re-summarization solves again.
+#[derive(Debug, Default)]
+pub(crate) struct DirtyKeys {
+    /// Combinations dirtied for every target (dimension-membership
+    /// changes).
+    pub(crate) all: FxHashSet<DirtyKey>,
+    /// Combinations dirtied for a single target only (target-value
+    /// changes).
+    pub(crate) by_target: FxHashMap<String, FxHashSet<DirtyKey>>,
+}
+
+impl DirtyKeys {
+    /// The keys of every query, of every target, whose subset of `table`
+    /// holds one of `rows`; indexes past its end are ignored. `table` is
+    /// a tenant's projection, so its first columns are `config`'s
+    /// dimensions. Rows of one cell share their keys, so the rows are
+    /// deduplicated by cell, on their stored bits, and one row of each
+    /// cell is spelled.
+    pub(crate) fn of_rows(table: &Table, config: &Configuration, rows: &[usize]) -> DirtyKeys {
+        let dims = &config.dimensions;
+        let columns: Vec<&ColumnData> = (0..dims.len())
+            .map(|col| table.column(col).expect("a projected dimension"))
+            .collect();
+        let mut cells: FxHashMap<Vec<Option<u64>>, usize> = FxHashMap::default();
+        let mut cell = Vec::with_capacity(dims.len());
+        for &row in rows.iter().filter(|&&row| row < table.len()) {
+            cell.clear();
+            cell.extend(columns.iter().map(|column| stored_bits(column, row)));
+            if !cells.contains_key(&cell) {
+                cells.insert(cell.clone(), row);
+            }
+        }
+        let masks = subset_masks(dims.len(), config.max_query_length);
+        let mut keys = DirtyKeys::default();
+        for &row in cells.values() {
+            let values = spelled(&table.row(row)[..dims.len()]);
+            keys.all.extend(combo_keys(dims, &masks, &values));
+        }
+        keys
+    }
+
+    /// Whether `key` is dirty for `target`.
+    pub(crate) fn contains(&self, target: &str, key: &[(String, String)]) -> bool {
+        self.all.contains(key)
+            || self
+                .by_target
+                .get(target)
+                .is_some_and(|set| set.contains(key))
+    }
+}
+
 /// Per-tenant streaming state: options, the locked log/dirty-set, and
 /// the lock-free counters.
 #[derive(Debug)]
@@ -225,8 +282,7 @@ impl IngestState {
             schema: schema.clone(),
             table,
             masks: subset_masks(config.dimensions.len(), config.max_query_length),
-            dirty_all: FxHashSet::default(),
-            dirty_by_target: FxHashMap::default(),
+            dirty: DirtyKeys::default(),
             pending: 0,
             accepted: 0,
             applied: 0,
@@ -271,11 +327,8 @@ pub(crate) struct IngestInner {
     table: Arc<Table>,
     /// Admissible dimension-subset masks (shared with the enumerator).
     masks: Vec<u32>,
-    /// Value combinations dirtied for every target, as normalized
-    /// (sorted) predicate lists.
-    dirty_all: FxHashSet<DirtyKey>,
-    /// Value combinations dirtied for a single target only.
-    dirty_by_target: FxHashMap<String, FxHashSet<DirtyKey>>,
+    /// Value combinations dirtied since the last flush.
+    dirty: DirtyKeys,
     /// Deltas accepted but not yet flushed into the store.
     pub(crate) pending: u64,
     /// Newest accepted sequence number (0 = none yet).
@@ -356,14 +409,15 @@ impl IngestInner {
                 let values = self.project(values);
                 self.table_mut().push_row(values).expect(VALIDATED);
                 let new = self.table.row(self.table.len() - 1);
-                self.mark_all(&self.dim_values(&new));
+                self.mark_all(&spelled(&new[..self.dims.len()]));
             }
             RowDelta::Update { row, values } => {
                 let old = self.table.row(*row);
                 let values = self.project(values);
                 self.table_mut().set_row(*row, values).expect(VALIDATED);
                 let new = self.table.row(*row);
-                let (old_dims, new_dims) = (self.dim_values(&old), self.dim_values(&new));
+                let dims = ..self.dims.len();
+                let (old_dims, new_dims) = (spelled(&old[dims]), spelled(&new[dims]));
                 if old_dims != new_dims {
                     // The row moved between subsets: both its old and
                     // new combinations change content, for every target
@@ -385,7 +439,7 @@ impl IngestInner {
             }
             RowDelta::Delete { row } => {
                 let old = self.table.row(*row);
-                self.mark_all(&self.dim_values(&old));
+                self.mark_all(&spelled(&old[..self.dims.len()]));
                 self.table_mut().remove_row(*row).expect(VALIDATED);
             }
         }
@@ -404,50 +458,22 @@ impl IngestInner {
             .collect()
     }
 
-    /// A row's cells on every circuit dimension (the table's first
-    /// columns), spelled as the relation encoder spells them, so dirty
-    /// keys compare equal to enumerated predicates. The table holds no
-    /// NULL dimension: deltas are validated and the registered table
-    /// already passed the encoder.
-    fn dim_values(&self, row: &[Value]) -> Vec<String> {
-        row[..self.dims.len()]
-            .iter()
-            .map(Value::to_string)
-            .collect()
-    }
-
     /// Mark every admissible combination of `dim_values` dirty for all
     /// targets.
     fn mark_all(&mut self, dim_values: &[String]) {
-        for &mask in &self.masks {
-            let key = self.combo_key(dim_values, mask);
-            self.dirty_all.insert(key);
-        }
+        let keys = combo_keys(&self.dims, &self.masks, dim_values);
+        self.dirty.all.extend(keys);
     }
 
     /// Mark every admissible combination of `dim_values` dirty for the
     /// `target`-th target.
     fn mark_target(&mut self, target: usize, dim_values: &[String]) {
-        let mut keys = Vec::with_capacity(self.masks.len());
-        for &mask in &self.masks {
-            keys.push(self.combo_key(dim_values, mask));
-        }
-        self.dirty_by_target
+        let keys = combo_keys(&self.dims, &self.masks, dim_values);
+        self.dirty
+            .by_target
             .entry(self.targets[target].clone())
             .or_default()
             .extend(keys);
-    }
-
-    /// The normalized predicate list of one `(row, mask)` pair — sorted
-    /// by dimension name, exactly as [`crate::problem::Query`] stores
-    /// predicates.
-    fn combo_key(&self, dim_values: &[String], mask: u32) -> Vec<(String, String)> {
-        let mut key: Vec<(String, String)> = masked_combo(dim_values, mask)
-            .into_iter()
-            .map(|(d, value)| (self.dims[d].clone(), value))
-            .collect();
-        key.sort();
-        key
     }
 
     /// The table with every accepted delta applied: what a flush solves
@@ -456,14 +482,9 @@ impl IngestInner {
         &self.table
     }
 
-    /// The coalesced dirty sets, for `generator::Invalidation::DirtyKeys`.
-    pub(crate) fn dirty(
-        &self,
-    ) -> (
-        &FxHashSet<DirtyKey>,
-        &FxHashMap<String, FxHashSet<DirtyKey>>,
-    ) {
-        (&self.dirty_all, &self.dirty_by_target)
+    /// The coalesced dirty keys: what a flush solves again.
+    pub(crate) fn dirty(&self) -> &DirtyKeys {
+        &self.dirty
     }
 
     /// Book-keeping after a successful flush: the log is drained, the
@@ -471,8 +492,8 @@ impl IngestInner {
     pub(crate) fn drained(&mut self) {
         self.pending = 0;
         self.applied = self.accepted;
-        self.dirty_all.clear();
-        self.dirty_by_target.clear();
+        self.dirty.all.clear();
+        self.dirty.by_target.clear();
         self.last_flush = Instant::now();
     }
 
@@ -486,6 +507,44 @@ impl IngestInner {
         self.table = table;
         self.drained();
     }
+}
+
+/// The value at `row` of `column` as stored: a string's dictionary code,
+/// a number's bits. Rows that store equal bits hold equal values, spelled
+/// alike, so deduplicating on them never merges two cells.
+fn stored_bits(column: &ColumnData, row: usize) -> Option<u64> {
+    match column {
+        ColumnData::Bool(values) => values[row].map(u64::from),
+        ColumnData::Int(values) => values[row].map(|value| value as u64),
+        ColumnData::Float(values) => values[row].map(f64::to_bits),
+        ColumnData::Str { codes, .. } => codes[row].map(u64::from),
+    }
+}
+
+/// A row's cells on the circuit's dimensions, spelled as the relation
+/// encoder spells them, so dirty keys compare equal to enumerated
+/// predicates. A tenant's table holds no NULL dimension: deltas are
+/// validated and the registered table already passed the encoder.
+fn spelled(cells: &[Value]) -> Vec<String> {
+    cells.iter().map(Value::to_string).collect()
+}
+
+/// The normalized predicate list of every admissible combination
+/// (`masks`) of one row's `dim_values` on `dims` — sorted by dimension
+/// name, exactly as [`crate::problem::Query`] stores predicates.
+fn combo_keys<'a>(
+    dims: &'a [String],
+    masks: &'a [u32],
+    dim_values: &'a [String],
+) -> impl Iterator<Item = DirtyKey> + 'a {
+    masks.iter().map(move |&mask| {
+        let mut key: DirtyKey = masked_combo(dim_values, mask)
+            .into_iter()
+            .map(|(d, value)| (dims[d].clone(), value))
+            .collect();
+        key.sort();
+        key
+    })
 }
 
 /// For every column of the live `table`, its position in a delta tuple
@@ -596,7 +655,7 @@ mod tests {
                 values: moved,
             }])
             .unwrap();
-        let (all, by_target) = inner.dirty();
+        let DirtyKeys { all, by_target } = inner.dirty();
         assert!(by_target.is_empty());
         // Overall query, both season combos, and the region combo.
         assert!(all.contains(&Vec::new()));
@@ -616,7 +675,7 @@ mod tests {
                 values: tweaked,
             }])
             .unwrap();
-        let (all, by_target) = inner.dirty();
+        let DirtyKeys { all, by_target } = inner.dirty();
         assert!(all.is_empty());
         let dirty = &by_target["delay"];
         assert!(dirty.contains(&Vec::new()));
@@ -634,7 +693,7 @@ mod tests {
         inner.drained();
         assert_eq!(inner.pending, 0);
         assert_eq!(inner.applied, inner.accepted);
-        assert!(inner.dirty().0.is_empty());
+        assert!(inner.dirty().all.is_empty());
     }
 
     #[test]

@@ -92,9 +92,7 @@ use crate::generator::{PreprocessReport, RefreshReport};
 use crate::ingest::{IngestReport, RowDelta};
 use crate::service::{
     Answer, Degradation, ServiceRequest, ServiceResponse, Tenant, TenantSpec, VoiceService,
-    EXPIRED, INTERNAL_ERROR, OVERLOADED,
 };
-use crate::template::speaking_time_secs;
 
 /// How many queued interactive requests one worker claims per queue-lock
 /// acquisition (round-robin across tenant lanes), amortizing the handoff
@@ -288,29 +286,6 @@ pub(crate) fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// The response a request completes with when the serving worker
-/// contained a panic while answering it: a typed [`Answer::Internal`]
-/// (a bug signal, distinct from overload), unattributed — the request
-/// was consumed by the panicking call. Completing beats hanging the
-/// waiter forever.
-fn contained_panic_response(
-    payload: Box<dyn std::any::Any + Send>,
-    start: Instant,
-) -> ServiceResponse {
-    ServiceResponse {
-        tenant: String::new(),
-        request: None,
-        speaking_secs: speaking_time_secs(INTERNAL_ERROR),
-        follow_on: None,
-        session: None,
-        latency_micros: start.elapsed().as_micros() as u64,
-        answer: Answer::Internal {
-            what: panic_text(payload),
-        },
-        degradation: Degradation::None,
-    }
-}
-
 /// Run a fallible background operation with up to
 /// [`BACKGROUND_RETRIES`] retries.
 ///
@@ -338,25 +313,6 @@ fn run_with_retry<T>(retried: &AtomicU64, attempt: impl Fn() -> Result<T>) -> Re
             }
             outcome => return outcome,
         }
-    }
-}
-
-/// The response a queue-expired request completes with. `queued_for` is
-/// also the reported latency — the request's entire cost was its time in
-/// the queue; it was never computed.
-fn expired_response(tenant: &str, queued_for: Duration) -> ServiceResponse {
-    ServiceResponse {
-        tenant: tenant.to_string(),
-        request: None,
-        speaking_secs: speaking_time_secs(EXPIRED),
-        follow_on: None,
-        session: None,
-        latency_micros: queued_for.as_micros() as u64,
-        answer: Answer::Expired {
-            tenant: tenant.to_string(),
-            queued_for,
-        },
-        degradation: Degradation::None,
     }
 }
 
@@ -677,16 +633,7 @@ impl FrontEnd {
         let answer = Answer::Overloaded {
             tenant: tenant.to_string(),
         };
-        ServiceResponse {
-            tenant: tenant.to_string(),
-            request: None,
-            speaking_secs: speaking_time_secs(OVERLOADED),
-            follow_on: None,
-            session: None,
-            latency_micros: start.elapsed().as_micros() as u64,
-            answer,
-            degradation: Degradation::None,
-        }
+        ServiceResponse::unclassified(tenant, answer, start.elapsed())
     }
 
     /// Stamp a request's resolved deadline at admission: its own
@@ -1005,10 +952,16 @@ fn take_expired(ingress: &mut Ingress, now: Instant) -> Option<Queued> {
 fn expire_entry(entry: Queued, now: Instant, service: &VoiceService, counters: &Counters) {
     counters.expired.fetch_add(1, Ordering::Relaxed);
     service.record_expired(&entry.request.tenant);
+    // The request's entire cost was its time in the queue, so that is
+    // also its reported latency: it was never computed.
     let queued_for = now.saturating_duration_since(entry.submitted_at);
-    entry
-        .ticket
-        .complete(expired_response(&entry.request.tenant, queued_for));
+    let tenant = &entry.request.tenant;
+    let answer = Answer::Expired {
+        tenant: tenant.clone(),
+        queued_for,
+    };
+    let response = ServiceResponse::unclassified(tenant, answer, queued_for);
+    entry.ticket.complete(response);
 }
 
 /// Claim a round-robin batch from the interactive lanes, or nothing when
@@ -1053,7 +1006,9 @@ fn next_work(ingress: &mut Ingress) -> Option<Vec<Queued>> {
 /// [`respond_cached`] with panic containment: a panic completes the
 /// request with [`Answer::Internal`] (counted in
 /// [`FrontEndStats::contained_panics`]) instead of killing the worker
-/// and hanging every waiter behind it.
+/// and hanging every waiter behind it. That answer is a bug signal,
+/// distinct from overload, and unattributed: the panicking call consumed
+/// the request.
 fn respond_contained(
     service: &VoiceService,
     resolved: &mut Vec<(String, Option<Arc<Tenant>>)>,
@@ -1069,7 +1024,10 @@ fn respond_contained(
             .counters
             .contained_panics
             .fetch_add(1, Ordering::Relaxed);
-        contained_panic_response(payload, start)
+        let answer = Answer::Internal {
+            what: panic_text(payload),
+        };
+        ServiceResponse::unclassified("", answer, start.elapsed())
     })
 }
 
@@ -1098,7 +1056,13 @@ fn respond_cached(
             let deadline = request.deadline;
             service.respond_resolved(tenant, request.tenant, &request.text, start, deadline)
         }
-        None => VoiceService::unknown_tenant_response(&request.tenant, start),
+        None => ServiceResponse::unclassified(
+            &request.tenant,
+            Answer::UnknownTenant {
+                tenant: request.tenant.clone(),
+            },
+            start.elapsed(),
+        ),
     }
 }
 

@@ -58,11 +58,10 @@ use vqs_relalg::prelude::Table;
 
 use crate::config::{ConfigError, Configuration};
 use crate::error::{EngineError, Result};
-use crate::generator::{
-    preprocess_with, refresh_with, require_column, resummarize_with, Invalidation,
-    PreprocessReport, RefreshReport,
+use crate::generator::{require_column, resummarize_with, PreprocessReport, RefreshReport};
+use crate::ingest::{
+    DirtyKeys, FlushReport, IngestBuilder, IngestInner, IngestReport, IngestState, RowDelta,
 };
-use crate::ingest::{FlushReport, IngestBuilder, IngestInner, IngestReport, IngestState, RowDelta};
 use crate::logsim::{tabulate, LogEntry};
 use crate::pipeline::{
     self, ComputedValue, Extractor, FollowOn, PipelineContext, QueryPlan, Request, Unsupported,
@@ -290,6 +289,22 @@ pub struct ServiceResponse {
 }
 
 impl ServiceResponse {
+    /// A response no tenant classified: an unknown tenant, or a request
+    /// shed, expired or lost to a panic before it was answered. It
+    /// carries no request, follow-on or session, and no degradation.
+    pub(crate) fn unclassified(tenant: &str, answer: Answer, latency: Duration) -> ServiceResponse {
+        ServiceResponse {
+            tenant: tenant.to_string(),
+            request: None,
+            speaking_secs: speaking_time_secs(answer.text()),
+            follow_on: None,
+            session: None,
+            latency_micros: latency.as_micros() as u64,
+            degradation: Degradation::None,
+            answer,
+        }
+    }
+
     /// The spoken form of the answer.
     pub fn text(&self) -> &str {
         self.answer.text()
@@ -450,7 +465,8 @@ impl RequestCounters {
 /// lifetime.
 #[derive(Debug)]
 struct TenantRollup {
-    preprocess: PreprocessReport,
+    /// Queries the registration enumerated.
+    queries: usize,
     refreshes: u64,
     recomputed: u64,
     removed: u64,
@@ -842,16 +858,28 @@ impl VoiceService {
         if self.tenant(&spec.name).is_some() {
             return Err(EngineError::DuplicateTenant { name: spec.name });
         }
-        // Pre-process over the caller's table first, so its projection
-        // never adds to the set-up's peak memory.
-        let (store, report) = preprocess_with(
+        // Solve over the caller's table first, so its projection never
+        // adds to the set-up's peak memory. The store is empty, so every
+        // query is solved.
+        let store = SpeechStore::new();
+        let solved = resummarize_with(
             &spec.dataset.table,
             &spec.config,
             self.summarizer.as_ref(),
             &spec.templates,
+            &store,
+            &DirtyKeys::default(),
             &self.pool,
             ScatterPriority::Bulk,
         )?;
+        let report = PreprocessReport {
+            queries: solved.queries,
+            speeches: store.len(),
+            elapsed: solved.elapsed,
+            plan_time: solved.plan_time,
+            solver_time: solved.solver_time,
+            instrumentation: solved.instrumentation,
+        };
         let live = Tenant::project(&spec.dataset.table, &spec.config)?;
         let runtime = Tenant::build_runtime(
             &live,
@@ -881,7 +909,7 @@ impl VoiceService {
             refresh_lock: Mutex::new(()),
             runtime: RwLock::new(runtime),
             rollup: Mutex::new(TenantRollup {
-                preprocess: report.clone(),
+                queries: report.queries,
                 refreshes: 0,
                 recomputed: 0,
                 removed: 0,
@@ -928,28 +956,13 @@ impl VoiceService {
         // An injected fault here fails the refresh *before* any state is
         // touched, preserving fail-atomicity by construction.
         self.impose_control(FaultSite::Refresh)?;
-        // Build the new projection and runtime *before* touching the
-        // store: they are the only other fallible steps, so ordering them
-        // first keeps a failed refresh fail-atomic (store, data,
-        // extractor, and counters all stay on the old data together).
+        // The projection is the refresh's only fallible step before the
+        // shared one, which mutates nothing until it succeeds: a failed
+        // refresh leaves store, data, extractor, and counters on the old
+        // data together.
         let live = Tenant::project(&dataset.table, &tenant.config)?;
-        let runtime = Tenant::build_runtime(
-            &live,
-            &tenant.config,
-            &tenant.synonyms,
-            &tenant.unavailable_markers,
-        )?;
-        let report = refresh_with(
-            &dataset.table,
-            &tenant.config,
-            self.summarizer.as_ref(),
-            &tenant.templates,
-            &tenant.store,
-            changed_rows,
-            &self.pool,
-            ScatterPriority::Interactive,
-        )?;
-        *tenant.runtime.write() = runtime;
+        let dirty = DirtyKeys::of_rows(&live, &tenant.config, changed_rows);
+        let report = self.resummarize(&tenant, &live, &dirty, ScatterPriority::Interactive)?;
         if let (Some(state), Some(inner)) = (tenant.ingest.as_ref(), log.as_mut()) {
             inner.reset_from(dataset.table.schema(), live);
             state
@@ -961,6 +974,41 @@ impl VoiceService {
         rollup.refreshes += 1;
         rollup.recomputed += report.recomputed as u64;
         rollup.removed += report.removed as u64;
+        Ok(report)
+    }
+
+    /// The step a batch refresh and an ingest flush share, under the
+    /// tenant's refresh lock: build the runtime over `live`, the tenant's
+    /// new projection, re-solve the `dirty` queries (and the safety-net
+    /// cases of `resummarize_with`) over it on the pool's `priority`
+    /// lane, swap the runtime in, and roll up the solver counters. The
+    /// runtime is built before the store is touched, and the store only
+    /// changes once every solve succeeded, so a failure changes nothing.
+    fn resummarize(
+        &self,
+        tenant: &Tenant,
+        live: &Arc<Table>,
+        dirty: &DirtyKeys,
+        priority: ScatterPriority,
+    ) -> Result<RefreshReport> {
+        let runtime = Tenant::build_runtime(
+            live,
+            &tenant.config,
+            &tenant.synonyms,
+            &tenant.unavailable_markers,
+        )?;
+        let report = resummarize_with(
+            live,
+            &tenant.config,
+            self.summarizer.as_ref(),
+            &tenant.templates,
+            &tenant.store,
+            dirty,
+            &self.pool,
+            priority,
+        )?;
+        *tenant.runtime.write() = runtime;
+        let mut rollup = tenant.rollup.lock();
         rollup.solver.merge(&report.instrumentation);
         rollup.solver_time += report.solver_time;
         Ok(report)
@@ -1107,26 +1155,7 @@ impl VoiceService {
         // Serialize against batch refreshes (log lock first, then the
         // refresh lock — the same order `refresh_tenant` takes them).
         let _refresh = tenant.refresh_lock.lock();
-        // As in `refresh_tenant`: the runtime rebuild is the only other
-        // fallible step, so it runs before the store is touched.
-        let runtime = Tenant::build_runtime(
-            &live,
-            &tenant.config,
-            &tenant.synonyms,
-            &tenant.unavailable_markers,
-        )?;
-        let (all, by_target) = inner.dirty();
-        let report = resummarize_with(
-            &live,
-            &tenant.config,
-            self.summarizer.as_ref(),
-            &tenant.templates,
-            &tenant.store,
-            Invalidation::DirtyKeys { all, by_target },
-            &self.pool,
-            ScatterPriority::Bulk,
-        )?;
-        *tenant.runtime.write() = runtime;
+        let report = self.resummarize(tenant, &live, inner.dirty(), ScatterPriority::Bulk)?;
         let deltas = inner.pending;
         inner.drained();
         let invalidated = report.recomputed + report.removed;
@@ -1146,9 +1175,6 @@ impl VoiceService {
             .counters
             .applied_seqno
             .store(inner.applied, Ordering::Relaxed);
-        let mut rollup = tenant.rollup.lock();
-        rollup.solver.merge(&report.instrumentation);
-        rollup.solver_time += report.solver_time;
         Ok(FlushReport {
             deltas,
             invalidated,
@@ -1269,24 +1295,13 @@ impl VoiceService {
                     deadline,
                 )
             }
-            None => Self::unknown_tenant_response(&request.tenant, start),
-        }
-    }
-
-    /// The response for a request naming an unregistered tenant.
-    pub(crate) fn unknown_tenant_response(tenant: &str, start: Instant) -> ServiceResponse {
-        let answer = Answer::UnknownTenant {
-            tenant: tenant.to_string(),
-        };
-        ServiceResponse {
-            tenant: tenant.to_string(),
-            request: None,
-            speaking_secs: speaking_time_secs(answer.text()),
-            follow_on: None,
-            session: None,
-            latency_micros: start.elapsed().as_micros() as u64,
-            degradation: Degradation::None,
-            answer,
+            None => ServiceResponse::unclassified(
+                &request.tenant,
+                Answer::UnknownTenant {
+                    tenant: request.tenant.clone(),
+                },
+                start.elapsed(),
+            ),
         }
     }
 
@@ -1355,7 +1370,7 @@ impl VoiceService {
                 TenantStats {
                     tenant: tenant.name.clone(),
                     speeches: tenant.store.len(),
-                    queries: rollup.preprocess.queries,
+                    queries: rollup.queries,
                     requests: tenant.counters.requests.load(Ordering::Relaxed),
                     speech_answers: tenant.counters.speeches.load(Ordering::Relaxed),
                     computed_answers: tenant.counters.computed.load(Ordering::Relaxed),
@@ -1987,11 +2002,14 @@ mod tests {
             .unwrap();
         let pooled = service.tenant_store("svc").unwrap();
 
-        let (reference, _) = preprocess_with(
+        let reference = SpeechStore::new();
+        resummarize_with(
             &dataset(7).table,
             &config(),
             &vqs_core::prelude::ExactSummarizer::paper(),
             &Default::default(),
+            &reference,
+            &DirtyKeys::default(),
             &SolverPool::new(1),
             ScatterPriority::Bulk,
         )

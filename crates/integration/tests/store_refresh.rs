@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use vqs_data::{DimSpec, GeneratedDataset, SynthSpec, TargetSpec};
 use vqs_engine::prelude::*;
-use vqs_relalg::prelude::{Table, Value};
+use vqs_relalg::prelude::{ColumnType, Field, Schema, Table, Value};
 
 fn dataset() -> GeneratedDataset {
     SynthSpec {
@@ -287,6 +287,88 @@ fn refresh_equals_full_preprocess_for_random_mutations() {
             store.snapshot(),
             reference.snapshot(),
             "seed {seed}: refresh diverged from full preprocess"
+        );
+    }
+}
+
+/// A refresh spells a changed row's keys from its `Int` and `Float`
+/// dimension values as registration spells them (a `Float` 1.0 is
+/// "1.0"). Rows 0 and 2 share a year and trade scores: every subset
+/// keeps its size and the prior stays bit-identical, so only the keys
+/// of the two changed rows bring the `score = 1.0` and `score = 2.0`
+/// subsets up to date.
+#[test]
+fn swapped_rows_over_int_and_float_dimensions_refresh_their_subsets() {
+    let schema = Schema::new(vec![
+        Field::required("year", ColumnType::Int),
+        Field::required("score", ColumnType::Float),
+        Field::required("delay", ColumnType::Float),
+    ])
+    .unwrap();
+    let rows = |swapped: bool| -> Vec<Vec<Value>> {
+        let (first, third) = if swapped { (2.0, 1.0) } else { (1.0, 2.0) };
+        [
+            (2019, first, 5.0),
+            (2020, 1.0, 20.0),
+            (2019, third, 40.0),
+            (2020, 2.0, 30.0),
+            (2019, 1.0, 12.0),
+            (2020, 2.0, 33.0),
+            (2019, 2.0, 44.0),
+            (2020, 1.0, 18.0),
+        ]
+        .iter()
+        .map(|&(year, score, delay)| {
+            vec![Value::Int(year), Value::Float(score), Value::Float(delay)]
+        })
+        .collect()
+    };
+    let data = |swapped: bool| GeneratedDataset {
+        name: "typed".to_string(),
+        table: Table::from_rows(schema.clone(), rows(swapped)).unwrap(),
+        dims: vec!["year".to_string(), "score".to_string()],
+        targets: vec!["delay".to_string()],
+    };
+    let register = |data: GeneratedDataset| {
+        let service = ServiceBuilder::new().workers(1).build();
+        let config = Configuration::new("typed", &["year", "score"], &["delay"]);
+        service
+            .register_dataset(TenantSpec::new("typed", data, config))
+            .unwrap();
+        service
+    };
+
+    let service = register(data(false));
+    let store = service.tenant_store("typed").unwrap();
+    let before = store.snapshot();
+    let report = service
+        .refresh_tenant("typed", &data(true), &[0, 2])
+        .unwrap();
+    assert_eq!(report.removed, 0);
+    let cold = register(data(true));
+    assert_eq!(
+        store.snapshot(),
+        cold.tenant_store("typed").unwrap().snapshot()
+    );
+
+    // No row of 2020 changed, so none of its subsets was solved again.
+    let year_2020: Vec<&Arc<StoredSpeech>> = before
+        .iter()
+        .filter(|speech| {
+            speech
+                .query
+                .predicates()
+                .iter()
+                .any(|(d, v)| d == "year" && v == "2020")
+        })
+        .collect();
+    assert_eq!(year_2020.len(), 3, "year 2020 alone and with each score");
+    for old in year_2020 {
+        let new = store.get(&old.query).unwrap();
+        assert!(
+            Arc::ptr_eq(old, &new),
+            "{} should be pointer-stable",
+            old.query
         );
     }
 }
