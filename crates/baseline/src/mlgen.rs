@@ -181,10 +181,7 @@ mod tests {
 
     fn fact(scope: &[(&str, &str)], value: f64) -> NamedFact {
         NamedFact {
-            scope: scope
-                .iter()
-                .map(|&(d, v)| (d.to_string(), v.to_string()))
-                .collect(),
+            scope: scope.iter().map(|&(d, v)| (d.into(), v.into())).collect(),
             value,
             support: 10,
         }

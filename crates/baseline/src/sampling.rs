@@ -14,13 +14,14 @@
 //! intervals via the normal approximation, greedy fact selection on the
 //! sample, anytime emission.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use vqs_core::prelude::*;
-use vqs_engine::prelude::{format_value, NamedFact};
+use vqs_engine::prelude::{format_value, NamedFact, Predicate};
 
 /// Tuning knobs of the sampling vocalizer.
 #[derive(Debug, Clone)]
@@ -59,7 +60,7 @@ impl Default for SamplingConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RangeFact {
     /// Scope as named pairs.
-    pub scope: Vec<(String, String)>,
+    pub scope: Box<[Predicate]>,
     /// Lower bound of the 95% CI.
     pub lo: f64,
     /// Upper bound of the 95% CI.
@@ -221,7 +222,10 @@ fn estimate(sample: &EncodedRelation, fact: &Fact, full: &EncodedRelation) -> (R
         .into_iter()
         .map(|(d, code)| {
             let dim = &full.dims()[d];
-            (dim.name.clone(), dim.values[code as usize].to_string())
+            (
+                Arc::clone(&dim.name),
+                Arc::clone(&dim.values[code as usize]),
+            )
         })
         .collect();
     (

@@ -69,8 +69,8 @@ fn value(v: usize) -> String {
 
 fn speech_for(query: Query) -> StoredSpeech {
     StoredSpeech {
-        text: format!("speech::{query}"),
-        facts: vec![],
+        text: format!("speech::{query}").into(),
+        facts: Box::new([]),
         utility: 1.0,
         base_error: 2.0,
         rows: 1 + query.len(),

@@ -88,7 +88,7 @@ pub fn run(config: &RunConfig) {
                 .filter(|&row| {
                     query.predicates().iter().all(|(dim, value)| {
                         let d = relation.dim_index(dim).unwrap();
-                        relation.value_str(d, row) == value
+                        relation.value_str(d, row) == &**value
                     })
                 })
                 .map(|row| row as u32)

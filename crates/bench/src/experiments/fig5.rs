@@ -75,7 +75,7 @@ pub fn run(config: &RunConfig) {
                             .into_iter()
                             .map(|(d, code)| {
                                 let dim = &relation.dims()[d];
-                                (dim.name.clone(), dim.values[code as usize].to_string())
+                                (dim.name.clone(), dim.values[code as usize].clone())
                             })
                             .collect(),
                         value: f.value,

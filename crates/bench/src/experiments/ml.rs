@@ -45,7 +45,7 @@ pub fn run(config: &RunConfig) {
     // All queries with one predicate on the 52-value dimension.
     let items: Vec<WorkItem> = enumerate_queries(&relation, &engine_config, "cancelled")
         .into_iter()
-        .filter(|item| item.query.len() == 1 && item.query.predicates()[0].0 == "start_region")
+        .filter(|item| item.query.len() == 1 && &*item.query.predicates()[0].0 == "start_region")
         .collect();
     let (train_items, test_items) = items.split_at(items.len().saturating_sub(3));
 
@@ -64,8 +64,8 @@ pub fn run(config: &RunConfig) {
             )
             .expect("solve succeeds");
             TrainExample {
-                facts: speech.facts,
-                summary: speech.text,
+                facts: speech.facts.into_vec(),
+                summary: speech.text.into_string(),
             }
         })
         .collect();
@@ -90,7 +90,7 @@ pub fn run(config: &RunConfig) {
 
         // The ML model selects from the same candidate pool.
         let free: Vec<usize> = (0..subset.dim_count())
-            .filter(|&d| subset.dims()[d].name != "start_region")
+            .filter(|&d| &*subset.dims()[d].name != "start_region")
             .collect();
         let catalog =
             FactCatalog::build(&subset, &free, engine_config.max_fact_dimensions).expect("catalog");
@@ -103,7 +103,7 @@ pub fn run(config: &RunConfig) {
                     .into_iter()
                     .map(|(d, code)| {
                         let dim = &subset.dims()[d];
-                        (dim.name.clone(), dim.values[code as usize].to_string())
+                        (dim.name.clone(), dim.values[code as usize].clone())
                     })
                     .collect(),
                 value: f.value,

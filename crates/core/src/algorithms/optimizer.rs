@@ -131,6 +131,29 @@ fn target_value(
     target_prune_probability(matrix, sources, t) * specializations as f64
 }
 
+/// The remaining group of highest `H`, each evaluated once; a tie goes
+/// to the last of the tied groups, as [`Iterator::max_by`] breaks it.
+fn best_target(
+    groups: &[FactGroup],
+    matrix: &ProbMatrix,
+    sources: &[usize],
+    remaining: &[usize],
+) -> usize {
+    remaining
+        .iter()
+        .map(|&t| (t, target_value(groups, matrix, sources, remaining, t)))
+        .max_by(|(_, a), (_, b)| a.total_cmp(b))
+        .expect("remaining is non-empty")
+        .0
+}
+
+/// Group indexes by ascending fact count, then mask.
+fn by_size(groups: &[FactGroup]) -> Vec<usize> {
+    let mut by_size: Vec<usize> = (0..groups.len()).collect();
+    by_size.sort_by_key(|&g| (groups[g].fact_count, groups[g].mask));
+    by_size
+}
+
 /// Enumerate the plan candidates of Algorithm 4.
 ///
 /// Sources are prefixes of the groups sorted by ascending fact count
@@ -141,8 +164,11 @@ fn target_value(
 /// no targets) is always included so the optimizer can decide *whether*
 /// to prune at all.
 pub fn enumerate_plans(groups: &[FactGroup], config: &PruneOptimizerConfig) -> Vec<PlanCandidate> {
-    let mut by_size: Vec<usize> = (0..groups.len()).collect();
-    by_size.sort_by_key(|&g| (groups[g].fact_count, groups[g].mask));
+    enumerate_plans_with(groups, &ProbMatrix::new(groups, config.sigma))
+}
+
+fn enumerate_plans_with(groups: &[FactGroup], matrix: &ProbMatrix) -> Vec<PlanCandidate> {
+    let by_size = by_size(groups);
 
     // §VI-D: "To reduce optimization overheads, we use several heuristics
     // to obtain a smaller set of candidate plans." Beyond the paper's
@@ -156,20 +182,13 @@ pub fn enumerate_plans(groups: &[FactGroup], config: &PruneOptimizerConfig) -> V
         size = if size < 4 { size + 1 } else { size + size / 2 };
     }
 
-    let matrix = ProbMatrix::new(groups, config.sigma);
     let mut plans = Vec::new();
     for prefix in prefixes {
         let sources: Vec<usize> = by_size[..prefix].to_vec();
         let mut remaining: Vec<usize> = by_size[prefix..].to_vec();
         let mut targets: Vec<usize> = Vec::new();
         while !remaining.is_empty() {
-            let &t = remaining
-                .iter()
-                .max_by(|&&a, &&b| {
-                    target_value(groups, &matrix, &sources, &remaining, a)
-                        .total_cmp(&target_value(groups, &matrix, &sources, &remaining, b))
-                })
-                .expect("remaining is non-empty");
+            let t = best_target(groups, matrix, &sources, &remaining);
             targets.push(t);
             plans.push(PlanCandidate {
                 sources: sources.clone(),
@@ -234,21 +253,24 @@ fn plan_cost_with(
     cost
 }
 
-/// `OPTPRUNE`: the minimum-cost candidate plan.
+/// `OPTPRUNE`: the minimum-cost candidate plan, the first of several
+/// tied ones. One probability matrix serves enumeration and costing, and
+/// each candidate's cost is evaluated once.
 pub fn optimal_plan(
     groups: &[FactGroup],
     rows: usize,
     config: &PruneOptimizerConfig,
 ) -> PlanCandidate {
     let matrix = ProbMatrix::new(groups, config.sigma);
-    let plans = enumerate_plans(groups, config);
-    plans
+    enumerate_plans_with(groups, &matrix)
         .into_iter()
-        .min_by(|a, b| {
-            plan_cost_with(groups, rows, a, config, &matrix)
-                .total_cmp(&plan_cost_with(groups, rows, b, config, &matrix))
+        .map(|plan| {
+            let cost = plan_cost_with(groups, rows, &plan, config, &matrix);
+            (plan, cost)
         })
+        .min_by(|(_, a), (_, b)| a.total_cmp(b))
         .expect("enumerate_plans always yields at least one candidate")
+        .0
 }
 
 /// The naive plan used by the paper's G-P variant: the smallest-source
@@ -257,19 +279,12 @@ pub fn optimal_plan(
 /// candidate generated for the first source prefix.
 pub fn naive_plan(groups: &[FactGroup], config: &PruneOptimizerConfig) -> PlanCandidate {
     let matrix = ProbMatrix::new(groups, config.sigma);
-    let mut by_size: Vec<usize> = (0..groups.len()).collect();
-    by_size.sort_by_key(|&g| (groups[g].fact_count, groups[g].mask));
+    let by_size = by_size(groups);
     let sources = vec![by_size[0]];
     let mut remaining: Vec<usize> = by_size[1..].to_vec();
     let mut targets = Vec::new();
     while !remaining.is_empty() {
-        let &t = remaining
-            .iter()
-            .max_by(|&&a, &&b| {
-                target_value(groups, &matrix, &sources, &remaining, a)
-                    .total_cmp(&target_value(groups, &matrix, &sources, &remaining, b))
-            })
-            .expect("remaining is non-empty");
+        let t = best_target(groups, &matrix, &sources, &remaining);
         targets.push(t);
         remaining.retain(|&l| groups[t].mask & groups[l].mask != groups[t].mask);
     }
@@ -349,6 +364,150 @@ mod tests {
         assert_eq!(groups[plan.sources[0]].fact_count, min_count);
         // Targets plus pruned specializations cover everything else.
         assert!(!plan.targets.is_empty());
+    }
+
+    /// The optimizer as first written: every comparison evaluates both
+    /// sides, and `optimal_plan` builds the probability matrix twice.
+    mod reference {
+        use super::super::*;
+
+        fn pick_target(
+            groups: &[FactGroup],
+            matrix: &ProbMatrix,
+            sources: &[usize],
+            remaining: &[usize],
+        ) -> usize {
+            *remaining
+                .iter()
+                .max_by(|&&a, &&b| {
+                    target_value(groups, matrix, sources, remaining, a)
+                        .total_cmp(&target_value(groups, matrix, sources, remaining, b))
+                })
+                .unwrap()
+        }
+
+        pub fn optimal_plan(
+            groups: &[FactGroup],
+            rows: usize,
+            config: &PruneOptimizerConfig,
+        ) -> PlanCandidate {
+            let matrix = ProbMatrix::new(groups, config.sigma);
+            enumerate_plans(groups, config)
+                .into_iter()
+                .min_by(|a, b| {
+                    plan_cost_with(groups, rows, a, config, &matrix)
+                        .total_cmp(&plan_cost_with(groups, rows, b, config, &matrix))
+                })
+                .unwrap()
+        }
+
+        pub fn enumerate_plans(
+            groups: &[FactGroup],
+            config: &PruneOptimizerConfig,
+        ) -> Vec<PlanCandidate> {
+            let mut by_size: Vec<usize> = (0..groups.len()).collect();
+            by_size.sort_by_key(|&g| (groups[g].fact_count, groups[g].mask));
+            let mut prefixes: Vec<usize> = Vec::new();
+            let mut size = 1usize;
+            while size < groups.len() {
+                prefixes.push(size);
+                size = if size < 4 { size + 1 } else { size + size / 2 };
+            }
+            let matrix = ProbMatrix::new(groups, config.sigma);
+            let mut plans = Vec::new();
+            for prefix in prefixes {
+                let sources: Vec<usize> = by_size[..prefix].to_vec();
+                let mut remaining: Vec<usize> = by_size[prefix..].to_vec();
+                let mut targets: Vec<usize> = Vec::new();
+                while !remaining.is_empty() {
+                    let t = pick_target(groups, &matrix, &sources, &remaining);
+                    targets.push(t);
+                    plans.push(PlanCandidate {
+                        sources: sources.clone(),
+                        targets: targets.clone(),
+                    });
+                    remaining.retain(|&l| groups[t].mask & groups[l].mask != groups[t].mask);
+                }
+            }
+            plans.push(PlanCandidate {
+                sources: by_size,
+                targets: Vec::new(),
+            });
+            plans
+        }
+
+        pub fn naive_plan(groups: &[FactGroup], config: &PruneOptimizerConfig) -> PlanCandidate {
+            let matrix = ProbMatrix::new(groups, config.sigma);
+            let mut by_size: Vec<usize> = (0..groups.len()).collect();
+            by_size.sort_by_key(|&g| (groups[g].fact_count, groups[g].mask));
+            let sources = vec![by_size[0]];
+            let mut remaining: Vec<usize> = by_size[1..].to_vec();
+            let mut targets = Vec::new();
+            while !remaining.is_empty() {
+                let t = pick_target(groups, &matrix, &sources, &remaining);
+                targets.push(t);
+                remaining.retain(|&l| groups[t].mask & groups[l].mask != groups[t].mask);
+            }
+            PlanCandidate { sources, targets }
+        }
+    }
+
+    /// Evaluating each cost and value once picks the very plans the
+    /// pairwise comparisons picked, ties included: on random catalogs of
+    /// one to four dimensions, with σ values that make many groups tie,
+    /// and a cost model that costs every plan 0.
+    #[test]
+    fn plans_match_the_pairwise_reference() {
+        let shapes: [&[(&str, usize)]; 4] = [
+            &[("a", 4)],
+            &[("a", 3), ("b", 3)],
+            &[("a", 2), ("b", 5), ("c", 9)],
+            &[("a", 2), ("b", 2), ("c", 3), ("d", 12)],
+        ];
+        for seed in 0..12u64 {
+            for shape in shapes {
+                let relation = random_relation(seed, 150, shape);
+                let dims: Vec<usize> = (0..shape.len()).collect();
+                for max_dims in 1..=shape.len().min(3) {
+                    let catalog = FactCatalog::build(&relation, &dims, max_dims).unwrap();
+                    let groups = catalog.groups();
+                    let free = CostModel {
+                        join_row_weight: 0.0,
+                        group_row_weight: 0.0,
+                        operator_setup: 0.0,
+                        output_row_weight: 0.0,
+                    };
+                    for (sigma, cost_model) in [
+                        (0.01, CostModel::default()),
+                        (0.1, CostModel::default()),
+                        (1.0, CostModel::default()),
+                        (0.1, free),
+                    ] {
+                        let config = PruneOptimizerConfig {
+                            sigma,
+                            cost_model,
+                            ..PruneOptimizerConfig::default()
+                        };
+                        let at = format!("seed {seed}, {shape:?}, {max_dims} dims, {config:?}");
+                        assert_eq!(
+                            enumerate_plans(groups, &config),
+                            reference::enumerate_plans(groups, &config),
+                            "{at}"
+                        );
+                        assert_eq!(
+                            optimal_plan(groups, 150, &config),
+                            reference::optimal_plan(groups, 150, &config),
+                            "{at}"
+                        );
+                        assert_eq!(
+                            naive_plan(groups, &config),
+                            reference::naive_plan(groups, &config),
+                            "{at}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

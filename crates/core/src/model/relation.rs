@@ -9,11 +9,13 @@ use crate::error::{CoreError, Result};
 
 /// Metadata of one dimension column: its name and value dictionary.
 ///
-/// Rows store `u32` codes indexing into `values`.
+/// Rows store `u32` codes indexing into `values`. The name and the values
+/// are shared handles, so everything that names a dimension or a value
+/// (a stored query, a fact's scope) can hold them without copying.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dimension {
     /// Column name (e.g. "season").
-    pub name: String,
+    pub name: Arc<str>,
     /// Distinct values in code order (e.g. `["Spring", "Summer", ...]`).
     pub values: Vec<Arc<str>>,
 }
@@ -116,7 +118,7 @@ impl EncodedRelation {
         let mut dims: Vec<Dimension> = dim_names
             .iter()
             .map(|&n| Dimension {
-                name: n.to_string(),
+                name: Arc::from(n),
                 values: Vec::new(),
             })
             .collect();
@@ -162,7 +164,7 @@ impl EncodedRelation {
                 detail: format!("NULL dimension value in '{name}' at row {row}"),
             };
             let mut dim = Dimension {
-                name: name.to_string(),
+                name: Arc::from(name),
                 values: Vec::new(),
             };
             let mut codes = Vec::with_capacity(table.len());
@@ -261,7 +263,7 @@ impl EncodedRelation {
 
     /// Index of the dimension named `name`.
     pub fn dim_index(&self, name: &str) -> Option<usize> {
-        self.dims.iter().position(|d| d.name == name)
+        self.dims.iter().position(|d| &*d.name == name)
     }
 
     /// Code of row `row` in dimension `d`.

@@ -29,7 +29,7 @@ use crate::model::relation::EncodedRelation;
 pub fn data_table(relation: &EncodedRelation) -> Result<Table> {
     let mut fields = vec![Field::required("row_id", ColumnType::Int)];
     for dim in relation.dims() {
-        fields.push(Field::required(&dim.name, ColumnType::Str));
+        fields.push(Field::required(&*dim.name, ColumnType::Str));
     }
     fields.push(Field::required("target", ColumnType::Float));
     fields.push(Field::required("prior", ColumnType::Float));
@@ -54,7 +54,7 @@ pub fn data_table(relation: &EncodedRelation) -> Result<Table> {
 pub fn fact_table(relation: &EncodedRelation, catalog: &FactCatalog) -> Result<Table> {
     let mut fields = vec![Field::required("fact_id", ColumnType::Int)];
     for dim in relation.dims() {
-        fields.push(Field::nullable(&dim.name, ColumnType::Str));
+        fields.push(Field::nullable(&*dim.name, ColumnType::Str));
     }
     fields.push(Field::required("value", ColumnType::Float));
     let mut table = Table::empty(Schema::new(fields)?);

@@ -35,7 +35,7 @@ use vqs_relalg::prelude::Table;
 use crate::config::Configuration;
 use crate::error::{EngineError, Result};
 use crate::ingest::DirtyKeys;
-use crate::problem::{NamedFact, Query, StoredSpeech};
+use crate::problem::{NamedFact, Predicate, Query, StoredSpeech};
 use crate::service::{ScatterPriority, SolverPool};
 use crate::store::SpeechStore;
 use crate::template::SpeechTemplate;
@@ -180,18 +180,24 @@ pub fn enumerate_queries(
     config: &Configuration,
     target: &str,
 ) -> Vec<WorkItem> {
-    enumerate_over(relation, &target_cells(relation), config, target)
+    enumerate_over(
+        relation,
+        &target_cells(relation),
+        config,
+        &Arc::from(target),
+    )
 }
 
 /// [`enumerate_queries`] over the relation's [`target_cells`]: each
 /// predicate mask groups the cells, not the rows, and one counting sort
 /// lays every combination's rows out in row order, from where each item
-/// copies its exact-size list.
+/// copies its exact-size list. Every query holds `target` and the
+/// relation's own name and value handles, so enumeration copies no name.
 fn enumerate_over(
     relation: &EncodedRelation,
     cells: &RowPartition,
     config: &Configuration,
-    target: &str,
+    target: &Arc<str>,
 ) -> Vec<WorkItem> {
     let mut cell_rows = vec![0u32; cells.len()];
     for &cell in &cells.of_row {
@@ -230,23 +236,29 @@ fn enumerate_over(
         }
         let mut start = 0;
         for combo in order {
-            let predicates: Vec<(String, String)> = dims
+            let predicates = dims
                 .iter()
                 .zip(codes(combo))
-                .map(|(&d, code)| {
-                    let dim = &relation.dims()[d];
-                    (dim.name.clone(), dim.values[code as usize].to_string())
-                })
-                .collect();
+                .map(|(&d, code)| named(relation, d, code));
             let end = next[combo] as usize;
             items.push(WorkItem {
-                query: Query::new(target.to_string(), predicates),
+                query: Query::new(Arc::clone(target), predicates),
                 rows: Arc::from(&laid_out[start..end]),
             });
             start = end;
         }
     }
     items
+}
+
+/// Dimension `d`'s name and its value coded `code`, as the relation's
+/// handles.
+fn named(relation: &EncodedRelation, d: usize, code: u32) -> Predicate {
+    let dim = &relation.dims()[d];
+    (
+        Arc::clone(&dim.name),
+        Arc::clone(&dim.values[code as usize]),
+    )
 }
 
 /// The codes of `row` on `dims`, in order.
@@ -294,9 +306,9 @@ pub(crate) fn solve_item_at<S: Summarizer + ?Sized>(
     deadline: Option<Instant>,
 ) -> Result<(StoredSpeech, Instrumentation, bool)> {
     // Dimensions not fixed by the query remain free for fact scopes.
-    let fixed: Vec<&String> = item.query.predicates().iter().map(|(d, _)| d).collect();
+    let fixed = item.query.predicates();
     let free_dims: Vec<usize> = (0..relation.dim_count())
-        .filter(|&d| !fixed.iter().any(|f| **f == relation.dims()[d].name))
+        .filter(|&d| !fixed.iter().any(|(f, _)| *f == relation.dims()[d].name))
         .collect();
     let min_dims = usize::from(!config.include_overall_fact && !free_dims.is_empty());
     let max_dims = config.max_fact_dimensions.min(free_dims.len());
@@ -311,7 +323,7 @@ pub(crate) fn solve_item_at<S: Summarizer + ?Sized>(
     let problem = Problem::new(relation, &catalog, config.speech_length)?;
     let summary = summarizer.summarize_by(&problem, deadline)?;
 
-    let facts: Vec<NamedFact> = summary
+    let facts: Box<[NamedFact]> = summary
         .speech
         .facts()
         .iter()
@@ -320,16 +332,13 @@ pub(crate) fn solve_item_at<S: Summarizer + ?Sized>(
                 .scope
                 .pairs()
                 .into_iter()
-                .map(|(d, code)| {
-                    let dim = &relation.dims()[d];
-                    (dim.name.clone(), dim.values[code as usize].to_string())
-                })
+                .map(|(d, code)| named(relation, d, code))
                 .collect(),
             value: fact.value,
             support: fact.support,
         })
         .collect();
-    let text = template.render(&item.query, &facts);
+    let text = template.render(&item.query, &facts).into_boxed_str();
     Ok((
         StoredSpeech {
             query: item.query.clone(),
@@ -367,7 +376,7 @@ pub(crate) fn solve_live(
     let mut predicates = Vec::with_capacity(query.predicates().len());
     for (dim, value) in query.predicates() {
         match relation.dim_index(dim) {
-            Some(d) => predicates.push((d, value.as_str())),
+            Some(d) => predicates.push((d, &**value)),
             None => return Ok(None),
         }
     }
@@ -408,7 +417,8 @@ pub(crate) fn solve_live(
 
 /// The fully-prepared pre-processing input for one target.
 struct TargetPlan {
-    target: String,
+    /// The target's name: the one handle every query of the plan holds.
+    target: Arc<str>,
     relation: EncodedRelation,
     template: SpeechTemplate,
     items: Vec<WorkItem>,
@@ -442,35 +452,37 @@ fn build_plans(
         .expect("a valid configuration has a target");
     let relation = table_relation(table, config, first)?;
     let cells = target_cells(&relation);
-    let items = enumerate_over(&relation, &cells, config, first);
-    let mut targets = vec![target_plan(first, relation, items, templates)];
+    let name: Arc<str> = Arc::from(first.as_str());
+    let items = enumerate_over(&relation, &cells, config, &name);
+    let mut targets = vec![target_plan(name, relation, items, templates)];
     for target in rest {
         let relation = retarget(&targets[0].relation, table, target)?;
+        let name: Arc<str> = Arc::from(target.as_str());
         let items = targets[0]
             .items
             .iter()
             .map(|item| WorkItem {
-                query: Query::new(target.clone(), item.query.predicates().iter().cloned()),
+                query: item.query.retargeted(Arc::clone(&name)),
                 rows: Arc::clone(&item.rows),
             })
             .collect();
-        targets.push(target_plan(target, relation, items, templates));
+        targets.push(target_plan(name, relation, items, templates));
     }
     Ok(Plans { cells, targets })
 }
 
 fn target_plan(
-    target: &str,
+    target: Arc<str>,
     relation: EncodedRelation,
     items: Vec<WorkItem>,
     templates: &FxHashMap<String, SpeechTemplate>,
 ) -> TargetPlan {
     TargetPlan {
-        target: target.to_string(),
         template: templates
-            .get(target)
+            .get(&*target)
             .cloned()
-            .unwrap_or_else(|| SpeechTemplate::plain(target)),
+            .unwrap_or_else(|| SpeechTemplate::plain(&target)),
+        target,
         prior: relation.target_mean(),
         relation,
         items,
@@ -671,7 +683,12 @@ pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::{BuildHasher, BuildHasherDefault};
     use vqs_data::{DimSpec, SynthSpec, TargetSpec};
+    use vqs_relalg::hash::FxHasher;
+    use vqs_relalg::prelude::ColumnData;
+
+    use crate::store::Lookup;
 
     /// A registration: [`resummarize_with`] with plain templates into an
     /// empty store on `pool`'s bulk lane.
@@ -758,14 +775,14 @@ mod tests {
             for (d, v) in item.query.predicates() {
                 let dim = relation.dim_index(d).unwrap();
                 for &row in item.rows.iter() {
-                    assert_eq!(relation.value_str(dim, row as usize), v.as_str());
+                    assert_eq!(relation.value_str(dim, row as usize), &**v);
                 }
             }
         }
         // Subsets of the same dimension set partition the rows.
         let season_rows: usize = items
             .iter()
-            .filter(|i| i.query.len() == 1 && i.query.predicates()[0].0 == "season")
+            .filter(|i| i.query.len() == 1 && &*i.query.predicates()[0].0 == "season")
             .map(|i| i.rows.len())
             .sum();
         assert_eq!(season_rows, relation.len());
@@ -785,7 +802,7 @@ mod tests {
         };
         for (plan, target) in plans.targets.iter().zip(&cfg.targets) {
             let relation = target_relation(&data, &cfg, target).unwrap();
-            assert_eq!(plan.target, *target);
+            assert_eq!(&*plan.target, target);
             assert_eq!(plan.relation, relation);
             assert_eq!(plan.prior, relation.target_mean());
             let cells = target_cells(&relation);
@@ -856,6 +873,87 @@ mod tests {
         // The constant prior is recorded per target for later refreshes.
         let relation = target_relation(&data, &cfg, "delay").unwrap();
         assert_eq!(store.target_prior("delay"), Some(relation.target_mean()));
+    }
+
+    /// Every speech of a registration names each target, dimension and
+    /// value through one handle, and values through the table
+    /// dictionary's own strings.
+    #[test]
+    fn stored_speeches_share_one_handle_per_name() {
+        let data = tiny_dataset();
+        let summarizer = GreedySummarizer::with_optimized_pruning();
+        let (store, _) = preprocess(&data, &config(), &summarizer, &SolverPool::new(2)).unwrap();
+        let snapshot = store.snapshot();
+        let mut handles: FxHashMap<&str, &Arc<str>> = FxHashMap::default();
+        for speech in &snapshot {
+            for name in speech.names() {
+                let first = handles.entry(name).or_insert(name);
+                assert!(Arc::ptr_eq(first, name), "{name} is copied");
+            }
+        }
+        // delay, cancelled; season, region; Winter, Summer, East, West, North.
+        assert_eq!(handles.len(), 9);
+        let relation = target_relation(&data, &config(), "delay").unwrap();
+        let ColumnData::Str { dict, .. } = relation_column(&data, "season") else {
+            panic!("season is a string column");
+        };
+        for value in &relation.dims()[0].values {
+            assert!(dict.strings().iter().any(|entry| Arc::ptr_eq(entry, value)));
+            assert!(Arc::ptr_eq(handles[&**value], value), "{value}");
+        }
+    }
+
+    fn relation_column<'a>(data: &'a GeneratedDataset, name: &str) -> &'a ColumnData {
+        let index = data.table.schema().index_of(name).unwrap();
+        data.table.column(index).unwrap()
+    }
+
+    /// The analyzer and voicebench spell queries from owned `String`s: such
+    /// a query shares no handle with the store's, yet hashes and compares
+    /// equal, so every read path finds the generator's speeches.
+    #[test]
+    fn queries_spelled_from_owned_strings_find_stored_speeches() {
+        let data = tiny_dataset();
+        let summarizer = GreedySummarizer::with_optimized_pruning();
+        let (store, _) = preprocess(&data, &config(), &summarizer, &SolverPool::new(0)).unwrap();
+        let owned = |predicates: &[(&str, &str)]| {
+            let predicates: Vec<(String, String)> = predicates
+                .iter()
+                .map(|&(d, v)| (d.to_string(), v.to_string()))
+                .collect();
+            Query::new("delay".to_string(), predicates)
+        };
+        let winter = owned(&[("season", "Winter")]);
+        let stored = store.get(&winter).expect("stored");
+        assert!(!Arc::ptr_eq(
+            winter.target_handle(),
+            stored.query.target_handle()
+        ));
+        assert_eq!(stored.query, winter);
+        let fx = BuildHasherDefault::<FxHasher>::default();
+        assert_eq!(fx.hash_one(&stored.query), fx.hash_one(&winter));
+        let std = std::hash::RandomState::new();
+        assert_eq!(std.hash_one(&stored.query), std.hash_one(&winter));
+        match store.lookup(&winter) {
+            Lookup::Exact(speech) => assert!(Arc::ptr_eq(&speech, &stored)),
+            other => panic!("expected an exact hit, got {other:?}"),
+        }
+        // An unknown dimension generalizes to the stored pair.
+        let wide = owned(&[("season", "Winter"), ("region", "East"), ("day", "Mon")]);
+        let pair = store
+            .get(&owned(&[("season", "Winter"), ("region", "East")]))
+            .expect("stored");
+        match store.lookup(&wide) {
+            Lookup::Generalized {
+                speech,
+                kept_predicates: 2,
+            } => assert!(Arc::ptr_eq(&speech, &pair)),
+            other => panic!("expected the stored pair, got {other:?}"),
+        }
+        // The canonically smallest one-step extension: region East sorts
+        // before North and West.
+        let hint = store.follow_on(&winter).expect("a stored extension");
+        assert!(Arc::ptr_eq(&hint, &pair));
     }
 
     #[test]

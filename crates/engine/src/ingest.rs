@@ -52,6 +52,7 @@ use vqs_relalg::prelude::{ColumnData, Schema, Table, Value};
 
 use crate::config::Configuration;
 use crate::error::{EngineError, Result};
+use crate::problem::Predicate;
 
 /// One row-level change to a tenant's data, interpreted against the
 /// table state produced by all previously accepted deltas.
@@ -202,7 +203,7 @@ impl IngestCounters {
 /// A normalized (sorted) predicate list identifying one value
 /// combination, exactly as [`crate::problem::Query::predicates`] stores
 /// them.
-pub(crate) type DirtyKey = Vec<(String, String)>;
+pub(crate) type DirtyKey = Vec<Predicate>;
 
 /// The value combinations whose queries a re-summarization solves again.
 #[derive(Debug, Default)]
@@ -223,7 +224,7 @@ impl DirtyKeys {
     /// deduplicated by cell, on their stored bits, and one row of each
     /// cell is spelled.
     pub(crate) fn of_rows(table: &Table, config: &Configuration, rows: &[usize]) -> DirtyKeys {
-        let dims = &config.dimensions;
+        let dims = handles(&config.dimensions);
         let columns: Vec<&ColumnData> = (0..dims.len())
             .map(|col| table.column(col).expect("a projected dimension"))
             .collect();
@@ -240,13 +241,13 @@ impl DirtyKeys {
         let mut keys = DirtyKeys::default();
         for &row in cells.values() {
             let values = spelled(&table.row(row)[..dims.len()]);
-            keys.all.extend(combo_keys(dims, &masks, &values));
+            keys.all.extend(combo_keys(&dims, &masks, &values));
         }
         keys
     }
 
     /// Whether `key` is dirty for `target`.
-    pub(crate) fn contains(&self, target: &str, key: &[(String, String)]) -> bool {
+    pub(crate) fn contains(&self, target: &str, key: &[Predicate]) -> bool {
         self.all.contains(key)
             || self
                 .by_target
@@ -276,7 +277,7 @@ impl IngestState {
         config: &Configuration,
     ) -> IngestState {
         let inner = IngestInner {
-            dims: config.dimensions.clone(),
+            dims: handles(&config.dimensions),
             targets: config.targets.clone(),
             columns: tuple_columns(schema, &table),
             schema: schema.clone(),
@@ -312,7 +313,7 @@ impl IngestState {
 pub(crate) struct IngestInner {
     /// The configured predicate dimensions, in configuration order — the
     /// circuit's dimension indexing, and the first columns of `table`.
-    dims: Vec<String>,
+    dims: Vec<Arc<str>>,
     /// The configured targets: the columns of `table` after the
     /// dimensions.
     targets: Vec<String>,
@@ -460,14 +461,14 @@ impl IngestInner {
 
     /// Mark every admissible combination of `dim_values` dirty for all
     /// targets.
-    fn mark_all(&mut self, dim_values: &[String]) {
+    fn mark_all(&mut self, dim_values: &[Arc<str>]) {
         let keys = combo_keys(&self.dims, &self.masks, dim_values);
         self.dirty.all.extend(keys);
     }
 
     /// Mark every admissible combination of `dim_values` dirty for the
     /// `target`-th target.
-    fn mark_target(&mut self, target: usize, dim_values: &[String]) {
+    fn mark_target(&mut self, target: usize, dim_values: &[Arc<str>]) {
         let keys = combo_keys(&self.dims, &self.masks, dim_values);
         self.dirty
             .by_target
@@ -523,24 +524,36 @@ fn stored_bits(column: &ColumnData, row: usize) -> Option<u64> {
 
 /// A row's cells on the circuit's dimensions, spelled as the relation
 /// encoder spells them, so dirty keys compare equal to enumerated
-/// predicates. A tenant's table holds no NULL dimension: deltas are
-/// validated and the registered table already passed the encoder.
-fn spelled(cells: &[Value]) -> Vec<String> {
-    cells.iter().map(Value::to_string).collect()
+/// predicates; a string cell is its own handle. A tenant's table holds no
+/// NULL dimension: deltas are validated and the registered table already
+/// passed the encoder.
+fn spelled(cells: &[Value]) -> Vec<Arc<str>> {
+    cells
+        .iter()
+        .map(|cell| match cell {
+            Value::Str(text) => Arc::clone(text),
+            other => Arc::from(other.to_string()),
+        })
+        .collect()
+}
+
+/// One handle per name.
+fn handles(names: &[String]) -> Vec<Arc<str>> {
+    names.iter().map(|name| Arc::from(name.as_str())).collect()
 }
 
 /// The normalized predicate list of every admissible combination
 /// (`masks`) of one row's `dim_values` on `dims` — sorted by dimension
 /// name, exactly as [`crate::problem::Query`] stores predicates.
 fn combo_keys<'a>(
-    dims: &'a [String],
+    dims: &'a [Arc<str>],
     masks: &'a [u32],
-    dim_values: &'a [String],
+    dim_values: &'a [Arc<str>],
 ) -> impl Iterator<Item = DirtyKey> + 'a {
     masks.iter().map(move |&mask| {
         let mut key: DirtyKey = masked_combo(dim_values, mask)
             .into_iter()
-            .map(|(d, value)| (dims[d].clone(), value))
+            .map(|(d, value)| (Arc::clone(&dims[d]), value))
             .collect();
         key.sort();
         key
@@ -659,8 +672,8 @@ mod tests {
         assert!(by_target.is_empty());
         // Overall query, both season combos, and the region combo.
         assert!(all.contains(&Vec::new()));
-        assert!(all.contains(&vec![("season".to_string(), old_season)]));
-        assert!(all.contains(&vec![("season".to_string(), new_season.to_string())]));
+        assert!(all.contains(&vec![("season".into(), old_season.into())]));
+        assert!(all.contains(&vec![("season".into(), new_season.into())]));
     }
 
     #[test]

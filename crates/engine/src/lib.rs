@@ -89,7 +89,7 @@ pub mod prelude {
     pub use crate::pipeline::{
         AggKind, ComputedValue, Extractor, FollowOn, QueryPlan, Request, Unsupported,
     };
-    pub use crate::problem::{NamedFact, Query, StoredSpeech};
+    pub use crate::problem::{NamedFact, Predicate, Query, StoredSpeech};
     pub use crate::service::{
         Answer, Degradation, Fault, FaultPlan, FaultSite, FrontEnd, FrontEndBuilder, FrontEndStats,
         IngestTicket, RefreshTicket, RegisterTicket, ResponseTicket, ScatterPriority,

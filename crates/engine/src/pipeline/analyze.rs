@@ -16,6 +16,8 @@
 //! extrema and comparisons are answered from the plan built here, scoped
 //! by every predicate it recognized.
 
+use std::sync::Arc;
+
 use vqs_core::prelude::EncodedRelation;
 use vqs_relalg::hash::FxHashSet;
 use vqs_relalg::prelude::Table;
@@ -23,7 +25,7 @@ use vqs_relalg::prelude::Table;
 use crate::config::Configuration;
 use crate::pipeline::plan::{AggKind, QueryPlan};
 use crate::pipeline::token::Utterance;
-use crate::problem::Query;
+use crate::problem::{Predicate, Query};
 
 /// Cues marking extremum questions. `"max "` keeps its trailing space
 /// ("maximum" is matched by its own entry).
@@ -105,10 +107,11 @@ impl Request {
 /// Dictionary-based extractor for one deployment.
 #[derive(Debug, Clone)]
 pub struct Extractor {
-    /// Lowercased value → (dimension, original value), longest first.
-    values: Vec<(String, (String, String))>,
+    /// Lowercased value → (dimension, original value), longest first,
+    /// as the relation's name handles.
+    values: Vec<(String, Predicate)>,
     /// Target synonyms: lowercased phrase → target column.
-    targets: Vec<(String, String)>,
+    targets: Vec<(String, Arc<str>)>,
     /// Phrases marking entities the deployment has no data for (e.g.
     /// "flight" — the §VIII-D example "questions for delays of specific
     /// flights" is unsupported because per-flight data is unavailable).
@@ -124,14 +127,17 @@ impl Extractor {
         let mut values = Vec::new();
         for dim in relation.dims() {
             for value in &dim.values {
-                values.push((value.to_lowercase(), (dim.name.clone(), value.to_string())));
+                values.push((
+                    value.to_lowercase(),
+                    (Arc::clone(&dim.name), Arc::clone(value)),
+                ));
             }
         }
         // Longest phrases first so "New York City" wins over "York".
         values.sort_by_key(|(v, _)| std::cmp::Reverse(v.len()));
         let targets = vec![(
             relation.target_name().replace('_', " ").to_lowercase(),
-            relation.target_name().to_string(),
+            Arc::from(relation.target_name()),
         )];
         Extractor {
             values,
@@ -185,9 +191,10 @@ impl Extractor {
     /// Register "a few samples" of phrasings for a target column —
     /// the offline stand-in for training the Assistant's extractor.
     pub fn with_target_synonyms(mut self, target: &str, synonyms: &[&str]) -> Extractor {
+        let target: Arc<str> = Arc::from(target);
         for synonym in synonyms {
             self.targets
-                .push((synonym.to_lowercase(), target.to_string()));
+                .push((synonym.to_lowercase(), Arc::clone(&target)));
         }
         // Longest synonyms first for the same reason as values.
         self.targets
@@ -203,25 +210,26 @@ impl Extractor {
     }
 
     /// The target column the utterance names, if any.
-    fn extract_target(&self, utterance: &Utterance) -> Option<&str> {
+    fn extract_target(&self, utterance: &Utterance) -> Option<&Arc<str>> {
         self.targets
             .iter()
             .find(|(phrase, _)| utterance.contains_phrase(phrase))
-            .map(|(_, target)| target.as_str())
+            .map(|(_, target)| target)
     }
 
     /// The utterance's equality predicates (at most one per dimension;
-    /// longest value phrases win), sorted.
-    fn extract_predicates(&self, utterance: &Utterance) -> Vec<(String, String)> {
+    /// longest value phrases win), sorted, sharing the dictionary's
+    /// handles.
+    fn extract_predicates(&self, utterance: &Utterance) -> Vec<Predicate> {
         let mut used_dims: FxHashSet<&str> = FxHashSet::default();
         let mut out = Vec::new();
         for (phrase, (dim, value)) in &self.values {
-            if used_dims.contains(dim.as_str()) {
+            if used_dims.contains(&**dim) {
                 continue;
             }
             if utterance.contains_phrase(phrase) {
                 used_dims.insert(dim);
-                out.push((dim.clone(), value.clone()));
+                out.push((Arc::clone(dim), Arc::clone(value)));
             }
         }
         out.sort();
@@ -286,7 +294,7 @@ pub(crate) fn analyze(extractor: &Extractor, text: &str) -> Analysis {
             .targets
             .iter()
             .all(|(_, t)| t == first)
-            .then_some(first.as_str())
+            .then_some(first)
     });
     if data_access && comparison {
         return Analysis {
@@ -325,7 +333,7 @@ pub(crate) fn analyze(extractor: &Extractor, text: &str) -> Analysis {
     }
     match target {
         Some(target) if predicates.len() <= extractor.max_query_length => {
-            Analysis::bare(Request::Query(Query::new(target.to_string(), predicates)))
+            Analysis::bare(Request::Query(Query::new(Arc::clone(target), predicates)))
         }
         // More predicates than the store pre-processed: a conjunctive
         // live plan computing the store's own semantic (the average)
@@ -355,14 +363,14 @@ fn extremum_plan(
     extractor: &Extractor,
     utterance: &Utterance,
     target: &str,
-    predicates: &[(String, String)],
+    predicates: &[Predicate],
     highest: bool,
 ) -> QueryPlan {
     // Distinct dimension names in dictionary order, which breaks ties
     // between names mentioned at the same position.
     let mut names: Vec<&str> = Vec::new();
     for (_, (dim, _)) in &extractor.values {
-        if !names.contains(&dim.as_str()) {
+        if !names.contains(&&**dim) {
             names.push(dim);
         }
     }
@@ -378,7 +386,7 @@ fn extremum_plan(
             target: target.to_string(),
             predicates: predicates
                 .iter()
-                .filter(|(dim, _)| dim != dimension)
+                .filter(|(dim, _)| &**dim != dimension)
                 .cloned()
                 .collect(),
             dimension: dimension.to_string(),
@@ -401,7 +409,7 @@ fn comparison_plan(
     extractor: &Extractor,
     utterance: &Utterance,
     target: &str,
-    predicates: &[(String, String)],
+    predicates: &[Predicate],
 ) -> Option<QueryPlan> {
     // All dictionary mentions with positions, not capped at one per
     // dimension like predicate extraction.
@@ -416,7 +424,7 @@ fn comparison_plan(
             {
                 continue;
             }
-            mentions.push((pos, dim.as_str(), value.as_str()));
+            mentions.push((pos, &**dim, &**value));
         }
     }
     mentions.sort();
@@ -432,7 +440,7 @@ fn comparison_plan(
         target: target.to_string(),
         predicates: predicates
             .iter()
-            .filter(|(dim, _)| dim != dimension)
+            .filter(|(dim, _)| &**dim != dimension)
             .cloned()
             .collect(),
         dimension: dimension.to_string(),
@@ -488,11 +496,7 @@ mod tests {
         let ex = extractor();
         match ex.classify("cancellations in Winter?") {
             Request::Query(q) => {
-                assert_eq!(q.target(), "cancelled");
-                assert_eq!(
-                    q.predicates(),
-                    &[("season".to_string(), "Winter".to_string())]
-                );
+                assert_eq!(q, Query::of("cancelled", &[("season", "Winter")]));
             }
             other => panic!("expected query, got {other:?}"),
         }
@@ -511,7 +515,7 @@ mod tests {
     fn multiword_values_match() {
         let ex = extractor();
         let preds = ex.extract_predicates(&Utterance::new("cancellations in new york"));
-        assert_eq!(preds, vec![("region".to_string(), "New York".to_string())]);
+        assert_eq!(preds, vec![("region".into(), "New York".into())]);
     }
 
     #[test]
@@ -592,12 +596,14 @@ mod tests {
         let config = Configuration::new("dep", &["season"], &["delay", "wait_time"]);
         let ex = Extractor::for_deployment(&dataset.table, &config).unwrap();
         assert_eq!(
-            ex.extract_target(&Utterance::new("the delay in winter")),
+            ex.extract_target(&Utterance::new("the delay in winter"))
+                .map(|target| &**target),
             Some("delay")
         );
         // The second target's spoken form (underscore as space) works.
         assert_eq!(
-            ex.extract_target(&Utterance::new("wait time in summer")),
+            ex.extract_target(&Utterance::new("wait time in summer"))
+                .map(|target| &**target),
             Some("wait_time")
         );
         match ex.classify("wait time in Winter") {

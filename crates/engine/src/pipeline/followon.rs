@@ -12,6 +12,7 @@
 
 use crate::problem::Query;
 use crate::store::SpeechStore;
+use crate::template::{write_pairs, write_spoken};
 
 /// A suggested follow-on question, attached to a `ServiceResponse`.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,16 +31,11 @@ pub struct FollowOn {
 /// hints. It clones one query per answer, the winner's.
 pub(crate) fn suggest(store: &SpeechStore, answered: &Query) -> Option<FollowOn> {
     let query = store.follow_on(answered)?.query.clone();
-    let scope: Vec<String> = query
-        .predicates()
-        .iter()
-        .map(|(d, v)| format!("{} {}", d.replace('_', " "), v))
-        .collect();
-    let utterance = format!(
-        "{} for {}?",
-        query.target().replace('_', " "),
-        scope.join(" and ")
-    );
+    let mut utterance = String::new();
+    write_spoken(&mut utterance, query.target());
+    utterance.push_str(" for ");
+    write_pairs(&mut utterance, query.predicates());
+    utterance.push('?');
     Some(FollowOn { query, utterance })
 }
 
@@ -50,8 +46,8 @@ mod tests {
 
     fn speech(query: Query) -> StoredSpeech {
         StoredSpeech {
-            text: format!("speech for {query}"),
-            facts: vec![],
+            text: format!("speech for {query}").into(),
+            facts: Box::new([]),
             utility: 1.0,
             base_error: 2.0,
             rows: 4,

@@ -305,8 +305,7 @@ fn solve_live_answer(query: &crate::problem::Query, ctx: &PipelineContext<'_>) -
 /// subset (one predicate past what the plan scoped), when it exists.
 fn live_answer(plan: &QueryPlan, ctx: &PipelineContext<'_>) -> Option<(Answer, Option<FollowOn>)> {
     let (value, text) = plan::execute(plan, ctx.live)?;
-    let answered =
-        crate::problem::Query::new(plan.target().to_string(), plan.predicates().iter().cloned());
+    let answered = crate::problem::Query::new(plan.target(), plan.predicates().iter().cloned());
     let follow_on = followon::suggest(ctx.store, &answered);
     Some((
         Answer::Computed {

@@ -15,7 +15,8 @@ use vqs_relalg::error::Result as RelalgResult;
 use vqs_relalg::ops::aggregate::{AggFunc, AggItem};
 use vqs_relalg::prelude::{ColumnType, Expr, Plan, Table, Value};
 
-use crate::template::format_value;
+use crate::problem::Predicate;
+use crate::template::{format_value, write_pairs};
 
 /// Aggregate function of a live [`QueryPlan::Aggregate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +59,7 @@ pub enum QueryPlan {
         /// Target column the aggregate ranges over.
         target: String,
         /// Conjunctive equality predicates scoping the subset.
-        predicates: Vec<(String, String)>,
+        predicates: Vec<Predicate>,
         /// The aggregate to compute.
         agg: AggKind,
     },
@@ -69,7 +70,7 @@ pub enum QueryPlan {
         /// Target column averaged per group.
         target: String,
         /// Predicates scoping the subset first.
-        predicates: Vec<(String, String)>,
+        predicates: Vec<Predicate>,
         /// Grouping dimension.
         dimension: String,
         /// `true` = highest average wins, `false` = lowest.
@@ -81,7 +82,7 @@ pub enum QueryPlan {
         /// Target column averaged per side.
         target: String,
         /// Predicates scoping both sides identically.
-        predicates: Vec<(String, String)>,
+        predicates: Vec<Predicate>,
         /// Dimension the compared values belong to.
         dimension: String,
         /// First-mentioned value.
@@ -102,7 +103,7 @@ impl QueryPlan {
     }
 
     /// The equality predicates scoping this plan's subset.
-    pub fn predicates(&self) -> &[(String, String)] {
+    pub fn predicates(&self) -> &[Predicate] {
         match self {
             QueryPlan::Aggregate { predicates, .. }
             | QueryPlan::GroupExtremum { predicates, .. }
@@ -348,15 +349,13 @@ fn as_name(value: Value) -> Option<String> {
 
 /// "for season Winter and region East", or "" for the overall subset —
 /// the same phrasing stored speeches use for fact scopes.
-fn scope_suffix(predicates: &[(String, String)]) -> String {
-    if predicates.is_empty() {
-        return String::new();
+fn scope_suffix(predicates: &[Predicate]) -> String {
+    let mut suffix = String::new();
+    if !predicates.is_empty() {
+        suffix.push_str(" for ");
+        write_pairs(&mut suffix, predicates);
     }
-    let parts: Vec<String> = predicates
-        .iter()
-        .map(|(d, v)| format!("{} {}", d.replace('_', " "), v))
-        .collect();
-    format!(" for {}", parts.join(" and "))
+    suffix
 }
 
 /// Deterministic voice rendering of a computed value. Prefixed "From the

@@ -1,6 +1,23 @@
 //! Queries and stored speech answers.
+//!
+//! A stored speech keeps every name it mentions (its target, and each
+//! predicate's and fact scope's dimension and value) as a 16-byte
+//! [`Arc<str>`] handle. Pre-processing hands out one handle per name and
+//! tenant set-up (dimension values are the table dictionary's own
+//! strings), so a store holds each name once however many speeches
+//! mention it.
 
 use std::fmt;
+use std::mem::{size_of, size_of_val};
+use std::sync::Arc;
+
+use vqs_relalg::hash::FxHashSet;
+
+use crate::template::write_scope_phrase;
+
+/// A `(dimension, value)` pair of shared name handles: one equality
+/// predicate of a query, or one pair of a fact's scope.
+pub type Predicate = (Arc<str>, Arc<str>);
 
 /// A supported voice query: one target column and a conjunction of
 /// equality predicates on dimension columns (§III: "queries requesting
@@ -9,36 +26,42 @@ use std::fmt;
 ///
 /// Predicates are kept sorted by dimension name so structurally equal
 /// queries compare and hash equal. The `Ord` impl (target, then
-/// predicates) gives store snapshots a canonical order.
+/// predicates) gives store snapshots a canonical order. Hashing and
+/// comparison go through the names' text, never their handles, so a query
+/// spelled from owned strings finds the speech stored under shared ones.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Query {
-    target: String,
-    predicates: Vec<(String, String)>,
+    target: Arc<str>,
+    predicates: Box<[Predicate]>,
 }
 
 impl Query {
-    /// Build a query; predicates are normalized (sorted by dimension).
-    pub fn new(
-        target: impl Into<String>,
-        predicates: impl IntoIterator<Item = (String, String)>,
-    ) -> Query {
-        let mut predicates: Vec<(String, String)> = predicates.into_iter().collect();
+    /// Build a query; predicates are normalized (sorted by dimension,
+    /// duplicates dropped). Names may be owned `String`s, `&str`s or
+    /// shared handles; a handle is kept, anything else is copied into one.
+    pub fn new<D, V>(
+        target: impl Into<Arc<str>>,
+        predicates: impl IntoIterator<Item = (D, V)>,
+    ) -> Query
+    where
+        D: Into<Arc<str>>,
+        V: Into<Arc<str>>,
+    {
+        let mut predicates: Vec<Predicate> = predicates
+            .into_iter()
+            .map(|(dim, value)| (dim.into(), value.into()))
+            .collect();
         predicates.sort();
         predicates.dedup();
         Query {
             target: target.into(),
-            predicates,
+            predicates: predicates.into_boxed_slice(),
         }
     }
 
     /// Convenience builder from string slices.
     pub fn of(target: &str, predicates: &[(&str, &str)]) -> Query {
-        Query::new(
-            target,
-            predicates
-                .iter()
-                .map(|&(d, v)| (d.to_string(), v.to_string())),
-        )
+        Query::new(target, predicates.iter().copied())
     }
 
     /// The target column.
@@ -46,8 +69,13 @@ impl Query {
         &self.target
     }
 
+    /// The target column's shared name handle.
+    pub(crate) fn target_handle(&self) -> &Arc<str> {
+        &self.target
+    }
+
     /// The normalized predicates.
-    pub fn predicates(&self) -> &[(String, String)] {
+    pub fn predicates(&self) -> &[Predicate] {
         &self.predicates
     }
 
@@ -63,20 +91,28 @@ impl Query {
 
     /// The predicate dimension names, in normalized (sorted) order.
     pub fn dimension_names(&self) -> Vec<String> {
-        self.predicates.iter().map(|(d, _)| d.clone()).collect()
+        self.predicates.iter().map(|(d, _)| d.to_string()).collect()
     }
 
     /// The sub-query keeping exactly the predicates whose bits are set in
     /// `mask` (bit `i` = `predicates()[i]`). The result stays normalized
     /// because a subsequence of a sorted list is sorted.
     pub fn predicate_subset(&self, mask: u64) -> Query {
-        let predicates: Vec<(String, String)> = (0..self.predicates.len())
+        let predicates = (0..self.predicates.len())
             .filter(|&i| mask & (1 << i) != 0)
             .map(|i| self.predicates[i].clone())
             .collect();
         Query {
-            target: self.target.clone(),
+            target: Arc::clone(&self.target),
             predicates,
+        }
+    }
+
+    /// The same predicates, sharing their handles, under `target`.
+    pub(crate) fn retargeted(&self, target: Arc<str>) -> Query {
+        Query {
+            target,
+            predicates: self.predicates.clone(),
         }
     }
 
@@ -126,7 +162,7 @@ impl fmt::Display for Query {
 #[derive(Debug, Clone, PartialEq)]
 pub struct NamedFact {
     /// `(dimension, value)` pairs of the scope (empty = overall).
-    pub scope: Vec<(String, String)>,
+    pub scope: Box<[Predicate]>,
     /// Typical (average) value.
     pub value: f64,
     /// Number of rows within scope.
@@ -137,15 +173,9 @@ impl NamedFact {
     /// Human-readable scope phrase ("for season Winter and region East",
     /// or "overall").
     pub fn scope_phrase(&self) -> String {
-        if self.scope.is_empty() {
-            return "overall".to_string();
-        }
-        let parts: Vec<String> = self
-            .scope
-            .iter()
-            .map(|(d, v)| format!("{} {}", d.replace('_', " "), v))
-            .collect();
-        format!("for {}", parts.join(" and "))
+        let mut phrase = String::new();
+        write_scope_phrase(&mut phrase, &self.scope);
+        phrase
     }
 }
 
@@ -155,9 +185,9 @@ pub struct StoredSpeech {
     /// The query this speech answers.
     pub query: Query,
     /// The selected facts.
-    pub facts: Vec<NamedFact>,
+    pub facts: Box<[NamedFact]>,
     /// Rendered voice-output text.
-    pub text: String,
+    pub text: Box<str>,
     /// Utility achieved on the query's data subset.
     pub utility: f64,
     /// Base error `D(∅)` of the subset.
@@ -176,25 +206,73 @@ impl StoredSpeech {
         }
     }
 
-    /// Approximate resident size in bytes: the struct itself plus the heap
-    /// behind its query, facts, and rendered text (string/vec lengths, not
-    /// capacities — a stable lower bound independent of allocator slack).
+    /// Approximate resident size in bytes of this speech held alone. What
+    /// it owns: the struct, the query's predicate slice, the fact slice,
+    /// every scope slice and the text, with each name handle as its
+    /// 16-byte slot (boxed slices and strings hold no spare capacity, so
+    /// lengths are sizes). Plus each distinct name allocation its handles
+    /// point to, once: its text and the 16-byte `Arc` header. A store
+    /// shares names across speeches and counts each once for all of them
+    /// ([`crate::store::SpeechStore::approx_bytes`]).
     pub fn approx_bytes(&self) -> usize {
-        let mut bytes = std::mem::size_of::<Self>();
-        bytes += self.query.target().len();
-        bytes += std::mem::size_of_val(self.query.predicates());
-        for (dim, value) in self.query.predicates() {
-            bytes += dim.len() + value.len();
-        }
-        bytes += self.facts.len() * std::mem::size_of::<NamedFact>();
-        for fact in &self.facts {
-            bytes += fact.scope.len() * std::mem::size_of::<(String, String)>();
-            for (dim, value) in &fact.scope {
-                bytes += dim.len() + value.len();
+        let mut names = NameBytes::default();
+        names.count(self.names());
+        self.own_bytes() + names.total()
+    }
+
+    /// The bytes [`StoredSpeech::approx_bytes`] counts as owned: all but
+    /// the shared names, which are left to [`NameBytes`].
+    pub(crate) fn own_bytes(&self) -> usize {
+        let scopes: usize = self
+            .facts
+            .iter()
+            .map(|fact| size_of_val(&*fact.scope))
+            .sum();
+        size_of::<Self>()
+            + size_of_val(self.query.predicates())
+            + size_of_val(&*self.facts)
+            + scopes
+            + self.text.len()
+    }
+
+    /// Every name handle this speech holds: its target, then each
+    /// predicate's and each fact scope's dimension and value.
+    pub(crate) fn names(&self) -> impl Iterator<Item = &Arc<str>> {
+        let pairs = self
+            .query
+            .predicates()
+            .iter()
+            .chain(self.facts.iter().flat_map(|fact| fact.scope.iter()));
+        std::iter::once(self.query.target_handle()).chain(pairs.flat_map(|(d, v)| [d, v]))
+    }
+}
+
+/// The [`Arc`] header in front of every name: its strong and weak counts.
+const ARC_HEADER: usize = 2 * size_of::<usize>();
+
+/// Resident bytes of distinct name allocations, each counted once however
+/// many handles point to it: its text plus the 16-byte [`Arc`] header.
+/// Allocations are told apart by address, so equal names held in separate
+/// allocations (queries spelled from fresh `String`s) count once each.
+#[derive(Debug, Default)]
+pub(crate) struct NameBytes {
+    seen: FxHashSet<*const u8>,
+    total: usize,
+}
+
+impl NameBytes {
+    /// Count every allocation among `names` not counted before.
+    pub(crate) fn count<'a>(&mut self, names: impl IntoIterator<Item = &'a Arc<str>>) {
+        for name in names {
+            if self.seen.insert(Arc::as_ptr(name).cast::<u8>()) {
+                self.total += ARC_HEADER + name.len();
             }
         }
-        bytes += self.text.len();
-        bytes
+    }
+
+    /// The bytes counted so far.
+    pub(crate) fn total(&self) -> usize {
+        self.total
     }
 }
 
@@ -278,25 +356,52 @@ mod tests {
     #[test]
     fn scope_phrases() {
         let fact = NamedFact {
-            scope: vec![("age_group".into(), "70-79".into())],
+            scope: Box::new([("age_group".into(), "70-79".into())]),
             value: 80.0,
             support: 10,
         };
         assert_eq!(fact.scope_phrase(), "for age group 70-79");
         let overall = NamedFact {
-            scope: vec![],
+            scope: Box::new([]),
             value: 35.0,
             support: 100,
         };
         assert_eq!(overall.scope_phrase(), "overall");
     }
 
+    /// The `Debug` rendering is what the store digests hash: handles and
+    /// boxed slices print exactly as the owned strings and vectors did.
+    #[test]
+    fn debug_rendering_is_the_owned_strings_rendering() {
+        let region: Arc<str> = Arc::from("region");
+        let speech = StoredSpeech {
+            query: Query::new("delay", [(Arc::clone(&region), Arc::from("East"))]),
+            facts: Box::new([NamedFact {
+                scope: Box::new([(region, Arc::from("East")), ("season".into(), "Winter".into())]),
+                value: 12.5,
+                support: 3,
+            }]),
+            text: "For region East: The average delay for region East and season Winter is about 12.5."
+                .into(),
+            utility: 1.5,
+            base_error: 2.0,
+            rows: 4,
+        };
+        assert_eq!(
+            format!("{speech:?}"),
+            "StoredSpeech { query: Query { target: \"delay\", predicates: [(\"region\", \"East\")] }, \
+             facts: [NamedFact { scope: [(\"region\", \"East\"), (\"season\", \"Winter\")], value: 12.5, support: 3 }], \
+             text: \"For region East: The average delay for region East and season Winter is about 12.5.\", \
+             utility: 1.5, base_error: 2.0, rows: 4 }"
+        );
+    }
+
     #[test]
     fn scaled_utility_bounds() {
         let speech = StoredSpeech {
             query: Query::of("t", &[]),
-            facts: vec![],
-            text: String::new(),
+            facts: Box::new([]),
+            text: "".into(),
             utility: 30.0,
             base_error: 120.0,
             rows: 16,

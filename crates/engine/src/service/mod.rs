@@ -1584,8 +1584,8 @@ mod tests {
         for predicates in [vec![], vec![("season", "Winter")]] {
             let query = Query::of("delay", &predicates);
             store.insert(StoredSpeech {
-                text: format!("speech for {query}"),
-                facts: vec![],
+                text: format!("speech for {query}").into(),
+                facts: Box::new([]),
                 utility: 1.0,
                 base_error: 2.0,
                 rows: 10,

@@ -24,6 +24,13 @@
 //! re-summarization (see
 //! [`crate::service::VoiceService::refresh_tenant`]) can assert pointer
 //! stability of untouched entries.
+//!
+//! Names are shared, not copied: a speech holds its target, dimension and
+//! value names as 16-byte [`Arc<str>`] handles
+//! ([`crate::problem::Predicate`]), the follow-on index's keys clone the
+//! handles of the queries they index, and the target index is keyed by
+//! the target's handle. [`SpeechStore::approx_bytes`] counts every handle
+//! as its slot and each distinct name allocation once.
 
 use std::borrow::Borrow;
 use std::hash::{BuildHasher, Hash};
@@ -36,7 +43,7 @@ use vqs_core::delta::masks_of_size;
 use vqs_core::prelude::Instrumentation;
 use vqs_relalg::hash::{FxHashMap, FxHashSet, FxHasher};
 
-use crate::problem::{Query, StoredSpeech};
+use crate::problem::{NameBytes, Predicate, Query, StoredSpeech};
 
 /// Result of a store lookup. Speeches are shared via [`Arc`]: cloning a
 /// lookup result never copies the speech text or facts.
@@ -83,12 +90,14 @@ pub struct StoreStats {
     pub misses: u64,
     /// Approximate resident size of the store in bytes: per stored
     /// speech, its shard slot (the speech's `Arc`, which is also its key:
-    /// the query is kept once, inside the speech) plus the speech's
-    /// struct-and-heap estimate ([`StoredSpeech::approx_bytes`]); per
-    /// follow-on hint, its slot (the parent query's predicates and the
-    /// extension's `Arc`) plus the predicates' heap. Computed by walking
-    /// the shards and the index at snapshot time, so it tracks the
-    /// *current* contents — the scale benchmarks chart it against row
+    /// the query is kept once, inside the speech) plus what the speech
+    /// owns (struct, boxed slices, text, with each name handle as its
+    /// 16-byte slot); per follow-on hint, its slot (the parent query's
+    /// predicates and the extension's `Arc`) plus the predicate slice;
+    /// and once, however many handles share it, each distinct name
+    /// allocation: its text plus the 16-byte `Arc` header. Computed by
+    /// walking the shards and the index at snapshot time, so it tracks
+    /// the *current* contents — the scale benchmarks chart it against row
     /// count.
     pub approx_bytes: u64,
 }
@@ -121,19 +130,13 @@ struct CounterStripe {
 }
 
 /// Predicates of a query, the key of the follow-on index (looked up by
-/// `&[(String, String)]`, so a read allocates nothing).
-type Predicates = Box<[(String, String)]>;
-
-/// Heap bytes behind a predicate list: the pairs plus their strings
-/// (string lengths, not capacities — the stable lower bound).
-fn predicates_heap_bytes(predicates: &[(String, String)]) -> usize {
-    let strings: usize = predicates.iter().map(|(d, v)| d.len() + v.len()).sum();
-    std::mem::size_of_val(predicates) + strings
-}
+/// `&[Predicate]`, so a read allocates nothing). Its handles are clones
+/// of the indexed query's.
+type Predicates = Box<[Predicate]>;
 
 /// The predicates of `query` without its `skip`-th one: the parent that
-/// `query` extends by that predicate (still sorted).
-fn parent_of(query: &Query, skip: usize) -> Vec<(String, String)> {
+/// `query` extends by that predicate (still sorted), sharing its handles.
+fn parent_of(query: &Query, skip: usize) -> Vec<Predicate> {
     let predicates = query.predicates();
     let mut parent = Vec::with_capacity(predicates.len() - 1);
     parent.extend_from_slice(&predicates[..skip]);
@@ -143,7 +146,7 @@ fn parent_of(query: &Query, skip: usize) -> Vec<(String, String)> {
 
 /// True when `child` extends `parent` by exactly one predicate. Both are
 /// normalized (sorted, no duplicates), so that is one sorted merge.
-fn extends_by_one(parent: &[(String, String)], child: &[(String, String)]) -> bool {
+fn extends_by_one(parent: &[Predicate], child: &[Predicate]) -> bool {
     if child.len() != parent.len() + 1 {
         return false;
     }
@@ -237,7 +240,7 @@ pub struct SpeechStore {
     shards: Box<[Shard]>,
     /// `shards.len() - 1`; the shard count is a power of two.
     mask: u64,
-    index: RwLock<FxHashMap<String, TargetIndex>>,
+    index: RwLock<FxHashMap<Arc<str>, TargetIndex>>,
     counters: Box<[CounterStripe]>,
 }
 
@@ -300,9 +303,9 @@ impl SpeechStore {
             .shard(query)
             .write()
             .replace(Entry(Arc::clone(&speech)));
-        let target = index.entry(query.target().to_string()).or_default();
+        let target = index.entry(Arc::clone(query.target_handle())).or_default();
         if replaced.is_none() {
-            let dims = dim_set_hash(query.predicates().iter().map(|(d, _)| d.as_str()));
+            let dims = dim_set_hash(query.predicates().iter().map(|(d, _)| &**d));
             let levels = &mut target.dim_sets;
             if levels.len() <= query.len() {
                 levels.resize_with(query.len() + 1, FxHashMap::default);
@@ -344,7 +347,7 @@ impl SpeechStore {
         let target = index
             .get_mut(query.target())
             .expect("a stored query's target is indexed");
-        let dims = dim_set_hash(query.predicates().iter().map(|(d, _)| d.as_str()));
+        let dims = dim_set_hash(query.predicates().iter().map(|(d, _)| &**d));
         if let Some(level) = target.dim_sets.get_mut(query.len()) {
             if let Some(count) = level.get_mut(&dims) {
                 *count -= 1;
@@ -353,7 +356,7 @@ impl SpeechStore {
                 }
             }
         }
-        let orphans: Vec<Vec<(String, String)>> = (0..query.len())
+        let orphans: Vec<Vec<Predicate>> = (0..query.len())
             .map(|skip| parent_of(query, skip))
             .filter(|parent| {
                 target
@@ -413,7 +416,7 @@ impl SpeechStore {
     pub fn set_target_prior(&self, target: &str, prior: f64) {
         self.index
             .write()
-            .entry(target.to_string())
+            .entry(Arc::from(target))
             .or_default()
             .prior = Some(prior);
     }
@@ -487,7 +490,7 @@ impl SpeechStore {
                             .iter()
                             .enumerate()
                             .filter(|(i, _)| mask & (1 << i) != 0)
-                            .map(|(_, (d, _))| d.as_str());
+                            .map(|(_, (d, _))| &**d);
                         level.contains_key(&dim_set_hash(names))
                     }));
                 }
@@ -557,9 +560,9 @@ impl SpeechStore {
         speeches
     }
 
-    /// Point-in-time copy of the run-time counters (summed over the
-    /// per-shard stripes), plus the walked byte footprint.
-    pub fn stats(&self) -> StoreStats {
+    /// The run-time counters summed over the per-shard stripes;
+    /// `approx_bytes` is left 0.
+    fn counters(&self) -> StoreStats {
         let mut stats = StoreStats::default();
         for stripe in self.counters.iter() {
             stats.lookups += stripe.lookups.load(Ordering::Relaxed);
@@ -568,25 +571,35 @@ impl SpeechStore {
             stats.generalized_hits += stripe.generalized_hits.load(Ordering::Relaxed);
             stats.misses += stripe.misses.load(Ordering::Relaxed);
         }
-        stats.approx_bytes = self.approx_bytes() as u64;
         stats
     }
 
+    /// Point-in-time copy of the run-time counters (summed over the
+    /// per-shard stripes), plus the walked byte footprint.
+    pub fn stats(&self) -> StoreStats {
+        StoreStats {
+            approx_bytes: self.approx_bytes() as u64,
+            ..self.counters()
+        }
+    }
+
     /// Approximate resident size of the store in bytes (see
-    /// [`StoreStats::approx_bytes`]): per-entry set overhead plus each
-    /// stored speech's struct-and-heap estimate, and the follow-on
-    /// index's entries with their parent predicates. One read-locked walk
-    /// per call — a diagnostic, not a hot path.
+    /// [`StoreStats::approx_bytes`]): per-entry set overhead plus what
+    /// each stored speech owns, the follow-on index's entries with their
+    /// parent predicates, and each distinct name allocation once, found
+    /// by address. One read-locked walk per call — a diagnostic, not a
+    /// hot path.
     pub fn approx_bytes(&self) -> usize {
         let mut bytes = 0usize;
+        let mut names = NameBytes::default();
         for shard in self.shards.iter() {
             let set = shard.read();
             // Set slot (the speech's Arc, also its key) + hash bookkeeping.
             bytes += set.len() * (std::mem::size_of::<Entry>() + 8);
-            bytes += set
-                .iter()
-                .map(|Entry(speech)| speech.approx_bytes())
-                .sum::<usize>();
+            for Entry(speech) in set.iter() {
+                bytes += speech.own_bytes();
+                names.count(speech.names());
+            }
         }
         for target in self.index.read().values() {
             // Map slot (parent predicates + Arc) + hash bookkeeping.
@@ -594,13 +607,12 @@ impl SpeechStore {
                 * (std::mem::size_of::<Predicates>()
                     + std::mem::size_of::<Arc<StoredSpeech>>()
                     + 8);
-            bytes += target
-                .followons
-                .keys()
-                .map(|parent| predicates_heap_bytes(parent))
-                .sum::<usize>();
+            for parent in target.followons.keys() {
+                bytes += std::mem::size_of_val(&**parent);
+                names.count(parent.iter().flat_map(|(d, v)| [d, v]));
+            }
         }
-        bytes
+        bytes + names.total()
     }
 
     /// Reset the run-time counters to zero.
@@ -617,7 +629,7 @@ impl SpeechStore {
     /// The run-time counters in [`Instrumentation`] form, so store effort
     /// composes with the pre-processing work counters.
     pub fn instrumentation(&self) -> Instrumentation {
-        let stats = self.stats();
+        let stats = self.counters();
         Instrumentation {
             store_lookups: stats.lookups,
             store_probes: stats.probes,
@@ -630,11 +642,13 @@ impl SpeechStore {
 mod tests {
     use super::*;
 
+    use crate::problem::NamedFact;
+
     fn speech(target: &str, preds: &[(&str, &str)]) -> StoredSpeech {
         StoredSpeech {
             query: Query::of(target, preds),
-            facts: vec![],
-            text: format!("speech for {target} {preds:?}"),
+            facts: Box::new([]),
+            text: format!("speech for {target} {preds:?}").into(),
             utility: 1.0,
             base_error: 2.0,
             rows: 10,
@@ -664,6 +678,58 @@ mod tests {
         store.extend([speech("delay", &[("region", "South")])]);
         assert!(store.approx_bytes() > small);
         assert_eq!(store.stats().approx_bytes, store.approx_bytes() as u64);
+    }
+
+    /// Two speeches over the names delay, season, Winter, region and
+    /// East: one queries season Winter and scopes its fact to region
+    /// East, the other the reverse. `name` makes each name's handle.
+    fn crossed_speeches(mut name: impl FnMut(&str) -> Arc<str>) -> [StoredSpeech; 2] {
+        let mut speech = |query: (&str, &str), scope: (&str, &str)| StoredSpeech {
+            query: Query::new(name("delay"), [(name(query.0), name(query.1))]),
+            facts: Box::new([NamedFact {
+                scope: Box::new([(name(scope.0), name(scope.1))]),
+                value: 1.0,
+                support: 2,
+            }]),
+            text: "text".into(),
+            utility: 1.0,
+            base_error: 2.0,
+            rows: 3,
+        };
+        [
+            speech(("season", "Winter"), ("region", "East")),
+            speech(("region", "East"), ("season", "Winter")),
+        ]
+    }
+
+    #[test]
+    fn shared_names_count_once_and_fresh_copies_count_each() {
+        // Each name once: its text plus the 16-byte Arc header.
+        let names: usize = ["delay", "season", "Winter", "region", "East"]
+            .iter()
+            .map(|name| 16 + name.len())
+            .sum();
+        let mut handles: FxHashMap<String, Arc<str>> = FxHashMap::default();
+        let shared = crossed_speeches(|text| {
+            let handle = handles
+                .entry(text.to_string())
+                .or_insert_with(|| Arc::from(text));
+            Arc::clone(handle)
+        });
+        let fresh = crossed_speeches(|text| Arc::from(text.to_string()));
+        // Alone, a speech counts each of the five names it mentions once.
+        for speech in shared.iter().chain(&fresh) {
+            assert_eq!(speech.approx_bytes(), speech.own_bytes() + names);
+        }
+        let stores = [shared, fresh].map(|speeches| {
+            let store = SpeechStore::new();
+            store.extend(speeches);
+            assert_eq!(store.stats().approx_bytes, store.approx_bytes() as u64);
+            store.approx_bytes()
+        });
+        // Same layout: the fresh store pays for a second copy of every
+        // name, the shared one for one.
+        assert_eq!(stores[1], stores[0] + names);
     }
 
     #[test]
@@ -760,13 +826,13 @@ mod tests {
         let store = SpeechStore::new();
         store.insert(speech("delay", &[("season", "Winter")]));
         let mut updated = speech("delay", &[("season", "Winter")]);
-        updated.text = "updated".to_string();
+        updated.text = "updated".into();
         store.insert(updated);
         assert_eq!(store.len(), 1);
         let got = store
             .get(&Query::of("delay", &[("season", "Winter")]))
             .unwrap();
-        assert_eq!(got.text, "updated");
+        assert_eq!(&*got.text, "updated");
         // The index still routes fallback to the surviving entry.
         let q = Query::of("delay", &[("season", "Winter"), ("region", "East")]);
         assert!(matches!(store.lookup(&q), Lookup::Generalized { .. }));

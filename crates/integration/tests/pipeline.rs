@@ -306,7 +306,7 @@ fn store_hits_are_byte_identical_to_direct_lookup() {
             panic!("{utterance}: direct lookup missed");
         };
         assert!(Arc::ptr_eq(&direct, &stored));
-        assert_eq!(response.text(), direct.text);
+        assert_eq!(response.text(), &*direct.text);
         exact_hits += 1;
     }
     // Two targets × (1 overall + 4 seasons + 3 regions + 12 pairs).

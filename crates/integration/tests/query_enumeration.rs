@@ -27,7 +27,7 @@ fn reference(relation: &EncodedRelation, max_len: usize, target: &str) -> Vec<(Q
                 .zip(&combo)
                 .map(|(&d, &code)| {
                     let dim = &relation.dims()[d];
-                    (dim.name.clone(), dim.values[code as usize].to_string())
+                    (dim.name.to_string(), dim.values[code as usize].to_string())
                 })
                 .collect();
             out.push((Query::new(target.to_string(), predicates), rows));

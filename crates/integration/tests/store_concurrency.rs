@@ -23,8 +23,8 @@ fn expected_text(query: &Query) -> String {
 fn speech_for(query: Query) -> StoredSpeech {
     let rows = 1 + query.len() * 10;
     StoredSpeech {
-        text: expected_text(&query),
-        facts: vec![],
+        text: expected_text(&query).into(),
+        facts: Box::new([]),
         utility: query.len() as f64,
         base_error: 2.0,
         rows,
@@ -117,7 +117,7 @@ fn stress_8_writers_8_readers() {
                             Lookup::Exact(speech) => {
                                 observed_hit = true;
                                 assert_eq!(speech.query, probe);
-                                assert_eq!(speech.text, expected_text(&speech.query));
+                                assert_eq!(*speech.text, expected_text(&speech.query));
                             }
                             Lookup::Generalized {
                                 speech,
@@ -132,7 +132,7 @@ fn stress_8_writers_8_readers() {
                                 );
                                 assert_ne!(speech.query, probe);
                                 assert_eq!(kept_predicates, speech.query.len());
-                                assert_eq!(speech.text, expected_text(&speech.query));
+                                assert_eq!(*speech.text, expected_text(&speech.query));
                             }
                         }
                     }
@@ -167,7 +167,7 @@ fn stress_8_writers_8_readers() {
     // Every stored query now answers exactly.
     for query in &universe {
         match store.lookup(query) {
-            Lookup::Exact(speech) => assert_eq!(speech.text, expected_text(query)),
+            Lookup::Exact(speech) => assert_eq!(*speech.text, expected_text(query)),
             other => panic!("{query} should hit exactly, got {other:?}"),
         }
     }
@@ -197,12 +197,12 @@ fn invalidation_under_concurrent_reads() {
                     match store.lookup(probe) {
                         Lookup::Miss => assert_eq!(probe.target(), "delay"),
                         Lookup::Exact(speech) => {
-                            assert_eq!(speech.text, expected_text(&speech.query))
+                            assert_eq!(*speech.text, expected_text(&speech.query))
                         }
                         Lookup::Generalized { speech, .. } => {
                             // Mid-invalidation a more general surviving
                             // speech may answer; it must still be whole.
-                            assert_eq!(speech.text, expected_text(&speech.query));
+                            assert_eq!(*speech.text, expected_text(&speech.query));
                             assert!(speech.query.subset_of(probe));
                         }
                     }

@@ -101,8 +101,8 @@ impl NaiveStore {
 
 fn make_speech(query: Query) -> StoredSpeech {
     StoredSpeech {
-        text: format!("speech::{query}"),
-        facts: vec![],
+        text: format!("speech::{query}").into(),
+        facts: Box::new([]),
         utility: 1.0,
         base_error: 2.0,
         rows: 1 + query.len(),
@@ -357,7 +357,7 @@ proptest! {
                 Write::Replace(n) => {
                     if let Some(query) = nth(*n) {
                         let mut speech = make_speech(query);
-                        speech.text = format!("{} (replaced at {step})", speech.text);
+                        speech.text = format!("{} (replaced at {step})", speech.text).into();
                         sharded.insert(speech.clone());
                         naive.insert(speech);
                     }

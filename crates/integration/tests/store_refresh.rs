@@ -359,7 +359,7 @@ fn swapped_rows_over_int_and_float_dimensions_refresh_their_subsets() {
                 .query
                 .predicates()
                 .iter()
-                .any(|(d, v)| d == "year" && v == "2020")
+                .any(|(d, v)| &**d == "year" && &**v == "2020")
         })
         .collect();
     assert_eq!(year_2020.len(), 3, "year 2020 alone and with each score");

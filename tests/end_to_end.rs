@@ -179,7 +179,7 @@ fn baseline_answers_same_queries_with_ranges() {
     let items = enumerate_queries(&relation, &config, "cancelled");
     let winter = items
         .iter()
-        .find(|i| i.query.predicates() == [("season".to_string(), "Winter".to_string())])
+        .find(|i| i.query == Query::of("cancelled", &[("season", "Winter")]))
         .unwrap();
     let subset = relation.subset(&winter.rows).unwrap();
     let result = vocalize(
@@ -234,7 +234,7 @@ fn facade_preprocessing_is_deterministic_in_pool_size() {
         let mut texts: Vec<(String, String)> = store
             .queries()
             .into_iter()
-            .map(|q| (q.to_string(), store.get(&q).unwrap().text.clone()))
+            .map(|q| (q.to_string(), store.get(&q).unwrap().text.to_string()))
             .collect();
         texts.sort();
         texts
