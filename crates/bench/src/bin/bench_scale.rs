@@ -2,7 +2,7 @@
 //! toward the paper's deployment claim ("millions of users", ROADMAP
 //! item 2), measured honestly and committed as `BENCH_scale.json`.
 //!
-//! Seven sections:
+//! Six sections:
 //!
 //! * `smoke_baseline` — a cheap fixed workload (flights @ 0.02 scale:
 //!   preprocess, ingest drain, a short open-loop load run). Always
@@ -19,10 +19,6 @@
 //! * `overload` — constant arrivals far above one serving worker's
 //!   rate into a 32-deep admission queue: the shed rate and the peak
 //!   queue depth, which must stay within the cap. Always computed.
-//! * `deadline` — the exact summarizer at 10× the smoke scale with its
-//!   multi-predicate speeches evicted, so budgeted requests take the
-//!   live-solve rung of the degradation ladder: expired, degraded and
-//!   in-deadline counts. Always computed.
 //! * `live_plans` — one tenant answered from the store tier and from
 //!   live relational plans, one open-loop run per tier at the same
 //!   rate. Always computed.
@@ -56,7 +52,6 @@ use std::time::{Duration, Instant};
 
 use vqs_bench::loadgen::{self, Arrival, LoadPlan, LoadReport, MixWeights, Schedule};
 use vqs_bench::{scenario_dataset, single_target_config, RunConfig};
-use vqs_core::prelude::ExactSummarizer;
 use vqs_data::{
     scale_tenant_spec, wide_probe_spec, DimSpec, GeneratedDataset, SynthSpec, TargetSpec,
 };
@@ -78,19 +73,6 @@ const OVERLOAD_QUEUE: usize = 32;
 const OVERLOAD_RATE: f64 = 500_000.0;
 /// Requests of the `overload` run.
 const OVERLOAD_REQUESTS: usize = 4_000;
-
-/// Deadline budget of the `deadline` section: every request is stamped
-/// with it at admission (the tenants' default) and classified by it.
-const DEADLINE_SECTION_BUDGET: Duration = Duration::from_millis(4);
-/// Offered rate and request count of the `deadline` run: above what one
-/// serving worker answers when most requests solve live, so queued
-/// requests expire and solves started late degrade.
-const DEADLINE_SECTION_RATE: f64 = 12_000.0;
-const DEADLINE_SECTION_REQUESTS: usize = 1_200;
-/// The `deadline` tenants: the exact summarizer pre-processes them at
-/// 10× the smoke scale.
-const DEADLINE_TENANTS: [(&str, char, &str); 2] =
-    [("flights", 'F', "cancelled"), ("acs", 'A', "hearing")];
 
 /// Dimension values and row count of the `live_plans` fixture.
 const SEASONS: [&str; 4] = ["Winter", "Spring", "Summer", "Fall"];
@@ -196,8 +178,6 @@ fn main() {
     let probes = wide_probe_sweep(workers);
     eprintln!("bench_scale: overload");
     let overload = overload(workers);
-    eprintln!("bench_scale: deadline");
-    let deadline = deadline(workers);
     eprintln!("bench_scale: live plans");
     let live_plans = live_plans(workers, requests.min(240), rate.min(600.0));
 
@@ -243,7 +223,6 @@ fn main() {
         &baseline,
         &probes,
         &overload,
-        &deadline,
         &live_plans,
         &scenarios,
         &synthetic,
@@ -565,62 +544,6 @@ fn overload(workers: usize) -> OverloadEntry {
     OverloadEntry { peak_queued, load }
 }
 
-/// Budgeted traffic against stores whose multi-predicate speeches were
-/// evicted: those requests take the live-solve rung, where the exact
-/// summarizer can run out of budget and rerun greedily
-/// ([`Degradation::Greedy`]), and requests queued past the budget
-/// expire.
-fn deadline(workers: usize) -> LoadReport {
-    let service = Arc::new(
-        ServiceBuilder::new()
-            .workers(workers)
-            .summarizer(ExactSummarizer::paper())
-            .build(),
-    );
-    let mut pools: Vec<Vec<ServiceRequest>> = Vec::new();
-    for (tenant, letter, target) in DEADLINE_TENANTS {
-        let (dataset, engine_config, texts) = scenario(letter, target, 0.2);
-        service
-            .register_dataset(
-                TenantSpec::new(tenant, dataset, engine_config)
-                    .default_deadline(DEADLINE_SECTION_BUDGET),
-            )
-            .expect("registration succeeds");
-        let store = service.tenant_store(tenant).expect("registered");
-        for speech in store.snapshot() {
-            if speech.query.predicates().len() >= 2 {
-                store.remove(&speech.query);
-            }
-        }
-        pools.push(
-            texts
-                .iter()
-                .map(|text| ServiceRequest::new(tenant, text))
-                .collect(),
-        );
-    }
-    // Alternate the tenants request by request.
-    let prototypes = (0..pools.iter().map(Vec::len).max().unwrap_or(0))
-        .flat_map(|i| pools.iter().filter_map(move |pool| pool.get(i).cloned()))
-        .collect();
-    let mut plan = LoadPlan::respond_only(
-        Schedule::new(
-            Arrival::Poisson {
-                rate: DEADLINE_SECTION_RATE,
-            },
-            DEADLINE_SECTION_REQUESTS,
-            LOAD_SEED,
-        ),
-        prototypes,
-        LOAD_SEED,
-    );
-    plan.deadline_budget = Some(DEADLINE_SECTION_BUDGET);
-    let frontend = FrontEnd::builder(service).workers(1).build();
-    let load = loadgen::run(&frontend, &plan);
-    assert_reconciles(&frontend, &load);
-    load
-}
-
 /// One tenant, two question pools: store-tier questions answered with
 /// a stored speech, and extrema, comparisons and aggregates that miss
 /// the store and execute a relational plan on the live table. Each
@@ -874,7 +797,6 @@ fn render_json(
     baseline: &SmokeBaseline,
     probes: &[ProbeEntry],
     overload: &OverloadEntry,
-    deadline: &LoadReport,
     live_plans: &LivePlansEntry,
     scenarios: &[ScenarioEntry],
     synthetic: &[SyntheticEntry],
@@ -942,16 +864,6 @@ fn render_json(
     ));
     lines.push(format!("    \"peak_queued\": {},", overload.peak_queued));
     push_load(&mut lines, "    ", &overload.load, false);
-    lines.push("  },".to_string());
-
-    lines.push("  \"deadline\": {".to_string());
-    lines.push(format!(
-        "    \"budget_micros\": {},",
-        DEADLINE_SECTION_BUDGET.as_micros()
-    ));
-    lines.push(format!("    \"rate_per_sec\": {DEADLINE_SECTION_RATE:.0},"));
-    lines.push(format!("    \"in_deadline\": {},", deadline.in_deadline));
-    push_load(&mut lines, "    ", deadline, false);
     lines.push("  },".to_string());
 
     lines.push("  \"live_plans\": {".to_string());

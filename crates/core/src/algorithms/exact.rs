@@ -219,14 +219,6 @@ impl Summarizer for ExactSummarizer {
     }
 
     fn summarize(&self, problem: &Problem<'_>) -> Result<Summary> {
-        self.summarize_by(problem, None)
-    }
-
-    /// [`Summarizer::summarize`] under an additional external deadline:
-    /// the search stops at whichever expires first — the configured
-    /// [`ExactSummarizer::time_budget`] or `deadline` — and returns the
-    /// best speech found so far with [`Summary::timed_out`] set.
-    fn summarize_by(&self, problem: &Problem<'_>, deadline: Option<Instant>) -> Result<Summary> {
         let mut counters = Instrumentation::default();
 
         // Single-fact utilities (Algorithm 1 Line 6), then sort descending —
@@ -252,13 +244,7 @@ impl Summarizer for ExactSummarizer {
             tight_bounds: self.tight_bounds,
             bound_pruning: self.bound_pruning,
             base_error: problem.catalog.base_error(),
-            deadline: match (
-                self.time_budget.map(|budget| Instant::now() + budget),
-                deadline,
-            ) {
-                (Some(own), Some(external)) => Some(own.min(external)),
-                (own, external) => own.or(external),
-            },
+            deadline: self.time_budget.map(|budget| Instant::now() + budget),
             state: problem.catalog.residual_state(),
             arena: UndoArena::new(),
             chosen: Vec::with_capacity(m),
@@ -378,34 +364,6 @@ mod tests {
         let greedy = GreedySummarizer::base().summarize(&problem).unwrap();
         assert!(summary.utility >= greedy.utility - 1e-9);
         assert!(!greedy.timed_out);
-    }
-
-    #[test]
-    fn expired_external_deadline_times_out_with_greedy_fallback() {
-        let r = random_relation(79, 400, &[("a", 8), ("b", 8), ("c", 8)]);
-        let catalog = FactCatalog::build(&r, &[0, 1, 2], 2).unwrap();
-        let problem = Problem::new(&r, &catalog, 3).unwrap();
-        // No configured budget — the external serving deadline alone
-        // must stop the search.
-        let summary = ExactSummarizer::paper()
-            .summarize_by(&problem, Some(std::time::Instant::now()))
-            .unwrap();
-        assert!(summary.timed_out);
-        let greedy = GreedySummarizer::base().summarize(&problem).unwrap();
-        assert!(summary.utility >= greedy.utility - 1e-9);
-    }
-
-    #[test]
-    fn external_deadline_tightens_own_budget() {
-        let r = random_relation(80, 400, &[("a", 8), ("b", 8), ("c", 8)]);
-        let catalog = FactCatalog::build(&r, &[0, 1, 2], 2).unwrap();
-        let problem = Problem::new(&r, &catalog, 3).unwrap();
-        // A generous configured budget paired with an already-expired
-        // external deadline: the tighter of the two wins.
-        let summary = ExactSummarizer::with_time_budget(std::time::Duration::from_secs(3600))
-            .summarize_by(&problem, Some(std::time::Instant::now()))
-            .unwrap();
-        assert!(summary.timed_out);
     }
 
     #[test]

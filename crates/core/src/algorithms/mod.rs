@@ -119,22 +119,6 @@ pub trait Summarizer {
 
     /// Solve one problem instance.
     fn summarize(&self, problem: &Problem<'_>) -> Result<Summary>;
-
-    /// Solve one problem instance under an externally imposed wall-clock
-    /// deadline (a serving-path request deadline, as opposed to the
-    /// algorithm's own configured budget). Anytime algorithms return
-    /// their best speech so far with [`Summary::timed_out`] set when the
-    /// deadline expires; the default implementation ignores the deadline
-    /// entirely, which is correct for polynomial-time algorithms whose
-    /// single solve is far below any useful serving deadline.
-    fn summarize_by(
-        &self,
-        problem: &Problem<'_>,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<Summary> {
-        let _ = deadline;
-        self.summarize(problem)
-    }
 }
 
 /// Assemble a [`Summary`] from selected fact ids, recomputing utility from

@@ -287,24 +287,6 @@ pub fn solve_item<S: Summarizer + ?Sized>(
     template: &SpeechTemplate,
     item: &WorkItem,
 ) -> Result<(StoredSpeech, Instrumentation)> {
-    let (speech, instrumentation, _) =
-        solve_item_at(relation, cells, config, summarizer, template, item, None)?;
-    Ok((speech, instrumentation))
-}
-
-/// [`solve_item`] under an external wall-clock deadline (the serving
-/// path's live-solve tier). The third return value reports whether the
-/// solve timed out — the speech is then the summarizer's best-so-far
-/// (anytime algorithms) with no optimality guarantee.
-pub(crate) fn solve_item_at<S: Summarizer + ?Sized>(
-    relation: &EncodedRelation,
-    cells: &RowPartition,
-    config: &Configuration,
-    summarizer: &S,
-    template: &SpeechTemplate,
-    item: &WorkItem,
-    deadline: Option<Instant>,
-) -> Result<(StoredSpeech, Instrumentation, bool)> {
     // Dimensions not fixed by the query remain free for fact scopes.
     let fixed = item.query.predicates();
     let free_dims: Vec<usize> = (0..relation.dim_count())
@@ -321,7 +303,7 @@ pub(crate) fn solve_item_at<S: Summarizer + ?Sized>(
         max_dims,
     )?;
     let problem = Problem::new(relation, &catalog, config.speech_length)?;
-    let summary = summarizer.summarize_by(&problem, deadline)?;
+    let summary = summarizer.summarize(&problem)?;
 
     let facts: Box<[NamedFact]> = summary
         .speech
@@ -349,70 +331,7 @@ pub(crate) fn solve_item_at<S: Summarizer + ?Sized>(
             rows: item.rows.len(),
         },
         summary.instrumentation,
-        summary.timed_out,
     ))
-}
-
-/// Solve one query live against a tenant's retained table, under the
-/// request's remaining deadline — the respond path's degradation ladder.
-///
-/// Returns `Ok(None)` when the query cannot be solved live (a predicate
-/// names an unknown dimension or value, or the subset is empty); the
-/// caller then falls through to the pre-existing answer tiers. When the
-/// configured summarizer times out against `deadline` (or
-/// `force_timeout` simulates that, for fault injection), the solve
-/// degrades to one poly-time greedy pass over the same problem and the
-/// returned flag reports the degradation.
-pub(crate) fn solve_live(
-    table: &Table,
-    config: &Configuration,
-    summarizer: &dyn Summarizer,
-    templates: &FxHashMap<String, SpeechTemplate>,
-    query: &Query,
-    deadline: Option<Instant>,
-    force_timeout: bool,
-) -> Result<Option<(StoredSpeech, bool)>> {
-    let relation = table_relation(table, config, query.target())?;
-    let mut predicates = Vec::with_capacity(query.predicates().len());
-    for (dim, value) in query.predicates() {
-        match relation.dim_index(dim) {
-            Some(d) => predicates.push((d, &**value)),
-            None => return Ok(None),
-        }
-    }
-    let rows: Arc<[u32]> = (0..relation.len())
-        .filter(|&row| {
-            predicates
-                .iter()
-                .all(|&(d, value)| relation.value_str(d, row) == value)
-        })
-        .map(|row| row as u32)
-        .collect();
-    if rows.is_empty() {
-        return Ok(None);
-    }
-    let item = WorkItem {
-        query: query.clone(),
-        rows,
-    };
-    let template = templates
-        .get(query.target())
-        .cloned()
-        .unwrap_or_else(|| SpeechTemplate::plain(query.target()));
-    let cells = target_cells(&relation);
-    if !force_timeout {
-        let (speech, _, timed_out) = solve_item_at(
-            &relation, &cells, config, summarizer, &template, &item, deadline,
-        )?;
-        if !timed_out {
-            return Ok(Some((speech, false)));
-        }
-    }
-    // The budgeted solve expired (or was forced to): one greedy pass
-    // still yields a valid — merely non-optimal — speech.
-    let greedy = GreedySummarizer::with_optimized_pruning();
-    let (speech, _, _) = solve_item_at(&relation, &cells, config, &greedy, &template, &item, None)?;
-    Ok(Some((speech, true)))
 }
 
 /// The fully-prepared pre-processing input for one target.

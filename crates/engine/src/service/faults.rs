@@ -5,7 +5,9 @@
 //! arms a plan against a live [`VoiceService`](crate::service::VoiceService)
 //! and then asserts the serving invariants hold — every ticket completes,
 //! workers survive injected panics, refreshes stay fail-atomic — while the
-//! plan injects latency, panics, and forced solver timeouts.
+//! plan injects latency, panics, and forced solver timeouts. A latency
+//! fault ends as soon as its plan is disarmed, so a test can hold a
+//! thread inside one and release it on demand.
 //!
 //! Determinism contract: whether the *i*-th draw at a given site fires is
 //! a pure function of `(seed, site, i, rule)`. Each site keeps its own
@@ -16,15 +18,13 @@
 //! lane.)
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A named injection point inside the service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
     /// Entry of the respond path (front-end worker or direct call).
     Respond,
-    /// The live-solve step of the respond path (degradation ladder).
-    RespondSolve,
     /// Entry of [`refresh_tenant`](crate::service::VoiceService::refresh_tenant).
     Refresh,
     /// Entry of [`register_dataset`](crate::service::VoiceService::register_dataset).
@@ -42,7 +42,6 @@ impl FaultSite {
     pub fn name(self) -> &'static str {
         match self {
             FaultSite::Respond => "respond",
-            FaultSite::RespondSolve => "respond-solve",
             FaultSite::Refresh => "refresh",
             FaultSite::Register => "register",
             FaultSite::Ingest => "ingest",
@@ -52,27 +51,30 @@ impl FaultSite {
     fn index(self) -> usize {
         match self {
             FaultSite::Respond => 0,
-            FaultSite::RespondSolve => 1,
-            FaultSite::Refresh => 2,
-            FaultSite::Register => 3,
-            FaultSite::Ingest => 4,
+            FaultSite::Refresh => 1,
+            FaultSite::Register => 2,
+            FaultSite::Ingest => 3,
         }
     }
 }
 
-const SITE_COUNT: usize = 5;
+const SITE_COUNT: usize = 4;
+
+/// How often a thread inside a latency fault checks whether the plan
+/// was disarmed.
+const DISARM_POLL: Duration = Duration::from_millis(1);
 
 /// What an armed rule does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// Sleep for the given duration before proceeding.
+    /// Sleep for the given duration before proceeding, or until the
+    /// plan is disarmed, whichever comes first.
     Latency(Duration),
     /// Panic with a message naming the site (containment is the caller's
     /// responsibility — the front-end catches these, direct calls don't).
     Panic,
-    /// Report a forced solver timeout: the respond path treats the live
-    /// solve as timed out (degrading to greedy), the control paths map it
-    /// to a typed internal error.
+    /// Report a forced solver timeout: registration, refresh and ingest
+    /// map it to a typed internal error; the respond path ignores it.
     SolverTimeout,
 }
 
@@ -199,15 +201,22 @@ impl FaultPlan {
 
     /// Impose the next scheduled fault at `site`, if any.
     ///
-    /// Latency faults sleep here; panic faults panic with a message
-    /// naming the site; solver-timeout faults return `true` so the
-    /// caller can simulate an expired solve. Returns `false` when no
-    /// fault fires.
+    /// Latency faults sleep here until their duration passes or the
+    /// plan is disarmed; panic faults panic with a message naming the
+    /// site; solver-timeout faults return `true` so the caller can
+    /// simulate an expired solve. Returns `false` when no fault fires.
     pub fn impose(&self, site: FaultSite) -> bool {
         match self.decide(site) {
             None => false,
             Some(Fault::Latency(d)) => {
-                std::thread::sleep(d);
+                let end = Instant::now() + d;
+                while self.is_armed() {
+                    let left = end.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        break;
+                    }
+                    std::thread::sleep(left.min(DISARM_POLL));
+                }
                 false
             }
             Some(Fault::Panic) => {
@@ -293,5 +302,44 @@ mod tests {
         }
         plan.arm();
         assert!(plan.impose(FaultSite::Respond)); // draw 1 fires
+    }
+
+    #[test]
+    fn disarm_releases_a_thread_held_in_a_latency_fault() {
+        let plan = std::sync::Arc::new(FaultPlan::new(0).rule_every(
+            FaultSite::Respond,
+            Fault::Latency(Duration::from_secs(60)),
+            1,
+        ));
+        plan.arm();
+        let (done, returned) = std::sync::mpsc::channel();
+        let held = {
+            let plan = std::sync::Arc::clone(&plan);
+            std::thread::spawn(move || {
+                plan.impose(FaultSite::Respond);
+                let _ = done.send(());
+            })
+        };
+        // The draw is counted before the sleep starts.
+        while plan.injected() == 0 {
+            std::thread::yield_now();
+        }
+        plan.disarm();
+        returned
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the held thread did not return after the disarm");
+        held.join().expect("the held thread finished");
+    }
+
+    #[test]
+    fn an_armed_latency_fault_sleeps_its_duration() {
+        let latency = Duration::from_millis(30);
+        let plan = FaultPlan::new(0).rule_every(FaultSite::Respond, Fault::Latency(latency), 1);
+        plan.arm();
+        let start = Instant::now();
+        assert!(!plan.impose(FaultSite::Respond));
+        let slept = start.elapsed();
+        assert!(slept >= latency, "slept only {slept:?}");
+        assert!(slept < Duration::from_secs(5), "slept {slept:?}");
     }
 }

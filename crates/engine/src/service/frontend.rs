@@ -26,10 +26,8 @@
 //!   is shed first — completed with [`Answer::Expired`] — before fresh
 //!   work is shed, and a serving worker re-checks expiry when it picks
 //!   a request up, so no compute is spent on an answer nobody is
-//!   waiting for. The remaining budget rides into the respond
-//!   path's degradation ladder (see
-//!   [`crate::pipeline`]), which steps down to a greedy or store-only
-//!   answer rather than missing the deadline.
+//!   waiting for. A request answered past its deadline skips live plans
+//!   and answers from the store alone (see [`crate::pipeline`]).
 //! * **One job per thread.** Serving workers answer interactive
 //!   requests end to end, live plans included. Background work — tenant
 //!   registrations, refreshes, ingest batches (with any flush they run
@@ -41,8 +39,7 @@
 //!   flush tick that drains silent streaming tenants. So no `respond`
 //!   waits behind a registration or a flush. Only solver work reaches
 //!   the shared [`SolverPool`](crate::service::SolverPool): the control
-//!   jobs' solves fan out over it, and no respond queues pool work — a
-//!   deadline ladder's live solve runs on the serving worker.
+//!   jobs' solves fan out over it, and no respond runs a summarizer.
 //! * **Graceful shutdown.** Dropping the front-end (or calling
 //!   [`FrontEnd::shutdown`]) drains every admitted request — the serving
 //!   workers drain the interactive lanes, the control thread the control
@@ -1051,8 +1048,8 @@ fn respond_cached(
     };
     match &tenant {
         Some(tenant) => {
-            // The deadline was stamped at admission; whatever budget is
-            // left bounds live solver work via the degradation ladder.
+            // The deadline was stamped at admission; a request answered
+            // past it skips live plans.
             let deadline = request.deadline;
             service.respond_resolved(tenant, request.tenant, &request.text, start, deadline)
         }
@@ -1181,7 +1178,7 @@ fn control_loop(shared: &FrontShared, service: &VoiceService, flush_tick: bool) 
 mod tests {
     use super::*;
     use crate::config::Configuration;
-    use crate::service::ServiceBuilder;
+    use crate::service::{Fault, FaultPlan, FaultSite, ServiceBuilder};
     use vqs_data::{DimSpec, SynthSpec, TargetSpec};
 
     fn dataset(seed: u64) -> GeneratedDataset {
@@ -1206,108 +1203,46 @@ mod tests {
         service
     }
 
-    /// A close/open gate that solves park on while it is closed;
-    /// `entered` counts the solves that reached it.
-    struct Gate {
-        closed: Mutex<bool>,
-        released: Condvar,
-        entered: AtomicU64,
-    }
-
-    impl Gate {
-        fn pass(&self) {
-            self.entered.fetch_add(1, Ordering::SeqCst);
-            let mut closed = self.closed.lock().unwrap();
-            while *closed {
-                closed = self.released.wait(closed).unwrap();
-            }
-        }
-
-        fn open(&self) {
-            *self.closed.lock().unwrap() = false;
-            self.released.notify_all();
-        }
-
-        fn await_entered(&self, n: u64) {
-            while self.entered.load(Ordering::SeqCst) < n {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Opens the gate when dropped, so a failing assert releases the
-    /// parked worker instead of hanging in `FrontEnd::drop`. Declare it
-    /// after the front-end: locals drop in reverse order.
-    struct OpenOnDrop(Arc<Gate>);
-
-    impl Drop for OpenOnDrop {
-        fn drop(&mut self) {
-            self.0.open();
-        }
-    }
-
-    /// The service's default summarizer, parking on a gate while it is
-    /// closed.
-    struct GatedSummarizer {
-        inner: vqs_core::prelude::GreedySummarizer,
-        gate: Arc<Gate>,
-    }
-
-    impl vqs_core::prelude::Summarizer for GatedSummarizer {
-        fn name(&self) -> &'static str {
-            "gated"
-        }
-
-        fn summarize(
-            &self,
-            problem: &vqs_core::prelude::Problem<'_>,
-        ) -> vqs_core::prelude::Result<vqs_core::prelude::Summary> {
-            if *self.gate.closed.lock().unwrap() {
-                self.gate.pass();
-            }
-            self.inner.summarize(problem)
-        }
-    }
-
-    /// A service whose `fe` tenant lost its stored "delay in Winter"
-    /// speech, with a closed gate in its summarizer: a budgeted request
-    /// for that speech takes the degradation ladder's live solve, which
-    /// runs the summarizer on the serving thread and parks there.
-    fn gated_service() -> (Arc<VoiceService>, Arc<Gate>) {
-        let gate = Arc::new(Gate {
-            closed: Mutex::new(false),
-            released: Condvar::new(),
-            entered: AtomicU64::new(0),
-        });
+    /// A service over the `fe` tenant whose responds each sleep 60 s
+    /// while its fault plan (returned, disarmed) is armed.
+    fn held_service() -> (Arc<VoiceService>, Arc<FaultPlan>) {
+        let plan = Arc::new(FaultPlan::new(1).rule_every(
+            FaultSite::Respond,
+            Fault::Latency(Duration::from_secs(60)),
+            1,
+        ));
         let service = Arc::new(
             ServiceBuilder::new()
                 .workers(1)
-                .summarizer(GatedSummarizer {
-                    inner: vqs_core::prelude::GreedySummarizer::with_optimized_pruning(),
-                    gate: Arc::clone(&gate),
-                })
+                .fault_plan(Arc::clone(&plan))
                 .build(),
         );
         service
             .register_dataset(TenantSpec::new("fe", dataset(3), config()))
             .unwrap();
-        service
-            .tenant_store("fe")
-            .unwrap()
-            .remove(&crate::problem::Query::of("delay", &[("season", "Winter")]))
-            .expect("speech was stored");
-        *gate.closed.lock().unwrap() = true;
-        (service, gate)
+        (service, plan)
     }
 
-    /// Park the only serving worker inside a respond and return the
-    /// parked request's ticket once the worker is provably in the gate.
-    fn park_worker(frontend: &FrontEnd, gate: &Gate) -> ResponseTicket {
-        let before = gate.entered.load(Ordering::SeqCst);
-        let parked = frontend.submit(
-            ServiceRequest::new("fe", "delay in Winter?").with_budget(Duration::from_secs(60)),
-        );
-        gate.await_entered(before + 1);
+    /// Disarms the plan when dropped, so a failing assert releases the
+    /// held worker instead of hanging in `FrontEnd::drop`. Declare it
+    /// after the front-end: locals drop in reverse order.
+    struct DisarmOnDrop(Arc<FaultPlan>);
+
+    impl Drop for DisarmOnDrop {
+        fn drop(&mut self) {
+            self.0.disarm();
+        }
+    }
+
+    /// Hold the only serving worker inside a respond: arm the plan, and
+    /// return the held request's ticket once its latency fault was
+    /// drawn. Disarming the plan releases the worker.
+    fn park_worker(frontend: &FrontEnd, plan: &FaultPlan) -> ResponseTicket {
+        plan.arm();
+        let parked = frontend.submit(ServiceRequest::new("fe", "delay in Winter?"));
+        while plan.injected() == 0 {
+            std::thread::yield_now();
+        }
         parked
     }
 
@@ -1499,7 +1434,6 @@ mod tests {
 
     #[test]
     fn contained_panic_spares_the_next_request() {
-        use crate::service::{Fault, FaultPlan, FaultSite};
         let plan = Arc::new(FaultPlan::new(9).rule_every(FaultSite::Respond, Fault::Panic, 2));
         let service = Arc::new(
             ServiceBuilder::new()
@@ -1652,16 +1586,16 @@ mod tests {
 
     #[test]
     fn admission_sheds_the_oldest_expired_request_first() {
-        let (service, gate) = gated_service();
+        let (service, plan) = held_service();
         let frontend = FrontEnd::builder(Arc::clone(&service))
             .workers(1)
             .queue_capacity(2)
             .tenant_share(8)
             .build();
-        let _open = OpenOnDrop(Arc::clone(&gate));
+        let _disarm = DisarmOnDrop(Arc::clone(&plan));
         // Hold the only worker inside a respond so admitted requests
         // stay queued.
-        let parked = park_worker(&frontend, &gate);
+        let parked = park_worker(&frontend, &plan);
         // Fill the queue: one instantly-expired request, one fresh one.
         let stale = frontend
             .submit(ServiceRequest::new("fe", "delay in Winter?").with_budget(Duration::ZERO));
@@ -1675,7 +1609,7 @@ mod tests {
         );
         assert!(stale.is_ready(), "expired entry not shed at admission");
         assert!(matches!(stale.wait().answer, Answer::Expired { .. }));
-        gate.open();
+        plan.disarm();
         assert!(parked.wait().answer.is_speech());
         assert!(fresh.wait().answer.is_speech());
         assert!(newcomer.wait().answer.is_speech());
@@ -1689,7 +1623,6 @@ mod tests {
 
     #[test]
     fn background_refresh_retries_injected_internal_faults() {
-        use crate::service::{Fault, FaultPlan, FaultSite};
         let plan =
             Arc::new(FaultPlan::new(11).rule_every(FaultSite::Refresh, Fault::SolverTimeout, 2));
         let service = Arc::new(
@@ -1742,14 +1675,14 @@ mod tests {
 
     #[test]
     fn wait_timeout_expires_and_then_resolves() {
-        let (service, gate) = gated_service();
+        let (service, plan) = held_service();
         let frontend = FrontEnd::builder(Arc::clone(&service)).workers(1).build();
-        let _open = OpenOnDrop(Arc::clone(&gate));
-        // A respond parked in the gate keeps the only worker busy.
-        let parked = park_worker(&frontend, &gate);
+        let _disarm = DisarmOnDrop(Arc::clone(&plan));
+        // A respond held in its latency fault keeps the only worker busy.
+        let parked = park_worker(&frontend, &plan);
         let ticket = frontend.submit(ServiceRequest::new("fe", "delay in Summer?"));
         assert!(ticket.wait_timeout(Duration::from_millis(20)).is_none());
-        gate.open();
+        plan.disarm();
         assert!(ticket
             .wait_timeout(Duration::from_secs(30))
             .unwrap()

@@ -113,8 +113,8 @@ pub struct ServiceRequest {
     /// Absolute wall-clock deadline of this request. `None` falls back
     /// to the tenant's [`TenantSpec::default_deadline`], if any. Once
     /// past the deadline a queued request is completed with
-    /// [`Answer::Expired`] instead of being computed, and the remaining
-    /// budget bounds live solver work on the respond path.
+    /// [`Answer::Expired`] instead of being computed, and a request
+    /// answered past it skips live plans.
     pub deadline: Option<Instant>,
 }
 
@@ -144,14 +144,12 @@ impl ServiceRequest {
 /// meet its deadline. Stamped on every [`ServiceResponse`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Degradation {
-    /// Full-quality answer (always the case for deadline-free requests).
+    /// Full-quality answer: every store hit, and every deadline-free
+    /// request.
     #[default]
     None,
-    /// The budgeted live solve timed out; a poly-time greedy pass
-    /// produced the speech instead (valid, merely non-optimal).
-    Greedy,
-    /// No budget remained for live work; the answer came from the store
-    /// (or a typed apology) alone.
+    /// The deadline had passed before a live plan could run; the answer
+    /// is the typed apology (or [`Answer::NoSummary`]) instead.
     StoreOnly,
 }
 
@@ -557,15 +555,14 @@ impl Tenant {
     /// resolve it through the [`pipeline`] — stored speech, live plan on
     /// the calling thread, or typed apology — and account it in the
     /// tenant's counters. [`VoiceService::respond`], the serving
-    /// front-end and every [`VoiceSession`] turn answer here. `solve`
-    /// arms the deadline ladder's live solve; a `Repeat` replays `last`.
+    /// front-end and every [`VoiceSession`] turn answer here. A
+    /// `Repeat` replays `last`.
     pub(crate) fn respond(
         &self,
         label: String,
         text: &str,
         start: Instant,
         deadline: Option<Instant>,
-        solve: Option<pipeline::LiveSolve<'_>>,
         last: Option<&Answer>,
     ) -> ServiceResponse {
         let runtime = self.runtime.read();
@@ -576,7 +573,6 @@ impl Tenant {
             live: &runtime.live,
             last,
             deadline,
-            solve,
         };
         let (answer, follow_on, degradation) = pipeline::answer(&analysis, &ctx);
         drop(runtime);
@@ -1343,13 +1339,7 @@ impl VoiceService {
             // contained by the front-end's worker loop.
             faults.impose(FaultSite::Respond);
         }
-        let solve = pipeline::LiveSolve {
-            summarizer: self.summarizer.as_ref(),
-            config: &tenant.config,
-            templates: &tenant.templates,
-            faults: self.faults.as_deref(),
-        };
-        tenant.respond(label, text, start, deadline, Some(solve), None)
+        tenant.respond(label, text, start, deadline, None)
     }
 
     /// Replay a generated deployment log through one tenant's classifier
@@ -1599,7 +1589,6 @@ mod tests {
             live: &live,
             last: None,
             deadline: None,
-            solve: None,
         };
         let analysis = pipeline::Analysis {
             request: Request::Query(Query::of(

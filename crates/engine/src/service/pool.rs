@@ -24,8 +24,7 @@
 //!
 //! The pool is the only solver parallelism: each job solves whole
 //! problems, and one search never fans out further. Answering a request
-//! never queues a job here — live plans and a deadline's live solve run
-//! on the thread that answers.
+//! never queues a job here — live plans run on the thread that answers.
 //!
 //! ```
 //! use vqs_engine::service::{ScatterPriority, SolverPool};

@@ -67,7 +67,6 @@ impl VoiceSession {
             text,
             Instant::now(),
             None,
-            None,
             self.last.as_ref(),
         );
         response.session = Some(self.id);

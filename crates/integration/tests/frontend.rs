@@ -5,10 +5,11 @@
 //! shutdown.
 //!
 //! The deterministic tests hold threads on *gates* — a summarizer that
-//! parks solves (a live solve inside a respond holds the serving worker,
-//! a registration or flush holds the control thread), or a background
-//! task that holds the control thread — and wait until the gate counts
-//! the entry, so queue states are exact, not timing-dependent.
+//! parks solves (a registration or flush holds the control thread), a
+//! background task that holds the control thread, or a latency fault at
+//! the respond site that holds a serving worker until its plan is
+//! disarmed — and wait until the gate counts the entry, so queue states
+//! are exact, not timing-dependent.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -157,44 +158,65 @@ fn assert_live_plan_answered(frontend: &FrontEnd, tenant: &str) {
     );
 }
 
-/// Park the front-end's (only) serving worker inside a respond to
-/// `tenant`, on a service from [`gated_service`]. The tenant loses its
-/// stored (Winter, East) speech, so a request for it with a budget takes
-/// the degradation ladder's live solve, which runs the summarizer on
-/// the serving thread. Returns once the worker is provably in the gate,
-/// with the parked request's ticket.
-fn park_serving_worker(frontend: &FrontEnd, gate: &TestGate, tenant: &str) -> ResponseTicket {
-    let evicted = Query::of("delay", &[("season", "Winter"), ("region", "East")]);
-    frontend
-        .service()
-        .tenant_store(tenant)
-        .unwrap()
-        .remove(&evicted)
-        .expect("speech was stored");
-    let before = gate.entered.load(Ordering::SeqCst);
-    let parked = frontend
-        .submit(ServiceRequest::new(tenant, "delay in Winter in the East?").with_budget(LONG_WAIT));
-    gate.await_entered(before + 1);
+/// A service with `tenants` registered, whose responds each sleep
+/// [`LONG_WAIT`] while its fault plan (returned, disarmed) is armed.
+fn held_service(
+    tenants: impl IntoIterator<Item = TenantSpec>,
+) -> (Arc<VoiceService>, Arc<FaultPlan>) {
+    let plan =
+        Arc::new(FaultPlan::new(1).rule_every(FaultSite::Respond, Fault::Latency(LONG_WAIT), 1));
+    let service = Arc::new(
+        ServiceBuilder::new()
+            .workers(1)
+            .fault_plan(Arc::clone(&plan))
+            .build(),
+    );
+    for spec in tenants {
+        service.register_dataset(spec).unwrap();
+    }
+    (service, plan)
+}
+
+/// Disarms the plan when dropped, so a failing assert releases the held
+/// worker instead of hanging in `FrontEnd::drop`. Declare it after the
+/// front-end: locals drop in reverse order.
+struct DisarmOnDrop(Arc<FaultPlan>);
+
+impl Drop for DisarmOnDrop {
+    fn drop(&mut self) {
+        self.0.disarm();
+    }
+}
+
+/// Hold the front-end's (only) serving worker inside a respond to
+/// `tenant`, on a service from [`held_service`]: arm the plan, and
+/// return the held request's ticket once its latency fault was drawn.
+/// Disarming the plan releases the worker.
+fn park_serving_worker(frontend: &FrontEnd, plan: &FaultPlan, tenant: &str) -> ResponseTicket {
+    plan.arm();
+    let parked = frontend.submit(ServiceRequest::new(tenant, "delay in Winter in the East?"));
+    while plan.injected() == 0 {
+        std::thread::yield_now();
+    }
     parked
 }
 
 #[test]
 fn overload_sheds_deterministically_at_the_cap() {
-    let gate = TestGate::new();
-    let service = gated_service(&gate, [tenant("svc")]);
+    let (service, plan) = held_service([tenant("svc")]);
     let frontend = FrontEnd::builder(Arc::clone(&service))
         .workers(1)
         .queue_capacity(3)
         .build();
-    let _open = OpenOnDrop(Arc::clone(&gate));
-    let parked = park_serving_worker(&frontend, &gate, "svc");
+    let _disarm = DisarmOnDrop(Arc::clone(&plan));
+    let parked = park_serving_worker(&frontend, &plan, "svc");
 
     // Exactly `queue_capacity` requests are admitted...
     let admitted: Vec<ResponseTicket> = (0..3)
         .map(|_| frontend.submit(ServiceRequest::new("svc", "delay in Winter?")))
         .collect();
     for ticket in &admitted {
-        assert!(!ticket.is_ready(), "admitted request served while gated");
+        assert!(!ticket.is_ready(), "admitted request served while held");
     }
     // ...and request capacity+1 is shed immediately, with the explicit
     // typed overload answer.
@@ -215,8 +237,8 @@ fn overload_sheds_deterministically_at_the_cap() {
     assert_eq!(stats.peak_queued, 3);
     assert_eq!(stats.shed_by_tenant, vec![("svc".to_string(), 1)]);
 
-    // Opening the gate drains the admitted requests — none were lost.
-    gate.open();
+    // Disarming the plan drains the admitted requests — none were lost.
+    plan.disarm();
     assert!(parked.wait_timeout(LONG_WAIT).unwrap().answer.is_speech());
     for ticket in admitted {
         assert!(ticket.wait_timeout(LONG_WAIT).unwrap().answer.is_speech());
@@ -226,17 +248,16 @@ fn overload_sheds_deterministically_at_the_cap() {
 
 #[test]
 fn hot_tenant_flood_cannot_starve_other_tenants() {
-    let gate = TestGate::new();
-    let service = gated_service(&gate, [tenant("hot"), tenant("cold")]);
+    let (service, plan) = held_service([tenant("hot"), tenant("cold")]);
     let frontend = FrontEnd::builder(Arc::clone(&service))
         .workers(1)
         .queue_capacity(16)
         .tenant_share(2)
         .build();
-    let _open = OpenOnDrop(Arc::clone(&gate));
+    let _disarm = DisarmOnDrop(Arc::clone(&plan));
     // The parked request left the hot lane, so the tenant's full share
     // is still free below.
-    let parked = park_serving_worker(&frontend, &gate, "hot");
+    let parked = park_serving_worker(&frontend, &plan, "hot");
 
     // The hot tenant floods: only its fair share is admitted, the rest
     // is shed even though the global queue has plenty of headroom.
@@ -255,7 +276,7 @@ fn hot_tenant_flood_cannot_starve_other_tenants() {
         "cold tenant must be admitted despite the hot flood"
     );
 
-    gate.open();
+    plan.disarm();
     assert!(parked.wait_timeout(LONG_WAIT).unwrap().answer.is_speech());
     for ticket in &cold {
         assert!(ticket.wait_timeout(LONG_WAIT).unwrap().answer.is_speech());

@@ -15,14 +15,18 @@
 //! untouched entries `Arc`-identical instead of rebuilding the store,
 //! two deterministic cases where dirty keys built from the delta's raw
 //! values, or through the columns of an earlier registration, would
-//! miss the summaries a delta changed, and a NULL in a column the tenant
-//! does not project, which must not fail a flush.
+//! miss the summaries a delta changed, a NULL in a column the tenant
+//! does not project, which must not fail a flush, and a sparse tenant
+//! whose store holds a speech for exactly the value combinations of its
+//! live rows after every flush and refresh.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use vqs_data::{DimSpec, GeneratedDataset, SynthSpec, TargetSpec};
 use vqs_engine::prelude::*;
 use vqs_relalg::prelude::{ColumnType, Field, Schema, Table, Value};
@@ -576,4 +580,171 @@ fn an_unprojected_null_column_never_stalls_a_flush() {
     rows.push(null_cancelled(0, 1, 125));
     rows[2] = null_cancelled(1, 0, 300);
     assert_drains_to_cold(&service, with_cancelled(rows), config());
+}
+
+/// The sparse tenant's dimensions and their values: 14 rows over 48
+/// cells, so many value pairs are absent at any time.
+const SPARSE_DIMS: [(&str, &[&str]); 3] = [
+    ("season", &["Winter", "Summer", "Spring"]),
+    ("region", &["East", "West", "North", "South"]),
+    ("carrier", &["Alpha", "Bravo", "Charlie", "Echo"]),
+];
+
+fn sparse_row(rng: &mut StdRng) -> Vec<Value> {
+    let mut row: Vec<Value> = SPARSE_DIMS
+        .iter()
+        .map(|(_, values)| Value::str(values[rng.gen_range(0..values.len())]))
+        .collect();
+    row.push(Value::Float(f64::from(rng.gen_range(0u32..600)) / 10.0));
+    row
+}
+
+fn sparse_dataset(rows: Vec<Vec<Value>>) -> GeneratedDataset {
+    let mut fields: Vec<Field> = SPARSE_DIMS
+        .iter()
+        .map(|&(name, _)| Field::required(name, ColumnType::Str))
+        .collect();
+    fields.push(Field::required("delay", ColumnType::Float));
+    GeneratedDataset {
+        name: "sparse".to_string(),
+        table: Table::from_rows(Schema::new(fields).unwrap(), rows).unwrap(),
+        dims: SPARSE_DIMS
+            .iter()
+            .map(|(name, _)| name.to_string())
+            .collect(),
+        targets: vec!["delay".to_string()],
+    }
+}
+
+fn sparse_config() -> Configuration {
+    let dims = SPARSE_DIMS.map(|(name, _)| name);
+    Configuration::new("sparse", &dims, &["delay"])
+}
+
+/// Every query of up to `max_length` predicates over the dimensions'
+/// values, as the (dimension index, value) pairs it fixes.
+fn sparse_queries(max_length: usize) -> Vec<Vec<(usize, &'static str)>> {
+    let mut queries = vec![vec![]];
+    for (dim, (_, values)) in SPARSE_DIMS.iter().enumerate() {
+        let mut longer = Vec::new();
+        for query in queries.iter().filter(|query| query.len() < max_length) {
+            for &value in *values {
+                let mut query = query.clone();
+                query.push((dim, value));
+                longer.push(query);
+            }
+        }
+        queries.extend(longer);
+    }
+    queries
+}
+
+/// The store holds a speech for exactly the value combinations of
+/// `rows`: each query is an exact hit exactly when its combination
+/// occurs, and a budgeted respond to it answers a stored speech at full
+/// quality (a question over values the rows all hold parses to the query
+/// itself).
+fn assert_store_matches_rows(service: &VoiceService, rows: &[Vec<Value>], state: &str) {
+    let store = service.tenant_store("sparse").unwrap();
+    let holds = |row: &Vec<Value>, &(dim, value): &(usize, &str)| row[dim].as_str() == Some(value);
+    for fixed in sparse_queries(sparse_config().max_query_length) {
+        let query = Query::new(
+            "delay",
+            fixed
+                .iter()
+                .map(|&(dim, value)| (SPARSE_DIMS[dim].0, value)),
+        );
+        let occurs = rows
+            .iter()
+            .any(|row| fixed.iter().all(|pair| holds(row, pair)));
+        assert_eq!(
+            matches!(store.lookup(&query), Lookup::Exact(_)),
+            occurs,
+            "{state}: exact hit for {query}"
+        );
+
+        let mut utterance = "delay".to_string();
+        for (_, value) in &fixed {
+            utterance.push_str(&format!(" in {value}"));
+        }
+        let response = service.respond(
+            &ServiceRequest::new("sparse", format!("{utterance}?"))
+                .with_budget(Duration::from_secs(60)),
+        );
+        assert_eq!(
+            response.degradation,
+            Degradation::None,
+            "{state}: {utterance}"
+        );
+        let Answer::Speech {
+            kept_predicates, ..
+        } = response.answer
+        else {
+            panic!("{state}: {utterance} answered {:?}", response.answer);
+        };
+        let known = fixed
+            .iter()
+            .all(|pair| rows.iter().any(|row| holds(row, pair)));
+        if known {
+            assert_eq!(
+                response.request,
+                Some(Request::Query(query)),
+                "{state}: {utterance}"
+            );
+            assert_eq!(kept_predicates.is_none(), occurs, "{state}: {utterance}");
+        }
+    }
+}
+
+/// Registration, every ingest flush and a batch refresh leave a speech
+/// in the store for every value combination of the live rows and for no
+/// other, so a store question never finds the store behind its data:
+/// checked after the registration, after each of 30 single-delta
+/// batches (inserts, updates and deletes, each flushed inline by
+/// `max_dirty(1)`), and after a refresh.
+#[test]
+fn the_store_holds_exactly_the_live_combinations() {
+    for seed in [1u64, 2, 3] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rows: Vec<Vec<Value>> = (0..14).map(|_| sparse_row(&mut rng)).collect();
+        let service = ServiceBuilder::new().workers(1).build();
+        service
+            .register_dataset(
+                TenantSpec::new("sparse", sparse_dataset(rows.clone()), sparse_config())
+                    .ingest(IngestBuilder::new().max_dirty(1)),
+            )
+            .unwrap();
+        assert_store_matches_rows(&service, &rows, &format!("seed {seed}, registered"));
+
+        for batch in 0..30 {
+            let delta = match rng.gen_range(0..3) {
+                0 if rows.len() < 20 => RowDelta::Insert(sparse_row(&mut rng)),
+                1 if rows.len() > 8 => RowDelta::Delete {
+                    row: rng.gen_range(0..rows.len()),
+                },
+                _ => RowDelta::Update {
+                    row: rng.gen_range(0..rows.len()),
+                    values: sparse_row(&mut rng),
+                },
+            };
+            match &delta {
+                RowDelta::Insert(values) => rows.push(values.clone()),
+                RowDelta::Update { row, values } => rows[*row] = values.clone(),
+                RowDelta::Delete { row } => {
+                    rows.remove(*row);
+                }
+            }
+            let report = service.ingest("sparse", &[delta]).unwrap();
+            assert!(report.flush.is_some(), "max_dirty(1) flushes every batch");
+            assert_store_matches_rows(&service, &rows, &format!("seed {seed}, batch {batch}"));
+        }
+
+        for row in &mut rows[..3] {
+            *row = sparse_row(&mut rng);
+        }
+        service
+            .refresh_tenant("sparse", &sparse_dataset(rows.clone()), &[0, 1, 2])
+            .unwrap();
+        assert_store_matches_rows(&service, &rows, &format!("seed {seed}, refreshed"));
+    }
 }

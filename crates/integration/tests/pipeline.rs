@@ -3,11 +3,13 @@
 //! Table III category plus the compound/comparative/aggregate forms the
 //! live tier answers, a proptest differential pinning live plan
 //! execution to direct `vqs-relalg` evaluation, a row-scan oracle for
-//! counts, extremum and comparison answers over string, `Int` and
-//! `Float` dimensions, and the byte-identity guarantee for store-served
+//! counts, totals, extremum, scalar minimum and maximum and comparison
+//! answers over string, `Int` and `Float` dimensions, the deadline that
+//! skips live plans, and the byte-identity guarantee for store-served
 //! answers.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -272,6 +274,74 @@ fn unnamed_target_of_a_two_target_deployment_apologizes() {
     }
 }
 
+/// A request answered past its deadline skips live plans: a count, an
+/// extremum, a comparison and a total each answer their typed apology,
+/// stamped `StoreOnly`, where a 60-s budget computes them at full
+/// quality. A store question is served from the store whatever its
+/// deadline, exact hit and generalization alike.
+#[test]
+fn an_expired_deadline_skips_live_plans_but_not_stored_speeches() {
+    // The air tenant without its Summer rows in the East, so that
+    // combination generalizes.
+    let data = dataset(0xA1);
+    let rows: Vec<Vec<Value>> = data
+        .table
+        .iter_rows()
+        .filter(|row| !(row[0] == Value::str("Summer") && row[1] == Value::str("East")))
+        .collect();
+    let data = GeneratedDataset {
+        table: Table::from_rows(data.table.schema().clone(), rows).unwrap(),
+        ..data
+    };
+    let service = ServiceBuilder::new().workers(1).build();
+    service
+        .register_dataset(
+            TenantSpec::new("air", data, config()).target_synonyms("delay", &["delays"]),
+        )
+        .unwrap();
+    let ask = |utterance: &str, budget: Duration| {
+        service.respond(&ServiceRequest::new("air", utterance).with_budget(budget))
+    };
+
+    for (utterance, reason) in [
+        ("how many delays in Winter", Unsupported::Aggregate),
+        ("which season has the most delay", Unsupported::Extremum),
+        (
+            "compare delay for Winter versus Summer",
+            Unsupported::Comparison,
+        ),
+        ("the total delay in the East", Unsupported::Aggregate),
+    ] {
+        let expired = ask(utterance, Duration::ZERO);
+        assert_eq!(expired.degradation, Degradation::StoreOnly, "{utterance}");
+        match &expired.answer {
+            Answer::Unsupported { reason: got, .. } => assert_eq!(*got, reason, "{utterance}"),
+            other => panic!("{utterance}: expected an apology, got {other:?}"),
+        }
+        let budgeted = ask(utterance, Duration::from_secs(60));
+        assert_eq!(budgeted.degradation, Degradation::None, "{utterance}");
+        assert!(
+            matches!(budgeted.answer, Answer::Computed { .. }),
+            "{utterance}: {:?}",
+            budgeted.answer
+        );
+    }
+
+    for (utterance, kept) in [
+        ("delay in Winter in the West?", None),
+        ("delay in Summer in the East?", Some(1)),
+    ] {
+        let response = ask(utterance, Duration::ZERO);
+        assert_eq!(response.degradation, Degradation::None, "{utterance}");
+        match &response.answer {
+            Answer::Speech {
+                kept_predicates, ..
+            } => assert_eq!(*kept_predicates, kept, "{utterance}"),
+            other => panic!("{utterance}: expected a stored speech, got {other:?}"),
+        }
+    }
+}
+
 /// Store hits are byte-identical to the pre-pipeline path: for every
 /// stored speech the utterance built from its query returns the *same
 /// `Arc`* the store lookup returns, with no rephrasing on top.
@@ -410,26 +480,47 @@ proptest! {
     }
 }
 
+/// One group's rows as the row-scan oracle saw them.
+#[derive(Debug, Clone, Copy)]
+struct Scan {
+    rows: usize,
+    sum: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Scan {
+    /// The group's average target, `None` when the group is empty.
+    fn average(&self) -> Option<f64> {
+        (self.rows > 0).then(|| self.sum / self.rows as f64)
+    }
+}
+
 /// The row-scan oracle: for each value in `groups`, the row count and the
-/// average `target` (`None` when the group is empty) over the rows whose
-/// `group_by` cell holds that value and whose `scope` cells hold theirs.
-/// Summed and counted in row order by a plain loop, with no `vqs-relalg`
-/// operator involved.
+/// sum, minimum and maximum of `target` over the rows whose `group_by`
+/// cell holds that value and whose `scope` cells hold theirs. Summed and
+/// counted in row order by a plain loop, with no `vqs-relalg` operator
+/// involved.
 fn row_scan(
     table: &Table,
     target: &str,
     scope: &[(&str, Value)],
     group_by: &str,
     groups: &[Value],
-) -> Vec<(usize, Option<f64>)> {
+) -> Vec<Scan> {
     let column = |name: &str| table.schema().index_of(name).unwrap();
     let scope: Vec<(usize, &Value)> = scope
         .iter()
         .map(|(name, value)| (column(name), value))
         .collect();
     let (group_col, target_col) = (column(group_by), column(target));
-    let mut sums = vec![0.0; groups.len()];
-    let mut counts = vec![0usize; groups.len()];
+    let empty = Scan {
+        rows: 0,
+        sum: 0.0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+    };
+    let mut scans = vec![empty; groups.len()];
     for row in 0..table.len() {
         if scope
             .iter()
@@ -441,17 +532,17 @@ fn row_scan(
             .iter()
             .position(|value| table.value(row, group_col) == *value)
             .expect("every row's group is listed");
-        sums[group] += table
+        let value = table
             .value(row, target_col)
             .as_f64()
             .expect("numeric target");
-        counts[group] += 1;
+        let scan = &mut scans[group];
+        scan.rows += 1;
+        scan.sum += value;
+        scan.min = scan.min.min(value);
+        scan.max = scan.max.max(value);
     }
-    counts
-        .iter()
-        .zip(sums)
-        .map(|(&count, sum)| (count, (count > 0).then(|| sum / count as f64)))
-        .collect()
+    scans
 }
 
 /// The oracle's averages for the groups of `group_by`, scoped by `scope`.
@@ -462,8 +553,8 @@ fn scan_averages(
     groups: &[Value],
 ) -> Vec<Option<f64>> {
     row_scan(table, "delay", scope, group_by, groups)
-        .into_iter()
-        .map(|(_, average)| average)
+        .iter()
+        .map(Scan::average)
         .collect()
 }
 
@@ -610,6 +701,40 @@ fn check_count(question: &str, answer: &Answer, rows: usize) -> TestCaseResult {
     Ok(())
 }
 
+/// A scalar answer is the `agg` the oracle's `scan` gives (`want`), over
+/// as many rows; an empty subset must apologize.
+fn check_scalar(
+    question: &str,
+    answer: &Answer,
+    (agg, want): (AggKind, f64),
+    scan: &Scan,
+) -> TestCaseResult {
+    match answer {
+        Answer::Computed {
+            value:
+                ComputedValue::Scalar {
+                    agg: answered,
+                    value,
+                    support,
+                },
+            ..
+        } => {
+            prop_assert_eq!(*answered, agg, "{}", question);
+            prop_assert_eq!(*support, scan.rows, "{}", question);
+            prop_assert!(
+                close(*value, want),
+                "{}: answered {}, oracle {}",
+                question,
+                value,
+                want
+            );
+        }
+        Answer::Unsupported { .. } => prop_assert_eq!(scan.rows, 0, "{}", question),
+        other => prop_assert!(false, "{}: unexpected scalar answer {:?}", question, other),
+    }
+    Ok(())
+}
+
 /// An `Int` and a `Float` dimension with the spelling the engine speaks
 /// for each value (the value's display text).
 const YEARS: [(i64, &str); 3] = [(2019, "2019"), (2020, "2020"), (2021, "2021")];
@@ -647,7 +772,8 @@ proptest! {
 
     // Oracle: a region-scoped extremum or comparison question is answered
     // over that region's rows only, with the per-season averages a plain
-    // row scan of the generated table gives.
+    // row scan of the generated table gives; a region-scoped total,
+    // highest or lowest value is that scan's sum, maximum or minimum.
     #[test]
     fn scoped_extremum_and_comparison_match_a_row_scan(
         seed in 0u64..32,
@@ -682,6 +808,19 @@ proptest! {
         let (question, answer) =
             ask(format!("compare delay for {} versus {} in the {region}", sides.0, sides.1));
         check_comparison(&question, &answer, "season", sides, &SEASONS, &averages)?;
+
+        // No dimension named: a total, a highest and a lowest value over
+        // the region's rows.
+        let scan = row_scan(&data.table, "delay", &[], "region", &REGIONS.map(Value::str))
+            [region_index];
+        for (question, want) in [
+            ("the total delay", (AggKind::Sum, scan.sum)),
+            ("the highest delay", (AggKind::Max, scan.max)),
+            ("the lowest delay", (AggKind::Min, scan.min)),
+        ] {
+            let (question, answer) = ask(format!("{question} in the {region}"));
+            check_scalar(&question, &answer, want, &scan)?;
+        }
     }
 
     // The same oracle over a tenant whose dimensions are an `Int` and a
@@ -717,7 +856,7 @@ proptest! {
             ("grade", &grades, &grade_names, ("year", &years, &year_names)),
         ] {
             let (question, answer) = ask(format!("how many delay in {}", names[scope_index]));
-            let (rows, _) = row_scan(&data.table, "delay", &[], dimension, values)[scope_index];
+            let rows = row_scan(&data.table, "delay", &[], dimension, values)[scope_index].rows;
             check_count(&question, &answer, rows)?;
 
             let (scope_dimension, scope_values, scope_names) = scope;
