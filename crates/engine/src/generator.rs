@@ -15,13 +15,15 @@
 //! merged [`Instrumentation`] totals) independent of the worker count.
 //!
 //! `resummarize_with` is the one path by which speeches reach a store: it
-//! solves the queries whose data subset changed, keeps every other
-//! stored speech pointer-stable, and drops queries whose value
-//! combination disappeared from the data. A registration runs it into an
-//! empty store, where every query is new. The batch refresh
+//! builds the tenant's next store from the published one, solving the
+//! queries whose data subset changed, carrying every other published
+//! speech over pointer-stable, and leaving out queries whose value
+//! combination disappeared from the data. A registration runs it against
+//! an empty store, where every query is new. The batch refresh
 //! ([`crate::service::VoiceService::refresh_tenant`]) and the streaming
 //! ingest flush run it with the dirty keys of what changed: the refresh
 //! spells them from its changed rows, the flush takes its delta log's.
+//! The service publishes the result; no store is written once published.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -29,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use vqs_core::prelude::*;
 use vqs_data::GeneratedDataset;
-use vqs_relalg::hash::{FxHashMap, FxHashSet};
+use vqs_relalg::hash::FxHashMap;
 use vqs_relalg::prelude::Table;
 
 use crate::config::Configuration;
@@ -102,10 +104,11 @@ pub struct RefreshReport {
     pub queries: usize,
     /// Queries whose speech was recomputed.
     pub recomputed: usize,
-    /// Queries whose stored speech was kept untouched.
+    /// Queries whose published speech the next store keeps (the same
+    /// `Arc`).
     pub kept: usize,
-    /// Stored queries removed because their value combination no longer
-    /// occurs in the data.
+    /// Published queries the next store leaves out because their value
+    /// combination no longer occurs in the data.
     pub removed: usize,
     /// Wall-clock time of the whole pass.
     pub elapsed: Duration,
@@ -494,85 +497,77 @@ fn run_jobs<S: Summarizer + Sync + ?Sized>(
     ))
 }
 
-/// Solve `table`'s queries into `store` on `pool`, queued on `priority`:
-/// the one path by which speeches reach a store. Registration runs it
-/// into an empty store, which solves every query; a batch refresh and an
-/// ingest flush run it into the tenant's store with the keys of what
-/// changed.
+/// Solve `table`'s queries on `pool`, queued on `priority`, into the
+/// next store: the one path by which speeches reach a store.
+/// Registration runs it against an empty `published` store, which solves
+/// every query; a batch refresh and an ingest flush run it against the
+/// tenant's published store with the keys of what changed.
 ///
 /// A query is solved when any of these hold:
 /// - its predicates are among the `dirty` keys of its target — its
 ///   subset holds a changed row;
-/// - its stored row count differs from the new subset size — rows moved
-///   *out of* the subset;
-/// - it has no stored speech — its value combination is new to the data
-///   (or its target was dropped via [`SpeechStore::invalidate_target`]);
+/// - its published row count differs from the new subset size — rows
+///   moved *out of* the subset;
+/// - `published` holds no speech for it — its value combination is new
+///   to the data;
 /// - the target's global average (the §III constant prior) drifted, which
 ///   invalidates every speech of that target.
 ///
-/// Stored queries whose value combination vanished are removed. Every
-/// other entry is left untouched — the same [`std::sync::Arc`] keeps
-/// serving — so afterwards the store is element-wise identical to a
-/// registration over `table`. The store is only mutated after *every*
-/// query solved, so a failed pass leaves it untouched.
+/// The next store holds every other query's published speech, the same
+/// [`std::sync::Arc`] inserted before the solved ones, and no query whose
+/// value combination vanished, so it is element-wise identical to a
+/// registration over `table`. It shares `published`'s lookup counters.
+/// `published` is only read, so a failed pass changes nothing.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
     table: &Table,
     config: &Configuration,
     summarizer: &S,
     templates: &FxHashMap<String, SpeechTemplate>,
-    store: &SpeechStore,
+    published: &SpeechStore,
     dirty: &DirtyKeys,
     pool: &SolverPool,
     priority: ScatterPriority,
-) -> Result<RefreshReport> {
+) -> Result<(SpeechStore, RefreshReport)> {
     let start = Instant::now();
     let plans = build_plans(table, config, templates)?;
     let plan_time = start.elapsed();
 
     let queries: usize = plans.targets.iter().map(|plan| plan.items.len()).sum();
-    let mut kept = 0usize;
+    let mut kept: Vec<Arc<StoredSpeech>> = Vec::new();
     // Sized for a registration, which solves every query.
     let mut jobs: Vec<(usize, usize)> = Vec::with_capacity(queries);
-    let mut stale: Vec<Query> = Vec::new();
+    // Published queries that still occur in the data; the rest vanished.
+    let mut found = 0usize;
     for (plan_index, plan) in plans.targets.iter().enumerate() {
         // The prior is recomputed deterministically from the data, so an
         // unchanged target column reproduces it bit-for-bit; any other
         // value means every kept speech of this target would embed a
         // stale prior.
-        let prior_drifted = match store.target_prior(&plan.target) {
+        let prior_drifted = match published.target_prior(&plan.target) {
             Some(old) => old.to_bits() != plan.prior.to_bits(),
             None => true,
         };
-        // Note stored queries whose value combination no longer occurs;
-        // actual removal is deferred until solving has succeeded so a
-        // failed pass never leaves a live store partially mutated.
-        let stored = store.speeches_for_target(&plan.target);
-        if !stored.is_empty() {
-            let live: FxHashSet<&Query> = plan.items.iter().map(|item| &item.query).collect();
-            let vanished = stored.iter().filter(|speech| !live.contains(&speech.query));
-            stale.extend(vanished.map(|speech| speech.query.clone()));
-        }
         for (item_index, item) in plan.items.iter().enumerate() {
-            let affected = prior_drifted
-                || dirty.contains(&plan.target, item.query.predicates())
-                || store
-                    .get(&item.query)
-                    .is_none_or(|existing| existing.rows != item.rows.len());
-            if affected {
-                jobs.push((plan_index, item_index));
-            } else {
-                kept += 1;
+            let existing = published.get(&item.query);
+            found += usize::from(existing.is_some());
+            let keep = existing.filter(|existing| {
+                !prior_drifted
+                    && !dirty.contains(&plan.target, item.query.predicates())
+                    && existing.rows == item.rows.len()
+            });
+            match keep {
+                Some(speech) => kept.push(speech),
+                None => jobs.push((plan_index, item_index)),
             }
         }
     }
 
     let (solved, solver_time) = run_jobs(&plans, &jobs, config, summarizer, pool, priority)?;
-    // Everything solved: from here on the store mutates without fallible
-    // steps in between.
-    let removed = stale.len();
-    for query in &stale {
-        store.remove(query);
+    let mut store = published.successor();
+    let kept_count = kept.len();
+    for speech in kept {
+        store.insert_arc(speech);
     }
     let recomputed = solved.len();
     let mut instrumentation = Instrumentation::default();
@@ -584,16 +579,17 @@ pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
         store.set_target_prior(&plan.target, plan.prior);
     }
 
-    Ok(RefreshReport {
+    let report = RefreshReport {
         queries,
         recomputed,
-        kept,
-        removed,
+        kept: kept_count,
+        removed: published.len() - found,
         elapsed: start.elapsed(),
         plan_time,
         solver_time,
         instrumentation,
-    })
+    };
+    Ok((store, report))
 }
 
 // These tests drive `resummarize_with` on small private pools; the
@@ -609,21 +605,20 @@ mod tests {
 
     use crate::store::Lookup;
 
-    /// A registration: [`resummarize_with`] with plain templates into an
-    /// empty store on `pool`'s bulk lane.
+    /// A registration: [`resummarize_with`] with plain templates against
+    /// an empty store on `pool`'s bulk lane.
     fn preprocess<S: Summarizer + Sync + ?Sized>(
         dataset: &GeneratedDataset,
         config: &Configuration,
         summarizer: &S,
         pool: &SolverPool,
     ) -> Result<(SpeechStore, PreprocessReport)> {
-        let store = SpeechStore::new();
-        let report = resummarize_with(
+        let (store, report) = resummarize_with(
             &dataset.table,
             config,
             summarizer,
             &FxHashMap::default(),
-            &store,
+            &SpeechStore::new(),
             &DirtyKeys::default(),
             pool,
             ScatterPriority::Bulk,
@@ -640,14 +635,15 @@ mod tests {
     }
 
     /// A refresh naming no changed rows: [`resummarize_with`] with plain
-    /// templates and no dirty keys on `pool`'s interactive lane.
+    /// templates and no dirty keys on `pool`'s interactive lane, building
+    /// the store that replaces `store`.
     fn refresh<S: Summarizer + Sync + ?Sized>(
         dataset: &GeneratedDataset,
         config: &Configuration,
         summarizer: &S,
         pool: &SolverPool,
         store: &SpeechStore,
-    ) -> Result<RefreshReport> {
+    ) -> Result<(SpeechStore, RefreshReport)> {
         resummarize_with(
             &dataset.table,
             config,
@@ -949,7 +945,7 @@ mod tests {
         let pool = SolverPool::new(0);
         let (store, _) = preprocess(&data, &cfg, &summarizer, &pool).unwrap();
         let before = store.snapshot();
-        let report = refresh(&data, &cfg, &summarizer, &pool, &store).unwrap();
+        let (store, report) = refresh(&data, &cfg, &summarizer, &pool, &store).unwrap();
         assert_eq!(report.recomputed, 0);
         assert_eq!(report.kept, report.queries);
         assert_eq!(report.removed, 0);
@@ -969,8 +965,18 @@ mod tests {
         let pool = SolverPool::new(0);
         let (store, _) = preprocess(&data, &cfg, &summarizer, &pool).unwrap();
         let cancelled_before = store.snapshot();
-        assert_eq!(store.invalidate_target("delay"), 12);
-        let report = refresh(&data, &cfg, &summarizer, &pool, &store).unwrap();
+        // A published store without the delay target: cancelled's
+        // speeches and prior alone.
+        let mut partial = SpeechStore::new();
+        for speech in cancelled_before
+            .iter()
+            .filter(|s| s.query.target() == "cancelled")
+        {
+            partial.insert_arc(Arc::clone(speech));
+        }
+        partial.set_target_prior("cancelled", store.target_prior("cancelled").unwrap());
+        assert_eq!(store.len() - partial.len(), 12);
+        let (store, report) = refresh(&data, &cfg, &summarizer, &pool, &partial).unwrap();
         assert_eq!(report.recomputed, 12);
         assert_eq!(report.kept, 12);
         assert_eq!(store.len(), 24);
@@ -1009,7 +1015,7 @@ mod tests {
         let cfg = config();
         let summarizer = GreedySummarizer::with_optimized_pruning();
         let pool = SolverPool::new(0);
-        let (store, _) = preprocess(&data, &cfg, &summarizer, &pool).unwrap();
+        let (mut store, _) = preprocess(&data, &cfg, &summarizer, &pool).unwrap();
         let before = store.snapshot();
         // Force recomputation of everything, with a solver that always
         // errors: the refresh must fail without mutating the store —
@@ -1031,7 +1037,7 @@ mod tests {
             assert!(std::sync::Arc::ptr_eq(a, b), "{}", a.query);
         }
         // A subsequent successful refresh recovers fully.
-        let report = refresh(&data, &cfg, &summarizer, &pool, &store).unwrap();
+        let (store, report) = refresh(&data, &cfg, &summarizer, &pool, &store).unwrap();
         assert_eq!(report.recomputed, 24);
         assert_eq!(store.snapshot().len(), 24);
     }
@@ -1043,8 +1049,8 @@ mod tests {
         let summarizer = GreedySummarizer::with_optimized_pruning();
         let pool = SolverPool::new(0);
         let (reference, _) = preprocess(&data, &cfg, &summarizer, &pool).unwrap();
-        let store = SpeechStore::new();
-        let report = refresh(&data, &cfg, &summarizer, &pool, &store).unwrap();
+        let (store, report) =
+            refresh(&data, &cfg, &summarizer, &pool, &SpeechStore::new()).unwrap();
         assert_eq!(report.recomputed, 24);
         assert_eq!(report.kept, 0);
         assert_eq!(store.snapshot(), reference.snapshot());

@@ -30,8 +30,10 @@
 //!    subset in a dirty set; the log is flushed through
 //!    `generator::resummarize_with` on the shared solver pool's Bulk
 //!    lane when the dirty set reaches [`IngestBuilder::max_dirty`] or
-//!    [`IngestBuilder::flush_interval`] elapses. Lookups keep serving the
-//!    last-good speech until its replacement is atomically swapped in.
+//!    [`IngestBuilder::flush_interval`] elapses. The flush builds the
+//!    tenant's next store beside the published one and publishes it
+//!    with the log's table in one pointer write; until then lookups and
+//!    live plans keep reading the published store and table together.
 //!
 //! **Convergence contract:** once the log drains (every accepted seqno
 //! flushed), the store snapshot is byte-identical to a registration of
@@ -152,12 +154,13 @@ pub struct FlushReport {
     pub deltas: u64,
     /// Stored summaries this flush invalidated (re-solved or removed).
     pub invalidated: usize,
-    /// Summaries re-solved and atomically swapped in.
+    /// Summaries re-solved into the store this flush published.
     pub resummarized: usize,
-    /// Stored summaries removed because their value combination
-    /// vanished from the data.
+    /// Stored summaries left out of the published store because their
+    /// value combination vanished from the data.
     pub removed: usize,
-    /// Live summaries left untouched (`Arc`-pointer-stable).
+    /// Stored summaries carried into the published store untouched
+    /// (`Arc`-pointer-stable).
     pub kept: usize,
     /// Wall-clock time of the flush.
     pub elapsed: Duration,

@@ -4,13 +4,14 @@
 //! a [`ServiceBuilder`](service::ServiceBuilder) spawns one shared,
 //! long-lived solver pool; each registered [`service::TenantSpec`]
 //! (dataset + [`config::Configuration`]) gets its queries enumerated and
-//! solved into its own sharded, lock-striped [`store::SpeechStore`]; and
+//! solved into its own [`store::SpeechStore`], published together with
+//! its live table and never written afterwards; and
 //! live traffic flows through the typed pipeline
 //! [`service::ServiceRequest`] → [`service::ServiceResponse`], whose
 //! [`service::Answer`] enum distinguishes stored speeches, live-computed
 //! answers, help, and apologies. Delta refreshes
 //! ([`service::VoiceService::refresh_tenant`]) re-summarize only the
-//! queries whose data subset changed. Production traffic enters
+//! queries whose data subset changed into the tenant's next store. Production traffic enters
 //! through the non-blocking [`service::frontend`]: a bounded admission
 //! queue with per-tenant fairness, explicit overload shedding
 //! ([`service::Answer::Overloaded`]), and an interactive priority lane
@@ -96,7 +97,7 @@ pub mod prelude {
         ServiceBuilder, ServiceRequest, ServiceResponse, ServiceStats, SolverPool, TaskTicket,
         TenantSpec, TenantStats, Ticket, Trigger, VoiceService,
     };
-    pub use crate::store::{Lookup, SpeechStore, StoreStats, DEFAULT_SHARDS};
+    pub use crate::store::{Lookup, SpeechStore, StoreStats};
     pub use crate::template::{format_value, speaking_time_secs, SpeechTemplate, ValueStyle};
     pub use crate::voice::VoiceSession;
 }

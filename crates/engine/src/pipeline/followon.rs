@@ -6,8 +6,8 @@
 //! answering the query `Q`, any stored speech whose query extends `Q` by
 //! exactly one predicate is a question the system is *guaranteed* to
 //! answer well. `suggest` takes the canonically smallest such extension,
-//! so the hint is deterministic across runs and shards. The store keeps
-//! that extension for every query in its follow-on index
+//! so the hint is deterministic across runs and insertion orders. The
+//! store keeps that extension for every query in its follow-on index
 //! ([`SpeechStore::follow_on`]), so a hint is one index probe.
 
 use crate::problem::Query;
@@ -57,7 +57,7 @@ mod tests {
 
     #[test]
     fn suggests_the_canonically_first_one_step_extension() {
-        let store = SpeechStore::new();
+        let mut store = SpeechStore::new();
         for predicates in [
             vec![],
             vec![("season", "Winter")],
@@ -81,7 +81,7 @@ mod tests {
 
     #[test]
     fn no_adjacent_summary_means_no_hint() {
-        let store = SpeechStore::new();
+        let mut store = SpeechStore::new();
         store.insert(speech(Query::of("delay", &[])));
         // Two predicates away from the only stored speech.
         assert!(suggest(

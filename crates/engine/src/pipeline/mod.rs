@@ -13,7 +13,11 @@
 //!
 //! 1. **Summary-store hit** — supported queries look up the best
 //!    pre-generated speech, byte-identical to the pre-pipeline path
-//!    (the §VIII-E "merely looks up" hot path is untouched).
+//!    (the §VIII-E "merely looks up" hot path is untouched). The store
+//!    and the live table are published together, so the store holds a
+//!    speech for every value combination of the table: a supported query
+//!    misses only when the tenant's table is empty, and answers
+//!    [`Answer::NoSummary`].
 //! 2. **Live plan execution** — questions the store does not precompute
 //!    (conjunctive filters beyond the configured length, comparatives,
 //!    extrema, counts/totals) lower to a typed [`QueryPlan`] and execute
@@ -28,9 +32,8 @@
 //! exists.
 //!
 //! **Deadline-carrying requests** skip live work once their deadline
-//! has passed: a live plan, or a store miss's live average, answers its
-//! typed apology or [`Answer::NoSummary`] instead, stamped
-//! [`Degradation::StoreOnly`]. A store hit, exact or generalized, is
+//! has passed: a live plan answers its typed apology instead, stamped
+//! [`Degradation::StoreOnly`]. A store answer, a hit or a miss, is
 //! served as it is whatever its deadline: batch pre-processing has
 //! already solved every value combination the live table holds, so no
 //! live work could improve it. Deadline-free requests never degrade.
@@ -60,7 +63,7 @@ pub(crate) use analyze::Analysis;
 /// One tenant's answer-time resources, borrowed for the duration of one
 /// request.
 pub(crate) struct PipelineContext<'a> {
-    /// The tenant's speech store (tier one).
+    /// The tenant's speech store (tier one), solved over `live`.
     pub store: &'a SpeechStore,
     /// Spoken help text for `Help` requests.
     pub help_text: &'a str,
@@ -110,31 +113,16 @@ pub(crate) fn answer(
                     speech,
                     kept_predicates,
                 } => (speech, Some(kept_predicates)),
-                // A miss on a supported query: the live tier computes the
-                // store's own semantic (the average) directly, unless the
-                // deadline already passed.
+                // The store holds every combination of the live table, so
+                // a miss means the table is empty: no plan finds rows.
                 Lookup::Miss => {
-                    let no_summary = |tier| {
-                        (
-                            Answer::NoSummary {
-                                query: query.clone(),
-                            },
-                            None,
-                            tier,
-                        )
-                    };
-                    if out_of_budget(ctx) {
-                        return no_summary(Degradation::StoreOnly);
-                    }
-                    let plan = QueryPlan::Aggregate {
-                        target: query.target().to_string(),
-                        predicates: query.predicates().to_vec(),
-                        agg: AggKind::Avg,
-                    };
-                    return match live_answer(&plan, ctx) {
-                        Some((answer, follow_on)) => (answer, follow_on, Degradation::None),
-                        None => no_summary(Degradation::None),
-                    };
+                    return (
+                        Answer::NoSummary {
+                            query: query.clone(),
+                        },
+                        None,
+                        Degradation::None,
+                    );
                 }
             };
             let follow_on = followon::suggest(ctx.store, &speech.query);

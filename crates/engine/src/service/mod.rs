@@ -4,8 +4,9 @@
 //! pre-processing fills a speech store that then answers live voice
 //! traffic. [`VoiceService`] packages that architecture for production:
 //! it owns a registry of named **tenants** (each tenant = one dataset +
-//! [`Configuration`] + its own sharded [`SpeechStore`] + per-tenant
-//! instrumentation roll-up), runs every tenant's pre-processing and
+//! [`Configuration`] + its own [`SpeechStore`], published together with
+//! the live table it was solved over, + per-tenant instrumentation
+//! roll-up), runs every tenant's pre-processing and
 //! delta refreshes on one **shared long-lived [`SolverPool`]**, and
 //! answers requests through a typed pipeline
 //! [`ServiceRequest`] → [`ServiceResponse`] whose [`Answer`] enum
@@ -149,7 +150,7 @@ pub enum Degradation {
     #[default]
     None,
     /// The deadline had passed before a live plan could run; the answer
-    /// is the typed apology (or [`Answer::NoSummary`]) instead.
+    /// is the typed apology instead.
     StoreOnly,
 }
 
@@ -193,9 +194,11 @@ pub enum Answer {
         /// Spoken apology.
         text: String,
     },
-    /// A supported query with no stored speech — distinct from
-    /// [`Answer::Unsupported`] so callers can tell "nothing generated
-    /// for this combination (yet)" from "outside the deployment".
+    /// A supported query with no stored speech: the store holds one for
+    /// every value combination of the tenant's table, so this answers
+    /// only while that table is empty. Distinct from
+    /// [`Answer::Unsupported`] so callers can tell "no data to summarize"
+    /// from "outside the deployment".
     NoSummary {
         /// The classified query that missed.
         query: crate::problem::Query,
@@ -472,8 +475,10 @@ struct TenantRollup {
     solver_time: Duration,
 }
 
-/// The answer-time state rebuilt after every refresh and flush
-/// (dictionaries may gain values, the live table follows the data).
+/// The answer-time state rebuilt by every registration, refresh and
+/// flush, and published whole: dictionaries may gain values, the live
+/// table follows the data, and the store holds the speeches solved over
+/// that table, so every answer reads one version of the data.
 #[derive(Debug)]
 pub(crate) struct TenantRuntime {
     pub(crate) extractor: Extractor,
@@ -481,6 +486,35 @@ pub(crate) struct TenantRuntime {
     /// pipeline's tier-two execution input, and the table an ingest
     /// flush solves over.
     pub(crate) live: Arc<Table>,
+    /// The speeches solved over `live` (the pipeline's tier one).
+    pub(crate) store: Arc<SpeechStore>,
+}
+
+impl TenantRuntime {
+    /// The extractor over `live`, a [`Tenant::project`]ion, published
+    /// with `live` and `store`, the speeches solved over it.
+    fn new(
+        live: &Arc<Table>,
+        store: SpeechStore,
+        config: &Configuration,
+        synonyms: &[(String, Vec<String>)],
+        unavailable_markers: &[String],
+    ) -> Result<TenantRuntime> {
+        let mut extractor = Extractor::for_deployment(live, config)?;
+        for (target, phrases) in synonyms {
+            let phrases: Vec<&str> = phrases.iter().map(String::as_str).collect();
+            extractor = extractor.with_target_synonyms(target, &phrases);
+        }
+        if !unavailable_markers.is_empty() {
+            let markers: Vec<&str> = unavailable_markers.iter().map(String::as_str).collect();
+            extractor = extractor.with_unavailable_markers(&markers);
+        }
+        Ok(TenantRuntime {
+            extractor,
+            live: Arc::clone(live),
+            store: Arc::new(store),
+        })
+    }
 }
 
 /// One registered deployment. The registry and every open
@@ -495,7 +529,6 @@ pub(crate) struct Tenant {
     unavailable_markers: Vec<String>,
     /// Default deadline budget stamped onto requests that carry none.
     default_deadline: Option<Duration>,
-    store: Arc<SpeechStore>,
     /// Serializes refreshes per tenant. The raw dataset itself is *not*
     /// retained — callers hand the current data to
     /// [`VoiceService::refresh_tenant`] — but the runtime keeps a
@@ -505,9 +538,11 @@ pub(crate) struct Tenant {
     /// patches it and a flush publishes it. A tenant's resident cost is
     /// its store plus dictionaries plus that bounded projection.
     refresh_lock: Mutex<()>,
-    /// Replaced whole by every refresh and flush; open sessions read it
-    /// through the tenant, so refreshed dictionaries reach them at once.
-    runtime: RwLock<TenantRuntime>,
+    /// Replaced whole, by one pointer write, by every refresh and flush;
+    /// the lock is held only to clone or swap the pointer. Open sessions
+    /// read it through the tenant, so refreshed dictionaries reach them
+    /// at once.
+    runtime: RwLock<Arc<TenantRuntime>>,
     rollup: Mutex<TenantRollup>,
     counters: RequestCounters,
     /// Streaming-ingestion state (the patched table, delta log, and
@@ -528,27 +563,17 @@ impl Tenant {
         Ok(Arc::new(ops::project(table, &projection)?))
     }
 
-    /// Build the extractor over `live`, a [`Tenant::project`]ion, and
-    /// serve live plans from it.
-    fn build_runtime(
-        live: &Arc<Table>,
-        config: &Configuration,
-        synonyms: &[(String, Vec<String>)],
-        unavailable_markers: &[String],
-    ) -> Result<TenantRuntime> {
-        let mut extractor = Extractor::for_deployment(live, config)?;
-        for (target, phrases) in synonyms {
-            let phrases: Vec<&str> = phrases.iter().map(String::as_str).collect();
-            extractor = extractor.with_target_synonyms(target, &phrases);
-        }
-        if !unavailable_markers.is_empty() {
-            let markers: Vec<&str> = unavailable_markers.iter().map(String::as_str).collect();
-            extractor = extractor.with_unavailable_markers(&markers);
-        }
-        Ok(TenantRuntime {
-            extractor,
-            live: Arc::clone(live),
-        })
+    /// The published runtime. The lock is released on return, so a
+    /// caller may hold the runtime as long as it needs.
+    pub(crate) fn runtime(&self) -> Arc<TenantRuntime> {
+        Arc::clone(&self.runtime.read())
+    }
+
+    /// Publish `runtime` in one pointer write. The runtime it replaces is
+    /// freed once the lock is released and its last reader is done.
+    fn publish(&self, runtime: TenantRuntime) {
+        let runtime = Arc::new(runtime);
+        let _replaced = std::mem::replace(&mut *self.runtime.write(), runtime);
     }
 
     /// The one answer path: classify `text` with the tenant's extractor,
@@ -556,7 +581,9 @@ impl Tenant {
     /// the calling thread, or typed apology — and account it in the
     /// tenant's counters. [`VoiceService::respond`], the serving
     /// front-end and every [`VoiceSession`] turn answer here. A
-    /// `Repeat` replays `last`.
+    /// `Repeat` replays `last`. The answer reads one published runtime
+    /// and holds no lock, so a refresh or flush publishing its successor
+    /// never waits behind a live plan.
     pub(crate) fn respond(
         &self,
         label: String,
@@ -565,17 +592,16 @@ impl Tenant {
         deadline: Option<Instant>,
         last: Option<&Answer>,
     ) -> ServiceResponse {
-        let runtime = self.runtime.read();
+        let runtime = self.runtime();
         let analysis = pipeline::analyze::analyze(&runtime.extractor, text);
         let ctx = PipelineContext {
-            store: &self.store,
+            store: &runtime.store,
             help_text: &self.help_text,
             live: &runtime.live,
             last,
             deadline,
         };
         let (answer, follow_on, degradation) = pipeline::answer(&analysis, &ctx);
-        drop(runtime);
         self.counters.record(&answer, degradation);
         ServiceResponse {
             tenant: label,
@@ -632,7 +658,7 @@ pub struct TenantStats {
     /// Stored summaries invalidated (re-solved or removed) by
     /// streaming-ingestion flushes.
     pub summaries_invalidated: u64,
-    /// Summaries re-solved and swapped in by streaming-ingestion
+    /// Summaries re-solved and published by streaming-ingestion
     /// flushes.
     pub summaries_resummarized: u64,
     /// Newest-accepted minus newest-applied ingest sequence number: how
@@ -855,15 +881,14 @@ impl VoiceService {
             return Err(EngineError::DuplicateTenant { name: spec.name });
         }
         // Solve over the caller's table first, so its projection never
-        // adds to the set-up's peak memory. The store is empty, so every
-        // query is solved.
-        let store = SpeechStore::new();
-        let solved = resummarize_with(
+        // adds to the set-up's peak memory. Nothing is published yet, so
+        // every query is solved.
+        let (store, solved) = resummarize_with(
             &spec.dataset.table,
             &spec.config,
             self.summarizer.as_ref(),
             &spec.templates,
-            &store,
+            &SpeechStore::new(),
             &DirtyKeys::default(),
             &self.pool,
             ScatterPriority::Bulk,
@@ -877,8 +902,9 @@ impl VoiceService {
             instrumentation: solved.instrumentation,
         };
         let live = Tenant::project(&spec.dataset.table, &spec.config)?;
-        let runtime = Tenant::build_runtime(
+        let runtime = TenantRuntime::new(
             &live,
+            store,
             &spec.config,
             &spec.synonyms,
             &spec.unavailable_markers,
@@ -901,9 +927,8 @@ impl VoiceService {
             synonyms: spec.synonyms,
             unavailable_markers: spec.unavailable_markers,
             default_deadline: spec.default_deadline,
-            store: Arc::new(store),
             refresh_lock: Mutex::new(()),
-            runtime: RwLock::new(runtime),
+            runtime: RwLock::new(Arc::new(runtime)),
             rollup: Mutex::new(TenantRollup {
                 queries: report.queries,
                 refreshes: 0,
@@ -925,10 +950,12 @@ impl VoiceService {
 
     /// Bring a tenant up to date with `dataset` after the rows in
     /// `changed_rows` were mutated: recomputes only the affected
-    /// speeches (untouched entries stay pointer-stable), replaces the
-    /// tenant's dataset, and rebuilds its extractor dictionaries.
-    /// Refreshes of the same tenant are serialized; lookups keep being
-    /// served throughout.
+    /// speeches into the tenant's next store (untouched entries stay
+    /// pointer-stable), and publishes it with the new live table and
+    /// rebuilt extractor dictionaries in one pointer write. Refreshes of
+    /// the same tenant are serialized; lookups keep being served from
+    /// the published runtime throughout, and a store handle taken before
+    /// the refresh keeps its contents.
     pub fn refresh_tenant(
         &self,
         name: &str,
@@ -953,7 +980,7 @@ impl VoiceService {
         // touched, preserving fail-atomicity by construction.
         self.impose_control(FaultSite::Refresh)?;
         // The projection is the refresh's only fallible step before the
-        // shared one, which mutates nothing until it succeeds: a failed
+        // shared one, which publishes nothing until it succeeds: a failed
         // refresh leaves store, data, extractor, and counters on the old
         // data together.
         let live = Tenant::project(&dataset.table, &tenant.config)?;
@@ -974,12 +1001,12 @@ impl VoiceService {
     }
 
     /// The step a batch refresh and an ingest flush share, under the
-    /// tenant's refresh lock: build the runtime over `live`, the tenant's
-    /// new projection, re-solve the `dirty` queries (and the safety-net
-    /// cases of `resummarize_with`) over it on the pool's `priority`
-    /// lane, swap the runtime in, and roll up the solver counters. The
-    /// runtime is built before the store is touched, and the store only
-    /// changes once every solve succeeded, so a failure changes nothing.
+    /// tenant's refresh lock: re-solve the `dirty` queries (and the
+    /// safety-net cases of `resummarize_with`) over `live`, the tenant's
+    /// new projection, on the pool's `priority` lane into the next store,
+    /// build the extractor over `live`, publish the three in one pointer
+    /// write, and roll up the solver counters. Nothing is published
+    /// until every step succeeded, so a failure changes nothing.
     fn resummarize(
         &self,
         tenant: &Tenant,
@@ -987,23 +1014,23 @@ impl VoiceService {
         dirty: &DirtyKeys,
         priority: ScatterPriority,
     ) -> Result<RefreshReport> {
-        let runtime = Tenant::build_runtime(
-            live,
-            &tenant.config,
-            &tenant.synonyms,
-            &tenant.unavailable_markers,
-        )?;
-        let report = resummarize_with(
+        let (store, report) = resummarize_with(
             live,
             &tenant.config,
             self.summarizer.as_ref(),
             &tenant.templates,
-            &tenant.store,
+            &tenant.runtime().store,
             dirty,
             &self.pool,
             priority,
         )?;
-        *tenant.runtime.write() = runtime;
+        tenant.publish(TenantRuntime::new(
+            live,
+            store,
+            &tenant.config,
+            &tenant.synonyms,
+            &tenant.unavailable_markers,
+        )?);
         let mut rollup = tenant.rollup.lock();
         rollup.solver.merge(&report.instrumentation);
         rollup.solver_time += report.solver_time;
@@ -1017,8 +1044,8 @@ impl VoiceService {
     /// flush — inline in this call when the dirty-set bound or the
     /// coalescing window closes, otherwise by a later call or an
     /// explicit [`VoiceService::drain_ingest`]. Lookups keep serving the
-    /// last-good speeches throughout; a validation error rejects the
-    /// whole batch before any of it is applied.
+    /// published store and live table throughout; a validation error
+    /// rejects the whole batch before any of it is applied.
     ///
     /// Every error precedes acceptance: once the batch is accepted the
     /// call returns `Ok`. An inline flush that fails — an error, or a
@@ -1130,11 +1157,13 @@ impl VoiceService {
     }
 
     /// Drain the pending log into the store: re-solve exactly the dirty
-    /// `(query-subset, target)` summaries on the pool's Bulk lane and
-    /// swap them in atomically, entry by entry — untouched speeches stay
-    /// `Arc`-pointer-stable and lookups are never blocked. The store is
-    /// only mutated after every dirty query solved, so a failed flush
-    /// keeps the log (and its dirty sets) intact for a later retry.
+    /// `(query-subset, target)` summaries on the pool's Bulk lane into
+    /// the next store, which keeps every untouched speech's `Arc`, and
+    /// publish it with the log's table in one pointer write, so lookups
+    /// are never blocked and never see the new store beside the old
+    /// table. Nothing is published until every dirty query solved, so a
+    /// failed flush keeps the log (and its dirty sets) intact for a
+    /// later retry.
     fn flush_ingest(
         &self,
         tenant: &Tenant,
@@ -1244,17 +1273,21 @@ impl VoiceService {
         names
     }
 
-    /// Shared handle to a tenant's speech store (diagnostics and the
-    /// byte-identity assertions in the integration suite).
+    /// Shared handle to a tenant's speech store as published when this
+    /// is called (diagnostics and the byte-identity assertions in the
+    /// integration suite). A later refresh or flush publishes a new
+    /// store and leaves this one as it is, so fetch the handle again to
+    /// see its result.
     pub fn tenant_store(&self, name: &str) -> Option<Arc<SpeechStore>> {
-        self.tenant(name).map(|tenant| Arc::clone(&tenant.store))
+        self.tenant(name)
+            .map(|tenant| Arc::clone(&tenant.runtime().store))
     }
 
     /// A clone of a tenant's current extractor (deployment-log replay
     /// and diagnostics).
     pub fn extractor(&self, name: &str) -> Option<Extractor> {
         self.tenant(name)
-            .map(|tenant| tenant.runtime.read().extractor.clone())
+            .map(|tenant| tenant.runtime().extractor.clone())
     }
 
     /// Open a stateful conversation ([`VoiceSession`]) over one tenant —
@@ -1356,10 +1389,11 @@ impl VoiceService {
         let mut stats: Vec<TenantStats> = tenants
             .into_iter()
             .map(|tenant| {
+                let runtime = tenant.runtime();
                 let rollup = tenant.rollup.lock();
                 TenantStats {
                     tenant: tenant.name.clone(),
-                    speeches: tenant.store.len(),
+                    speeches: runtime.store.len(),
                     queries: rollup.queries,
                     requests: tenant.counters.requests.load(Ordering::Relaxed),
                     speech_answers: tenant.counters.speeches.load(Ordering::Relaxed),
@@ -1389,7 +1423,7 @@ impl VoiceService {
                     flush_failures: tenant.ingest.as_ref().map_or(0, |state| {
                         state.counters.flush_failures.load(Ordering::Relaxed)
                     }),
-                    store: tenant.store.stats(),
+                    store: runtime.store.stats(),
                     solver: rollup.solver,
                     solver_time: rollup.solver_time,
                 }
@@ -1570,7 +1604,7 @@ mod tests {
         // A store covering only the overall and the Winter slice: a
         // (Winter, North) query must fall back to Winter with one
         // predicate kept, and the typed answer must say so.
-        let store = SpeechStore::new();
+        let mut store = SpeechStore::new();
         for predicates in [vec![], vec![("season", "Winter")]] {
             let query = Query::of("delay", &predicates);
             store.insert(StoredSpeech {
@@ -1761,7 +1795,7 @@ mod tests {
         let tenant = service.tenant("svc").unwrap();
         let shared = || {
             let log = tenant.ingest.as_ref().unwrap().inner.lock();
-            Arc::ptr_eq(log.table(), &tenant.runtime.read().live)
+            Arc::ptr_eq(log.table(), &tenant.runtime().live)
         };
         assert!(shared(), "registration hands the log the live projection");
         let moved = vec![Value::str("Summer"), Value::str("West"), Value::Float(5.25)];
@@ -1780,7 +1814,7 @@ mod tests {
         assert!(!shared(), "the first delta copies the shared table");
         service.drain_ingest("svc").unwrap();
         assert!(shared(), "the flush publishes the log's table");
-        let live = Arc::clone(&tenant.runtime.read().live);
+        let live = Arc::clone(&tenant.runtime().live);
         assert_eq!(live.len(), dataset(7).table.len() - 1);
         assert_eq!(live.row(0), moved);
     }
@@ -1991,13 +2025,12 @@ mod tests {
             .unwrap();
         let pooled = service.tenant_store("svc").unwrap();
 
-        let reference = SpeechStore::new();
-        resummarize_with(
+        let (reference, _) = resummarize_with(
             &dataset(7).table,
             &config(),
             &vqs_core::prelude::ExactSummarizer::paper(),
             &Default::default(),
-            &reference,
+            &SpeechStore::new(),
             &DirtyKeys::default(),
             &SolverPool::new(1),
             ScatterPriority::Bulk,

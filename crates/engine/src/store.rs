@@ -7,23 +7,27 @@
 //! used" — i.e. a stored speech for predicates `S ⊆ Q` with `|S ∩ Q|`
 //! maximal.
 //!
-//! The store is sharded for concurrent traffic: speeches live in `N`
-//! lock-striped hash shards selected by query hash, so pre-processing
-//! writers and run-time readers contend only when they touch the same
-//! shard. A shard is a set of speeches that hash and compare through
-//! their own query, so each query is kept once, inside its speech. A
-//! per-target secondary index records, per predicate count, which
-//! predicate-dimension sets actually hold speeches, so the
-//! generalization fallback walks only subsets no longer than the longest
-//! stored query and probes only those the index holds. The same index
-//! keeps each target's follow-on hints: for every query one predicate
-//! short of a stored query, the canonically smallest stored one-step
-//! extension, so a hint costs one hash probe instead of a scan of the
-//! target's speeches. Speeches are stored behind [`Arc`], so lookups
-//! hand out references without deep-copying text and facts, and delta
-//! re-summarization (see
-//! [`crate::service::VoiceService::refresh_tenant`]) can assert pointer
-//! stability of untouched entries.
+//! A store is built, published, and from then on only read. Registration,
+//! a batch refresh and an ingest flush each build the tenant's next store
+//! privately: `generator::resummarize_with` carries every kept speech's
+//! [`Arc`] over from the published store and inserts the re-solved ones.
+//! The service then publishes that store with the live table it was
+//! solved over in one pointer write (see
+//! [`crate::service::VoiceService::refresh_tenant`]). Writes therefore
+//! take `&mut self`, and a published store is read without locks.
+//!
+//! The speeches form one set in which each speech hashes and compares
+//! through its own query, so each query is kept once, inside its speech.
+//! A per-target secondary index records, per predicate count, which
+//! predicate-dimension sets hold speeches, so the generalization fallback
+//! walks only subsets no longer than the longest stored query and probes
+//! only those the index holds. The same index keeps each target's
+//! follow-on hints: for every query one predicate short of a stored query,
+//! the canonically smallest stored one-step extension, so a hint costs one
+//! hash probe instead of a scan of the target's speeches. Speeches are
+//! stored behind [`Arc`], so lookups hand out references without
+//! deep-copying text and facts, and a rebuilt store shares every
+//! untouched speech with the store it replaces.
 //!
 //! Names are shared, not copied: a speech holds its target, dimension and
 //! value names as 16-byte [`Arc<str>`] handles
@@ -33,12 +37,10 @@
 //! as its slot and each distinct name allocation once.
 
 use std::borrow::Borrow;
-use std::hash::{BuildHasher, Hash};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use vqs_core::delta::masks_of_size;
 use vqs_core::prelude::Instrumentation;
 use vqs_relalg::hash::{FxHashMap, FxHashSet, FxHasher};
@@ -59,7 +61,8 @@ pub enum Lookup {
         /// Number of query predicates the served speech retains.
         kept_predicates: usize,
     },
-    /// Nothing matches (unknown target).
+    /// Nothing matches: the target is unknown, or the store holds no
+    /// speech for it (its table is empty).
     Miss,
 }
 
@@ -74,7 +77,9 @@ impl Lookup {
     }
 }
 
-/// Point-in-time copy of the store's run-time counters.
+/// Point-in-time copy of the store's run-time counters. A tenant's
+/// successive stores share their counters, so the counts span every
+/// store the tenant published.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Lookups served (exact, generalized, or miss).
@@ -89,14 +94,14 @@ pub struct StoreStats {
     /// Lookups answered by a miss.
     pub misses: u64,
     /// Approximate resident size of the store in bytes: per stored
-    /// speech, its shard slot (the speech's `Arc`, which is also its key:
+    /// speech, its set slot (the speech's `Arc`, which is also its key:
     /// the query is kept once, inside the speech) plus what the speech
     /// owns (struct, boxed slices, text, with each name handle as its
     /// 16-byte slot); per follow-on hint, its slot (the parent query's
     /// predicates and the extension's `Arc`) plus the predicate slice;
     /// and once, however many handles share it, each distinct name
     /// allocation: its text plus the 16-byte `Arc` header. Computed by
-    /// walking the shards and the index at snapshot time, so it tracks
+    /// walking the speeches and the index at snapshot time, so it tracks
     /// the *current* contents — the scale benchmarks chart it against row
     /// count.
     pub approx_bytes: u64,
@@ -116,12 +121,8 @@ impl StoreStats {
 }
 
 /// Run-time counters, updated with relaxed atomics on the lookup path.
-/// One cache-line-aligned stripe per shard: every lookup writes only the
-/// stripe of the shard its query hashes to, so counter updates never
-/// bounce a shared line between threads working different shards.
-#[repr(align(64))]
 #[derive(Debug, Default)]
-struct CounterStripe {
+struct Counters {
     lookups: AtomicU64,
     probes: AtomicU64,
     exact_hits: AtomicU64,
@@ -144,18 +145,6 @@ fn parent_of(query: &Query, skip: usize) -> Vec<Predicate> {
     parent
 }
 
-/// True when `child` extends `parent` by exactly one predicate. Both are
-/// normalized (sorted, no duplicates), so that is one sorted merge.
-fn extends_by_one(parent: &[Predicate], child: &[Predicate]) -> bool {
-    if child.len() != parent.len() + 1 {
-        return false;
-    }
-    let mut rest = child.iter();
-    parent
-        .iter()
-        .all(|predicate| rest.by_ref().any(|candidate| candidate == predicate))
-}
-
 /// Order-sensitive hash of a predicate-dimension name set (the names are
 /// already sorted by [`Query`] normalization). Keying the secondary index
 /// by this hash keeps fallback membership checks allocation-free; a
@@ -172,16 +161,15 @@ fn dim_set_hash<'a>(names: impl Iterator<Item = &'a str>) -> u64 {
 }
 
 /// Per-target entry of the secondary index: the predicate-dimension sets
-/// that currently hold at least one speech (with a count for removal
-/// bookkeeping), the follow-on hints, plus the target-column prior
-/// recorded at pre-processing time (consulted by delta
-/// re-summarization).
+/// that hold at least one speech, the follow-on hints, plus the
+/// target-column prior recorded at pre-processing time (consulted by
+/// delta re-summarization).
 #[derive(Debug, Default)]
 struct TargetIndex {
-    /// `dim_sets[k]`: [`dim_set_hash`] of a `k`-predicate dimension set →
-    /// number of stored queries with it. No level past the longest stored
+    /// `dim_sets[k]`: [`dim_set_hash`] of every `k`-predicate dimension
+    /// set that stored queries use. No level past the longest stored
     /// query holds an entry, which bounds the generalization walk.
-    dim_sets: Vec<FxHashMap<u64, usize>>,
+    dim_sets: Vec<FxHashSet<u64>>,
     /// Parent predicates → the canonically smallest (by [`Query`]'s
     /// order) stored speech whose query extends them by one predicate.
     /// A parent is held exactly while it has a stored extension.
@@ -190,8 +178,8 @@ struct TargetIndex {
     prior: Option<f64>,
 }
 
-/// A stored speech as its own shard key: it hashes and compares through
-/// its query (`Borrow<Query>`), so a shard probes by `&Query` and keeps
+/// A stored speech as its own set key: it hashes and compares through
+/// its query (`Borrow<Query>`), so the set probes by `&Query` and keeps
 /// no second copy of the query.
 #[derive(Debug)]
 struct Entry(Arc<StoredSpeech>);
@@ -216,101 +204,61 @@ impl Borrow<Query> for Entry {
     }
 }
 
-type Shard = RwLock<FxHashSet<Entry>>;
-
-/// The speech `shard` holds for `query`, if any.
-fn probe(shard: &Shard, query: &Query) -> Option<Arc<StoredSpeech>> {
-    shard
-        .read()
-        .get(query)
-        .map(|Entry(speech)| Arc::clone(speech))
-}
-
-/// Thread-safe, sharded speech store.
+/// A speech store, built by inserts and then published read-only.
 ///
-/// Any thread may write; writers serialize on the index write lock and
-/// change the shard under it, so the secondary index and the follow-on
-/// hints never trail the shards. The voice runtime performs short
-/// read-locked hash probes (§VIII-E measures lookups in microseconds).
-/// Readers take one lock at a time, and nothing takes the index lock
-/// while holding a shard lock, so readers and writers cannot deadlock
-/// regardless of interleaving.
-#[derive(Debug)]
+/// Inserts take `&mut self`, so a store is written only while one owner
+/// builds it; once shared, readers probe it without locks (§VIII-E
+/// measures lookups in microseconds). Only the run-time counters change
+/// after publication, through relaxed atomics.
+#[derive(Debug, Default)]
 pub struct SpeechStore {
-    shards: Box<[Shard]>,
-    /// `shards.len() - 1`; the shard count is a power of two.
-    mask: u64,
-    index: RwLock<FxHashMap<Arc<str>, TargetIndex>>,
-    counters: Box<[CounterStripe]>,
-}
-
-/// Default shard count: enough stripes that 8–16 mixed readers/writers
-/// rarely collide, while keeping full-store scans cheap.
-pub const DEFAULT_SHARDS: usize = 16;
-
-impl Default for SpeechStore {
-    fn default() -> SpeechStore {
-        SpeechStore::new()
-    }
+    speeches: FxHashSet<Entry>,
+    index: FxHashMap<Arc<str>, TargetIndex>,
+    /// Shared with the stores built to replace this one
+    /// (`SpeechStore::successor`).
+    counters: Arc<Counters>,
 }
 
 impl SpeechStore {
-    /// Empty store with [`DEFAULT_SHARDS`] shards.
+    /// Empty store.
     pub fn new() -> SpeechStore {
-        SpeechStore::with_shards(DEFAULT_SHARDS)
+        SpeechStore::default()
     }
 
-    /// Empty store with at least `shards` shards (rounded up to a power
-    /// of two so shard selection is a mask, not a division).
-    pub fn with_shards(shards: usize) -> SpeechStore {
-        let count = shards.max(1).next_power_of_two();
+    /// An empty store that shares this store's run-time counters: the
+    /// store a re-summarization builds to replace this one, so lookups
+    /// keep counting across every store a tenant publishes.
+    pub(crate) fn successor(&self) -> SpeechStore {
         SpeechStore {
-            shards: (0..count).map(|_| Shard::default()).collect(),
-            mask: count as u64 - 1,
-            index: RwLock::default(),
-            counters: (0..count).map(|_| CounterStripe::default()).collect(),
+            counters: Arc::clone(&self.counters),
+            ..SpeechStore::default()
         }
     }
 
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_index(&self, query: &Query) -> usize {
-        let hash = BuildHasherDefault::<FxHasher>::default().hash_one(query);
-        (hash & self.mask) as usize
-    }
-
-    fn shard(&self, query: &Query) -> &Shard {
-        &self.shards[self.shard_index(query)]
-    }
-
     /// Insert (or replace) the answer for a query.
-    pub fn insert(&self, speech: StoredSpeech) {
+    pub fn insert(&mut self, speech: StoredSpeech) {
         self.insert_arc(Arc::new(speech));
     }
 
-    /// Insert an already-shared speech (used by the refresh path to keep
-    /// untouched entries pointer-stable). The speech's own query is its
-    /// key. Each parent the query extends by one predicate takes the
-    /// speech as its follow-on hint when the query is smaller than the
-    /// parent's current hint, or is that hint's query (a replace).
-    pub fn insert_arc(&self, speech: Arc<StoredSpeech>) {
+    /// Insert an already-shared speech (a rebuild carries every kept
+    /// speech over this way, so it stays pointer-stable). The speech's
+    /// own query is its key. Each parent the query extends by one
+    /// predicate takes the speech as its follow-on hint when the query is
+    /// smaller than the parent's current hint, or is that hint's query (a
+    /// replace).
+    pub fn insert_arc(&mut self, speech: Arc<StoredSpeech>) {
         let query = &speech.query;
-        let mut index = self.index.write();
-        let replaced = self
-            .shard(query)
-            .write()
-            .replace(Entry(Arc::clone(&speech)));
-        let target = index.entry(Arc::clone(query.target_handle())).or_default();
-        if replaced.is_none() {
+        let target = self
+            .index
+            .entry(Arc::clone(query.target_handle()))
+            .or_default();
+        if self.speeches.replace(Entry(Arc::clone(&speech))).is_none() {
             let dims = dim_set_hash(query.predicates().iter().map(|(d, _)| &**d));
             let levels = &mut target.dim_sets;
             if levels.len() <= query.len() {
-                levels.resize_with(query.len() + 1, FxHashMap::default);
+                levels.resize_with(query.len() + 1, FxHashSet::default);
             }
-            *levels[query.len()].entry(dims).or_insert(0) += 1;
+            levels[query.len()].insert(dims);
         }
         for skip in 0..query.len() {
             let parent = parent_of(query, skip);
@@ -330,125 +278,47 @@ impl SpeechStore {
     }
 
     /// Bulk insert.
-    pub fn extend(&self, speeches: impl IntoIterator<Item = StoredSpeech>) {
+    pub fn extend(&mut self, speeches: impl IntoIterator<Item = StoredSpeech>) {
         for speech in speeches {
             self.insert(speech);
         }
     }
 
-    /// Remove the speech stored for exactly this query, if any. A parent
-    /// whose follow-on hint was this query gets the next smallest of its
-    /// stored extensions, found by one walk over the shards; the walk runs
-    /// only then, and removals are rare (a refresh removes only
-    /// combinations that vanished from the data).
-    pub fn remove(&self, query: &Query) -> Option<Arc<StoredSpeech>> {
-        let mut index = self.index.write();
-        let Entry(removed) = self.shard(query).write().take(query)?;
-        let target = index
-            .get_mut(query.target())
-            .expect("a stored query's target is indexed");
-        let dims = dim_set_hash(query.predicates().iter().map(|(d, _)| &**d));
-        if let Some(level) = target.dim_sets.get_mut(query.len()) {
-            if let Some(count) = level.get_mut(&dims) {
-                *count -= 1;
-                if *count == 0 {
-                    level.remove(&dims);
-                }
-            }
-        }
-        let orphans: Vec<Vec<Predicate>> = (0..query.len())
-            .map(|skip| parent_of(query, skip))
-            .filter(|parent| {
-                target
-                    .followons
-                    .get(parent.as_slice())
-                    .is_some_and(|smallest| smallest.query == *query)
-            })
-            .collect();
-        if orphans.is_empty() {
-            return Some(removed);
-        }
-        let mut smallest: Vec<Option<Arc<StoredSpeech>>> = vec![None; orphans.len()];
-        for shard in self.shards.iter() {
-            for Entry(speech) in shard.read().iter() {
-                let candidate = &speech.query;
-                if candidate.len() != query.len() || candidate.target() != query.target() {
-                    continue;
-                }
-                for (parent, best) in orphans.iter().zip(smallest.iter_mut()) {
-                    if extends_by_one(parent, candidate.predicates())
-                        && best.as_ref().is_none_or(|best| *candidate < best.query)
-                    {
-                        *best = Some(Arc::clone(speech));
-                    }
-                }
-            }
-        }
-        for (parent, best) in orphans.into_iter().zip(smallest) {
-            match best {
-                Some(best) => target.followons.insert(parent.into_boxed_slice(), best),
-                None => target.followons.remove(parent.as_slice()),
-            };
-        }
-        Some(removed)
-    }
-
-    /// Drop every speech for a target column; returns how many were
-    /// removed. Also forgets the target's recorded prior and follow-on
-    /// hints, so the next
-    /// [`crate::service::VoiceService::refresh_tenant`] recomputes the
-    /// target from scratch.
-    pub fn invalidate_target(&self, target: &str) -> usize {
-        let mut index = self.index.write();
-        let mut removed = 0;
-        for shard in self.shards.iter() {
-            let mut set = shard.write();
-            let before = set.len();
-            set.retain(|Entry(speech)| speech.query.target() != target);
-            removed += before - set.len();
-        }
-        index.remove(target);
-        removed
-    }
-
     /// Record the target-column prior used when this target's speeches
     /// were generated (the paper's constant global average).
-    pub fn set_target_prior(&self, target: &str, prior: f64) {
-        self.index
-            .write()
-            .entry(Arc::from(target))
-            .or_default()
-            .prior = Some(prior);
+    pub fn set_target_prior(&mut self, target: &str, prior: f64) {
+        self.index.entry(Arc::from(target)).or_default().prior = Some(prior);
     }
 
     /// The recorded prior for a target, if it was ever pre-processed.
     pub fn target_prior(&self, target: &str) -> Option<f64> {
-        self.index.read().get(target).and_then(|entry| entry.prior)
+        self.index.get(target).and_then(|entry| entry.prior)
     }
 
     /// Number of stored speeches.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|shard| shard.read().len()).sum()
+        self.speeches.len()
     }
 
     /// True when no speeches are stored.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|shard| shard.read().is_empty())
+        self.speeches.is_empty()
     }
 
     /// Exact lookup only (not counted in the run-time stats).
     pub fn get(&self, query: &Query) -> Option<Arc<StoredSpeech>> {
-        probe(self.shard(query), query)
+        self.speeches
+            .get(query)
+            .map(|Entry(speech)| Arc::clone(speech))
     }
 
     /// The follow-on hint for `query`, stored or not: the canonically
     /// smallest (by [`Query`]'s order) stored speech whose query extends
     /// `query` by exactly one predicate. One probe of the follow-on
-    /// index, kept current by every insert and remove; `None` when no
-    /// stored query extends `query`.
+    /// index, kept current by every insert; `None` when no stored query
+    /// extends `query`.
     pub fn follow_on(&self, query: &Query) -> Option<Arc<StoredSpeech>> {
-        let index = self.index.read();
-        let target = index.get(query.target())?;
+        let target = self.index.get(query.target())?;
         target.followons.get(query.predicates()).cloned()
     }
 
@@ -464,118 +334,78 @@ impl SpeechStore {
     /// predicates; the analyzer emits at most
     /// [`crate::config::Configuration::max_query_length`].
     pub fn lookup(&self, query: &Query) -> Lookup {
-        // One hash selects both the shard and the counter stripe.
-        let shard_index = self.shard_index(query);
-        let stripe = &self.counters[shard_index];
-        stripe.lookups.fetch_add(1, Ordering::Relaxed);
-        stripe.probes.fetch_add(1, Ordering::Relaxed);
-        if let Some(speech) = probe(&self.shards[shard_index], query) {
-            stripe.exact_hits.fetch_add(1, Ordering::Relaxed);
+        let counters = &*self.counters;
+        counters.lookups.fetch_add(1, Ordering::Relaxed);
+        counters.probes.fetch_add(1, Ordering::Relaxed);
+        if let Some(speech) = self.get(query) {
+            counters.exact_hits.fetch_add(1, Ordering::Relaxed);
             return Lookup::Exact(speech);
         }
-        // Select the candidate masks under the index read lock alone
-        // (never while holding a shard lock: lock-order freedom from
-        // deadlock), in probe order; the full mask was probed exactly
-        // above, so the walk starts one level below it.
+        // The full mask was probed exactly above, so the walk starts one
+        // level below it.
         let n = query.len();
-        let candidates: Option<Vec<u64>> = {
-            let index = self.index.read();
-            index.get(query.target()).map(|entry| {
-                let levels = entry.dim_sets.iter().enumerate().take(n).rev();
-                let mut candidates = Vec::new();
-                for (k, level) in levels.filter(|(_, level)| !level.is_empty()) {
-                    candidates.extend(masks_of_size(n, k).filter(|&mask| {
-                        let names = query
-                            .predicates()
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, _)| mask & (1 << i) != 0)
-                            .map(|(_, (d, _))| &**d);
-                        level.contains_key(&dim_set_hash(names))
-                    }));
+        if let Some(target) = self.index.get(query.target()) {
+            let levels = target.dim_sets.iter().enumerate().take(n).rev();
+            for (k, level) in levels.filter(|(_, level)| !level.is_empty()) {
+                for mask in masks_of_size(n, k) {
+                    let names = query
+                        .predicates()
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| mask & (1 << i) != 0)
+                        .map(|(_, (d, _))| &**d);
+                    if !level.contains(&dim_set_hash(names)) {
+                        continue;
+                    }
+                    counters.probes.fetch_add(1, Ordering::Relaxed);
+                    let candidate = query.predicate_subset(mask);
+                    if let Some(speech) = self.get(&candidate) {
+                        counters.generalized_hits.fetch_add(1, Ordering::Relaxed);
+                        return Lookup::Generalized {
+                            speech,
+                            kept_predicates: candidate.len(),
+                        };
+                    }
                 }
-                candidates
-            })
-        };
-        let Some(candidates) = candidates else {
-            stripe.misses.fetch_add(1, Ordering::Relaxed);
-            return Lookup::Miss;
-        };
-        for mask in candidates {
-            stripe.probes.fetch_add(1, Ordering::Relaxed);
-            let candidate = query.predicate_subset(mask);
-            if let Some(speech) = self.get(&candidate) {
-                stripe.generalized_hits.fetch_add(1, Ordering::Relaxed);
-                return Lookup::Generalized {
-                    speech,
-                    kept_predicates: candidate.len(),
-                };
             }
         }
-        stripe.misses.fetch_add(1, Ordering::Relaxed);
+        counters.misses.fetch_add(1, Ordering::Relaxed);
         Lookup::Miss
-    }
-
-    /// All stored speeches for a target column (diagnostics / studies).
-    pub fn speeches_for_target(&self, target: &str) -> Vec<Arc<StoredSpeech>> {
-        self.shards
-            .iter()
-            .flat_map(|shard| {
-                shard
-                    .read()
-                    .iter()
-                    .filter(|Entry(s)| s.query.target() == target)
-                    .map(|Entry(s)| Arc::clone(s))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
     }
 
     /// Snapshot of every stored query (unordered).
     pub fn queries(&self) -> Vec<Query> {
-        self.shards
+        self.speeches
             .iter()
-            .flat_map(|shard| {
-                let set = shard.read();
-                set.iter()
-                    .map(|Entry(s)| s.query.clone())
-                    .collect::<Vec<_>>()
-            })
+            .map(|Entry(s)| s.query.clone())
             .collect()
     }
 
     /// Canonical snapshot of the whole store, sorted by query; two stores
-    /// with equal contents produce equal snapshots regardless of shard
-    /// count or insertion order.
+    /// with equal contents produce equal snapshots regardless of
+    /// insertion order.
     pub fn snapshot(&self) -> Vec<Arc<StoredSpeech>> {
-        let mut speeches: Vec<Arc<StoredSpeech>> = self
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                let set = shard.read();
-                set.iter().map(|Entry(s)| Arc::clone(s)).collect::<Vec<_>>()
-            })
-            .collect();
+        let mut speeches: Vec<Arc<StoredSpeech>> =
+            self.speeches.iter().map(|Entry(s)| Arc::clone(s)).collect();
         speeches.sort_by(|a, b| a.query.cmp(&b.query));
         speeches
     }
 
-    /// The run-time counters summed over the per-shard stripes;
-    /// `approx_bytes` is left 0.
+    /// The run-time counters; `approx_bytes` is left 0.
     fn counters(&self) -> StoreStats {
-        let mut stats = StoreStats::default();
-        for stripe in self.counters.iter() {
-            stats.lookups += stripe.lookups.load(Ordering::Relaxed);
-            stats.probes += stripe.probes.load(Ordering::Relaxed);
-            stats.exact_hits += stripe.exact_hits.load(Ordering::Relaxed);
-            stats.generalized_hits += stripe.generalized_hits.load(Ordering::Relaxed);
-            stats.misses += stripe.misses.load(Ordering::Relaxed);
+        let counters = &*self.counters;
+        StoreStats {
+            lookups: counters.lookups.load(Ordering::Relaxed),
+            probes: counters.probes.load(Ordering::Relaxed),
+            exact_hits: counters.exact_hits.load(Ordering::Relaxed),
+            generalized_hits: counters.generalized_hits.load(Ordering::Relaxed),
+            misses: counters.misses.load(Ordering::Relaxed),
+            approx_bytes: 0,
         }
-        stats
     }
 
-    /// Point-in-time copy of the run-time counters (summed over the
-    /// per-shard stripes), plus the walked byte footprint.
+    /// Point-in-time copy of the run-time counters, plus the walked byte
+    /// footprint.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
             approx_bytes: self.approx_bytes() as u64,
@@ -587,21 +417,16 @@ impl SpeechStore {
     /// [`StoreStats::approx_bytes`]): per-entry set overhead plus what
     /// each stored speech owns, the follow-on index's entries with their
     /// parent predicates, and each distinct name allocation once, found
-    /// by address. One read-locked walk per call — a diagnostic, not a
-    /// hot path.
+    /// by address. One walk per call — a diagnostic, not a hot path.
     pub fn approx_bytes(&self) -> usize {
-        let mut bytes = 0usize;
         let mut names = NameBytes::default();
-        for shard in self.shards.iter() {
-            let set = shard.read();
-            // Set slot (the speech's Arc, also its key) + hash bookkeeping.
-            bytes += set.len() * (std::mem::size_of::<Entry>() + 8);
-            for Entry(speech) in set.iter() {
-                bytes += speech.own_bytes();
-                names.count(speech.names());
-            }
+        // Set slot (the speech's Arc, also its key) + hash bookkeeping.
+        let mut bytes = self.speeches.len() * (std::mem::size_of::<Entry>() + 8);
+        for Entry(speech) in &self.speeches {
+            bytes += speech.own_bytes();
+            names.count(speech.names());
         }
-        for target in self.index.read().values() {
+        for target in self.index.values() {
             // Map slot (parent predicates + Arc) + hash bookkeeping.
             bytes += target.followons.len()
                 * (std::mem::size_of::<Predicates>()
@@ -617,12 +442,15 @@ impl SpeechStore {
 
     /// Reset the run-time counters to zero.
     pub fn reset_stats(&self) {
-        for stripe in self.counters.iter() {
-            stripe.lookups.store(0, Ordering::Relaxed);
-            stripe.probes.store(0, Ordering::Relaxed);
-            stripe.exact_hits.store(0, Ordering::Relaxed);
-            stripe.generalized_hits.store(0, Ordering::Relaxed);
-            stripe.misses.store(0, Ordering::Relaxed);
+        let counters = &*self.counters;
+        for counter in [
+            &counters.lookups,
+            &counters.probes,
+            &counters.exact_hits,
+            &counters.generalized_hits,
+            &counters.misses,
+        ] {
+            counter.store(0, Ordering::Relaxed);
         }
     }
 
@@ -656,7 +484,7 @@ mod tests {
     }
 
     fn store() -> SpeechStore {
-        let store = SpeechStore::new();
+        let mut store = SpeechStore::new();
         store.extend([
             speech("delay", &[]),
             speech("delay", &[("season", "Winter")]),
@@ -670,7 +498,7 @@ mod tests {
     fn approx_bytes_grows_with_contents() {
         let empty = SpeechStore::new();
         assert_eq!(empty.approx_bytes(), 0);
-        let store = store();
+        let mut store = store();
         let small = store.approx_bytes();
         assert!(small > 0);
         // Per-entry accounting: adding a speech strictly grows the estimate,
@@ -722,7 +550,7 @@ mod tests {
             assert_eq!(speech.approx_bytes(), speech.own_bytes() + names);
         }
         let stores = [shared, fresh].map(|speeches| {
-            let store = SpeechStore::new();
+            let mut store = SpeechStore::new();
             store.extend(speeches);
             assert_eq!(store.stats().approx_bytes, store.approx_bytes() as u64);
             store.approx_bytes()
@@ -785,45 +613,42 @@ mod tests {
     fn target_filter_and_counts() {
         let store = store();
         assert_eq!(store.len(), 4);
-        assert_eq!(store.speeches_for_target("delay").len(), 3);
-        assert_eq!(store.speeches_for_target("cancelled").len(), 1);
+        let of_target = |target: &str| {
+            store
+                .snapshot()
+                .iter()
+                .filter(|s| s.query.target() == target)
+                .count()
+        };
+        assert_eq!(of_target("delay"), 3);
+        assert_eq!(of_target("cancelled"), 1);
         assert!(!store.is_empty());
     }
 
     #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(SpeechStore::with_shards(1).shard_count(), 1);
-        assert_eq!(SpeechStore::with_shards(3).shard_count(), 4);
-        assert_eq!(SpeechStore::with_shards(16).shard_count(), 16);
-        assert_eq!(SpeechStore::new().shard_count(), DEFAULT_SHARDS);
-    }
-
-    #[test]
-    fn contents_agree_across_shard_counts() {
+    fn contents_agree_across_insertion_orders() {
         let reference = store().snapshot();
-        for shards in [1, 2, 8, 64] {
-            let sharded = SpeechStore::with_shards(shards);
-            sharded.extend([
-                speech("cancelled", &[]),
-                speech("delay", &[("season", "Winter"), ("region", "East")]),
-                speech("delay", &[]),
-                speech("delay", &[("season", "Winter")]),
-            ]);
-            assert_eq!(sharded.len(), 4);
-            assert_eq!(sharded.snapshot(), reference);
-            let q = Query::of("delay", &[("season", "Winter"), ("region", "North")]);
-            match sharded.lookup(&q) {
-                Lookup::Generalized {
-                    kept_predicates, ..
-                } => assert_eq!(kept_predicates, 1),
-                other => panic!("expected generalized with {shards} shards, got {other:?}"),
-            }
+        let mut reversed = SpeechStore::new();
+        reversed.extend([
+            speech("cancelled", &[]),
+            speech("delay", &[("season", "Winter"), ("region", "East")]),
+            speech("delay", &[]),
+            speech("delay", &[("season", "Winter")]),
+        ]);
+        assert_eq!(reversed.len(), 4);
+        assert_eq!(reversed.snapshot(), reference);
+        let q = Query::of("delay", &[("season", "Winter"), ("region", "North")]);
+        match reversed.lookup(&q) {
+            Lookup::Generalized {
+                kept_predicates, ..
+            } => assert_eq!(kept_predicates, 1),
+            other => panic!("expected generalized, got {other:?}"),
         }
     }
 
     #[test]
     fn insert_replaces_without_index_drift() {
-        let store = SpeechStore::new();
+        let mut store = SpeechStore::new();
         store.insert(speech("delay", &[("season", "Winter")]));
         let mut updated = speech("delay", &[("season", "Winter")]);
         updated.text = "updated".into();
@@ -839,47 +664,63 @@ mod tests {
     }
 
     #[test]
-    fn remove_updates_index() {
-        let store = store();
-        let removed = store
-            .remove(&Query::of("delay", &[("season", "Winter")]))
-            .unwrap();
-        assert_eq!(removed.query, Query::of("delay", &[("season", "Winter")]));
-        assert_eq!(store.len(), 3);
-        // The (season) dimension set is gone: the fallback now lands on
-        // the overall speech without probing the removed combination.
-        store.reset_stats();
-        let q = Query::of("delay", &[("season", "Winter"), ("region", "North")]);
-        match store.lookup(&q) {
-            Lookup::Generalized {
-                kept_predicates, ..
-            } => assert_eq!(kept_predicates, 0),
-            other => panic!("expected generalized, got {other:?}"),
-        }
-        // exact probe + overall candidate = 2 probes; the (season) subset
-        // is no longer a candidate and (region) never was.
-        assert_eq!(store.stats().probes, 2);
-    }
-
-    #[test]
-    fn invalidate_target_clears_speeches_and_prior() {
-        let store = store();
-        store.set_target_prior("delay", 15.0);
-        assert_eq!(store.invalidate_target("delay"), 3);
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.target_prior("delay"), None);
-        assert_eq!(store.lookup(&Query::of("delay", &[])), Lookup::Miss);
-        assert!(store.get(&Query::of("cancelled", &[])).is_some());
-    }
-
-    #[test]
     fn priors_round_trip() {
-        let store = SpeechStore::new();
+        let mut store = SpeechStore::new();
         assert_eq!(store.target_prior("delay"), None);
         store.set_target_prior("delay", 12.5);
         assert_eq!(store.target_prior("delay"), Some(12.5));
         // Setting a prior does not fabricate speeches.
         assert!(store.is_empty());
+    }
+
+    /// A successor starts empty, with no priors, and counts its lookups
+    /// on top of its predecessor's.
+    #[test]
+    fn a_successor_continues_its_predecessors_counters() {
+        let mut store = store();
+        store.set_target_prior("delay", 12.5);
+        store.lookup(&Query::of("delay", &[("season", "Winter")]));
+        store.lookup(&Query::of("satisfaction", &[]));
+        let mut next = store.successor();
+        assert!(next.is_empty());
+        assert_eq!(next.target_prior("delay"), None);
+        next.insert(speech("delay", &[]));
+        next.lookup(&Query::of("delay", &[("region", "West")]));
+        let stats = next.stats();
+        assert_eq!(
+            (stats.lookups, stats.exact_hits, stats.generalized_hits),
+            (3, 1, 1)
+        );
+        assert_eq!(stats.misses, 1);
+        assert_eq!(store.stats().lookups, 3);
+        // A fresh store counts from zero.
+        assert_eq!(SpeechStore::new().stats().lookups, 0);
+    }
+
+    /// Readers share a published store without locks; its one set of
+    /// relaxed counters still counts every lookup.
+    #[test]
+    fn concurrent_lookups_count_exactly() {
+        let mut store = SpeechStore::new();
+        store.extend((0..50).map(|i| speech("t", &[("d", &format!("v{i}"))])));
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let store = &store;
+                scope.spawn(move || {
+                    for i in 0..50 {
+                        let hit = Query::of("t", &[("d", &format!("v{}", (i + t) % 50))]);
+                        assert!(matches!(store.lookup(&hit), Lookup::Exact(_)));
+                        assert_eq!(store.lookup(&Query::of("u", &[])), Lookup::Miss);
+                    }
+                });
+            }
+        });
+        let stats = store.stats();
+        assert_eq!(
+            (stats.lookups, stats.exact_hits, stats.misses),
+            (400, 200, 200)
+        );
+        assert_eq!(stats.probes, 400);
     }
 
     #[test]
@@ -985,21 +826,5 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.probes, 1);
         assert_eq!(stats.misses, 1);
-    }
-
-    #[test]
-    fn concurrent_inserts() {
-        let store = SpeechStore::new();
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let store = &store;
-                scope.spawn(move || {
-                    for i in 0..50 {
-                        store.insert(speech("t", &[("d", &format!("v{t}_{i}"))]));
-                    }
-                });
-            }
-        });
-        assert_eq!(store.len(), 200);
     }
 }

@@ -10,15 +10,17 @@
 //! table.
 //!
 //! Alongside the differential: a concurrent-readers stress test (no
-//! torn or missing entries while flushes swap summaries underneath),
-//! a pointer-stability check that the incremental circuit leaves
-//! untouched entries `Arc`-identical instead of rebuilding the store,
-//! two deterministic cases where dirty keys built from the delta's raw
-//! values, or through the columns of an earlier registration, would
-//! miss the summaries a delta changed, a NULL in a column the tenant
-//! does not project, which must not fail a flush, and a sparse tenant
-//! whose store holds a speech for exactly the value combinations of its
-//! live rows after every flush and refresh.
+//! torn or missing entries while flushes publish new stores), a
+//! pointer-stability check that the incremental circuit carries
+//! untouched entries over `Arc`-identical instead of re-solving them,
+//! a check that a store handle taken before a refresh or flush keeps
+//! its contents, two deterministic cases where dirty keys built from
+//! the delta's raw values, or through the columns of an earlier
+//! registration, would miss the summaries a delta changed, a NULL in a
+//! column the tenant does not project, which must not fail a flush, a
+//! sparse tenant whose store holds a speech for exactly the value
+//! combinations of its live rows, each fact stating its subset's mean,
+//! after every flush and refresh, and a tenant emptied by deletes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -366,6 +368,7 @@ fn untouched_summaries_stay_pointer_stable() {
         )
         .unwrap();
 
+    let store = service.tenant_store("stream").unwrap();
     let after_untouched = store.get(&untouched).expect("summary survived");
     let after_overall = store.get(&overall).expect("summary survived");
     assert!(
@@ -376,6 +379,151 @@ fn untouched_summaries_stay_pointer_stable() {
         !Arc::ptr_eq(&before_overall, &after_overall),
         "a dirtied summary was not recomputed"
     );
+}
+
+/// A store is published once and never written: a `tenant_store` handle
+/// taken before a refresh, and one taken before a flush, keep their
+/// snapshots. The store fetched afterwards equals a cold registration of
+/// the new table and shares every untouched speech (`Arc::ptr_eq`) with
+/// the old handle. Both changes move one row to the other region and keep
+/// its season and delay, so the prior holds and the other season's
+/// speeches stay untouched.
+#[test]
+fn store_handles_keep_their_snapshot_across_refresh_and_flush() {
+    let base = dataset(21, 64);
+    let service = ServiceBuilder::new().workers(2).build();
+    service
+        .register_dataset(
+            TenantSpec::new("stream", base.clone(), config()).ingest(
+                IngestBuilder::new()
+                    .max_dirty(1000)
+                    .flush_interval(Duration::from_secs(3600)),
+            ),
+        )
+        .unwrap();
+    let mut rows: Vec<Vec<Value>> = base.table.iter_rows().collect();
+    let moved = |row: &[Value]| {
+        let region = if row[1].as_str() == Some("East") {
+            "West"
+        } else {
+            "East"
+        };
+        vec![row[0].clone(), Value::str(region), row[2].clone()]
+    };
+    let cold = |rows: &[Vec<Value>]| {
+        let cold = ServiceBuilder::new().workers(2).build();
+        let table = Table::from_rows(base.table.schema().clone(), rows.to_vec()).unwrap();
+        cold.register_dataset(TenantSpec::new(
+            "stream",
+            GeneratedDataset {
+                table,
+                ..base.clone()
+            },
+            config(),
+        ))
+        .unwrap();
+        cold.tenant_store("stream").unwrap().snapshot()
+    };
+    // How many of `new`'s speeches are `old`'s own `Arc`s.
+    let shared = |old: &SpeechStore, new: &SpeechStore| {
+        new.snapshot()
+            .iter()
+            .filter(|speech| {
+                old.get(&speech.query)
+                    .is_some_and(|before| Arc::ptr_eq(&before, speech))
+            })
+            .count()
+    };
+
+    let before_refresh = service.tenant_store("stream").unwrap();
+    let snapshot = before_refresh.snapshot();
+    rows[0] = moved(&rows[0]);
+    let refreshed = GeneratedDataset {
+        table: Table::from_rows(base.table.schema().clone(), rows.clone()).unwrap(),
+        ..base.clone()
+    };
+    let report = service.refresh_tenant("stream", &refreshed, &[0]).unwrap();
+    assert!(report.kept > 0 && report.recomputed > 0, "{report:?}");
+    assert_eq!(
+        before_refresh.snapshot(),
+        snapshot,
+        "the refresh wrote the published store"
+    );
+    let after_refresh = service.tenant_store("stream").unwrap();
+    assert_eq!(after_refresh.snapshot(), cold(&rows));
+    assert_eq!(shared(&before_refresh, &after_refresh), report.kept);
+
+    let before_flush = after_refresh;
+    let snapshot = before_flush.snapshot();
+    rows[1] = moved(&rows[1]);
+    service
+        .ingest(
+            "stream",
+            &[RowDelta::Update {
+                row: 1,
+                values: rows[1].clone(),
+            }],
+        )
+        .unwrap();
+    let flush = service.drain_ingest("stream").unwrap();
+    assert!(flush.kept > 0 && flush.resummarized > 0, "{flush:?}");
+    assert_eq!(
+        before_flush.snapshot(),
+        snapshot,
+        "the flush wrote the published store"
+    );
+    let after_flush = service.tenant_store("stream").unwrap();
+    assert_eq!(after_flush.snapshot(), cold(&rows));
+    assert_eq!(shared(&before_flush, &after_flush), flush.kept);
+}
+
+/// Deleting every row leaves an empty store, and a store question then
+/// answers `NoSummary` at full quality, deadline or not: no plan over the
+/// empty table could answer it. One insert brings the speeches back.
+#[test]
+fn an_emptied_tenant_answers_no_summary_until_a_row_returns() {
+    let base = dataset(4, 6);
+    let service = ServiceBuilder::new().workers(1).build();
+    service
+        .register_dataset(
+            TenantSpec::new("stream", base.clone(), config())
+                .ingest(IngestBuilder::new().max_dirty(1)),
+        )
+        .unwrap();
+    for _ in 0..base.table.len() {
+        let report = service
+            .ingest("stream", &[RowDelta::Delete { row: 0 }])
+            .unwrap();
+        assert!(report.flush.is_some(), "max_dirty(1) flushes every batch");
+    }
+    assert!(service.tenant_store("stream").unwrap().is_empty());
+    for request in [
+        ServiceRequest::new("stream", "delay in Winter?"),
+        ServiceRequest::new("stream", "delay in Winter?").with_budget(Duration::ZERO),
+    ] {
+        let response = service.respond(&request);
+        assert!(
+            matches!(response.answer, Answer::NoSummary { .. }),
+            "{:?}",
+            response.answer
+        );
+        assert_eq!(response.degradation, Degradation::None);
+    }
+
+    let report = service
+        .ingest("stream", &[RowDelta::Insert(row(0, 0, 125))])
+        .unwrap();
+    assert!(report.flush.is_some());
+    // Overall, Winter, East, and Winter in the East.
+    assert_eq!(service.tenant_store("stream").unwrap().len(), 4);
+    let response = service.respond(&ServiceRequest::new("stream", "delay in Winter?"));
+    match &response.answer {
+        Answer::Speech {
+            speech,
+            kept_predicates: None,
+        } => assert_eq!(speech.query, Query::of("delay", &[("season", "Winter")])),
+        other => panic!("expected the Winter speech, got {other:?}"),
+    }
 }
 
 /// Drain the tenant's log and require its store to equal a cold
@@ -643,9 +791,38 @@ fn sparse_queries(max_length: usize) -> Vec<Vec<(usize, &'static str)>> {
 /// `rows`: each query is an exact hit exactly when its combination
 /// occurs, and a budgeted respond to it answers a stored speech at full
 /// quality (a question over values the rows all hold parses to the query
-/// itself).
+/// itself). Every fact of every stored speech states what is true of
+/// `rows`: its value has the bits of the row-order mean of `delay` over
+/// the rows its query's predicates and its scope select, and its support
+/// is their count.
 fn assert_store_matches_rows(service: &VoiceService, rows: &[Vec<Value>], state: &str) {
     let store = service.tenant_store("sparse").unwrap();
+    for speech in store.snapshot() {
+        for fact in speech.facts.iter() {
+            let selected: Vec<f64> = rows
+                .iter()
+                .filter(|row| {
+                    speech
+                        .query
+                        .predicates()
+                        .iter()
+                        .chain(fact.scope.iter())
+                        .all(|(dim, value)| {
+                            let column = SPARSE_DIMS.iter().position(|(name, _)| **name == **dim);
+                            row[column.expect("a configured dimension")].as_str() == Some(value)
+                        })
+                })
+                .map(|row| match row[SPARSE_DIMS.len()] {
+                    Value::Float(delay) => delay,
+                    ref other => panic!("delay is a float, got {other:?}"),
+                })
+                .collect();
+            let mean = selected.iter().fold(0.0, |sum, delay| sum + delay) / selected.len() as f64;
+            let what = format!("{state}: {} fact {fact:?}", speech.query);
+            assert_eq!(fact.support, selected.len(), "{what}");
+            assert_eq!(fact.value.to_bits(), mean.to_bits(), "{what}");
+        }
+    }
     let holds = |row: &Vec<Value>, &(dim, value): &(usize, &str)| row[dim].as_str() == Some(value);
     for fixed in sparse_queries(sparse_config().max_query_length) {
         let query = Query::new(
@@ -698,10 +875,10 @@ fn assert_store_matches_rows(service: &VoiceService, rows: &[Vec<Value>], state:
 
 /// Registration, every ingest flush and a batch refresh leave a speech
 /// in the store for every value combination of the live rows and for no
-/// other, so a store question never finds the store behind its data:
-/// checked after the registration, after each of 30 single-delta
-/// batches (inserts, updates and deletes, each flushed inline by
-/// `max_dirty(1)`), and after a refresh.
+/// other, each fact true of those rows, so a store question never finds
+/// the store behind its data: checked after the registration, after
+/// each of 30 single-delta batches (inserts, updates and deletes, each
+/// flushed inline by `max_dirty(1)`), and after a refresh.
 #[test]
 fn the_store_holds_exactly_the_live_combinations() {
     for seed in [1u64, 2, 3] {

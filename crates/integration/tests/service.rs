@@ -296,7 +296,8 @@ fn facade_refresh_equals_fresh_registration() {
     fresh
         .register_dataset(TenantSpec::new("ref", after, config()))
         .unwrap();
-    let refreshed = store.snapshot();
+    assert_eq!(store.snapshot(), before_snapshot);
+    let refreshed = service.tenant_store("svc").unwrap().snapshot();
     assert_eq!(refreshed, fresh.tenant_store("ref").unwrap().snapshot());
 
     // Untouched entries were not rebuilt: the refreshed snapshot reuses

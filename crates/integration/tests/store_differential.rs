@@ -1,10 +1,14 @@
-//! Differential testing: the sharded, index-accelerated store must agree
-//! with a naive linear-scan reference on every lookup — exact hits,
+//! Differential testing: the index-accelerated store must agree with a
+//! naive linear-scan reference on every lookup — exact hits,
 //! generalization fallbacks including tie-breaking, and misses — and on
-//! every follow-on hint through random sequences of writes, plus an
-//! instrumented check that the fallback probes only indexed candidates.
+//! every follow-on hint, whatever order a set of speeches was inserted
+//! in, plus an instrumented check that the fallback probes only indexed
+//! candidates.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use vqs_data::{DimSpec, SynthSpec, TargetSpec};
 use vqs_engine::prelude::*;
 
@@ -34,7 +38,7 @@ fn decide(lookup: Lookup) -> Decision {
 ///
 /// The §III rule picks the stored `S ⊆ Q` maximizing `|S|`; ties are
 /// broken exactly like [`Query::generalizations`] (and therefore like the
-/// sharded store): among equal sizes, the subset covering the
+/// store): among equal sizes, the subset covering the
 /// higher-order predicates of the normalized predicate list wins, i.e.
 /// the larger bitmask over `Q.predicates()`.
 #[derive(Default)]
@@ -157,35 +161,6 @@ fn query_universe() -> Vec<Query> {
         .collect()
 }
 
-/// One write of a follow-on sequence.
-#[derive(Debug, Clone)]
-enum Write {
-    /// Insert a speech (a replace when its query is already stored).
-    Insert(Query),
-    /// Re-insert the `n`-th stored query (mod the stored count) with new
-    /// text.
-    Replace(usize),
-    /// Remove the `n`-th stored query (mod the stored count).
-    Remove(usize),
-    /// Remove a drawn query, stored or not.
-    RemoveDrawn(Query),
-    /// Drop every speech of `TARGETS[t]`.
-    Invalidate(usize),
-}
-
-fn arb_write() -> impl Strategy<Value = Write> {
-    prop_oneof![
-        arb_query().prop_map(Write::Insert),
-        arb_query().prop_map(Write::Insert),
-        arb_query().prop_map(Write::Insert),
-        (0usize..64).prop_map(Write::Replace),
-        (0usize..64).prop_map(Write::Remove),
-        (0usize..64).prop_map(Write::Remove),
-        arb_query().prop_map(Write::RemoveDrawn),
-        (0usize..3).prop_map(Write::Invalidate),
-    ]
-}
-
 /// Long probes for stores of [`arb_query`]s: up to 16 predicates over a
 /// 16-dimension universe `a`–`p` (one value per dimension), plus up to 3
 /// more on `a`–`d` that repeat a dimension name with another value. The
@@ -211,24 +186,22 @@ fn arb_long_query() -> impl Strategy<Value = Query> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // Sharded lookup ≡ naive linear scan, for every shard count, on
-    // short and long probes.
+    // Indexed lookup ≡ naive linear scan, on short and long probes.
     #[test]
-    fn sharded_store_matches_linear_scan_reference(
+    fn store_matches_linear_scan_reference(
         stored in prop::collection::vec(arb_query(), 0..40),
         probes in prop::collection::vec(arb_query(), 1..25),
-        shards in prop_oneof![Just(1usize), Just(2), Just(16)],
         long_probes in prop::collection::vec(arb_long_query(), 1..8),
     ) {
-        let sharded = SpeechStore::with_shards(shards);
+        let mut store = SpeechStore::new();
         let mut naive = NaiveStore::default();
         for query in stored {
-            sharded.insert(make_speech(query.clone()));
+            store.insert(make_speech(query.clone()));
             naive.insert(make_speech(query));
         }
-        prop_assert_eq!(sharded.len(), naive.speeches.len());
+        prop_assert_eq!(store.len(), naive.speeches.len());
         for probe in probes.iter().chain(&long_probes) {
-            let got = decide(sharded.lookup(probe));
+            let got = decide(store.lookup(probe));
             let want = naive.lookup(probe);
             prop_assert_eq!(got, want, "probe {}", probe);
         }
@@ -240,14 +213,14 @@ proptest! {
         stored in prop::collection::vec(arb_query(), 0..30),
         probes in prop::collection::vec(arb_query(), 1..20),
     ) {
-        let sharded = SpeechStore::new();
+        let mut store = SpeechStore::new();
         let mut naive = NaiveStore::default();
         for query in stored {
-            sharded.insert(make_speech(query.clone()));
+            store.insert(make_speech(query.clone()));
             naive.insert(make_speech(query));
         }
         for probe in &probes {
-            let got = sharded.get(probe).map(|s| s.text.clone());
+            let got = store.get(probe).map(|s| s.text.clone());
             let want = naive
                 .speeches
                 .iter()
@@ -264,18 +237,18 @@ proptest! {
         stored in prop::collection::vec(arb_query(), 5..60),
         probe in arb_query(),
     ) {
-        let sharded = SpeechStore::new();
+        let mut store = SpeechStore::new();
         for query in stored {
-            sharded.insert(make_speech(query));
+            store.insert(make_speech(query));
         }
-        sharded.reset_stats();
-        let _ = sharded.lookup(&probe);
-        let probes = sharded.stats().probes;
+        store.reset_stats();
+        let _ = store.lookup(&probe);
+        let probes = store.stats().probes;
         // Upper bounds: every predicate subset (exact + 2^n - 1 candidates)
         // and, structurally, 1 + number of stored speeches for the target
         // sharing a dimension set with some subset of the probe.
         prop_assert!(probes <= 1u64 << probe.len().max(1));
-        prop_assert!(probes as usize <= 1 + sharded.len());
+        prop_assert!(probes as usize <= 1 + store.len());
     }
 }
 
@@ -331,63 +304,54 @@ fn real_store_fallback_probe_count_is_indexed() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // The follow-on index ≡ a linear scan for the canonically smallest
-    // one-step extension, for every query of the universe (stored or
-    // not), after every write of a random insert / replace / remove /
-    // invalidate sequence, for every shard count. The hint must also be
-    // the speech currently stored for its query, not a replaced one.
+    // A store built from a set of speeches answers like a linear scan of
+    // the set, whatever order the speeches went in: a rebuild inserts the
+    // kept speeches before the re-solved ones. Each drawn set is inserted
+    // in two random orders, and every query of the universe (stored or
+    // not) must get the reference's lookup decision and follow-on hint,
+    // the canonically smallest one-step extension. A query drawn twice
+    // is inserted twice with different texts, so the hint must also be
+    // the speech stored last for its query, not a replaced one.
     #[test]
-    fn follow_on_hints_match_linear_scan_after_every_write(
-        writes in prop::collection::vec(arb_write(), 1..40),
-        shards in prop_oneof![Just(1usize), Just(2), Just(16)],
+    fn stores_built_in_any_order_match_linear_scan(
+        drawn in prop::collection::vec(arb_query(), 0..40),
+        orders in (any::<u64>(), any::<u64>()),
     ) {
         let universe = query_universe();
-        let sharded = SpeechStore::with_shards(shards);
-        let mut naive = NaiveStore::default();
-        for (step, write) in writes.iter().enumerate() {
-            let nth = |n: usize| {
-                (!naive.speeches.is_empty())
-                    .then(|| naive.speeches[n % naive.speeches.len()].query.clone())
-            };
-            match write {
-                Write::Insert(query) => {
-                    sharded.insert(make_speech(query.clone()));
-                    naive.insert(make_speech(query.clone()));
-                }
-                Write::Replace(n) => {
-                    if let Some(query) = nth(*n) {
-                        let mut speech = make_speech(query);
-                        speech.text = format!("{} (replaced at {step})", speech.text).into();
-                        sharded.insert(speech.clone());
-                        naive.insert(speech);
-                    }
-                }
-                Write::Remove(n) => {
-                    if let Some(query) = nth(*n) {
-                        prop_assert!(sharded.remove(&query).is_some());
-                        naive.speeches.retain(|s| s.query != query);
-                    }
-                }
-                Write::RemoveDrawn(query) => {
-                    let removed = sharded.remove(query).is_some();
-                    let before = naive.speeches.len();
-                    naive.speeches.retain(|s| s.query != *query);
-                    prop_assert_eq!(removed, naive.speeches.len() < before);
-                }
-                Write::Invalidate(t) => {
-                    sharded.invalidate_target(TARGETS[*t]);
-                    naive.speeches.retain(|s| s.query.target() != TARGETS[*t]);
-                }
+        let speeches: Vec<StoredSpeech> = drawn
+            .into_iter()
+            .enumerate()
+            .map(|(index, query)| {
+                let mut speech = make_speech(query);
+                speech.text = format!("{} (drawn {index})", speech.text).into();
+                speech
+            })
+            .collect();
+        for seed in [orders.0, orders.1] {
+            let mut order: Vec<usize> = (0..speeches.len()).collect();
+            order.shuffle(&mut StdRng::seed_from_u64(seed));
+            let mut store = SpeechStore::new();
+            let mut naive = NaiveStore::default();
+            for &index in &order {
+                store.insert(speeches[index].clone());
+                naive.insert(speeches[index].clone());
             }
-            prop_assert_eq!(sharded.len(), naive.speeches.len());
+            prop_assert_eq!(store.len(), naive.speeches.len());
             for query in &universe {
-                let got = sharded
+                prop_assert_eq!(
+                    decide(store.lookup(query)),
+                    naive.lookup(query),
+                    "lookup {} in order {:?}",
+                    query,
+                    &order
+                );
+                let got = store
                     .follow_on(query)
                     .map(|s| (s.query.clone(), s.text.clone()));
                 let want = naive
                     .follow_on(query)
                     .map(|s| (s.query.clone(), s.text.clone()));
-                prop_assert_eq!(got, want, "query {} after write {} ({:?})", query, step, write);
+                prop_assert_eq!(got, want, "follow-on of {} in order {:?}", query, &order);
             }
         }
     }

@@ -114,6 +114,9 @@ fn dimension_mutation_refreshes_only_affected_queries() {
     let report = service
         .refresh_tenant("refresh", &after_data, &changed_rows)
         .unwrap();
+    // The handle taken before the refresh still holds the old store.
+    assert_eq!(store.snapshot(), before);
+    let store = service.tenant_store("refresh").unwrap();
 
     // The (Winter, East) combination vanished for both targets.
     assert_eq!(report.removed, 2);
@@ -197,6 +200,7 @@ fn target_value_mutation_recomputes_containing_subsets_only() {
     let report = service
         .refresh_tenant("refresh", &after_data, &changed_rows)
         .unwrap();
+    let store = service.tenant_store("refresh").unwrap();
 
     // Per target: overall, Winter, Summer, East, West, (Winter,East),
     // (Summer,West) contain a changed row; North and the other pairs do
@@ -278,10 +282,10 @@ fn refresh_equals_full_preprocess_for_random_mutations() {
         });
 
         let service = service_over(&before_data);
-        let store = service.tenant_store("refresh").unwrap();
         service
             .refresh_tenant("refresh", &after_data, &changed_rows)
             .unwrap();
+        let store = service.tenant_store("refresh").unwrap();
         let reference = preprocess_full(&after_data);
         assert_eq!(
             store.snapshot(),
@@ -344,6 +348,7 @@ fn swapped_rows_over_int_and_float_dimensions_refresh_their_subsets() {
     let report = service
         .refresh_tenant("typed", &data(true), &[0, 2])
         .unwrap();
+    let store = service.tenant_store("typed").unwrap();
     assert_eq!(report.removed, 0);
     let cold = register(data(true));
     assert_eq!(
