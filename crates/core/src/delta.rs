@@ -1,16 +1,11 @@
-//! Subset/delta mapping for incremental maintenance.
+//! Dimension-subset masks: the query shapes of §III's enumeration.
 //!
 //! The offline pipeline enumerates one summary per *dimension subset*
 //! (a bitmask over the dimension columns) and *value combination* (the
-//! values a row takes on the masked dimensions). Incremental maintenance
-//! inverts that map: a changed row can only invalidate the summaries of
-//! the `(mask, combination)` pairs it participates in, one per admissible
-//! mask — a DBSP-style dataflow from deltas to dirty query subsets
-//! instead of a full re-diff.
-//!
-//! Both directions must agree exactly for a drained delta log to
-//! converge on the cold pre-processing result, so the enumerator and the
-//! invalidation circuit share these definitions.
+//! values a row takes on the masked dimensions), so a row belongs to
+//! exactly one combination per admissible mask. Incremental maintenance
+//! needs no more from here: the generator marks, mask by mask, the
+//! combinations that hold a changed row's cell.
 
 /// All dimension-subset bitmasks over `dim_count` dimensions with at
 /// most `max_len` bits set, in ascending numeric order — the enumeration
@@ -59,16 +54,6 @@ pub fn mask_dims(mask: u32) -> Vec<usize> {
     dims
 }
 
-/// The value combination of one row restricted to `mask`: for every set
-/// bit `d`, ascending, the pair `(d, values[d])`. `values` holds the
-/// row's value on every dimension, indexed by dimension.
-pub fn masked_combo<T: Clone>(values: &[T], mask: u32) -> Vec<(usize, T)> {
-    mask_dims(mask)
-        .into_iter()
-        .map(|d| (d, values[d].clone()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,23 +90,5 @@ mod tests {
         assert_eq!(mask_dims(0b1), vec![0]);
         assert_eq!(mask_dims(0b1010), vec![1, 3]);
         assert_eq!(mask_dims(u32::MAX), (0..32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn combos_pair_dimension_with_value() {
-        let row = ["Winter", "East", "AA"];
-        assert_eq!(masked_combo(&row, 0), Vec::new());
-        assert_eq!(masked_combo(&row, 0b101), vec![(0, "Winter"), (2, "AA")]);
-    }
-
-    #[test]
-    fn every_row_key_is_one_mask() {
-        // A row participates in exactly one combination per mask — the
-        // invariant the invalidation circuit relies on.
-        let row = ["a", "b"];
-        let masks = subset_masks(2, 2);
-        let keys: Vec<_> = masks.iter().map(|&m| masked_combo(&row, m)).collect();
-        assert_eq!(keys.len(), 4);
-        assert_eq!(keys[3], vec![(0, "a"), (1, "b")]);
     }
 }

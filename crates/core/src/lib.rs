@@ -60,7 +60,7 @@ pub mod prelude {
         BruteForceSummarizer, ExactSummarizer, FactPruning, GreedySummarizer, Problem,
         PruneOptimizerConfig, Summarizer, Summary,
     };
-    pub use crate::delta::{mask_dims, masked_combo, subset_masks};
+    pub use crate::delta::{mask_dims, subset_masks};
     pub use crate::enumeration::{FactCatalog, FactGroup, RowPartition};
     pub use crate::error::{CoreError, Result};
     pub use crate::instrument::Instrumentation;

@@ -21,9 +21,10 @@
 //! combination disappeared from the data. A registration runs it against
 //! an empty store, where every query is new. The batch refresh
 //! ([`crate::service::VoiceService::refresh_tenant`]) and the streaming
-//! ingest flush run it with the dirty keys of what changed: the refresh
-//! spells them from its changed rows, the flush takes its delta log's.
-//! The service publishes the result; no store is written once published.
+//! ingest flush run it with the rows that changed: the refresh passes its
+//! caller's, the flush its delta log's record. Enumeration maps those rows
+//! to their cells and flags every query whose subset holds one. The
+//! service publishes the result; no store is written once published.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -36,7 +37,6 @@ use vqs_relalg::prelude::Table;
 
 use crate::config::Configuration;
 use crate::error::{EngineError, Result};
-use crate::ingest::DirtyKeys;
 use crate::problem::{NamedFact, Predicate, Query, StoredSpeech};
 use crate::service::{ScatterPriority, SolverPool};
 use crate::store::SpeechStore;
@@ -183,12 +183,8 @@ pub fn enumerate_queries(
     config: &Configuration,
     target: &str,
 ) -> Vec<WorkItem> {
-    enumerate_over(
-        relation,
-        &target_cells(relation),
-        config,
-        &Arc::from(target),
-    )
+    let cells = target_cells(relation);
+    enumerate_over(relation, &cells, config, &Arc::from(target), &[]).0
 }
 
 /// [`enumerate_queries`] over the relation's [`target_cells`]: each
@@ -196,25 +192,29 @@ pub fn enumerate_queries(
 /// lays every combination's rows out in row order, from where each item
 /// copies its exact-size list. Every query holds `target` and the
 /// relation's own name and value handles, so enumeration copies no name.
+/// Beside the items, one flag per item tells whether its subset holds one
+/// of `changed_cells`.
 fn enumerate_over(
     relation: &EncodedRelation,
     cells: &RowPartition,
     config: &Configuration,
     target: &Arc<str>,
-) -> Vec<WorkItem> {
+    changed_cells: &[u32],
+) -> (Vec<WorkItem>, Vec<bool>) {
     let mut cell_rows = vec![0u32; cells.len()];
     for &cell in &cells.of_row {
         cell_rows[cell as usize] += 1;
     }
     let mut laid_out = vec![0u32; relation.len()];
     let mut items = Vec::new();
-    // The admissible dimension subsets come from `vqs_core::delta`, the
-    // same definitions the streaming invalidation circuit maps deltas
-    // through — keeping "what exists" and "what a delta can dirty" in
-    // exact agreement.
+    let mut changed = Vec::new();
     for mask in subset_masks(relation.dim_count(), config.max_query_length) {
         let dims = mask_dims(mask);
         let combos = cells.group_cells(relation, &dims);
+        let mut holds_changed = vec![false; combos.len()];
+        for &cell in changed_cells {
+            holds_changed[combos.of_row[cell as usize] as usize] = true;
+        }
         // Lexicographic order of the code tuples: jobs, and with them the
         // store's insertion order, follow it.
         let first_row = |combo: usize| cells.first_row[combos.first_row[combo] as usize];
@@ -248,10 +248,11 @@ fn enumerate_over(
                 query: Query::new(Arc::clone(target), predicates),
                 rows: Arc::from(&laid_out[start..end]),
             });
+            changed.push(holds_changed[combo]);
             start = end;
         }
     }
-    items
+    (items, changed)
 }
 
 /// Dimension `d`'s name and its value coded `code`, as the relation's
@@ -354,18 +355,25 @@ struct Plans {
     /// The [`target_cells`] of every target's relation, shared by every
     /// query's catalog.
     cells: RowPartition,
+    /// Per work item index, whether the item's subset holds a changed row.
+    /// Every target lists the same subsets in the same order, so one flag
+    /// serves the item at that index in each.
+    changed: Vec<bool>,
     targets: Vec<TargetPlan>,
 }
 
 /// Validate the configuration and its columns and enumerate the work for
-/// every configured target. The first target's relation is coded,
-/// partitioned into cells and enumerated; every further target takes its
-/// own target column and the first target's queries, re-targeted, over
-/// the first target's row lists.
+/// every configured target, flagging the items whose subsets hold one of
+/// `changed_rows` (indexes into `table`; those past its end are ignored).
+/// The first target's relation is coded, partitioned into cells and
+/// enumerated; every further target takes its own target column and the
+/// first target's queries, re-targeted, over the first target's row
+/// lists.
 fn build_plans(
     table: &Table,
     config: &Configuration,
     templates: &FxHashMap<String, SpeechTemplate>,
+    changed_rows: &[usize],
 ) -> Result<Plans> {
     config.validate()?;
     let (first, rest) = config
@@ -374,8 +382,12 @@ fn build_plans(
         .expect("a valid configuration has a target");
     let relation = table_relation(table, config, first)?;
     let cells = target_cells(&relation);
+    let changed_cells: Vec<u32> = changed_rows
+        .iter()
+        .filter_map(|&row| cells.of_row.get(row).copied())
+        .collect();
     let name: Arc<str> = Arc::from(first.as_str());
-    let items = enumerate_over(&relation, &cells, config, &name);
+    let (items, changed) = enumerate_over(&relation, &cells, config, &name, &changed_cells);
     let mut targets = vec![target_plan(name, relation, items, templates)];
     for target in rest {
         let relation = retarget(&targets[0].relation, table, target)?;
@@ -390,7 +402,11 @@ fn build_plans(
             .collect();
         targets.push(target_plan(name, relation, items, templates));
     }
-    Ok(Plans { cells, targets })
+    Ok(Plans {
+        cells,
+        changed,
+        targets,
+    })
 }
 
 fn target_plan(
@@ -501,11 +517,15 @@ fn run_jobs<S: Summarizer + Sync + ?Sized>(
 /// next store: the one path by which speeches reach a store.
 /// Registration runs it against an empty `published` store, which solves
 /// every query; a batch refresh and an ingest flush run it against the
-/// tenant's published store with the keys of what changed.
+/// tenant's published store with the rows that changed.
 ///
-/// A query is solved when any of these hold:
-/// - its predicates are among the `dirty` keys of its target — its
-///   subset holds a changed row;
+/// `changed_rows` are indexes into `table`; those past its end are
+/// ignored. Every row they do not name must be a row of the table
+/// `published` was solved over, unchanged and in its old relative order.
+/// A subset holding none of them and keeping its size then holds exactly
+/// its old rows, so its speech stands. A query is solved when any of
+/// these hold:
+/// - its subset holds a changed row, for every target;
 /// - its published row count differs from the new subset size — rows
 ///   moved *out of* the subset;
 /// - `published` holds no speech for it — its value combination is new
@@ -525,12 +545,12 @@ pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
     summarizer: &S,
     templates: &FxHashMap<String, SpeechTemplate>,
     published: &SpeechStore,
-    dirty: &DirtyKeys,
+    changed_rows: &[usize],
     pool: &SolverPool,
     priority: ScatterPriority,
 ) -> Result<(SpeechStore, RefreshReport)> {
     let start = Instant::now();
-    let plans = build_plans(table, config, templates)?;
+    let plans = build_plans(table, config, templates, changed_rows)?;
     let plan_time = start.elapsed();
 
     let queries: usize = plans.targets.iter().map(|plan| plan.items.len()).sum();
@@ -552,9 +572,7 @@ pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
             let existing = published.get(&item.query);
             found += usize::from(existing.is_some());
             let keep = existing.filter(|existing| {
-                !prior_drifted
-                    && !dirty.contains(&plan.target, item.query.predicates())
-                    && existing.rows == item.rows.len()
+                !prior_drifted && !plans.changed[item_index] && existing.rows == item.rows.len()
             });
             match keep {
                 Some(speech) => kept.push(speech),
@@ -619,7 +637,7 @@ mod tests {
             summarizer,
             &FxHashMap::default(),
             &SpeechStore::new(),
-            &DirtyKeys::default(),
+            &[],
             pool,
             ScatterPriority::Bulk,
         )?;
@@ -635,8 +653,8 @@ mod tests {
     }
 
     /// A refresh naming no changed rows: [`resummarize_with`] with plain
-    /// templates and no dirty keys on `pool`'s interactive lane, building
-    /// the store that replaces `store`.
+    /// templates on `pool`'s interactive lane, building the store that
+    /// replaces `store`.
     fn refresh<S: Summarizer + Sync + ?Sized>(
         dataset: &GeneratedDataset,
         config: &Configuration,
@@ -650,7 +668,7 @@ mod tests {
             summarizer,
             &FxHashMap::default(),
             store,
-            &DirtyKeys::default(),
+            &[],
             pool,
             ScatterPriority::Interactive,
         )
@@ -707,7 +725,7 @@ mod tests {
     fn plans_share_cells_and_queries_across_targets() {
         let data = tiny_dataset();
         let cfg = config();
-        let plans = build_plans(&data.table, &cfg, &FxHashMap::default()).unwrap();
+        let plans = build_plans(&data.table, &cfg, &FxHashMap::default(), &[]).unwrap();
         assert_eq!(plans.targets.len(), 2);
         let listed = |items: &[WorkItem]| -> Vec<(Query, Vec<u32>)> {
             items
@@ -736,12 +754,37 @@ mod tests {
         }
     }
 
+    /// Each item is flagged exactly when its subset holds a changed row;
+    /// rows past the table's end flag nothing, and a registration, with
+    /// no changed rows, flags no item.
+    #[test]
+    fn changed_rows_flag_the_items_whose_subsets_hold_them() {
+        let data = tiny_dataset();
+        let past_end = data.table.len();
+        let plans = build_plans(
+            &data.table,
+            &config(),
+            &FxHashMap::default(),
+            &[7, past_end, 130],
+        )
+        .unwrap();
+        let items = &plans.targets[0].items;
+        assert_eq!(plans.changed.len(), items.len());
+        for (item, &flagged) in items.iter().zip(&plans.changed) {
+            let holds = item.rows.iter().any(|&row| row == 7 || row == 130);
+            assert_eq!(flagged, holds, "{}", item.query);
+        }
+        assert!(plans.changed[0], "the overall query holds every row");
+        let plans = build_plans(&data.table, &config(), &FxHashMap::default(), &[]).unwrap();
+        assert!(!plans.changed.contains(&true));
+    }
+
     /// A further target's relation holds the first target's dimension
     /// codes, not a copy.
     #[test]
     fn plans_share_dimension_codes_across_targets() {
         let data = tiny_dataset();
-        let plans = build_plans(&data.table, &config(), &FxHashMap::default()).unwrap();
+        let plans = build_plans(&data.table, &config(), &FxHashMap::default(), &[]).unwrap();
         let (first, second) = (&plans.targets[0].relation, &plans.targets[1].relation);
         assert_ne!(first.target_name(), second.target_name());
         for d in 0..first.dim_count() {

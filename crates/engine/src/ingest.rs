@@ -15,46 +15,42 @@
 //!    tenant keeps. The log shares that table with the runtime until the
 //!    first delta after a flush copies it, and a flush publishes the
 //!    patched table as the new live one.
-//! 2. **Invalidation circuit** — each delta is mapped through the same
-//!    dimension-subset definitions the offline enumerator uses
-//!    (`vqs_core::delta`) to the exact set of `(query-subset, target)`
-//!    summaries it can invalidate, instead of re-diffing the dataset. A
-//!    dimension change dirties the row's old and new value combinations
-//!    for every target; a target-value change dirties only that target's
-//!    combinations. Values are read from the table's cells, so they are
-//!    spelled as the relation encoder spells them. The §III constant
-//!    prior (the global target mean) is compared bit-for-bit at flush
-//!    time, so any drift invalidates that target wholesale — exactly the
-//!    batch-refresh rule.
-//! 3. **Debounced re-summarizer** — invalidations coalesce per query
-//!    subset in a dirty set; the log is flushed through
-//!    `generator::resummarize_with` on the shared solver pool's Bulk
-//!    lane when the dirty set reaches [`IngestBuilder::max_dirty`] or
-//!    [`IngestBuilder::flush_interval`] elapses. The flush builds the
-//!    tenant's next store beside the published one and publishes it
-//!    with the log's table in one pointer write; until then lookups and
-//!    live plans keep reading the published store and table together.
+//! 2. **Changed rows** — each delta records the row it wrote: an insert
+//!    its new index, an update its row. A delete drops its row from the
+//!    record and shifts every larger index down by one, as the table
+//!    shifts its rows, so the record always indexes the log's table.
+//!    Every row the record does not name is then a row no delta wrote,
+//!    still in its old relative order.
+//! 3. **Debounced re-summarizer** — deltas coalesce in the log, which is
+//!    flushed through `generator::resummarize_with` on the shared solver
+//!    pool's Bulk lane when [`IngestBuilder::max_dirty`] deltas are
+//!    pending or [`IngestBuilder::flush_interval`] elapses. The flush
+//!    hands it the changed rows: it re-solves, for every target, each
+//!    query whose subset holds one of them, changed size or is new to the
+//!    data, and, when the §III constant prior (the global target mean)
+//!    drifted bit-wise, every query of that target — exactly the
+//!    batch-refresh rule. It
+//!    builds the tenant's next store beside the published one and
+//!    publishes it with the log's table in one pointer write; until then
+//!    lookups and live plans keep reading the published store and table
+//!    together.
 //!
 //! **Convergence contract:** once the log drains (every accepted seqno
 //! flushed), the store snapshot is byte-identical to a registration of
 //! the final table — the contract a batch refresh honors too. All three
-//! solve through `generator::resummarize_with` with one `DirtyKeys`
-//! selector: a flush hands it the circuit's sets, a batch refresh the
-//! keys `DirtyKeys::of_rows` spells from its changed rows with the
-//! circuit's own key code, and a registration none.
+//! solve through `generator::resummarize_with`, each handing it the rows
+//! that changed: a flush its log's record, a batch refresh its caller's
+//! changed rows, and a registration none.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use vqs_core::prelude::{masked_combo, subset_masks};
-use vqs_relalg::hash::{FxHashMap, FxHashSet};
-use vqs_relalg::prelude::{ColumnData, Schema, Table, Value};
+use vqs_relalg::prelude::{Schema, Table, Value};
 
 use crate::config::Configuration;
 use crate::error::{EngineError, Result};
-use crate::problem::Predicate;
 
 /// One row-level change to a tenant's data, interpreted against the
 /// table state produced by all previously accepted deltas.
@@ -136,8 +132,9 @@ pub struct IngestReport {
     /// batch was empty).
     pub last_seqno: u64,
     /// The flush this call performed inline, when the debounce window
-    /// closed or the dirty-set bound was hit; `None` when the batch only
-    /// coalesced into the pending set, or when the inline flush failed.
+    /// closed or the pending-delta bound was hit; `None` when the batch
+    /// only coalesced into the pending set, or when the inline flush
+    /// failed.
     pub flush: Option<FlushReport>,
     /// Why the inline flush failed: its error, or a contained panic as
     /// [`EngineError::Internal`]. The batch is accepted either way; its
@@ -203,64 +200,8 @@ impl IngestCounters {
     }
 }
 
-/// A normalized (sorted) predicate list identifying one value
-/// combination, exactly as [`crate::problem::Query::predicates`] stores
-/// them.
-pub(crate) type DirtyKey = Vec<Predicate>;
-
-/// The value combinations whose queries a re-summarization solves again.
-#[derive(Debug, Default)]
-pub(crate) struct DirtyKeys {
-    /// Combinations dirtied for every target (dimension-membership
-    /// changes).
-    pub(crate) all: FxHashSet<DirtyKey>,
-    /// Combinations dirtied for a single target only (target-value
-    /// changes).
-    pub(crate) by_target: FxHashMap<String, FxHashSet<DirtyKey>>,
-}
-
-impl DirtyKeys {
-    /// The keys of every query, of every target, whose subset of `table`
-    /// holds one of `rows`; indexes past its end are ignored. `table` is
-    /// a tenant's projection, so its first columns are `config`'s
-    /// dimensions. Rows of one cell share their keys, so the rows are
-    /// deduplicated by cell, on their stored bits, and one row of each
-    /// cell is spelled.
-    pub(crate) fn of_rows(table: &Table, config: &Configuration, rows: &[usize]) -> DirtyKeys {
-        let dims = handles(&config.dimensions);
-        let columns: Vec<&ColumnData> = (0..dims.len())
-            .map(|col| table.column(col).expect("a projected dimension"))
-            .collect();
-        let mut cells: FxHashMap<Vec<Option<u64>>, usize> = FxHashMap::default();
-        let mut cell = Vec::with_capacity(dims.len());
-        for &row in rows.iter().filter(|&&row| row < table.len()) {
-            cell.clear();
-            cell.extend(columns.iter().map(|column| stored_bits(column, row)));
-            if !cells.contains_key(&cell) {
-                cells.insert(cell.clone(), row);
-            }
-        }
-        let masks = subset_masks(dims.len(), config.max_query_length);
-        let mut keys = DirtyKeys::default();
-        for &row in cells.values() {
-            let values = spelled(&table.row(row)[..dims.len()]);
-            keys.all.extend(combo_keys(&dims, &masks, &values));
-        }
-        keys
-    }
-
-    /// Whether `key` is dirty for `target`.
-    pub(crate) fn contains(&self, target: &str, key: &[Predicate]) -> bool {
-        self.all.contains(key)
-            || self
-                .by_target
-                .get(target)
-                .is_some_and(|set| set.contains(key))
-    }
-}
-
-/// Per-tenant streaming state: options, the locked log/dirty-set, and
-/// the lock-free counters.
+/// Per-tenant streaming state: options, the locked log, and the
+/// lock-free counters.
 #[derive(Debug)]
 pub(crate) struct IngestState {
     pub(crate) options: IngestBuilder,
@@ -269,10 +210,10 @@ pub(crate) struct IngestState {
 }
 
 impl IngestState {
-    /// Wire the invalidation circuit over `config`'s dimensions and
-    /// targets around `table`, the tenant's live projection of a dataset
-    /// with `schema`. The log shares `table` with the runtime until the
-    /// first accepted delta copies it.
+    /// A log over `config`'s dimensions and targets around `table`, the
+    /// tenant's live projection of a dataset with `schema`. The log
+    /// shares `table` with the runtime until the first accepted delta
+    /// copies it.
     pub(crate) fn new(
         options: IngestBuilder,
         schema: &Schema,
@@ -280,13 +221,12 @@ impl IngestState {
         config: &Configuration,
     ) -> IngestState {
         let inner = IngestInner {
-            dims: handles(&config.dimensions),
+            dims: config.dimensions.clone(),
             targets: config.targets.clone(),
             columns: tuple_columns(schema, &table),
             schema: schema.clone(),
             table,
-            masks: subset_masks(config.dimensions.len(), config.max_query_length),
-            dirty: DirtyKeys::default(),
+            changed: Vec::new(),
             pending: 0,
             accepted: 0,
             applied: 0,
@@ -300,7 +240,7 @@ impl IngestState {
     }
 
     /// Whether the debounce window of an *automatic* flush is open:
-    /// pending work, and either the dirty-set bound was hit or the
+    /// pending work, and either the pending-delta bound was hit or the
     /// coalescing interval elapsed.
     pub(crate) fn auto_flush_due(&self, inner: &IngestInner) -> bool {
         inner.pending > 0
@@ -310,13 +250,13 @@ impl IngestState {
 }
 
 /// The locked half of [`IngestState`]: the tenant's table with every
-/// accepted delta applied, the pending seqno window, and the coalesced
-/// dirty sets.
+/// accepted delta applied, the rows the deltas wrote, and the pending
+/// seqno window.
 #[derive(Debug)]
 pub(crate) struct IngestInner {
-    /// The configured predicate dimensions, in configuration order — the
-    /// circuit's dimension indexing, and the first columns of `table`.
-    dims: Vec<Arc<str>>,
+    /// The configured predicate dimensions, in configuration order: the
+    /// first columns of `table`.
+    dims: Vec<String>,
     /// The configured targets: the columns of `table` after the
     /// dimensions.
     targets: Vec<String>,
@@ -329,10 +269,8 @@ pub(crate) struct IngestInner {
     /// It is shared with the runtime until the first delta after a flush
     /// copies it, and patched in place from then on.
     table: Arc<Table>,
-    /// Admissible dimension-subset masks (shared with the enumerator).
-    masks: Vec<u32>,
-    /// Value combinations dirtied since the last flush.
-    dirty: DirtyKeys,
+    /// The indexes into `table` of the rows written since the last flush.
+    changed: Vec<usize>,
     /// Deltas accepted but not yet flushed into the store.
     pub(crate) pending: u64,
     /// Newest accepted sequence number (0 = none yet).
@@ -344,10 +282,10 @@ pub(crate) struct IngestInner {
 
 impl IngestInner {
     /// Validate a whole batch against the running row count, *then*
-    /// apply every delta to the table and fold its dirty keys into the
-    /// coalesced sets. Validation is separated so a bad delta rejects the
-    /// batch before any of it is applied. Returns the `(first, last)`
-    /// sequence numbers stamped on the batch.
+    /// apply every delta to the table and record the row it wrote.
+    /// Validation is separated so a bad delta rejects the batch before
+    /// any of it is applied. Returns the `(first, last)` sequence numbers
+    /// stamped on the batch.
     pub(crate) fn accept(&mut self, deltas: &[RowDelta]) -> Result<(u64, u64)> {
         let mut count = self.table.len();
         for (offset, delta) in deltas.iter().enumerate() {
@@ -379,9 +317,9 @@ impl IngestInner {
     }
 
     /// The row check every table write makes, against the columns the
-    /// tuple follows, plus the circuit's own requirements: no NULL
-    /// dimensions and numeric targets (the relation encoder would reject
-    /// them later, after acceptance — too late).
+    /// tuple follows, plus what the relation encoder requires: no NULL
+    /// dimensions and numeric targets (the encoder would reject them
+    /// later, after acceptance — too late).
     fn validate_row(&self, values: &[Value]) -> std::result::Result<(), String> {
         self.schema
             .check_row(values)
@@ -400,51 +338,28 @@ impl IngestInner {
         Ok(())
     }
 
-    /// Apply one validated delta and mark the dirty keys it produces. Keys
-    /// are read from the table's cells, before the write for the row's
-    /// old values and after it for its new ones, so they are spelled as
-    /// the relation encoder spells the stored values.
+    /// Apply one validated delta and record the row it wrote.
     fn apply(&mut self, delta: &RowDelta) {
         const VALIDATED: &str = "every delta is validated before the batch applies";
         match delta {
             RowDelta::Insert(values) => {
-                // Membership of every subset containing the new row
-                // changes (and the prior drifts anyway).
                 let values = self.project(values);
                 self.table_mut().push_row(values).expect(VALIDATED);
-                let new = self.table.row(self.table.len() - 1);
-                self.mark_all(&spelled(&new[..self.dims.len()]));
+                self.changed.push(self.table.len() - 1);
             }
             RowDelta::Update { row, values } => {
-                let old = self.table.row(*row);
                 let values = self.project(values);
                 self.table_mut().set_row(*row, values).expect(VALIDATED);
-                let new = self.table.row(*row);
-                let dims = ..self.dims.len();
-                let (old_dims, new_dims) = (spelled(&old[dims]), spelled(&new[dims]));
-                if old_dims != new_dims {
-                    // The row moved between subsets: both its old and
-                    // new combinations change content, for every target
-                    // (facts scope over dimensions regardless of which
-                    // target a summary describes).
-                    self.mark_all(&old_dims);
-                    self.mark_all(&new_dims);
-                } else {
-                    // Same subsets; only targets whose value changed
-                    // have summaries with changed content.
-                    let targets = self.dims.len()..self.dims.len() + self.targets.len();
-                    let cells = old[targets.clone()].iter().zip(&new[targets]);
-                    for (target, (old, new)) in cells.enumerate() {
-                        if old != new {
-                            self.mark_target(target, &old_dims);
-                        }
-                    }
-                }
+                self.changed.push(*row);
             }
             RowDelta::Delete { row } => {
-                let old = self.table.row(*row);
-                self.mark_all(&spelled(&old[..self.dims.len()]));
                 self.table_mut().remove_row(*row).expect(VALIDATED);
+                // The rows after it shift down one, in the table and in
+                // the record alike.
+                self.changed.retain(|&changed| changed != *row);
+                for changed in self.changed.iter_mut().filter(|changed| **changed > *row) {
+                    *changed -= 1;
+                }
             }
         }
     }
@@ -462,42 +377,26 @@ impl IngestInner {
             .collect()
     }
 
-    /// Mark every admissible combination of `dim_values` dirty for all
-    /// targets.
-    fn mark_all(&mut self, dim_values: &[Arc<str>]) {
-        let keys = combo_keys(&self.dims, &self.masks, dim_values);
-        self.dirty.all.extend(keys);
-    }
-
-    /// Mark every admissible combination of `dim_values` dirty for the
-    /// `target`-th target.
-    fn mark_target(&mut self, target: usize, dim_values: &[Arc<str>]) {
-        let keys = combo_keys(&self.dims, &self.masks, dim_values);
-        self.dirty
-            .by_target
-            .entry(self.targets[target].clone())
-            .or_default()
-            .extend(keys);
-    }
-
     /// The table with every accepted delta applied: what a flush solves
     /// over and publishes as the tenant's live table.
     pub(crate) fn table(&self) -> &Arc<Table> {
         &self.table
     }
 
-    /// The coalesced dirty keys: what a flush solves again.
-    pub(crate) fn dirty(&self) -> &DirtyKeys {
-        &self.dirty
+    /// The indexes into [`IngestInner::table`] of the rows the deltas
+    /// since the last flush wrote: what a flush hands
+    /// `generator::resummarize_with`.
+    pub(crate) fn changed(&self) -> &[usize] {
+        &self.changed
     }
 
     /// Book-keeping after a successful flush: the log is drained, the
-    /// dirty sets cleared, and the coalescing window restarted.
+    /// record of changed rows cleared, and the coalescing window
+    /// restarted.
     pub(crate) fn drained(&mut self) {
         self.pending = 0;
         self.applied = self.accepted;
-        self.dirty.all.clear();
-        self.dirty.by_target.clear();
+        self.changed.clear();
         self.last_flush = Instant::now();
     }
 
@@ -511,56 +410,6 @@ impl IngestInner {
         self.table = table;
         self.drained();
     }
-}
-
-/// The value at `row` of `column` as stored: a string's dictionary code,
-/// a number's bits. Rows that store equal bits hold equal values, spelled
-/// alike, so deduplicating on them never merges two cells.
-fn stored_bits(column: &ColumnData, row: usize) -> Option<u64> {
-    match column {
-        ColumnData::Bool(values) => values[row].map(u64::from),
-        ColumnData::Int(values) => values[row].map(|value| value as u64),
-        ColumnData::Float(values) => values[row].map(f64::to_bits),
-        ColumnData::Str { codes, .. } => codes[row].map(u64::from),
-    }
-}
-
-/// A row's cells on the circuit's dimensions, spelled as the relation
-/// encoder spells them, so dirty keys compare equal to enumerated
-/// predicates; a string cell is its own handle. A tenant's table holds no
-/// NULL dimension: deltas are validated and the registered table already
-/// passed the encoder.
-fn spelled(cells: &[Value]) -> Vec<Arc<str>> {
-    cells
-        .iter()
-        .map(|cell| match cell {
-            Value::Str(text) => Arc::clone(text),
-            other => Arc::from(other.to_string()),
-        })
-        .collect()
-}
-
-/// One handle per name.
-fn handles(names: &[String]) -> Vec<Arc<str>> {
-    names.iter().map(|name| Arc::from(name.as_str())).collect()
-}
-
-/// The normalized predicate list of every admissible combination
-/// (`masks`) of one row's `dim_values` on `dims` — sorted by dimension
-/// name, exactly as [`crate::problem::Query`] stores predicates.
-fn combo_keys<'a>(
-    dims: &'a [Arc<str>],
-    masks: &'a [u32],
-    dim_values: &'a [Arc<str>],
-) -> impl Iterator<Item = DirtyKey> + 'a {
-    masks.iter().map(move |&mask| {
-        let mut key: DirtyKey = masked_combo(dim_values, mask)
-            .into_iter()
-            .map(|(d, value)| (Arc::clone(&dims[d]), value))
-            .collect();
-        key.sort();
-        key
-    })
 }
 
 /// For every column of the live `table`, its position in a delta tuple
@@ -642,6 +491,10 @@ mod tests {
         assert!(err.to_string().contains("NULL"));
     }
 
+    /// A delete shifts the table's rows and the record of changed rows
+    /// alike: in a table of `len` rows, updates of rows 2 and 5 and an
+    /// insert record `[2, 5, len]`; deleting row 5 drops it and shifts the
+    /// insert to `len - 1`, and deleting row 0 leaves `[1, len - 2]`.
     #[test]
     fn delete_shifts_indexes_like_vec_remove() {
         let (_shared, state) = state();
@@ -651,51 +504,23 @@ mod tests {
         assert_eq!((first, last), (1, 1));
         assert_eq!(inner.table.row(0), second);
         assert_eq!(inner.pending, 1);
-    }
+        assert!(inner.changed().is_empty());
 
-    #[test]
-    fn dimension_change_dirties_old_and_new_combos_for_all_targets() {
-        let (_shared, state) = state();
-        let mut inner = state.inner.lock();
-        let mut moved = inner.table.row(0);
-        let old_season = moved[0].as_str().unwrap().to_string();
-        let new_season = if old_season == "Winter" {
-            "Winter2"
-        } else {
-            "Winter"
+        inner.drained();
+        let len = inner.table.len();
+        let update = |row: usize| RowDelta::Update {
+            row,
+            values: inner.table.row(row),
         };
-        moved[0] = Value::str(new_season);
-        inner
-            .accept(&[RowDelta::Update {
-                row: 0,
-                values: moved,
-            }])
-            .unwrap();
-        let DirtyKeys { all, by_target } = inner.dirty();
-        assert!(by_target.is_empty());
-        // Overall query, both season combos, and the region combo.
-        assert!(all.contains(&Vec::new()));
-        assert!(all.contains(&vec![("season".into(), old_season.into())]));
-        assert!(all.contains(&vec![("season".into(), new_season.into())]));
-    }
-
-    #[test]
-    fn target_only_change_dirties_only_that_target() {
-        let (_shared, state) = state();
-        let mut inner = state.inner.lock();
-        let mut tweaked = inner.table.row(0);
-        tweaked[2] = Value::Float(99.5);
-        inner
-            .accept(&[RowDelta::Update {
-                row: 0,
-                values: tweaked,
-            }])
-            .unwrap();
-        let DirtyKeys { all, by_target } = inner.dirty();
-        assert!(all.is_empty());
-        let dirty = &by_target["delay"];
-        assert!(dirty.contains(&Vec::new()));
-        assert_eq!(dirty.len(), 4); // overall, season, region, season×region
+        let deltas = [
+            update(2),
+            update(5),
+            RowDelta::Insert(row("Summer", "West", 1.0)),
+            RowDelta::Delete { row: 5 },
+            RowDelta::Delete { row: 0 },
+        ];
+        inner.accept(&deltas).unwrap();
+        assert_eq!(inner.changed(), [1, len - 2]);
     }
 
     #[test]
@@ -706,10 +531,11 @@ mod tests {
             .accept(&[RowDelta::Insert(row("Winter", "East", 5.0))])
             .unwrap();
         assert!(state.auto_flush_due(&inner) || inner.pending > 0);
+        assert_eq!(inner.changed(), [inner.table.len() - 1]);
         inner.drained();
         assert_eq!(inner.pending, 0);
         assert_eq!(inner.applied, inner.accepted);
-        assert!(inner.dirty().all.is_empty());
+        assert!(inner.changed().is_empty());
     }
 
     #[test]

@@ -60,9 +60,7 @@ use vqs_relalg::prelude::Table;
 use crate::config::{ConfigError, Configuration};
 use crate::error::{EngineError, Result};
 use crate::generator::{require_column, resummarize_with, PreprocessReport, RefreshReport};
-use crate::ingest::{
-    DirtyKeys, FlushReport, IngestBuilder, IngestInner, IngestReport, IngestState, RowDelta,
-};
+use crate::ingest::{FlushReport, IngestBuilder, IngestInner, IngestReport, IngestState, RowDelta};
 use crate::logsim::{tabulate, LogEntry};
 use crate::pipeline::{
     self, ComputedValue, Extractor, FollowOn, PipelineContext, QueryPlan, Request, Unsupported,
@@ -546,7 +544,7 @@ pub(crate) struct Tenant {
     rollup: Mutex<TenantRollup>,
     counters: RequestCounters,
     /// Streaming-ingestion state (the patched table, delta log, and
-    /// dirty sets); `None` unless the tenant opted in via
+    /// changed rows); `None` unless the tenant opted in via
     /// [`TenantSpec::ingest`].
     ingest: Option<IngestState>,
 }
@@ -889,7 +887,7 @@ impl VoiceService {
             self.summarizer.as_ref(),
             &spec.templates,
             &SpeechStore::new(),
-            &DirtyKeys::default(),
+            &[],
             &self.pool,
             ScatterPriority::Bulk,
         )?;
@@ -984,8 +982,8 @@ impl VoiceService {
         // refresh leaves store, data, extractor, and counters on the old
         // data together.
         let live = Tenant::project(&dataset.table, &tenant.config)?;
-        let dirty = DirtyKeys::of_rows(&live, &tenant.config, changed_rows);
-        let report = self.resummarize(&tenant, &live, &dirty, ScatterPriority::Interactive)?;
+        let report =
+            self.resummarize(&tenant, &live, changed_rows, ScatterPriority::Interactive)?;
         if let (Some(state), Some(inner)) = (tenant.ingest.as_ref(), log.as_mut()) {
             inner.reset_from(dataset.table.schema(), live);
             state
@@ -1001,17 +999,18 @@ impl VoiceService {
     }
 
     /// The step a batch refresh and an ingest flush share, under the
-    /// tenant's refresh lock: re-solve the `dirty` queries (and the
-    /// safety-net cases of `resummarize_with`) over `live`, the tenant's
-    /// new projection, on the pool's `priority` lane into the next store,
-    /// build the extractor over `live`, publish the three in one pointer
-    /// write, and roll up the solver counters. Nothing is published
-    /// until every step succeeded, so a failure changes nothing.
+    /// tenant's refresh lock: re-solve the queries whose subsets hold one
+    /// of `changed_rows` (and the other cases of `resummarize_with`) over
+    /// `live`, the tenant's new projection, on the pool's `priority` lane
+    /// into the next store, build the extractor over `live`, publish the
+    /// three in one pointer write, and roll up the solver counters.
+    /// Nothing is published until every step succeeded, so a failure
+    /// changes nothing.
     fn resummarize(
         &self,
         tenant: &Tenant,
         live: &Arc<Table>,
-        dirty: &DirtyKeys,
+        changed_rows: &[usize],
         priority: ScatterPriority,
     ) -> Result<RefreshReport> {
         let (store, report) = resummarize_with(
@@ -1020,7 +1019,7 @@ impl VoiceService {
             self.summarizer.as_ref(),
             &tenant.templates,
             &tenant.runtime().store,
-            dirty,
+            changed_rows,
             &self.pool,
             priority,
         )?;
@@ -1041,7 +1040,7 @@ impl VoiceService {
     /// log (see [`crate::ingest`] for the dataflow). Every delta is
     /// seqno-stamped and applied to the log's copy of the tenant's table
     /// immediately; the store is brought up to date by a debounced
-    /// flush — inline in this call when the dirty-set bound or the
+    /// flush — inline in this call when the pending-delta bound or the
     /// coalescing window closes, otherwise by a later call or an
     /// explicit [`VoiceService::drain_ingest`]. Lookups keep serving the
     /// published store and live table throughout; a validation error
@@ -1060,10 +1059,10 @@ impl VoiceService {
     }
 
     /// The delta-accepting variant of [`VoiceService::refresh_tenant`]:
-    /// accept `deltas` and synchronously drain the whole log through the
-    /// shared invalidation circuit, so the store reflects every accepted
-    /// delta when this returns. Batch refresh and streaming ingestion
-    /// share one invalidation code path; this entry point simply forces
+    /// accept `deltas` and synchronously drain the whole log, so the
+    /// store reflects every accepted delta when this returns. Batch
+    /// refresh and streaming ingestion re-solve through one path, each
+    /// handing it the rows that changed; this entry point simply forces
     /// the flush instead of debouncing it.
     ///
     /// An `Err` from validation (or for an unknown or ingest-disabled
@@ -1156,14 +1155,14 @@ impl VoiceService {
         outcome
     }
 
-    /// Drain the pending log into the store: re-solve exactly the dirty
-    /// `(query-subset, target)` summaries on the pool's Bulk lane into
-    /// the next store, which keeps every untouched speech's `Arc`, and
-    /// publish it with the log's table in one pointer write, so lookups
-    /// are never blocked and never see the new store beside the old
-    /// table. Nothing is published until every dirty query solved, so a
-    /// failed flush keeps the log (and its dirty sets) intact for a
-    /// later retry.
+    /// Drain the pending log into the store: re-solve the summaries whose
+    /// subsets hold a row the log changed, or changed size, on the pool's
+    /// Bulk lane into the next store, which keeps every untouched
+    /// speech's `Arc`, and publish it with the log's table in one pointer
+    /// write, so lookups are never blocked and never see the new store
+    /// beside the old table. Nothing is published until every such query
+    /// solved, so a failed flush keeps the log (and its changed rows)
+    /// intact for a later retry.
     fn flush_ingest(
         &self,
         tenant: &Tenant,
@@ -1180,7 +1179,7 @@ impl VoiceService {
         // Serialize against batch refreshes (log lock first, then the
         // refresh lock — the same order `refresh_tenant` takes them).
         let _refresh = tenant.refresh_lock.lock();
-        let report = self.resummarize(tenant, &live, inner.dirty(), ScatterPriority::Bulk)?;
+        let report = self.resummarize(tenant, &live, inner.changed(), ScatterPriority::Bulk)?;
         let deltas = inner.pending;
         inner.drained();
         let invalidated = report.recomputed + report.removed;
@@ -1223,7 +1222,7 @@ impl VoiceService {
     /// flush inline anyway); a skipped tenant is simply retried on the
     /// next tick.
     /// A failed flush (an error or a contained panic) leaves the log
-    /// and dirty sets intact for the next tick and is counted in
+    /// and its changed rows intact for the next tick and is counted in
     /// [`TenantStats::flush_failures`]. Returns the number of tenants
     /// flushed.
     pub fn ingest_tick(&self) -> usize {
@@ -2031,7 +2030,7 @@ mod tests {
             &vqs_core::prelude::ExactSummarizer::paper(),
             &Default::default(),
             &SpeechStore::new(),
-            &DirtyKeys::default(),
+            &[],
             &SolverPool::new(1),
             ScatterPriority::Bulk,
         )

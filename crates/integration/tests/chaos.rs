@@ -157,7 +157,7 @@ fn chaos_plan_preserves_serving_invariants() {
     // A second, ingest-enabled tenant: streaming deltas ride the same
     // background lane as the refreshes while the plan injects faults at
     // the ingest entry. `max_dirty(1)` makes every accepted batch flush,
-    // so the incremental circuit itself runs under chaos.
+    // so the changed-row re-summarization itself runs under chaos.
     service
         .register_dataset(
             TenantSpec::new("stream", dataset("stream", STREAM_SEED), config("stream"))

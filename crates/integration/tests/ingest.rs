@@ -1,4 +1,4 @@
-//! Streaming-ingestion differential suite (ISSUE 9 acceptance).
+//! Streaming-ingestion differential suite.
 //!
 //! The convergence contract: any interleaving of [`RowDelta`] batches
 //! through `VoiceService::ingest`, once the log drains, leaves the
@@ -7,20 +7,23 @@
 //! abstract operations, interprets them against a running row count so
 //! every index is valid, and feeds the *same* concrete deltas to the
 //! streaming engine and to a plain `Vec` fold that builds the reference
-//! table.
+//! table. Its second phase sends moves only, which keep the §III prior
+//! bit-identical, so only the rows a flush hands the re-summarizer keep
+//! the store current.
 //!
 //! Alongside the differential: a concurrent-readers stress test (no
 //! torn or missing entries while flushes publish new stores), a
-//! pointer-stability check that the incremental circuit carries
-//! untouched entries over `Arc`-identical instead of re-solving them,
-//! a check that a store handle taken before a refresh or flush keeps
-//! its contents, two deterministic cases where dirty keys built from
-//! the delta's raw values, or through the columns of an earlier
-//! registration, would miss the summaries a delta changed, a NULL in a
-//! column the tenant does not project, which must not fail a flush, a
-//! sparse tenant whose store holds a speech for exactly the value
-//! combinations of its live rows, each fact stating its subset's mean,
-//! after every flush and refresh, and a tenant emptied by deletes.
+//! pointer-stability check that a flush carries untouched entries over
+//! `Arc`-identical instead of re-solving them, a check that a store
+//! handle taken before a refresh or flush keeps its contents, two
+//! deterministic cases where a flush finds a changed row's subsets
+//! through its cell, whatever the delta's value types or the column
+//! order of an earlier refresh, a delete that must shift the changed
+//! rows recorded before it, a NULL in a column the tenant does not
+//! project, which must not fail a flush, a sparse tenant whose store
+//! holds a speech for exactly the value combinations of its live rows,
+//! each fact stating its subset's mean, after every flush and refresh,
+//! and a tenant emptied by deletes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -79,6 +82,45 @@ enum Op {
     Delete {
         pick: usize,
     },
+}
+
+/// A move: row `pick` (resolved like an update's) takes new dimension
+/// values and keeps its delay.
+#[derive(Debug, Clone)]
+struct Move {
+    pick: usize,
+    season: usize,
+    region: usize,
+}
+
+fn arb_move() -> impl Strategy<Value = Move> {
+    (any::<usize>(), 0usize..2, 0usize..2).prop_map(|(pick, season, region)| Move {
+        pick,
+        season,
+        region,
+    })
+}
+
+/// Interpret move batches into updates of `data`'s rows; moves keep
+/// every row's delay and the row count, so `data` resolves them all.
+fn concretize_moves(batches: &[Vec<Move>], data: &GeneratedDataset) -> Vec<Vec<RowDelta>> {
+    let rows = data.table.len();
+    batches
+        .iter()
+        .map(|batch| {
+            batch
+                .iter()
+                .filter(|_| rows > 0)
+                .map(|to| {
+                    let row = to.pick % rows;
+                    let mut values = data.table.row(row);
+                    values[0] = Value::str(SEASONS[to.season]);
+                    values[1] = Value::str(REGIONS[to.region]);
+                    RowDelta::Update { row, values }
+                })
+                .collect()
+        })
+        .collect()
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -173,12 +215,14 @@ proptest! {
 
     // Streaming ≡ batch: ingest batches (with mid-run auto-flushes from
     // a tiny dirty cap) + drain == cold preprocess of the final table,
-    // byte-identical, for 1 and 8 solver workers.
+    // byte-identical, for 1 and 8 solver workers; then the same for
+    // batches of moves only, over the drained table.
     #[test]
     fn interleaved_ingest_converges_to_cold_preprocess(
         batches in prop::collection::vec(prop::collection::vec(arb_op(), 1..6), 1..5),
         seed in 1u64..64,
         workers in prop_oneof![Just(1usize), Just(8)],
+        moves in prop::collection::vec(prop::collection::vec(arb_move(), 1..6), 1..5),
     ) {
         let base = dataset(seed, 48);
         let deltas = concretize(&batches, base.table.len());
@@ -189,28 +233,30 @@ proptest! {
                 .ingest(IngestBuilder::new().max_dirty(4)),
         )
         .unwrap();
-        for batch in &deltas {
-            if !batch.is_empty() {
+        // Ingest `deltas`, drain, and require the store of a cold
+        // registration of `expected`, which is returned.
+        let converges = |deltas: &[Vec<RowDelta>], expected: GeneratedDataset, phase: &str| {
+            for batch in deltas.iter().filter(|batch| !batch.is_empty()) {
                 live.ingest("stream", batch).unwrap();
             }
-        }
-        live.drain_ingest("stream").unwrap();
-
-        let cold = ServiceBuilder::new().workers(workers).build();
-        cold.register_dataset(TenantSpec::new(
-            "stream",
-            reference_fold(&base, &deltas),
-            config(),
-        ))
-        .unwrap();
-
-        prop_assert_eq!(
-            live.tenant_store("stream").unwrap().snapshot(),
-            cold.tenant_store("stream").unwrap().snapshot(),
-            "streaming drain diverged from cold preprocess (seed {}, {} workers)",
-            seed,
-            workers
-        );
+            live.drain_ingest("stream").unwrap();
+            let cold = ServiceBuilder::new().workers(workers).build();
+            cold.register_dataset(TenantSpec::new("stream", expected, config()))
+                .unwrap();
+            prop_assert_eq!(
+                live.tenant_store("stream").unwrap().snapshot(),
+                cold.tenant_store("stream").unwrap().snapshot(),
+                "streaming drain diverged from cold preprocess ({} phase, seed {}, {} workers)",
+                phase,
+                seed,
+                workers
+            );
+            Ok(cold)
+        };
+        let mixed = reference_fold(&base, &deltas);
+        converges(&deltas, mixed.clone(), "mixed")?;
+        let moved = concretize_moves(&moves, &mixed);
+        let cold = converges(&moved, reference_fold(&mixed, &moved), "moves-only")?;
         // The live tier answers from the patched table: the drained
         // tenant computes what the cold one computes.
         for utterance in LIVE_UTTERANCES {
@@ -229,7 +275,7 @@ proptest! {
         prop_assert_eq!(stats.tenants[0].ingest_lag, 0);
         prop_assert_eq!(
             stats.tenants[0].deltas_applied,
-            deltas.iter().map(|b| b.len() as u64).sum::<u64>()
+            deltas.iter().chain(&moved).map(|b| b.len() as u64).sum::<u64>()
         );
     }
 }
@@ -543,10 +589,11 @@ fn assert_drains_to_cold(
     );
 }
 
-/// Dirty keys come from the stored cells, not from the delta's values:
-/// an `Int` written into a `Float` dimension is stored as a float, which
-/// the encoder spells "1.0", not "1". Two batches swap the buckets of
-/// two East rows and swap them back; both bucket speeches must follow.
+/// A flush finds a changed row's subsets through its cell, not through
+/// the delta's values: an `Int` written into a `Float` dimension is stored
+/// as a float, which the encoder spells "1.0", not "1". Two batches swap
+/// the buckets of two East rows and swap them back; after each drain the
+/// store equals a cold registration of the table the deltas left.
 #[test]
 fn int_deltas_into_a_float_dimension_keep_its_speeches_current() {
     let schema = Schema::new(vec![
@@ -555,40 +602,45 @@ fn int_deltas_into_a_float_dimension_keep_its_speeches_current() {
         Field::required("delay", ColumnType::Float),
     ])
     .unwrap();
-    let rows: Vec<Vec<Value>> = [
-        (1.0, "East", 5.0),
-        (1.0, "West", 20.0),
-        (2.0, "West", 30.0),
-        (2.0, "East", 55.0),
-        (1.0, "East", 12.0),
-        (2.0, "East", 41.0),
-        (1.0, "West", 18.0),
-        (2.0, "West", 33.0),
-    ]
-    .iter()
-    .map(|&(bucket, region, delay)| {
-        vec![
-            Value::Float(bucket),
-            Value::str(region),
-            Value::Float(delay),
+    // The table with rows 0 and 3 in `buckets`.
+    let dataset = |buckets: (f64, f64)| {
+        let rows: Vec<Vec<Value>> = [
+            (buckets.0, "East", 5.0),
+            (1.0, "West", 20.0),
+            (2.0, "West", 30.0),
+            (buckets.1, "East", 55.0),
+            (1.0, "East", 12.0),
+            (2.0, "East", 41.0),
+            (1.0, "West", 18.0),
+            (2.0, "West", 33.0),
         ]
-    })
-    .collect();
-    let dataset = GeneratedDataset {
-        name: "buckets".to_string(),
-        table: Table::from_rows(schema, rows).unwrap(),
-        dims: vec!["bucket".to_string(), "region".to_string()],
-        targets: vec!["delay".to_string()],
+        .iter()
+        .map(|&(bucket, region, delay)| {
+            vec![
+                Value::Float(bucket),
+                Value::str(region),
+                Value::Float(delay),
+            ]
+        })
+        .collect();
+        GeneratedDataset {
+            name: "buckets".to_string(),
+            table: Table::from_rows(schema.clone(), rows).unwrap(),
+            dims: vec!["bucket".to_string(), "region".to_string()],
+            targets: vec!["delay".to_string()],
+        }
     };
     let config = Configuration::new("buckets", &["bucket", "region"], &["delay"]);
     let service = ServiceBuilder::new().workers(2).build();
     service
         .register_dataset(
-            TenantSpec::new("stream", dataset.clone(), config.clone()).ingest(IngestBuilder::new()),
+            TenantSpec::new("stream", dataset((1.0, 2.0)), config.clone())
+                .ingest(IngestBuilder::new()),
         )
         .unwrap();
     let east =
         |bucket: i64, delay: f64| vec![Value::Int(bucket), Value::str("East"), Value::Float(delay)];
+    // Swapped, then swapped back to the registered table.
     for (first, second) in [(2, 1), (1, 2)] {
         service
             .ingest(
@@ -605,15 +657,15 @@ fn int_deltas_into_a_float_dimension_keep_its_speeches_current() {
                 ],
             )
             .unwrap();
-        service.drain_ingest("stream").unwrap();
+        let buckets = (first as f64, second as f64);
+        assert_drains_to_cold(&service, dataset(buckets), config.clone());
     }
-    // Swapped back: the final table is the registered one.
-    assert_drains_to_cold(&service, dataset, config);
 }
 
 /// A refresh may hand in the dataset with its columns in another order;
-/// later delta tuples follow that order, and the circuit must read each
-/// dimension from its new position.
+/// later delta tuples follow that order, and the log must write each
+/// dimension to its own column, so the changed rows land in the cells
+/// that hold them.
 #[test]
 fn deltas_after_a_reordering_refresh_dirty_the_right_keys() {
     let base = dataset(5, 48);
@@ -647,7 +699,7 @@ fn deltas_after_a_reordering_refresh_dirty_the_right_keys() {
         .unwrap();
 
     // Two rows of one region in different seasons swap seasons: every
-    // subset keeps its size, so only exact dirty keys re-solve them.
+    // subset keeps its size, so only the changed rows re-solve them.
     let first = 0;
     let second = (1..rows.len())
         .find(|&row| rows[row][1] == rows[first][1] && rows[row][0] != rows[first][0])
@@ -665,6 +717,56 @@ fn deltas_after_a_reordering_refresh_dirty_the_right_keys() {
         .collect();
     service.ingest("stream", &deltas).unwrap();
     assert_drains_to_cold(&service, expected, config());
+}
+
+/// A delete shifts the rows recorded before it, as it shifts the table:
+/// row 6 moves from Summer/East to Summer/West, row 2 (Summer/West) is
+/// deleted, and a Summer/East row with row 2's delay is inserted. Every
+/// subset keeps its size and the delays are whole numbers, so every sum
+/// is exact and the prior bit-identical: only the recorded rows decide
+/// what is re-solved. The moved row is row 5 after the delete; read as
+/// row 6, Winter/East's last row, it would leave the West subsets stale.
+#[test]
+fn a_delete_shifts_the_rows_recorded_before_it() {
+    let rows: Vec<Vec<Value>> = [
+        (0, 0, 10),
+        (0, 1, 20),
+        (1, 1, 30),
+        (1, 0, 40),
+        (0, 0, 50),
+        (1, 1, 60),
+        (1, 0, 70),
+        (0, 0, 80),
+    ]
+    .iter()
+    .map(|&(season, region, delay)| row(season, region, delay * 10))
+    .collect();
+    let base = dataset(1, 8);
+    let with_rows = |rows: &[Vec<Value>]| GeneratedDataset {
+        table: Table::from_rows(base.table.schema().clone(), rows.to_vec()).unwrap(),
+        ..base.clone()
+    };
+    let service = ServiceBuilder::new().workers(2).build();
+    service
+        .register_dataset(
+            TenantSpec::new("stream", with_rows(&rows), config()).ingest(IngestBuilder::new()),
+        )
+        .unwrap();
+    let deltas = [
+        RowDelta::Update {
+            row: 6,
+            values: row(1, 1, 700),
+        },
+        RowDelta::Delete { row: 2 },
+        RowDelta::Insert(row(1, 0, 300)),
+    ];
+    service.ingest("stream", &deltas).unwrap();
+
+    let mut expected = rows;
+    expected[6] = row(1, 1, 700);
+    expected.remove(2);
+    expected.push(row(1, 0, 300));
+    assert_drains_to_cold(&service, with_rows(&expected), config());
 }
 
 /// Only the configured dimensions and targets are projected, so a NULL

@@ -1,8 +1,10 @@
 //! Delta re-summarization through the service facade
-//! ([`VoiceService::refresh_tenant`]): mutate a dataset slice, refresh,
-//! and verify that only affected queries' speeches change, untouched
-//! entries stay pointer-stable, and the refreshed store is always
-//! element-wise identical to a full re-preprocess of the mutated data.
+//! ([`VoiceService::refresh_tenant`], and the ingest log's
+//! [`VoiceService::refresh_tenant_deltas`]): mutate a dataset slice,
+//! refresh, and verify that only affected queries' speeches change,
+//! untouched entries stay pointer-stable, and the refreshed store is
+//! always element-wise identical to a full re-preprocess of the mutated
+//! data.
 
 use std::sync::Arc;
 
@@ -82,6 +84,17 @@ fn service_over(data: &GeneratedDataset) -> VoiceService {
     let service = ServiceBuilder::new().build();
     service
         .register_dataset(TenantSpec::new("refresh", data.clone(), config()))
+        .unwrap();
+    service
+}
+
+/// [`service_over`] with streaming ingestion enabled.
+fn ingesting_service_over(data: &GeneratedDataset) -> VoiceService {
+    let service = ServiceBuilder::new().build();
+    service
+        .register_dataset(
+            TenantSpec::new("refresh", data.clone(), config()).ingest(IngestBuilder::new()),
+        )
         .unwrap();
     service
 }
@@ -174,7 +187,8 @@ fn dimension_mutation_refreshes_only_affected_queries() {
 /// Mean-preserving target mutation (+δ on a Winter/East row, −δ on a
 /// Summer/West row): the global prior is unchanged, so only the subsets
 /// containing the two rows are recomputed — exactly 7 of the 12 queries
-/// per target — and the rest keep their `Arc`s.
+/// per target — and the rest keep their `Arc`s. The same change sent as
+/// two row updates through the ingest log re-solves the same queries.
 #[test]
 fn target_value_mutation_recomputes_containing_subsets_only() {
     let before_data = dataset();
@@ -232,6 +246,63 @@ fn target_value_mutation_recomputes_containing_subsets_only() {
             let old = before.iter().find(|s| s.query == query).unwrap();
             let new = store.get(&query).unwrap();
             assert!(Arc::ptr_eq(old, &new), "{query} should be pointer-stable");
+        }
+    }
+
+    let ingesting = ingesting_service_over(&before_data);
+    let deltas: Vec<RowDelta> = changed_rows
+        .iter()
+        .map(|&row| RowDelta::Update {
+            row,
+            values: after_data.table.row(row),
+        })
+        .collect();
+    let flush = ingesting.refresh_tenant_deltas("refresh", &deltas).unwrap();
+    assert_eq!(
+        (flush.resummarized, flush.kept, flush.removed),
+        (report.recomputed, report.kept, report.removed)
+    );
+    assert_eq!(
+        ingesting.tenant_store("refresh").unwrap().snapshot(),
+        store.snapshot()
+    );
+}
+
+/// A row moved to another region and back within one ingest window ends
+/// where it started: only the subsets holding it (overall, its season, its
+/// region and its pair — 4 of the 12 queries per target) are re-solved,
+/// and the speeches of the region it visited keep their `Arc`s for both
+/// targets. The prior holds, since the row keeps its values.
+#[test]
+fn a_row_moved_away_and_back_re_solves_only_where_it_ends() {
+    let data = dataset();
+    let row = rows_in_combo(&data, "Winter", "East")[0];
+    let at = |region: &str| {
+        let mut values = data.table.row(row);
+        values[data.table.schema().index_of("region").unwrap()] = Value::str(region);
+        RowDelta::Update { row, values }
+    };
+    let service = ingesting_service_over(&data);
+    let before = service.tenant_store("refresh").unwrap();
+
+    let flush = service
+        .refresh_tenant_deltas("refresh", &[at("West"), at("East")])
+        .unwrap();
+    assert_eq!(
+        (flush.resummarized, flush.kept, flush.removed),
+        (8, 16, 0),
+        "{flush:?}"
+    );
+    let store = service.tenant_store("refresh").unwrap();
+    assert_eq!(store.snapshot(), preprocess_full(&data).snapshot());
+    for target in ["delay", "cancelled"] {
+        for preds in [
+            vec![("region", "West")],
+            vec![("season", "Winter"), ("region", "West")],
+        ] {
+            let query = Query::of(target, &preds);
+            let (old, new) = (before.get(&query).unwrap(), store.get(&query).unwrap());
+            assert!(Arc::ptr_eq(&old, &new), "{query} should be pointer-stable");
         }
     }
 }
@@ -295,12 +366,11 @@ fn refresh_equals_full_preprocess_for_random_mutations() {
     }
 }
 
-/// A refresh spells a changed row's keys from its `Int` and `Float`
-/// dimension values as registration spells them (a `Float` 1.0 is
-/// "1.0"). Rows 0 and 2 share a year and trade scores: every subset
-/// keeps its size and the prior stays bit-identical, so only the keys
-/// of the two changed rows bring the `score = 1.0` and `score = 2.0`
-/// subsets up to date.
+/// A refresh finds a changed row's subsets through its cell, over `Int`
+/// and `Float` dimensions alike. Rows 0 and 2 share a year and trade
+/// scores: every subset keeps its size and the prior stays bit-identical,
+/// so only the two changed rows bring the `score = 1.0` and
+/// `score = 2.0` subsets up to date.
 #[test]
 fn swapped_rows_over_int_and_float_dimensions_refresh_their_subsets() {
     let schema = Schema::new(vec![
