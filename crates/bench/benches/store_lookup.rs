@@ -1,4 +1,5 @@
-//! Run-time speech-store lookups (the Fig. 10 "our latency" path).
+//! Run-time speech-store lookups (the Fig. 10 "our latency" path), and
+//! the text rendering every store answer pays after its lookup.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use vqs_data::{scenarios, DEFAULT_SEED};
@@ -51,5 +52,30 @@ fn bench_lookup(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_lookup);
+/// `StoredSpeech::text` over every speech of Stack Overflow at scale 1.0,
+/// the largest store voicebench serves: one sample renders all of them,
+/// as many answers would, one each.
+fn bench_speech_text(c: &mut Criterion) {
+    let dataset = vqs_data::by_letter("S", 1.0).expect("Stack Overflow");
+    let dims: Vec<&str> = dataset.dims.iter().map(String::as_str).collect();
+    let config = Configuration::new(&dataset.name, &dims, &["competence"]);
+    let service = ServiceBuilder::new().build();
+    service
+        .register_dataset(TenantSpec::new("so", dataset, config))
+        .unwrap();
+    let speeches = service.tenant_store("so").unwrap().snapshot();
+    let mut group = c.benchmark_group("speech_text");
+    group.bench_function("stackoverflow_every_speech", |b| {
+        b.iter(|| speeches.iter().map(|s| s.text().len()).sum::<usize>())
+    });
+    group.finish();
+    let chars: usize = speeches.iter().map(|s| s.text().len()).sum();
+    println!(
+        "speech_text/stackoverflow                {} speeches, {} bytes of text",
+        speeches.len(),
+        chars
+    );
+}
+
+criterion_group!(benches, bench_lookup, bench_speech_text);
 criterion_main!(benches);

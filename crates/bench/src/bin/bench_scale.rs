@@ -389,7 +389,8 @@ fn smoke_baseline(workers: usize, requests: usize, rate: f64) -> SmokeBaseline {
     let ingest_flush_ms = timed_flush(&service, "flights", deltas, 32);
 
     // Mixed open-loop traffic: mostly responds, a trickle of ingest
-    // batches and one-row refreshes, so all three submission paths run.
+    // batches and full-dataset refreshes, so all three submission paths
+    // run. A refresh names the four rows the batches update as changed.
     let frontend = FrontEnd::builder(Arc::clone(&service)).workers(1).build();
     let mut plan = respond_plan("flights", &texts, requests, rate);
     plan.mix = MixWeights {

@@ -5,6 +5,8 @@
 //! "Precise" and "Informative" ("reporting precise values … likely leads
 //! to gains for properties like Precise and Informative").
 
+use std::sync::Arc;
+
 use vqs_baseline::sampling::{vocalize, SamplingConfig, SamplingResult};
 use vqs_core::prelude::*;
 use vqs_engine::prelude::*;
@@ -75,7 +77,10 @@ pub fn run(config: &RunConfig) {
         ),
     ];
 
-    let template = SpeechTemplate::per_mille("cancellation probability", "flights");
+    let template = Arc::new(SpeechTemplate::per_mille(
+        "cancellation probability",
+        "flights",
+    ));
     let summarizer = GreedySummarizer::with_optimized_pruning();
     let cells = target_cells(&relation);
     let mut rows = Vec::new();
@@ -103,8 +108,10 @@ pub fn run(config: &RunConfig) {
             &item,
         )
         .expect("solve succeeds");
-        let ours_profile =
-            SpeechProfile::precise(ours.scaled_utility(), ours.text.split_whitespace().count());
+        let ours_profile = SpeechProfile::precise(
+            ours.scaled_utility(),
+            ours.text().split_whitespace().count(),
+        );
 
         // Baseline speech on the same subset.
         let subset = relation.subset(&item.rows).expect("subset valid");

@@ -7,6 +7,8 @@
 //! generated speeches syntactically plausible but redundant and overly
 //! narrow — rated below 5.92 on every adjective vs above 7.28 for ours.
 
+use std::sync::Arc;
+
 use vqs_baseline::mlgen::{MlGenerator, TrainExample};
 use vqs_core::prelude::*;
 use vqs_data::{DimSpec, SynthSpec, TargetSpec};
@@ -38,7 +40,10 @@ pub fn run(config: &RunConfig) {
     let engine_config = Configuration::new(&dataset.name, &dims, &["cancelled"]);
     let relation =
         target_relation(&dataset, &engine_config, "cancelled").expect("cancelled target");
-    let template = SpeechTemplate::per_mille("cancellation probability", "flights");
+    let template = Arc::new(SpeechTemplate::per_mille(
+        "cancellation probability",
+        "flights",
+    ));
     let summarizer = GreedySummarizer::with_optimized_pruning();
     let cells = target_cells(&relation);
 
@@ -64,8 +69,8 @@ pub fn run(config: &RunConfig) {
             )
             .expect("solve succeeds");
             TrainExample {
+                summary: speech.text(),
                 facts: speech.facts.into_vec(),
-                summary: speech.text.into_string(),
             }
         })
         .collect();
@@ -135,8 +140,10 @@ pub fn run(config: &RunConfig) {
             redundancy: MlGenerator::redundancy(&ml_facts),
             words: ml_text.split_whitespace().count().max(10),
         };
-        let ours_profile =
-            SpeechProfile::precise(ours.scaled_utility(), ours.text.split_whitespace().count());
+        let ours_profile = SpeechProfile::precise(
+            ours.scaled_utility(),
+            ours.text().split_whitespace().count(),
+        );
         let comparison = compare_profiles(
             &ours_profile,
             &ml_profile,

@@ -12,6 +12,7 @@
 pub mod experiments;
 pub mod loadgen;
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use vqs_core::prelude::*;
@@ -149,7 +150,7 @@ pub fn run_batch<S: Summarizer + ?Sized>(
     items: &[WorkItem],
     budget: Duration,
 ) -> BatchOutcome {
-    let template = SpeechTemplate::plain("target");
+    let template = Arc::new(SpeechTemplate::plain("target"));
     let start = std::time::Instant::now();
     let cells = target_cells(relation);
     let mut utilities = Vec::with_capacity(items.len());

@@ -300,7 +300,9 @@ pub struct LoadPlan {
     pub requests: Vec<ServiceRequest>,
     /// Prototype `(tenant, deltas)` ingest batches, cycled.
     pub ingest_batches: Vec<(String, Vec<RowDelta>)>,
-    /// Refresh material: `(tenant, dataset)` resubmitted per refresh op.
+    /// Refresh material: `(tenant, dataset)` resubmitted per refresh op,
+    /// naming as changed every row the plan's ingest batches may have
+    /// changed since `dataset`.
     pub refresh: Option<(String, GeneratedDataset)>,
     /// Open- vs closed-loop driving.
     pub pacing: Pacing,
@@ -434,6 +436,28 @@ impl Pending {
     }
 }
 
+/// The rows a refresh of `tenant` to `dataset` names as changed. The
+/// plan's ingest batches may have changed the tenant's table since
+/// `dataset`, and a refresh keeps the speech of every subset that holds
+/// no named row and keeps its size. So it names every row an update of
+/// `tenant` targets, and every row of `dataset` once a batch of `tenant`
+/// inserts or deletes, which shifts the rows after it.
+fn refresh_rows(plan: &LoadPlan, tenant: &str, dataset: &GeneratedDataset) -> Vec<usize> {
+    let mut rows = Vec::new();
+    let batches = plan.ingest_batches.iter().filter(|(to, _)| to == tenant);
+    for delta in batches.flat_map(|(_, deltas)| deltas) {
+        match delta {
+            RowDelta::Update { row, .. } => rows.push(*row),
+            RowDelta::Insert(_) | RowDelta::Delete { .. } => {
+                return (0..dataset.table.len()).collect();
+            }
+        }
+    }
+    rows.sort_unstable();
+    rows.dedup();
+    rows
+}
+
 /// Sleep (coarse) then spin (fine) until `target`. Plain `sleep` alone
 /// overshoots by a scheduler quantum, which at thousands of requests
 /// per second would smear the whole timeline.
@@ -505,6 +529,11 @@ pub fn run(frontend: &FrontEnd, plan: &LoadPlan) -> LoadReport {
     let mut rng = StdRng::seed_from_u64(plan.seed);
     let mut respond_cursor = 0usize;
     let mut ingest_cursor = 0usize;
+    let changed_rows = plan
+        .refresh
+        .as_ref()
+        .map(|(tenant, dataset)| refresh_rows(plan, tenant, dataset))
+        .unwrap_or_default();
 
     std::thread::scope(|scope| {
         let collector = scope.spawn(move || {
@@ -648,7 +677,8 @@ pub fn run(frontend: &FrontEnd, plan: &LoadPlan) -> LoadReport {
             } else {
                 let (tenant, dataset) = plan.refresh.as_ref().expect("refresh material checked");
                 report.refreshes += 1;
-                let ticket = frontend.submit_refresh(tenant.clone(), dataset.clone(), Vec::new());
+                let ticket =
+                    frontend.submit_refresh(tenant.clone(), dataset.clone(), changed_rows.clone());
                 if plan.pacing == Pacing::ClosedLoop {
                     let _ = ticket.wait();
                 }
@@ -773,10 +803,13 @@ mod tests {
         .generate(3, 1.0)
     }
 
+    fn config() -> Configuration {
+        Configuration::new("lg", &["season", "region"], &["delay"])
+    }
+
     /// The `lg` tenant, with an ingest log that flushes inline on every
     /// accepted delta.
     fn service_with_tenant(fault_plan: Option<Arc<FaultPlan>>) -> Arc<VoiceService> {
-        let config = Configuration::new("lg", &["season", "region"], &["delay"]);
         let mut builder = ServiceBuilder::new().workers(1);
         if let Some(plan) = fault_plan {
             builder = builder.fault_plan(plan);
@@ -784,10 +817,85 @@ mod tests {
         let service = Arc::new(builder.build());
         service
             .register_dataset(
-                TenantSpec::new("lg", dataset(), config).ingest(IngestBuilder::new().max_dirty(1)),
+                TenantSpec::new("lg", dataset(), config())
+                    .ingest(IngestBuilder::new().max_dirty(1)),
             )
             .unwrap();
         service
+    }
+
+    /// Row 0 of the generated data with its region flipped.
+    fn region_flip() -> Vec<RowDelta> {
+        let mut row = dataset().table.iter_rows().next().expect("a row");
+        row[1] = Value::str(if row[1].as_str() == Some("East") {
+            "West"
+        } else {
+            "East"
+        });
+        vec![RowDelta::Update {
+            row: 0,
+            values: row,
+        }]
+    }
+
+    /// After a flushed region flip, a refresh back to the generated data
+    /// must re-solve the subsets holding the flipped row. Its season's
+    /// subset keeps its size, so a refresh naming no rows keeps that
+    /// subset's speech, solved over the flipped region.
+    #[test]
+    fn refreshes_name_the_rows_ingest_batches_changed() {
+        let service = service_with_tenant(None);
+        service.ingest("lg", &region_flip()).unwrap();
+        service.drain_ingest("lg").unwrap();
+        let frontend = FrontEnd::builder(Arc::clone(&service))
+            .workers(1)
+            .no_flush_tick()
+            .build();
+        let plan = LoadPlan {
+            mix: MixWeights {
+                respond: 0,
+                ingest: 0,
+                refresh: 1,
+            },
+            ingest_batches: vec![("lg".to_string(), region_flip())],
+            refresh: Some(("lg".to_string(), dataset())),
+            ..respond_plan(1, 100.0, Pacing::OpenLoop)
+        };
+        let report = run(&frontend, &plan);
+        drop(frontend);
+        assert_eq!((report.refreshes, report.control_ok), (1, 1));
+        let cold = ServiceBuilder::new().workers(1).build();
+        cold.register_dataset(TenantSpec::new("lg", dataset(), config()))
+            .unwrap();
+        assert_eq!(
+            service.tenant_store("lg").unwrap().snapshot(),
+            cold.tenant_store("lg").unwrap().snapshot()
+        );
+    }
+
+    /// A refresh names the rows updates target, once each, and every row
+    /// once a batch of its tenant inserts or deletes; other tenants'
+    /// batches name nothing.
+    #[test]
+    fn refresh_rows_follow_the_tenants_batches() {
+        let data = dataset();
+        let update = |row| RowDelta::Update {
+            row,
+            values: data.table.iter_rows().nth(row).expect("a row"),
+        };
+        let mut plan = respond_plan(1, 100.0, Pacing::OpenLoop);
+        plan.ingest_batches = vec![
+            ("lg".to_string(), vec![update(9), update(2)]),
+            ("other".to_string(), vec![RowDelta::Delete { row: 0 }]),
+            ("lg".to_string(), vec![update(2)]),
+        ];
+        assert_eq!(refresh_rows(&plan, "lg", &data), vec![2, 9]);
+        plan.ingest_batches
+            .push(("lg".to_string(), vec![RowDelta::Delete { row: 4 }]));
+        assert_eq!(
+            refresh_rows(&plan, "lg", &data),
+            (0..data.table.len()).collect::<Vec<_>>()
+        );
     }
 
     fn respond_plan(n: usize, rate: f64, pacing: Pacing) -> LoadPlan {

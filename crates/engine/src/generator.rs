@@ -282,13 +282,14 @@ pub fn target_cells(relation: &EncodedRelation) -> RowPartition {
 }
 
 /// Solve one work item into a stored speech; `cells` are the relation's
-/// [`target_cells`].
+/// [`target_cells`]. The speech holds the chosen facts and shares
+/// `template`, the target's; nothing is rendered here.
 pub fn solve_item<S: Summarizer + ?Sized>(
     relation: &EncodedRelation,
     cells: &RowPartition,
     config: &Configuration,
     summarizer: &S,
-    template: &SpeechTemplate,
+    template: &Arc<SpeechTemplate>,
     item: &WorkItem,
 ) -> Result<(StoredSpeech, Instrumentation)> {
     // Dimensions not fixed by the query remain free for fact scopes.
@@ -324,12 +325,11 @@ pub fn solve_item<S: Summarizer + ?Sized>(
             support: fact.support,
         })
         .collect();
-    let text = template.render(&item.query, &facts).into_boxed_str();
     Ok((
         StoredSpeech {
             query: item.query.clone(),
             facts,
-            text,
+            template: Arc::clone(template),
             utility: summary.utility,
             base_error: summary.base_error,
             rows: item.rows.len(),
@@ -343,7 +343,8 @@ struct TargetPlan {
     /// The target's name: the one handle every query of the plan holds.
     target: Arc<str>,
     relation: EncodedRelation,
-    template: SpeechTemplate,
+    /// The target's template, shared by every speech solved for it.
+    template: Arc<SpeechTemplate>,
     items: Vec<WorkItem>,
     /// Global target average, the §III constant prior.
     prior: f64,
@@ -362,24 +363,49 @@ struct Plans {
     targets: Vec<TargetPlan>,
 }
 
+/// One template per configured target, in `config.targets` order: the
+/// target's template in `custom`, else [`SpeechTemplate::plain`]. A tenant
+/// builds them once, at registration, and every re-summarization hands
+/// the same allocations to its speeches.
+pub(crate) fn target_templates(
+    config: &Configuration,
+    custom: &FxHashMap<String, SpeechTemplate>,
+) -> Vec<Arc<SpeechTemplate>> {
+    config
+        .targets
+        .iter()
+        .map(|target| {
+            Arc::new(
+                custom
+                    .get(target)
+                    .cloned()
+                    .unwrap_or_else(|| SpeechTemplate::plain(target)),
+            )
+        })
+        .collect()
+}
+
 /// Validate the configuration and its columns and enumerate the work for
 /// every configured target, flagging the items whose subsets hold one of
 /// `changed_rows` (indexes into `table`; those past its end are ignored).
 /// The first target's relation is coded, partitioned into cells and
 /// enumerated; every further target takes its own target column and the
 /// first target's queries, re-targeted, over the first target's row
-/// lists.
+/// lists. `templates` are the [`target_templates`].
 fn build_plans(
     table: &Table,
     config: &Configuration,
-    templates: &FxHashMap<String, SpeechTemplate>,
+    templates: &[Arc<SpeechTemplate>],
     changed_rows: &[usize],
 ) -> Result<Plans> {
     config.validate()?;
-    let (first, rest) = config
-        .targets
-        .split_first()
-        .expect("a valid configuration has a target");
+    assert_eq!(
+        templates.len(),
+        config.targets.len(),
+        "one template per configured target"
+    );
+    let mut targets = config.targets.iter().zip(templates);
+    let (first, template) = targets.next().expect("a valid configuration has a target");
     let relation = table_relation(table, config, first)?;
     let cells = target_cells(&relation);
     let changed_cells: Vec<u32> = changed_rows
@@ -388,11 +414,11 @@ fn build_plans(
         .collect();
     let name: Arc<str> = Arc::from(first.as_str());
     let (items, changed) = enumerate_over(&relation, &cells, config, &name, &changed_cells);
-    let mut targets = vec![target_plan(name, relation, items, templates)];
-    for target in rest {
-        let relation = retarget(&targets[0].relation, table, target)?;
+    let mut plans = vec![target_plan(name, relation, template, items)];
+    for (target, template) in targets {
+        let relation = retarget(&plans[0].relation, table, target)?;
         let name: Arc<str> = Arc::from(target.as_str());
-        let items = targets[0]
+        let items = plans[0]
             .items
             .iter()
             .map(|item| WorkItem {
@@ -400,26 +426,23 @@ fn build_plans(
                 rows: Arc::clone(&item.rows),
             })
             .collect();
-        targets.push(target_plan(name, relation, items, templates));
+        plans.push(target_plan(name, relation, template, items));
     }
     Ok(Plans {
         cells,
         changed,
-        targets,
+        targets: plans,
     })
 }
 
 fn target_plan(
     target: Arc<str>,
     relation: EncodedRelation,
+    template: &Arc<SpeechTemplate>,
     items: Vec<WorkItem>,
-    templates: &FxHashMap<String, SpeechTemplate>,
 ) -> TargetPlan {
     TargetPlan {
-        template: templates
-            .get(&*target)
-            .cloned()
-            .unwrap_or_else(|| SpeechTemplate::plain(&target)),
+        template: Arc::clone(template),
         target,
         prior: relation.target_mean(),
         relation,
@@ -517,7 +540,9 @@ fn run_jobs<S: Summarizer + Sync + ?Sized>(
 /// next store: the one path by which speeches reach a store.
 /// Registration runs it against an empty `published` store, which solves
 /// every query; a batch refresh and an ingest flush run it against the
-/// tenant's published store with the rows that changed.
+/// tenant's published store with the rows that changed. `templates` are
+/// the tenant's [`target_templates`], so kept and solved speeches share
+/// one template per target.
 ///
 /// `changed_rows` are indexes into `table`; those past its end are
 /// ignored. Every row they do not name must be a row of the table
@@ -543,7 +568,7 @@ pub(crate) fn resummarize_with<S: Summarizer + Sync + ?Sized>(
     table: &Table,
     config: &Configuration,
     summarizer: &S,
-    templates: &FxHashMap<String, SpeechTemplate>,
+    templates: &[Arc<SpeechTemplate>],
     published: &SpeechStore,
     changed_rows: &[usize],
     pool: &SolverPool,
@@ -619,9 +644,14 @@ mod tests {
     use std::hash::{BuildHasher, BuildHasherDefault};
     use vqs_data::{DimSpec, SynthSpec, TargetSpec};
     use vqs_relalg::hash::FxHasher;
-    use vqs_relalg::prelude::ColumnData;
+    use vqs_relalg::prelude::{ColumnData, Value};
 
     use crate::store::Lookup;
+
+    /// Every target of `config` with its plain template.
+    fn plain(config: &Configuration) -> Vec<Arc<SpeechTemplate>> {
+        target_templates(config, &FxHashMap::default())
+    }
 
     /// A registration: [`resummarize_with`] with plain templates against
     /// an empty store on `pool`'s bulk lane.
@@ -635,7 +665,7 @@ mod tests {
             &dataset.table,
             config,
             summarizer,
-            &FxHashMap::default(),
+            &plain(config),
             &SpeechStore::new(),
             &[],
             pool,
@@ -666,7 +696,7 @@ mod tests {
             &dataset.table,
             config,
             summarizer,
-            &FxHashMap::default(),
+            &plain(config),
             store,
             &[],
             pool,
@@ -725,7 +755,7 @@ mod tests {
     fn plans_share_cells_and_queries_across_targets() {
         let data = tiny_dataset();
         let cfg = config();
-        let plans = build_plans(&data.table, &cfg, &FxHashMap::default(), &[]).unwrap();
+        let plans = build_plans(&data.table, &cfg, &plain(&cfg), &[]).unwrap();
         assert_eq!(plans.targets.len(), 2);
         let listed = |items: &[WorkItem]| -> Vec<(Query, Vec<u32>)> {
             items
@@ -754,6 +784,91 @@ mod tests {
         }
     }
 
+    /// Every speech holds its target's one template allocation, solved at
+    /// registration, kept by a refresh or re-solved by it, and the store
+    /// counts each allocation once: the same speeches holding a copy of
+    /// the template each count every copy.
+    #[test]
+    fn stores_count_one_template_allocation_per_target() {
+        let data = SynthSpec {
+            name: "wide".to_string(),
+            dims: vec![
+                DimSpec::named("season", &["Winter", "Spring", "Summer", "Fall"]),
+                DimSpec::named("region", &["East", "West", "North", "South", "Central"]),
+                DimSpec::named("daypart", &["night", "morning", "noon", "evening"]),
+            ],
+            targets: vec![
+                TargetSpec::new("delay", 15.0, 8.0, 2.0, (0.0, 60.0)),
+                TargetSpec::new("cancelled", 30.0, 10.0, 4.0, (0.0, 1000.0)),
+            ],
+            rows: 1200,
+        }
+        .generate(5, 1.0);
+        let mut cfg = Configuration::new(
+            "wide",
+            &["season", "region", "daypart"],
+            &["delay", "cancelled"],
+        );
+        cfg.max_query_length = 3;
+        let templates = plain(&cfg);
+        let summarizer = GreedySummarizer::with_optimized_pruning();
+        let pool = SolverPool::new(2);
+        let solve = |table: &Table, published: &SpeechStore, changed: &[usize]| {
+            resummarize_with(
+                table,
+                &cfg,
+                &summarizer,
+                &templates,
+                published,
+                changed,
+                &pool,
+                ScatterPriority::Bulk,
+            )
+            .unwrap()
+        };
+        let (registered, _) = solve(&data.table, &SpeechStore::new(), &[]);
+        // Row 0 moves to another region.
+        let mut rows: Vec<Vec<Value>> = data.table.iter_rows().collect();
+        rows[0][1] = Value::str(if rows[0][1] == Value::str("East") {
+            "West"
+        } else {
+            "East"
+        });
+        let moved = Table::from_rows(data.table.schema().clone(), rows).unwrap();
+        let (refreshed, report) = solve(&moved, &registered, &[0]);
+        assert!(report.kept > 0 && report.recomputed > 0, "{report:?}");
+
+        let allocation = |template: &SpeechTemplate| {
+            16 + std::mem::size_of::<SpeechTemplate>() + template.heap_bytes()
+        };
+        let shared: usize = templates.iter().map(|t| allocation(t)).sum();
+        for store in [&registered, &refreshed] {
+            let speeches = store.snapshot();
+            assert!(speeches.len() > 200, "{} speeches", speeches.len());
+            for speech in &speeches {
+                let target = cfg.targets.iter().position(|t| t == speech.query.target());
+                let template = &templates[target.expect("a configured target")];
+                assert!(Arc::ptr_eq(&speech.template, template), "{}", speech.query);
+            }
+            let mut copied = SpeechStore::new();
+            for speech in &speeches {
+                copied.insert(StoredSpeech {
+                    template: Arc::new(SpeechTemplate::clone(&speech.template)),
+                    ..StoredSpeech::clone(speech)
+                });
+            }
+            let copies: usize = copied
+                .snapshot()
+                .iter()
+                .map(|speech| allocation(&speech.template))
+                .sum();
+            assert_eq!(
+                copied.approx_bytes() + shared,
+                store.approx_bytes() + copies
+            );
+        }
+    }
+
     /// Each item is flagged exactly when its subset holds a changed row;
     /// rows past the table's end flag nothing, and a registration, with
     /// no changed rows, flags no item.
@@ -764,7 +879,7 @@ mod tests {
         let plans = build_plans(
             &data.table,
             &config(),
-            &FxHashMap::default(),
+            &plain(&config()),
             &[7, past_end, 130],
         )
         .unwrap();
@@ -775,7 +890,7 @@ mod tests {
             assert_eq!(flagged, holds, "{}", item.query);
         }
         assert!(plans.changed[0], "the overall query holds every row");
-        let plans = build_plans(&data.table, &config(), &FxHashMap::default(), &[]).unwrap();
+        let plans = build_plans(&data.table, &config(), &plain(&config()), &[]).unwrap();
         assert!(!plans.changed.contains(&true));
     }
 
@@ -784,7 +899,7 @@ mod tests {
     #[test]
     fn plans_share_dimension_codes_across_targets() {
         let data = tiny_dataset();
-        let plans = build_plans(&data.table, &config(), &FxHashMap::default(), &[]).unwrap();
+        let plans = build_plans(&data.table, &config(), &plain(&config()), &[]).unwrap();
         let (first, second) = (&plans.targets[0].relation, &plans.targets[1].relation);
         assert_ne!(first.target_name(), second.target_name());
         for d in 0..first.dim_count() {
@@ -825,7 +940,7 @@ mod tests {
         for query in store.queries() {
             let speech = store.get(&query).unwrap();
             assert!(speech.facts.len() <= cfg.speech_length);
-            assert!(!speech.text.is_empty());
+            assert!(!speech.text().is_empty());
             assert!(speech.utility >= -1e-9);
         }
         // The constant prior is recorded per target for later refreshes.

@@ -50,7 +50,11 @@
 //!
 //! let response = service.respond(&ServiceRequest::new("demo", "delay in Winter?"));
 //! match &response.answer {
-//!     Answer::Speech { speech, .. } => assert!(speech.text.contains("Winter")),
+//!     // The store keeps the speech's facts; the answer renders its text.
+//!     Answer::Speech { speech, text, .. } => {
+//!         assert!(text.contains("Winter"));
+//!         assert_eq!(*text, speech.text());
+//!     }
 //!     other => panic!("expected a stored speech, got {other:?}"),
 //! }
 //! ```

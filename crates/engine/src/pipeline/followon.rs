@@ -43,10 +43,12 @@ pub(crate) fn suggest(store: &SpeechStore, answered: &Query) -> Option<FollowOn>
 mod tests {
     use super::*;
     use crate::problem::StoredSpeech;
+    use crate::template::SpeechTemplate;
+    use std::sync::Arc;
 
     fn speech(query: Query) -> StoredSpeech {
         StoredSpeech {
-            text: format!("speech for {query}").into(),
+            template: Arc::new(SpeechTemplate::plain(query.target())),
             facts: Box::new([]),
             utility: 1.0,
             base_error: 2.0,

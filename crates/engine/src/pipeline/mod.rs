@@ -12,12 +12,12 @@
 //! Answers resolve through a three-tier chain:
 //!
 //! 1. **Summary-store hit** — supported queries look up the best
-//!    pre-generated speech, byte-identical to the pre-pipeline path
-//!    (the §VIII-E "merely looks up" hot path is untouched). The store
-//!    and the live table are published together, so the store holds a
-//!    speech for every value combination of the table: a supported query
-//!    misses only when the tenant's table is empty, and answers
-//!    [`Answer::NoSummary`].
+//!    pre-generated speech (the §VIII-E "merely looks up" hot path) and
+//!    render its text once, into one buffer, from the facts and the
+//!    target's template the speech holds. The store and the live table
+//!    are published together, so the store holds a speech for every
+//!    value combination of the table: a supported query misses only when
+//!    the tenant's table is empty, and answers [`Answer::NoSummary`].
 //! 2. **Live plan execution** — questions the store does not precompute
 //!    (conjunctive filters beyond the configured length, comparatives,
 //!    extrema, counts/totals) lower to a typed [`QueryPlan`] and execute
@@ -128,6 +128,7 @@ pub(crate) fn answer(
             let follow_on = followon::suggest(ctx.store, &speech.query);
             (
                 Answer::Speech {
+                    text: speech.text(),
                     speech,
                     kept_predicates,
                 },

@@ -6,6 +6,11 @@
 //! tenant set-up (dimension values are the table dictionary's own
 //! strings), so a store holds each name once however many speeches
 //! mention it.
+//!
+//! A stored speech keeps its facts, not their text: §III generates the
+//! speech "according to a simple text template", so the speech holds its
+//! target's template as an [`Arc`] that every speech of the target shares,
+//! and [`StoredSpeech::text`] renders the text when an answer needs it.
 
 use std::fmt;
 use std::mem::{size_of, size_of_val};
@@ -13,7 +18,7 @@ use std::sync::Arc;
 
 use vqs_relalg::hash::FxHashSet;
 
-use crate::template::write_scope_phrase;
+use crate::template::{write_scope_phrase, SpeechTemplate};
 
 /// A `(dimension, value)` pair of shared name handles: one equality
 /// predicate of a query, or one pair of a fact's scope.
@@ -179,15 +184,18 @@ impl NamedFact {
     }
 }
 
-/// A pre-generated speech answer.
-#[derive(Debug, Clone, PartialEq)]
+/// A pre-generated speech answer: the query, the facts chosen for it and
+/// the template that speaks them. Its `Debug` rendering prints the
+/// rendered text in the template's place.
+#[derive(Clone, PartialEq)]
 pub struct StoredSpeech {
     /// The query this speech answers.
     pub query: Query,
     /// The selected facts.
     pub facts: Box<[NamedFact]>,
-    /// Rendered voice-output text.
-    pub text: Box<str>,
+    /// The target's speech template, one allocation shared by every
+    /// speech of the target.
+    pub template: Arc<SpeechTemplate>,
     /// Utility achieved on the query's data subset.
     pub utility: f64,
     /// Base error `D(∅)` of the subset.
@@ -197,6 +205,12 @@ pub struct StoredSpeech {
 }
 
 impl StoredSpeech {
+    /// The voice-output text: the template rendered over the query and the
+    /// facts, into one buffer sized before it is written.
+    pub fn text(&self) -> String {
+        self.template.render(&self.query, &self.facts)
+    }
+
     /// Scaled utility in `[0, 1]`.
     pub fn scaled_utility(&self) -> f64 {
         if self.base_error == 0.0 {
@@ -207,21 +221,23 @@ impl StoredSpeech {
     }
 
     /// Approximate resident size in bytes of this speech held alone. What
-    /// it owns: the struct, the query's predicate slice, the fact slice,
-    /// every scope slice and the text, with each name handle as its
-    /// 16-byte slot (boxed slices and strings hold no spare capacity, so
-    /// lengths are sizes). Plus each distinct name allocation its handles
-    /// point to, once: its text and the 16-byte `Arc` header. A store
-    /// shares names across speeches and counts each once for all of them
-    /// ([`crate::store::SpeechStore::approx_bytes`]).
+    /// it owns: the struct, the query's predicate slice, the fact slice
+    /// and every scope slice, with each name handle as its 16-byte slot
+    /// and the template handle as its 8-byte slot (boxed slices hold no
+    /// spare capacity, so lengths are sizes). Plus, once each, the
+    /// distinct name allocations its handles point to (text and the
+    /// 16-byte `Arc` header) and its template's allocation. A store
+    /// shares names and templates across speeches and counts each once
+    /// for all of them ([`crate::store::SpeechStore::approx_bytes`]).
     pub fn approx_bytes(&self) -> usize {
-        let mut names = NameBytes::default();
-        names.count(self.names());
-        self.own_bytes() + names.total()
+        let mut shared = SharedBytes::default();
+        shared.names(self.names());
+        shared.template(&self.template);
+        self.own_bytes() + shared.total()
     }
 
     /// The bytes [`StoredSpeech::approx_bytes`] counts as owned: all but
-    /// the shared names, which are left to [`NameBytes`].
+    /// the shared names and template, which are left to [`SharedBytes`].
     pub(crate) fn own_bytes(&self) -> usize {
         let scopes: usize = self
             .facts
@@ -232,7 +248,6 @@ impl StoredSpeech {
             + size_of_val(self.query.predicates())
             + size_of_val(&*self.facts)
             + scopes
-            + self.text.len()
     }
 
     /// Every name handle this speech holds: its target, then each
@@ -247,26 +262,56 @@ impl StoredSpeech {
     }
 }
 
-/// The [`Arc`] header in front of every name: its strong and weak counts.
+impl fmt::Debug for StoredSpeech {
+    /// Prints the rendered text as a `text` field between the facts and
+    /// the utility, so a digest of this rendering covers every answer's
+    /// words.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StoredSpeech")
+            .field("query", &self.query)
+            .field("facts", &self.facts)
+            .field("text", &self.text())
+            .field("utility", &self.utility)
+            .field("base_error", &self.base_error)
+            .field("rows", &self.rows)
+            .finish()
+    }
+}
+
+/// The [`Arc`] header in front of every shared allocation: its strong and
+/// weak counts.
 const ARC_HEADER: usize = 2 * size_of::<usize>();
 
-/// Resident bytes of distinct name allocations, each counted once however
-/// many handles point to it: its text plus the 16-byte [`Arc`] header.
-/// Allocations are told apart by address, so equal names held in separate
-/// allocations (queries spelled from fresh `String`s) count once each.
+/// Resident bytes of distinct shared allocations, each counted once
+/// however many handles point to it: a name's text, or a template's struct
+/// and string buffers, plus the 16-byte [`Arc`] header. Allocations are
+/// told apart by address, so equal names held in separate allocations
+/// (queries spelled from fresh `String`s) count once each.
 #[derive(Debug, Default)]
-pub(crate) struct NameBytes {
+pub(crate) struct SharedBytes {
     seen: FxHashSet<*const u8>,
     total: usize,
 }
 
-impl NameBytes {
+impl SharedBytes {
     /// Count every allocation among `names` not counted before.
-    pub(crate) fn count<'a>(&mut self, names: impl IntoIterator<Item = &'a Arc<str>>) {
+    pub(crate) fn names<'a>(&mut self, names: impl IntoIterator<Item = &'a Arc<str>>) {
         for name in names {
-            if self.seen.insert(Arc::as_ptr(name).cast::<u8>()) {
-                self.total += ARC_HEADER + name.len();
-            }
+            self.count(Arc::as_ptr(name).cast(), name.len());
+        }
+    }
+
+    /// Count `template`'s allocation unless it was counted before.
+    pub(crate) fn template(&mut self, template: &Arc<SpeechTemplate>) {
+        let bytes = size_of::<SpeechTemplate>() + template.heap_bytes();
+        self.count(Arc::as_ptr(template).cast(), bytes);
+    }
+
+    /// Add the allocation at `at`, holding `bytes` after its header, the
+    /// first time it is seen.
+    fn count(&mut self, at: *const u8, bytes: usize) {
+        if self.seen.insert(at) {
+            self.total += ARC_HEADER + bytes;
         }
     }
 
@@ -370,19 +415,22 @@ mod tests {
     }
 
     /// The `Debug` rendering is what the store digests hash: handles and
-    /// boxed slices print exactly as the owned strings and vectors did.
+    /// boxed slices print exactly as the owned strings and vectors did,
+    /// and the template prints as the text it renders.
     #[test]
     fn debug_rendering_is_the_owned_strings_rendering() {
         let region: Arc<str> = Arc::from("region");
         let speech = StoredSpeech {
             query: Query::new("delay", [(Arc::clone(&region), Arc::from("East"))]),
             facts: Box::new([NamedFact {
-                scope: Box::new([(region, Arc::from("East")), ("season".into(), "Winter".into())]),
+                scope: Box::new([
+                    (region, Arc::from("East")),
+                    ("season".into(), "Winter".into()),
+                ]),
                 value: 12.5,
                 support: 3,
             }]),
-            text: "For region East: The average delay for region East and season Winter is about 12.5."
-                .into(),
+            template: Arc::new(SpeechTemplate::plain("delay")),
             utility: 1.5,
             base_error: 2.0,
             rows: 4,
@@ -401,7 +449,7 @@ mod tests {
         let speech = StoredSpeech {
             query: Query::of("t", &[]),
             facts: Box::new([]),
-            text: "".into(),
+            template: Arc::new(SpeechTemplate::plain("t")),
             utility: 30.0,
             base_error: 120.0,
             rows: 16,

@@ -59,7 +59,9 @@ use vqs_relalg::prelude::Table;
 
 use crate::config::{ConfigError, Configuration};
 use crate::error::{EngineError, Result};
-use crate::generator::{require_column, resummarize_with, PreprocessReport, RefreshReport};
+use crate::generator::{
+    require_column, resummarize_with, target_templates, PreprocessReport, RefreshReport,
+};
 use crate::ingest::{FlushReport, IngestBuilder, IngestInner, IngestReport, IngestState, RowDelta};
 use crate::logsim::{tabulate, LogEntry};
 use crate::pipeline::{
@@ -162,6 +164,9 @@ pub enum Answer {
     Speech {
         /// The stored speech (shared, never deep-copied).
         speech: Arc<StoredSpeech>,
+        /// Its text, rendered once for this answer
+        /// ([`StoredSpeech::text`]).
+        text: String,
         /// `None` for an exact hit; `Some(k)` when the §III
         /// generalization fallback answered with `k` of the query's
         /// predicates retained.
@@ -239,8 +244,8 @@ impl Answer {
     /// The spoken form of this answer.
     pub fn text(&self) -> &str {
         match self {
-            Answer::Speech { speech, .. } => &speech.text,
-            Answer::Computed { text, .. }
+            Answer::Speech { text, .. }
+            | Answer::Computed { text, .. }
             | Answer::Help { text }
             | Answer::Unsupported { text, .. } => text,
             Answer::NoSummary { .. } => NO_SUMMARY,
@@ -522,7 +527,10 @@ pub(crate) struct Tenant {
     pub(crate) name: String,
     config: Configuration,
     help_text: String,
-    templates: FxHashMap<String, SpeechTemplate>,
+    /// One speech template per configured target, in `config.targets`
+    /// order, built at registration: every speech of a target shares its
+    /// allocation across all of the tenant's stores.
+    templates: Vec<Arc<SpeechTemplate>>,
     synonyms: Vec<(String, Vec<String>)>,
     unavailable_markers: Vec<String>,
     /// Default deadline budget stamped onto requests that carry none.
@@ -881,11 +889,12 @@ impl VoiceService {
         // Solve over the caller's table first, so its projection never
         // adds to the set-up's peak memory. Nothing is published yet, so
         // every query is solved.
+        let templates = target_templates(&spec.config, &spec.templates);
         let (store, solved) = resummarize_with(
             &spec.dataset.table,
             &spec.config,
             self.summarizer.as_ref(),
-            &spec.templates,
+            &templates,
             &SpeechStore::new(),
             &[],
             &self.pool,
@@ -921,7 +930,7 @@ impl VoiceService {
             name: spec.name.clone(),
             config: spec.config,
             help_text,
-            templates: spec.templates,
+            templates,
             synonyms: spec.synonyms,
             unavailable_markers: spec.unavailable_markers,
             default_deadline: spec.default_deadline,
@@ -1474,10 +1483,12 @@ mod tests {
         match &response.answer {
             Answer::Speech {
                 speech,
+                text,
                 kept_predicates,
             } => {
                 assert_eq!(kept_predicates, &None);
-                assert!(speech.text.contains("season Winter"), "{}", speech.text);
+                assert!(text.contains("season Winter"), "{text}");
+                assert_eq!(*text, speech.text());
             }
             other => panic!("expected speech, got {other:?}"),
         }
@@ -1607,7 +1618,7 @@ mod tests {
         for predicates in [vec![], vec![("season", "Winter")]] {
             let query = Query::of("delay", &predicates);
             store.insert(StoredSpeech {
-                text: format!("speech for {query}").into(),
+                template: Arc::new(SpeechTemplate::plain("delay")),
                 facts: Box::new([]),
                 utility: 1.0,
                 base_error: 2.0,
@@ -1636,6 +1647,7 @@ mod tests {
             Answer::Speech {
                 speech,
                 kept_predicates,
+                ..
             } => {
                 assert_eq!(kept_predicates, Some(1));
                 assert_eq!(speech.query, Query::of("delay", &[("season", "Winter")]));
@@ -2028,7 +2040,7 @@ mod tests {
             &dataset(7).table,
             &config(),
             &vqs_core::prelude::ExactSummarizer::paper(),
-            &Default::default(),
+            &target_templates(&config(), &Default::default()),
             &SpeechStore::new(),
             &[],
             &SolverPool::new(1),

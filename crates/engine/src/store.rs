@@ -26,15 +26,18 @@
 //! the canonically smallest stored one-step extension, so a hint costs one
 //! hash probe instead of a scan of the target's speeches. Speeches are
 //! stored behind [`Arc`], so lookups hand out references without
-//! deep-copying text and facts, and a rebuilt store shares every
+//! deep-copying facts, and a rebuilt store shares every
 //! untouched speech with the store it replaces.
 //!
 //! Names are shared, not copied: a speech holds its target, dimension and
 //! value names as 16-byte [`Arc<str>`] handles
 //! ([`crate::problem::Predicate`]), the follow-on index's keys clone the
 //! handles of the queries they index, and the target index is keyed by
-//! the target's handle. [`SpeechStore::approx_bytes`] counts every handle
-//! as its slot and each distinct name allocation once.
+//! the target's handle. A speech keeps no text either: it holds its
+//! target's [`crate::template::SpeechTemplate`] as an [`Arc`], one
+//! allocation per configured target, and an answer renders the text.
+//! [`SpeechStore::approx_bytes`] counts every handle as its slot and each
+//! distinct name and template allocation once.
 
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
@@ -45,10 +48,10 @@ use vqs_core::delta::masks_of_size;
 use vqs_core::prelude::Instrumentation;
 use vqs_relalg::hash::{FxHashMap, FxHashSet, FxHasher};
 
-use crate::problem::{NameBytes, Predicate, Query, StoredSpeech};
+use crate::problem::{Predicate, Query, SharedBytes, StoredSpeech};
 
 /// Result of a store lookup. Speeches are shared via [`Arc`]: cloning a
-/// lookup result never copies the speech text or facts.
+/// lookup result never copies the speech's facts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Lookup {
     /// A speech pre-generated for exactly this query.
@@ -96,14 +99,15 @@ pub struct StoreStats {
     /// Approximate resident size of the store in bytes: per stored
     /// speech, its set slot (the speech's `Arc`, which is also its key:
     /// the query is kept once, inside the speech) plus what the speech
-    /// owns (struct, boxed slices, text, with each name handle as its
-    /// 16-byte slot); per follow-on hint, its slot (the parent query's
-    /// predicates and the extension's `Arc`) plus the predicate slice;
-    /// and once, however many handles share it, each distinct name
-    /// allocation: its text plus the 16-byte `Arc` header. Computed by
-    /// walking the speeches and the index at snapshot time, so it tracks
-    /// the *current* contents — the scale benchmarks chart it against row
-    /// count.
+    /// owns (struct and boxed slices, with each name handle as its
+    /// 16-byte slot; a speech keeps no text); per follow-on hint, its
+    /// slot (the parent query's predicates and the extension's `Arc`)
+    /// plus the predicate slice; and once, however many handles share it,
+    /// each distinct name allocation (its text) and template allocation
+    /// (its struct and strings), each with its 16-byte `Arc` header.
+    /// Computed by walking the speeches and the index at snapshot time, so
+    /// it tracks the *current* contents — the scale benchmarks chart it
+    /// against row count.
     pub approx_bytes: u64,
 }
 
@@ -416,15 +420,17 @@ impl SpeechStore {
     /// Approximate resident size of the store in bytes (see
     /// [`StoreStats::approx_bytes`]): per-entry set overhead plus what
     /// each stored speech owns, the follow-on index's entries with their
-    /// parent predicates, and each distinct name allocation once, found
-    /// by address. One walk per call — a diagnostic, not a hot path.
+    /// parent predicates, and each distinct name and template allocation
+    /// once, found by address. One walk per call — a diagnostic, not a
+    /// hot path.
     pub fn approx_bytes(&self) -> usize {
-        let mut names = NameBytes::default();
+        let mut shared = SharedBytes::default();
         // Set slot (the speech's Arc, also its key) + hash bookkeeping.
         let mut bytes = self.speeches.len() * (std::mem::size_of::<Entry>() + 8);
         for Entry(speech) in &self.speeches {
             bytes += speech.own_bytes();
-            names.count(speech.names());
+            shared.names(speech.names());
+            shared.template(&speech.template);
         }
         for target in self.index.values() {
             // Map slot (parent predicates + Arc) + hash bookkeeping.
@@ -434,10 +440,10 @@ impl SpeechStore {
                     + 8);
             for parent in target.followons.keys() {
                 bytes += std::mem::size_of_val(&**parent);
-                names.count(parent.iter().flat_map(|(d, v)| [d, v]));
+                shared.names(parent.iter().flat_map(|(d, v)| [d, v]));
             }
         }
-        bytes + names.total()
+        bytes + shared.total()
     }
 
     /// Reset the run-time counters to zero.
@@ -471,12 +477,13 @@ mod tests {
     use super::*;
 
     use crate::problem::NamedFact;
+    use crate::template::SpeechTemplate;
 
     fn speech(target: &str, preds: &[(&str, &str)]) -> StoredSpeech {
         StoredSpeech {
             query: Query::of(target, preds),
             facts: Box::new([]),
-            text: format!("speech for {target} {preds:?}").into(),
+            template: Arc::new(SpeechTemplate::plain(target)),
             utility: 1.0,
             base_error: 2.0,
             rows: 10,
@@ -509,9 +516,11 @@ mod tests {
     }
 
     /// Two speeches over the names delay, season, Winter, region and
-    /// East: one queries season Winter and scopes its fact to region
-    /// East, the other the reverse. `name` makes each name's handle.
+    /// East, sharing one template: one queries season Winter and scopes
+    /// its fact to region East, the other the reverse. `name` makes each
+    /// name's handle.
     fn crossed_speeches(mut name: impl FnMut(&str) -> Arc<str>) -> [StoredSpeech; 2] {
+        let template = Arc::new(SpeechTemplate::plain("delay"));
         let mut speech = |query: (&str, &str), scope: (&str, &str)| StoredSpeech {
             query: Query::new(name("delay"), [(name(query.0), name(query.1))]),
             facts: Box::new([NamedFact {
@@ -519,7 +528,7 @@ mod tests {
                 value: 1.0,
                 support: 2,
             }]),
-            text: "text".into(),
+            template: Arc::clone(&template),
             utility: 1.0,
             base_error: 2.0,
             rows: 3,
@@ -545,9 +554,11 @@ mod tests {
             Arc::clone(handle)
         });
         let fresh = crossed_speeches(|text| Arc::from(text.to_string()));
-        // Alone, a speech counts each of the five names it mentions once.
+        let template = 16 + std::mem::size_of::<SpeechTemplate>() + shared[0].template.heap_bytes();
+        // Alone, a speech counts each of the five names it mentions once,
+        // and its template.
         for speech in shared.iter().chain(&fresh) {
-            assert_eq!(speech.approx_bytes(), speech.own_bytes() + names);
+            assert_eq!(speech.approx_bytes(), speech.own_bytes() + names + template);
         }
         let stores = [shared, fresh].map(|speeches| {
             let mut store = SpeechStore::new();
@@ -651,13 +662,13 @@ mod tests {
         let mut store = SpeechStore::new();
         store.insert(speech("delay", &[("season", "Winter")]));
         let mut updated = speech("delay", &[("season", "Winter")]);
-        updated.text = "updated".into();
+        updated.rows = 11;
         store.insert(updated);
         assert_eq!(store.len(), 1);
         let got = store
             .get(&Query::of("delay", &[("season", "Winter")]))
             .unwrap();
-        assert_eq!(&*got.text, "updated");
+        assert_eq!(got.rows, 11);
         // The index still routes fallback to the surviving entry.
         let q = Query::of("delay", &[("season", "Winter"), ("region", "East")]);
         assert!(matches!(store.lookup(&q), Lookup::Generalized { .. }));

@@ -58,14 +58,23 @@ impl SpeechTemplate {
         }
     }
 
+    /// Heap bytes the template owns: its strings' buffers.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let style = match &self.style {
+            ValueStyle::Unit(text) | ValueStyle::PerMille(text) => text.capacity(),
+            ValueStyle::Percent | ValueStyle::Plain => 0,
+        };
+        self.target_phrase.capacity() + style
+    }
+
     /// Append the phrase of `value` in this template's style ("about 12.3
     /// minutes").
-    fn write_value_phrase(&self, out: &mut String, value: f64) {
+    fn write_value_phrase(&self, out: &mut impl Sink, value: f64) {
         out.push_str("about ");
-        write_value(out, value);
+        out.push_value(value);
         match &self.style {
             ValueStyle::Unit(unit) => {
-                out.push(' ');
+                out.push_str(" ");
                 out.push_str(unit);
             }
             ValueStyle::PerMille(noun) => {
@@ -79,66 +88,115 @@ impl SpeechTemplate {
 
     /// Render a full speech: subset prefix, then one sentence per fact —
     /// the first spelled out, the rest in Table II's "It is X for Y" form.
-    /// Every part is written into the one returned buffer.
+    /// A first pass adds up how long the text can be, so the one returned
+    /// buffer is allocated once, before the second pass writes it.
     pub fn render(&self, query: &Query, facts: &[NamedFact]) -> String {
-        let mut out = String::new();
+        let mut bound = Length::default();
+        self.write_speech(&mut bound, query, facts);
+        let mut out = String::with_capacity(bound.0);
+        self.write_speech(&mut out, query, facts);
+        out
+    }
+
+    /// Write [`SpeechTemplate::render`]'s speech into `out`. A summarizer
+    /// returns no facts only when every candidate fact's average equals
+    /// the overall one (a fact whose average differs lowers the error of
+    /// one of its rows), so a speech without facts says so.
+    fn write_speech(&self, out: &mut impl Sink, query: &Query, facts: &[NamedFact]) {
         if !query.is_empty() {
             out.push_str("For ");
-            write_pairs(&mut out, query.predicates());
+            write_pairs(out, query.predicates());
             out.push_str(": ");
         }
         if facts.is_empty() {
-            out.push_str("No data is available on the ");
+            out.push_str("The ");
             out.push_str(&self.target_phrase);
-            out.push('.');
-            return out;
+            out.push_str(" is the same as overall.");
+            return;
         }
         for (i, fact) in facts.iter().enumerate() {
             if i == 0 {
                 out.push_str("The ");
                 out.push_str(&self.target_phrase);
-                out.push(' ');
-                write_scope_phrase(&mut out, &fact.scope);
+                out.push_str(" ");
+                write_scope_phrase(out, &fact.scope);
                 out.push_str(" is ");
-                self.write_value_phrase(&mut out, fact.value);
+                self.write_value_phrase(out, fact.value);
             } else {
                 out.push_str(" It is ");
-                write_value(&mut out, fact.value);
-                out.push(' ');
-                write_scope_phrase(&mut out, &fact.scope);
+                out.push_value(fact.value);
+                out.push_str(" ");
+                write_scope_phrase(out, &fact.scope);
             }
-            out.push('.');
+            out.push_str(".");
         }
-        out
+    }
+}
+
+/// Where speech text is written: a [`String`], or a [`Length`] that only
+/// adds up how long the text can be.
+pub(crate) trait Sink {
+    /// Append `text`.
+    fn push_str(&mut self, text: &str);
+    /// Append [`format_value`]'s rendering of `value`.
+    fn push_value(&mut self, value: f64);
+}
+
+impl Sink for String {
+    fn push_str(&mut self, text: &str) {
+        String::push_str(self, text);
+    }
+
+    fn push_value(&mut self, value: f64) {
+        write_value(self, value);
+    }
+}
+
+/// The longest [`format_value`] rendering: an `i64` with its sign. A value
+/// that keeps a decimal is below 2^52 in magnitude, so it is shorter.
+const MAX_VALUE_LEN: usize = 20;
+
+/// An upper bound on the length of the text written to it: every string's
+/// length, and [`MAX_VALUE_LEN`] per value.
+#[derive(Default)]
+struct Length(usize);
+
+impl Sink for Length {
+    fn push_str(&mut self, text: &str) {
+        self.0 += text.len();
+    }
+
+    fn push_value(&mut self, _value: f64) {
+        self.0 += MAX_VALUE_LEN;
     }
 }
 
 /// Append `name` as spoken, underscores as spaces ("age_group" → "age
 /// group").
-pub(crate) fn write_spoken(out: &mut String, name: &str) {
+pub(crate) fn write_spoken(out: &mut impl Sink, name: &str) {
     for (i, word) in name.split('_').enumerate() {
         if i > 0 {
-            out.push(' ');
+            out.push_str(" ");
         }
         out.push_str(word);
     }
 }
 
 /// Append `pairs` as spoken: "season Winter and region East".
-pub(crate) fn write_pairs(out: &mut String, pairs: &[Predicate]) {
+pub(crate) fn write_pairs(out: &mut impl Sink, pairs: &[Predicate]) {
     for (i, (dim, value)) in pairs.iter().enumerate() {
         if i > 0 {
             out.push_str(" and ");
         }
         write_spoken(out, dim);
-        out.push(' ');
+        out.push_str(" ");
         out.push_str(value);
     }
 }
 
 /// Append a fact's scope phrase: "for season Winter and region East", or
 /// "overall" for the empty scope.
-pub(crate) fn write_scope_phrase(out: &mut String, scope: &[Predicate]) {
+pub(crate) fn write_scope_phrase(out: &mut impl Sink, scope: &[Predicate]) {
     if scope.is_empty() {
         out.push_str("overall");
     } else {
@@ -256,7 +314,7 @@ mod tests {
         }
         if facts.is_empty() {
             out.push_str(&format!(
-                "No data is available on the {}.",
+                "The {} is the same as overall.",
                 template.target_phrase
             ));
             return out;
@@ -310,11 +368,42 @@ mod tests {
         }
     }
 
+    /// No facts means no fact's average differs from the overall one.
     #[test]
     fn empty_facts_explains() {
         let template = SpeechTemplate::plain("support");
-        let text = template.render(&Query::of("support", &[]), &[]);
-        assert!(text.contains("No data is available"));
+        let text = template.render(&Query::of("support", &[("region", "East")]), &[]);
+        assert_eq!(
+            text,
+            "For region East: The average support is the same as overall."
+        );
+    }
+
+    /// The first pass bounds the text, so the second never grows the
+    /// buffer: its capacity is still the bound it was allocated with.
+    #[test]
+    fn the_buffer_is_sized_before_it_is_written() {
+        let template = SpeechTemplate::per_mille("visual impairment rate", "persons");
+        let query = Query::of("visual", &[("age_group", "70-79"), ("borough", "Queens")]);
+        let extremes = [
+            -9.3e18,
+            1e300,
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -4_503_599_627_370_495.5,
+            0.05,
+        ];
+        let mut facts = facts();
+        for value in extremes {
+            facts[1].value = value;
+            for count in 0..=3 {
+                let mut bound = Length::default();
+                template.write_speech(&mut bound, &query, &facts[..count]);
+                let text = template.render(&query, &facts[..count]);
+                assert!(text.len() <= bound.0, "{text}");
+                assert_eq!(text.capacity(), bound.0, "{text}");
+            }
+        }
     }
 
     #[test]

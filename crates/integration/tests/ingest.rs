@@ -525,7 +525,9 @@ fn store_handles_keep_their_snapshot_across_refresh_and_flush() {
 
 /// Deleting every row leaves an empty store, and a store question then
 /// answers `NoSummary` at full quality, deadline or not: no plan over the
-/// empty table could answer it. One insert brings the speeches back.
+/// empty table could answer it. One insert brings the speeches back. With
+/// one row every fact's average is the overall average, so no speech
+/// holds a fact, and each says its subset's average is the overall one.
 #[test]
 fn an_emptied_tenant_answers_no_summary_until_a_row_returns() {
     let base = dataset(4, 6);
@@ -561,15 +563,25 @@ fn an_emptied_tenant_answers_no_summary_until_a_row_returns() {
         .unwrap();
     assert!(report.flush.is_some());
     // Overall, Winter, East, and Winter in the East.
-    assert_eq!(service.tenant_store("stream").unwrap().len(), 4);
+    let store = service.tenant_store("stream").unwrap();
+    assert_eq!(store.len(), 4);
+    assert!(store
+        .snapshot()
+        .iter()
+        .all(|speech| speech.facts.is_empty()));
     let response = service.respond(&ServiceRequest::new("stream", "delay in Winter?"));
     match &response.answer {
         Answer::Speech {
             speech,
             kept_predicates: None,
+            ..
         } => assert_eq!(speech.query, Query::of("delay", &[("season", "Winter")])),
         other => panic!("expected the Winter speech, got {other:?}"),
     }
+    assert_eq!(
+        response.text(),
+        "For season Winter: The average delay is the same as overall."
+    );
 }
 
 /// Drain the tenant's log and require its store to equal a cold

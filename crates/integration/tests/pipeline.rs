@@ -274,6 +274,21 @@ fn unnamed_target_of_a_two_target_deployment_apologizes() {
     }
 }
 
+/// The air tenant's data without its Summer rows in the East, so that
+/// combination generalizes.
+fn without_summer_in_the_east() -> GeneratedDataset {
+    let data = dataset(0xA1);
+    let rows: Vec<Vec<Value>> = data
+        .table
+        .iter_rows()
+        .filter(|row| !(row[0] == Value::str("Summer") && row[1] == Value::str("East")))
+        .collect();
+    GeneratedDataset {
+        table: Table::from_rows(data.table.schema().clone(), rows).unwrap(),
+        ..data
+    }
+}
+
 /// A request answered past its deadline skips live plans: a count, an
 /// extremum, a comparison and a total each answer their typed apology,
 /// stamped `StoreOnly`, where a 60-s budget computes them at full
@@ -281,18 +296,7 @@ fn unnamed_target_of_a_two_target_deployment_apologizes() {
 /// deadline, exact hit and generalization alike.
 #[test]
 fn an_expired_deadline_skips_live_plans_but_not_stored_speeches() {
-    // The air tenant without its Summer rows in the East, so that
-    // combination generalizes.
-    let data = dataset(0xA1);
-    let rows: Vec<Vec<Value>> = data
-        .table
-        .iter_rows()
-        .filter(|row| !(row[0] == Value::str("Summer") && row[1] == Value::str("East")))
-        .collect();
-    let data = GeneratedDataset {
-        table: Table::from_rows(data.table.schema().clone(), rows).unwrap(),
-        ..data
-    };
+    let data = without_summer_in_the_east();
     let service = ServiceBuilder::new().workers(1).build();
     service
         .register_dataset(
@@ -344,7 +348,8 @@ fn an_expired_deadline_skips_live_plans_but_not_stored_speeches() {
 
 /// Store hits are byte-identical to the pre-pipeline path: for every
 /// stored speech the utterance built from its query returns the *same
-/// `Arc`* the store lookup returns, with no rephrasing on top.
+/// `Arc`* the store lookup returns, and speaks that speech's own
+/// rendering, with no rephrasing on top.
 #[test]
 fn store_hits_are_byte_identical_to_direct_lookup() {
     let service = service();
@@ -359,6 +364,7 @@ fn store_hits_are_byte_identical_to_direct_lookup() {
         let Answer::Speech {
             speech,
             kept_predicates,
+            ..
         } = &response.answer
         else {
             panic!(
@@ -376,11 +382,51 @@ fn store_hits_are_byte_identical_to_direct_lookup() {
             panic!("{utterance}: direct lookup missed");
         };
         assert!(Arc::ptr_eq(&direct, &stored));
-        assert_eq!(response.text(), &*direct.text);
+        assert_eq!(response.text(), direct.text(), "{utterance}");
         exact_hits += 1;
     }
     // Two targets × (1 overall + 4 seasons + 3 regions + 12 pairs).
     assert_eq!(exact_hits, 40);
+}
+
+/// A store answer speaks the speech it serves: its text is the served
+/// speech's own rendering, for an exact hit and for a generalization
+/// alike. Every season and region pair of both targets is asked; Summer
+/// in the East, which the data lacks, generalizes.
+#[test]
+fn store_answers_speak_the_served_speech() {
+    let service = ServiceBuilder::new().workers(1).build();
+    service
+        .register_dataset(TenantSpec::new(
+            "air",
+            without_summer_in_the_east(),
+            config(),
+        ))
+        .unwrap();
+    let mut hits = [0usize; 2];
+    for target in ["delay", "cancelled"] {
+        for season in SEASONS {
+            for region in REGIONS {
+                let utterance = format!("{target} in {season} in {region}");
+                let response = service.respond(&ServiceRequest::new("air", &utterance));
+                let Answer::Speech {
+                    speech,
+                    text,
+                    kept_predicates,
+                } = &response.answer
+                else {
+                    panic!(
+                        "{utterance}: expected a store answer, got {:?}",
+                        response.answer
+                    );
+                };
+                assert_eq!(*text, speech.text(), "{utterance}");
+                assert_eq!(response.text(), text, "{utterance}");
+                hits[usize::from(kept_predicates.is_some())] += 1;
+            }
+        }
+    }
+    assert_eq!(hits, [22, 2], "exact hits and generalizations");
 }
 
 /// Build the reference answer with `vqs-relalg` directly: σ(predicates)
@@ -902,6 +948,7 @@ fn follow_on_hints_point_at_adjacent_summaries() {
         Answer::Speech {
             speech,
             kept_predicates,
+            ..
         } => {
             assert_eq!(kept_predicates, &None);
             assert_eq!(speech.query, hint.query);

@@ -90,7 +90,7 @@ fn tenants_are_isolated() {
         panic!("both tenants must answer with speeches: {a:?} / {b:?}");
     };
     assert_eq!(sa.query, sb.query, "same classified query");
-    assert_ne!(sa.text, sb.text, "different data, different answer");
+    assert_ne!(sa.text(), sb.text(), "different data, different answer");
 
     // Store counters are per tenant: only alpha served the second probe.
     service.respond(&ServiceRequest::new("alpha", "delay in Summer?"));

@@ -5,6 +5,8 @@
 //! in, plus an instrumented check that the fallback probes only indexed
 //! candidates.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -105,7 +107,7 @@ impl NaiveStore {
 
 fn make_speech(query: Query) -> StoredSpeech {
     StoredSpeech {
-        text: format!("speech::{query}").into(),
+        template: Arc::new(SpeechTemplate::plain(query.target())),
         facts: Box::new([]),
         utility: 1.0,
         base_error: 2.0,
@@ -220,12 +222,8 @@ proptest! {
             naive.insert(make_speech(query));
         }
         for probe in &probes {
-            let got = store.get(probe).map(|s| s.text.clone());
-            let want = naive
-                .speeches
-                .iter()
-                .find(|s| &s.query == probe)
-                .map(|s| s.text.clone());
+            let got = store.get(probe).map(|s| StoredSpeech::clone(&s));
+            let want = naive.speeches.iter().find(|s| &s.query == probe).cloned();
             prop_assert_eq!(got, want);
         }
     }
@@ -310,8 +308,8 @@ proptest! {
     // in two random orders, and every query of the universe (stored or
     // not) must get the reference's lookup decision and follow-on hint,
     // the canonically smallest one-step extension. A query drawn twice
-    // is inserted twice with different texts, so the hint must also be
-    // the speech stored last for its query, not a replaced one.
+    // is inserted twice with different utilities, so the hint must also
+    // be the speech stored last for its query, not a replaced one.
     #[test]
     fn stores_built_in_any_order_match_linear_scan(
         drawn in prop::collection::vec(arb_query(), 0..40),
@@ -323,7 +321,7 @@ proptest! {
             .enumerate()
             .map(|(index, query)| {
                 let mut speech = make_speech(query);
-                speech.text = format!("{} (drawn {index})", speech.text).into();
+                speech.utility = index as f64;
                 speech
             })
             .collect();
@@ -347,10 +345,10 @@ proptest! {
                 );
                 let got = store
                     .follow_on(query)
-                    .map(|s| (s.query.clone(), s.text.clone()));
+                    .map(|s| (s.query.clone(), s.utility));
                 let want = naive
                     .follow_on(query)
-                    .map(|s| (s.query.clone(), s.text.clone()));
+                    .map(|s| (s.query.clone(), s.utility));
                 prop_assert_eq!(got, want, "follow-on of {} in order {:?}", query, &order);
             }
         }

@@ -56,7 +56,7 @@ fn register_and_answer_with_every_summarizer() {
         // The overall query must always be answerable.
         let overall = store.get(&Query::of("cancelled", &[])).unwrap();
         assert!(overall.utility >= 0.0);
-        assert!(!overall.text.is_empty());
+        assert!(!overall.text().is_empty());
         utilities.push(overall.utility);
     }
     // All greedy variants agree on the selected utility.
@@ -234,7 +234,7 @@ fn facade_preprocessing_is_deterministic_in_pool_size() {
         let mut texts: Vec<(String, String)> = store
             .queries()
             .into_iter()
-            .map(|q| (q.to_string(), store.get(&q).unwrap().text.to_string()))
+            .map(|q| (q.to_string(), store.get(&q).unwrap().text()))
             .collect();
         texts.sort();
         texts
